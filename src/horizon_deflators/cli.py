@@ -86,7 +86,7 @@ def cmd_verify(args) -> int:
     except (SpaceValidationError, ContractViolationError) as exc:
         return _fail(2, f"input error: {exc}")
     out = _outdir(args)
-    failing = {k: v for k, v in invariants.items() if v > args.tol}
+    failing = {k: v for k, v in invariants.items() if not v <= args.tol}  # NaN fails
     report = {
         "model": os.path.basename(str(args.model)),
         "tolerance": args.tol,

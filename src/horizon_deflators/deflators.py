@@ -44,6 +44,7 @@ from .prob_core import (
     as_values,
     classify,
     cond_expect,
+    project,
     stochastic_exponential,
     stochastic_integral,
     stop,
@@ -250,7 +251,6 @@ def validate(params: DeflatorParams, rts: RandomTimeStructure) -> AdmissibilityR
         factors = _live_factors(1.0 + np.diff(KG, axis=1), rts)
         dK = np.diff(K_F, axis=1)
         one_dK = np.concatenate([np.ones((rts.space.n_atoms, 1)), 1.0 + dK], axis=1)
-        bounds = _optional_bounds(rts)
         G, Gt, Gm = rts.G, rts.G_tilde, rts.G_minus
         dDo = Gt - G
         lo = np.full_like(G, -np.inf)
@@ -487,20 +487,15 @@ def multiplicative_decomposition(space, Z, *, filtration=None, measure=None,
     return N, Vout
 
 
-def _block_value(vals, weights, tol, what, time, block):
-    if len(vals) == 0:
-        return None
-    if np.ptp(vals) > tol * max(1.0, float(np.max(np.abs(vals)))):
-        raise ContractViolationError(
-            f"{what} not constant on an enlarged cell at time {time}, block {block}")
-    return float(weights @ vals / weights.sum())
-
-
 def decompose_martingale(M_G, rts: RandomTimeStructure, *, tol: float = 1e-9) -> Representation:
     """Two-term decomposition of a stopped enlarged-filtration martingale.
 
-    Solves, block by block, for the public martingale M_F and the adapted
+    Solves, cell by cell, for the public martingale M_F and the adapted
     integrand phi with (M_G)^tau = M_0 + (1/G_minus^2) . T(M_F) + phi . N_G.
+    Each public time-k cell splits into the atoms dying at k and those
+    surviving k (both empty under a block with G_{k-1} = 0); the martingale
+    increment must be constant on each part, and its weighted means determine
+    the cell.
     The integrand is reported where it is identified (cells where the
     compensated default indicator actually moves both ways); elsewhere it is
     0 by convention, as is M_F on cells unreachable before the horizon.
@@ -511,6 +506,7 @@ def decompose_martingale(M_G, rts: RandomTimeStructure, *, tol: float = 1e-9) ->
     if not rep.is_martingale:
         raise ContractViolationError(
             f"decomposition input is not a martingale (residual {rep.max_residual:g})")
+    filt = space.filtration
     w = space.probs
     dV = np.diff(V, axis=1)
     dDo = np.diff(rts.D_opt, axis=1)
@@ -518,32 +514,30 @@ def decompose_martingale(M_G, rts: RandomTimeStructure, *, tol: float = 1e-9) ->
     phi = np.zeros_like(V)
     known = np.zeros_like(V, dtype=bool)
     for k in range(1, T + 1):
-        dMF_col = np.zeros(space.n_atoms)
-        for b, atoms in enumerate(space.filtration.blocks(k - 1)):
-            g_prev = rts.G_minus[atoms[0], k]
-            if g_prev <= 0.0:
-                continue
-            for cell in space.filtration.blocks(k):
-                C = cell[np.isin(cell, atoms, assume_unique=True)]
-                if len(C) == 0:
-                    continue
-                eq = C[rts.tau[C] == k]
-                gt = C[rts.tau[C] > k]
-                if len(eq) + len(gt) == 0:
-                    continue  # cell died before k: unreachable, convention 0
-                a = _block_value(dV[eq, k - 1], w[eq], tol, "martingale increment", k, b)
-                bb = _block_value(dV[gt, k - 1], w[gt], tol, "martingale increment", k, b)
-                ddo = dDo[C[0], k - 1]
-                g_now = rts.G[C[0], k]
-                if a is not None and bb is not None:
-                    phi[C, k] = a - bb
-                    known[C, k] = True
-                    dMF_col[C] = g_prev * (a * ddo + bb * g_now)
-                elif a is not None:
-                    dMF_col[C] = g_prev * rts.G_tilde[C[0], k] * a
-                else:
-                    dMF_col[C] = g_prev * rts.G_tilde[C[0], k] * bb
-        M_F[:, k] = M_F[:, k - 1] + dMF_col
+        x = dV[:, k - 1, None]
+        sub = np.stack([rts.tau == k, rts.tau > k], axis=1)  # (dying at k, surviving k)
+        wsub = np.where(sub, w[:, None], 0.0)
+        mass = filt.segment_reduce(k, wsub)
+        present = mass > 0.0
+        mean = np.zeros_like(mass)
+        np.divide(filt.segment_reduce(k, wsub * x), mass, out=mean, where=present)
+        hi = filt.segment_reduce(k, np.where(sub, x, -np.inf), np.maximum)
+        lo = filt.segment_reduce(k, np.where(sub, x, np.inf), np.minimum)
+        uneven = (present & (hi - lo > tol * np.maximum(1.0, np.maximum(hi, -lo)))).any(axis=1)
+        if np.any(uneven):
+            raise ContractViolationError(
+                "martingale increment not constant on an enlarged cell "
+                f"at time {k}, block {int(filt.parent[k][uneven].min())}")
+        a, bb = mean[:, 0], mean[:, 1]
+        both = present.all(axis=1)
+        first = filt.order[k][filt.starts[k][:-1]]  # one atom per cell
+        g_prev = rts.G_minus[first, k]
+        dMF = np.where(both, g_prev * (a * dDo[first, k - 1] + bb * rts.G[first, k]),
+                       g_prev * rts.G_tilde[first, k] * np.where(present[:, 0], a, bb))
+        ids = filt.block_ids[k]
+        phi[:, k] = np.where(both, a - bb, 0.0)[ids]
+        known[:, k] = both[ids]
+        M_F[:, k] = M_F[:, k - 1] + dMF[ids]
     rebuilt = reassemble(V[:, 0], M_F, phi, rts)
     residual = float(np.max(np.abs(rebuilt - V)))
     return Representation(M_F=M_F, phi=phi, phi_known=known, residual=residual)
@@ -576,18 +570,14 @@ def represent_payoff(h, rts: RandomTimeStructure, *, tol: float = 1e-10) -> Repr
     dDo = np.diff(rts.D_opt, axis=1)
     inc = np.concatenate([rts.D_opt[:, :1], dDo], axis=1)  # dD_opt with time-0 mass
     total = (hv * inc).sum(axis=1)
-    M_h = np.empty_like(hv)
-    for n in range(T + 1):
-        M_h[:, n], _ = cond_expect(total, space.filtration.block_ids[n], space.measure)
+    M_h = project(space, np.repeat(total[:, None], T + 1, axis=1))
     h_int = np.cumsum(hv * inc, axis=1)
     Y_h = M_h - h_int
     g_pos = rts.G > 0.0
     J = np.zeros_like(hv)
     np.divide(Y_h, rts.G, out=J, where=g_pos)
     h_at_tau = hv[np.arange(space.n_atoms), rts.tau]
-    H = np.empty_like(hv)
-    for n in range(T + 1):
-        H[:, n], _ = cond_expect(h_at_tau, rts.G_filtration.block_ids[n], space.measure)
+    H = project(space, np.repeat(h_at_tau[:, None], T + 1, axis=1), filtration=rts.G_filtration)
 
     TM = transport(M_h, rts, check=False)
     Tm = transport(rts.m, rts, check=False)
@@ -615,13 +605,8 @@ def split_at(Z, sigma, *, filtration=None) -> tuple:
     if np.min(V) <= 0.0:
         raise ContractViolationError("split needs a positive process")
     s = np.asarray(sigma, dtype=np.int64)
-    if filtration is not None:
-        T = V.shape[1] - 1
-        for n in range(T + 1):
-            ind = (s <= n).astype(float)
-            for atoms in filtration.blocks(n):
-                if np.ptp(ind[atoms]) > 0:
-                    raise ContractViolationError("sigma is not a stopping time")
+    if filtration is not None and not filtration.is_adapted(s[:, None] <= np.arange(V.shape[1])):
+        raise ContractViolationError("sigma is not a stopping time")
     K = np.zeros_like(V)
     K[:, 1:] = np.cumsum(np.diff(V, axis=1) / V[:, :-1], axis=1)
     K1 = stop(K, s)
@@ -637,12 +622,11 @@ def _broadcast_live(values, rts: RandomTimeStructure) -> Array:
     value so the returned process is constant on public cells.
     """
     out = np.array(values, dtype=float, copy=True)
-    space, T = rts.space, rts.horizon
-    for k in range(1, T + 1):
-        for atoms in space.filtration.blocks(k):
-            live = atoms[rts.tau[atoms] >= k]
-            if len(live):
-                out[atoms, k] = out[live[0], k]
+    filt = rts.space.filtration
+    for k in range(1, rts.horizon + 1):
+        live, found = filt.first_where(k, out[:, k], rts.tau >= k)
+        ids = filt.block_ids[k]
+        out[:, k] = np.where(found[ids], live[ids], out[:, k])
     return out
 
 
@@ -684,20 +668,16 @@ def lift_predictable(V_G, rts: RandomTimeStructure, *, tol: float = 1e-9) -> Arr
     On each public time-(k-1) block the lifted increment is the enlarged
     increment on the surviving sub-cell; blocks without survivors take 0.
     """
-    space, T = rts.space, rts.horizon
-    V = as_values(V_G)
-    dV = np.diff(V, axis=1)
-    out = np.zeros_like(V)
-    for k in range(1, T + 1):
-        col = np.zeros(space.n_atoms)
-        for atoms in space.filtration.blocks(k - 1):
-            survivors = atoms[rts.tau[atoms] >= k]
-            if len(survivors) == 0:
-                continue
-            vals = dV[survivors, k - 1]
-            if np.ptp(vals) > tol * max(1.0, float(np.max(np.abs(vals)))):
-                raise ContractViolationError(
-                    "predictable part not constant on a surviving sub-cell")
-            col[atoms] = vals[0]
-        out[:, k] = out[:, k - 1] + col
+    filt = rts.space.filtration
+    dV = np.diff(as_values(V_G), axis=1)
+    out = np.zeros((dV.shape[0], dV.shape[1] + 1))
+    for k in range(1, rts.horizon + 1):
+        alive, x = rts.tau >= k, dV[:, k - 1]
+        hi = filt.segment_reduce(k - 1, np.where(alive, x, -np.inf), np.maximum)
+        lo = filt.segment_reduce(k - 1, np.where(alive, x, np.inf), np.minimum)
+        if np.any(hi - lo > tol * np.maximum(1.0, np.maximum(hi, -lo))):
+            raise ContractViolationError(
+                "predictable part not constant on a surviving sub-cell")
+        col = filt.first_where(k - 1, x, alive)[0]
+        out[:, k] = out[:, k - 1] + col[filt.block_ids[k - 1]]
     return out

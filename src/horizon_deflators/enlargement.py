@@ -160,7 +160,7 @@ def build_survival(space: FiniteFilteredSpace, tau, *, tol: float = TOL_EXACT,
     Z_bar = np.ones_like(G)
     for k in range(1, T + 1):
         gm = G[:, k - 1]
-        factor = np.where(gm > 0.0, np.divide(G_tilde[:, k], gm, where=gm > 0.0), 1.0)
+        factor = np.divide(G_tilde[:, k], gm, out=np.ones_like(gm), where=gm > 0.0)
         Z_bar[:, k] = Z_bar[:, k - 1] * factor
 
     rts = RandomTimeStructure(

@@ -8,9 +8,14 @@ deflator directly from one-step conditional quantities:
   means — the local-martingale-deflator property;
 * ``verify_deflator``: at every node, the supremum over one-step admissible
   strategies (the closed polytope {phi : phi' dS >= -1}) of the deflated
-  conditional wealth gain is nonpositive.  The supremum is solved exactly at
-  interval endpoints for d = 1 and by vertex enumeration plus recession-ray
-  LPs for d in {2, 3}; higher dimensions are refused.
+  conditional wealth gain is nonpositive.  For d = 1 all nodes of a date are
+  settled in closed form in one vectorized pass, with no LP: the strategy set
+  is an interval, unbounded exactly on the side no increment bounds, and the
+  supremum sits at its endpoints.  For d in {2, 3} each node runs a
+  recession-ray LP and vertex enumeration; higher dimensions are refused.
+
+Both oracles fail closed: a Z that is not finite and positive is reported as
+not a deflator, with residual inf.
 """
 
 from __future__ import annotations
@@ -137,8 +142,8 @@ def verify_lmd(Z, market: MarketModel, *, tol: float = 1e-9) -> OracleReport:
     reported.
     """
     V = as_values(Z)
-    if np.min(V) <= 0.0:
-        return OracleReport(False, float("inf"), None, {"reason": "Z not positive"})
+    if not (np.all(np.isfinite(V)) and np.min(V) > 0.0):
+        return OracleReport(False, float("inf"), None, {"reason": "Z not finite and positive"})
     rep = classify(market.space, V, filtration=market.filtration,
                    measure=market.measure, tol=tol)
     worst = None
@@ -149,35 +154,18 @@ def verify_lmd(Z, market: MarketModel, *, tol: float = 1e-9) -> OracleReport:
     filt = market.filtration
     dS = np.diff(market.S, axis=2)
     for k in range(1, filt.n_times):
-        ids = filt.block_ids[k - 1]
-        nb = ids.max() + 1
-        mass = np.bincount(ids, weights=w, minlength=nb)
-        for i in range(market.n_assets):
-            sums = np.bincount(ids, weights=w * V[:, k] * dS[i, :, k - 1], minlength=nb)
-            live = mass > 0
-            if not np.any(live):
-                continue
-            r = np.abs(sums[live] / mass[live])
-            b = int(np.argmax(r))
-            if r[b] > max_res:
-                max_res = float(r[b])
-                worst = (k, b, f"price[{i}]")
+        mass = filt.segment_reduce(k - 1, w)
+        live = np.flatnonzero(mass > 0)
+        if len(live) == 0:
+            continue
+        sums = filt.segment_reduce(k - 1, (w * V[:, k])[:, None] * dS[:, :, k - 1].T)
+        r = np.abs(sums[live] / mass[live, None]).T  # (asset, node)
+        i, j = np.unravel_index(np.argmax(r), r.shape)
+        if r[i, j] > max_res:
+            max_res, worst = float(r[i, j]), (k, int(live[j]), f"price[{i}]")
     ok = rep.is_martingale and max_res <= tol
     return OracleReport(ok, float(max_res), worst if not ok else None,
                         {"martingale_residual": rep.max_residual})
-
-
-def _interval_sup(v: float, rows: Array, tol: float):
-    """Closed-form sup of v*phi over {phi : rows*phi >= -1} in one dimension."""
-    pos = rows[rows > tol]
-    neg = rows[rows < -tol]
-    lo = -1.0 / pos.max() if len(pos) else -np.inf
-    hi = -1.0 / neg.min() if len(neg) else np.inf
-    if v > 0:
-        return v * hi if np.isfinite(hi) else np.inf
-    if v < 0:
-        return v * lo if np.isfinite(lo) else np.inf
-    return 0.0
 
 
 def _recession_violation(v: Array, rows: Array, tol: float) -> float:
@@ -215,47 +203,71 @@ def _vertex_sup(v: Array, rows: Array, tol: float) -> float:
     return best
 
 
+def _interval_nodes(v: Array, lo_row: Array, hi_row: Array):
+    """One asset: recession slope and sup of v*phi over {phi : rows*phi >= -1}, per node.
+
+    ``lo_row``/``hi_row`` are each node's smallest and largest increment;
+    increments within 1e-14 of zero count as zero.  The ray r >= 0 (|r| <= 1)
+    is feasible iff no increment is negative, r <= 0 iff none is positive.
+    The sup is v times the endpoint its sign points to, inf if unbounded.
+    """
+    neg, pos = lo_row < -1e-14, hi_row > 1e-14
+    rec = np.maximum(np.where(neg, 0.0, v), np.where(pos, 0.0, -v))
+    hi = np.full_like(v, np.inf)
+    np.divide(-1.0, lo_row, out=hi, where=neg)
+    lo = np.full_like(v, -np.inf)
+    np.divide(-1.0, hi_row, out=lo, where=pos)
+    return rec, v * np.where(v > 0, hi, np.where(v < 0, lo, 0.0))
+
+
 def verify_deflator(Z, market: MarketModel, *, tol: float = 1e-9) -> OracleReport:
     """Supermartingale-deflator check by one-step strategy optimization.
 
     For each node the oracle maximizes E[Z_n (1 + phi' dS_n) | block] over the
     closed admissibility polytope (including recession directions) and checks
-    the optimum against Z_{n-1}.  Supports up to three assets.
+    the optimum against Z_{n-1}.  Supports up to three assets.  The reported
+    worst node is the first (time, block) reaching the largest excess.
     """
     d = market.n_assets
     if d > 3:
         raise UnsupportedDimensionError(f"node polytope oracle supports d <= 3, got {d}")
     V = as_values(Z)
-    if np.min(V) <= 0.0:
-        return OracleReport(False, float("inf"), None, {"reason": "Z not positive"})
+    if not (np.all(np.isfinite(V)) and np.min(V) > 0.0):
+        return OracleReport(False, float("inf"), None, {"reason": "Z not finite and positive"})
     w = market.measure.weights
     filt = market.filtration
+    dS = np.diff(market.S, axis=2)
     worst, max_excess = None, -np.inf
     for k in range(1, filt.n_times):
-        ids = filt.block_ids[k - 1]
-        for b, atoms in enumerate(filt.blocks(k - 1)):
-            mass = w[atoms].sum()
-            if mass <= 0.0:
-                continue
-            wb = w[atoms] / mass
-            z_prev = float(wb @ V[atoms, k - 1])
-            z_now = V[atoms, k]
-            rows = np.stack([market.S[i, atoms, k] - market.S[i, atoms, k - 1]
-                             for i in range(d)], axis=1)
-            v = rows.T @ (wb * z_now)
-            base = float(wb @ z_now)
-            rec = _recession_violation(v, rows, tol)
-            if rec > tol * max(1.0, abs(z_prev)):
-                if np.inf > max_excess:
-                    max_excess, worst = np.inf, (k, b, "recession")
-                continue
-            if d == 1:
-                sup = _interval_sup(float(v[0]), rows[:, 0], 1e-14)
-            else:
-                sup = _vertex_sup(v, rows, 1e-14)
-            excess = base + sup - z_prev
-            if excess > max_excess:
-                max_excess, worst = float(excess), (k, b, "vertex")
+        mass = filt.segment_reduce(k - 1, w)
+        live = np.flatnonzero(mass > 0.0)
+        if len(live) == 0:
+            continue
+        wb = w / np.where(mass > 0.0, mass, 1.0)[filt.block_ids[k - 1]]
+        z_prev = filt.segment_reduce(k - 1, wb * V[:, k - 1])[live]
+        zw = wb * V[:, k]
+        base = filt.segment_reduce(k - 1, zw)[live]
+        rows = dS[:, :, k - 1].T
+        v = filt.segment_reduce(k - 1, rows * zw[:, None])[live]
+        room = tol * np.maximum(1.0, np.abs(z_prev))
+        if d == 1:
+            rec, sup = _interval_nodes(
+                v[:, 0], filt.segment_reduce(k - 1, rows[:, 0], np.minimum)[live],
+                filt.segment_reduce(k - 1, rows[:, 0], np.maximum)[live])
+        else:
+            rec, sup = np.zeros(len(live)), np.zeros(len(live))
+            starts = filt.starts[k - 1]
+            for j, b in enumerate(live):
+                node_rows = rows[filt.order[k - 1][starts[b]:starts[b + 1]]]
+                rec[j] = _recession_violation(v[j], node_rows, tol)
+                if rec[j] <= room[j]:
+                    sup[j] = _vertex_sup(v[j], node_rows, 1e-14)
+        recession = rec > room
+        excess = np.where(recession, np.inf, base + sup - z_prev)
+        j = int(np.argmax(excess))
+        if excess[j] > max_excess:
+            kind = "recession" if recession[j] else "vertex"
+            max_excess, worst = float(excess[j]), (k, int(live[j]), kind)
     ok = max_excess <= tol * max(1.0, float(np.max(np.abs(V))))
     return OracleReport(ok, float(max_excess), worst if not ok else None, {})
 
@@ -267,26 +279,21 @@ def lift_strategy(phi_G, rts, *, tol: float = 0.0) -> Array:
     strategy's value on the surviving sub-cell {tau >= k}; blocks without
     survivors take 0.  The two strategies agree on every (atom, k <= tau).
     """
-    space = rts.space
-    d = None
     P = np.asarray(as_values(phi_G), dtype=float)
     if P.ndim == 2:
         P = P[None]
-    d = P.shape[0]
     for comp in P:
         if not rts.G_filtration.is_predictable(comp, tol=tol):
             raise ContractViolationError("strategy is not predictable for the enlarged filtration")
+    filt = rts.space.filtration
     out = np.zeros_like(P)
-    T = space.horizon
-    for k in range(1, T + 1):
-        for atoms in space.filtration.blocks(k - 1):
-            survivors = atoms[rts.tau[atoms] >= k]
-            if len(survivors) == 0:
-                continue
-            for i in range(d):
-                vals = P[i, survivors, k]
-                if np.ptp(vals) > tol:
-                    raise ContractViolationError(
-                        "enlarged strategy not constant on a surviving sub-cell")
-                out[i, atoms, k] = vals[0]
+    for k in range(1, rts.horizon + 1):
+        alive = rts.tau >= k
+        for i, comp in enumerate(P[:, :, k]):
+            hi = filt.segment_reduce(k - 1, np.where(alive, comp, -np.inf), np.maximum)
+            lo = filt.segment_reduce(k - 1, np.where(alive, comp, np.inf), np.minimum)
+            if np.any(hi - lo > tol):
+                raise ContractViolationError(
+                    "enlarged strategy not constant on a surviving sub-cell")
+            out[i, :, k] = filt.first_where(k - 1, comp, alive)[0][filt.block_ids[k - 1]]
     return out if as_values(phi_G).ndim == 3 else out[0]

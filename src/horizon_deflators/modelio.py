@@ -74,14 +74,27 @@ def write_json(path, obj):
         fh.write("\n")
 
 
+CSV_CHUNK_ATOMS = 2048  # atoms formatted per write: bounds the text held in memory
+
+
 def process_to_csv(path, outcomes, X, *, header=("atom", "time", "value")):
-    """Write a process table as (atom id, time, value) rows."""
+    """Write a process table as (atom id, time, value) rows, a chunk of atoms per write.
+
+    Values render as in :func:`fmt`: ``.17g``, or a quoted word when not finite.
+    """
     X = np.asarray(X, dtype=float)
+    outcomes = list(outcomes)
+    exact = "".join(f"{{0}},{n},{{{n + 1}:.17g}}\n" for n in range(X.shape[1]))
+    plain = exact.replace(":.17g", "")
     with open(path, "w") as fh:
         fh.write(",".join(header) + "\n")
-        for i, name in enumerate(outcomes):
-            for n in range(X.shape[1]):
-                fh.write(f"{name},{n},{fmt(X[i, n])}\n")
+        for lo in range(0, len(outcomes), CSV_CHUNK_ATOMS):
+            chunk = X[lo:lo + CSV_CHUNK_ATOMS]
+            pairs = zip(outcomes[lo:lo + CSV_CHUNK_ATOMS], chunk.tolist())
+            if np.all(np.isfinite(chunk)):
+                fh.write("".join([exact.format(name, *row) for name, row in pairs]))
+            else:
+                fh.write("".join([plain.format(name, *map(fmt, row)) for name, row in pairs]))
 
 
 def process_from_csv(path, outcomes, horizon) -> np.ndarray:

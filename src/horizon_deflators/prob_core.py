@@ -11,8 +11,7 @@ rounding; ``TOL_EXACT`` is the library-wide tolerance for those checks.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Iterable, Sequence
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -32,20 +31,14 @@ def as_values(X) -> Array:
     return np.asarray(getattr(X, "values", X), dtype=float)
 
 
-def _canonical_block_ids(raw: Iterable[Sequence]) -> Array:
+def _canonical_block_ids(raw) -> Array:
     """Relabel block ids time by time in order of first appearance."""
     rows = []
     for row in raw:
-        row = np.asarray(row)
-        _, canon = np.unique(row, return_inverse=True)
-        # np.unique sorts labels; re-map to first-appearance order for stability
-        order = {}
-        out = np.empty(len(row), dtype=np.int64)
-        for i, b in enumerate(canon):
-            if b not in order:
-                order[b] = len(order)
-            out[i] = order[b]
-        rows.append(out)
+        _, first, inverse = np.unique(row, return_index=True, return_inverse=True)
+        rank = np.empty(len(first), dtype=np.int64)
+        rank[np.argsort(first, kind="stable")] = np.arange(len(first))
+        rows.append(rank[inverse.ravel()])
     return np.vstack(rows)
 
 
@@ -53,31 +46,41 @@ def _canonical_block_ids(raw: Iterable[Sequence]) -> Array:
 class Filtration:
     """A refinement chain of partitions encoded as a block id per (time, atom).
 
-    ``block_ids[n, i]`` is the index of the time-n block containing atom i.
-    Blocks at time n+1 must refine blocks at time n.
+    ``block_ids[n, i]`` is the index of the time-n block containing atom i,
+    numbered in order of first appearance.  Blocks at time n+1 must refine
+    blocks at time n.
+
+    Each level is also held in CSR form: ``order[n]`` lists the atoms sorted
+    by time-n block (a stable argsort, so ascending inside each block),
+    ``starts[n]`` gives the offset of every block in ``order[n]`` plus a
+    final offset ``n_atoms``, and ``parent[n]`` maps each time-n block to
+    the time-(n-1) block containing it (``parent[0]`` is all zeros).
+    ``segment_reduce`` reduces atom-indexed values over the blocks of one
+    level in a single ``ufunc.reduceat`` over this layout.
     """
 
     block_ids: Array
+    order: Array = field(init=False, repr=False, compare=False)
+    starts: tuple = field(init=False, repr=False, compare=False)
+    parent: tuple = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         ids = _canonical_block_ids(np.atleast_2d(np.asarray(self.block_ids)))
-        object.__setattr__(self, "block_ids", ids)
-        blocks = []
-        for n in range(ids.shape[0]):
-            row = ids[n]
-            blocks.append(tuple(np.flatnonzero(row == b) for b in range(row.max() + 1)))
-        object.__setattr__(self, "_blocks", tuple(blocks))
-        self._check_refinement()
-
-    def _check_refinement(self):
-        ids = self.block_ids
-        for n in range(ids.shape[0] - 1):
+        order = np.argsort(ids, axis=1, kind="stable")
+        order.flags.writeable = False
+        starts = tuple(np.concatenate(([0], np.cumsum(np.bincount(row))))
+                       for row in ids)
+        parent = [np.zeros(len(starts[0]) - 1, dtype=np.int64)]
+        for n in range(1, ids.shape[0]):
+            parent.append(ids[n - 1][order[n][starts[n][:-1]]])
             # each finer block must sit inside exactly one coarser block
-            for atoms in self._blocks[n + 1]:
-                if len(np.unique(ids[n][atoms])) != 1:
-                    raise SpaceValidationError(
-                        f"partition at time {n + 1} does not refine time {n}"
-                    )
+            if not np.array_equal(parent[n][ids[n]], ids[n - 1]):
+                raise SpaceValidationError(f"partition at time {n} does not refine time {n - 1}")
+        object.__setattr__(self, "block_ids", ids)
+        object.__setattr__(self, "order", order)
+        object.__setattr__(self, "starts", starts)
+        object.__setattr__(self, "parent", tuple(parent))
+        object.__setattr__(self, "_blocks", {})
 
     @property
     def n_times(self) -> int:
@@ -88,29 +91,38 @@ class Filtration:
         return self.block_ids.shape[1]
 
     def blocks(self, n: int) -> tuple:
-        """Atom-index arrays of the time-n partition."""
+        """Atom-index arrays of the time-n partition (built on first use)."""
+        if n not in self._blocks:
+            self._blocks[n] = tuple(np.split(self.order[n], self.starts[n][1:-1]))
         return self._blocks[n]
+
+    def segment_reduce(self, n: int, values, ufunc=np.add) -> Array:
+        """``ufunc`` reduced over each time-n block; values are indexed by atom on axis 0."""
+        return ufunc.reduceat(np.asarray(values)[self.order[n]], self.starts[n][:-1], axis=0)
+
+    def first_where(self, n: int, x, mask):
+        """Per time-n block: x at its first atom where mask holds (else 0), and if one exists."""
+        idx = self.segment_reduce(n, np.where(mask, np.arange(self.n_atoms), self.n_atoms),
+                                  np.minimum)
+        found = idx < self.n_atoms
+        return np.where(found, np.asarray(x)[np.minimum(idx, self.n_atoms - 1)], 0.0), found
+
+    def _flat(self, n: int, x, tol: float) -> bool:
+        """True iff x spreads by at most tol on every time-n block."""
+        spread = self.segment_reduce(n, x, np.maximum) - self.segment_reduce(n, x, np.minimum)
+        return not np.any(spread > tol)
 
     def is_adapted(self, X, tol: float = 0.0) -> bool:
         """True iff X[:, n] is constant on every time-n block."""
         V = as_values(X)
-        for n in range(self.n_times):
-            for atoms in self.blocks(n):
-                col = V[atoms, n]
-                if np.ptp(col) > tol:
-                    return False
-        return True
+        return all(self._flat(n, V[:, n], tol) for n in range(self.n_times))
 
     def is_predictable(self, X, tol: float = 0.0) -> bool:
         """True iff X[:, n] is constant on time-(n-1) blocks, X[:, 0] deterministic."""
         V = as_values(X)
         if np.ptp(V[:, 0]) > tol:
             return False
-        for n in range(1, self.n_times):
-            for atoms in self.blocks(n - 1):
-                if np.ptp(V[atoms, n]) > tol:
-                    return False
-        return True
+        return all(self._flat(n - 1, V[:, n], tol) for n in range(1, self.n_times))
 
 
 @dataclass(frozen=True)
@@ -122,6 +134,8 @@ class ProbabilityMeasure:
     def __post_init__(self):
         w = np.asarray(self.weights, dtype=float)
         object.__setattr__(self, "weights", w)
+        if not np.all(np.isfinite(w)):
+            raise SpaceValidationError("measure weights must be finite")
         if np.any(w < -TOL_EXACT):
             raise SpaceValidationError("measure weights must be nonnegative")
         if abs(w.sum() - 1.0) > 1e-9:
@@ -149,6 +163,8 @@ class FiniteFilteredSpace:
             raise SpaceValidationError("horizon must be >= 1")
         if len(self.outcomes) != len(p):
             raise SpaceValidationError("outcomes and probs disagree in length")
+        if not np.all(np.isfinite(p)):
+            raise SpaceValidationError("atom probabilities must be finite")
         if np.any(p <= 0):
             raise SpaceValidationError("atom probabilities must be strictly positive")
         if abs(p.sum() - 1.0) > 1e-9:
@@ -190,11 +206,8 @@ class AdaptedProcess:
     @classmethod
     def from_values(cls, filtration: Filtration, values, tol: float = 0.0):
         V = np.asarray(values, dtype=float)
-        flags = []
-        for n in range(filtration.n_times):
-            ok = all(np.ptp(V[atoms, n]) <= tol for atoms in filtration.blocks(n))
-            flags.append(bool(ok))
-        return cls(V, tuple(flags), filtration.is_predictable(V, tol))
+        flags = tuple(filtration._flat(n, V[:, n], tol) for n in range(filtration.n_times))
+        return cls(V, flags, filtration.is_predictable(V, tol))
 
     @property
     def is_adapted(self) -> bool:
@@ -272,19 +285,8 @@ def dual_projection(space, A, mode: str = "optional", *, filtration=None, measur
     Cumulative conditional expectations of the increments of A, with the
     time-0 increment equal to A_0.
     """
-    filt = filtration if filtration is not None else space.filtration
-    meas = measure if measure is not None else space.measure
-    dA = increments(A)
-    out = np.empty_like(dA)
-    for n in range(filt.n_times):
-        if mode == "optional":
-            ids = filt.block_ids[n]
-        elif mode == "predictable":
-            ids = filt.block_ids[n - 1] if n >= 1 else np.zeros(filt.n_atoms, dtype=np.int64)
-        else:
-            raise ValueError(f"unknown dual projection mode {mode!r}")
-        out[:, n], _ = cond_expect(dA[:, n], ids, meas, allow_degenerate=allow_degenerate)
-    return np.cumsum(out, axis=1)
+    return np.cumsum(project(space, increments(A), mode, filtration=filtration,
+                             measure=measure, allow_degenerate=allow_degenerate), axis=1)
 
 
 def stochastic_integral(phi, X, *, filtration=None) -> Array:
@@ -379,6 +381,7 @@ def classify(space, X, *, filtration=None, measure=None, tol: float = TOL_EXACT)
 
     Residuals are E[dX_n | time-(n-1) block] over every reachable block;
     blocks with zero mass under the supplied measure impose no constraint.
+    A non-finite residual is reported as inf with verdict ``"none"``.
     """
     filt = filtration if filtration is not None else space.filtration
     meas = measure if measure is not None else space.measure
@@ -395,6 +398,8 @@ def classify(space, X, *, filtration=None, measure=None, tol: float = TOL_EXACT)
         if not np.any(live):
             continue
         r = sums[live] / mass[live]
+        if not np.all(np.isfinite(r)):
+            return ClassifyReport("none", np.inf, np.inf, -np.inf)
         sup = max(sup, float(r.max()))
         inf = min(inf, float(r.min()))
     max_res = max(sup, -inf)

@@ -14,7 +14,7 @@ from __future__ import annotations
 import numpy as np
 
 from .market import MarketModel
-from .prob_core import FiniteFilteredSpace, cond_expect
+from .prob_core import FiniteFilteredSpace, project
 
 
 def two_period_demo():
@@ -114,14 +114,13 @@ def regular_tau(rng, space: FiniteFilteredSpace, *, p_stop: float = 0.35) -> np.
 def is_regular(space: FiniteFilteredSpace, tau) -> bool:
     """True iff no cell with G~_k = 0 sits under a block with G_{k-1} > 0."""
     t = np.asarray(tau)
+    filt = space.filtration
     for k in range(1, space.horizon + 1):
-        for atoms in space.filtration.blocks(k - 1):
-            if not np.any(t[atoms] >= k):
-                continue
-            ids = space.filtration.block_ids[k][atoms]
-            for b in np.unique(ids):
-                if not np.any(t[atoms[ids == b]] >= k):
-                    return False
+        alive = t >= k
+        cell_alive = filt.segment_reduce(k, alive, np.logical_or)
+        block_alive = filt.segment_reduce(k - 1, alive, np.logical_or)
+        if np.any(block_alive[filt.parent[k]] & ~cell_alive):
+            return False
     return True
 
 
@@ -153,9 +152,7 @@ def random_market(rng, space: FiniteFilteredSpace, *, n_assets: int = 1,
                 moves = moves - qc @ moves
                 for c, mv in zip(cells, moves):
                     S[i, c, k] = S[i, c, k - 1] + mv
-    Z = np.empty((n, T + 1))
-    for nn in range(T + 1):
-        Z[:, nn], _ = cond_expect(density, space.filtration.block_ids[nn], space.measure)
+    Z = project(space, np.repeat(density[:, None], T + 1, axis=1))
     market = MarketModel.from_prices(space, S if n_assets > 1 else S[0])
     return market, Z
 
@@ -172,11 +169,8 @@ def random_martingale(rng, space: FiniteFilteredSpace, *, positive: bool = False
     else:
         xi = rng.normal(size=space.n_atoms)
     meas = measure if measure is not None else space.measure
-    M = np.empty((space.n_atoms, space.horizon + 1))
-    for n in range(space.horizon + 1):
-        M[:, n], _ = cond_expect(xi, space.filtration.block_ids[n], meas,
-                                 allow_degenerate=True)
-    return M
+    return project(space, np.repeat(xi[:, None], space.horizon + 1, axis=1), measure=meas,
+                   allow_degenerate=True)
 
 
 def random_driver(rng, space: FiniteFilteredSpace) -> np.ndarray:
@@ -193,10 +187,8 @@ def random_predictable_nondecreasing(rng, space: FiniteFilteredSpace, *,
     T, n = space.horizon, space.n_atoms
     V = np.zeros((n, T + 1))
     for k in range(1, T + 1):
-        col = np.zeros(n)
-        for atoms in space.filtration.blocks(k - 1):
-            col[atoms] = rng.uniform(0.0, max_step)
-        V[:, k] = V[:, k - 1] + col
+        ids = space.filtration.block_ids[k - 1]
+        V[:, k] = V[:, k - 1] + rng.uniform(0.0, max_step, size=ids.max() + 1)[ids]
     return V
 
 

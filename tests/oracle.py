@@ -5,9 +5,14 @@ calls into the package under test: conditional expectations are literal
 probability-weighted sums over partition blocks, projections and compensators
 are written out from their definitions, and martingale residuals are scanned
 block by block.
+
+The last section keeps, in numpy, the per-block loops that the package's
+vectorized partition kernel replaced; the kernel is tested against them.
 """
 
 from fractions import Fraction
+
+import numpy as np
 
 
 def blocks_of(row):
@@ -109,3 +114,131 @@ def martingale_residual(X, probs, block_rows):
             mean = sum(probs[i] * (X[i][n] - X[i][n - 1]) for i in blk) / mass
             worst = max(worst, abs(mean))
     return worst
+
+
+# ------------------------------------------------------------------------------
+# Per-block reference loops for the vectorized partition kernel.  These are
+# the straightforward scans the kernel replaced (numpy floats, not Fractions);
+# the kernel must reproduce their labels, verdicts and error locations.
+
+
+def naive_filtration(raw):
+    """First-appearance labels, per-level blocks and the refinement error.
+
+    Returns (block_ids, blocks, error) where blocks[n] lists ascending atom
+    arrays and error is the message for the first non-refining level, or None.
+    """
+    ids = []
+    for row in raw:
+        labels = {}
+        ids.append([labels.setdefault(b, len(labels)) for b in row])
+    ids = np.array(ids, dtype=np.int64)
+    blocks = [[np.flatnonzero(row == b) for b in range(row.max() + 1)] for row in ids]
+    for n in range(1, len(ids)):
+        for atoms in blocks[n]:
+            if len(np.unique(ids[n - 1][atoms])) != 1:
+                return ids, blocks, f"partition at time {n} does not refine time {n - 1}"
+    return ids, blocks, None
+
+
+def interval_sup(v, rows, tol):
+    """Closed-form sup of v*phi over {phi : rows*phi >= -1} in one dimension."""
+    pos = rows[rows > tol]
+    neg = rows[rows < -tol]
+    lo = -1.0 / pos.max() if len(pos) else -np.inf
+    hi = -1.0 / neg.min() if len(neg) else np.inf
+    if v > 0:
+        return v * hi if np.isfinite(hi) else np.inf
+    if v < 0:
+        return v * lo if np.isfinite(lo) else np.inf
+    return 0.0
+
+
+def one_asset_deflator_scan(Z, S, block_rows, w, recession, tol=1e-9):
+    """Node-by-node supermartingale-deflator scan for one asset.
+
+    ``recession(v, rows, tol)`` is the recession-slope solver (the LP); the
+    supremum comes from :func:`interval_sup`.  Returns (ok, max_excess, worst)
+    with worst the first (time, block, kind) reaching the largest excess.
+    """
+    worst, max_excess = None, -np.inf
+    for k in range(1, len(block_rows)):
+        ids = block_rows[k - 1]
+        for b in range(ids.max() + 1):
+            atoms = np.flatnonzero(ids == b)
+            mass = w[atoms].sum()
+            if mass <= 0.0:
+                continue
+            wb = w[atoms] / mass
+            z_prev = float(wb @ Z[atoms, k - 1])
+            rows = (S[atoms, k] - S[atoms, k - 1])[:, None]
+            v = rows.T @ (wb * Z[atoms, k])
+            base = float(wb @ Z[atoms, k])
+            if recession(v, rows, tol) > tol * max(1.0, abs(z_prev)):
+                if np.inf > max_excess:
+                    max_excess, worst = np.inf, (k, b, "recession")
+                continue
+            excess = base + interval_sup(float(v[0]), rows[:, 0], 1e-14) - z_prev
+            if excess > max_excess:
+                max_excess, worst = float(excess), (k, b, "vertex")
+    ok = max_excess <= tol * max(1.0, float(np.max(np.abs(Z))))
+    return ok, max_excess, worst if not ok else None
+
+
+def decompose_cells(V, probs, block_rows, tau, G, G_tilde, G_minus, D_opt, tol=1e-9):
+    """Block-pair loop of the two-term decomposition of a stopped martingale V.
+
+    Returns (M_F, phi, known); raises ValueError naming (time, block) of the
+    first public block holding a sub-cell where the increment is not constant.
+    """
+    w = np.asarray(probs, dtype=float)
+    dV, dDo = np.diff(V, axis=1), np.diff(D_opt, axis=1)
+    M_F, phi = np.zeros_like(V), np.zeros_like(V)
+    known = np.zeros(V.shape, dtype=bool)
+
+    def value(part, k, b):
+        if len(part) == 0:
+            return None
+        vals = dV[part, k - 1]
+        if np.ptp(vals) > tol * max(1.0, float(np.max(np.abs(vals)))):
+            raise ValueError(f"not constant on an enlarged cell at time {k}, block {b}")
+        return float(w[part] @ vals / w[part].sum())
+
+    for k in range(1, V.shape[1]):
+        col = np.zeros(len(w))
+        parents, cells = block_rows[k - 1], block_rows[k]
+        for b in range(parents.max() + 1):
+            atoms = np.flatnonzero(parents == b)
+            g_prev = G_minus[atoms[0], k]
+            if g_prev <= 0.0:
+                continue
+            for c in range(cells.max() + 1):
+                C = np.flatnonzero(cells == c)
+                C = C[np.isin(C, atoms)]
+                if len(C) == 0:
+                    continue
+                a = value(C[tau[C] == k], k, b)
+                bb = value(C[tau[C] > k], k, b)
+                if a is not None and bb is not None:
+                    phi[C, k], known[C, k] = a - bb, True
+                    col[C] = g_prev * (a * dDo[C[0], k - 1] + bb * G[C[0], k])
+                elif a is not None or bb is not None:
+                    col[C] = g_prev * G_tilde[C[0], k] * (a if a is not None else bb)
+        M_F[:, k] = M_F[:, k - 1] + col
+    return M_F, phi, known
+
+
+def write_cells(path, outcomes, X):
+    """The per-cell process-table writer: one formatted write per cell."""
+    def fmt(v):
+        if v != v:
+            return '"nan"'
+        if v in (np.inf, -np.inf):
+            return '"inf"' if v > 0 else '"-inf"'
+        return format(v, ".17g")
+
+    with open(path, "w") as fh:
+        fh.write("atom,time,value\n")
+        for i, name in enumerate(outcomes):
+            for n in range(X.shape[1]):
+                fh.write(f"{name},{n},{fmt(float(X[i, n]))}\n")

@@ -47,6 +47,16 @@ def test_verify_rejects_bad_probs(docs, tmp_path):
     assert run("verify", "--model", tmp_path / "bad.json", "--out", tmp_path) == 2
 
 
+def test_verify_rejects_nan_prob(docs, tmp_path, capsys):
+    root, model = docs
+    bad = copy.deepcopy(model)
+    bad["outcomes"][0]["prob"] = float("nan")
+    modelio.write_json(tmp_path / "bad.json", bad)
+    assert run("verify", "--model", tmp_path / "bad.json", "--out", tmp_path) == 2
+    assert "atom probabilities must be finite" in capsys.readouterr().err
+    assert not (tmp_path / "verify-report.json").exists()
+
+
 def test_verify_rejects_non_refining(docs, tmp_path):
     root, model = docs
     bad = copy.deepcopy(model)

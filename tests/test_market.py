@@ -17,7 +17,7 @@ from horizon_deflators import (
     verify_lmd,
     wealth,
 )
-from horizon_deflators.prob_core import FiniteFilteredSpace
+from horizon_deflators.prob_core import FiniteFilteredSpace, ProbabilityMeasure
 
 
 def binomial_market():
@@ -96,6 +96,29 @@ def test_lmd_detects_drift():
     rep = verify_lmd(np.ones((2, 2)), market)
     assert not rep.ok
     assert abs(rep.max_residual - 0.25) <= 1e-15  # |E[dS]| = (1 - 0.5)/2
+
+
+def test_lmd_names_the_block_after_a_dead_one():
+    # the first time-1 block carries no mass; the drift sits in the second
+    space = FiniteFilteredSpace.from_partitions(
+        ("a", "b", "c", "d"), (0.25,) * 4, [[0, 0, 0, 0], [0, 0, 1, 1], [0, 1, 2, 3]])
+    S = np.array([[1.0, 1.0, 1.2], [1.0, 1.0, 0.8], [1.0, 1.0, 1.1], [1.0, 1.0, 1.2]])
+    market = MarketModel.from_prices(space, S, measure=ProbabilityMeasure([0, 0, 0.5, 0.5]))
+    rep = verify_lmd(np.ones((4, 3)), market)
+    assert not rep.ok and rep.worst == (2, 1, "price[0]")
+
+
+@pytest.mark.parametrize("n_assets", [1, 2])
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_oracles_fail_closed_on_non_finite_Z(n_assets, bad):
+    rng = np.random.default_rng(48)
+    space = trees.random_space(rng, max_horizon=3, max_atoms=16)
+    market, Z = trees.random_market(rng, space, n_assets=n_assets)
+    assert verify_lmd(Z, market).ok and verify_deflator(Z, market).ok
+    Z[0, -1] = bad
+    for oracle in (verify_lmd, verify_deflator):
+        rep = oracle(Z, market)
+        assert not rep.ok and rep.max_residual == np.inf
 
 
 # -------------------------------------------------------------- verify_deflator
@@ -195,7 +218,7 @@ def test_deflator_three_assets():
 
 def test_node_sup_matches_grid_search():
     # the vertex/interval optimum dominates dense sampling of the polytope
-    from horizon_deflators.market import _interval_sup, _vertex_sup
+    from horizon_deflators.market import _interval_nodes, _vertex_sup
     rng = np.random.default_rng(47)
     for _ in range(200):
         n = int(rng.integers(2, 7))
@@ -207,7 +230,8 @@ def test_node_sup_matches_grid_search():
         lo, hi = -1.0 / rows1.max(), -1.0 / rows1.min()
         grid = np.linspace(lo, hi, 2001)
         best = float(np.max(v * grid))
-        exact = _interval_sup(v, rows1, 1e-14)
+        exact = float(_interval_nodes(np.array([v]), rows1.min(keepdims=True),
+                                      rows1.max(keepdims=True))[1][0])
         assert exact >= best - 1e-9
         assert exact <= best + 1e-6 * (1 + abs(best))
     kept = 0

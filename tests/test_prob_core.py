@@ -34,6 +34,14 @@ def two_atom_space():
 
 # ---------------------------------------------------------------- space rules
 
+def test_space_rejects_non_finite_probs():
+    for bad in (np.nan, np.inf):
+        with pytest.raises(SpaceValidationError, match="finite"):
+            FiniteFilteredSpace.from_partitions(("a", "b"), (0.5, bad), [[0, 0], [0, 1]])
+        with pytest.raises(SpaceValidationError, match="finite"):
+            ProbabilityMeasure(np.array([1.0, bad]))
+
+
 def test_space_rejects_bad_probs():
     with pytest.raises(SpaceValidationError):
         FiniteFilteredSpace.from_partitions(("a", "b"), (0.5, 0.4), [[0, 0], [0, 1]])
@@ -362,6 +370,16 @@ def test_classify_submartingale(demo):
     space, _, _ = demo
     X = np.tile(np.array([0.0, 1.0, 2.0]), (4, 1))
     assert classify(space, X).verdict == "submartingale"
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_classify_fails_closed_on_non_finite(demo, bad):
+    space, _, _ = demo
+    X = np.ones((4, 3))
+    X[1, 2] = bad
+    rep = classify(space, X)
+    assert rep.verdict == "none" and not rep.is_martingale
+    assert rep.max_residual == np.inf
 
 
 # -------------------------------------------------------------- measure change
