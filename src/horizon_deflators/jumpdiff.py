@@ -25,6 +25,7 @@ observable features.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -32,6 +33,9 @@ import numpy as np
 from .errors import AdmissibilityError, SpaceValidationError
 
 SIGMA_FLOOR = 1e-12
+MAX_PATHS = 2**32        # a path index must fit one 32-bit spawn-key word
+MAX_STEPS = 2**20        # dt-grid points: bounds the quadrature table and the bridge fill
+MAX_MEAN_JUMPS = 2**10   # lam * horizon: bounds the jump table and the gap-drawing loop
 
 
 @dataclass(frozen=True)
@@ -54,6 +58,13 @@ class JumpDiffusionScenario:
     seed: int = 0
 
     def __post_init__(self):
+        for name in ("sigma", "zeta", "mu", "lam", "a", "S0", "horizon", "dt"):
+            if not math.isfinite(getattr(self, name)):
+                raise SpaceValidationError(f"{name} must be finite")
+        for name in ("n_paths", "seed"):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+                raise SpaceValidationError(f"{name} must be an integer")
         if not self.sigma > SIGMA_FLOOR:
             raise SpaceValidationError("sigma must be strictly positive")
         if not self.zeta > -1.0:
@@ -66,10 +77,17 @@ class JumpDiffusionScenario:
             raise SpaceValidationError("dt must be positive")
         if not self.horizon > 0.0:
             raise SpaceValidationError("horizon must be positive")
-        if self.n_paths < 1:
-            raise SpaceValidationError("n_paths must be at least 1")
-        if self.S0 <= 0.0:
+        if not 1 <= self.n_paths <= MAX_PATHS:
+            raise SpaceValidationError(f"n_paths must lie in [1, {MAX_PATHS}]")
+        if self.seed < 0:
+            raise SpaceValidationError("seed must be non-negative")
+        if not self.S0 > 0.0:
             raise SpaceValidationError("S0 must be positive")
+        if not self.horizon / self.dt <= MAX_STEPS:
+            raise SpaceValidationError(f"horizon / dt must not exceed {MAX_STEPS} steps")
+        if not self.lam * self.horizon <= MAX_MEAN_JUMPS:
+            raise SpaceValidationError(
+                f"lam * horizon (expected jumps per path) must not exceed {MAX_MEAN_JUMPS}")
 
     @property
     def beta(self) -> float:
@@ -156,43 +174,148 @@ def _lebesgue_quadrature(sc, grid, dens, cum, x):
     return base + 0.5 * (fl + fx) * (x - left)
 
 
+# numpy's SeedSequence hash (numpy/random/bit_generator.pyx): a pool of four
+# 32-bit words, hashed with these constants.
+_POOL = 4
+_M32 = 0xFFFFFFFF
+_INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
+_INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
+_MIX_L, _MIX_R = 0xCA01F9DD, 0x4973F715
+
+
+def _mix(x, y):
+    r = (_MIX_L * x - _MIX_R * y) & _M32
+    return r ^ r >> 16
+
+
+def _spawn_keys(seed: int, n: int) -> np.ndarray:
+    """Philox keys of ``SeedSequence(entropy=seed, spawn_key=(i,))`` for i < n, (n, 2) uint64.
+
+    The run entropy (the seed's little-endian 32-bit words, zero-padded to the
+    pool size because a spawn key follows) hashes into the same pool for every
+    path, so it is mixed once in Python ints.  Only the mixing of the spawn
+    word i into each pool word and ``generate_state(2, uint64)`` run on
+    arrays: uint32 arithmetic on uint64 arrays masked to 32 bits, which wraps
+    silently where numpy scalars would warn.  The hash constant advances the
+    same way whatever the data, so scalar and array words share one schedule.
+    """
+    seed, hash_a = int(seed), _INIT_A
+
+    def hashmix(v):
+        nonlocal hash_a
+        v = v ^ hash_a
+        hash_a = hash_a * _MULT_A & _M32
+        v = v * hash_a & _M32
+        return v ^ v >> 16
+
+    words = []
+    while True:
+        words.append(seed & _M32)
+        seed >>= 32
+        if not seed:
+            break
+    words += [0] * (_POOL - len(words))
+    pool = [hashmix(w) for w in words[:_POOL]]
+    for src in range(_POOL):
+        for dst in range(_POOL):
+            if src != dst:
+                pool[dst] = _mix(pool[dst], hashmix(pool[src]))
+    for w in [*words[_POOL:], np.arange(n, dtype=np.uint64)]:
+        pool = [_mix(p, hashmix(w)) for p in pool]
+    hash_b = _INIT_B
+    state = []
+    for p in pool:
+        p = p ^ hash_b
+        hash_b = hash_b * _MULT_B & _M32
+        p = p * hash_b & _M32
+        state.append(p ^ p >> 16)
+    return np.stack([state[0] | state[1] << 32, state[2] | state[3] << 32], axis=1)
+
+
+def _rekeyer(bitgen: np.random.Philox):
+    """``rekey(key)`` puts ``bitgen`` where ``Philox(SeedSequence)`` starts:
+    that key, counter zero, empty buffer.  One state dict serves every call."""
+    zero = np.zeros(4, dtype=np.uint64)
+    state = {"bit_generator": "Philox", "state": {"counter": zero, "key": None},
+             "buffer": zero, "buffer_pos": 4, "has_uint32": 0, "uinteger": 0}
+
+    def rekey(key):
+        state["state"]["key"] = key
+        bitgen.state = state
+
+    return rekey
+
+
+def _path_draws(gen, scale: float, H: float, n_normals: int):
+    """One path's draw sequence: blocks of 8 jump gaps until past H, then its normals."""
+    cum = np.cumsum(gen.exponential(scale=scale, size=8))
+    while cum[-1] < H:
+        cum = np.concatenate([cum, cum[-1] + np.cumsum(gen.exponential(scale=scale, size=8))])
+    return cum, gen.standard_normal(n_normals)
+
+
 def simulate(sc: JumpDiffusionScenario, *, report_times=None, keep_paths: int = 0,
              progress: bool = False) -> PathBundle:
     """Draw all paths and evaluate the market and survival objects.
 
-    Randomness per path comes from its own counter-based stream derived from
-    (seed, path index): first the exponential jump gaps, then the Brownian
-    normals for the report grid augmented by tau, then (for kept paths) the
-    bridge refinement onto the full dt grid.  Results are reproducible per
-    (seed, n_paths, dt) regardless of chunking.
+    Path i draws from the Philox stream keyed by
+    ``SeedSequence(entropy=seed, spawn_key=(i,))``: first blocks of 8
+    exponential jump gaps until their sum passes the horizon, then the
+    Brownian normals for the report grid augmented by tau, then (for kept
+    paths) the bridge refinement onto the full dt grid.  The keys of all paths
+    are derived in one vectorized pass of numpy's SeedSequence hash, and one
+    Philox generator, re-keyed per path at counter zero, draws every path's
+    first 8 gaps and its normals into preallocated arrays.  A path whose 8
+    gaps end before the horizon, and every kept path, replays its own sequence
+    from its key.  The draws are those of a fresh ``Generator(Philox(...))``
+    per path, so results are reproducible per (seed, dt), and the first k paths
+    are the same whatever n_paths.
     """
-    H, beta, lam = sc.horizon, sc.beta, sc.lam
+    if not 0 <= keep_paths <= sc.n_paths:
+        raise SpaceValidationError(f"keep_paths must lie in [0, n_paths = {sc.n_paths}]")
+    H, n = sc.horizon, sc.n_paths
     if report_times is None:
         report_times = H * np.arange(1, 9) / 8.0
     rep = np.asarray(report_times, dtype=float)
     R = len(rep)
-    n = sc.n_paths
+    scale = 1.0 / sc.lam
 
-    jump_lists = []
+    keys = _spawn_keys(sc.seed, n)
+    bitgen = np.random.Philox(key=keys[0])
+    gen = np.random.Generator(bitgen)
+    rekey = _rekeyer(bitgen)
+    gaps = np.empty((n, 8))
     normals = np.empty((n, R + 1))
-    keep_streams = []
     for i in range(n):
-        gen = np.random.Generator(np.random.Philox(
-            np.random.SeedSequence(entropy=sc.seed, spawn_key=(i,))))
-        gaps = gen.exponential(scale=1.0 / lam, size=8)
-        cum = np.cumsum(gaps)
-        while cum[-1] < H or len(cum) < 2:
-            gaps = gen.exponential(scale=1.0 / lam, size=8)
-            cum = np.concatenate([cum, cum[-1] + np.cumsum(gaps)])
-        jump_lists.append(cum)
-        normals[i] = gen.standard_normal(R + 1)
-        if i < keep_paths:
-            keep_streams.append(gen)
+        rekey(keys[i])
+        gen.standard_exponential(out=gaps[i])
+        gen.standard_normal(out=normals[i])
+    jumps = np.cumsum(gaps * scale, axis=1)  # exponential(scale) is scale * standard
+    for i in np.flatnonzero(jumps[:, -1] < H):
+        rekey(keys[i])
+        path_jumps, normals[i] = _path_draws(gen, scale, H, R + 1)
+        if len(path_jumps) > jumps.shape[1]:
+            jumps = np.pad(jumps, ((0, 0), (0, len(path_jumps) - jumps.shape[1])),
+                           constant_values=np.inf)
+        jumps[i, :len(path_jumps)] = path_jumps
 
-    kmax = max(len(c) for c in jump_lists)
-    jumps = np.full((n, kmax), np.inf)
-    for i, c in enumerate(jump_lists):
-        jumps[i, :len(c)] = c
+    def stream(i):
+        rekey(keys[i])
+        _path_draws(gen, scale, H, R + 1)
+        return gen
+
+    return _evaluate(sc, rep, jumps, normals, keep_paths, stream)
+
+
+def _evaluate(sc, rep, jumps, normals, keep_paths, stream) -> PathBundle:
+    """Every report-grid quantity from the draws, plus the kept full-grid samples.
+
+    ``jumps`` holds each path's jump times (inf-padded), ``normals`` its R+1
+    Brownian normals, and ``stream(i)`` returns path i's generator positioned
+    just after those normals, where its bridge fill continues.
+    """
+    H, beta, lam = sc.horizon, sc.beta, sc.lam
+    n, R = len(jumps), len(rep)
     t1, t2 = jumps[:, 0], jumps[:, 1]
     tau = np.minimum(sc.a * t2, t1)
     from_second = sc.a * t2 < t1
@@ -240,8 +363,8 @@ def simulate(sc: JumpDiffusionScenario, *, report_times=None, keep_paths: int = 
     )
     for i in range(keep_paths):
         bundle.samples.append(_full_grid_sample(
-            sc, grid, dens, cum, i, times_aug[i], W_aug[i], jump_lists[i],
-            tau[i], from_second[i], keep_streams[i]))
+            sc, grid, dens, cum, i, times_aug[i], W_aug[i], jumps[i],
+            tau[i], from_second[i], stream(i)))
     return bundle
 
 
@@ -269,6 +392,13 @@ def _full_grid_sample(sc, grid, dens, cum, index, coarse_t, coarse_w, jumps,
         on = np.flatnonzero(np.isclose(grid, e) & (grid > s))
         for g in on:
             W[g] = we
+    # grid points past the last anchor (a horizon that is not a multiple of dt,
+    # or report times ending before it) continue by independent increments
+    prev_t, prev_w = anchors_t[-1], anchors_w[-1]
+    for g in np.flatnonzero((grid > prev_t) & ~np.isclose(grid, prev_t)):
+        prev_w = prev_w + np.sqrt(grid[g] - prev_t) * gen.standard_normal()
+        prev_t = grid[g]
+        W[g] = prev_w
     t1 = jumps[0]
     N = (jumps[None, :] <= grid[:, None]).sum(axis=1).astype(float)
     drift = sc.mu - sc.zeta * lam - 0.5 * sc.sigma**2
@@ -485,18 +615,34 @@ def mc_test(values, times, *, start: float, null: str = "martingale",
     down.  With (n_paths, n_times, p) ``features`` observable at each time,
     one-step increments are regressed on them (intercept added) and the
     coefficient z-scores sharpen the martingale test.
+
+    The test fails closed: non-finite values or features, or a mean or
+    standard error that is not finite (fewer than two paths, overflow), give
+    ``rejected=True`` and ``max_abs_z = inf`` with a warning naming the cause,
+    and no regression is run.
     """
     X = np.asarray(values, dtype=float)
+    F = None if features is None else np.asarray(features, dtype=float)
     n = X.shape[0]
-    warning = f"only {n} paths: statistical power is low" if n < 1000 else None
-    means = X.mean(axis=0)
-    ses = X.std(axis=0, ddof=1) / np.sqrt(n)
-    with np.errstate(divide="ignore", invalid="ignore"):
+    notes = [f"only {n} paths: statistical power is low"] if n < 1000 else []
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        means = X.mean(axis=0)
+        ses = X.std(axis=0, ddof=1) / np.sqrt(n) if n > 1 else np.full_like(means, np.nan)
         z = np.where(ses > 0, (means - start) / ses, 0.0)
+    bad = [f"{name} ({np.count_nonzero(~np.isfinite(arr))} of {arr.size} entries)"
+           for name, arr in (("values", X), ("features", F))
+           if arr is not None and not np.isfinite(arr).all()]
+    if not bad and not (np.isfinite(means).all() and np.isfinite(ses).all()):
+        bad = ["means or standard errors"]
+    if bad:
+        notes.append(f"non-finite {', '.join(bad)}: null rejected")
+        z = np.where(np.isfinite(means) & np.isfinite(ses), z, np.nan)
+        return MCTestReport(np.asarray(times, float), means, ses, z, None,
+                            null, True, float("inf"), "; ".join(notes))
+    warning = "; ".join(notes) or None
     reg_z = None
     max_z = float(np.max(np.abs(z))) if null == "martingale" else float(np.max(z))
-    if features is not None and null == "martingale" and X.shape[1] > 1:
-        F = np.asarray(features, dtype=float)
+    if F is not None and null == "martingale" and X.shape[1] > 1:
         rows = []
         for j in range(X.shape[1] - 1):
             dx = X[:, j + 1] - X[:, j]

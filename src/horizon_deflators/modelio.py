@@ -8,6 +8,7 @@ produce byte-identical outputs.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -213,8 +214,24 @@ def load_params(source, n_atoms, horizon) -> DeflatorParams:
     )
 
 
+def _integer(doc, key, default) -> int:
+    """An integer field; an integral float such as 7.0 is accepted, 7.5 or true is not."""
+    v = doc.get(key, default)
+    if isinstance(v, float) and v.is_integer():
+        return int(v)
+    if isinstance(v, bool) or not isinstance(v, int):
+        raise SpaceValidationError(f"{key} must be an integer, got {v!r}")
+    return v
+
+
 def load_scenario(source) -> tuple:
-    """Parse a scenario document; returns (scenario, extras dict)."""
+    """Parse a scenario document; returns (scenario, extras dict).
+
+    Every field is checked before anything is drawn: the model fields by
+    :class:`JumpDiffusionScenario`, and here the integer fields, the finite
+    suite parameters ``psi2``, ``phi_o``, ``phi_pr`` and ``theta``, and
+    ``keep_paths`` in [0, n_paths].  A failure names the field.
+    """
     doc = _read(source)
     required = ("sigma", "zeta", "mu", "lambda", "a")
     missing = [k for k in required if k not in doc]
@@ -226,17 +243,18 @@ def load_scenario(source) -> tuple:
             lam=float(doc["lambda"]), a=float(doc["a"]),
             S0=float(doc.get("S0", 1.0)), horizon=float(doc.get("horizon", 1.0)),
             dt=float(doc.get("dt", 2.0 ** -10)),
-            n_paths=int(doc.get("n_paths", 100_000)), seed=int(doc.get("seed", 0)),
+            n_paths=_integer(doc, "n_paths", 100_000), seed=_integer(doc, "seed", 0),
         )
-    except (TypeError, ValueError) as exc:
+        extras = {name: float(doc.get(name, default)) for name, default in
+                  (("psi2", 1.0), ("phi_o", 0.25), ("phi_pr", 0.0), ("theta", 0.7))}
+    except (TypeError, ValueError, OverflowError) as exc:
         raise SpaceValidationError(f"malformed scenario: {exc}") from exc
-    extras = {
-        "psi2": float(doc.get("psi2", 1.0)),
-        "phi_o": float(doc.get("phi_o", 0.25)),
-        "phi_pr": float(doc.get("phi_pr", 0.0)),
-        "theta": float(doc.get("theta", 0.7)),
-        "keep_paths": int(doc.get("keep_paths", 4)),
-    }
+    for name, value in extras.items():
+        if not math.isfinite(value):
+            raise SpaceValidationError(f"{name} must be finite")
+    extras["keep_paths"] = _integer(doc, "keep_paths", 4)
+    if not 0 <= extras["keep_paths"] <= sc.n_paths:
+        raise SpaceValidationError(f"keep_paths must lie in [0, n_paths = {sc.n_paths}]")
     return sc, extras
 
 

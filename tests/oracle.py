@@ -242,3 +242,42 @@ def write_cells(path, outcomes, X):
         for i, name in enumerate(outcomes):
             for n in range(X.shape[1]):
                 fh.write(f"{name},{n},{fmt(float(X[i, n]))}\n")
+
+
+# ------------------------------------------------------------------------------
+# Per-path reference for the Monte-Carlo engine: a fresh SeedSequence, Philox
+# and Generator for every path, and a ragged list of jump times.  ``simulate``
+# derives the same keys in one pass and re-keys one generator; every draw and
+# every array it returns must equal this reference bit for bit.
+
+def per_path_simulate(sc, *, report_times=None, keep_paths=0):
+    from horizon_deflators import jumpdiff as jd
+
+    H, lam = sc.horizon, sc.lam
+    if report_times is None:
+        report_times = H * np.arange(1, 9) / 8.0
+    rep = np.asarray(report_times, dtype=float)
+    R = len(rep)
+    n = sc.n_paths
+
+    jump_lists = []
+    normals = np.empty((n, R + 1))
+    keep_streams = []
+    for i in range(n):
+        gen = np.random.Generator(np.random.Philox(
+            np.random.SeedSequence(entropy=sc.seed, spawn_key=(i,))))
+        gaps = gen.exponential(scale=1.0 / lam, size=8)
+        cum = np.cumsum(gaps)
+        while cum[-1] < H or len(cum) < 2:
+            gaps = gen.exponential(scale=1.0 / lam, size=8)
+            cum = np.concatenate([cum, cum[-1] + np.cumsum(gaps)])
+        jump_lists.append(cum)
+        normals[i] = gen.standard_normal(R + 1)
+        if i < keep_paths:
+            keep_streams.append(gen)
+
+    kmax = max(len(c) for c in jump_lists)
+    jumps = np.full((n, kmax), np.inf)
+    for i, c in enumerate(jump_lists):
+        jumps[i, :len(c)] = c
+    return jd._evaluate(sc, rep, jumps, normals, keep_paths, keep_streams.__getitem__)

@@ -2,9 +2,14 @@
 
 import copy
 import json
+import math
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import event, given, settings
+from hypothesis import strategies as st
 
 from horizon_deflators import build_survival, modelio, trees
 from horizon_deflators.cli import main
@@ -147,6 +152,86 @@ def test_simulate_exit_codes(docs, tmp_path):
     summary = json.loads((tmp_path / "simulate-summary.json").read_text())
     assert summary["ok"] and summary["m_identity_residual"] <= 5 * 2.0 ** -8
     assert (tmp_path / "paths.csv").exists()
+
+
+@pytest.mark.parametrize("field,value", [
+    ("mu", math.nan), ("S0", math.nan), ("horizon", math.inf), ("dt", math.inf),
+    ("seed", -1), ("seed", 7.5), ("keep_paths", 5), ("keep_paths", -1),
+    ("psi2", math.nan), ("phi_o", math.inf), ("phi_pr", math.nan), ("theta", math.nan),
+])
+def test_simulate_rejects_scenario_field(tmp_path, capsys, field, value):
+    doc = {"sigma": 0.2, "zeta": 0.1, "mu": 0.03, "lambda": 2.0, "a": 0.5,
+           "n_paths": 3, "dt": 2.0 ** -6, field: value}
+    modelio.write_json(tmp_path / "scenario.json", doc)
+    assert run("simulate", "--scenario", tmp_path / "scenario.json",
+               "--out", tmp_path) == 2
+    assert field in capsys.readouterr().err
+    assert not (tmp_path / "simulate-summary.json").exists()
+
+
+def test_simulate_rejects_keep_paths_above_path_override(docs, tmp_path, capsys):
+    root, _ = docs
+    assert run("simulate", "--scenario", root / "scenario.json", "--paths", "3",
+               "--out", tmp_path) == 2
+    assert "keep_paths" in capsys.readouterr().err
+
+
+NON_FINITE = (math.nan, math.inf, -math.inf)
+MISSING = object()
+# field: (valid values, values the input contract rejects)
+SCENARIO_FIELDS = {
+    "sigma": (st.floats(0.05, 0.5), (*NON_FINITE, 0.0, -0.2, MISSING)),
+    "zeta": (st.floats(-0.5, 0.5), (*NON_FINITE, -1.0, -3.0, MISSING)),
+    "mu": (st.floats(-0.2, 0.2), (*NON_FINITE, MISSING)),
+    "lambda": (st.floats(0.5, 12.0), (*NON_FINITE, 0.0, -2.0, 1e6, MISSING)),
+    "a": (st.floats(0.1, 0.9), (*NON_FINITE, 0.0, 1.0, 1.5, MISSING)),
+    "n_paths": (st.integers(1, 500), (0, -5, 2.5, 2**33)),
+    "dt": (st.sampled_from([2.0 ** -6, 2.0 ** -5, 2.0 ** -4]),
+           (*NON_FINITE, 0.0, -(2.0 ** -6), 1e-9)),
+    "S0": (st.floats(0.5, 2.0), (*NON_FINITE, 0.0, -1.0)),
+    "horizon": (st.floats(0.25, 2.0), (*NON_FINITE, 0.0, -1.0)),
+    "seed": (st.integers(0, 2**70), (-1, 7.5, True, "7")),
+    "psi2": (st.floats(0.5, 2.0), (*NON_FINITE, 0.0, -1.0)),
+    "phi_o": (st.floats(-0.5, 0.4), (*NON_FINITE, -1.0, -2.0)),
+    "phi_pr": (st.floats(-0.5, 0.5), (*NON_FINITE, -1.0)),
+    "theta": (st.floats(-1.0, 1.0), (*NON_FINITE,)),
+    "keep_paths": (st.integers(0, 4), (-1, 1.5)),
+}
+ALWAYS_GIVEN = ("sigma", "zeta", "mu", "lambda", "a", "n_paths", "dt")
+
+
+@st.composite
+def scenario_documents(draw):
+    """A scenario document and whether the input contract must reject it.
+
+    The five required fields, n_paths and dt are always given (so a valid
+    example runs in milliseconds); the others are given or left to their
+    defaults.  Up to two fields are then replaced by a rejected value.
+    """
+    doc = {k: draw(good) for k, (good, _) in SCENARIO_FIELDS.items()
+           if k in ALWAYS_GIVEN or draw(st.booleans())}
+    flaws = draw(st.lists(st.sampled_from(sorted(SCENARIO_FIELDS)), max_size=2, unique=True))
+    for k in flaws:
+        doc[k] = draw(st.sampled_from(SCENARIO_FIELDS[k][1]))
+        if doc[k] is MISSING:
+            del doc[k]
+    return doc, bool(flaws) or doc.get("keep_paths", 4) > doc["n_paths"]
+
+
+@settings(max_examples=80, deadline=None)
+@given(scenario_documents())
+def test_simulate_fuzzed_scenarios_exit_cleanly(example):
+    doc, invalid = example
+    event("rejected by the contract" if invalid else "runs the suite")
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "scenario.json"
+        path.write_text(json.dumps(doc))
+        code = run("simulate", "--scenario", path, "--out", Path(tmp) / "out")
+    assert code in (0, 1, 2)
+    if invalid:
+        assert code == 2, doc
+    else:
+        assert code in (0, 1), doc
 
 
 def test_simulate_low_path_warning(docs, tmp_path, capsys):

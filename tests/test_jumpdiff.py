@@ -1,5 +1,7 @@
 """Jump-diffusion engine: exactness, closed forms, statistics (fast scale)."""
 
+import re
+
 import numpy as np
 import pytest
 
@@ -14,6 +16,7 @@ from horizon_deflators import (
     solve_drift,
 )
 from horizon_deflators import jumpdiff as jd
+from oracle import per_path_simulate
 
 
 def scenario(**kw):
@@ -36,6 +39,32 @@ def test_scenario_rejections():
         scenario(dt=0.0)
     with pytest.raises(SpaceValidationError):
         scenario(n_paths=0)
+
+
+@pytest.mark.parametrize("field,value,message", [
+    ("mu", np.nan, "mu must be finite"),
+    ("S0", np.nan, "S0 must be finite"),
+    ("sigma", np.inf, "sigma must be finite"),
+    ("lam", np.inf, "lam must be finite"),
+    ("horizon", np.inf, "horizon must be finite"),
+    ("dt", np.inf, "dt must be finite"),
+    ("seed", -1, "seed must be non-negative"),
+    ("seed", 7.0, "seed must be an integer"),
+    ("seed", True, "seed must be an integer"),
+    ("n_paths", 100.0, "n_paths must be an integer"),
+    ("n_paths", jd.MAX_PATHS + 1, "n_paths must lie in"),
+    ("dt", 1e-9, "horizon / dt"),
+    ("lam", 2000.0, "lam * horizon"),
+])
+def test_scenario_rejects_non_finite_and_bad_integers(field, value, message):
+    with pytest.raises(SpaceValidationError, match=re.escape(message)):
+        scenario(**{field: value})
+
+
+def test_simulate_rejects_keep_paths_outside_range():
+    for keep in (-1, 5):
+        with pytest.raises(SpaceValidationError, match="keep_paths"):
+            simulate(scenario(n_paths=3), keep_paths=keep)
 
 
 def test_beta_definition():
@@ -63,6 +92,38 @@ def test_simulation_reproducible_and_prefix_stable():
     b3 = simulate(scenario(n_paths=900))
     assert np.array_equal(b3.tau[:500], b1.tau)
     assert np.array_equal(b3.W[:500], b1.W)
+
+
+@pytest.mark.parametrize("seed", [0, 7, 424242, 2**32 + 5, 2**70 + 3])
+def test_spawn_keys_match_seed_sequence(seed):
+    n = 70_000
+    keys = jd._spawn_keys(seed, n)
+    assert keys.shape == (n, 2) and keys.dtype == np.uint64
+    for i in (0, 1, 65535, 65536, n - 1):
+        ref = np.random.SeedSequence(entropy=seed, spawn_key=(i,)).generate_state(2, np.uint64)
+        assert np.array_equal(keys[i], ref), i
+
+
+BUNDLE_FIELDS = ("report_times", "t1", "t2", "tau", "from_second_jump", "W", "W_tau",
+                 "N", "S", "G", "G_tilde", "m", "D_opt", "N_G")
+
+
+@pytest.mark.parametrize("lam", [2.0, 12.0], ids=["readme", "overflow-heavy"])
+def test_simulate_matches_per_path_reference(lam):
+    # the README scenario; with lam = 12 most paths need more than 8 gaps
+    sc = JumpDiffusionScenario(sigma=0.2, zeta=0.1, mu=0.03, lam=lam, a=0.5,
+                               n_paths=3000, seed=7)
+    got = simulate(sc, keep_paths=4)
+    ref = per_path_simulate(sc, keep_paths=4)
+    for name in BUNDLE_FIELDS:
+        assert np.array_equal(getattr(got, name), getattr(ref, name)), name
+    if lam > 2.0:
+        assert np.mean(got.N[:, -1] >= 8) > 0.5  # these paths were replayed
+    assert len(got.samples) == len(ref.samples) == 4
+    for s_got, s_ref in zip(got.samples, ref.samples):
+        assert s_got.keys() == s_ref.keys()
+        for key in s_ref:
+            assert np.array_equal(s_got[key], s_ref[key]), key
 
 
 def test_horizon_respects_order():
@@ -130,6 +191,21 @@ def test_bridge_samples_consistent_with_report_grid():
             assert s["N"][g] == b.N[i, j]
 
 
+def test_bridge_fill_covers_grid_past_last_anchor():
+    # a horizon that is not a multiple of dt, and report times ending early,
+    # leave grid points past the last anchor; W must move like a Brownian
+    # path there too (no step beyond 6 standard deviations)
+    sc = scenario(n_paths=8, horizon=0.6484375, dt=2.0 ** -6, seed=0)
+    for rep in (None, [0.1, 0.3]):
+        b = simulate(sc, report_times=rep, keep_paths=3)
+        for s in b.samples:
+            assert s["time"][-1] > sc.horizon
+            steps = np.abs(np.diff(s["W"])) / np.sqrt(np.diff(s["time"]))
+            assert np.max(steps) < 6.0
+            for key in ("S", "G", "m", "D_opt", "N_G"):
+                assert np.all(np.isfinite(s[key])), key
+
+
 # ----------------------------------------------------------- deflators and mc
 
 def test_deflator_constraints():
@@ -182,6 +258,29 @@ def test_mc_test_constant_and_warning():
     rep = mc_test(vals, [0.25, 0.5, 0.75, 1.0], start=1.0)
     assert rep.max_abs_z == 0.0 and not rep.rejected
     assert rep.warning is not None
+
+
+def test_mc_test_fails_closed_on_non_finite(monkeypatch):
+    def unreachable(*args, **kwargs):
+        raise AssertionError("lstsq reached on non-finite input")
+
+    monkeypatch.setattr(np.linalg, "lstsq", unreachable)
+    rng = np.random.default_rng(0)
+    times = [0.25, 0.5, 0.75, 1.0]
+    feats = rng.normal(size=(2000, 4, 2))
+    for bad in (np.nan, np.inf):
+        vals = rng.normal(size=(2000, 4))
+        vals[3, 2] = bad
+        rep = mc_test(vals, times, start=0.0, features=feats)
+        assert rep.rejected and rep.max_abs_z == np.inf
+        assert "non-finite values (1 of 8000 entries)" in rep.warning
+        assert np.isnan(rep.zscores[2]) and rep.regression_z is None
+    feats[0, 1, 0] = np.nan
+    rep = mc_test(rng.normal(size=(2000, 4)), times, start=0.0, features=feats)
+    assert rep.rejected and "non-finite features" in rep.warning
+    rep = mc_test(np.ones((1, 4)), times, start=1.0, null="supermartingale")
+    assert rep.rejected and rep.max_abs_z == np.inf  # one path: no standard error
+    assert "only 1 paths" in rep.warning and "standard errors" in rep.warning
 
 
 def test_deflator_grid_matches_report_values():
