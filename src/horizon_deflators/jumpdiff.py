@@ -36,6 +36,7 @@ SIGMA_FLOOR = 1e-12
 MAX_PATHS = 2**32        # a path index must fit one 32-bit spawn-key word
 MAX_STEPS = 2**20        # dt-grid points: bounds the quadrature table and the bridge fill
 MAX_MEAN_JUMPS = 2**10   # lam * horizon: bounds the jump table and the gap-drawing loop
+MAX_DRIFT_EXPONENT = 512.0  # |drift| * horizon: exp(drift t) stays far from float overflow
 
 
 @dataclass(frozen=True)
@@ -88,6 +89,11 @@ class JumpDiffusionScenario:
         if not self.lam * self.horizon <= MAX_MEAN_JUMPS:
             raise SpaceValidationError(
                 f"lam * horizon (expected jumps per path) must not exceed {MAX_MEAN_JUMPS}")
+        drift = self.mu - self.zeta * self.lam - 0.5 * self.sigma * self.sigma
+        if not abs(drift) * self.horizon <= MAX_DRIFT_EXPONENT:
+            raise SpaceValidationError(
+                f"the drift mu - zeta lam - sigma^2/2 = {drift:.3g} times the horizon must "
+                f"not exceed {MAX_DRIFT_EXPONENT:g} in size")
 
     @property
     def beta(self) -> float:
@@ -434,11 +440,16 @@ def solve_drift(sc: JumpDiffusionScenario, psi2: float) -> float:
     """The Brownian loading making the deflated price driftless.
 
     Solves mu + psi1 sigma + (psi2 - 1) zeta lam = 0 for psi1; psi2 must be
-    strictly positive.
+    strictly positive, and psi1^2 * horizon finite.
     """
     if not psi2 > 0.0:
         raise AdmissibilityError("psi2 must be strictly positive")
-    return -(sc.mu + (psi2 - 1.0) * sc.zeta * sc.lam) / sc.sigma
+    psi1 = -(sc.mu + (psi2 - 1.0) * sc.zeta * sc.lam) / sc.sigma
+    if not math.isfinite(psi1 * psi1 * sc.horizon):
+        raise SpaceValidationError(
+            f"the market price of risk -(mu + (psi2 - 1) zeta lam) / sigma = {psi1:.3g} "
+            "overflows: its square times the horizon must be finite")
+    return psi1
 
 
 def transported_brownian(bundle: PathBundle) -> np.ndarray:

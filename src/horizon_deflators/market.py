@@ -8,11 +8,13 @@ deflator directly from one-step conditional quantities:
   means — the local-martingale-deflator property;
 * ``verify_deflator``: at every node, the supremum over one-step admissible
   strategies (the closed polytope {phi : phi' dS >= -1}) of the deflated
-  conditional wealth gain is nonpositive.  For d = 1 all nodes of a date are
-  settled in closed form in one vectorized pass, with no LP: the strategy set
-  is an interval, unbounded exactly on the side no increment bounds, and the
-  supremum sits at its endpoints.  For d in {2, 3} each node runs a
-  recession-ray LP and vertex enumeration; higher dimensions are refused.
+  conditional wealth gain is nonpositive.  All nodes of a date are settled in
+  one vectorized pass, with no LP.  For d = 1 in closed form: the strategy
+  set is an interval, unbounded exactly on the side no increment bounds, and
+  the supremum sits at its endpoints.  For d in {2, 3} by one stacked vertex
+  enumeration over every d-subset of each node's distinct increment rows:
+  once over the recession cone capped by the unit box, and once over the
+  polytope itself.  Higher dimensions are refused.
 
 Both oracles fail closed: a Z that is not finite and positive is reported as
 not a deflator, with residual inf.
@@ -24,7 +26,6 @@ from dataclasses import dataclass
 from itertools import combinations
 
 import numpy as np
-from scipy.optimize import linprog
 
 from .errors import ContractViolationError, UnsupportedDimensionError
 from .prob_core import (
@@ -36,6 +37,15 @@ from .prob_core import (
     classify,
     stop,
 )
+
+
+def __getattr__(name):
+    # no oracle path runs an LP; clibench/spans.py counts LP calls through
+    # market.linprog, so the name stays, imported only when looked up
+    if name == "linprog":
+        from scipy.optimize import linprog
+        return linprog
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 
 @dataclass(frozen=True)
@@ -168,17 +178,6 @@ def verify_lmd(Z, market: MarketModel, *, tol: float = 1e-9) -> OracleReport:
                         {"martingale_residual": rep.max_residual})
 
 
-def _recession_violation(v: Array, rows: Array, tol: float) -> float:
-    """Max of v'r over the recession cone {r : rows r >= 0}, |r|_inf <= 1."""
-    d = len(v)
-    res = linprog(-v, A_ub=-rows if len(rows) else None,
-                  b_ub=np.zeros(len(rows)) if len(rows) else None,
-                  bounds=[(-1.0, 1.0)] * d, method="highs")
-    if not res.success:
-        return np.inf
-    return float(-res.fun)
-
-
 def _vertex_sup(v: Array, rows: Array, tol: float) -> float:
     """Sup of v'phi over {phi : rows phi >= -1} given nonpositive recession slopes."""
     d = len(v)
@@ -203,6 +202,89 @@ def _vertex_sup(v: Array, rows: Array, tol: float) -> float:
     return best
 
 
+_CHUNK_ELEMENTS = 1 << 20  # numbers per (node, d-subset) temporary of one _vertex_max pass
+
+
+def _vertex_max(v: Array, A: Array, b: Array) -> Array:
+    """Per node, max of v'x over x = 0 and the vertices of {x : A x >= b}.
+
+    ``v`` is (nodes, d), ``A`` is (nodes, m, d) and ``b`` is (m,); zero rows
+    pad narrow nodes and change no polytope.  Every d-subset of rows is
+    solved with equality, as in :func:`_vertex_sup`: subsets with
+    |det| <= 1e-12 scale^d are skipped (scale: the node's largest row norm),
+    and a solution counts if every row holds within 1e-9 (1 + |A x|).  Nodes
+    and subsets run in chunks of at most ``_CHUNK_ELEMENTS`` numbers, so a
+    wide node cannot exhaust memory.
+    """
+    n, m, d = A.shape
+    best = np.zeros(n)
+    subsets = np.array(list(combinations(range(m), d)), dtype=np.intp).reshape(-1, d)
+    if n == 0 or len(subsets) == 0:
+        return best
+    tiny = 1e-12 * np.linalg.norm(A, axis=2).max(axis=1) ** d
+    per_subset = m + d * d
+    nodes = max(1, _CHUNK_ELEMENTS // (per_subset * len(subsets)))
+    width = max(1, _CHUNK_ELEMENTS // (per_subset * nodes))
+    for lo in range(0, n, nodes):
+        An, vn = A[lo:lo + nodes], v[lo:lo + nodes, None, None, :]
+        for s in range(0, len(subsets), width):
+            idx = subsets[s:s + width]
+            M = An[:, idx]  # (nodes, subsets, d, d)
+            solvable = np.abs(np.linalg.det(M)) > tiny[lo:lo + nodes, None]
+            x = np.linalg.solve(np.where(solvable[..., None, None], M, np.eye(d)),
+                                b[idx][..., None])
+            Ax = (An[:, None] @ x)[..., 0]  # (nodes, subsets, m)
+            solvable &= np.all(Ax >= b - 1e-9 * (1.0 + np.abs(Ax)), axis=2)
+            # (1, d) @ (d, 1) products round as v @ x does in _vertex_sup
+            vx = np.where(solvable, (vn @ x)[..., 0, 0], -np.inf)
+            best[lo:lo + nodes] = np.maximum(best[lo:lo + nodes], vx.max(axis=1))
+    return best
+
+
+def _child_rows(filt: Filtration, k: int, rows: Array, live: Array) -> Array:
+    """Per ``live`` time-(k-1) block, the rows of its time-k child blocks, zero-padded.
+
+    ``rows`` is indexed by atom and constant on time-k blocks, so one atom
+    per child carries the node's distinct rows.  Returns (live blocks,
+    widest, d), children in block-id order.
+    """
+    par = filt.parent[k]
+    kids = np.argsort(par, kind="stable")
+    count = np.bincount(par, minlength=len(filt.starts[k - 1]) - 1)
+    slot = np.arange(len(par)) - np.repeat(np.cumsum(count) - count, count)
+    out = np.zeros((len(count), count.max(), rows.shape[1]))
+    out[par[kids], slot] = rows[filt.order[k][filt.starts[k][kids]]]
+    return out[live, :count[live].max()]
+
+
+def _polytope_nodes(v: Array, R: Array, room: Array):
+    """d in {2, 3}: recession slope and sup of v'phi over {phi : R phi >= -1}, per node.
+
+    ``R`` holds each node's child rows (nodes, m, d); rows of norm <= 1e-14
+    count as zero.  The recession slope is the max of v'r over the cone
+    {R r >= 0} capped by the box |r|_inf <= 1, found by :func:`_vertex_max`
+    with the rows scaled to unit norm (the cone does not change).  Where it
+    is within ``room``, the sup comes from the same enumeration over R;
+    nodes whose rows have rank strictly between 0 and d use the row-space
+    recursion of :func:`_vertex_sup`.
+    """
+    n, m, d = R.shape
+    norm = np.linalg.norm(R, axis=2, keepdims=True)
+    R = np.where(norm > 1e-14, R, 0.0)
+    unit = np.divide(R, norm, out=np.zeros_like(R), where=norm > 1e-14)
+    box = np.broadcast_to(np.concatenate([np.eye(d), -np.eye(d)]), (n, 2 * d, d))
+    rec = _vertex_max(v, np.concatenate([unit, box], axis=1),
+                      np.concatenate([np.zeros(m), -np.ones(2 * d)]))
+    sup = np.zeros(n)
+    bounded = rec <= room
+    rank = np.linalg.matrix_rank(R, tol=1e-12)
+    full = bounded & (rank == d)
+    sup[full] = _vertex_max(v[full], R[full], -np.ones(m))
+    for j in np.flatnonzero(bounded & (rank > 0) & (rank < d)):
+        sup[j] = _vertex_sup(v[j], R[j], 1e-14)
+    return rec, sup
+
+
 def _interval_nodes(v: Array, lo_row: Array, hi_row: Array):
     """One asset: recession slope and sup of v*phi over {phi : rows*phi >= -1}, per node.
 
@@ -225,8 +307,13 @@ def verify_deflator(Z, market: MarketModel, *, tol: float = 1e-9) -> OracleRepor
 
     For each node the oracle maximizes E[Z_n (1 + phi' dS_n) | block] over the
     closed admissibility polytope (including recession directions) and checks
-    the optimum against Z_{n-1}.  Supports up to three assets.  The reported
-    worst node is the first (time, block) reaching the largest excess.
+    the optimum against Z_{n-1}.  Supports up to three assets.  All nodes of
+    a date are settled in one batched pass, with no LP: for one asset by the
+    interval formulas of :func:`_interval_nodes`, for two or three by the
+    vertex enumeration of :func:`_polytope_nodes` over the rows of each
+    node's time-n child blocks (S is adapted, so these are all its atoms'
+    rows).  The reported worst node is the first (time, block) reaching the
+    largest excess.
     """
     d = market.n_assets
     if d > 3:
@@ -255,13 +342,7 @@ def verify_deflator(Z, market: MarketModel, *, tol: float = 1e-9) -> OracleRepor
                 v[:, 0], filt.segment_reduce(k - 1, rows[:, 0], np.minimum)[live],
                 filt.segment_reduce(k - 1, rows[:, 0], np.maximum)[live])
         else:
-            rec, sup = np.zeros(len(live)), np.zeros(len(live))
-            starts = filt.starts[k - 1]
-            for j, b in enumerate(live):
-                node_rows = rows[filt.order[k - 1][starts[b]:starts[b + 1]]]
-                rec[j] = _recession_violation(v[j], node_rows, tol)
-                if rec[j] <= room[j]:
-                    sup[j] = _vertex_sup(v[j], node_rows, 1e-14)
+            rec, sup = _polytope_nodes(v, _child_rows(filt, k, rows, live), room)
         recession = rec > room
         excess = np.where(recession, np.inf, base + sup - z_prev)
         j = int(np.argmax(excess))

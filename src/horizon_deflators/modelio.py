@@ -15,7 +15,7 @@ import numpy as np
 
 from .deflators import DeflatorParams
 from .errors import SpaceValidationError
-from .jumpdiff import JumpDiffusionScenario
+from .jumpdiff import JumpDiffusionScenario, solve_drift
 from .prob_core import FiniteFilteredSpace
 
 
@@ -158,10 +158,10 @@ def load_model(source) -> ModelDocument:
     try:
         outcomes = [o["id"] for o in doc["outcomes"]]
         probs = [float(o["prob"]) for o in doc["outcomes"]]
-        horizon = int(doc["horizon"])
+        horizon = _integral(doc["horizon"], "horizon")
         partitions = doc["partitions"]
-        tau = np.asarray(doc["tau"], dtype=np.int64)
-    except (KeyError, TypeError, ValueError) as exc:
+        tau = np.asarray([_integral(t, "tau") for t in doc["tau"]], dtype=np.int64)
+    except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise SpaceValidationError(f"malformed model document: {exc}") from exc
     if len(partitions) != horizon + 1:
         raise SpaceValidationError("partitions must list horizon+1 rows")
@@ -214,14 +214,18 @@ def load_params(source, n_atoms, horizon) -> DeflatorParams:
     )
 
 
-def _integer(doc, key, default) -> int:
-    """An integer field; an integral float such as 7.0 is accepted, 7.5 or true is not."""
-    v = doc.get(key, default)
+def _integral(v, name) -> int:
+    """An integer value; an integral float such as 7.0 is accepted, 7.5 or true is not."""
     if isinstance(v, float) and v.is_integer():
         return int(v)
-    if isinstance(v, bool) or not isinstance(v, int):
-        raise SpaceValidationError(f"{key} must be an integer, got {v!r}")
-    return v
+    if isinstance(v, (bool, np.bool_)) or not isinstance(v, (int, np.integer)):
+        raise SpaceValidationError(f"{name} must be an integer, got {v!r}")
+    return int(v)
+
+
+def _integer(doc, key, default) -> int:
+    """The integer field ``key`` of ``doc``, by the rule of :func:`_integral`."""
+    return _integral(doc.get(key, default), key)
 
 
 def load_scenario(source) -> tuple:
@@ -229,8 +233,10 @@ def load_scenario(source) -> tuple:
 
     Every field is checked before anything is drawn: the model fields by
     :class:`JumpDiffusionScenario`, and here the integer fields, the finite
-    suite parameters ``psi2``, ``phi_o``, ``phi_pr`` and ``theta``, and
-    ``keep_paths`` in [0, n_paths].  A failure names the field.
+    suite parameters ``psi2``, ``phi_o``, ``phi_pr`` and ``theta``,
+    ``keep_paths`` in [0, n_paths], and a market price of risk
+    (:func:`solve_drift`) whose square does not overflow.  A failure names
+    the field.
     """
     doc = _read(source)
     required = ("sigma", "zeta", "mu", "lambda", "a")
@@ -255,6 +261,8 @@ def load_scenario(source) -> tuple:
     extras["keep_paths"] = _integer(doc, "keep_paths", 4)
     if not 0 <= extras["keep_paths"] <= sc.n_paths:
         raise SpaceValidationError(f"keep_paths must lie in [0, n_paths = {sc.n_paths}]")
+    if extras["psi2"] > 0.0:  # else the suite reports psi2 as a constraint violation
+        solve_drift(sc, extras["psi2"])
     return sc, extras
 
 

@@ -11,6 +11,7 @@ rounding; ``TOL_EXACT`` is the library-wide tolerance for those checks.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -163,6 +164,14 @@ class FiniteFilteredSpace:
             raise SpaceValidationError("horizon must be >= 1")
         if len(self.outcomes) != len(p):
             raise SpaceValidationError("outcomes and probs disagree in length")
+        try:
+            unique = len(set(self.outcomes)) == len(self.outcomes)
+        except TypeError as exc:
+            raise SpaceValidationError(f"atom ids must be hashable: {exc}") from exc
+        if not unique:
+            count = Counter(self.outcomes)
+            repeated = next(o for o in self.outcomes if count[o] > 1)
+            raise SpaceValidationError(f"duplicate atom id {repeated!r}")
         if not np.all(np.isfinite(p)):
             raise SpaceValidationError("atom probabilities must be finite")
         if np.any(p <= 0):

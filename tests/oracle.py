@@ -13,6 +13,7 @@ vectorized partition kernel replaced; the kernel is tested against them.
 from fractions import Fraction
 
 import numpy as np
+from scipy.optimize import linprog
 
 
 def blocks_of(row):
@@ -154,12 +155,24 @@ def interval_sup(v, rows, tol):
     return 0.0
 
 
-def one_asset_deflator_scan(Z, S, block_rows, w, recession, tol=1e-9):
-    """Node-by-node supermartingale-deflator scan for one asset.
+def recession_violation(v, rows):
+    """Max of v'r over the recession cone {r : rows r >= 0}, |r|_inf <= 1, by HiGHS LP."""
+    d = len(v)
+    res = linprog(-v, A_ub=-rows if len(rows) else None,
+                  b_ub=np.zeros(len(rows)) if len(rows) else None,
+                  bounds=[(-1.0, 1.0)] * d, method="highs")
+    if not res.success:
+        return np.inf
+    return float(-res.fun)
 
-    ``recession(v, rows, tol)`` is the recession-slope solver (the LP); the
-    supremum comes from :func:`interval_sup`.  Returns (ok, max_excess, worst)
-    with worst the first (time, block, kind) reaching the largest excess.
+
+def deflator_scan(Z, S, block_rows, w, sup, tol=1e-9):
+    """Node-by-node supermartingale-deflator scan over every atom row of each node.
+
+    ``S`` is (assets, atoms, times); the recession slope comes from the LP in
+    :func:`recession_violation` and the supremum from ``sup(v, rows)``.
+    Returns (ok, max_excess, worst) with worst the first (time, block, kind)
+    reaching the largest excess.
     """
     worst, max_excess = None, -np.inf
     for k in range(1, len(block_rows)):
@@ -171,14 +184,14 @@ def one_asset_deflator_scan(Z, S, block_rows, w, recession, tol=1e-9):
                 continue
             wb = w[atoms] / mass
             z_prev = float(wb @ Z[atoms, k - 1])
-            rows = (S[atoms, k] - S[atoms, k - 1])[:, None]
+            rows = (S[:, atoms, k] - S[:, atoms, k - 1]).T
             v = rows.T @ (wb * Z[atoms, k])
             base = float(wb @ Z[atoms, k])
-            if recession(v, rows, tol) > tol * max(1.0, abs(z_prev)):
+            if recession_violation(v, rows) > tol * max(1.0, abs(z_prev)):
                 if np.inf > max_excess:
                     max_excess, worst = np.inf, (k, b, "recession")
                 continue
-            excess = base + interval_sup(float(v[0]), rows[:, 0], 1e-14) - z_prev
+            excess = base + sup(v, rows) - z_prev
             if excess > max_excess:
                 max_excess, worst = float(excess), (k, b, "vertex")
     ok = max_excess <= tol * max(1.0, float(np.max(np.abs(Z))))

@@ -78,6 +78,41 @@ def test_verify_rejects_tau_out_of_range(docs, tmp_path):
     assert run("verify", "--model", tmp_path / "bad.json", "--out", tmp_path) == 2
 
 
+@pytest.mark.parametrize("field,value,message", [
+    ("tau", [1.7, 2, 2, 0], "tau must be an integer, got 1.7"),
+    ("tau", [1, 2, 2, True], "tau must be an integer, got True"),
+    ("tau", [1, "2", 2, 0], "tau must be an integer"),
+    ("horizon", 2.5, "horizon must be an integer, got 2.5"),
+    ("horizon", True, "horizon must be an integer"),
+])
+def test_verify_rejects_non_integer_model_field(docs, tmp_path, capsys, field, value, message):
+    root, model = docs
+    bad = copy.deepcopy(model)
+    bad[field] = value
+    modelio.write_json(tmp_path / "bad.json", bad)
+    assert run("verify", "--model", tmp_path / "bad.json", "--out", tmp_path) == 2
+    assert message in capsys.readouterr().err
+    assert not (tmp_path / "verify-report.json").exists()
+
+
+def test_verify_accepts_integral_float_tau_and_horizon(docs, tmp_path):
+    root, model = docs
+    doc = copy.deepcopy(model)
+    doc["tau"] = [float(t) for t in doc["tau"]]
+    doc["horizon"] = float(doc["horizon"])
+    modelio.write_json(tmp_path / "model.json", doc)
+    assert run("verify", "--model", tmp_path / "model.json", "--out", tmp_path) == 0
+
+
+def test_verify_rejects_duplicate_atom_id(docs, tmp_path, capsys):
+    root, model = docs
+    bad = copy.deepcopy(model)
+    bad["outcomes"][2]["id"] = bad["outcomes"][0]["id"]
+    modelio.write_json(tmp_path / "bad.json", bad)
+    assert run("verify", "--model", tmp_path / "bad.json", "--out", tmp_path) == 2
+    assert "duplicate atom id 'w1'" in capsys.readouterr().err
+
+
 def test_verify_missing_file(tmp_path):
     assert run("verify", "--model", tmp_path / "nope.json", "--out", tmp_path) == 2
 
@@ -169,6 +204,21 @@ def test_simulate_rejects_scenario_field(tmp_path, capsys, field, value):
     assert not (tmp_path / "simulate-summary.json").exists()
 
 
+@pytest.mark.parametrize("field,value", [
+    ("mu", 1e300), ("mu", -1e300), ("sigma", 1e200), ("psi2", 1e300),
+])
+def test_simulate_rejects_overflowing_drift_or_price_of_risk(tmp_path, capsys, field, value):
+    # each value is finite, but exp(drift t) or psi1^2 would overflow: exit 2
+    # naming the field, before any path is drawn and without a numpy warning
+    doc = {"sigma": 0.2, "zeta": 0.1, "mu": 0.03, "lambda": 2.0, "a": 0.5,
+           "n_paths": 2000, field: value}
+    modelio.write_json(tmp_path / "scenario.json", doc)
+    assert run("simulate", "--scenario", tmp_path / "scenario.json",
+               "--out", tmp_path) == 2
+    assert field in capsys.readouterr().err
+    assert not (tmp_path / "simulate-summary.json").exists()
+
+
 def test_simulate_rejects_keep_paths_above_path_override(docs, tmp_path, capsys):
     root, _ = docs
     assert run("simulate", "--scenario", root / "scenario.json", "--paths", "3",
@@ -180,9 +230,9 @@ NON_FINITE = (math.nan, math.inf, -math.inf)
 MISSING = object()
 # field: (valid values, values the input contract rejects)
 SCENARIO_FIELDS = {
-    "sigma": (st.floats(0.05, 0.5), (*NON_FINITE, 0.0, -0.2, MISSING)),
+    "sigma": (st.floats(0.05, 0.5), (*NON_FINITE, 0.0, -0.2, 1e200, MISSING)),
     "zeta": (st.floats(-0.5, 0.5), (*NON_FINITE, -1.0, -3.0, MISSING)),
-    "mu": (st.floats(-0.2, 0.2), (*NON_FINITE, MISSING)),
+    "mu": (st.floats(-0.2, 0.2), (*NON_FINITE, 1e300, -1e300, MISSING)),
     "lambda": (st.floats(0.5, 12.0), (*NON_FINITE, 0.0, -2.0, 1e6, MISSING)),
     "a": (st.floats(0.1, 0.9), (*NON_FINITE, 0.0, 1.0, 1.5, MISSING)),
     "n_paths": (st.integers(1, 500), (0, -5, 2.5, 2**33)),

@@ -2,11 +2,14 @@
 
 Each test draws random trees and compares the package with a reference scan
 kept in ``oracle.py``: the CSR ``Filtration`` against first-appearance
-relabelling and per-block scans, the closed-form one-asset deflator oracle
-against the per-node LP scan, the segment-reduced two-term decomposition
+relabelling and per-block scans, the closed-form one-asset and the batched
+two- and three-asset deflator oracles against the per-node LP scan, the
+segment-reduced two-term decomposition
 against its block-pair loop, and the chunked CSV writer against the per-cell
 writer.
 """
+
+import math
 
 import numpy as np
 import pytest
@@ -26,7 +29,7 @@ from horizon_deflators import (
     trees,
     verify_deflator,
 )
-from horizon_deflators.market import _recession_violation
+from horizon_deflators.market import _CHUNK_ELEMENTS, _vertex_sup
 
 
 def _full_tree(branching, horizon):
@@ -110,9 +113,14 @@ def _one_asset_prices(rng, space):
 
 
 def _reference_verdict(Z, market):
-    return oracle.one_asset_deflator_scan(
-        np.asarray(Z, dtype=float), market.S[0], market.filtration.block_ids,
-        market.measure.weights, _recession_violation)
+    if market.n_assets == 1:
+        def sup(v, rows):
+            return oracle.interval_sup(float(v[0]), rows[:, 0], 1e-14)
+    else:
+        def sup(v, rows):
+            return _vertex_sup(v, rows, 1e-14)
+    return oracle.deflator_scan(np.asarray(Z, dtype=float), market.S,
+                                market.filtration.block_ids, market.measure.weights, sup)
 
 
 def _same_verdict(Z, market):
@@ -175,6 +183,63 @@ def test_one_asset_oracle_edge_nodes():
             Z = np.ones((n, 3))
             Z[:, 2] += z_scale * np.linspace(-0.2, 0.3, n)
             _same_verdict(Z, market)
+
+
+def _collinear(rng, market):
+    """The last asset moves as a fixed combination of the others: rank-deficient nodes."""
+    S = market.S.copy()
+    S[-1] = 1.0
+    for c, comp in zip(rng.normal(size=len(S) - 1), S[:-1]):
+        S[-1] += c * (comp - 1.0)  # elementwise, so equal atoms stay equal
+    return MarketModel.from_prices(market.space, S)
+
+
+def test_polytope_oracle_matches_per_node_reference():
+    # 300 random two- and three-asset markets, each checked plain, tilted
+    # (recession violations), with a perturbed Z, with collinear assets, and
+    # stopped (flat nodes after tau, enlarged blocks)
+    rng = np.random.default_rng(105)
+    seen = set()
+    for case in range(300):
+        space = trees.random_space(rng, max_horizon=3, max_atoms=12)
+        market, Z = trees.random_market(rng, space, n_assets=2 + case % 2)
+        Z_bent = Z * (1.0 + 0.02 * rng.normal(size=Z.shape))
+        kind = case % 5
+        if kind == 0:
+            checks = [(Z, market)]
+        elif kind == 1:
+            S = market.S.copy()
+            S[int(rng.integers(0, len(S))), :, 1:] += rng.uniform(0.1, 0.4) * np.arange(
+                1, space.horizon + 1)
+            checks = [(Z, MarketModel.from_prices(space, S))]
+        elif kind == 2:
+            checks = [(Z_bent, market)]
+        elif kind == 3:
+            checks = [(Z, _collinear(rng, market)), (Z_bent, _collinear(rng, market))]
+        else:
+            tau = trees.random_tau(rng, space)
+            stopped = market.stopped(tau, build_survival(space, tau).G_filtration)
+            checks = [(stop(Z, tau), stopped), (stop(Z_bent, tau), stopped)]
+        for Zc, mk in checks:
+            got = verify_deflator(Zc, mk)
+            _same_verdict(Zc, mk)
+            seen.add((kind, got.ok, got.worst and got.worst[2]))
+    assert {(0, True, None), (1, False, "recession"), (2, False, "vertex"),
+            (3, True, None), (3, False, "vertex"), (4, True, None)} <= seen
+
+
+def test_polytope_oracle_wide_node():
+    # one node with 60 child blocks and three assets: both enumerations run
+    # over more d-subsets than one chunk holds
+    rng = np.random.default_rng(106)
+    n = 60
+    p = rng.uniform(0.2, 1.0, size=n)
+    space = trees.FiniteFilteredSpace.from_partitions(
+        [f"w{i}" for i in range(n)], p / p.sum(), [[0] * n, list(range(n))])
+    market, Z = trees.random_market(rng, space, n_assets=3)
+    assert math.comb(n, 3) * (n + 9) > _CHUNK_ELEMENTS
+    assert _same_verdict(Z, market)
+    assert not _same_verdict(Z * (1.0 + 0.05 * rng.normal(size=Z.shape)), market)
 
 
 def _stopped_martingales(rng, rts):

@@ -49,6 +49,14 @@ def test_space_rejects_bad_probs():
         FiniteFilteredSpace.from_partitions(("a", "b"), (1.0, 0.0), [[0, 0], [0, 1]])
 
 
+def test_space_rejects_duplicate_and_unhashable_atom_ids():
+    with pytest.raises(SpaceValidationError, match="duplicate atom id 'b'"):
+        FiniteFilteredSpace.from_partitions(
+            ("a", "b", "c", "b"), (0.25,) * 4, [[0, 0, 0, 0], [0, 1, 2, 3]])
+    with pytest.raises(SpaceValidationError, match="hashable"):
+        FiniteFilteredSpace.from_partitions((["a"], "b"), (0.5, 0.5), [[0, 0], [0, 1]])
+
+
 def test_space_rejects_non_refining_partitions():
     with pytest.raises(SpaceValidationError):
         FiniteFilteredSpace.from_partitions(
