@@ -36,7 +36,8 @@ SIGMA_FLOOR = 1e-12
 MAX_PATHS = 2**32        # a path index must fit one 32-bit spawn-key word
 MAX_STEPS = 2**20        # dt-grid points: bounds the quadrature table and the bridge fill
 MAX_MEAN_JUMPS = 2**10   # lam * horizon: bounds the jump table and the gap-drawing loop
-MAX_DRIFT_EXPONENT = 512.0  # |drift| * horizon: exp(drift t) stays far from float overflow
+MAX_EXPONENT = 512.0     # sigma^2 * horizon and |drift| * horizon: exp(sigma W_t + drift t)
+                         # stays far from float overflow
 
 
 @dataclass(frozen=True)
@@ -89,11 +90,15 @@ class JumpDiffusionScenario:
         if not self.lam * self.horizon <= MAX_MEAN_JUMPS:
             raise SpaceValidationError(
                 f"lam * horizon (expected jumps per path) must not exceed {MAX_MEAN_JUMPS}")
+        if not self.sigma * self.sigma * self.horizon <= MAX_EXPONENT:
+            raise SpaceValidationError(
+                f"sigma^2 = {self.sigma * self.sigma:.3g} times the horizon must not exceed "
+                f"{MAX_EXPONENT:g}")
         drift = self.mu - self.zeta * self.lam - 0.5 * self.sigma * self.sigma
-        if not abs(drift) * self.horizon <= MAX_DRIFT_EXPONENT:
+        if not abs(drift) * self.horizon <= MAX_EXPONENT:
             raise SpaceValidationError(
                 f"the drift mu - zeta lam - sigma^2/2 = {drift:.3g} times the horizon must "
-                f"not exceed {MAX_DRIFT_EXPONENT:g} in size")
+                f"not exceed {MAX_EXPONENT:g} in size")
 
     @property
     def beta(self) -> float:

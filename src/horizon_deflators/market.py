@@ -11,10 +11,11 @@ deflator directly from one-step conditional quantities:
   conditional wealth gain is nonpositive.  All nodes of a date are settled in
   one vectorized pass, with no LP.  For d = 1 in closed form: the strategy
   set is an interval, unbounded exactly on the side no increment bounds, and
-  the supremum sits at its endpoints.  For d in {2, 3} by one stacked vertex
-  enumeration over every d-subset of each node's distinct increment rows:
-  once over the recession cone capped by the unit box, and once over the
-  polytope itself.  Higher dimensions are refused.
+  the supremum sits at its endpoints.  For d in {2, 3} by a stacked vertex
+  enumeration over every d-subset of each node's distinct increment rows,
+  one per group of nodes with equally many rows: once over the recession
+  cone capped by the unit box, and once over the polytope itself.  Higher
+  dimensions are refused.
 
 Both oracles fail closed: a Z that is not finite and positive is reported as
 not a deflator, with residual inf.
@@ -22,8 +23,9 @@ not a deflator, with residual inf.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
-from itertools import combinations
+from itertools import combinations, islice
 
 import numpy as np
 
@@ -180,26 +182,16 @@ def verify_lmd(Z, market: MarketModel, *, tol: float = 1e-9) -> OracleReport:
 
 def _vertex_sup(v: Array, rows: Array, tol: float) -> float:
     """Sup of v'phi over {phi : rows phi >= -1} given nonpositive recession slopes."""
-    d = len(v)
     keep = rows[np.linalg.norm(rows, axis=1) > tol]
-    best = 0.0  # phi = 0 is always feasible
     if len(keep) == 0:
-        return best
+        return 0.0  # phi = 0 is always feasible
     rank = np.linalg.matrix_rank(keep, tol=1e-12)
-    if rank < d:
+    if rank < len(v):
         # optimize inside the row space; orthogonal directions have zero slope
         _, _, vt = np.linalg.svd(keep)
         Q = vt[:rank].T
         return _vertex_sup(Q.T @ v, keep @ Q, tol)
-    scale = np.linalg.norm(keep, axis=1).max()
-    for combo in combinations(range(len(keep)), d):
-        A = keep[list(combo)]
-        if abs(np.linalg.det(A)) <= 1e-12 * scale**d:
-            continue
-        phi = np.linalg.solve(A, -np.ones(d))
-        if np.all(keep @ phi >= -1.0 - 1e-9 * (1.0 + np.abs(keep @ phi))):
-            best = max(best, float(v @ phi))
-    return best
+    return float(_vertex_max(v[None], keep[None], -np.ones(len(keep)))[0])
 
 
 _CHUNK_ELEMENTS = 1 << 20  # numbers per (node, d-subset) temporary of one _vertex_max pass
@@ -208,53 +200,59 @@ _CHUNK_ELEMENTS = 1 << 20  # numbers per (node, d-subset) temporary of one _vert
 def _vertex_max(v: Array, A: Array, b: Array) -> Array:
     """Per node, max of v'x over x = 0 and the vertices of {x : A x >= b}.
 
-    ``v`` is (nodes, d), ``A`` is (nodes, m, d) and ``b`` is (m,); zero rows
-    pad narrow nodes and change no polytope.  Every d-subset of rows is
-    solved with equality, as in :func:`_vertex_sup`: subsets with
-    |det| <= 1e-12 scale^d are skipped (scale: the node's largest row norm),
-    and a solution counts if every row holds within 1e-9 (1 + |A x|).  Nodes
-    and subsets run in chunks of at most ``_CHUNK_ELEMENTS`` numbers, so a
-    wide node cannot exhaust memory.
+    ``v`` is (nodes, d), ``A`` is (nodes, m, d) and ``b`` is (m,); zero
+    rows join no vertex.  Every d-subset of rows is solved with equality:
+    subsets with |det| <= 1e-12 scale^d are skipped (scale: the node's
+    largest row norm), and a solution counts if every row holds within
+    1e-9 (1 + |A x|).  Subsets are drawn lazily and, with the
+    nodes, run in chunks of at most ``_CHUNK_ELEMENTS`` numbers per
+    temporary, so memory does not grow with the number of subsets.
     """
     n, m, d = A.shape
     best = np.zeros(n)
-    subsets = np.array(list(combinations(range(m), d)), dtype=np.intp).reshape(-1, d)
-    if n == 0 or len(subsets) == 0:
+    total = math.comb(m, d)
+    if n == 0 or total == 0:
         return best
     tiny = 1e-12 * np.linalg.norm(A, axis=2).max(axis=1) ** d
     per_subset = m + d * d
-    nodes = max(1, _CHUNK_ELEMENTS // (per_subset * len(subsets)))
+    nodes = max(1, _CHUNK_ELEMENTS // (per_subset * total))
     width = max(1, _CHUNK_ELEMENTS // (per_subset * nodes))
-    for lo in range(0, n, nodes):
-        An, vn = A[lo:lo + nodes], v[lo:lo + nodes, None, None, :]
-        for s in range(0, len(subsets), width):
-            idx = subsets[s:s + width]
+    subsets = combinations(range(m), d)
+    for _ in range(0, total, width):
+        idx = np.array(list(islice(subsets, width)), dtype=np.intp)
+        for lo in range(0, n, nodes):
+            An, vn = A[lo:lo + nodes], v[lo:lo + nodes, None, None, :]
             M = An[:, idx]  # (nodes, subsets, d, d)
             solvable = np.abs(np.linalg.det(M)) > tiny[lo:lo + nodes, None]
             x = np.linalg.solve(np.where(solvable[..., None, None], M, np.eye(d)),
                                 b[idx][..., None])
             Ax = (An[:, None] @ x)[..., 0]  # (nodes, subsets, m)
             solvable &= np.all(Ax >= b - 1e-9 * (1.0 + np.abs(Ax)), axis=2)
-            # (1, d) @ (d, 1) products round as v @ x does in _vertex_sup
+            # (1, d) @ (d, 1) products round as a plain v @ x does
             vx = np.where(solvable, (vn @ x)[..., 0, 0], -np.inf)
             best[lo:lo + nodes] = np.maximum(best[lo:lo + nodes], vx.max(axis=1))
     return best
 
 
-def _child_rows(filt: Filtration, k: int, rows: Array, live: Array) -> Array:
-    """Per ``live`` time-(k-1) block, the rows of its time-k child blocks, zero-padded.
+def _child_rows(filt: Filtration, k: int, rows: Array, live: Array):
+    """The rows of each ``live`` time-(k-1) block's time-k child blocks, grouped by width.
 
     ``rows`` is indexed by atom and constant on time-k blocks, so one atom
-    per child carries the node's distinct rows.  Returns (live blocks,
-    widest, d), children in block-id order.
+    per child carries the node's distinct rows.  Yields, per distinct child
+    count c, the positions in ``live`` of the blocks with c children and
+    their rows (blocks, c, d), children in block-id order.  No block is
+    padded, so an enumeration over a group costs what its blocks cost.
     """
     par = filt.parent[k]
     kids = np.argsort(par, kind="stable")
     count = np.bincount(par, minlength=len(filt.starts[k - 1]) - 1)
-    slot = np.arange(len(par)) - np.repeat(np.cumsum(count) - count, count)
-    out = np.zeros((len(count), count.max(), rows.shape[1]))
-    out[par[kids], slot] = rows[filt.order[k][filt.starts[k][kids]]]
-    return out[live, :count[live].max()]
+    kid_rows, owner = rows[filt.order[k][filt.starts[k][kids]]], par[kids]
+    width = count[live]
+    for c in np.unique(width):
+        at = np.flatnonzero(width == c)
+        mine = np.zeros(len(count), dtype=bool)
+        mine[live[at]] = True
+        yield at, kid_rows[mine[owner]].reshape(len(at), c, rows.shape[1])
 
 
 def _polytope_nodes(v: Array, R: Array, room: Array):
@@ -312,7 +310,8 @@ def verify_deflator(Z, market: MarketModel, *, tol: float = 1e-9) -> OracleRepor
     interval formulas of :func:`_interval_nodes`, for two or three by the
     vertex enumeration of :func:`_polytope_nodes` over the rows of each
     node's time-n child blocks (S is adapted, so these are all its atoms'
-    rows).  The reported worst node is the first (time, block) reaching the
+    rows), once per group of nodes with the same number of children.  The
+    reported worst node is the first (time, block) reaching the
     largest excess.
     """
     d = market.n_assets
@@ -342,7 +341,9 @@ def verify_deflator(Z, market: MarketModel, *, tol: float = 1e-9) -> OracleRepor
                 v[:, 0], filt.segment_reduce(k - 1, rows[:, 0], np.minimum)[live],
                 filt.segment_reduce(k - 1, rows[:, 0], np.maximum)[live])
         else:
-            rec, sup = _polytope_nodes(v, _child_rows(filt, k, rows, live), room)
+            rec, sup = np.empty(len(live)), np.empty(len(live))
+            for at, R in _child_rows(filt, k, rows, live):
+                rec[at], sup[at] = _polytope_nodes(v[at], R, room[at])
         recession = rec > room
         excess = np.where(recession, np.inf, base + sup - z_prev)
         j = int(np.argmax(excess))

@@ -11,6 +11,7 @@ vectorized partition kernel replaced; the kernel is tested against them.
 """
 
 from fractions import Fraction
+from itertools import combinations
 
 import numpy as np
 from scipy.optimize import linprog
@@ -153,6 +154,34 @@ def interval_sup(v, rows, tol):
     if v < 0:
         return v * lo if np.isfinite(lo) else np.inf
     return 0.0
+
+
+def vertex_sup(v, rows, tol):
+    """Sup of v'phi over {phi : rows phi >= -1} given nonpositive recession slopes.
+
+    One d-subset of rows at a time: subsets with |det| <= 1e-12 scale^d are
+    skipped, and a solution counts if every row holds within 1e-9 (1 + |rows phi|).
+    Rank-deficient rows are reduced to their row space first.
+    """
+    d = len(v)
+    keep = rows[np.linalg.norm(rows, axis=1) > tol]
+    best = 0.0  # phi = 0 is always feasible
+    if len(keep) == 0:
+        return best
+    rank = np.linalg.matrix_rank(keep, tol=1e-12)
+    if rank < d:
+        _, _, vt = np.linalg.svd(keep)
+        Q = vt[:rank].T
+        return vertex_sup(Q.T @ v, keep @ Q, tol)
+    scale = np.linalg.norm(keep, axis=1).max()
+    for combo in combinations(range(len(keep)), d):
+        A = keep[list(combo)]
+        if abs(np.linalg.det(A)) <= 1e-12 * scale**d:
+            continue
+        phi = np.linalg.solve(A, -np.ones(d))
+        if np.all(keep @ phi >= -1.0 - 1e-9 * (1.0 + np.abs(keep @ phi))):
+            best = max(best, float(v @ phi))
+    return best
 
 
 def recession_violation(v, rows):

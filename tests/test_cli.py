@@ -204,14 +204,19 @@ def test_simulate_rejects_scenario_field(tmp_path, capsys, field, value):
     assert not (tmp_path / "simulate-summary.json").exists()
 
 
-@pytest.mark.parametrize("field,value", [
-    ("mu", 1e300), ("mu", -1e300), ("sigma", 1e200), ("psi2", 1e300),
+@pytest.mark.parametrize("field,overrides", [
+    ("mu", {"mu": 1e300}), ("mu", {"mu": -1e300}), ("sigma", {"sigma": 1e200}),
+    ("psi2", {"psi2": 1e300}),
+    # mu cancels sigma^2/2, so the drift is about 0 but exp(sigma W) overflows
+    ("sigma^2", {"sigma": 1e10, "mu": 5e19}),
 ])
-def test_simulate_rejects_overflowing_drift_or_price_of_risk(tmp_path, capsys, field, value):
-    # each value is finite, but exp(drift t) or psi1^2 would overflow: exit 2
-    # naming the field, before any path is drawn and without a numpy warning
+def test_simulate_rejects_overflowing_drift_or_price_of_risk(tmp_path, capsys, field,
+                                                             overrides):
+    # each value is finite, but exp(sigma W + drift t) or psi1^2 would
+    # overflow: exit 2 naming the field, before any path is drawn and without
+    # a numpy warning
     doc = {"sigma": 0.2, "zeta": 0.1, "mu": 0.03, "lambda": 2.0, "a": 0.5,
-           "n_paths": 2000, field: value}
+           "n_paths": 2000, **overrides}
     modelio.write_json(tmp_path / "scenario.json", doc)
     assert run("simulate", "--scenario", tmp_path / "scenario.json",
                "--out", tmp_path) == 2

@@ -10,6 +10,7 @@ writer.
 """
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -29,7 +30,8 @@ from horizon_deflators import (
     trees,
     verify_deflator,
 )
-from horizon_deflators.market import _CHUNK_ELEMENTS, _vertex_sup
+from horizon_deflators import market as market_mod
+from horizon_deflators.market import _CHUNK_ELEMENTS, _vertex_max
 
 
 def _full_tree(branching, horizon):
@@ -118,7 +120,7 @@ def _reference_verdict(Z, market):
             return oracle.interval_sup(float(v[0]), rows[:, 0], 1e-14)
     else:
         def sup(v, rows):
-            return _vertex_sup(v, rows, 1e-14)
+            return oracle.vertex_sup(v, rows, 1e-14)
     return oracle.deflator_scan(np.asarray(Z, dtype=float), market.S,
                                 market.filtration.block_ids, market.measure.weights, sup)
 
@@ -240,6 +242,42 @@ def test_polytope_oracle_wide_node():
     assert math.comb(n, 3) * (n + 9) > _CHUNK_ELEMENTS
     assert _same_verdict(Z, market)
     assert not _same_verdict(Z * (1.0 + 0.05 * rng.normal(size=Z.shape)), market)
+
+
+def test_polytope_oracle_mixed_widths():
+    # one date whose nodes have 1, 2, 3, 7 and 40 child blocks, several of
+    # each: every width is its own group and the verdicts match node by node
+    rng = np.random.default_rng(107)
+    widths = [1, 2, 2, 3, 7, 2, 40, 1, 3, 3, 7, 2]
+    n = sum(widths)
+    p = rng.uniform(0.2, 1.0, size=n)
+    space = trees.FiniteFilteredSpace.from_partitions(
+        [f"w{i}" for i in range(n)], p / p.sum(),
+        [[0] * n, sum([[b] * c for b, c in enumerate(widths)], []), list(range(n))])
+    for d in (2, 3):
+        market, Z = trees.random_market(rng, space, n_assets=d)
+        assert _same_verdict(Z, market)
+        assert not _same_verdict(Z * (1.0 + 0.05 * rng.normal(size=Z.shape)), market)
+        assert _same_verdict(Z, _collinear(rng, market))
+
+
+def test_vertex_max_draws_subsets_lazily(monkeypatch):
+    # 120 rows in three dimensions have C(120, 3) = 280,840 subsets, whose
+    # index array alone takes 6.7 MB; with a 2^14-number chunk budget the
+    # whole enumeration must stay far below that, and give the same maximum
+    rng = np.random.default_rng(108)
+    A = rng.normal(size=(1, 120, 3))
+    v = rng.normal(size=(1, 3))
+    full = _vertex_max(v, A, -np.ones(120))
+    monkeypatch.setattr(market_mod, "_CHUNK_ELEMENTS", 1 << 14)
+    tracemalloc.start()
+    try:
+        chunked = _vertex_max(v, A, -np.ones(120))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert np.array_equal(chunked, full)
+    assert peak < math.comb(120, 3) * 3 * 8 / 4
 
 
 def _stopped_martingales(rng, rts):
