@@ -9,8 +9,10 @@ inputs and seed.
 from __future__ import annotations
 
 import argparse
+import math
 import os
 import sys
+from dataclasses import replace
 
 import numpy as np
 
@@ -26,7 +28,7 @@ from .errors import (
     UnsupportedDimensionError,
 )
 from .market import MarketModel, verify_deflator, verify_lmd
-from .prob_core import classify, stochastic_exponential, stochastic_integral, stop
+from .prob_core import classify
 
 OUT_ENV = "HORIZON_DEFLATORS_OUT"
 
@@ -42,47 +44,22 @@ def _fail(code: int, message: str) -> int:
     return code
 
 
-def _survival_invariants(rts, tol):
-    """Named residuals for every structural invariant of the survival layer."""
-    space = rts.space
-    inv = {}
-    inv["m_martingale"] = classify(space, rts.m, tol=tol).max_residual
-    inv["ng_martingale"] = classify(space, rts.N_G, filtration=rts.G_filtration,
-                                    tol=tol).max_residual
-    inv["zbar_martingale"] = classify(space, rts.Z_bar, tol=tol).max_residual
-    dm = np.diff(rts.m, axis=1)
-    inv["increment_identity"] = float(np.max(np.abs(
-        dm - (rts.G_tilde[:, 1:] - rts.G_minus[:, 1:]))))
-    acc = rts.G.copy()
-    for n in range(space.horizon + 1):
-        for k in range(n + 1):
-            hit = (rts.tau == k).astype(float)
-            pk, _ = enl.cond_expect(hit, space.filtration.block_ids[n], space.measure)
-            acc[:, n] += pk
-    inv["survival_mass_balance"] = float(np.max(np.abs(acc - 1.0)))
-    inv["terminal_survival_zero"] = float(np.max(np.abs(rts.G[:, -1])))
-    inv["gtilde_dominates"] = float(max(0.0, np.max(rts.G - rts.G_tilde)))
-    inv["ng_stopped"] = float(np.max(np.abs(stop(rts.N_G, rts.tau) - rts.N_G)))
-    zbar_alt = stochastic_exponential(
-        stochastic_integral(enl.survival_exponential_integrand(rts), rts.m))
-    inv["zbar_exponential_identity"] = float(np.max(np.abs(zbar_alt - rts.Z_bar)))
-    inv["transport_m_martingale"] = classify(
-        space, enl.transport(rts.m, rts, check=False),
-        filtration=rts.G_filtration, tol=tol).max_residual
-    inv["compensated_transport_martingale"] = classify(
-        space, enl.transport_compensated(rts.m, rts, check=False),
-        filtration=rts.G_filtration, tol=tol).max_residual
-    inv["compensated_default_martingale"] = classify(
-        space, enl.compensated_default_indicator(rts),
-        filtration=rts.G_filtration, tol=tol).max_residual
-    return inv
+def _tolerance(text: str) -> float:
+    """argparse type of ``--tol``: a finite, non-negative float."""
+    try:
+        value = float(text)
+    except ValueError:
+        value = math.nan
+    if not (math.isfinite(value) and value >= 0.0):
+        raise argparse.ArgumentTypeError(f"must be a finite, non-negative number, got {text!r}")
+    return value
 
 
 def cmd_verify(args) -> int:
     try:
         doc = modelio.load_model(args.model)
         rts = enl.build_survival(doc.space, doc.tau, verify=False)
-        invariants = _survival_invariants(rts, args.tol)
+        invariants = enl.survival_residuals(rts)
     except (SpaceValidationError, ContractViolationError) as exc:
         return _fail(2, f"input error: {exc}")
     out = _outdir(args)
@@ -120,10 +97,7 @@ def cmd_deflate(args) -> int:
         doc = modelio.load_model(args.model)
         params = modelio.load_params(args.params, doc.space.n_atoms, doc.space.horizon)
         if args.route:
-            params = dfl.DeflatorParams(
-                route=args.route, K_F=params.K_F, Z_F=params.Z_F, Z_QF=params.Z_QF,
-                phi_o=params.phi_o, phi_pr=params.phi_pr, phi=params.phi,
-                V_F=params.V_F)
+            params = replace(params, route=args.route)
         rts = enl.build_survival(doc.space, doc.tau)
     except (SpaceValidationError, ContractViolationError) as exc:
         return _fail(2, f"input error: {exc}")
@@ -190,16 +164,8 @@ def cmd_decompose(args) -> int:
 def cmd_simulate(args) -> int:
     try:
         sc, extras = modelio.load_scenario(args.scenario)
-        if args.paths:
-            sc = jd.JumpDiffusionScenario(
-                sigma=sc.sigma, zeta=sc.zeta, mu=sc.mu, lam=sc.lam, a=sc.a, S0=sc.S0,
-                horizon=sc.horizon, dt=args.dt or sc.dt, n_paths=args.paths,
-                seed=args.seed if args.seed is not None else sc.seed)
-        elif args.dt or args.seed is not None:
-            sc = jd.JumpDiffusionScenario(
-                sigma=sc.sigma, zeta=sc.zeta, mu=sc.mu, lam=sc.lam, a=sc.a, S0=sc.S0,
-                horizon=sc.horizon, dt=args.dt or sc.dt, n_paths=sc.n_paths,
-                seed=args.seed if args.seed is not None else sc.seed)
+        sc = replace(sc, dt=args.dt or sc.dt, n_paths=args.paths or sc.n_paths,
+                     seed=args.seed if args.seed is not None else sc.seed)
     except SpaceValidationError as exc:
         return _fail(2, f"input error: {exc}")
     bundle = jd.simulate(sc, keep_paths=extras["keep_paths"])
@@ -282,7 +248,7 @@ def build_parser() -> argparse.ArgumentParser:
     v = sub.add_parser("verify", help="check all survival-structure invariants of a model")
     v.add_argument("--model", required=True)
     v.add_argument("--out", default=None)
-    v.add_argument("--tol", type=float, default=1e-10)
+    v.add_argument("--tol", type=_tolerance, default=1e-10)
     v.set_defaults(func=cmd_verify)
 
     d = sub.add_parser("deflate", help="build a deflator from a parameter document")
@@ -290,14 +256,14 @@ def build_parser() -> argparse.ArgumentParser:
     d.add_argument("--params", required=True)
     d.add_argument("--route", choices=list(dfl.ROUTES), default=None)
     d.add_argument("--out", default=None)
-    d.add_argument("--tol", type=float, default=1e-9)
+    d.add_argument("--tol", type=_tolerance, default=1e-9)
     d.set_defaults(func=cmd_deflate)
 
     c = sub.add_parser("decompose", help="decompose an enlarged-filtration martingale")
     c.add_argument("--model", required=True)
     c.add_argument("--input", required=True, help="CSV process table (atom,time,value)")
     c.add_argument("--out", default=None)
-    c.add_argument("--tol", type=float, default=1e-9)
+    c.add_argument("--tol", type=_tolerance, default=1e-9)
     c.set_defaults(func=cmd_decompose)
 
     s = sub.add_parser("simulate", help="run the jump-diffusion statistical suite")

@@ -345,14 +345,8 @@ def build_additive(K_F, V_F, phi_o, phi_pr, rts: RandomTimeStructure, *,
 
     # exact Yor split into certificate factors
     Y = driver_base(K_F, rts, check=False)
-    dY = np.diff(Y, axis=1)
-    phi_o_mult = np.zeros_like(phi_o_full)
-    phi_o_mult[:, 1:] = phi_o_full[:, 1:] / (1.0 + dY)
+    phi_o_mult, phi_pr_mult = _yor_split(phi_o_full, phi_pr_full, Y, rts, np.divide)
     e_y = stochastic_exponential(Y)
-    X = Y + stochastic_integral(phi_o_full, rts.N_G)
-    dX = np.diff(X, axis=1)
-    phi_pr_mult = np.zeros_like(phi_pr_full)
-    phi_pr_mult[:, 1:] = phi_pr_full[:, 1:] / (1.0 + dX)
     base_stopped = stop(stochastic_exponential(K_F), rts.tau)
     factors = {
         "base": base_stopped,
@@ -418,6 +412,27 @@ def build_measure_change(Z_QF, phi, rts: RandomTimeStructure, *, market=None,
                     factors=factors, report=report, params=params)
 
 
+def _rescale(phi, driver, op) -> Array:
+    """phi_k op (1 + d driver_k) for k >= 1, and 0 at time 0."""
+    out = np.zeros_like(phi)
+    out[:, 1:] = op(phi[:, 1:], 1.0 + np.diff(driver, axis=1))
+    return out
+
+
+def _yor_split(phi_o, phi_pr, Y, rts, op) -> tuple:
+    """Re-scale (phi_o, phi_pr) between the additive and product routes.
+
+    Yor's formula E(Y + phi_o . N_G + phi_pr . D) = E(Y) E(phi_o' . N_G)
+    E(phi_pr' . D) holds with phi_o' = phi_o / (1 + dY) and phi_pr' =
+    phi_pr / (1 + dX), X = Y + phi_o . N_G the additive driver so far.
+    ``op`` is ``np.divide`` for additive -> product, ``np.multiply`` back.
+    """
+    phi_o_new = _rescale(phi_o, Y, op)
+    phi_o_add = phi_o if op is np.divide else phi_o_new
+    X = Y + stochastic_integral(phi_o_add, rts.N_G)
+    return phi_o_new, _rescale(phi_pr, X, op)
+
+
 def additive_to_multiplicative(params: DeflatorParams, rts) -> DeflatorParams:
     """Re-scale additive parameters into the product parametrization."""
     K_F = _full(rts, params.K_F)
@@ -425,13 +440,7 @@ def additive_to_multiplicative(params: DeflatorParams, rts) -> DeflatorParams:
     phi_o = _full(rts, params.phi_o)
     phi_pr = _full(rts, params.phi_pr)
     Y = driver_base(K_F, rts, check=False)
-    dY = np.diff(Y, axis=1)
-    phi_o_m = np.zeros_like(phi_o)
-    phi_o_m[:, 1:] = phi_o[:, 1:] / (1.0 + dY)
-    X = Y + stochastic_integral(phi_o, rts.N_G)
-    dX = np.diff(X, axis=1)
-    phi_pr_m = np.zeros_like(phi_pr)
-    phi_pr_m[:, 1:] = phi_pr[:, 1:] / (1.0 + dX)
+    phi_o_m, phi_pr_m = _yor_split(phi_o, phi_pr, Y, rts, np.divide)
     Z_F = stochastic_exponential(K_F) * stochastic_exponential(-V_F)
     return DeflatorParams("multiplicative", Z_F=Z_F, phi_o=phi_o_m, phi_pr=phi_pr_m,
                           V_F=V_F)
@@ -446,13 +455,7 @@ def multiplicative_to_additive(params: DeflatorParams, rts, *, space=None) -> De
     phi_o = _full(rts, params.phi_o)
     phi_pr = _full(rts, params.phi_pr)
     Y = driver_base(K_F, rts, check=False)
-    dY = np.diff(Y, axis=1)
-    phi_o_a = np.zeros_like(phi_o)
-    phi_o_a[:, 1:] = phi_o[:, 1:] * (1.0 + dY)
-    X = Y + stochastic_integral(phi_o_a, rts.N_G)
-    dX = np.diff(X, axis=1)
-    phi_pr_a = np.zeros_like(phi_pr)
-    phi_pr_a[:, 1:] = phi_pr[:, 1:] * (1.0 + dX)
+    phi_o_a, phi_pr_a = _yor_split(phi_o, phi_pr, Y, rts, np.multiply)
     return DeflatorParams("additive", K_F=K_F, V_F=V, phi_o=phi_o_a, phi_pr=phi_pr_a)
 
 
@@ -652,10 +655,7 @@ def extract_multiplicative(Z, rts: RandomTimeStructure, *, tol: float = 1e-9):
     np.divide(1.0, gm * gm, out=w2, where=gm > 0)
     K_F = stochastic_integral(w1, rts.m) + stochastic_integral(w2, repn.M_F)
     Y = driver_base(K_F, rts, check=False)
-    dY = np.diff(Y, axis=1)
-    phi_o = np.zeros_like(K_F)
-    phi_o[:, 1:] = repn.phi[:, 1:] / (1.0 + dY)
-    phi_o = _broadcast_live(phi_o, rts)
+    phi_o = _broadcast_live(_rescale(repn.phi, Y, np.divide), rts)
     Z_F = stochastic_exponential(K_F) * stochastic_exponential(-V_F)
     params = DeflatorParams("multiplicative", Z_F=Z_F, phi_o=phi_o,
                             phi_pr=np.zeros_like(K_F), V_F=V_F)

@@ -18,6 +18,10 @@ filtration martingales supported on the pre-horizon interval; it includes the
 correction term that redistributes mass from cells whose conditional survival
 probability vanishes, which is what keeps the output an exact martingale on
 finite trees (where the terminal survival probability is forced to zero).
+
+``SURVIVAL_INVARIANTS`` is the one registry of the layer's structural
+identities: ``build_survival`` checks it at construction and the ``verify``
+command reports it.
 """
 
 from __future__ import annotations
@@ -36,10 +40,11 @@ from .prob_core import (
     as_values,
     bracket,
     classify,
-    cond_expect,
     change_measure,
     dual_projection,
     project,
+    stochastic_exponential,
+    stochastic_integral,
     stop,
 )
 
@@ -47,13 +52,9 @@ from .prob_core import (
 def enlarge(space: FiniteFilteredSpace, tau) -> Filtration:
     """Progressive enlargement: time-n blocks split by {tau=0},..,{tau=n},{tau>n}."""
     t = np.asarray(tau, dtype=np.int64)
-    T = space.horizon
-    base = space.filtration.block_ids
-    ids = np.empty_like(base)
-    for n in range(T + 1):
-        level = np.minimum(t, n + 1)  # values 0..n plus n+1 for {tau > n}
-        ids[n] = base[n] * (n + 2) + level
-    return Filtration(ids)
+    n = np.arange(space.horizon + 1)[:, None]
+    level = np.minimum(t[None, :], n + 1)  # values 0..n plus n+1 for {tau > n}
+    return Filtration(space.filtration.block_ids * (n + 2) + level)
 
 
 @dataclass(frozen=True)
@@ -111,14 +112,14 @@ def build_survival(space: FiniteFilteredSpace, tau, *, tol: float = TOL_EXACT,
                    verify: bool = True) -> RandomTimeStructure:
     """Build the full survival structure for a random time.
 
-    ``tau`` gives one integer death date in 0..T per atom.  All structure
-    invariants (projection identities, martingale properties, stopping) are
-    verified at construction unless ``verify`` is disabled.
+    ``tau`` gives one integer death date in 0..T per atom.  Unless ``verify``
+    is disabled, every invariant of the registry ``SURVIVAL_INVARIANTS`` is
+    checked at construction, and the first residual above ``tol``, in
+    registry order, raises ``SpaceValidationError`` naming the invariant.
     """
     t = np.asarray(tau, dtype=np.int64)
     T = space.horizon
-    n_atoms = space.n_atoms
-    if t.shape != (n_atoms,):
+    if t.shape != (space.n_atoms,):
         raise SpaceValidationError("tau must give one value per atom")
     if np.any((t < 0) | (t > T)):
         raise SpaceValidationError("tau out of range: values must lie in 0..horizon")
@@ -140,28 +141,14 @@ def build_survival(space: FiniteFilteredSpace, tau, *, tol: float = TOL_EXACT,
     m = G + D_opt
 
     # compensated default indicator: dN_k = dD_k - 1{k<=tau} dD_opt_k / G~_k
-    N_G = np.empty_like(D)
-    N_G[:, 0] = D[:, 0]
-    dD_opt = np.diff(D_opt, axis=1)
-    for k in range(1, T + 1):
-        live = t >= k
-        comp = np.zeros(n_atoms)
-        gt = G_tilde[:, k]
-        if np.any(live):
-            if np.any(gt[live] <= 0.0):
-                bad = int(np.flatnonzero(live & (gt <= 0.0))[0])
-                raise StructuralError(
-                    "vanishing pre-horizon survival probability on a live cell",
-                    time=k, atom=bad)
-            comp[live] = dD_opt[live, k - 1] / gt[live]
-        N_G[:, k] = N_G[:, k - 1] + np.diff(D, axis=1)[:, k - 1] - comp
+    N_G = _compensate(D, D_opt, G_tilde, t,
+                      "vanishing pre-horizon survival probability on a live cell")
 
-    # density process of the survival measure change
-    Z_bar = np.ones_like(G)
-    for k in range(1, T + 1):
-        gm = G[:, k - 1]
-        factor = np.divide(G_tilde[:, k], gm, out=np.ones_like(gm), where=gm > 0.0)
-        Z_bar[:, k] = Z_bar[:, k - 1] * factor
+    # density process of the survival measure change: a product of the
+    # ratios G~_k / G_{k-1}, with factor 1 where G_{k-1} = 0
+    factors = np.ones_like(G)
+    np.divide(G_tilde[:, 1:], G_minus[:, 1:], out=factors[:, 1:], where=G_minus[:, 1:] > 0.0)
+    Z_bar = np.cumprod(factors, axis=1)
 
     rts = RandomTimeStructure(
         space=space, tau=t, D=D, G=G, G_tilde=G_tilde, G_minus=G_minus,
@@ -169,36 +156,46 @@ def build_survival(space: FiniteFilteredSpace, tau, *, tol: float = TOL_EXACT,
         G_filtration=enlarge(space, t),
     )
     if verify:
-        _verify_structure(rts, tol)
+        for name, value in survival_residuals(rts).items():
+            if not value <= tol:
+                raise SpaceValidationError(
+                    f"survival invariant {name} fails: residual {value:g} exceeds "
+                    f"tolerance {tol:g}")
     return rts
 
 
-def _verify_structure(rts: RandomTimeStructure, tol: float):
-    space, T = rts.space, rts.horizon
-    # survival mass balance: G_n + sum_{k<=n} P(tau = k | F_n) = 1
-    for n in range(T + 1):
-        acc = rts.G[:, n].copy()
-        for k in range(n + 1):
-            hit = (rts.tau == k).astype(float)
-            pk, _ = cond_expect(hit, space.filtration.block_ids[n], space.measure)
-            acc += pk
-        if np.max(np.abs(acc - 1.0)) > tol:
-            raise SpaceValidationError("survival mass balance violated")
-    if np.min(rts.G_tilde - rts.G) < -tol:
-        raise SpaceValidationError("G~ - G must be nonnegative")
-    if np.max(np.abs(rts.G[:, T])) > tol:
-        raise SpaceValidationError("terminal survival probability must vanish")
-    rep = classify(space, rts.m, tol=tol)
-    if not rep.is_martingale:
-        raise SpaceValidationError(f"m is not a martingale (residual {rep.max_residual:g})")
-    rep = classify(space, rts.N_G, filtration=rts.G_filtration, tol=tol)
-    if not rep.is_martingale:
-        raise SpaceValidationError(f"N_G is not a martingale (residual {rep.max_residual:g})")
-    rep = classify(space, rts.Z_bar, tol=tol)
-    if not rep.is_martingale:
-        raise SpaceValidationError(f"Z_bar is not a martingale (residual {rep.max_residual:g})")
-    if np.max(np.abs(stop(rts.N_G, rts.tau) - rts.N_G)) > 0.0:
-        raise SpaceValidationError("N_G must be flat after tau")
+def _alive(tau, T: int) -> Array:
+    """Boolean (atom, k) map of k <= tau for the dates k = 1..T."""
+    return tau[:, None] >= np.arange(1, T + 1)[None, :]
+
+
+def _compensate(X, A, den, tau, message: str) -> Array:
+    """X_0 plus the sum over ]0, tau] of dX_k - dA_k / den_k, in one cumsum.
+
+    Raises ``StructuralError`` with ``message`` at the earliest date, and there
+    at the first atom, where ``den`` vanishes on a cell with k <= tau.
+    """
+    live = _alive(tau, X.shape[1] - 1)
+    den = den[:, 1:]
+    bad = live & (den <= 0.0)
+    if bad.any():
+        k, atom = divmod(int(np.argmax(bad.T)), len(tau))
+        raise StructuralError(message, time=k + 1, atom=atom)
+    inc = np.zeros_like(X)
+    inc[:, 0] = X[:, 0]
+    inc[:, 1:][live] = np.diff(X, axis=1)[live] - np.diff(A, axis=1)[live] / den[live]
+    return np.cumsum(inc, axis=1)
+
+
+def _martingale_input(M, rts: RandomTimeStructure, check: bool, tol: float) -> Array:
+    """The values of a transport input; with ``check``, it must be a public martingale."""
+    V = as_values(M)
+    if check:
+        rep = classify(rts.space, V, tol=tol)
+        if not rep.is_martingale:
+            raise ContractViolationError(
+                f"transport input is not a martingale (residual {rep.max_residual:g})")
+    return V
 
 
 def transport(M, rts: RandomTimeStructure, *, check: bool = True,
@@ -209,26 +206,17 @@ def transport(M, rts: RandomTimeStructure, *, check: bool = True,
     conditional mass E[dM_k 1{G~_k = 0} | F_{k-1}] recovered from sub-blocks
     that died out; the output is flat after tau and starts at M_0.
     """
-    V = as_values(M)
-    if check:
-        rep = classify(rts.space, V, tol=tol)
-        if not rep.is_martingale:
-            raise ContractViolationError(
-                f"transport input is not a martingale (residual {rep.max_residual:g})")
-    space, T, t = rts.space, rts.horizon, rts.tau
-    out = np.empty_like(V)
-    out[:, 0] = V[:, 0]
+    V = _martingale_input(M, rts, check, tol)
+    live = _alive(rts.tau, rts.horizon)
     dM = np.diff(V, axis=1)
-    for k in range(1, T + 1):
-        live = t >= k
-        gt = rts.G_tilde[:, k]
-        ratio = np.zeros(space.n_atoms)
-        if np.any(live):
-            ratio[live] = rts.G_minus[live, k] / gt[live] * dM[live, k - 1]
-        dead_mass = dM[:, k - 1] * (gt <= 0.0)
-        corr, _ = cond_expect(dead_mass, space.filtration.block_ids[k - 1], space.measure)
-        out[:, k] = out[:, k - 1] + np.where(live, ratio + corr, 0.0)
-    return out
+    gt = rts.G_tilde[:, 1:]
+    dead_mass = np.zeros_like(V)
+    dead_mass[:, 1:] = dM * (gt <= 0.0)
+    corr = project(rts.space, dead_mass, "predictable")[:, 1:]
+    inc = np.zeros_like(V)
+    inc[:, 0] = V[:, 0]
+    inc[:, 1:][live] = rts.G_minus[:, 1:][live] / gt[live] * dM[live] + corr[live]
+    return np.cumsum(inc, axis=1)
 
 
 def transport_compensated(M, rts: RandomTimeStructure, *, check: bool = True,
@@ -239,29 +227,9 @@ def transport_compensated(M, rts: RandomTimeStructure, *, check: bool = True,
     filtration martingale for every public martingale M, with no hypotheses
     on the random time beyond reachable cells having G_{k-1} > 0.
     """
-    V = as_values(M)
-    if check:
-        rep = classify(rts.space, V, tol=tol)
-        if not rep.is_martingale:
-            raise ContractViolationError(
-                f"transport input is not a martingale (residual {rep.max_residual:g})")
-    space, T, t = rts.space, rts.horizon, rts.tau
-    angle = bracket(V, rts.m, "predictable", space=space)
-    d_angle = np.diff(angle, axis=1)
-    out = np.empty_like(V)
-    out[:, 0] = V[:, 0]
-    dM = np.diff(V, axis=1)
-    for k in range(1, T + 1):
-        live = t >= k
-        gm = rts.G_minus[:, k]
-        if np.any(live & (gm <= 0.0)):
-            bad = int(np.flatnonzero(live & (gm <= 0.0))[0])
-            raise StructuralError("G_{k-1} vanishes on a reachable cell",
-                                  time=k, atom=bad)
-        inc = np.zeros(space.n_atoms)
-        inc[live] = dM[live, k - 1] - d_angle[live, k - 1] / gm[live]
-        out[:, k] = out[:, k - 1] + inc
-    return out
+    V = _martingale_input(M, rts, check, tol)
+    angle = bracket(V, rts.m, "predictable", space=rts.space)
+    return _compensate(V, angle, rts.G_minus, rts.tau, "G_{k-1} vanishes on a reachable cell")
 
 
 def compensated_default_indicator(rts: RandomTimeStructure) -> Array:
@@ -270,22 +238,8 @@ def compensated_default_indicator(rts: RandomTimeStructure) -> Array:
     The Doob-Meyer martingale part of the default indicator in the enlarged
     filtration, using the predictable dual projection of D.
     """
-    space, T, t = rts.space, rts.horizon, rts.tau
-    dDp = np.diff(rts.D_pred, axis=1)
-    out = np.empty_like(rts.D)
-    out[:, 0] = rts.D[:, 0]
-    dD = np.diff(rts.D, axis=1)
-    for k in range(1, T + 1):
-        live = t >= k
-        gm = rts.G_minus[:, k]
-        if np.any(live & (gm <= 0.0)):
-            bad = int(np.flatnonzero(live & (gm <= 0.0))[0])
-            raise StructuralError("G_{k-1} vanishes on a reachable cell",
-                                  time=k, atom=bad)
-        inc = np.zeros(space.n_atoms)
-        inc[live] = dD[live, k - 1] - dDp[live, k - 1] / gm[live]
-        out[:, k] = out[:, k - 1] + inc
-    return out
+    return _compensate(rts.D, rts.D_pred, rts.G_minus, rts.tau,
+                       "G_{k-1} vanishes on a reachable cell")
 
 
 def density_change(rts: RandomTimeStructure):
@@ -303,4 +257,49 @@ def survival_exponential_integrand(rts: RandomTimeStructure) -> Array:
     gm = rts.G_minus
     out = np.zeros_like(gm)
     np.divide(1.0, gm, out=out, where=gm > 0.0)
+    return out
+
+
+def _public_residual(rts: RandomTimeStructure, X) -> float:
+    return classify(rts.space, X).max_residual
+
+
+def _enlarged_residual(rts: RandomTimeStructure, X) -> float:
+    return classify(rts.space, X, filtration=rts.G_filtration).max_residual
+
+
+# Every structural identity of the survival layer, as a residual computed from
+# the structure alone (0 when the identity holds exactly).  Listed in the order
+# the verify report prints them.  The mass balance uses the linearity of the
+# projection: sum_{k<=n} P(tau = k | F_n) = P(tau <= n | F_n).
+SURVIVAL_INVARIANTS = {
+    "compensated_default_martingale":
+        lambda r: _enlarged_residual(r, compensated_default_indicator(r)),
+    "compensated_transport_martingale":
+        lambda r: _enlarged_residual(r, transport_compensated(r.m, r, check=False)),
+    "gtilde_dominates": lambda r: np.max(r.G - r.G_tilde, initial=0.0),
+    "increment_identity":
+        lambda r: np.max(np.abs(np.diff(r.m, axis=1) - (r.G_tilde[:, 1:] - r.G_minus[:, 1:]))),
+    "m_martingale": lambda r: _public_residual(r, r.m),
+    "ng_martingale": lambda r: _enlarged_residual(r, r.N_G),
+    "ng_stopped": lambda r: np.max(np.abs(stop(r.N_G, r.tau) - r.N_G)),
+    "survival_mass_balance": lambda r: np.max(np.abs(r.G + project(r.space, r.D) - 1.0)),
+    "terminal_survival_zero": lambda r: np.max(np.abs(r.G[:, -1])),
+    "transport_m_martingale":
+        lambda r: _enlarged_residual(r, transport(r.m, r, check=False)),
+    "zbar_exponential_identity": lambda r: np.max(np.abs(stochastic_exponential(
+        stochastic_integral(survival_exponential_integrand(r), r.m)) - r.Z_bar)),
+    "zbar_martingale": lambda r: _public_residual(r, r.Z_bar),
+}
+
+
+def survival_residuals(rts: RandomTimeStructure) -> dict:
+    """The residual of every invariant in ``SURVIVAL_INVARIANTS``, in registry order.
+
+    A non-finite residual reads inf, so it fails every tolerance.
+    """
+    out = {}
+    for name, residual in SURVIVAL_INVARIANTS.items():
+        value = float(residual(rts))
+        out[name] = value if np.isfinite(value) else np.inf
     return out

@@ -15,7 +15,7 @@ import numpy as np
 
 from .deflators import DeflatorParams
 from .errors import SpaceValidationError
-from .jumpdiff import JumpDiffusionScenario, solve_drift
+from .jumpdiff import MAX_EXPONENT, JumpDiffusionScenario, solve_drift
 from .prob_core import FiniteFilteredSpace
 
 
@@ -234,9 +234,11 @@ def load_scenario(source) -> tuple:
     Every field is checked before anything is drawn: the model fields by
     :class:`JumpDiffusionScenario`, and here the integer fields, the finite
     suite parameters ``psi2``, ``phi_o``, ``phi_pr`` and ``theta``,
-    ``keep_paths`` in [0, n_paths], and a market price of risk
-    (:func:`solve_drift`) whose square does not overflow.  A failure names
-    the field.
+    ``keep_paths`` in [0, n_paths], a market price of risk
+    (:func:`solve_drift`) whose square does not overflow, and exponents of
+    the wealth and the deflator within ``MAX_EXPONENT``: theta^2 sigma^2
+    and |theta (mu - zeta lam)| for ``theta``, |psi2 - 1| lam for ``psi2``,
+    each times the horizon.  A failure names the field.
     """
     doc = _read(source)
     required = ("sigma", "zeta", "mu", "lambda", "a")
@@ -261,8 +263,17 @@ def load_scenario(source) -> tuple:
     extras["keep_paths"] = _integer(doc, "keep_paths", 4)
     if not 0 <= extras["keep_paths"] <= sc.n_paths:
         raise SpaceValidationError(f"keep_paths must lie in [0, n_paths = {sc.n_paths}]")
-    if extras["psi2"] > 0.0:  # else the suite reports psi2 as a constraint violation
-        solve_drift(sc, extras["psi2"])
+    theta, psi2 = extras["theta"], extras["psi2"]
+    bounds = (("theta", theta * theta * sc.sigma * sc.sigma, "theta^2 sigma^2"),
+              ("theta", abs(theta * (sc.mu - sc.zeta * sc.lam)), "|theta (mu - zeta lam)|"),
+              ("psi2", abs(psi2 - 1.0) * sc.lam, "|psi2 - 1| lam"))
+    for name, rate, formula in bounds:
+        if not rate * sc.horizon <= MAX_EXPONENT:
+            raise SpaceValidationError(
+                f"{name} = {extras[name]:.3g}: {formula} times the horizon must not exceed "
+                f"{MAX_EXPONENT:g}")
+    if psi2 > 0.0:  # else the suite reports psi2 as a constraint violation
+        solve_drift(sc, psi2)
     return sc, extras
 
 

@@ -287,6 +287,68 @@ def write_cells(path, outcomes, X):
 
 
 # ------------------------------------------------------------------------------
+# Per-date reference loops for the survival layer: the date-by-date scans that
+# ``enlargement`` replaced by masked increments and one cumsum (or cumprod).
+# A vanishing denominator on a live cell raises ValueError(time, atom) at the
+# earliest date, and there at the first atom.
+
+def block_mean(x, ids, w):
+    """E[x | partition] the way ``cond_expect`` computes it (no zero-mass blocks)."""
+    return (np.bincount(ids, weights=w * x) / np.bincount(ids, weights=w))[ids]
+
+
+def survival_loops(D, D_opt, G, G_tilde, tau):
+    """(N_G, Z_bar) by the date loops of the survival construction."""
+    n_atoms, n_times = D.shape
+    N_G, Z_bar = np.empty_like(D), np.ones_like(G)
+    N_G[:, 0] = D[:, 0]
+    dD, dD_opt = np.diff(D, axis=1), np.diff(D_opt, axis=1)
+    for k in range(1, n_times):
+        live = tau >= k
+        gt = G_tilde[:, k]
+        if np.any(live & (gt <= 0.0)):
+            raise ValueError(k, int(np.flatnonzero(live & (gt <= 0.0))[0]))
+        comp = np.zeros(n_atoms)
+        comp[live] = dD_opt[live, k - 1] / gt[live]
+        N_G[:, k] = N_G[:, k - 1] + dD[:, k - 1] - comp
+        gm = G[:, k - 1]
+        factor = np.divide(G_tilde[:, k], gm, out=np.ones_like(gm), where=gm > 0.0)
+        Z_bar[:, k] = Z_bar[:, k - 1] * factor
+    return N_G, Z_bar
+
+
+def compensate_loop(X, A, G_minus, tau):
+    """X_0 plus dX_k - dA_k / G_{k-1}, summed date by date over ]0, tau]."""
+    out = np.empty_like(X)
+    out[:, 0] = X[:, 0]
+    dX, dA = np.diff(X, axis=1), np.diff(A, axis=1)
+    for k in range(1, X.shape[1]):
+        live = tau >= k
+        gm = G_minus[:, k]
+        if np.any(live & (gm <= 0.0)):
+            raise ValueError(k, int(np.flatnonzero(live & (gm <= 0.0))[0]))
+        inc = np.zeros(X.shape[0])
+        inc[live] = dX[live, k - 1] - dA[live, k - 1] / gm[live]
+        out[:, k] = out[:, k - 1] + inc
+    return out
+
+
+def transport_loop(V, tau, G_minus, G_tilde, block_rows, w):
+    """Transport with the dead-cell correction conditioned date by date."""
+    out = np.empty_like(V)
+    out[:, 0] = V[:, 0]
+    dM = np.diff(V, axis=1)
+    for k in range(1, V.shape[1]):
+        live = tau >= k
+        gt = G_tilde[:, k]
+        ratio = np.zeros(V.shape[0])
+        ratio[live] = G_minus[live, k] / gt[live] * dM[live, k - 1]
+        corr = block_mean(dM[:, k - 1] * (gt <= 0.0), block_rows[k - 1], w)
+        out[:, k] = out[:, k - 1] + np.where(live, ratio + corr, 0.0)
+    return out
+
+
+# ------------------------------------------------------------------------------
 # Per-path reference for the Monte-Carlo engine: a fresh SeedSequence, Philox
 # and Generator for every path, and a ragged list of jump times.  ``simulate``
 # derives the same keys in one pass and re-keys one generator; every draw and

@@ -4,6 +4,7 @@ import copy
 import json
 import math
 import tempfile
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -12,6 +13,7 @@ from hypothesis import event, given, settings
 from hypothesis import strategies as st
 
 from horizon_deflators import build_survival, modelio, trees
+from horizon_deflators import enlargement as enl
 from horizon_deflators.cli import main
 
 
@@ -42,6 +44,42 @@ def test_verify_demo_exits_zero(docs, tmp_path):
     report = json.loads((tmp_path / "verify-report.json").read_text())
     assert report["ok"]
     assert report["invariants"]["m_martingale"] == 0.0
+    # the report lists exactly the registry that build_survival checks
+    assert list(report["invariants"]) == list(enl.SURVIVAL_INVARIANTS)
+    assert len(enl.SURVIVAL_INVARIANTS) == 12
+
+
+def test_verify_fails_closed_on_nan_survival(docs, tmp_path, capsys, monkeypatch):
+    root, _ = docs
+    build = enl.build_survival
+
+    def with_nan(space, tau, **kwargs):
+        rts = build(space, tau, **kwargs)
+        G = rts.G.copy()
+        G[0, 1] = np.nan
+        return replace(rts, G=G)
+
+    monkeypatch.setattr(enl, "build_survival", with_nan)
+    assert run("verify", "--model", root / "model.json", "--out", tmp_path) == 1
+    report = json.loads((tmp_path / "verify-report.json").read_text())
+    assert report["invariants"]["gtilde_dominates"] == "inf"
+    assert "gtilde_dominates" in report["failing"] and not report["ok"]
+    assert "fails with residual inf" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("value", ["nan", "inf", "-1"])
+@pytest.mark.parametrize("command", ["verify", "deflate", "decompose"])
+def test_tolerance_must_be_finite_and_non_negative(docs, capsys, command, value):
+    root, _ = docs
+    argv = {"verify": ["verify", "--model", root / "model.json"],
+            "deflate": ["deflate", "--model", root / "model.json",
+                        "--params", root / "params_phi.json"],
+            "decompose": ["decompose", "--model", root / "model.json",
+                          "--input", root / "model.json"]}[command]
+    with pytest.raises(SystemExit) as exc:
+        run(*argv, "--tol", value)
+    assert exc.value.code == 2
+    assert "--tol" in capsys.readouterr().err
 
 
 def test_verify_rejects_bad_probs(docs, tmp_path):
@@ -209,6 +247,10 @@ def test_simulate_rejects_scenario_field(tmp_path, capsys, field, value):
     ("psi2", {"psi2": 1e300}),
     # mu cancels sigma^2/2, so the drift is about 0 but exp(sigma W) overflows
     ("sigma^2", {"sigma": 1e10, "mu": 5e19}),
+    # psi1 is finite, but psi2^N overflows in the deflator
+    ("psi2", {"psi2": 1e300, "zeta": 0.0}),
+    # the wealth exponent theta sigma W + (theta (mu - zeta lam) - theta^2 sigma^2 / 2) t
+    ("theta", {"theta": 1e300}), ("theta", {"theta": 1e200}),
 ])
 def test_simulate_rejects_overflowing_drift_or_price_of_risk(tmp_path, capsys, field,
                                                              overrides):
@@ -246,10 +288,10 @@ SCENARIO_FIELDS = {
     "S0": (st.floats(0.5, 2.0), (*NON_FINITE, 0.0, -1.0)),
     "horizon": (st.floats(0.25, 2.0), (*NON_FINITE, 0.0, -1.0)),
     "seed": (st.integers(0, 2**70), (-1, 7.5, True, "7")),
-    "psi2": (st.floats(0.5, 2.0), (*NON_FINITE, 0.0, -1.0)),
+    "psi2": (st.floats(0.5, 2.0), (*NON_FINITE, 0.0, -1.0, 1e300)),
     "phi_o": (st.floats(-0.5, 0.4), (*NON_FINITE, -1.0, -2.0)),
     "phi_pr": (st.floats(-0.5, 0.5), (*NON_FINITE, -1.0)),
-    "theta": (st.floats(-1.0, 1.0), (*NON_FINITE,)),
+    "theta": (st.floats(-1.0, 1.0), (*NON_FINITE, 1e300)),
     "keep_paths": (st.integers(0, 4), (-1, 1.5)),
 }
 ALWAYS_GIVEN = ("sigma", "zeta", "mu", "lambda", "a", "n_paths", "dt")

@@ -1,11 +1,16 @@
 """Survival structure, enlarged filtration, transports, and the density change."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
 from horizon_deflators import (
+    TOL_EXACT,
     ContractViolationError,
     SpaceValidationError,
+    StructuralError,
+    bracket,
     build_survival,
     classify,
     compensated_default_indicator,
@@ -18,6 +23,7 @@ from horizon_deflators import (
     transport_compensated,
     trees,
 )
+from horizon_deflators import enlargement as enl
 from horizon_deflators.enlargement import survival_exponential_integrand
 from horizon_deflators.prob_core import FiniteFilteredSpace, dual_projection
 
@@ -298,3 +304,68 @@ def test_irregular_cells_flag(demo_rts):
     cells = demo_rts.irregular_cells
     assert cells[1, 2] and cells[3, 2]  # the two atoms dead before date 2
     assert not cells[0].any() and not cells[2].any()
+
+
+# ------------------------------------------- invariant registry and compensator
+
+def test_registry_failure_names_invariant_residual_and_tolerance(demo, monkeypatch):
+    space, tau, _ = demo
+    monkeypatch.setitem(enl.SURVIVAL_INVARIANTS, "ng_stopped", lambda rts: 1.0)
+    with pytest.raises(SpaceValidationError,
+                       match=r"ng_stopped fails: residual 1 exceeds tolerance 1e-12"):
+        build_survival(space, tau)
+    build_survival(space, tau, verify=False)  # the registry runs only on request
+
+
+def test_registry_reads_nan_as_inf(demo_rts):
+    G = demo_rts.G.copy()
+    G[1, 1] = np.nan
+    residuals = enl.survival_residuals(replace(demo_rts, G=G))
+    assert residuals["gtilde_dominates"] == np.inf
+    assert all(np.isfinite(v) for v in enl.survival_residuals(demo_rts).values())
+
+
+def _random_structures(seed, count):
+    rng = np.random.default_rng(seed)
+    for i in range(count):
+        space = trees.random_space(rng, max_horizon=6, max_atoms=48)
+        tau = trees.regular_tau(rng, space) if i % 2 else trees.random_tau(rng, space)
+        yield build_survival(space, tau), trees.random_martingale(rng, space)
+
+
+def test_survival_layer_matches_date_loops():
+    irregular = 0
+    for rts, M in _random_structures(17, 30):
+        space, tau = rts.space, rts.tau
+        irregular += int(rts.irregular_cells.any())
+        N_G, Z_bar = oracle.survival_loops(rts.D, rts.D_opt, rts.G, rts.G_tilde, tau)
+        assert np.array_equal(rts.Z_bar, Z_bar)
+        assert np.max(np.abs(rts.N_G - N_G)) <= TOL_EXACT
+        want = oracle.transport_loop(M, tau, rts.G_minus, rts.G_tilde,
+                                     space.filtration.block_ids, space.probs)
+        assert np.array_equal(transport(M, rts, check=False), want)
+        angle = bracket(M, rts.m, "predictable", space=space)
+        assert np.array_equal(transport_compensated(M, rts, check=False),
+                              oracle.compensate_loop(M, angle, rts.G_minus, tau))
+        assert np.array_equal(compensated_default_indicator(rts),
+                              oracle.compensate_loop(rts.D, rts.D_pred, rts.G_minus, tau))
+    assert irregular > 0  # the dead-cell correction was exercised
+
+
+def test_vanishing_g_minus_raises_where_the_date_loop_does():
+    rng = np.random.default_rng(18)
+    for rts, M in _random_structures(19, 20):
+        live = np.argwhere(rts.tau[:, None] >= np.arange(1, rts.horizon + 1)[None, :])
+        if len(live) == 0:
+            continue
+        gm = rts.G_minus.copy()
+        for atom, k in live[rng.choice(len(live), size=min(3, len(live)), replace=False)]:
+            gm[atom, k + 1] = 0.0
+        bad = replace(rts, G_minus=gm)
+        with pytest.raises(ValueError) as ref:
+            oracle.compensate_loop(rts.D, rts.D_pred, gm, rts.tau)
+        for build in (lambda: compensated_default_indicator(bad),
+                      lambda: transport_compensated(M, bad, check=False)):
+            with pytest.raises(StructuralError) as got:
+                build()
+            assert (got.value.time, got.value.atom) == ref.value.args
