@@ -221,16 +221,15 @@ def cmd_simulate(args) -> int:
     }
     modelio.write_json(os.path.join(out, "simulate-summary.json"), summary)
     if bundle.samples:
-        path = os.path.join(out, "paths.csv")
-        cols = ("W", "N", "S", "G", "m", "N_G")
-        with open(path, "w") as fh:
-            fh.write("path,time," + ",".join(cols) + ",Z\n")
+        cols = ("time", "W", "N", "S", "G", "m", "N_G")
+
+        def kept_paths():
             for s in bundle.samples:
                 Z = jd.deflator_grid(bundle, s["index"], psi1, psi2,
                                      phi_o=extras["phi_o"], phi_pr=extras["phi_pr"])
-                for j, t in enumerate(s["time"]):
-                    row = ",".join(modelio.fmt(s[c][j]) for c in cols)
-                    fh.write(f"{s['index']},{modelio.fmt(t)},{row},{modelio.fmt(Z[j])}\n")
+                yield s["index"], np.column_stack([s[c] for c in cols] + [Z])
+
+        modelio.table_to_csv(os.path.join(out, "paths.csv"), ("path", *cols, "Z"), kept_paths())
     for w in warnings:
         print(f"warning: {w}", file=sys.stderr)
     if rejected:

@@ -417,7 +417,7 @@ def _full_grid_sample(sc, grid, dens, cum, index, coarse_t, coarse_w, jumps,
     before = grid < t1
     e1 = np.exp(-beta * grid) * (1.0 + beta * grid)
     G = np.where(before, e1, 0.0)
-    G_tilde = np.where(before, e1, np.where(np.isclose(grid, t1), np.exp(-beta * grid), 0.0))
+    G_tilde = np.where(before, e1, 0.0)  # as on the report grid: {t = T1} carries no dt mass
     x1 = np.minimum(grid, t1)
     m = 1.0 + lam * beta * _i1(beta, x1) - beta * t1 * np.exp(-beta * t1) * (grid >= t1)
     D_opt = _lebesgue_quadrature(sc, grid, dens, cum, x1) + np.exp(-beta * t1) * (grid >= t1)

@@ -1,8 +1,12 @@
 """Document formats: model specs, parameter bundles, scenarios, certificates.
 
-Everything is plain JSON plus CSV process tables.  Floats are printed with 17
-significant digits so that documents round-trip bit-exactly and repeated runs
-produce byte-identical outputs.
+Everything is plain JSON plus CSV tables.  Floats are printed with 17
+significant digits (:func:`fmt`) so that documents round-trip bit-exactly and
+repeated runs produce byte-identical outputs.  One writer, ``_write_rows``
+behind :func:`process_to_csv` and :func:`table_to_csv`, writes every CSV
+table: a chunk of rows at a time, it formats each distinct value once (by bit
+pattern) and gathers the text by index, so a table adapted to a filtration,
+which repeats one value per (date, block), costs one formatting per block.
 """
 
 from __future__ import annotations
@@ -21,18 +25,15 @@ from .prob_core import FiniteFilteredSpace
 
 def fmt(x) -> str:
     """Canonical float rendering: 17 significant digits, round-trip exact."""
-    if isinstance(x, (bool, np.bool_)):
-        return "true" if x else "false"
-    if isinstance(x, (int, np.integer)):
-        return str(int(x))
-    v = float(x)
-    if v != v:
-        return '"nan"'
-    if v == float("inf"):
-        return '"inf"'
-    if v == float("-inf"):
-        return '"-inf"'
-    return format(v, ".17g")
+    if type(x) is not float:  # table cells arrive as Python floats: test them first
+        if isinstance(x, (bool, np.bool_)):
+            return "true" if x else "false"
+        if isinstance(x, (int, np.integer)):
+            return str(int(x))
+        x = float(x)
+    if math.isfinite(x):
+        return format(x, ".17g")
+    return '"nan"' if x != x else '"inf"' if x > 0 else '"-inf"'
 
 
 def dumps_canonical(obj, indent: int = 0) -> str:
@@ -75,53 +76,91 @@ def write_json(path, obj):
         fh.write("\n")
 
 
-CSV_CHUNK_ATOMS = 2048  # atoms formatted per write: bounds the text held in memory
+CSV_CHUNK_ATOMS = 2048  # records formatted per write: bounds the text held in memory
+
+
+def _write_rows(fh, labels, keys, values):
+    """Append CSV rows to the open text file ``fh``, formatting each distinct value once.
+
+    ``values`` is (records, rows, columns).  Row k of record i reads
+    ``labels[i] + keys[k]`` followed by the record's cells joined by commas,
+    each cell rendered by :func:`fmt`.  Records are written a chunk at a time;
+    within a chunk the cells are grouped by their bit pattern, so a table
+    adapted to some filtration, which repeats one value over each block,
+    formats that value once, and -0.0 and 0.0 stay apart.
+    """
+    values = np.asarray(values, dtype=float)
+    n_rows, n_cols = values.shape[1:]
+    labels = np.asarray([str(label) for label in labels], dtype=object)
+    keys = np.asarray(keys, dtype=object)
+    for lo in range(0, len(values), CSV_CHUNK_ATOMS):
+        chunk = np.ascontiguousarray(values[lo:lo + CSV_CHUNK_ATOMS])
+        bits, cells = np.unique(chunk.reshape(-1).view(np.uint64), return_inverse=True)
+        texts = np.array([fmt(v) for v in bits.view(np.float64).tolist()], dtype=object)
+        pieces = np.empty((len(chunk), n_rows, 2 * n_cols + 2), dtype=object)
+        pieces[:, :, 0] = labels[lo:lo + CSV_CHUNK_ATOMS, None]
+        pieces[:, :, 1] = keys
+        pieces[:, :, 2:-1:2] = texts[cells.reshape(chunk.shape)]
+        pieces[:, :, 3:-1:2] = ","
+        pieces[:, :, -1] = "\n"
+        fh.write("".join(pieces.reshape(-1).tolist()))
 
 
 def process_to_csv(path, outcomes, X, *, header=("atom", "time", "value")):
-    """Write a process table as (atom id, time, value) rows, a chunk of atoms per write.
-
-    Values render as in :func:`fmt`: ``.17g``, or a quoted word when not finite.
-    """
+    """Write a process table as (atom id, time, value) rows; values render as in :func:`fmt`."""
     X = np.asarray(X, dtype=float)
-    outcomes = list(outcomes)
-    exact = "".join(f"{{0}},{n},{{{n + 1}:.17g}}\n" for n in range(X.shape[1]))
-    plain = exact.replace(":.17g", "")
     with open(path, "w") as fh:
         fh.write(",".join(header) + "\n")
-        for lo in range(0, len(outcomes), CSV_CHUNK_ATOMS):
-            chunk = X[lo:lo + CSV_CHUNK_ATOMS]
-            pairs = zip(outcomes[lo:lo + CSV_CHUNK_ATOMS], chunk.tolist())
-            if np.all(np.isfinite(chunk)):
-                fh.write("".join([exact.format(name, *row) for name, row in pairs]))
-            else:
-                fh.write("".join([plain.format(name, *map(fmt, row)) for name, row in pairs]))
+        _write_rows(fh, outcomes, [f",{n}," for n in range(X.shape[1])], X[:, :, None])
+
+
+def table_to_csv(path, header, tables):
+    """Write ``(label, values)`` pairs, ``values`` 2-D, as rows ``label,v_0,...,v_m``."""
+    with open(path, "w") as fh:
+        fh.write(",".join(header) + "\n")
+        for label, values in tables:
+            _write_rows(fh, [label] * len(values), [","], np.asarray(values)[:, None, :])
 
 
 def process_from_csv(path, outcomes, horizon) -> np.ndarray:
-    """Read a process table written by :func:`process_to_csv`."""
-    index = {name: i for i, name in enumerate(outcomes)}
+    """Read a process table written by :func:`process_to_csv`.
+
+    Every (atom, time) cell must appear exactly once with a finite value; a
+    failure raises :class:`SpaceValidationError` naming the row (by line).
+    """
+    index = {str(name): i for i, name in enumerate(outcomes)}
     X = np.full((len(outcomes), horizon + 1), np.nan)
     with open(path) as fh:
         header = fh.readline()
         if not header.lower().startswith("atom"):
             raise SpaceValidationError("process table must carry an atom,time,value header")
-        for line in fh:
+        for row, line in enumerate(fh, start=2):
             line = line.strip()
             if not line:
                 continue
             parts = line.split(",")
             if len(parts) != 3:
-                raise SpaceValidationError(f"malformed process row: {line!r}")
+                raise SpaceValidationError(f"row {row}: malformed process row {line!r}")
             name, n, v = parts
             if name not in index:
-                raise SpaceValidationError(f"unknown atom id {name!r}")
-            n = int(n)
+                raise SpaceValidationError(f"row {row}: unknown atom id {name!r}")
+            try:
+                n, v = int(n), float(v)
+            except ValueError:
+                raise SpaceValidationError(
+                    f"row {row}: time must be an integer and value a number, got {line!r}"
+                ) from None
             if not 0 <= n <= horizon:
-                raise SpaceValidationError(f"time {n} outside 0..{horizon}")
-            X[index[name], n] = float(v)
+                raise SpaceValidationError(f"row {row}: time {n} outside 0..{horizon}")
+            if not math.isfinite(v):
+                raise SpaceValidationError(f"row {row}: value {v!r} of ({name}, {n}) is not finite")
+            if not math.isnan(X[index[name], n]):
+                raise SpaceValidationError(f"row {row}: cell ({name}, {n}) appears twice")
+            X[index[name], n] = v
     if np.any(np.isnan(X)):
-        raise SpaceValidationError("process table misses (atom, time) cells")
+        i, n = np.argwhere(np.isnan(X))[0]
+        raise SpaceValidationError(
+            f"process table misses (atom, time) cells, first ({outcomes[i]}, {n})")
     return X
 
 
@@ -159,12 +198,15 @@ def load_model(source) -> ModelDocument:
         outcomes = [o["id"] for o in doc["outcomes"]]
         probs = [float(o["prob"]) for o in doc["outcomes"]]
         horizon = _integral(doc["horizon"], "horizon")
-        partitions = doc["partitions"]
+        partitions = np.asarray(doc["partitions"])
         tau = np.asarray([_integral(t, "tau") for t in doc["tau"]], dtype=np.int64)
     except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise SpaceValidationError(f"malformed model document: {exc}") from exc
-    if len(partitions) != horizon + 1:
-        raise SpaceValidationError("partitions must list horizon+1 rows")
+    if partitions.shape != (horizon + 1, len(outcomes)):
+        raise SpaceValidationError("partitions must list horizon+1 rows of one block id per atom")
+    if not (partitions.dtype.kind in "iu" or partitions.dtype.kind == "f" and np.all(
+            np.isfinite(partitions) & (partitions == np.floor(partitions)))):
+        raise SpaceValidationError("partition block ids must be integers")
     space = FiniteFilteredSpace.from_partitions(outcomes, probs, partitions)
     if tau.shape != (space.n_atoms,):
         raise SpaceValidationError("tau must give one value per atom")
@@ -172,11 +214,13 @@ def load_model(source) -> ModelDocument:
         raise SpaceValidationError("tau out of range")
     S, assets = None, ()
     if "assets" in doc and doc["assets"]:
-        block = doc["assets"]
-        S = np.asarray(block["values"], dtype=float)
+        try:
+            S = np.asarray(doc["assets"]["values"], dtype=float)
+            assets = tuple(doc["assets"].get("names", ()))
+        except (KeyError, TypeError, ValueError, AttributeError, OverflowError) as exc:
+            raise SpaceValidationError(f"malformed asset table: {exc}") from exc
         if S.ndim == 2:
             S = S[None]
-        assets = tuple(block.get("names", ()))
         if S.shape[1:] != (space.n_atoms, horizon + 1):
             raise SpaceValidationError("asset table has wrong shape")
         for comp in S:

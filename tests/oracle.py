@@ -270,20 +270,39 @@ def decompose_cells(V, probs, block_rows, tau, G, G_tilde, G_minus, D_opt, tol=1
     return M_F, phi, known
 
 
+def fmt_cell(v):
+    """One float as the CSV tables print it: ``.17g``, or a quoted word when not finite."""
+    v = float(v)
+    if v != v:
+        return '"nan"'
+    if v in (np.inf, -np.inf):
+        return '"inf"' if v > 0 else '"-inf"'
+    return format(v, ".17g")
+
+
 def write_cells(path, outcomes, X):
     """The per-cell process-table writer: one formatted write per cell."""
-    def fmt(v):
-        if v != v:
-            return '"nan"'
-        if v in (np.inf, -np.inf):
-            return '"inf"' if v > 0 else '"-inf"'
-        return format(v, ".17g")
-
     with open(path, "w") as fh:
         fh.write("atom,time,value\n")
         for i, name in enumerate(outcomes):
             for n in range(X.shape[1]):
-                fh.write(f"{name},{n},{fmt(float(X[i, n]))}\n")
+                fh.write(f"{name},{n},{fmt_cell(X[i, n])}\n")
+
+
+def write_paths(path, bundle, deflator_grid, psi1, psi2, phi_o, phi_pr):
+    """The per-cell ``paths.csv`` writer: one formatted row per kept grid point.
+
+    ``deflator_grid`` is the library's function of that name, which gives the
+    ``Z`` column.
+    """
+    cols = ("W", "N", "S", "G", "m", "N_G")
+    with open(path, "w") as fh:
+        fh.write("path,time," + ",".join(cols) + ",Z\n")
+        for s in bundle.samples:
+            Z = deflator_grid(bundle, s["index"], psi1, psi2, phi_o=phi_o, phi_pr=phi_pr)
+            for j, t in enumerate(s["time"]):
+                row = ",".join(fmt_cell(s[c][j]) for c in cols)
+                fh.write(f"{s['index']},{fmt_cell(t)},{row},{fmt_cell(Z[j])}\n")
 
 
 # ------------------------------------------------------------------------------

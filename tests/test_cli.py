@@ -12,8 +12,10 @@ import pytest
 from hypothesis import event, given, settings
 from hypothesis import strategies as st
 
+import oracle
 from horizon_deflators import build_survival, modelio, trees
 from horizon_deflators import enlargement as enl
+from horizon_deflators import jumpdiff as jd
 from horizon_deflators.cli import main
 
 
@@ -133,6 +135,28 @@ def test_verify_rejects_non_integer_model_field(docs, tmp_path, capsys, field, v
     assert not (tmp_path / "verify-report.json").exists()
 
 
+@pytest.mark.parametrize("field,value,message", [
+    ("partitions", None, "partitions must list horizon+1 rows of one block id per atom"),
+    ("partitions", 5, "partitions must list horizon+1 rows of one block id per atom"),
+    ("partitions", [None] * 3, "partitions must list horizon+1 rows of one block id per atom"),
+    ("partitions", [[0] * 4, [0, 0, 1, 1], [0, 1, 2, 2.5]], "partition block ids must be integers"),
+    ("partitions", [[0] * 4, [0, 0, 1, 1], [0, 1, 2, "3"]], "partition block ids must be integers"),
+    ("assets", {"values": "x"}, "malformed asset table"),
+    ("assets", [1, 2], "malformed asset table"),
+    ("assets", {"names": ["S"]}, "malformed asset table"),
+], ids=["none", "scalar", "rows-of-none", "fractional-id", "string-id",
+        "string-values", "list-block", "no-values"])
+def test_verify_rejects_malformed_partitions_or_assets(docs, tmp_path, capsys, field, value,
+                                                       message):
+    root, model = docs
+    bad = copy.deepcopy(model)
+    bad[field] = value
+    modelio.write_json(tmp_path / "bad.json", bad)
+    assert run("verify", "--model", tmp_path / "bad.json", "--out", tmp_path) == 2
+    assert message in capsys.readouterr().err
+    assert not (tmp_path / "verify-report.json").exists()
+
+
 def test_verify_accepts_integral_float_tau_and_horizon(docs, tmp_path):
     root, model = docs
     doc = copy.deepcopy(model)
@@ -216,6 +240,28 @@ def test_decompose_rejects_non_martingale(docs, tmp_path):
                "--input", tmp_path / "drift.csv", "--out", tmp_path) == 1
 
 
+@pytest.mark.parametrize("row,message", [
+    ('w2,1,"nan"', "row 6: time must be an integer and value a number"),
+    ("w2,0.5,0", "row 6: time must be an integer and value a number"),
+    ("w2,1,abc", "row 6: time must be an integer and value a number"),
+    ("w2,1,nan", "row 6: value nan of (w2, 1) is not finite"),
+    ("w2,1,-inf", "row 6: value -inf of (w2, 1) is not finite"),
+    ("w2,1,0.5\nw2,1,4", "row 7: cell (w2, 1) appears twice"),
+], ids=["quoted-nan", "fractional-time", "word", "nan", "infinite", "duplicate"])
+def test_decompose_rejects_malformed_input_row(docs, tmp_path, capsys, row, message):
+    root, _ = docs
+    space, tau, _ = trees.two_period_demo()
+    modelio.process_to_csv(tmp_path / "ng.csv", space.outcomes, build_survival(space, tau).N_G)
+    lines = (tmp_path / "ng.csv").read_text().splitlines()
+    assert lines[5] == "w2,1,0.5"
+    lines[5] = row
+    (tmp_path / "bad.csv").write_text("\n".join(lines) + "\n")
+    assert run("decompose", "--model", root / "model.json",
+               "--input", tmp_path / "bad.csv", "--out", tmp_path) == 2
+    assert f"input error: {message}" in capsys.readouterr().err
+    assert not (tmp_path / "decompose-report.json").exists()
+
+
 def test_simulate_exit_codes(docs, tmp_path):
     root, _ = docs
     assert run("simulate", "--scenario", root / "scenario_bad.json",
@@ -225,6 +271,21 @@ def test_simulate_exit_codes(docs, tmp_path):
     summary = json.loads((tmp_path / "simulate-summary.json").read_text())
     assert summary["ok"] and summary["m_identity_residual"] <= 5 * 2.0 ** -8
     assert (tmp_path / "paths.csv").exists()
+
+
+@pytest.mark.parametrize("horizon,dt", [(1.0, 2.0 ** -12), (0.6484375, 2.0 ** -6)],
+                         ids=["crosses-a-chunk", "horizon-off-grid"])
+def test_simulate_paths_csv_matches_per_cell_writer(tmp_path, horizon, dt):
+    doc = {"sigma": 0.2, "zeta": 0.1, "mu": 0.03, "lambda": 2.0, "a": 0.5, "n_paths": 300,
+           "seed": 11, "horizon": horizon, "dt": dt, "keep_paths": 3, "phi_pr": 0.1}
+    modelio.write_json(tmp_path / "scenario.json", doc)
+    assert run("simulate", "--scenario", tmp_path / "scenario.json", "--out", tmp_path) in (0, 1)
+    sc, extras = modelio.load_scenario(doc)
+    bundle = jd.simulate(sc, keep_paths=extras["keep_paths"])
+    psi1 = jd.solve_drift(sc, extras["psi2"])
+    oracle.write_paths(tmp_path / "ref.csv", bundle, jd.deflator_grid, psi1, extras["psi2"],
+                       extras["phi_o"], extras["phi_pr"])
+    assert (tmp_path / "paths.csv").read_bytes() == (tmp_path / "ref.csv").read_bytes()
 
 
 @pytest.mark.parametrize("field,value", [
@@ -329,6 +390,90 @@ def test_simulate_fuzzed_scenarios_exit_cleanly(example):
         assert code == 2, doc
     else:
         assert code in (0, 1), doc
+
+
+JUNK = st.one_of(
+    st.none(), st.booleans(), st.integers(-3, 6), st.sampled_from([2**70, -(2**70)]),
+    st.floats(allow_nan=True, allow_infinity=True), st.text(max_size=3),
+    st.lists(st.one_of(st.integers(-2, 5), st.floats(-1.0, 2.0), st.text(max_size=2)),
+             max_size=5),
+    st.dictionaries(st.sampled_from(["id", "prob", "names", "values"]),
+                    st.integers(-1, 3), max_size=2),
+)
+
+
+def _json_paths(node, path=()):
+    """The path of every node of a JSON document, the root included."""
+    yield path
+    items = node.items() if isinstance(node, dict) else (
+        enumerate(node) if isinstance(node, list) else ())
+    for key, child in items:
+        yield from _json_paths(child, path + (key,))
+
+
+@st.composite
+def model_documents(draw):
+    """The demo model (with its price table) with one or two nodes replaced or deleted."""
+    space, tau, S = trees.two_period_demo()
+    doc = modelio.model_to_dict(space, tau, S)
+    for _ in range(draw(st.integers(1, 2))):
+        path = draw(st.sampled_from(list(_json_paths(doc))))
+        if not path:
+            return draw(JUNK)
+        parent = doc
+        for key in path[:-1]:
+            parent = parent[key]
+        if draw(st.booleans()):
+            parent[path[-1]] = draw(JUNK)
+        else:
+            del parent[path[-1]]
+    return doc
+
+
+@st.composite
+def table_rows(draw):
+    """The rows of the demo's N_G table with a few rows dropped, repeated or garbled."""
+    space, tau, _ = trees.two_period_demo()
+    N_G = build_survival(space, tau).N_G
+    rows = [f"{o},{n},{modelio.fmt(N_G[i, n])}" for i, o in enumerate(space.outcomes)
+            for n in range(N_G.shape[1])]
+    field = st.one_of(st.sampled_from(["w1", "w9", "0", "2", "3", "-1", "0.5", "1e400",
+                                       "nan", '"nan"', "inf", "", " ", "abc"]),
+                      st.floats(allow_nan=True, allow_infinity=True).map(repr))
+    for _ in range(draw(st.integers(0, 3))):
+        k = draw(st.integers(0, len(rows) - 1))
+        action = draw(st.sampled_from(["drop", "repeat", "field", "width"]))
+        if action == "drop":
+            del rows[k]
+        elif action == "repeat":
+            rows.insert(draw(st.integers(0, len(rows))), rows[k])
+        elif action == "field":
+            parts = rows[k].split(",")
+            parts[draw(st.integers(0, len(parts) - 1))] = draw(field)
+            rows[k] = ",".join(parts)
+        else:
+            rows[k] = rows[k] + "," + draw(field) if draw(st.booleans()) else \
+                rows[k].rsplit(",", 1)[0]
+        if not rows:
+            break
+    return rows
+
+
+@settings(max_examples=150, deadline=None)
+@given(model_documents(), table_rows())
+def test_tree_commands_fuzzed_inputs_exit_cleanly(model, rows):
+    with tempfile.TemporaryDirectory() as tmp:
+        tmp = Path(tmp)
+        (tmp / "model.json").write_text(json.dumps(model))
+        (tmp / "table.csv").write_text("atom,time,value\n" + "\n".join(rows) + "\n")
+        modelio.write_json(tmp / "params.json", {"route": "measure-change", "phi": 0.5})
+        codes = [run("verify", "--model", tmp / "model.json", "--out", tmp / "out"),
+                 run("deflate", "--model", tmp / "model.json", "--params", tmp / "params.json",
+                     "--out", tmp / "out"),
+                 run("decompose", "--model", tmp / "model.json", "--input", tmp / "table.csv",
+                     "--out", tmp / "out")]
+    event(f"exit codes {codes}")
+    assert set(codes) <= {0, 1, 2}, (model, rows, codes)
 
 
 def test_simulate_low_path_warning(docs, tmp_path, capsys):

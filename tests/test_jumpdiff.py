@@ -178,6 +178,25 @@ def test_survival_mc_matches_closed_form():
         assert abs(ind.mean() - b.G[:, j].mean()) <= 3 * se + 1e-3
 
 
+def test_g_tilde_vanishes_from_t1_on_both_grids():
+    # path 0 has T1 on a point of both grids; path 1 has T1 2e-6 before one,
+    # inside np.isclose's relative tolerance of that point
+    sc = scenario(n_paths=2, dt=2.0 ** -6)
+    t1 = np.array([0.5, 0.5 - 2e-6])
+    jumps = np.stack([t1, np.full(2, 5.0), np.full(2, np.inf)], axis=1)  # tau = T1
+    rep = np.array([0.25, 0.5 - 2e-6, 0.5, 0.5 + 2e-6, 1.0])
+    normals = np.random.default_rng(0).standard_normal((2, len(rep) + 1))
+    b = jd._evaluate(sc, rep, jumps, normals, 2, lambda i: np.random.default_rng(i))
+    for i in range(2):
+        for times, G, G_tilde in ((rep, b.G[i], b.G_tilde[i]),
+                                  (b.samples[i]["time"], b.samples[i]["G"],
+                                   b.samples[i]["G_tilde"])):
+            assert 0.5 in times
+            assert np.array_equal(G_tilde, G)
+            assert np.all(G_tilde[times >= t1[i]] == 0.0)
+            assert np.all(G_tilde[times < t1[i]] > 0.0)
+
+
 def test_bridge_samples_consistent_with_report_grid():
     sc = scenario(n_paths=64, dt=2.0 ** -6, seed=9)
     b = simulate(sc, keep_paths=2)

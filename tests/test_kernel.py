@@ -339,8 +339,19 @@ def test_process_to_csv_matches_per_cell_writer(tmp_path):
     X = rng.normal(size=(4500, 3)) * 10.0 ** rng.integers(-300, 300, size=(4500, 3))
     X[:20] = [[np.nan, np.inf, -np.inf], [-0.0, 0.0, 5e-324]] * 10
     X[3000] = [-0.0, 1e308, -1.0 / 3.0]
+    # adapted: one value per (block, date), each block's atoms scattered over
+    # the table, and one block running across the chunk boundary at 2048
+    blocks = rng.integers(0, 40, size=(4500, 6))
+    adapted = rng.normal(size=(40, 6))[blocks, np.arange(6)]
+    adapted[2040:2060, 3] = 0.1
+    # -0.0 and 0.0, NaNs of three bit patterns, infinities and subnormals,
+    # each repeated on atoms that are not adjacent
+    nans = np.array([0x7FF8000000000000, 0xFFF8000000000000, 0x7FF0000000000001],
+                    dtype=np.uint64).view(np.float64)
+    special = np.concatenate([[-0.0, 0.0, np.inf, -np.inf, 5e-324, -2.5e-310, 1.0 / 3.0], nans])
+    mixed = special[rng.integers(0, len(special), size=(4500, 4))]
     names = [f"w{i}" for i in range(len(X))]
-    for rows in (X, X[20:], X[:0]):
+    for rows in (X, X[20:], X[:0], adapted, mixed, mixed[:2048], mixed[:2049]):
         modelio.process_to_csv(tmp_path / "got.csv", names[:len(rows)], rows)
         oracle.write_cells(tmp_path / "ref.csv", names[:len(rows)], rows)
         assert (tmp_path / "got.csv").read_bytes() == (tmp_path / "ref.csv").read_bytes()
