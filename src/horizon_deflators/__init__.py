@@ -74,6 +74,7 @@ from .jumpdiff import (
     PathBundle,
     build_deflator,
     closed_forms,
+    mc_suite,
     mc_test,
     simulate,
     solve_drift,

@@ -192,10 +192,9 @@ def cmd_simulate(args) -> int:
                                  "martingale", feats),
     }
     results, rejected, warnings = {}, [], []
-    for name, (vals, x0, null, ft) in suite.items():
-        rep = jd.mc_test(vals, bundle.report_times, start=x0, null=null, features=ft)
+    for name, rep in jd.mc_suite(suite, bundle.report_times).items():
         results[name] = {
-            "null": null,
+            "null": rep.null,
             "means": rep.means.tolist(),
             "ses": rep.ses.tolist(),
             "zscores": rep.zscores.tolist(),

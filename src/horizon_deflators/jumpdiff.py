@@ -18,15 +18,18 @@ report times and at tau; the Lebesgue part of D^o is the one quantity
 evaluated by trapezoidal quadrature on the dt grid, so the pathwise identity
 m = G + D^o holds up to O(dt^2).
 
-Statistical verification is by Monte-Carlo means with standard errors (the
-``mc_test`` oracle), sharpened by regressing one-step increments on
-observable features.
+Statistical verification is by Monte-Carlo means with standard errors,
+sharpened by regressing one-step increments on observable features with
+heteroskedasticity-robust (sandwich) standard errors.  ``mc_suite`` tests a
+whole suite of nulls: per report step, one regression pass serves every null
+that passes the same feature array.  ``mc_test`` is its one-null call.  A
+zero standard error reads as a pass only where the mean equals the start.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -626,56 +629,120 @@ def mc_test(values, times, *, start: float, null: str = "martingale",
             features=None, z_crit: float = 3.0) -> MCTestReport:
     """Monte-Carlo null test of mean constancy (or decrease) from ``start``.
 
-    ``values`` is (n_paths, n_times).  Under the martingale null every mean
-    equals ``start``; under the supermartingale null means may only drift
-    down.  With (n_paths, n_times, p) ``features`` observable at each time,
-    one-step increments are regressed on them (intercept added) and the
-    coefficient z-scores sharpen the martingale test.
+    The one-null call of :func:`mc_suite`, which documents the test.
+    """
+    return mc_suite({null: (values, start, null, features)}, times, z_crit=z_crit)[null]
 
-    The test fails closed: non-finite values or features, or a mean or
+
+def mc_suite(tests, times, *, z_crit: float = 3.0) -> dict[str, MCTestReport]:
+    """Monte-Carlo null tests of a suite, one :class:`MCTestReport` per name.
+
+    ``tests`` maps a name to ``(values, start, null, features)``.  ``values``
+    is (n_paths, n_times).  Under the ``"martingale"`` null every mean equals
+    ``start``; under ``"supermartingale"`` means may only drift down.  A zero
+    standard error gives z = 0 where the mean equals ``start`` and z = +-inf
+    (with a warning naming the null and the times) where it does not.  With
+    (n_paths, n_times, p) ``features`` observable at each time, the one-step
+    increments of a martingale null are regressed on them (intercept added)
+    and the heteroskedasticity-robust coefficient z-scores sharpen the test;
+    nulls passing the same features object share one regression pass per step.
+
+    Each test fails closed: non-finite values or features, or a mean or
     standard error that is not finite (fewer than two paths, overflow), give
     ``rejected=True`` and ``max_abs_z = inf`` with a warning naming the cause,
-    and no regression is run.
+    and the null joins no regression.
     """
-    X = np.asarray(values, dtype=float)
-    F = None if features is None else np.asarray(features, dtype=float)
-    n = X.shape[0]
-    notes = [f"only {n} paths: statistical power is low"] if n < 1000 else []
-    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        means = X.mean(axis=0)
-        ses = X.std(axis=0, ddof=1) / np.sqrt(n) if n > 1 else np.full_like(means, np.nan)
-        z = np.where(ses > 0, (means - start) / ses, 0.0)
-    bad = [f"{name} ({np.count_nonzero(~np.isfinite(arr))} of {arr.size} entries)"
-           for name, arr in (("values", X), ("features", F))
-           if arr is not None and not np.isfinite(arr).all()]
-    if not bad and not (np.isfinite(means).all() and np.isfinite(ses).all()):
-        bad = ["means or standard errors"]
-    if bad:
-        notes.append(f"non-finite {', '.join(bad)}: null rejected")
-        z = np.where(np.isfinite(means) & np.isfinite(ses), z, np.nan)
-        return MCTestReport(np.asarray(times, float), means, ses, z, None,
-                            null, True, float("inf"), "; ".join(notes))
-    warning = "; ".join(notes) or None
-    reg_z = None
-    max_z = float(np.max(np.abs(z))) if null == "martingale" else float(np.max(z))
-    if F is not None and null == "martingale" and X.shape[1] > 1:
-        rows = []
-        for j in range(X.shape[1] - 1):
-            dx = X[:, j + 1] - X[:, j]
-            A = np.column_stack([np.ones(n), F[:, j, :]])
-            coef, *_ = np.linalg.lstsq(A, dx, rcond=None)
-            resid = dx - A @ coef
-            # heteroskedasticity-robust (sandwich) standard errors
-            AtA_inv = np.linalg.pinv(A.T @ A)
-            meat = A.T @ (A * (resid**2)[:, None])
-            cov = AtA_inv @ meat @ AtA_inv
-            se = np.sqrt(np.maximum(np.diag(cov), 1e-300))
-            rows.append(coef / se)
-        reg_z = np.asarray(rows)
-        max_z = max(max_z, float(np.max(np.abs(reg_z))))
-    rejected = max_z > z_crit
-    return MCTestReport(np.asarray(times, float), means, ses, z, reg_z,
-                        null, bool(rejected), max_z, warning)
+    times = np.asarray(times, float)
+    reports, shared = {}, {}
+    for name, (values, start, null, features) in tests.items():
+        X = np.asarray(values, dtype=float)
+        F = None if features is None else np.asarray(features, dtype=float)
+        n = X.shape[0]
+        notes = [f"only {n} paths: statistical power is low"] if n < 1000 else []
+        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+            means = X.mean(axis=0)
+            ses = X.std(axis=0, ddof=1) / np.sqrt(n) if n > 1 else np.full_like(means, np.nan)
+            dev = means - start
+            z = np.where((ses == 0) & (dev == 0), 0.0, dev / ses)
+        flat = (ses == 0) & (dev != 0)
+        if flat.any():
+            notes.append(f"zero standard error with mean != start {start:g} at t = "
+                         f"{', '.join(f'{t:g}' for t in times[flat])}: z = +-inf under "
+                         f"the {null} null")
+        bad = [f"{label} ({np.count_nonzero(~np.isfinite(arr))} of {arr.size} entries)"
+               for label, arr in (("values", X), ("features", F))
+               if arr is not None and not np.isfinite(arr).all()]
+        if not bad and not (np.isfinite(means).all() and np.isfinite(ses).all()):
+            bad = ["means or standard errors"]
+        if bad:
+            notes.append(f"non-finite {', '.join(bad)}: null rejected")
+            z = np.where(np.isfinite(means) & np.isfinite(ses), z, np.nan)
+            reports[name] = MCTestReport(times, means, ses, z, None, null, True,
+                                         float("inf"), "; ".join(notes))
+            continue
+        max_z = float(np.max(np.abs(z))) if null == "martingale" else float(np.max(z))
+        reports[name] = MCTestReport(times, means, ses, z, None, null, max_z > z_crit,
+                                     max_z, "; ".join(notes) or None)
+        if F is not None and null == "martingale" and X.shape[1] > 1:
+            shared.setdefault(id(features), (F, []))[1].append((name, X))
+    for F, members in shared.values():
+        reg = _sandwich_z(F, [X for _, X in members])
+        for (name, _), reg_z in zip(members, reg):
+            rep = reports[name]
+            max_z = max(rep.max_abs_z, float(np.max(np.abs(reg_z))))
+            reports[name] = replace(rep, regression_z=reg_z, rejected=max_z > z_crit,
+                                    max_abs_z=max_z)
+    return reports
+
+
+def _sandwich_z(F, Xs) -> np.ndarray:
+    """Robust z-scores of each X's one-step increments on [1, F_j]: (len(Xs), R - 1, p + 1).
+
+    Per step j the design rows A = [1/2, F_j] and the increment rows DX are
+    filled into preallocated buffers, every feature and increment row scaled
+    by a power of two to a maximum modulus in [1/2, 1): that leaves each
+    z-score unchanged and keeps every square finite.  One pseudo-inverse of
+    G = A A^T gives both the coefficients C = G^+ A DX^T (the minimum-norm fit
+    when the features are rank-deficient) and each null's covariance
+    G^+ meat G^+ (MacKinnon and White's HC0 sandwich, its diagonal floored at
+    1e-300), so the two cut the same directions: those of G below
+    (p + 1) n eps of its largest, the rounding of its n-term sums.  The meats
+    of all nulls come from two products of the squared residuals: with A,
+    whose rows are twice the intercept's row products A_0 A_b, and with the
+    products A_a A_b for 1 <= a <= b.
+    """
+    n, R, p = F.shape
+    k = len(Xs)
+    rows, cols = np.triu_indices(p)
+    rows += 1
+    cols += 1
+    A = np.empty((p + 1, n))
+    A[0] = 0.5
+    P = np.empty((len(rows), n))
+    DX = np.empty((k, n))
+    meat = np.empty((k, p + 1, p + 1))
+    out = np.empty((k, R - 1, p + 1))
+    rtol = (p + 1) * n * np.finfo(float).eps
+    for j in range(R - 1):
+        A[1:] = F[:, j, :].T
+        for i, X in enumerate(Xs):
+            np.subtract(X[:, j + 1], X[:, j], out=DX[i])
+        for M in (A[1:], DX):
+            top = np.maximum(M.max(axis=1), -M.min(axis=1))
+            np.ldexp(M, -np.frexp(top)[1][:, None], out=M)
+        G_inv = np.linalg.pinv(A @ A.T, rtol=rtol, hermitian=True)
+        C = G_inv @ (A @ DX.T)
+        for i in range(k):
+            DX[i] -= C[:, i] @ A
+        np.square(DX, out=DX)
+        for q, (a, b) in enumerate(zip(rows, cols)):
+            np.multiply(A[a], A[b], out=P[q])
+        meat[:, 0, :] = meat[:, :, 0] = 0.5 * (DX @ A.T)
+        meat[:, rows, cols] = meat[:, cols, rows] = DX @ P.T
+        cov = G_inv @ meat @ G_inv
+        se = np.sqrt(np.maximum(np.diagonal(cov, axis1=1, axis2=2), 1e-300))
+        out[:, j] = C.T / se
+    return out
 
 
 def feature_matrix(bundle: PathBundle) -> np.ndarray:

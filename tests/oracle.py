@@ -404,3 +404,33 @@ def per_path_simulate(sc, *, report_times=None, keep_paths=0):
     for i, c in enumerate(jump_lists):
         jumps[i, :len(c)] = c
     return jd._evaluate(sc, rep, jumps, normals, keep_paths, keep_streams.__getitem__)
+
+
+# ------------------------------------------------------------------------------
+# Per-null reference for the Monte-Carlo regression: for each one-step increment
+# its own [1, F_j] design, an SVD least-squares fit and the sandwich covariance
+# from pinv(A^T A), one null and one step at a time.  ``mc_suite`` shares one
+# pass per step among every null with the same features; its regression
+# z-scores are tested against these.
+
+def sandwich_regression_z(values, features):
+    """Regression z-scores and standard errors of one null's increments.
+
+    Both are (n_times - 1, p + 1); a standard error at 1e-150 sits on the floor.
+    """
+    X = np.asarray(values, dtype=float)
+    F = np.asarray(features, dtype=float)
+    n = X.shape[0]
+    rows, ses = [], []
+    for j in range(X.shape[1] - 1):
+        dx = X[:, j + 1] - X[:, j]
+        A = np.column_stack([np.ones(n), F[:, j, :]])
+        coef, *_ = np.linalg.lstsq(A, dx, rcond=None)
+        resid = dx - A @ coef
+        AtA_inv = np.linalg.pinv(A.T @ A)
+        meat = A.T @ (A * (resid**2)[:, None])
+        cov = AtA_inv @ meat @ AtA_inv
+        se = np.sqrt(np.maximum(np.diag(cov), 1e-300))
+        rows.append(coef / se)
+        ses.append(se)
+    return np.asarray(rows), np.asarray(ses)

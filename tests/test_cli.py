@@ -327,6 +327,19 @@ def test_simulate_rejects_overflowing_drift_or_price_of_risk(tmp_path, capsys, f
     assert not (tmp_path / "simulate-summary.json").exists()
 
 
+def test_simulate_regression_survives_huge_price_feature(tmp_path):
+    # the contract admits mu = 400, so S reaches about e^400 and S^2 overflows;
+    # the regression z-scores of the nulls that use S as a feature stay finite
+    doc = {"sigma": 0.2, "zeta": 0.1, "mu": 400, "lambda": 2, "a": 0.5, "psi2": 1,
+           "seed": 7, "n_paths": 3000, "dt": 0.0078125}
+    modelio.write_json(tmp_path / "scenario.json", doc)
+    run("simulate", "--scenario", tmp_path / "scenario.json", "--out", tmp_path)
+    summary = json.loads((tmp_path / "simulate-summary.json").read_text())
+    five = ("m", "N_G", "survival_exponential", "transported_brownian", "transported_poisson")
+    assert not set(five) & set(summary["rejected"])
+    assert all(summary["results"][name]["max_abs_z"] < 3.0 for name in five)
+
+
 def test_simulate_rejects_keep_paths_above_path_override(docs, tmp_path, capsys):
     root, _ = docs
     assert run("simulate", "--scenario", root / "scenario.json", "--paths", "3",

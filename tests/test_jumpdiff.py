@@ -16,7 +16,7 @@ from horizon_deflators import (
     solve_drift,
 )
 from horizon_deflators import jumpdiff as jd
-from oracle import per_path_simulate
+from oracle import per_path_simulate, sandwich_regression_z
 
 
 def scenario(**kw):
@@ -300,6 +300,168 @@ def test_mc_test_fails_closed_on_non_finite(monkeypatch):
     rep = mc_test(np.ones((1, 4)), times, start=1.0, null="supermartingale")
     assert rep.rejected and rep.max_abs_z == np.inf  # one path: no standard error
     assert "only 1 paths" in rep.warning and "standard errors" in rep.warning
+
+
+@pytest.mark.parametrize("value,null,z", [
+    (0.0, "martingale", -np.inf),
+    (2.0, "supermartingale", np.inf),
+    (0.5, "supermartingale", -np.inf),
+], ids=["zeros-martingale", "above-start-supermartingale", "below-start-supermartingale"])
+def test_mc_test_zero_variance_off_start(value, null, z):
+    # a constant column away from start has no standard error but is no
+    # martingale: z is +-inf, named in a warning; only a rise rejects a
+    # supermartingale
+    times = [0.25, 0.5, 0.75, 1.0]
+    rep = mc_test(np.full((1000, 4), value), times, start=1.0, null=null)
+    assert np.array_equal(rep.zscores, np.full(4, z))
+    assert rep.rejected == (z > 0 or null == "martingale")
+    assert rep.max_abs_z == (np.inf if rep.rejected else -np.inf)
+    assert rep.warning == ("zero standard error with mean != start 1 at t = 0.25, 0.5, "
+                           f"0.75, 1: z = +-inf under the {null} null")
+
+
+def _random_suite(seed):
+    """1-6 martingale nulls of n = 30..20k paths sharing one feature array.
+
+    Every fifth suite has a constant feature column (2.0, so the reference's
+    normal equations are exactly singular too), every fifth a zero column,
+    every fifth an all-ones column, every fifth log-normal features spanning
+    decades; some nulls drift with the first feature.
+    """
+    rng = np.random.default_rng(seed)
+    n = int(np.exp(rng.uniform(np.log(30), np.log(20_000))))
+    R, p, k = (int(rng.integers(lo, hi)) for lo, hi in ((2, 9), (1, 4), (1, 7)))
+    F = rng.normal(size=(n, R, p)) * np.exp(rng.normal(scale=3.0, size=p))
+    kind = seed % 5
+    if kind == 1:
+        F[:, :, 0] = 2.0
+    elif kind == 2:
+        F[:, :, -1] = 0.0
+    elif kind == 3:
+        F[:, :, 0] = 1.0
+    elif kind == 4:
+        F[:, :, 0] = np.exp(2.0 * rng.normal(size=(n, R)))
+    lagged = np.concatenate([np.zeros((n, 1)), F[:, :-1, 0]], axis=1)
+    suite = {}
+    for i in range(k):
+        noise = rng.normal(size=(n, R)) * (1.0 + rng.uniform() * np.abs(F[:, :, -1]))
+        drift = rng.uniform(-0.2, 0.2) * lagged / (1.0 + np.abs(F[:, :, 0]).mean())
+        suite[f"null{i}"] = (np.cumsum(noise + drift, axis=1) * rng.uniform(0.01, 100.0),
+                             0.0, "martingale", F)
+    return suite, np.arange(1, R + 1) / R
+
+
+def _bundle_suite(lam, n_paths, seed):
+    """The simulate suite's martingale nulls with features, each with random increments."""
+    sc = scenario(lam=lam, n_paths=n_paths, seed=seed, dt=2.0 ** -10)
+    b = simulate(sc)
+    feats = jd.feature_matrix(b)
+    suite = {
+        "transported_brownian": (jd.transported_brownian(b), 0.0, "martingale", feats),
+        "deflated_price_drift": (jd.lmd_times_price(b, solve_drift(sc, 1.0), 1.0), 1.0,
+                                 "martingale", feats),
+    }
+    if np.any(b.t1 < sc.horizon):  # else m, N_G and the rest are deterministic
+        suite.update({
+            "m": (b.m, 1.0, "martingale", feats),
+            "transported_poisson": (jd.transported_poisson(b), 0.0, "martingale", feats),
+            "N_G": (b.N_G, 0.0, "martingale", feats),
+            "survival_exponential": (jd.survival_exponential(b), 1.0, "martingale", feats),
+        })
+    return suite, b.report_times
+
+
+def _assert_matches_reference(suite, times):
+    reports = jd.mc_suite(suite, times)
+    for name, (values, start, null, feats) in suite.items():
+        rep = reports[name]
+        single = mc_test(values, times, start=start, null=null, features=feats)
+        for field in ("means", "ses", "zscores"):
+            assert np.array_equal(getattr(rep, field), getattr(single, field)), field
+        z_ref, se_ref = sandwich_regression_z(values, feats)
+        live = se_ref > 1e-150
+        assert np.allclose(rep.regression_z[live], z_ref[live], rtol=1e-8, atol=0.0), name
+        ref_max = max(float(np.max(np.abs(rep.zscores))), float(np.max(np.abs(z_ref))))
+        assert rep.rejected == single.rejected == (ref_max > 3.0), name
+    return reports
+
+
+@pytest.mark.parametrize("seed", range(60))
+def test_mc_suite_matches_per_null_reference(seed):
+    _assert_matches_reference(*_random_suite(seed))
+
+
+@pytest.mark.parametrize("lam,n_paths,seed", [(1e-4, 2000, 3), (12.0, 3000, 7)],
+                         ids=["all-ones-pre", "three-live-paths"])
+def test_mc_suite_matches_reference_on_simulated_nulls(lam, n_paths, seed):
+    suite, times = _bundle_suite(lam, n_paths, seed)
+    reports = _assert_matches_reference(suite, times)
+    if lam == 12.0:
+        # 3 paths alive over 0.5 -> 0.625: the sandwich z of -12.9 is the
+        # reference's too (the few-live-paths guard is a separate change)
+        rep = reports["survival_exponential"]
+        assert rep.rejected and rep.max_abs_z == pytest.approx(12.90, abs=0.005)
+    else:
+        feats = suite["transported_brownian"][3]
+        assert np.all(feats[:, :, 1] == 0.0) and np.all(feats[:, :, 2] == 1.0)  # no jumps
+
+
+def test_mc_suite_groups_by_feature_array_and_skips_failed_nulls():
+    rng = np.random.default_rng(4)
+    times = [0.25, 0.5, 0.75, 1.0]
+    f1, f2 = rng.normal(size=(2, 3000, 4, 2))
+    bad = rng.normal(size=(3000, 4))
+    bad[5, 1] = np.nan
+    suite = {
+        "a": (rng.normal(size=(3000, 4)).cumsum(axis=1), 0.0, "martingale", f1),
+        "b": (rng.normal(size=(3000, 4)).cumsum(axis=1), 0.0, "martingale", f2),
+        "c": (bad, 0.0, "martingale", f1),
+        "d": (rng.normal(size=(3000, 4)).cumsum(axis=1), 0.0, "martingale", f1),
+        "e": (np.ones((3000, 4)), 1.0, "supermartingale", f1),
+    }
+    reports = jd.mc_suite(suite, times)
+    assert list(reports) == list(suite)
+    assert reports["c"].rejected and reports["c"].regression_z is None
+    assert reports["e"].regression_z is None and not reports["e"].rejected
+    for name in "abd":
+        values, start, null, feats = suite[name]
+        z_ref, _ = sandwich_regression_z(values, feats)
+        assert np.allclose(reports[name].regression_z, z_ref, rtol=1e-10, atol=0.0)
+
+
+def test_regression_z_invariant_to_power_of_two_scales():
+    # rows are normalized by exact powers of two, so rescaling a feature (or
+    # the values) by one changes no bit, and no square overflows
+    rng = np.random.default_rng(9)
+    times = [0.25, 0.5, 0.75, 1.0]
+    feats = rng.normal(size=(3000, 4, 3))
+    vals = rng.normal(size=(3000, 4)).cumsum(axis=1)
+    rep = mc_test(vals, times, start=0.0, features=feats)
+    big = feats.copy()
+    big[:, :, 1] *= 2.0 ** 600
+    scaled = mc_test(vals, times, start=0.0, features=big)
+    assert np.array_equal(scaled.regression_z, rep.regression_z)
+    assert scaled.max_abs_z == rep.max_abs_z and scaled.rejected == rep.rejected
+    tiny = mc_test(vals * 2.0 ** -600, times, start=0.0, features=big)
+    assert np.array_equal(tiny.regression_z, rep.regression_z)
+
+
+def test_regression_z_same_for_any_constant_feature():
+    # a constant feature is collinear with the intercept; the minimum-norm fit
+    # gives both the same z whatever the constant, here against 2.0, where the
+    # normal equations are exactly singular
+    rng = np.random.default_rng(21)
+    times = [0.25, 0.5, 0.75, 1.0]
+    feats = rng.normal(size=(5000, 4, 2)) * np.array([1.0, 40.0])
+    vals = rng.normal(size=(5000, 4)).cumsum(axis=1)
+    feats[:, :, 0] = 2.0
+    ref = mc_test(vals, times, start=0.0, features=feats)
+    assert np.allclose(ref.regression_z[:, 0], ref.regression_z[:, 1], rtol=1e-8)
+    for c in (3.7, 0.1, 1e5):
+        feats[:, :, 0] = c
+        rep = mc_test(vals, times, start=0.0, features=feats)
+        assert np.allclose(rep.regression_z, ref.regression_z, rtol=1e-8, atol=0.0), c
+        assert rep.rejected == ref.rejected
 
 
 def test_deflator_grid_matches_report_values():
