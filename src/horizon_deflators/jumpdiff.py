@@ -646,6 +646,7 @@ def mc_suite(tests, times, *, z_crit: float = 3.0) -> dict[str, MCTestReport]:
     increments of a martingale null are regressed on them (intercept added)
     and the heteroskedasticity-robust coefficient z-scores sharpen the test;
     nulls passing the same features object share one regression pass per step.
+    Features whose first two axes differ from ``values`` raise ``ValueError``.
 
     Each test fails closed: non-finite values or features, or a mean or
     standard error that is not finite (fewer than two paths, overflow), give
@@ -657,6 +658,9 @@ def mc_suite(tests, times, *, z_crit: float = 3.0) -> dict[str, MCTestReport]:
     for name, (values, start, null, features) in tests.items():
         X = np.asarray(values, dtype=float)
         F = None if features is None else np.asarray(features, dtype=float)
+        if F is not None and (F.ndim != 3 or F.shape[:2] != X.shape):
+            raise ValueError(f"{name}: features of shape {F.shape} do not match values "
+                             f"of shape {X.shape}; expected (n_paths, n_times, p)")
         n = X.shape[0]
         notes = [f"only {n} paths: statistical power is low"] if n < 1000 else []
         with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
@@ -730,7 +734,7 @@ def _sandwich_z(F, Xs) -> np.ndarray:
         for M in (A[1:], DX):
             top = np.maximum(M.max(axis=1), -M.min(axis=1))
             np.ldexp(M, -np.frexp(top)[1][:, None], out=M)
-        G_inv = np.linalg.pinv(A @ A.T, rtol=rtol, hermitian=True)
+        G_inv = np.linalg.pinv(A @ A.T, rcond=rtol, hermitian=True)
         C = G_inv @ (A @ DX.T)
         for i in range(k):
             DX[i] -= C[:, i] @ A

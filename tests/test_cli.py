@@ -340,6 +340,26 @@ def test_simulate_regression_survives_huge_price_feature(tmp_path):
     assert all(summary["results"][name]["max_abs_z"] < 3.0 for name in five)
 
 
+def test_simulate_without_a_default_rejects_the_default_driven_nulls(tmp_path, capsys):
+    # lambda * n_paths = 1e-3: no path defaults, so m, N_G, survival_exponential
+    # and transported_poisson are one deterministic curve away from their start.
+    # Their standard errors are rounding noise or exactly 0 (N_G at t = 0.375),
+    # so they reject and simulate exits 1; a zero one is named in a warning.
+    doc = {"sigma": 0.2, "zeta": 0.1, "mu": 0.03, "lambda": 1e-6, "a": 0.5,
+           "n_paths": 1000, "seed": 3, "dt": 0.0625}
+    sc, _ = modelio.load_scenario(doc)
+    assert np.all(jd.simulate(sc).tau > sc.horizon)
+    modelio.write_json(tmp_path / "scenario.json", doc)
+    assert run("simulate", "--scenario", tmp_path / "scenario.json", "--out", tmp_path) == 1
+    summary = json.loads((tmp_path / "simulate-summary.json").read_text())
+    assert summary["rejected"] == ["N_G", "m", "survival_exponential", "transported_poisson"]
+    assert summary["results"]["N_G"]["max_abs_z"] == "inf"
+    warning = ("N_G: zero standard error with mean != start 0 at t = 0.375: "
+               "z = +-inf under the martingale null")
+    assert summary["warnings"] == [warning]
+    assert f"warning: {warning}" in capsys.readouterr().err
+
+
 def test_simulate_rejects_keep_paths_above_path_override(docs, tmp_path, capsys):
     root, _ = docs
     assert run("simulate", "--scenario", root / "scenario.json", "--paths", "3",

@@ -429,6 +429,26 @@ def test_mc_suite_groups_by_feature_array_and_skips_failed_nulls():
         assert np.allclose(reports[name].regression_z, z_ref, rtol=1e-10, atol=0.0)
 
 
+@pytest.mark.parametrize("shape", [(3000, 3, 2), (3000, 5, 2), (2999, 4, 2), (3000, 4)],
+                         ids=["fewer-times", "more-times", "fewer-paths", "two-axes"])
+def test_mc_test_rejects_features_of_another_shape(shape):
+    # a regression over the features' steps alone would leave increments untested
+    rng = np.random.default_rng(6)
+    with pytest.raises(ValueError, match="^x: features of shape"):
+        mc_test(rng.normal(size=(3000, 4)), [0.25, 0.5, 0.75, 1.0], start=0.0, null="x",
+                features=rng.normal(size=shape))
+
+
+def test_mc_suite_checks_each_null_against_shared_features():
+    # "b" shares the features of "a" but has one more report time
+    rng = np.random.default_rng(6)
+    feats = rng.normal(size=(3000, 4, 2))
+    suite = {"a": (rng.normal(size=(3000, 4)), 0.0, "martingale", feats),
+             "b": (rng.normal(size=(3000, 5)), 0.0, "martingale", feats)}
+    with pytest.raises(ValueError, match="^b: features of shape"):
+        jd.mc_suite(suite, [0.2, 0.4, 0.6, 0.8, 1.0])
+
+
 def test_regression_z_invariant_to_power_of_two_scales():
     # rows are normalized by exact powers of two, so rescaling a feature (or
     # the values) by one changes no bit, and no square overflows
