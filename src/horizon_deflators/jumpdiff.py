@@ -6,17 +6,20 @@ horizon is tau = (a T2) ^ T1, the minimum of the first Poisson jump time and
 a fraction of the second.  For this horizon every survival object has a
 closed form in terms of beta = lam (1/a - 1):
 
-    G~_t = exp(-beta t)(1 + beta t)  before T1,   exp(-beta t) at T1,
     G_t  = exp(-beta t)(1 + beta t)  before T1,   0 from T1 on,
     m_t  = 1 + lam beta I1(t ^ T1) - beta T1 exp(-beta T1) 1{T1 <= t},
     D^o_t = int_0^{t ^ T1} (beta+lam) beta s exp(-beta s) ds
             + exp(-beta T1) 1{T1 <= t},
 
-with I1(x) = int_0^x s exp(-beta s) ds.  Jump times are drawn exactly
-(exponential gaps, kept off-grid); Brownian values are sampled exactly at the
-report times and at tau; the Lebesgue part of D^o is the one quantity
-evaluated by trapezoidal quadrature on the dt grid, so the pathwise identity
-m = G + D^o holds up to O(dt^2).
+with I1(x) = int_0^x s exp(-beta s) ds.  G~_t = P(tau >= t | F_t) is G_t but
+for exp(-beta T1) at t = T1; {t = T1} has probability 0 on a fixed time grid,
+so both grids hold G~ = G, 0 from T1 on.  One evaluator gives these, N and S
+on the report grid of all paths and on the dt grid of the kept ones.  Jump
+times are drawn exactly (exponential gaps, kept off-grid); Brownian values are
+sampled exactly at the report times and at tau, and bridged in between on the
+dt grid; the Lebesgue part of D^o is the one quantity evaluated by trapezoidal
+quadrature on the dt grid, so the pathwise identity m = G + D^o holds up to
+O(dt^2).
 
 Statistical verification is by Monte-Carlo means with standard errors,
 sharpened by regressing one-step increments on observable features with
@@ -37,7 +40,7 @@ from .errors import AdmissibilityError, SpaceValidationError
 
 SIGMA_FLOOR = 1e-12
 MAX_PATHS = 2**32        # a path index must fit one 32-bit spawn-key word
-MAX_STEPS = 2**20        # dt-grid points: bounds the quadrature table and the bridge fill
+MAX_STEPS = 2**20        # dt-grid points: bounds the quadrature table and each kept path's arrays
 MAX_MEAN_JUMPS = 2**10   # lam * horizon: bounds the jump table and the gap-drawing loop
 MAX_EXPONENT = 512.0     # sigma^2 * horizon and |drift| * horizon: exp(sigma W_t + drift t)
                          # stays far from float overflow
@@ -97,26 +100,28 @@ class JumpDiffusionScenario:
             raise SpaceValidationError(
                 f"sigma^2 = {self.sigma * self.sigma:.3g} times the horizon must not exceed "
                 f"{MAX_EXPONENT:g}")
-        drift = self.mu - self.zeta * self.lam - 0.5 * self.sigma * self.sigma
-        if not abs(drift) * self.horizon <= MAX_EXPONENT:
+        if not abs(self.drift) * self.horizon <= MAX_EXPONENT:
             raise SpaceValidationError(
-                f"the drift mu - zeta lam - sigma^2/2 = {drift:.3g} times the horizon must "
-                f"not exceed {MAX_EXPONENT:g} in size")
+                f"the drift mu - zeta lam - sigma^2/2 = {self.drift:.3g} times the horizon "
+                f"must not exceed {MAX_EXPONENT:g} in size")
 
     @property
     def beta(self) -> float:
         return self.lam * (1.0 / self.a - 1.0)
 
+    @property
+    def drift(self) -> float:
+        """The time coefficient of log S: mu - zeta lam - sigma^2 / 2."""
+        return self.mu - self.zeta * self.lam - 0.5 * self.sigma**2
+
 
 def _i1(beta: float, x):
     """int_0^x s exp(-beta s) ds, exact."""
-    x = np.asarray(x, dtype=float)
     return (1.0 - np.exp(-beta * x) * (1.0 + beta * x)) / beta**2
 
 
 def _ig(beta: float, x):
     """int_0^x beta s / (1 + beta s) ds = x - log(1 + beta x)/beta, exact."""
-    x = np.asarray(x, dtype=float)
     return x - np.log1p(beta * x) / beta
 
 
@@ -125,8 +130,9 @@ class PathBundle:
     """Per-path simulation output at the report times plus full-grid samples.
 
     All (n_paths, n_report) arrays are exact-in-distribution; ``samples``
-    holds full-grid versions of the first few paths (Brownian values filled
-    in by bridge sampling from each path's own stream).
+    holds dt-grid versions of the first few paths, one dict each, with W
+    bridged between the report times and tau (``_bridge_fill``) from each
+    path's own stream.
     """
 
     scenario: JumpDiffusionScenario
@@ -157,10 +163,6 @@ class PathBundle:
         hit = self.tau[:, None] <= self.report_times[None, :]
         return np.where(hit, self.W_tau[:, None], self.W)
 
-    def default_seen(self) -> np.ndarray:
-        """1{tau <= t} at the report times."""
-        return (self.tau[:, None] <= self.report_times[None, :]).astype(float)
-
     def first_jump_stopped(self) -> np.ndarray:
         """1{tau = T1 <= t}: the price jump happened before or at the horizon."""
         return ((~self.from_second_jump)[:, None]
@@ -179,13 +181,9 @@ def _quadrature_table(sc: JumpDiffusionScenario):
 def _lebesgue_quadrature(sc, grid, dens, cum, x):
     """Trapezoid of the D^o density over [0, x] using the dt grid plus a stub."""
     beta, lam = sc.beta, sc.lam
-    x = np.asarray(x, dtype=float)
     idx = np.minimum((x / sc.dt).astype(int), len(grid) - 1)
-    base = cum[idx]
-    left = grid[idx]
-    fl = dens[idx]
     fx = (beta + lam) * beta * x * np.exp(-beta * x)
-    return base + 0.5 * (fl + fx) * (x - left)
+    return cum[idx] + 0.5 * (dens[idx] + fx) * (x - grid[idx])
 
 
 # numpy's SeedSequence hash (numpy/random/bit_generator.pyx): a pool of four
@@ -276,14 +274,16 @@ def simulate(sc: JumpDiffusionScenario, *, report_times=None, keep_paths: int = 
     ``SeedSequence(entropy=seed, spawn_key=(i,))``: first blocks of 8
     exponential jump gaps until their sum passes the horizon, then the
     Brownian normals for the report grid augmented by tau, then (for kept
-    paths) the bridge refinement onto the full dt grid.  The keys of all paths
+    paths) one normal per dt-grid point that is neither a report time nor
+    tau, in grid order, for the bridge fill.  The keys of all paths
     are derived in one vectorized pass of numpy's SeedSequence hash, and one
     Philox generator, re-keyed per path at counter zero, draws every path's
     first 8 gaps and its normals into preallocated arrays.  A path whose 8
     gaps end before the horizon, and every kept path, replays its own sequence
     from its key.  The draws are those of a fresh ``Generator(Philox(...))``
     per path, so results are reproducible per (seed, dt), and the first k paths
-    are the same whatever n_paths.
+    are the same whatever n_paths.  ``report_times`` must be finite, strictly
+    increasing and in (0, horizon].
     """
     if not 0 <= keep_paths <= sc.n_paths:
         raise SpaceValidationError(f"keep_paths must lie in [0, n_paths = {sc.n_paths}]")
@@ -291,6 +291,10 @@ def simulate(sc: JumpDiffusionScenario, *, report_times=None, keep_paths: int = 
     if report_times is None:
         report_times = H * np.arange(1, 9) / 8.0
     rep = np.asarray(report_times, dtype=float)
+    if not (rep.ndim == 1 and len(rep) and np.isfinite(rep).all() and rep[0] > 0.0
+            and rep[-1] <= H and (np.diff(rep) > 0.0).all()):
+        raise SpaceValidationError(
+            f"report_times must be finite, strictly increasing and in (0, horizon = {H:g}]")
     R = len(rep)
     scale = 1.0 / sc.lam
 
@@ -328,8 +332,7 @@ def _evaluate(sc, rep, jumps, normals, keep_paths, stream) -> PathBundle:
     Brownian normals, and ``stream(i)`` returns path i's generator positioned
     just after those normals, where its bridge fill continues.
     """
-    H, beta, lam = sc.horizon, sc.beta, sc.lam
-    n, R = len(jumps), len(rep)
+    H, n, R = sc.horizon, len(jumps), len(rep)
     t1, t2 = jumps[:, 0], jumps[:, 1]
     tau = np.minimum(sc.a * t2, t1)
     from_second = sc.a * t2 < t1
@@ -345,93 +348,90 @@ def _evaluate(sc, rep, jumps, normals, keep_paths, stream) -> PathBundle:
     W_tau = W_aug[tau_col]
     W_rep = W_aug[~tau_col].reshape(n, R)
 
-    # Poisson counts and the price at the report times
-    N_rep = np.zeros((n, R))
-    step = 8192
-    for lo in range(0, n, step):
-        hi = min(lo + step, n)
-        N_rep[lo:hi] = (jumps[lo:hi, :, None] <= rep[None, None, :]).sum(axis=1)
-    drift = sc.mu - sc.zeta * lam - 0.5 * sc.sigma**2
-    S_rep = sc.S0 * np.exp(sc.sigma * W_rep + drift * rep[None, :]) \
-        * (1.0 + sc.zeta) ** N_rep
-
-    # closed-form survival objects
-    before_t1 = rep[None, :] < t1[:, None]
-    egrid = np.exp(-beta * rep)[None, :] * (1.0 + beta * rep)[None, :]
-    G = np.where(before_t1, egrid, 0.0)
-    G_tilde = np.where(before_t1, egrid, 0.0)  # {t = T1} carries no dt mass
-    x1 = np.minimum(rep[None, :], t1[:, None])
-    m = 1.0 + lam * beta * _i1(beta, x1) \
-        - beta * t1[:, None] * np.exp(-beta * t1[:, None]) * (~before_t1)
-    grid, dens, cum = _quadrature_table(sc)
-    D_opt = _lebesgue_quadrature(sc, grid, dens, cum, x1) \
-        + np.exp(-beta * t1[:, None]) * (~before_t1)
-    xs = np.minimum(rep[None, :], tau[:, None])
-    N_G = (from_second[:, None] & (sc.a * t2[:, None] <= rep[None, :])).astype(float) \
-        - (lam + beta) * _ig(beta, xs)
-
+    quad = _quadrature_table(sc)
     bundle = PathBundle(
         scenario=sc, report_times=rep, t1=t1, t2=t2, tau=tau,
-        from_second_jump=from_second, W=W_rep, W_tau=W_tau, N=N_rep, S=S_rep,
-        G=G, G_tilde=G_tilde, m=m, D_opt=D_opt, N_G=N_G,
+        from_second_jump=from_second, W=W_rep, W_tau=W_tau,
+        **_path_processes(sc, quad, rep, jumps, tau, from_second, W_rep),
     )
-    for i in range(keep_paths):
-        bundle.samples.append(_full_grid_sample(
-            sc, grid, dens, cum, i, times_aug[i], W_aug[i], jumps[i],
-            tau[i], from_second[i], stream(i)))
+    if keep_paths:
+        grid, k = quad[0], keep_paths
+        W = np.stack([_bridge_fill(grid, np.r_[0.0, times_aug[i]], np.r_[0.0, W_aug[i]],
+                                   stream(i)) for i in range(k)])
+        full = _path_processes(sc, quad, grid, jumps[:k], tau[:k], from_second[:k], W)
+        res = np.abs(full["m"] - (full["G"] + full["D_opt"])).max(axis=1)
+        bundle.samples = [{"index": i, "time": grid, "W": W[i],
+                           **{key: v[i] for key, v in full.items()}, "tau": float(tau[i]),
+                           "t1": float(t1[i]), "m_identity_residual": float(res[i])}
+                          for i in range(k)]
     return bundle
 
 
-def _full_grid_sample(sc, grid, dens, cum, index, coarse_t, coarse_w, jumps,
-                      tau, from_second, gen):
-    """Bridge-fill one path onto the dt grid and evaluate every process on it."""
+def _path_processes(sc, quad, times, jumps, tau, from_second, W) -> dict:
+    """N, S, G, G~, m, D^o and N_G of every path (row) at the shared ``times``.
+
+    ``jumps`` (inf-padded rows), ``tau`` and ``from_second`` are per path, ``W``
+    is (paths, times), and ``quad`` is the dt-grid trapezoid table of D^o.
+    """
     beta, lam = sc.beta, sc.lam
-    anchors_t = np.concatenate([[0.0], coarse_t])
-    anchors_w = np.concatenate([[0.0], coarse_w])
+    t1 = jumps[:, :1]
+    N = _jump_counts(times, jumps)
+    S = sc.S0 * np.exp(sc.sigma * W + sc.drift * times) * (1.0 + sc.zeta) ** N
+    before_t1 = times < t1
+    G = np.where(before_t1, np.exp(-beta * times) * (1.0 + beta * times), 0.0)
+    x1 = np.minimum(times, t1)
+    m = 1.0 + lam * beta * _i1(beta, x1) - beta * t1 * np.exp(-beta * t1) * ~before_t1
+    D_opt = _lebesgue_quadrature(sc, *quad, x1) + np.exp(-beta * t1) * ~before_t1
+    tau = tau[:, None]
+    N_G = (from_second[:, None] & (tau <= times)).astype(float) \
+        - (lam + beta) * _ig(beta, np.minimum(times, tau))
+    # G~ = G: {t = T1} has probability 0 on a fixed grid
+    return {"N": N, "S": S, "G": G, "G_tilde": G.copy(), "m": m, "D_opt": D_opt, "N_G": N_G}
+
+
+def _jump_counts(times, jumps) -> np.ndarray:
+    """#{k : jumps[i, k] <= times[g]}, (paths, times), with no times x jumps table:
+    each jump lands on the first time at or after it (inf padding past the end),
+    and counts are running sums of landings, 8192 paths at a time."""
+    T, rows = len(times), 8192
+    N = np.empty((len(jumps), T))
+    for lo in range(0, len(jumps), rows):
+        land = np.searchsorted(times, jumps[lo:lo + rows])
+        land += (T + 1) * np.arange(len(land))[:, None]
+        hits = np.bincount(land.ravel(), minlength=len(land) * (T + 1))
+        N[lo:lo + rows] = hits.reshape(-1, T + 1).cumsum(axis=1)[:, :T]
+    return N
+
+
+def _bridge_fill(grid, anchors_t, anchors_w, gen) -> np.ndarray:
+    """Brownian values on ``grid`` through the anchors (ascending, from (0, 0)).
+
+    A grid point equal to an anchor takes its value; every other point takes
+    one normal z from ``gen``, in grid order, in one call.  Between anchors
+    s < u_1 < ... < e the sequential Brownian bridge is, with u_0 = s,
+    W(u_k) = ws + (u_k - s)/(e - s) (we - ws)
+             + (e - u_k) sum_{i<=k} sqrt((u_i - u_{i-1}) / ((e - u_i)(e - u_{i-1}))) z_i;
+    past the last anchor W moves by independent increments.
+    """
     W = np.empty_like(grid)
-    W[0] = 0.0
-    for j in range(len(anchors_t) - 1):
-        s, e = anchors_t[j], anchors_t[j + 1]
-        ws, we = anchors_w[j], anchors_w[j + 1]
-        inside = np.flatnonzero((grid > s) & (grid < e))
-        prev_t, prev_w = s, ws
-        for g in inside:
-            u = grid[g]
-            span = e - prev_t
-            mean = prev_w + (u - prev_t) / span * (we - prev_w)
-            var = (u - prev_t) * (e - u) / span
-            prev_w = mean + np.sqrt(max(var, 0.0)) * gen.standard_normal()
-            prev_t = u
-            W[g] = prev_w
-        on = np.flatnonzero(np.isclose(grid, e) & (grid > s))
-        for g in on:
-            W[g] = we
-    # grid points past the last anchor (a horizon that is not a multiple of dt,
-    # or report times ending before it) continue by independent increments
-    prev_t, prev_w = anchors_t[-1], anchors_w[-1]
-    for g in np.flatnonzero((grid > prev_t) & ~np.isclose(grid, prev_t)):
-        prev_w = prev_w + np.sqrt(grid[g] - prev_t) * gen.standard_normal()
-        prev_t = grid[g]
-        W[g] = prev_w
-    t1 = jumps[0]
-    N = (jumps[None, :] <= grid[:, None]).sum(axis=1).astype(float)
-    drift = sc.mu - sc.zeta * lam - 0.5 * sc.sigma**2
-    S = sc.S0 * np.exp(sc.sigma * W + drift * grid) * (1.0 + sc.zeta) ** N
-    before = grid < t1
-    e1 = np.exp(-beta * grid) * (1.0 + beta * grid)
-    G = np.where(before, e1, 0.0)
-    G_tilde = np.where(before, e1, 0.0)  # as on the report grid: {t = T1} carries no dt mass
-    x1 = np.minimum(grid, t1)
-    m = 1.0 + lam * beta * _i1(beta, x1) - beta * t1 * np.exp(-beta * t1) * (grid >= t1)
-    D_opt = _lebesgue_quadrature(sc, grid, dens, cum, x1) + np.exp(-beta * t1) * (grid >= t1)
-    xs = np.minimum(grid, tau)
-    N_G = (float(from_second) * (tau <= grid)) - (lam + beta) * _ig(beta, xs)
-    return {
-        "index": index, "time": grid, "W": W, "N": N, "S": S,
-        "G": G, "G_tilde": G_tilde, "m": m, "D_opt": D_opt, "N_G": N_G,
-        "tau": float(tau), "t1": float(t1),
-        "m_identity_residual": float(np.max(np.abs(m - (G + D_opt)))),
-    }
+    at = np.searchsorted(grid, anchors_t)                   # first point at or after each anchor
+    after = np.searchsorted(grid, anchors_t, side="right")  # first point past each anchor
+    W[at[at < after]] = anchors_w[at < after]
+    # segment k runs from anchor k to anchor k + 1, the last one to the grid's end
+    ends = np.append(at[1:], len(grid))
+    sizes = np.maximum(ends - after, 0)
+    z = np.split(gen.standard_normal(sizes.sum()), np.cumsum(sizes)[:-1])
+    for k in np.flatnonzero(sizes):
+        lo, hi = after[k], ends[k]
+        s, ws, u = anchors_t[k], anchors_w[k], grid[lo:hi]
+        p = np.maximum(grid[lo - 1:hi - 1], s)  # lo >= 1: grid[0] = 0 is the first anchor
+        if k + 1 == len(anchors_t):
+            W[lo:hi] = ws + np.cumsum(np.sqrt(u - p) * z[k])
+            continue
+        e, we = anchors_t[k + 1], anchors_w[k + 1]
+        W[lo:hi] = ws + (u - s) / (e - s) * (we - ws) \
+            + (e - u) * np.cumsum(np.sqrt((u - p) / ((e - u) * (e - p))) * z[k])
+    return W
 
 
 def closed_forms(bundle: PathBundle) -> dict:
@@ -512,20 +512,29 @@ def build_deflator(bundle: PathBundle, psi1: float, psi2: float, *,
             f"phi_o at the first jump breaches psi2 (1 + beta T1) on path {int(bad[0])}",
         )
 
-    ts = bundle.stopped_times()
-    Ws = bundle.stopped_W()
-    jump_seen = bundle.first_jump_stopped()
+    e_l, e_ng, e_d = _deflator_factors(
+        sc, bundle.report_times, bundle.W, bundle.W_tau[:, None], bundle.tau[:, None],
+        bundle.t1[:, None], bundle.from_second_jump[:, None], psi1, psi2, phi_o, phi_pr)
+    return {"Z": e_l * e_ng * e_d, "E_L": e_l, "E_NG": e_ng, "E_D": e_d}
+
+
+def _deflator_factors(sc, times, W, W_tau, tau, t1, from_second, psi1, psi2, phi_o, phi_pr):
+    """E(L)^tau, E(phi_o . N_G) and E(phi_pr . D) at the stopped (t ^ tau, W_{t ^ tau}).
+
+    ``W`` is unstopped at ``times``; the per-path arguments broadcast against
+    it (columns for many paths, scalars for one).
+    """
+    beta, lam = sc.beta, sc.lam
+    seen = tau <= times
+    ts = np.minimum(times, tau)
+    Ws = np.where(seen, W_tau, W)
     log_el = (psi1 * Ws - 0.5 * psi1**2 * ts - lam * psi2 * ts
               + (lam / beta) * np.log1p(beta * ts))
-    e_l = np.exp(log_el) * np.where(
-        jump_seen > 0, (1.0 + beta * bundle.t1[:, None]) * psi2, 1.0)
-    second_seen = (bundle.from_second_jump[:, None]
-                   & (bundle.tau[:, None] <= bundle.report_times[None, :]))
-    e_ng = np.where(second_seen, 1.0 + phi_o, 1.0) \
+    e_l = np.exp(log_el) * np.where(seen & ~from_second, (1.0 + beta * t1) * psi2, 1.0)
+    e_ng = np.where(seen & from_second, 1.0 + phi_o, 1.0) \
         * np.exp(-phi_o * (lam + beta) * _ig(beta, ts))
-    e_d = 1.0 + phi_pr * bundle.default_seen()
-    Z = e_l * e_ng * e_d
-    return {"Z": Z, "E_L": e_l, "E_NG": e_ng, "E_D": e_d}
+    e_d = 1.0 + phi_pr * seen
+    return e_l, e_ng, e_d
 
 
 def proportional_wealth(bundle: PathBundle, theta: float, *, stopped: bool = True) -> np.ndarray:
@@ -550,21 +559,10 @@ def proportional_wealth(bundle: PathBundle, theta: float, *, stopped: bool = Tru
 def deflator_grid(bundle: PathBundle, index: int, psi1: float, psi2: float, *,
                   phi_o: float = 0.0, phi_pr: float = 0.0) -> np.ndarray:
     """Deflator values of one kept sample path on the full dt grid."""
-    sc = bundle.scenario
-    beta, lam = sc.beta, sc.lam
     s = bundle.samples[index]
-    grid = s["time"]
-    tau, t1 = s["tau"], s["t1"]
-    ts = np.minimum(grid, tau)
-    Ws = np.where(grid >= tau, bundle.W_tau[index], s["W"])
-    jump_seen = (not bundle.from_second_jump[index]) & (tau <= grid)
-    log_el = (psi1 * Ws - 0.5 * psi1**2 * ts - lam * psi2 * ts
-              + (lam / beta) * np.log1p(beta * ts))
-    e_l = np.exp(log_el) * np.where(jump_seen, (1.0 + beta * t1) * psi2, 1.0)
-    second_seen = bundle.from_second_jump[index] & (tau <= grid)
-    e_ng = np.where(second_seen, 1.0 + phi_o, 1.0) \
-        * np.exp(-phi_o * (lam + beta) * _ig(beta, ts))
-    e_d = 1.0 + phi_pr * (tau <= grid)
+    e_l, e_ng, e_d = _deflator_factors(
+        bundle.scenario, s["time"], s["W"], bundle.W_tau[index], s["tau"], s["t1"],
+        bundle.from_second_jump[index], psi1, psi2, phi_o, phi_pr)
     return e_l * e_ng * e_d
 
 

@@ -371,7 +371,8 @@ def transport_loop(V, tau, G_minus, G_tilde, block_rows, w):
 # Per-path reference for the Monte-Carlo engine: a fresh SeedSequence, Philox
 # and Generator for every path, and a ragged list of jump times.  ``simulate``
 # derives the same keys in one pass and re-keys one generator; every draw and
-# every array it returns must equal this reference bit for bit.
+# every array it returns must equal this reference bit for bit.  ``bridge_loop``
+# is the per-point bridge fill that the engine's cumulative-sum fill replaced.
 
 def per_path_simulate(sc, *, report_times=None, keep_paths=0):
     from horizon_deflators import jumpdiff as jd
@@ -404,6 +405,39 @@ def per_path_simulate(sc, *, report_times=None, keep_paths=0):
     for i, c in enumerate(jump_lists):
         jumps[i, :len(c)] = c
     return jd._evaluate(sc, rep, jumps, normals, keep_paths, keep_streams.__getitem__)
+
+
+def bridge_loop(grid, anchors_t, anchors_w, gen):
+    """The per-point bridge fill that ``jumpdiff._bridge_fill`` replaced.
+
+    Anchors ascend from (0, 0).  One ``standard_normal()`` call per grid point
+    strictly inside an anchor interval, each a one-step bridge from the last
+    filled point to the interval's end; then every point within ``np.isclose``
+    of that end is set to the end's value.  Points past the last anchor (and
+    not within ``np.isclose`` of it) move by independent increments.
+    """
+    W = np.empty_like(grid)
+    W[0] = 0.0
+    for j in range(len(anchors_t) - 1):
+        s, e = anchors_t[j], anchors_t[j + 1]
+        ws, we = anchors_w[j], anchors_w[j + 1]
+        prev_t, prev_w = s, ws
+        for g in np.flatnonzero((grid > s) & (grid < e)):
+            u = grid[g]
+            span = e - prev_t
+            mean = prev_w + (u - prev_t) / span * (we - prev_w)
+            var = (u - prev_t) * (e - u) / span
+            prev_w = mean + np.sqrt(max(var, 0.0)) * gen.standard_normal()
+            prev_t = u
+            W[g] = prev_w
+        for g in np.flatnonzero(np.isclose(grid, e) & (grid > s)):
+            W[g] = we
+    prev_t, prev_w = anchors_t[-1], anchors_w[-1]
+    for g in np.flatnonzero((grid > prev_t) & ~np.isclose(grid, prev_t)):
+        prev_w = prev_w + np.sqrt(grid[g] - prev_t) * gen.standard_normal()
+        prev_t = grid[g]
+        W[g] = prev_w
+    return W
 
 
 # ------------------------------------------------------------------------------

@@ -16,7 +16,7 @@ from horizon_deflators import (
     solve_drift,
 )
 from horizon_deflators import jumpdiff as jd
-from oracle import per_path_simulate, sandwich_regression_z
+from oracle import bridge_loop, per_path_simulate, sandwich_regression_z
 
 
 def scenario(**kw):
@@ -83,6 +83,14 @@ def test_solve_drift_examples():
 
 
 # -------------------------------------------------------------------- simulate
+
+@pytest.mark.parametrize("report_times", [[0.75, 0.25], [0.5, np.nan], [1.0, 3.0],
+                                          [0.0, 0.5], [0.5, 0.5], [], [[0.5]]])
+def test_simulate_rejects_bad_report_times(report_times):
+    # jumps are drawn only up to the horizon, so a later time would undercount N
+    with pytest.raises(SpaceValidationError, match="report_times must be finite"):
+        simulate(scenario(n_paths=20, lam=6.0), report_times=report_times)
+
 
 def test_simulation_reproducible_and_prefix_stable():
     sc = scenario(n_paths=500)
@@ -195,6 +203,58 @@ def test_g_tilde_vanishes_from_t1_on_both_grids():
             assert np.array_equal(G_tilde, G)
             assert np.all(G_tilde[times >= t1[i]] == 0.0)
             assert np.all(G_tilde[times < t1[i]] > 0.0)
+
+
+def _bridge_anchors(b, i):
+    """Path i's anchors as ``_evaluate`` builds them: (0, 0), then the report
+    times and tau ^ horizon in stable sorted order, with their Brownian values."""
+    t = np.append(b.report_times, min(b.tau[i], b.scenario.horizon))
+    w = np.append(b.W[i], b.W_tau[i])
+    order = np.argsort(t, kind="stable")
+    return np.r_[0.0, t[order]], np.r_[0.0, w[order]]
+
+
+@pytest.mark.parametrize("dt, n_paths", [(2.0 ** -6, 30), (2.0 ** -10, 30), (2.0 ** -16, 4)])
+def test_bridge_fill_matches_per_point_reference(dt, n_paths):
+    # horizon 0.65 is no multiple of dt, and [0.1, 0.3] ends early.  The
+    # reference set a grid point within np.isclose of an anchor, without
+    # equalling it, to the anchor's value (8 of the 12 paths at 2^-16 have one,
+    # all before their last anchor, so the reference drew the same normals)
+    sc = scenario(n_paths=n_paths, horizon=0.65, dt=dt, seed=3)
+    grid = jd._quadrature_table(sc)[0]
+    for rep in (None, [0.1, 0.3], [0.25, 0.5]):
+        b = simulate(sc, report_times=rep)
+        for i in range(n_paths):
+            at, aw = _bridge_anchors(b, i)
+            gen, ref_gen = np.random.default_rng(i), np.random.default_rng(i)
+            W, W_ref = jd._bridge_fill(grid, at, aw, gen), bridge_loop(grid, at, aw, ref_gen)
+            assert gen.bit_generator.state == ref_gen.bit_generator.state
+            on = (grid[:, None] == at).any(axis=1)
+            near = np.isclose(grid[:, None], at).any(axis=1) & ~on
+            assert np.max(np.abs(W - W_ref)[~near]) <= 1e-11
+            assert np.array_equal(W[on], aw[np.searchsorted(at, grid[on])])
+
+
+def test_bridge_point_near_tau_keeps_its_bridge_value():
+    # tau = T1 lies 2e-6 after the grid point 0.5, within np.isclose of it; 0.5
+    # is the one grid point inside the anchor interval (0.5 - dt, tau), so it
+    # takes the one-step bridge value, not W_tau
+    sc = scenario(n_paths=1, dt=2.0 ** -6)
+    t1 = 0.5 + 2e-6
+    jumps = np.array([[t1, 5.0, np.inf]])  # tau = T1
+    rep = np.array([0.25, 0.5 - 2.0 ** -6, 1.0])
+    normals = np.random.default_rng(0).standard_normal((1, len(rep) + 1))
+    b = jd._evaluate(sc, rep, jumps, normals, 1, lambda i: np.random.default_rng(1))
+    s = b.samples[0]
+    g = np.flatnonzero(s["time"] == 0.5)[0]
+    assert np.isclose(0.5, t1) and b.tau[0] == t1
+    # grid order: 15 normals inside (0, 0.25), 14 inside (0.25, 0.5 - dt), then 0.5's
+    z = np.random.default_rng(1).standard_normal(30)[-1]
+    u, start, ws, we = 0.5, rep[1], b.W[0, 1], b.W_tau[0]
+    bridge = ws + (u - start) / (t1 - start) * (we - ws) \
+        + np.sqrt((u - start) * (t1 - u) / (t1 - start)) * z
+    assert abs(s["W"][g] - bridge) <= 1e-12
+    assert s["W"][g] != we
 
 
 def test_bridge_samples_consistent_with_report_grid():
