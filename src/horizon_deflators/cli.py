@@ -31,6 +31,9 @@ from .market import MarketModel, verify_deflator, verify_lmd
 from .prob_core import classify
 
 OUT_ENV = "HORIZON_DEFLATORS_OUT"
+# family-wise size of the simulate suite: the chance that a correct model has
+# any of the suite's z-scores past the critical value
+SUITE_ALPHA = 0.01
 
 
 def _outdir(args) -> str:
@@ -191,8 +194,10 @@ def cmd_simulate(args) -> int:
         "deflated_price_drift": (jd.lmd_times_price(bundle, psi1, psi2), 1.0,
                                  "martingale", feats),
     }
+    n_z = jd.suite_z_count(suite, len(bundle.report_times))
+    z_crit = jd.sidak_z_crit(SUITE_ALPHA, n_z)
     results, rejected, warnings = {}, [], []
-    for name, rep in jd.mc_suite(suite, bundle.report_times).items():
+    for name, rep in jd.mc_suite(suite, bundle.report_times, z_crit=z_crit).items():
         results[name] = {
             "null": rep.null,
             "means": rep.means.tolist(),
@@ -212,6 +217,9 @@ def cmd_simulate(args) -> int:
                      "dt": sc.dt, "n_paths": sc.n_paths, "seed": sc.seed,
                      "psi1": psi1, "psi2": psi2},
         "report_times": bundle.report_times.tolist(),
+        "alpha": SUITE_ALPHA,
+        "n_zscores": n_z,
+        "z_crit": z_crit,
         "results": results,
         "m_identity_residual": jd.closed_forms(bundle)["m_identity_residual"],
         "rejected": sorted(rejected),
@@ -233,7 +241,8 @@ def cmd_simulate(args) -> int:
         print(f"warning: {w}", file=sys.stderr)
     if rejected:
         return _fail(1, f"null rejected for: {', '.join(sorted(rejected))}")
-    print(f"simulate: all {len(suite)} statistical nulls pass at 3 standard errors")
+    print(f"simulate: all {len(suite)} statistical nulls pass: every one of {n_z} z-scores "
+          f"within {z_crit:.3f} (family-wise size {SUITE_ALPHA:g})")
     return 0
 
 

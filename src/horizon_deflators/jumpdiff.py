@@ -32,6 +32,7 @@ zero standard error reads as a pass only where the mean equals the start.
 from __future__ import annotations
 
 import math
+import statistics
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -695,6 +696,26 @@ def mc_suite(tests, times, *, z_crit: float = 3.0) -> dict[str, MCTestReport]:
             reports[name] = replace(rep, regression_z=reg_z, rejected=max_z > z_crit,
                                     max_abs_z=max_z)
     return reports
+
+
+def suite_z_count(tests, n_times: int) -> int:
+    """The number of z-scores :func:`mc_suite` computes for ``tests`` over ``n_times``
+    report times: one mean z per time, plus p + 1 regression coefficients per
+    one-step increment of each martingale null with (n_paths, n_times, p) features."""
+    count = 0
+    for _, _, null, features in tests.values():
+        count += n_times
+        if features is not None and null == "martingale" and n_times > 1:
+            count += (n_times - 1) * (np.shape(features)[2] + 1)
+    return count
+
+
+def sidak_z_crit(alpha: float, n_z: int) -> float:
+    """The |z| bound that n_z independent N(0, 1) z-scores all stay within with
+    probability 1 - alpha: each is tested at the two-sided level
+    1 - (1 - alpha)^(1/n_z) (Sidak, JASA 1967)."""
+    per_z = -math.expm1(math.log1p(-alpha) / n_z)
+    return statistics.NormalDist().inv_cdf(1.0 - per_z / 2.0)
 
 
 def _sandwich_z(F, Xs) -> np.ndarray:

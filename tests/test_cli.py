@@ -337,7 +337,60 @@ def test_simulate_regression_survives_huge_price_feature(tmp_path):
     summary = json.loads((tmp_path / "simulate-summary.json").read_text())
     five = ("m", "N_G", "survival_exponential", "transported_brownian", "transported_poisson")
     assert not set(five) & set(summary["rejected"])
-    assert all(summary["results"][name]["max_abs_z"] < 3.0 for name in five)
+    assert all(summary["results"][name]["max_abs_z"] < summary["z_crit"] for name in five)
+    # the five nulls do not depend on mu, and S is the mu = 0.03 price times
+    # exp(399.97 t), a constant per report time: the regression z-scores match
+    regression_z = {}
+    for mu in (400, 0.03):
+        sc, _ = modelio.load_scenario({**doc, "mu": mu})
+        b = jd.simulate(sc)
+        feats = jd.feature_matrix(b)
+        suite = {"m": (b.m, 1.0), "N_G": (b.N_G, 0.0),
+                 "survival_exponential": (jd.survival_exponential(b), 1.0),
+                 "transported_brownian": (jd.transported_brownian(b), 0.0),
+                 "transported_poisson": (jd.transported_poisson(b), 0.0)}
+        reports = jd.mc_suite({name: (values, start, "martingale", feats)
+                               for name, (values, start) in suite.items()}, b.report_times)
+        regression_z[mu] = {name: rep.regression_z for name, rep in reports.items()}
+    for name in five:
+        assert np.allclose(regression_z[400][name], regression_z[0.03][name],
+                           rtol=1e-8, atol=0.0), name
+
+
+@pytest.mark.parametrize("seed", range(100, 110))
+def test_simulate_rejects_wrong_processes(tmp_path, monkeypatch, seed):
+    # four processes that are not martingales, each in place of one null of
+    # the README suite at 100k paths; the suite must reject every one at its
+    # family-wise critical value, on every seed
+    simulate, lmd_times_price = jd.simulate, jd.lmd_times_price
+
+    def wrong_bundle(sc, **kwargs):
+        b = simulate(sc, **kwargs)
+        t, t1 = b.report_times, b.t1[:, None]
+        # N_G without its compensator
+        b.N_G = (b.from_second_jump[:, None] & (b.tau[:, None] <= t)).astype(float)
+        # m with lam 10% too high in its Lebesgue part
+        b.m = b.m + 0.1 * sc.lam * sc.beta * jd._i1(sc.beta, np.minimum(t, t1))
+        return b
+
+    def damped_poisson(b):
+        # jump factor 1 + beta T1 / (1 + beta T1) in place of 1 + beta T1
+        sc, t1 = b.scenario, b.t1[:, None]
+        return b.first_jump_stopped() * (1.0 + sc.beta * t1 / (1.0 + sc.beta * t1)) \
+            - sc.lam * b.stopped_times()
+
+    monkeypatch.setattr(jd, "simulate", wrong_bundle)
+    monkeypatch.setattr(jd, "transported_poisson", damped_poisson)
+    monkeypatch.setattr(jd, "lmd_times_price",  # psi1 10% off
+                        lambda b, psi1, psi2: lmd_times_price(b, 1.1 * psi1, psi2))
+    doc = {"sigma": 0.2, "zeta": 0.1, "mu": 0.03, "lambda": 2.0, "a": 0.5, "psi2": 1.0,
+           "seed": seed, "n_paths": 100_000, "keep_paths": 0}
+    modelio.write_json(tmp_path / "scenario.json", doc)
+    assert run("simulate", "--scenario", tmp_path / "scenario.json", "--out", tmp_path) == 1
+    summary = json.loads((tmp_path / "simulate-summary.json").read_text())
+    wrong = ("N_G", "deflated_price_drift", "m", "transported_poisson")
+    assert set(wrong) <= set(summary["rejected"])
+    assert all(summary["results"][name]["max_abs_z"] > summary["z_crit"] for name in wrong)
 
 
 def test_simulate_without_a_default_rejects_the_default_driven_nulls(tmp_path, capsys):
