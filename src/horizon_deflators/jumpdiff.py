@@ -639,7 +639,8 @@ def mc_suite(tests, times, *, z_crit: float = 3.0) -> dict[str, MCTestReport]:
     ``tests`` maps a name to ``(values, start, null, features)``.  ``values``
     is (n_paths, n_times).  Under the ``"martingale"`` null every mean equals
     ``start``; under ``"supermartingale"`` means may only drift down.  A zero
-    standard error gives z = 0 where the mean equals ``start`` and z = +-inf
+    standard error (a column of one repeated value, whose mean is that value)
+    gives z = 0 where the mean equals ``start`` and z = +-inf
     (with a warning naming the null and the times) where it does not.  With
     (n_paths, n_times, p) ``features`` observable at each time, the one-step
     increments of a martingale null are regressed on them (intercept added)
@@ -665,6 +666,10 @@ def mc_suite(tests, times, *, z_crit: float = 3.0) -> dict[str, MCTestReport]:
         with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
             means = X.mean(axis=0)
             ses = X.std(axis=0, ddof=1) / np.sqrt(n) if n > 1 else np.full_like(means, np.nan)
+            if n > 1:  # a float sum of one repeated value can miss it by an ulp
+                const = (X == X[0]).all(axis=0)
+                means = np.where(const, X[0], means)
+                ses = np.where(const, 0.0, ses)
             dev = means - start
             z = np.where((ses == 0) & (dev == 0), 0.0, dev / ses)
         flat = (ses == 0) & (dev != 0)

@@ -380,6 +380,17 @@ def test_mc_test_zero_variance_off_start(value, null, z):
                            f"0.75, 1: z = +-inf under the {null} null")
 
 
+@pytest.mark.parametrize("n", [1000, 1001, 4097])
+@pytest.mark.parametrize("value", [0.1, 0.3, 1.0 / 3.0])
+def test_mc_test_constant_column_has_its_value_as_mean(value, n):
+    # the float mean of n copies of 0.1 can be an ulp off 0.1, with that ulp
+    # as its standard error: z = sqrt(n) on a constant martingale
+    rep = mc_test(np.full((n, 4), value), [0.25, 0.5, 0.75, 1.0], start=value)
+    assert np.array_equal(rep.means, np.full(4, value))
+    assert np.array_equal(rep.ses, np.zeros(4)) and np.array_equal(rep.zscores, np.zeros(4))
+    assert not rep.rejected and rep.max_abs_z == 0.0 and rep.warning is None
+
+
 def _random_suite(seed):
     """1-6 martingale nulls of n = 30..20k paths sharing one feature array.
 
