@@ -45,6 +45,8 @@ MAX_STEPS = 2**20        # dt-grid points: bounds the quadrature table and each 
 MAX_MEAN_JUMPS = 2**10   # lam * horizon: bounds the jump table and the gap-drawing loop
 MAX_EXPONENT = 512.0     # sigma^2 * horizon and |drift| * horizon: exp(sigma W_t + drift t)
                          # stays far from float overflow
+MIN_SAMPLES = 20         # fewest paths a standard error rests on: a progressive_mean_test
+                         # bin, or the non-zero increments of an mc_suite regression step
 
 
 @dataclass(frozen=True)
@@ -591,7 +593,7 @@ def progressive_mean_test(bundle: PathBundle, values_at_default, *,
         v = vals[sel]
         for b in range(n_bins):
             grp = v[which == b]
-            if len(grp) < 20:
+            if len(grp) < MIN_SAMPLES:
                 continue
             se = grp.std(ddof=1) / np.sqrt(len(grp))
             z = 0.0 if se == 0 else grp.mean() / se
@@ -646,7 +648,10 @@ def mc_suite(tests, times, *, z_crit: float = 3.0) -> dict[str, MCTestReport]:
     increments of a martingale null are regressed on them (intercept added)
     and the heteroskedasticity-robust coefficient z-scores sharpen the test;
     nulls passing the same features object share one regression pass per step.
-    Features whose first two axes differ from ``values`` raise ``ValueError``.
+    A step where fewer than ``MIN_SAMPLES`` paths carry a non-zero increment
+    of a null is not regressed for it: its regression z-scores are NaN, and a
+    warning names the step and the count.  Features whose first two axes
+    differ from ``values`` raise ``ValueError``.
 
     Each test fails closed: non-finite values or features, or a mean or
     standard error that is not finite (fewer than two paths, overflow), give
@@ -694,12 +699,21 @@ def mc_suite(tests, times, *, z_crit: float = 3.0) -> dict[str, MCTestReport]:
         if F is not None and null == "martingale" and X.shape[1] > 1:
             shared.setdefault(id(features), (F, []))[1].append((name, X))
     for F, members in shared.values():
-        reg = _sandwich_z(F, [X for _, X in members])
-        for (name, _), reg_z in zip(members, reg):
+        reg, live = _sandwich_z(F, [X for _, X in members])
+        for (name, _), reg_z, n_live in zip(members, reg, live):
             rep = reports[name]
-            max_z = max(rep.max_abs_z, float(np.max(np.abs(reg_z))))
+            used = ~np.isnan(reg_z)
+            max_z = max(rep.max_abs_z, float(np.max(np.abs(reg_z), where=used, initial=0.0)))
+            warning = rep.warning
+            few = np.flatnonzero(n_live < MIN_SAMPLES)
+            if len(few):
+                steps = ", ".join(f"{times[j]:g} -> {times[j + 1]:g} "
+                                  f"({n_live[j]} path{'' if n_live[j] == 1 else 's'})" for j in few)
+                warning = "; ".join(filter(None, [warning, (
+                    f"regression skipped where fewer than {MIN_SAMPLES} paths carry a "
+                    f"non-zero increment: t = {steps}")]))
             reports[name] = replace(rep, regression_z=reg_z, rejected=max_z > z_crit,
-                                    max_abs_z=max_z)
+                                    max_abs_z=max_z, warning=warning)
     return reports
 
 
@@ -723,8 +737,13 @@ def sidak_z_crit(alpha: float, n_z: int) -> float:
     return statistics.NormalDist().inv_cdf(1.0 - per_z / 2.0)
 
 
-def _sandwich_z(F, Xs) -> np.ndarray:
-    """Robust z-scores of each X's one-step increments on [1, F_j]: (len(Xs), R - 1, p + 1).
+def _sandwich_z(F, Xs) -> tuple:
+    """Robust z-scores of each X's one-step increments on [1, F_j]: (len(Xs), R - 1, p + 1),
+    and the number of non-zero increments of each X per step: (len(Xs), R - 1).
+
+    A step where fewer than ``MIN_SAMPLES`` increments of an X are non-zero
+    has NaN z-scores for that X: a sandwich standard error from a handful of
+    paths can sit near 0 and give any z.
 
     Per step j the design rows A = [1/2, F_j] and the increment rows DX are
     filled into preallocated buffers, every feature and increment row scaled
@@ -750,11 +769,13 @@ def _sandwich_z(F, Xs) -> np.ndarray:
     DX = np.empty((k, n))
     meat = np.empty((k, p + 1, p + 1))
     out = np.empty((k, R - 1, p + 1))
+    live = np.empty((k, R - 1), dtype=int)
     rtol = (p + 1) * n * np.finfo(float).eps
     for j in range(R - 1):
         A[1:] = F[:, j, :].T
         for i, X in enumerate(Xs):
             np.subtract(X[:, j + 1], X[:, j], out=DX[i])
+        live[:, j] = np.count_nonzero(DX, axis=1)
         for M in (A[1:], DX):
             top = np.maximum(M.max(axis=1), -M.min(axis=1))
             np.ldexp(M, -np.frexp(top)[1][:, None], out=M)
@@ -770,7 +791,8 @@ def _sandwich_z(F, Xs) -> np.ndarray:
         cov = G_inv @ meat @ G_inv
         se = np.sqrt(np.maximum(np.diagonal(cov, axis1=1, axis2=2), 1e-300))
         out[:, j] = C.T / se
-    return out
+        out[live[:, j] < MIN_SAMPLES, j] = np.nan
+    return out, live
 
 
 def feature_matrix(bundle: PathBundle) -> np.ndarray:

@@ -451,6 +451,8 @@ def sandwich_regression_z(values, features):
     """Regression z-scores and standard errors of one null's increments.
 
     Both are (n_times - 1, p + 1); a standard error at 1e-150 sits on the floor.
+    A step where fewer than 20 increments are non-zero is skipped: its row of
+    each is NaN.
     """
     X = np.asarray(values, dtype=float)
     F = np.asarray(features, dtype=float)
@@ -458,6 +460,10 @@ def sandwich_regression_z(values, features):
     rows, ses = [], []
     for j in range(X.shape[1] - 1):
         dx = X[:, j + 1] - X[:, j]
+        if np.count_nonzero(dx) < 20:
+            rows.append(np.full(F.shape[2] + 1, np.nan))
+            ses.append(np.full(F.shape[2] + 1, np.nan))
+            continue
         A = np.column_stack([np.ones(n), F[:, j, :]])
         coef, *_ = np.linalg.lstsq(A, dx, rcond=None)
         resid = dx - A @ coef
