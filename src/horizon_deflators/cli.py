@@ -13,6 +13,7 @@ import math
 import os
 import sys
 from dataclasses import replace
+from statistics import NormalDist
 
 import numpy as np
 
@@ -194,8 +195,12 @@ def cmd_simulate(args) -> int:
         "deflated_price_drift": (jd.lmd_times_price(bundle, psi1, psi2), 1.0,
                                  "martingale", feats),
     }
-    n_z = jd.suite_z_count(suite, len(bundle.report_times))
-    z_crit = jd.sidak_z_crit(SUITE_ALPHA, n_z)
+    # every mean z, and every regression coefficient z of a (martingale) null
+    # with (n_paths, R, p) features; Sidak (JASA 1967): n_z independent
+    # N(0, 1) z-scores each tested two-sided at 1 - (1 - alpha)^(1/n_z)
+    R = len(bundle.report_times)
+    n_z = sum(R if f is None else R + (R - 1) * (f.shape[2] + 1) for *_, f in suite.values())
+    z_crit = NormalDist().inv_cdf(1.0 + math.expm1(math.log1p(-SUITE_ALPHA) / n_z) / 2.0)
     results, rejected, warnings = {}, [], []
     for name, rep in jd.mc_suite(suite, bundle.report_times, z_crit=z_crit).items():
         results[name] = {

@@ -21,6 +21,10 @@ dt grid; the Lebesgue part of D^o is the one quantity evaluated by trapezoidal
 quadrature on the dt grid, so the pathwise identity m = G + D^o holds up to
 O(dt^2).
 
+Draws come from one counter-based Philox stream (Salmon et al., SC'11): path
+i owns a fixed run of counter blocks, so all paths are drawn in one pass, and
+each path has a spill stream of its own for the rare extra draws (``simulate``).
+
 Statistical verification is by Monte-Carlo means with standard errors,
 sharpened by regressing one-step increments on observable features with
 heteroskedasticity-robust (sandwich) standard errors.  ``mc_suite`` tests a
@@ -32,7 +36,6 @@ zero standard error reads as a pass only where the mean equals the start.
 from __future__ import annotations
 
 import math
-import statistics
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -40,13 +43,14 @@ import numpy as np
 from .errors import AdmissibilityError, SpaceValidationError
 
 SIGMA_FLOOR = 1e-12
-MAX_PATHS = 2**32        # a path index must fit one 32-bit spawn-key word
+MAX_PATHS = 2**32        # the n_paths K / 4 main-stream counter blocks stay below 2^64, so counter
+                         # word 0 never carries into word 1, which numbers the spill streams
 MAX_STEPS = 2**20        # dt-grid points: bounds the quadrature table and each kept path's arrays
 MAX_MEAN_JUMPS = 2**10   # lam * horizon: bounds the jump table and the gap-drawing loop
 MAX_EXPONENT = 512.0     # sigma^2 * horizon and |drift| * horizon: exp(sigma W_t + drift t)
                          # stays far from float overflow
 MIN_SAMPLES = 20         # fewest paths a standard error rests on: a progressive_mean_test
-                         # bin, or the non-zero increments of an mc_suite regression step
+                         # bin, or the moving paths of an mc_suite regression step
 
 
 @dataclass(frozen=True)
@@ -189,103 +193,26 @@ def _lebesgue_quadrature(sc, grid, dens, cum, x):
     return cum[idx] + 0.5 * (dens[idx] + fx) * (x - grid[idx])
 
 
-# numpy's SeedSequence hash (numpy/random/bit_generator.pyx): a pool of four
-# 32-bit words, hashed with these constants.
-_POOL = 4
-_M32 = 0xFFFFFFFF
-_INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
-_INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
-_MIX_L, _MIX_R = 0xCA01F9DD, 0x4973F715
-
-
-def _mix(x, y):
-    r = (_MIX_L * x - _MIX_R * y) & _M32
-    return r ^ r >> 16
-
-
-def _spawn_keys(seed: int, n: int) -> np.ndarray:
-    """Philox keys of ``SeedSequence(entropy=seed, spawn_key=(i,))`` for i < n, (n, 2) uint64.
-
-    The run entropy (the seed's little-endian 32-bit words, zero-padded to the
-    pool size because a spawn key follows) hashes into the same pool for every
-    path, so it is mixed once in Python ints.  Only the mixing of the spawn
-    word i into each pool word and ``generate_state(2, uint64)`` run on
-    arrays: uint32 arithmetic on uint64 arrays masked to 32 bits, which wraps
-    silently where numpy scalars would warn.  The hash constant advances the
-    same way whatever the data, so scalar and array words share one schedule.
-    """
-    seed, hash_a = int(seed), _INIT_A
-
-    def hashmix(v):
-        nonlocal hash_a
-        v = v ^ hash_a
-        hash_a = hash_a * _MULT_A & _M32
-        v = v * hash_a & _M32
-        return v ^ v >> 16
-
-    words = []
-    while True:
-        words.append(seed & _M32)
-        seed >>= 32
-        if not seed:
-            break
-    words += [0] * (_POOL - len(words))
-    pool = [hashmix(w) for w in words[:_POOL]]
-    for src in range(_POOL):
-        for dst in range(_POOL):
-            if src != dst:
-                pool[dst] = _mix(pool[dst], hashmix(pool[src]))
-    for w in [*words[_POOL:], np.arange(n, dtype=np.uint64)]:
-        pool = [_mix(p, hashmix(w)) for p in pool]
-    hash_b = _INIT_B
-    state = []
-    for p in pool:
-        p = p ^ hash_b
-        hash_b = hash_b * _MULT_B & _M32
-        p = p * hash_b & _M32
-        state.append(p ^ p >> 16)
-    return np.stack([state[0] | state[1] << 32, state[2] | state[3] << 32], axis=1)
-
-
-def _rekeyer(bitgen: np.random.Philox):
-    """``rekey(key)`` puts ``bitgen`` where ``Philox(SeedSequence)`` starts:
-    that key, counter zero, empty buffer.  One state dict serves every call."""
-    zero = np.zeros(4, dtype=np.uint64)
-    state = {"bit_generator": "Philox", "state": {"counter": zero, "key": None},
-             "buffer": zero, "buffer_pos": 4, "has_uint32": 0, "uinteger": 0}
-
-    def rekey(key):
-        state["state"]["key"] = key
-        bitgen.state = state
-
-    return rekey
-
-
-def _path_draws(gen, scale: float, H: float, n_normals: int):
-    """One path's draw sequence: blocks of 8 jump gaps until past H, then its normals."""
-    cum = np.cumsum(gen.exponential(scale=scale, size=8))
-    while cum[-1] < H:
-        cum = np.concatenate([cum, cum[-1] + np.cumsum(gen.exponential(scale=scale, size=8))])
-    return cum, gen.standard_normal(n_normals)
-
-
-def simulate(sc: JumpDiffusionScenario, *, report_times=None, keep_paths: int = 0,
-             progress: bool = False) -> PathBundle:
+def simulate(sc: JumpDiffusionScenario, *, report_times=None, keep_paths: int = 0) -> PathBundle:
     """Draw all paths and evaluate the market and survival objects.
 
-    Path i draws from the Philox stream keyed by
-    ``SeedSequence(entropy=seed, spawn_key=(i,))``: first blocks of 8
-    exponential jump gaps until their sum passes the horizon, then the
-    Brownian normals for the report grid augmented by tau, then (for kept
-    paths) one normal per dt-grid point that is neither a report time nor
-    tau, in grid order, for the bridge fill.  The keys of all paths
-    are derived in one vectorized pass of numpy's SeedSequence hash, and one
-    Philox generator, re-keyed per path at counter zero, draws every path's
-    first 8 gaps and its normals into preallocated arrays.  A path whose 8
-    gaps end before the horizon, and every kept path, replays its own sequence
-    from its key.  The draws are those of a fresh ``Generator(Philox(...))``
-    per path, so results are reproducible per (seed, dt), and the first k paths
-    are the same whatever n_paths.  ``report_times`` must be finite, strictly
+    Every path draws from one Philox stream keyed by
+    ``SeedSequence(seed).generate_state(2, uint64)``.  With R report times,
+    P = ceil((R + 1) / 2) and K = 4 ceil((8 + 2P) / 4), path i owns the K
+    words of ``Philox(key, counter=[i K / 4, 0, 0, 0]).random_raw(K)``: K/4
+    whole counter blocks, drawn for all paths in one ``random_raw`` call.
+    Each word w is the uniform u = ((w >> 11) + 1/2) 2^-53 in (0, 1); words
+    0-7 give 8 exponential jump gaps -log(u) / lam, and words 8 to 8 + 2P
+    give R + 1 Brownian normals by Box-Muller (the first P are r cos, the
+    next r sin, of the P pairs).  The draws of path i do not depend on
+    n_paths, so the first k paths are the same whatever n_paths.
+
+    Path i also owns a spill stream, ``Generator(Philox(key, counter=[0, i
+    + 1, 0, 0]))``, whose counters never meet the main stream's.  A path
+    whose 8 gaps end before the horizon draws further blocks of 8 gaps from
+    it (about 0.1% of paths at lam = 2), and a kept path then draws its
+    bridge normals from it: one per dt-grid point that is neither a report
+    time nor tau, in grid order.  ``report_times`` must be finite, strictly
     increasing and in (0, horizon].
     """
     if not 0 <= keep_paths <= sc.n_paths:
@@ -298,42 +225,46 @@ def simulate(sc: JumpDiffusionScenario, *, report_times=None, keep_paths: int = 
             and rep[-1] <= H and (np.diff(rep) > 0.0).all()):
         raise SpaceValidationError(
             f"report_times must be finite, strictly increasing and in (0, horizon = {H:g}]")
-    R = len(rep)
-    scale = 1.0 / sc.lam
+    key = np.random.SeedSequence(sc.seed).generate_state(2, np.uint64)
+    gaps, normals = _main_draws(key, n, len(rep), sc.lam)
+    jumps = np.cumsum(gaps, axis=1)
+    streams = {}
 
-    keys = _spawn_keys(sc.seed, n)
-    bitgen = np.random.Philox(key=keys[0])
-    gen = np.random.Generator(bitgen)
-    rekey = _rekeyer(bitgen)
-    gaps = np.empty((n, 8))
-    normals = np.empty((n, R + 1))
-    for i in range(n):
-        rekey(keys[i])
-        gen.standard_exponential(out=gaps[i])
-        gen.standard_normal(out=normals[i])
-    jumps = np.cumsum(gaps * scale, axis=1)  # exponential(scale) is scale * standard
+    def stream(i):
+        if i not in streams:
+            streams[i] = np.random.Generator(np.random.Philox(key=key, counter=[0, i + 1, 0, 0]))
+        return streams[i]
+
     for i in np.flatnonzero(jumps[:, -1] < H):
-        rekey(keys[i])
-        path_jumps, normals[i] = _path_draws(gen, scale, H, R + 1)
+        path_jumps = jumps[i, :8]
+        while path_jumps[-1] < H:
+            gaps = stream(i).exponential(scale=1.0 / sc.lam, size=8)
+            path_jumps = np.concatenate([path_jumps, path_jumps[-1] + np.cumsum(gaps)])
         if len(path_jumps) > jumps.shape[1]:
             jumps = np.pad(jumps, ((0, 0), (0, len(path_jumps) - jumps.shape[1])),
                            constant_values=np.inf)
         jumps[i, :len(path_jumps)] = path_jumps
-
-    def stream(i):
-        rekey(keys[i])
-        _path_draws(gen, scale, H, R + 1)
-        return gen
-
     return _evaluate(sc, rep, jumps, normals, keep_paths, stream)
+
+
+def _main_draws(key, n: int, R: int, lam: float):
+    """The main stream's (n, 8) jump gaps and (n, R + 1) normals, as ``simulate`` lays them out."""
+    P = -(-(R + 1) // 2)
+    K = 4 * -(-(8 + 2 * P) // 4)
+    raw = np.random.Philox(key=key).random_raw(n * K).reshape(n, K)[:, :8 + 2 * P]
+    u = ((raw >> 11) + 0.5) * 2.0 ** -53
+    r = np.sqrt(-2.0 * np.log(u[:, 8:8 + P]))
+    angle = 2.0 * np.pi * u[:, 8 + P:]
+    normals = np.concatenate([r * np.cos(angle), r * np.sin(angle)], axis=1)[:, :R + 1]
+    return -np.log(u[:, :8]) / lam, normals
 
 
 def _evaluate(sc, rep, jumps, normals, keep_paths, stream) -> PathBundle:
     """Every report-grid quantity from the draws, plus the kept full-grid samples.
 
     ``jumps`` holds each path's jump times (inf-padded), ``normals`` its R+1
-    Brownian normals, and ``stream(i)`` returns path i's generator positioned
-    just after those normals, where its bridge fill continues.
+    Brownian normals, and ``stream(i)`` returns the generator that path i's
+    bridge fill draws from.
     """
     H, n, R = sc.horizon, len(jumps), len(rep)
     t1, t2 = jumps[:, 0], jumps[:, 1]
@@ -648,10 +579,13 @@ def mc_suite(tests, times, *, z_crit: float = 3.0) -> dict[str, MCTestReport]:
     increments of a martingale null are regressed on them (intercept added)
     and the heteroskedasticity-robust coefficient z-scores sharpen the test;
     nulls passing the same features object share one regression pass per step.
-    A step where fewer than ``MIN_SAMPLES`` paths carry a non-zero increment
-    of a null is not regressed for it: its regression z-scores are NaN, and a
-    warning names the step and the count.  Features whose first two axes
-    differ from ``values`` raise ``ValueError``.
+    A step that rests on fewer than ``MIN_SAMPLES`` moving paths is not
+    regressed for a null: where fewer move off the increment the null's
+    other paths share (0 for a stopped process, the deterministic drift
+    before a jump), or off the value a feature's other paths share while at
+    least one moves off it (a jump count that one path has left at 0).  Its
+    regression z-scores are NaN, and a warning names the step and the count.
+    Features whose first two axes differ from ``values`` raise ``ValueError``.
 
     Each test fails closed: non-finite values or features, or a mean or
     standard error that is not finite (fewer than two paths, overflow), give
@@ -704,46 +638,26 @@ def mc_suite(tests, times, *, z_crit: float = 3.0) -> dict[str, MCTestReport]:
             rep = reports[name]
             used = ~np.isnan(reg_z)
             max_z = max(rep.max_abs_z, float(np.max(np.abs(reg_z), where=used, initial=0.0)))
-            warning = rep.warning
-            few = np.flatnonzero(n_live < MIN_SAMPLES)
-            if len(few):
-                steps = ", ".join(f"{times[j]:g} -> {times[j + 1]:g} "
-                                  f"({n_live[j]} path{'' if n_live[j] == 1 else 's'})" for j in few)
-                warning = "; ".join(filter(None, [warning, (
-                    f"regression skipped where fewer than {MIN_SAMPLES} paths carry a "
-                    f"non-zero increment: t = {steps}")]))
+            notes = [rep.warning] if rep.warning else []
+            few = [f"{times[j]:g} -> {times[j + 1]:g} ({c} path{'' if c == 1 else 's'})"
+                   for j, c in enumerate(n_live) if c < MIN_SAMPLES]
+            if few:
+                notes.append(f"regression skipped where fewer than {MIN_SAMPLES} paths move "
+                             f"off the common increment or feature value: t = {', '.join(few)}")
             reports[name] = replace(rep, regression_z=reg_z, rejected=max_z > z_crit,
-                                    max_abs_z=max_z, warning=warning)
+                                    max_abs_z=max_z, warning="; ".join(notes) or None)
     return reports
-
-
-def suite_z_count(tests, n_times: int) -> int:
-    """The number of z-scores :func:`mc_suite` computes for ``tests`` over ``n_times``
-    report times: one mean z per time, plus p + 1 regression coefficients per
-    one-step increment of each martingale null with (n_paths, n_times, p) features."""
-    count = 0
-    for _, _, null, features in tests.values():
-        count += n_times
-        if features is not None and null == "martingale" and n_times > 1:
-            count += (n_times - 1) * (np.shape(features)[2] + 1)
-    return count
-
-
-def sidak_z_crit(alpha: float, n_z: int) -> float:
-    """The |z| bound that n_z independent N(0, 1) z-scores all stay within with
-    probability 1 - alpha: each is tested at the two-sided level
-    1 - (1 - alpha)^(1/n_z) (Sidak, JASA 1967)."""
-    per_z = -math.expm1(math.log1p(-alpha) / n_z)
-    return statistics.NormalDist().inv_cdf(1.0 - per_z / 2.0)
 
 
 def _sandwich_z(F, Xs) -> tuple:
     """Robust z-scores of each X's one-step increments on [1, F_j]: (len(Xs), R - 1, p + 1),
-    and the number of non-zero increments of each X per step: (len(Xs), R - 1).
+    and the number of moving paths each X's step rests on: (len(Xs), R - 1).
 
-    A step where fewer than ``MIN_SAMPLES`` increments of an X are non-zero
-    has NaN z-scores for that X: a sandwich standard error from a handful of
-    paths can sit near 0 and give any z.
+    That number is the fewest paths that move off a common value: of the
+    X's increments, or of a feature column some path moves off.  A step
+    where it is below ``MIN_SAMPLES`` has NaN z-scores for that X: a
+    coefficient carried by a handful of paths fits them almost exactly, so
+    its sandwich standard error sits near 0 and gives any z.
 
     Per step j the design rows A = [1/2, F_j] and the increment rows DX are
     filled into preallocated buffers, every feature and increment row scaled
@@ -775,7 +689,9 @@ def _sandwich_z(F, Xs) -> tuple:
         A[1:] = F[:, j, :].T
         for i, X in enumerate(Xs):
             np.subtract(X[:, j + 1], X[:, j], out=DX[i])
-        live[:, j] = np.count_nonzero(DX, axis=1)
+        on_features = _moving(A[1:])
+        on_features = on_features[on_features > 0].min(initial=n)
+        live[:, j] = np.minimum(_moving(DX), on_features)
         for M in (A[1:], DX):
             top = np.maximum(M.max(axis=1), -M.min(axis=1))
             np.ldexp(M, -np.frexp(top)[1][:, None], out=M)
@@ -793,6 +709,13 @@ def _sandwich_z(F, Xs) -> tuple:
         out[:, j] = C.T / se
         out[live[:, j] < MIN_SAMPLES, j] = np.nan
     return out, live
+
+
+def _moving(M) -> np.ndarray:
+    """Per row of M, the entries off the median of its first 2 MIN_SAMPLES - 1: if
+    fewer than MIN_SAMPLES entries differ from some value, that median is it."""
+    common = np.median(M[:, :2 * MIN_SAMPLES - 1], axis=1)
+    return np.count_nonzero(M != common[:, None], axis=1)
 
 
 def feature_matrix(bundle: PathBundle) -> np.ndarray:

@@ -10,6 +10,7 @@ The last section keeps, in numpy, the per-block loops that the package's
 vectorized partition kernel replaced; the kernel is tested against them.
 """
 
+import math
 from fractions import Fraction
 from itertools import combinations
 
@@ -368,11 +369,13 @@ def transport_loop(V, tau, G_minus, G_tilde, block_rows, w):
 
 
 # ------------------------------------------------------------------------------
-# Per-path reference for the Monte-Carlo engine: a fresh SeedSequence, Philox
-# and Generator for every path, and a ragged list of jump times.  ``simulate``
-# derives the same keys in one pass and re-keys one generator; every draw and
-# every array it returns must equal this reference bit for bit.  ``bridge_loop``
-# is the per-point bridge fill that the engine's cumulative-sum fill replaced.
+# Per-path reference for the Monte-Carlo engine: for every path its own Philox
+# at the path's counter offset, its K words turned into gaps and normals one
+# at a time, and its own spill generator; a ragged list of jump times.
+# ``simulate`` draws every path's words in one call and transforms them as
+# arrays; every array it returns must equal this reference bit for bit.
+# ``bridge_loop`` is the per-point bridge fill that the engine's
+# cumulative-sum fill replaced.
 
 def per_path_simulate(sc, *, report_times=None, keep_paths=0):
     from horizon_deflators import jumpdiff as jd
@@ -383,22 +386,30 @@ def per_path_simulate(sc, *, report_times=None, keep_paths=0):
     rep = np.asarray(report_times, dtype=float)
     R = len(rep)
     n = sc.n_paths
+    P = math.ceil((R + 1) / 2)          # Box-Muller pairs
+    K = 4 * math.ceil((8 + 2 * P) / 4)  # words per path: whole 4-word counter blocks
+    key = np.random.SeedSequence(sc.seed).generate_state(2, np.uint64)
 
     jump_lists = []
     normals = np.empty((n, R + 1))
     keep_streams = []
     for i in range(n):
-        gen = np.random.Generator(np.random.Philox(
-            np.random.SeedSequence(entropy=sc.seed, spawn_key=(i,))))
-        gaps = gen.exponential(scale=1.0 / lam, size=8)
-        cum = np.cumsum(gaps)
-        while cum[-1] < H or len(cum) < 2:
-            gaps = gen.exponential(scale=1.0 / lam, size=8)
-            cum = np.concatenate([cum, cum[-1] + np.cumsum(gaps)])
+        words = np.random.Philox(key=key, counter=[i * K // 4, 0, 0, 0]).random_raw(K)
+        u = [np.float64(((int(w) >> 11) + 0.5) * 2.0 ** -53) for w in words]
+        cum = np.cumsum([-np.log(x) / lam for x in u[:8]])
+        spill = np.random.Generator(np.random.Philox(key=key, counter=[0, i + 1, 0, 0]))
+        while cum[-1] < H:
+            cum = np.concatenate([cum, cum[-1] + np.cumsum(spill.exponential(1.0 / lam, 8))])
         jump_lists.append(cum)
-        normals[i] = gen.standard_normal(R + 1)
+        cos, sin = [], []
+        for k in range(P):
+            r = np.sqrt(-2.0 * np.log(u[8 + k]))
+            angle = 2.0 * np.pi * u[8 + P + k]
+            cos.append(r * np.cos(angle))
+            sin.append(r * np.sin(angle))
+        normals[i] = (cos + sin)[:R + 1]
         if i < keep_paths:
-            keep_streams.append(gen)
+            keep_streams.append(spill)
 
     kmax = max(len(c) for c in jump_lists)
     jumps = np.full((n, kmax), np.inf)
@@ -451,8 +462,8 @@ def sandwich_regression_z(values, features):
     """Regression z-scores and standard errors of one null's increments.
 
     Both are (n_times - 1, p + 1); a standard error at 1e-150 sits on the floor.
-    A step where fewer than 20 increments are non-zero is skipped: its row of
-    each is NaN.
+    A step is skipped, with a row of NaN in each, where all but fewer than 20
+    increments share one value, or all but 1 to 19 values of a feature.
     """
     X = np.asarray(values, dtype=float)
     F = np.asarray(features, dtype=float)
@@ -460,7 +471,9 @@ def sandwich_regression_z(values, features):
     rows, ses = [], []
     for j in range(X.shape[1] - 1):
         dx = X[:, j + 1] - X[:, j]
-        if np.count_nonzero(dx) < 20:
+        off = [n - np.unique(col, return_counts=True)[1].max()
+               for col in (dx, *F[:, j, :].T)]
+        if off[0] < 20 or any(0 < m < 20 for m in off[1:]):
             rows.append(np.full(F.shape[2] + 1, np.nan))
             ses.append(np.full(F.shape[2] + 1, np.nan))
             continue

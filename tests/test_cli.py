@@ -3,6 +3,9 @@
 import copy
 import json
 import math
+import os
+import subprocess
+import sys
 import tempfile
 from dataclasses import replace
 from pathlib import Path
@@ -398,6 +401,7 @@ def test_simulate_without_a_default_rejects_the_default_driven_nulls(tmp_path, c
     # and transported_poisson are one deterministic curve away from their start.
     # Each column holds one repeated value, so its standard error is 0: they
     # reject at every report time, simulate exits 1, and a warning names each.
+    # No path moves off the common increment, so no regression step is used.
     doc = {"sigma": 0.2, "zeta": 0.1, "mu": 0.03, "lambda": 1e-6, "a": 0.5,
            "n_paths": 1000, "seed": 3, "dt": 0.0625}
     sc, _ = modelio.load_scenario(doc)
@@ -409,13 +413,35 @@ def test_simulate_without_a_default_rejects_the_default_driven_nulls(tmp_path, c
     assert summary["rejected"] == four
     assert all(summary["results"][name]["max_abs_z"] == "inf" for name in four)
     times = ", ".join(f"{t:g}" for t in summary["report_times"])
+    steps = ", ".join(f"{s:g} -> {t:g} (0 paths)"
+                      for s, t in zip(summary["report_times"], summary["report_times"][1:]))
     warnings = [f"{name}: zero standard error with mean != start {start} at t = {times}: "
-                "z = +-inf under the martingale null"
+                "z = +-inf under the martingale null; regression skipped where fewer than "
+                f"20 paths move off the common increment or feature value: t = {steps}"
                 for name, start in (("m", 1), ("transported_poisson", 0), ("N_G", 0),
                                     ("survival_exponential", 1))]
     assert summary["warnings"] == warnings
     err = capsys.readouterr().err
     assert all(f"warning: {w}" in err for w in warnings)
+
+
+def test_simulate_does_not_import_scipy(tmp_path):
+    # simulate draws and tests with numpy alone: importing scipy would add to
+    # the start-up of every simulate call
+    modelio.write_json(tmp_path / "scenario.json", {
+        "sigma": 0.2, "zeta": 0.1, "mu": 0.03, "lambda": 2.0, "a": 0.5, "n_paths": 2000})
+    code = ("import sys\n"
+            "from horizon_deflators.cli import main\n"
+            f"main(['simulate', '--scenario', {str(tmp_path / 'scenario.json')!r}, "
+            f"'--out', {str(tmp_path)!r}])\n"
+            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))\n")
+    src = str(Path(jd.__file__).parents[1])
+    env = {**os.environ,
+           "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    done = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          env=env, timeout=120, check=True)
+    assert (tmp_path / "simulate-summary.json").exists()
+    assert done.stdout.splitlines()[-1] == "[]"
 
 
 def test_simulate_rejects_keep_paths_above_path_override(docs, tmp_path, capsys):

@@ -102,14 +102,37 @@ def test_simulation_reproducible_and_prefix_stable():
     assert np.array_equal(b3.W[:500], b1.W)
 
 
-@pytest.mark.parametrize("seed", [0, 7, 424242, 2**32 + 5, 2**70 + 3])
-def test_spawn_keys_match_seed_sequence(seed):
-    n = 70_000
-    keys = jd._spawn_keys(seed, n)
-    assert keys.shape == (n, 2) and keys.dtype == np.uint64
-    for i in (0, 1, 65535, 65536, n - 1):
-        ref = np.random.SeedSequence(entropy=seed, spawn_key=(i,)).generate_state(2, np.uint64)
-        assert np.array_equal(keys[i], ref), i
+def _assert_distribution(x, mean, var, fourth, tails):
+    """Sample mean, variance and tail frequencies of x within 5 standard errors.
+
+    ``fourth`` is the fourth central moment; ``tails`` maps a predicate
+    label to (the indicator array, its probability)."""
+    n = x.size
+    assert abs(x.mean() - mean) <= 5.0 * np.sqrt(var / n)
+    assert abs(x.var(ddof=1) - var) <= 5.0 * np.sqrt((fourth - var**2) / n)
+    for label, (hit, prob) in tails.items():
+        assert abs(hit.mean() - prob) <= 5.0 * np.sqrt(prob * (1.0 - prob) / n), label
+
+
+def test_main_stream_draws_exponential_gaps_and_standard_normals():
+    # 10^6 gaps and 10^6 normals: 125,000 paths of 8 gaps and, with 7 report
+    # times, 8 normals (4 Box-Muller pairs)
+    from statistics import NormalDist
+    key = np.random.SeedSequence(2024).generate_state(2, np.uint64)
+    gaps, normals = jd._main_draws(key, 125_000, 7, 2.0)
+    assert gaps.shape == normals.shape == (125_000, 8)
+    e = 2.0 * gaps.ravel()  # Exp(1)
+    _assert_distribution(e, 1.0, 1.0, 9.0, {
+        "E < 0.01": (e < 0.01, -np.expm1(-0.01)), "E > 5": (e > 5.0, np.exp(-5.0)),
+        "E > 10": (e > 10.0, np.exp(-10.0))})
+    z = normals.ravel()
+    phi = NormalDist().cdf
+    _assert_distribution(z, 0.0, 1.0, 3.0, {
+        "Z < -3": (z < -3.0, phi(-3.0)), "Z > 3": (z > 3.0, phi(-3.0)),
+        "|Z| > 4": (np.abs(z) > 4.0, 2.0 * phi(-4.0))})
+    # the two normals of a pair, and neighbouring gaps, are uncorrelated
+    for a, b in ((normals[:, 0], normals[:, 4]), (gaps[:, 0], gaps[:, 1])):
+        assert abs(np.corrcoef(a, b)[0, 1]) <= 5.0 / np.sqrt(len(a))
 
 
 BUNDLE_FIELDS = ("report_times", "t1", "t2", "tau", "from_second_jump", "W", "W_tau",
@@ -126,7 +149,7 @@ def test_simulate_matches_per_path_reference(lam):
     for name in BUNDLE_FIELDS:
         assert np.array_equal(getattr(got, name), getattr(ref, name)), name
     if lam > 2.0:
-        assert np.mean(got.N[:, -1] >= 8) > 0.5  # these paths were replayed
+        assert np.mean(got.N[:, -1] >= 8) > 0.5  # these paths drew spill gaps
     assert len(got.samples) == len(ref.samples) == 4
     for s_got, s_ref in zip(got.samples, ref.samples):
         assert s_got.keys() == s_ref.keys()
@@ -218,8 +241,10 @@ def _bridge_anchors(b, i):
 def test_bridge_fill_matches_per_point_reference(dt, n_paths):
     # horizon 0.65 is no multiple of dt, and [0.1, 0.3] ends early.  The
     # reference set a grid point within np.isclose of an anchor, without
-    # equalling it, to the anchor's value (8 of the 12 paths at 2^-16 have one,
-    # all before their last anchor, so the reference drew the same normals)
+    # equalling it, to the anchor's value.  Before the last anchor it still
+    # drew that point's normal; past it, it drew none (path 1 at [0.1, 0.3]:
+    # tau, its last anchor, lies 4.9e-7 before a grid point at 2^-10 and
+    # 2^-16), so its later draws lag the engine's by one normal there
     sc = scenario(n_paths=n_paths, horizon=0.65, dt=dt, seed=3)
     grid = jd._quadrature_table(sc)[0]
     for rep in (None, [0.1, 0.3], [0.25, 0.5]):
@@ -228,10 +253,14 @@ def test_bridge_fill_matches_per_point_reference(dt, n_paths):
             at, aw = _bridge_anchors(b, i)
             gen, ref_gen = np.random.default_rng(i), np.random.default_rng(i)
             W, W_ref = jd._bridge_fill(grid, at, aw, gen), bridge_loop(grid, at, aw, ref_gen)
-            assert gen.bit_generator.state == ref_gen.bit_generator.state
             on = (grid[:, None] == at).any(axis=1)
             near = np.isclose(grid[:, None], at).any(axis=1) & ~on
-            assert np.max(np.abs(W - W_ref)[~near]) <= 1e-11
+            compared = ~near
+            if (near & (grid > at[-1])).any():
+                ref_gen.standard_normal()
+                compared &= grid <= at[-1]
+            assert gen.bit_generator.state == ref_gen.bit_generator.state
+            assert np.max(np.abs(W - W_ref)[compared]) <= 1e-11
             assert np.array_equal(W[on], aw[np.searchsorted(at, grid[on])])
 
 
@@ -470,18 +499,26 @@ def test_mc_suite_matches_reference_on_simulated_nulls(lam, n_paths, seed):
     suite, times = _bundle_suite(lam, n_paths, seed)
     reports = _assert_matches_reference(suite, times)
     if lam == 12.0:
-        # 3 paths alive at 0.625, 12 moving over 0.5 -> 0.625: the sandwich z
-        # of -12.9 there came from a handful of paths, so the step is skipped
+        # 7 paths alive at 0.5, 1 from 0.625 on: the regression of
+        # survival_exponential rests on them from 0.5 and is skipped there
         rep = reports["survival_exponential"]
         assert not rep.rejected
-        assert rep.warning == ("regression skipped where fewer than 20 paths carry a "
-                               "non-zero increment: t = 0.5 -> 0.625 (12 paths), "
-                               "0.625 -> 0.75 (3 paths), 0.75 -> 0.875 (0 paths), "
+        assert rep.warning == ("regression skipped where fewer than 20 paths move off the "
+                               "common increment or feature value: t = 0.5 -> 0.625 (7 paths), "
+                               "0.625 -> 0.75 (1 path), 0.75 -> 0.875 (1 path), "
                                "0.875 -> 1 (0 paths)")
         assert np.isnan(rep.regression_z[3:]).all() and not np.isnan(rep.regression_z[:3]).any()
     else:
+        # one path jumps: it alone moves the jump-count feature and the
+        # default-driven nulls, so every regression step is skipped.  N_G is
+        # the compensator curve on every other path, and its mean z rejects
         feats = suite["transported_brownian"][3]
-        assert np.all(feats[:, :, 1] == 0.0) and np.all(feats[:, :, 2] == 1.0)  # no jumps
+        assert np.count_nonzero(feats[:, -1, 1]) == 1
+        for name, rep in reports.items():
+            assert np.isnan(rep.regression_z).all(), name
+            assert rep.warning.endswith("0.875 -> 1 (1 path)"), name
+            assert rep.rejected == (name == "N_G"), name
+        assert np.max(np.abs(reports["N_G"].zscores)) > 1000
 
 
 def test_mc_suite_groups_by_feature_array_and_skips_failed_nulls():
