@@ -238,8 +238,8 @@ def simulate(sc: JumpDiffusionScenario, *, report_times=None, keep_paths: int = 
     for i in np.flatnonzero(jumps[:, -1] < H):
         path_jumps = jumps[i, :8]
         while path_jumps[-1] < H:
-            gaps = stream(i).exponential(scale=1.0 / sc.lam, size=8)
-            path_jumps = np.concatenate([path_jumps, path_jumps[-1] + np.cumsum(gaps)])
+            more = stream(i).exponential(scale=1.0 / sc.lam, size=8)
+            path_jumps = np.concatenate([path_jumps, path_jumps[-1] + np.cumsum(more)])
         if len(path_jumps) > jumps.shape[1]:
             jumps = np.pad(jumps, ((0, 0), (0, len(path_jumps) - jumps.shape[1])),
                            constant_values=np.inf)
@@ -251,8 +251,10 @@ def _main_draws(key, n: int, R: int, lam: float):
     """The main stream's (n, 8) jump gaps and (n, R + 1) normals, as ``simulate`` lays them out."""
     P = -(-(R + 1) // 2)
     K = 4 * -(-(8 + 2 * P) // 4)
-    raw = np.random.Philox(key=key).random_raw(n * K).reshape(n, K)[:, :8 + 2 * P]
-    u = ((raw >> 11) + 0.5) * 2.0 ** -53
+    raw = np.random.Philox(key=key).random_raw(n * K).reshape(n, K)
+    u = np.right_shift(raw, 11, out=raw)[:, :8 + 2 * P].astype(float)
+    u += 0.5
+    u *= 2.0 ** -53
     r = np.sqrt(-2.0 * np.log(u[:, 8:8 + P]))
     angle = 2.0 * np.pi * u[:, 8 + P:]
     normals = np.concatenate([r * np.cos(angle), r * np.sin(angle)], axis=1)[:, :R + 1]
@@ -604,11 +606,11 @@ def mc_suite(tests, times, *, z_crit: float = 3.0) -> dict[str, MCTestReport]:
         notes = [f"only {n} paths: statistical power is low"] if n < 1000 else []
         with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
             means = X.mean(axis=0)
-            ses = X.std(axis=0, ddof=1) / np.sqrt(n) if n > 1 else np.full_like(means, np.nan)
+            ses = np.full_like(means, np.nan)
             if n > 1:  # a float sum of one repeated value can miss it by an ulp
                 const = (X == X[0]).all(axis=0)
                 means = np.where(const, X[0], means)
-                ses = np.where(const, 0.0, ses)
+                ses = np.where(const, 0.0, X.std(axis=0, ddof=1) / np.sqrt(n))
             dev = means - start
             z = np.where((ses == 0) & (dev == 0), 0.0, dev / ses)
         flat = (ses == 0) & (dev != 0)
