@@ -716,7 +716,8 @@ def _sandwich_z(F, Xs) -> tuple:
 def _moving(M) -> np.ndarray:
     """Per row of M, the entries off the median of its first 2 MIN_SAMPLES - 1: if
     fewer than MIN_SAMPLES entries differ from some value, that median is it."""
-    common = np.median(M[:, :2 * MIN_SAMPLES - 1], axis=1)
+    head = M[:, :2 * MIN_SAMPLES - 1]
+    common = np.partition(head, (head.shape[1] - 1) // 2, axis=1)[:, (head.shape[1] - 1) // 2]
     return np.count_nonzero(M != common[:, None], axis=1)
 
 
