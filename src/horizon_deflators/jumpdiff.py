@@ -139,7 +139,7 @@ class PathBundle:
     All (n_paths, n_report) arrays are exact-in-distribution; ``samples``
     holds dt-grid versions of the first few paths, one dict each, with W
     bridged between the report times and tau (``_bridge_fill``) from each
-    path's own stream.
+    path's spill stream.
     """
 
     scenario: JumpDiffusionScenario
@@ -608,9 +608,11 @@ def mc_suite(tests, times, *, z_crit: float = 3.0) -> dict[str, MCTestReport]:
             means = X.mean(axis=0)
             ses = np.full_like(means, np.nan)
             if n > 1:  # a float sum of one repeated value can miss it by an ulp
-                const = (X == X[0]).all(axis=0)
-                means = np.where(const, X[0], means)
-                ses = np.where(const, 0.0, X.std(axis=0, ddof=1) / np.sqrt(n))
+                ses = X.std(axis=0, ddof=1) / np.sqrt(n)
+                # columns whose spread is rounding (below n eps |mean|) may be constant
+                tiny = np.flatnonzero(ses <= n * np.finfo(float).eps * np.abs(means))
+                const = tiny[(X[:, tiny] == X[0, tiny]).all(axis=0)]
+                means[const], ses[const] = X[0, const], 0.0
             dev = means - start
             z = np.where((ses == 0) & (dev == 0), 0.0, dev / ses)
         flat = (ses == 0) & (dev != 0)
