@@ -87,15 +87,6 @@ def cmd_verify(args) -> int:
     return 0
 
 
-def _build_from_params(params, rts):
-    if params.route == "additive":
-        return dfl.build_additive(params.K_F, params.V_F, params.phi_o,
-                                  params.phi_pr, rts)
-    if params.route == "multiplicative":
-        return dfl.build_multiplicative(params.Z_F, params.phi_o, params.phi_pr, rts)
-    return dfl.build_measure_change(params.Z_QF, params.phi, rts)
-
-
 def cmd_deflate(args) -> int:
     try:
         doc = modelio.load_model(args.model)
@@ -106,7 +97,7 @@ def cmd_deflate(args) -> int:
     except (SpaceValidationError, ContractViolationError) as exc:
         return _fail(2, f"input error: {exc}")
     try:
-        deflator = _build_from_params(params, rts)
+        deflator = dfl.ROUTES[params.route][1](params, rts)
     except AdmissibilityError as exc:
         return _fail(1, f"inadmissible parameters: {exc}")
     out = _outdir(args)
@@ -168,8 +159,8 @@ def cmd_decompose(args) -> int:
 def cmd_simulate(args) -> int:
     try:
         sc, extras = modelio.load_scenario(args.scenario)
-        sc = replace(sc, dt=args.dt or sc.dt, n_paths=args.paths or sc.n_paths,
-                     seed=args.seed if args.seed is not None else sc.seed)
+        overrides = {"dt": args.dt, "n_paths": args.paths, "seed": args.seed}
+        sc = replace(sc, **{k: v for k, v in overrides.items() if v is not None})
     except SpaceValidationError as exc:
         return _fail(2, f"input error: {exc}")
     bundle = jd.simulate(sc, keep_paths=extras["keep_paths"])
@@ -177,21 +168,22 @@ def cmd_simulate(args) -> int:
     psi2 = extras["psi2"]
     try:
         psi1 = jd.solve_drift(sc, psi2)
-        plain = jd.build_deflator(bundle, psi1, psi2)
+        plain = jd.build_deflator(bundle, psi1, psi2)["Z"]
         fancy = jd.build_deflator(bundle, psi1, psi2, phi_o=extras["phi_o"],
-                                  phi_pr=extras["phi_pr"])
+                                  phi_pr=extras["phi_pr"])["Z"]
     except AdmissibilityError as exc:
         return _fail(2, f"scenario constraint violation: {exc}")
-    wealth = jd.proportional_wealth(bundle, extras["theta"])
+    deflated_wealth = jd.proportional_wealth(bundle, extras["theta"])
+    deflated_wealth *= plain
     suite = {
         "m": (bundle.m, 1.0, "martingale", feats),
         "transported_brownian": (jd.transported_brownian(bundle), 0.0, "martingale", feats),
         "transported_poisson": (jd.transported_poisson(bundle), 0.0, "martingale", feats),
         "N_G": (bundle.N_G, 0.0, "martingale", feats),
         "survival_exponential": (jd.survival_exponential(bundle), 1.0, "martingale", feats),
-        "deflator_plain": (plain["Z"], 1.0, "martingale", None),
-        "deflator_with_default_leg": (fancy["Z"], 1.0, "martingale", None),
-        "deflated_wealth": (plain["Z"] * wealth, 1.0, "supermartingale", None),
+        "deflator_plain": (plain, 1.0, "martingale", None),
+        "deflator_with_default_leg": (fancy, 1.0, "martingale", None),
+        "deflated_wealth": (deflated_wealth, 1.0, "supermartingale", None),
         "deflated_price_drift": (jd.lmd_times_price(bundle, psi1, psi2), 1.0,
                                  "martingale", feats),
     }

@@ -50,8 +50,6 @@ from .prob_core import (
     stop,
 )
 
-ROUTES = ("additive", "multiplicative", "measure-change")
-
 
 @dataclass(frozen=True)
 class DeflatorParams:
@@ -240,56 +238,60 @@ def validate(params: DeflatorParams, rts: RandomTimeStructure) -> AdmissibilityR
     realized exponential factor of the would-be deflator plus the progressive
     collapse condition (the integrand against D must vanish at tau).
     """
-    route = params.route
+    return ROUTES[params.route][0](params, rts)
+
+
+def _check_additive(params, rts) -> AdmissibilityReport:
     collapse_ok = _collapse_ok(params.phi_pr, rts)
-    T = rts.horizon
-    if route == "additive":
-        K_F = _full(rts, params.K_F)
-        phi_o = _full(rts, params.phi_o)
-        phi_pr = _full(rts, params.phi_pr)
-        KG = _additive_driver(K_F, phi_o, phi_pr, rts, check=False)
-        factors = _live_factors(1.0 + np.diff(KG, axis=1), rts)
-        dK = np.diff(K_F, axis=1)
-        one_dK = np.concatenate([np.ones((rts.space.n_atoms, 1)), 1.0 + dK], axis=1)
-        G, Gt, Gm = rts.G, rts.G_tilde, rts.G_minus
-        dDo = Gt - G
-        lo = np.full_like(G, -np.inf)
-        np.divide(-Gm * one_dK, G, out=lo, where=G > 0)
-        hi = np.full_like(G, np.inf)
-        np.divide(Gm * one_dK, dDo, out=hi, where=dDo > 0)
-        bounds = {"optional_lower": lo, "optional_upper": hi}
-        prog_lo = np.full_like(G, -np.inf)
-        np.divide(-(Gm * one_dK + phi_o * G), Gt, out=prog_lo, where=Gt > 0)
-        bounds["progressive_lower"] = prog_lo
-        ineq = {
-            "optional": (phi_o > lo) & (phi_o < hi),
-            "progressive": phi_pr > prog_lo,
-        }
-        return _factor_report(route, factors, rts, ineq, bounds, collapse_ok)
+    K_F = _full(rts, params.K_F)
+    phi_o = _full(rts, params.phi_o)
+    phi_pr = _full(rts, params.phi_pr)
+    KG = _additive_driver(K_F, phi_o, phi_pr, rts, check=False)
+    factors = _live_factors(1.0 + np.diff(KG, axis=1), rts)
+    dK = np.diff(K_F, axis=1)
+    one_dK = np.concatenate([np.ones((rts.space.n_atoms, 1)), 1.0 + dK], axis=1)
+    G, Gt, Gm = rts.G, rts.G_tilde, rts.G_minus
+    dDo = Gt - G
+    lo = np.full_like(G, -np.inf)
+    np.divide(-Gm * one_dK, G, out=lo, where=G > 0)
+    hi = np.full_like(G, np.inf)
+    np.divide(Gm * one_dK, dDo, out=hi, where=dDo > 0)
+    bounds = {"optional_lower": lo, "optional_upper": hi}
+    prog_lo = np.full_like(G, -np.inf)
+    np.divide(-(Gm * one_dK + phi_o * G), Gt, out=prog_lo, where=Gt > 0)
+    bounds["progressive_lower"] = prog_lo
+    ineq = {
+        "optional": (phi_o > lo) & (phi_o < hi),
+        "progressive": phi_pr > prog_lo,
+    }
+    return _factor_report("additive", factors, rts, ineq, bounds, collapse_ok)
 
-    if route == "multiplicative":
-        Z_F = _full(rts, params.Z_F if params.Z_F is not None else 1.0)
-        if np.min(Z_F) <= 0.0:
-            raise AdmissibilityError("multiplicative base must be strictly positive")
-        phi_o = _full(rts, params.phi_o)
-        phi_pr = _full(rts, params.phi_pr)
-        f_ng = 1.0 + phi_o[:, 1:] * np.diff(rts.N_G, axis=1)
-        f_d = 1.0 + phi_pr[:, 1:] * np.diff(rts.D, axis=1)
-        factors = _live_factors(f_ng * f_d, rts)
-        bounds = _optional_bounds(rts)
-        ineq = {
-            "optional": (phi_o > bounds["optional_lower"]) & (phi_o < bounds["optional_upper"]),
-            "progressive": phi_pr > -1.0,
-        }
-        return _factor_report(route, factors, rts, ineq, bounds, collapse_ok)
 
-    # measure-change route
+def _check_multiplicative(params, rts) -> AdmissibilityReport:
+    collapse_ok = _collapse_ok(params.phi_pr, rts)
+    Z_F = _full(rts, params.Z_F if params.Z_F is not None else 1.0)
+    if np.min(Z_F) <= 0.0:
+        raise AdmissibilityError("multiplicative base must be strictly positive")
+    phi_o = _full(rts, params.phi_o)
+    phi_pr = _full(rts, params.phi_pr)
+    f_ng = 1.0 + phi_o[:, 1:] * np.diff(rts.N_G, axis=1)
+    f_d = 1.0 + phi_pr[:, 1:] * np.diff(rts.D, axis=1)
+    factors = _live_factors(f_ng * f_d, rts)
+    bounds = _optional_bounds(rts)
+    ineq = {
+        "optional": (phi_o > bounds["optional_lower"]) & (phi_o < bounds["optional_upper"]),
+        "progressive": phi_pr > -1.0,
+    }
+    return _factor_report("multiplicative", factors, rts, ineq, bounds, collapse_ok)
+
+
+def _check_measure_change(params, rts) -> AdmissibilityReport:
     phi = _full(rts, params.phi)
     f_ng = 1.0 + phi[:, 1:] * np.diff(rts.N_G, axis=1)
     factors = _live_factors(f_ng, rts)
     bounds = _optional_bounds(rts)
     ineq = {"optional": (phi > bounds["optional_lower"]) & (phi < bounds["optional_upper"])}
-    return _factor_report(route, factors, rts, ineq, bounds, True)
+    return _factor_report("measure-change", factors, rts, ineq, bounds, True)
 
 
 def _require_ok(report: AdmissibilityReport):
@@ -410,6 +412,18 @@ def build_measure_change(Z_QF, phi, rts: RandomTimeStructure, *, market=None,
     Z = factors["base"] * factors["default_exponential"]
     return Deflator(Z=Z, provenance="measure-change", K_G=None,
                     factors=factors, report=report, params=params)
+
+
+# route -> (its admissibility check, its builder from a parameter bundle).  The
+# builders are looked up when called, so a rebinding of one (a wrapper) is used.
+ROUTES = {
+    "additive": (_check_additive,
+                 lambda p, rts: build_additive(p.K_F, p.V_F, p.phi_o, p.phi_pr, rts)),
+    "multiplicative": (_check_multiplicative,
+                       lambda p, rts: build_multiplicative(p.Z_F, p.phi_o, p.phi_pr, rts)),
+    "measure-change": (_check_measure_change,
+                       lambda p, rts: build_measure_change(p.Z_QF, p.phi, rts)),
+}
 
 
 def _rescale(phi, driver, op) -> Array:

@@ -22,8 +22,14 @@ quadrature on the dt grid, so the pathwise identity m = G + D^o holds up to
 O(dt^2).
 
 Draws come from one counter-based Philox stream (Salmon et al., SC'11): path
-i owns a fixed run of counter blocks, so all paths are drawn in one pass, and
-each path has a spill stream of its own for the rare extra draws (``simulate``).
+i owns a fixed run of counter blocks, and each path has a spill stream of its
+own for the rare extra draws (``simulate``).  So any block of paths can be
+drawn and evaluated on its own, with the same bits.  ``simulate``, the null
+processes and ``build_deflator`` work in chunks of ``_ROWS`` paths, and
+``mc_suite`` one null, then one report step, at a time, on a thread pool with
+one worker per CPU the process may run on (its affinity set).  Each chunk
+writes its own rows and every reduction runs on whole columns, so no output
+depends on the number of workers; work of one chunk runs inline.
 
 Statistical verification is by Monte-Carlo means with standard errors,
 sharpened by regressing one-step increments on observable features with
@@ -36,6 +42,8 @@ zero standard error reads as a pass only where the mean equals the start.
 from __future__ import annotations
 
 import math
+import os
+import threading
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -51,6 +59,45 @@ MAX_EXPONENT = 512.0     # sigma^2 * horizon and |drift| * horizon: exp(sigma W_
                          # stays far from float overflow
 MIN_SAMPLES = 20         # fewest paths a standard error rests on: a progressive_mean_test
                          # bin, or the moving paths of an mc_suite regression step
+_ROWS = 8192             # paths per chunk of the row map
+
+_pool = None             # the worker pool of _map, built on first use
+_pool_lock = threading.Lock()
+
+
+def _map(fn, items, rows: int) -> list:
+    """[fn(x) for x in items], run on the worker pool when there are several
+    and ``rows``, the paths the work spans, fill more than one chunk.
+
+    The pool has one thread per CPU in the process's affinity set.  Callers
+    write disjoint outputs and reduce in a fixed order, so results do not
+    depend on the worker count.  Tasks call private helpers only (a public
+    function may be wrapped by a tracer that keeps one call stack), and never
+    ``_map``: a task waiting on tasks of its own pool can deadlock it.
+    """
+    global _pool
+    if len(items) < 2 or rows <= _ROWS:
+        return [fn(x) for x in items]
+    with _pool_lock:
+        if _pool is None:
+            from concurrent.futures import ThreadPoolExecutor
+            cpus = os.sched_getaffinity(0) if hasattr(os, "sched_getaffinity") else None
+            _pool = ThreadPoolExecutor(len(cpus) if cpus else os.cpu_count() or 1)
+    return list(_pool.map(fn, items))
+
+
+def _row_map(fn, n: int) -> list:
+    """[fn(lo, hi) for every chunk lo : hi of _ROWS rows of n], run by ``_map``."""
+    return _map(lambda c: fn(*c), [(lo, min(lo + _ROWS, n)) for lo in range(0, n, _ROWS)], n)
+
+
+def _drop_pool():
+    global _pool, _pool_lock
+    _pool, _pool_lock = None, threading.Lock()
+
+
+if hasattr(os, "register_at_fork"):  # a forked child has none of the pool's threads
+    os.register_at_fork(after_in_child=_drop_pool)
 
 
 @dataclass(frozen=True)
@@ -186,11 +233,22 @@ def _quadrature_table(sc: JumpDiffusionScenario):
 
 
 def _lebesgue_quadrature(sc, grid, dens, cum, x):
-    """Trapezoid of the D^o density over [0, x] using the dt grid plus a stub."""
+    """Trapezoid of the D^o density over [0, x] using the dt grid plus a stub.
+
+    The products run in place: on the kept paths' dt grid x is (paths, grid).
+    """
     beta, lam = sc.beta, sc.lam
-    idx = np.minimum((x / sc.dt).astype(int), len(grid) - 1)
-    fx = (beta + lam) * beta * x * np.exp(-beta * x)
-    return cum[idx] + 0.5 * (dens[idx] + fx) * (x - grid[idx])
+    idx = (x / sc.dt).astype(int)
+    np.minimum(idx, len(grid) - 1, out=idx)
+    fx = np.exp(-beta * x)
+    fx *= (beta + lam) * beta * x
+    out = dens[idx]
+    out += fx
+    out *= 0.5
+    np.subtract(x, np.take(grid, idx, out=fx, mode="clip"), out=fx)
+    out *= fx
+    out += np.take(cum, idx, out=fx, mode="clip")
+    return out
 
 
 def simulate(sc: JumpDiffusionScenario, *, report_times=None, keep_paths: int = 0) -> PathBundle:
@@ -200,7 +258,9 @@ def simulate(sc: JumpDiffusionScenario, *, report_times=None, keep_paths: int = 
     ``SeedSequence(seed).generate_state(2, uint64)``.  With R report times,
     P = ceil((R + 1) / 2) and K = 4 ceil((8 + 2P) / 4), path i owns the K
     words of ``Philox(key, counter=[i K / 4, 0, 0, 0]).random_raw(K)``: K/4
-    whole counter blocks, drawn for all paths in one ``random_raw`` call.
+    whole counter blocks.  Each chunk lo : hi of ``_ROWS`` paths draws its
+    words in one ``random_raw((hi - lo) K)`` call from counter lo K / 4, and
+    the chunks run on the worker pool (``_row_map``).
     Each word w is the uniform u = ((w >> 11) + 1/2) 2^-53 in (0, 1); words
     0-7 give 8 exponential jump gaps -log(u) / lam, and words 8 to 8 + 2P
     give R + 1 Brownian normals by Box-Muller (the first P are r cos, the
@@ -226,32 +286,42 @@ def simulate(sc: JumpDiffusionScenario, *, report_times=None, keep_paths: int = 
         raise SpaceValidationError(
             f"report_times must be finite, strictly increasing and in (0, horizon = {H:g}]")
     key = np.random.SeedSequence(sc.seed).generate_state(2, np.uint64)
-    gaps, normals = _main_draws(key, n, len(rep), sc.lam)
-    jumps = np.cumsum(gaps, axis=1)
-    streams = {}
+    quad = _quadrature_table(sc)
+    bundle = _empty_bundle(sc, rep, n)
 
-    def stream(i):
-        if i not in streams:
-            streams[i] = np.random.Generator(np.random.Philox(key=key, counter=[0, i + 1, 0, 0]))
-        return streams[i]
+    def chunk(lo, hi):
+        gaps, normals = _main_draws(key, hi - lo, len(rep), sc.lam, first=lo)
+        jumps = np.cumsum(gaps, axis=1)
+        streams = {}
 
-    for i in np.flatnonzero(jumps[:, -1] < H):
-        path_jumps = jumps[i, :8]
-        while path_jumps[-1] < H:
-            more = stream(i).exponential(scale=1.0 / sc.lam, size=8)
-            path_jumps = np.concatenate([path_jumps, path_jumps[-1] + np.cumsum(more)])
-        if len(path_jumps) > jumps.shape[1]:
-            jumps = np.pad(jumps, ((0, 0), (0, len(path_jumps) - jumps.shape[1])),
-                           constant_values=np.inf)
-        jumps[i, :len(path_jumps)] = path_jumps
-    return _evaluate(sc, rep, jumps, normals, keep_paths, stream)
+        def stream(i):  # the spill stream of path lo + i
+            if i not in streams:
+                streams[i] = np.random.Generator(
+                    np.random.Philox(key=key, counter=[0, lo + i + 1, 0, 0]))
+            return streams[i]
+
+        for i in np.flatnonzero(jumps[:, -1] < H):
+            path_jumps = jumps[i, :8]
+            while path_jumps[-1] < H:
+                more = stream(i).exponential(scale=1.0 / sc.lam, size=8)
+                path_jumps = np.concatenate([path_jumps, path_jumps[-1] + np.cumsum(more)])
+            if len(path_jumps) > jumps.shape[1]:
+                jumps = np.pad(jumps, ((0, 0), (0, len(path_jumps) - jumps.shape[1])),
+                               constant_values=np.inf)
+            jumps[i, :len(path_jumps)] = path_jumps
+        return _fill(bundle, quad, lo, jumps, normals, min(keep_paths, hi) - lo, stream)
+
+    bundle.samples = [s for samples in _row_map(chunk, n) for s in samples]
+    return bundle
 
 
-def _main_draws(key, n: int, R: int, lam: float):
-    """The main stream's (n, 8) jump gaps and (n, R + 1) normals, as ``simulate`` lays them out."""
+def _main_draws(key, n: int, R: int, lam: float, first: int = 0):
+    """The main stream's (n, 8) jump gaps and (n, R + 1) normals of paths
+    first .. first + n - 1, as ``simulate`` lays them out."""
     P = -(-(R + 1) // 2)
     K = 4 * -(-(8 + 2 * P) // 4)
-    raw = np.random.Philox(key=key).random_raw(n * K).reshape(n, K)
+    raw = np.random.Philox(key=key, counter=[first * K // 4, 0, 0, 0]).random_raw(n * K)
+    raw = raw.reshape(n, K)
     u = np.right_shift(raw, 11, out=raw)[:, :8 + 2 * P].astype(float)
     u += 0.5
     u *= 2.0 ** -53
@@ -261,13 +331,60 @@ def _main_draws(key, n: int, R: int, lam: float):
     return -np.log(u[:, :8]) / lam, normals
 
 
-def _evaluate(sc, rep, jumps, normals, keep_paths, stream) -> PathBundle:
-    """Every report-grid quantity from the draws, plus the kept full-grid samples.
+# the arrays of a bundle: one value, or one row of report-time values, per path
+_PER_PATH = ("t1", "t2", "tau", "from_second_jump", "W_tau")
+_PER_REPORT = ("W", "N", "S", "G", "G_tilde", "m", "D_opt", "N_G")
 
-    ``jumps`` holds each path's jump times (inf-padded), ``normals`` its R+1
-    Brownian normals, and ``stream(i)`` returns the generator that path i's
-    bridge fill draws from.
+
+def _empty_bundle(sc, rep, n: int) -> PathBundle:
+    """A bundle of n paths whose arrays are yet to be filled (``_fill``)."""
+    return PathBundle(
+        scenario=sc, report_times=rep,
+        **{f: np.empty(n, bool if f == "from_second_jump" else float) for f in _PER_PATH},
+        **{f: np.empty((n, len(rep))) for f in _PER_REPORT})
+
+
+def _rows(b: PathBundle, lo: int, hi: int) -> PathBundle:
+    """Paths lo : hi of a bundle, as views, without its samples."""
+    return replace(b, samples=[], **{f: getattr(b, f)[lo:hi] for f in _PER_PATH + _PER_REPORT})
+
+
+def _by_rows(fn, bundle: PathBundle, *args):
+    """fn(bundle, *args), an array or a tuple of arrays with one row per path,
+    evaluated chunk by chunk (``_row_map``) into arrays shaped like fn's
+    output on no rows."""
+    n = bundle.n_paths
+    if n <= _ROWS:
+        return fn(bundle, *args)
+    empty = fn(_rows(bundle, 0, 0), *args)
+    one = not isinstance(empty, tuple)
+    outs = [np.empty((n,) + e.shape[1:], e.dtype) for e in ((empty,) if one else empty)]
+
+    def chunk(lo, hi):
+        parts = fn(_rows(bundle, lo, hi), *args)
+        for out, part in zip(outs, (parts,) if one else parts):
+            out[lo:hi] = part
+
+    _row_map(chunk, n)
+    return outs[0] if one else tuple(outs)
+
+
+def _evaluate(sc, rep, jumps, normals, keep_paths, stream) -> PathBundle:
+    """The bundle of the paths drawn as ``jumps`` and ``normals``, in one block."""
+    bundle = _empty_bundle(sc, rep, len(jumps))
+    bundle.samples = _fill(bundle, _quadrature_table(sc), 0, jumps, normals, keep_paths, stream)
+    return bundle
+
+
+def _fill(bundle, quad, lo, jumps, normals, keep, stream) -> list:
+    """Rows lo : lo + len(jumps) of ``bundle`` from their draws, and the
+    dt-grid samples of the first ``keep`` of them.
+
+    ``jumps`` holds each row's jump times (inf-padded), ``normals`` its R+1
+    Brownian normals, ``stream(i)`` the generator that row i's bridge fill
+    draws from, and ``quad`` the dt-grid trapezoid table of D^o.
     """
+    sc, rep = bundle.scenario, bundle.report_times
     H, n, R = sc.horizon, len(jumps), len(rep)
     t1, t2 = jumps[:, 0], jumps[:, 1]
     tau = np.minimum(sc.a * t2, t1)
@@ -284,23 +401,23 @@ def _evaluate(sc, rep, jumps, normals, keep_paths, stream) -> PathBundle:
     W_tau = W_aug[tau_col]
     W_rep = W_aug[~tau_col].reshape(n, R)
 
-    quad = _quadrature_table(sc)
-    bundle = PathBundle(
-        scenario=sc, report_times=rep, t1=t1, t2=t2, tau=tau,
-        from_second_jump=from_second, W=W_rep, W_tau=W_tau,
-        **_path_processes(sc, quad, rep, jumps, tau, from_second, W_rep),
-    )
-    if keep_paths:
-        grid, k = quad[0], keep_paths
-        W = np.stack([_bridge_fill(grid, np.r_[0.0, times_aug[i]], np.r_[0.0, W_aug[i]],
-                                   stream(i)) for i in range(k)])
-        full = _path_processes(sc, quad, grid, jumps[:k], tau[:k], from_second[:k], W)
-        res = np.abs(full["m"] - (full["G"] + full["D_opt"])).max(axis=1)
-        bundle.samples = [{"index": i, "time": grid, "W": W[i],
-                           **{key: v[i] for key, v in full.items()}, "tau": float(tau[i]),
-                           "t1": float(t1[i]), "m_identity_residual": float(res[i])}
-                          for i in range(k)]
-    return bundle
+    rows = {"t1": t1, "t2": t2, "tau": tau, "from_second_jump": from_second, "W": W_rep,
+            "W_tau": W_tau, **_path_processes(sc, quad, rep, jumps, tau, from_second, W_rep)}
+    for name, value in rows.items():
+        getattr(bundle, name)[lo:lo + n] = value
+    if keep <= 0:
+        return []
+    grid = quad[0]
+    W = np.stack([_bridge_fill(grid, np.r_[0.0, times_aug[i]], np.r_[0.0, W_aug[i]],
+                               stream(i)) for i in range(keep)])
+    full = _path_processes(sc, quad, grid, jumps[:keep], tau[:keep], from_second[:keep], W)
+    res = full["G"] + full["D_opt"]
+    np.subtract(full["m"], res, out=res)
+    res = np.abs(res, out=res).max(axis=1)
+    return [{"index": lo + i, "time": grid, "W": W[i],
+             **{key: v[i] for key, v in full.items()}, "tau": float(tau[i]),
+             "t1": float(t1[i]), "m_identity_residual": float(res[i])}
+            for i in range(keep)]
 
 
 def _path_processes(sc, quad, times, jumps, tau, from_second, W) -> dict:
@@ -310,17 +427,20 @@ def _path_processes(sc, quad, times, jumps, tau, from_second, W) -> dict:
     is (paths, times), and ``quad`` is the dt-grid trapezoid table of D^o.
     """
     beta, lam = sc.beta, sc.lam
-    t1 = jumps[:, :1]
-    N = _jump_counts(times, jumps)
-    S = sc.S0 * np.exp(sc.sigma * W + sc.drift * times) * (1.0 + sc.zeta) ** N
-    before_t1 = times < t1
-    G = np.where(before_t1, np.exp(-beta * times) * (1.0 + beta * times), 0.0)
-    x1 = np.minimum(times, t1)
-    m = 1.0 + lam * beta * _i1(beta, x1) - beta * t1 * np.exp(-beta * t1) * ~before_t1
-    D_opt = _lebesgue_quadrature(sc, *quad, x1) + np.exp(-beta * t1) * ~before_t1
+    # the processes with the most temporaries first: on the kept paths' dt
+    # grid every array is (paths, grid)
     tau = tau[:, None]
     N_G = (from_second[:, None] & (tau <= times)).astype(float) \
         - (lam + beta) * _ig(beta, np.minimum(times, tau))
+    t1 = jumps[:, :1]
+    before_t1 = times < t1
+    x1 = np.minimum(times, t1)
+    m = 1.0 + lam * beta * _i1(beta, x1) - beta * t1 * np.exp(-beta * t1) * ~before_t1
+    D_opt = _lebesgue_quadrature(sc, *quad, x1) + np.exp(-beta * t1) * ~before_t1
+    del x1
+    N = _jump_counts(times, jumps)
+    S = sc.S0 * np.exp(sc.sigma * W + sc.drift * times) * (1.0 + sc.zeta) ** N
+    G = np.where(before_t1, np.exp(-beta * times) * (1.0 + beta * times), 0.0)
     # G~ = G: {t = T1} has probability 0 on a fixed grid
     return {"N": N, "S": S, "G": G, "G_tilde": G.copy(), "m": m, "D_opt": D_opt, "N_G": N_G}
 
@@ -328,15 +448,12 @@ def _path_processes(sc, quad, times, jumps, tau, from_second, W) -> dict:
 def _jump_counts(times, jumps) -> np.ndarray:
     """#{k : jumps[i, k] <= times[g]}, (paths, times), with no times x jumps table:
     each jump lands on the first time at or after it (inf padding past the end),
-    and counts are running sums of landings, 8192 paths at a time."""
-    T, rows = len(times), 8192
-    N = np.empty((len(jumps), T))
-    for lo in range(0, len(jumps), rows):
-        land = np.searchsorted(times, jumps[lo:lo + rows])
-        land += (T + 1) * np.arange(len(land))[:, None]
-        hits = np.bincount(land.ravel(), minlength=len(land) * (T + 1))
-        N[lo:lo + rows] = hits.reshape(-1, T + 1).cumsum(axis=1)[:, :T]
-    return N
+    and counts are running sums of landings."""
+    T = len(times)
+    land = np.searchsorted(times, jumps)
+    land += (T + 1) * np.arange(len(land))[:, None]
+    hits = np.bincount(land.ravel(), minlength=len(land) * (T + 1))
+    return hits.reshape(-1, T + 1).cumsum(axis=1)[:, :T].astype(float)
 
 
 def _bridge_fill(grid, anchors_t, anchors_w, gen) -> np.ndarray:
@@ -372,7 +489,7 @@ def _bridge_fill(grid, anchors_t, anchors_w, gen) -> np.ndarray:
 
 def closed_forms(bundle: PathBundle) -> dict:
     """Survival grids at the report times with the pathwise identity residual."""
-    res = np.abs(bundle.m - (bundle.G + bundle.D_opt))
+    res = _by_rows(lambda b: np.abs(b.m - (b.G + b.D_opt)).max(axis=1), bundle)
     return {
         "G": bundle.G, "G_tilde": bundle.G_tilde, "m": bundle.m,
         "D_opt": bundle.D_opt, "N_G": bundle.N_G,
@@ -398,7 +515,7 @@ def solve_drift(sc: JumpDiffusionScenario, psi2: float) -> float:
 
 def transported_brownian(bundle: PathBundle) -> np.ndarray:
     """W stopped at tau: the transport of the Brownian motion."""
-    return bundle.stopped_W()
+    return _by_rows(PathBundle.stopped_W, bundle)
 
 
 def transported_poisson(bundle: PathBundle) -> np.ndarray:
@@ -407,20 +524,25 @@ def transported_poisson(bundle: PathBundle) -> np.ndarray:
     The stopped compensated process plus the jump correction (1 + beta T1)
     replacing the plain unit jump when the horizon coincides with T1.
     """
-    sc = bundle.scenario
-    ts = bundle.stopped_times()
-    hit = bundle.first_jump_stopped()
-    return hit * (1.0 + sc.beta * bundle.t1[:, None]) - sc.lam * ts
+    return _by_rows(_transported_poisson, bundle)
+
+
+def _transported_poisson(b):
+    sc = b.scenario
+    return b.first_jump_stopped() * (1.0 + sc.beta * b.t1[:, None]) - sc.lam * b.stopped_times()
 
 
 def survival_exponential(bundle: PathBundle) -> np.ndarray:
     """The density-style exponential of (1/G_minus) . m, a unit-mean martingale."""
-    sc = bundle.scenario
-    beta, lam = sc.beta, sc.lam
-    x1 = np.minimum(bundle.report_times[None, :], bundle.t1[:, None])
+    return _by_rows(_survival_exponential, bundle)
+
+
+def _survival_exponential(b):
+    beta, lam = b.scenario.beta, b.scenario.lam
+    x1 = np.minimum(b.report_times[None, :], b.t1[:, None])
     cont = np.exp(lam * _ig(beta, x1))
-    seen = (bundle.t1[:, None] <= bundle.report_times[None, :])
-    jump = np.where(seen, 1.0 / (1.0 + beta * bundle.t1[:, None]), 1.0)
+    seen = (b.t1[:, None] <= b.report_times[None, :])
+    jump = np.where(seen, 1.0 / (1.0 + beta * b.t1[:, None]), 1.0)
     return cont * jump
 
 
@@ -433,7 +555,6 @@ def build_deflator(bundle: PathBundle, psi1: float, psi2: float, *,
     default dates and violations name the offending path.
     """
     sc = bundle.scenario
-    beta, lam = sc.beta, sc.lam
     if not psi2 > 0.0:
         raise AdmissibilityError("psi2 must be strictly positive")
     if not phi_o > -1.0:
@@ -441,17 +562,22 @@ def build_deflator(bundle: PathBundle, psi1: float, psi2: float, *,
     if not phi_pr > -1.0:
         raise AdmissibilityError("phi_pr must exceed -1 at the default date")
     hit_t1 = (~bundle.from_second_jump) & (bundle.tau <= sc.horizon)
-    bound = psi2 * (1.0 + beta * bundle.t1)
+    bound = psi2 * (1.0 + sc.beta * bundle.t1)
     bad = np.flatnonzero(hit_t1 & (phi_o >= bound))
     if len(bad):
         raise AdmissibilityError(
             f"phi_o at the first jump breaches psi2 (1 + beta T1) on path {int(bad[0])}",
         )
 
+    Z, e_l, e_ng, e_d = _by_rows(_deflator_rows, bundle, psi1, psi2, phi_o, phi_pr)
+    return {"Z": Z, "E_L": e_l, "E_NG": e_ng, "E_D": e_d}
+
+
+def _deflator_rows(b, psi1, psi2, phi_o, phi_pr):
     e_l, e_ng, e_d = _deflator_factors(
-        sc, bundle.report_times, bundle.W, bundle.W_tau[:, None], bundle.tau[:, None],
-        bundle.t1[:, None], bundle.from_second_jump[:, None], psi1, psi2, phi_o, phi_pr)
-    return {"Z": e_l * e_ng * e_d, "E_L": e_l, "E_NG": e_ng, "E_D": e_d}
+        b.scenario, b.report_times, b.W, b.W_tau[:, None], b.tau[:, None], b.t1[:, None],
+        b.from_second_jump[:, None], psi1, psi2, phi_o, phi_pr)
+    return e_l * e_ng * e_d, e_l, e_ng, e_d
 
 
 def _deflator_factors(sc, times, W, W_tau, tau, t1, from_second, psi1, psi2, phi_o, phi_pr):
@@ -479,15 +605,17 @@ def proportional_wealth(bundle: PathBundle, theta: float, *, stopped: bool = Tru
     The multiplicative wealth E(theta . X) with X the price driver; requires
     1 + theta zeta > 0 for admissibility.
     """
-    sc = bundle.scenario
-    if 1.0 + theta * sc.zeta <= 0.0:
+    if 1.0 + theta * bundle.scenario.zeta <= 0.0:
         raise AdmissibilityError("inadmissible proportional strategy")
+    return _by_rows(_wealth, bundle, theta, stopped)
+
+
+def _wealth(b, theta, stopped):
+    sc = b.scenario
     if stopped:
-        ts, Ws = bundle.stopped_times(), bundle.stopped_W()
-        Ns = bundle.first_jump_stopped()
+        ts, Ws, Ns = b.stopped_times(), b.stopped_W(), b.first_jump_stopped()
     else:
-        ts = np.tile(bundle.report_times, (bundle.n_paths, 1))
-        Ws, Ns = bundle.W, bundle.N
+        ts, Ws, Ns = np.tile(b.report_times, (b.n_paths, 1)), b.W, b.N
     drift = theta * sc.mu - theta * sc.zeta * sc.lam - 0.5 * theta**2 * sc.sigma**2
     return np.exp(theta * sc.sigma * Ws + drift * ts) * (1.0 + theta * sc.zeta) ** Ns
 
@@ -537,11 +665,13 @@ def progressive_mean_test(bundle: PathBundle, values_at_default, *,
 
 def lmd_times_price(bundle: PathBundle, psi1: float, psi2: float) -> np.ndarray:
     """E(psi1.W + (psi2-1).N^c) * S / S0, unstopped: the drift-condition probe."""
-    sc = bundle.scenario
-    t = bundle.report_times[None, :]
-    dens = np.exp(psi1 * bundle.W - 0.5 * psi1**2 * t
-                  - (psi2 - 1.0) * sc.lam * t) * psi2 ** bundle.N
-    return dens * bundle.S / sc.S0
+    return _by_rows(_lmd_times_price, bundle, psi1, psi2)
+
+
+def _lmd_times_price(b, psi1, psi2):
+    sc, t = b.scenario, b.report_times[None, :]
+    dens = np.exp(psi1 * b.W - 0.5 * psi1**2 * t - (psi2 - 1.0) * sc.lam * t) * psi2 ** b.N
+    return dens * b.S / sc.S0
 
 
 @dataclass(frozen=True)
@@ -595,46 +725,13 @@ def mc_suite(tests, times, *, z_crit: float = 3.0) -> dict[str, MCTestReport]:
     and the null joins no regression.
     """
     times = np.asarray(times, float)
+    items = list(tests.items())
+    rows = max((len(values) for values, *_ in tests.values()), default=0)
+    moments = _map(lambda item: _moments(*item, times, z_crit), items, rows)
     reports, shared = {}, {}
-    for name, (values, start, null, features) in tests.items():
-        X = np.asarray(values, dtype=float)
-        F = None if features is None else np.asarray(features, dtype=float)
-        if F is not None and (F.ndim != 3 or F.shape[:2] != X.shape):
-            raise ValueError(f"{name}: features of shape {F.shape} do not match values "
-                             f"of shape {X.shape}; expected (n_paths, n_times, p)")
-        n = X.shape[0]
-        notes = [f"only {n} paths: statistical power is low"] if n < 1000 else []
-        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-            means = X.mean(axis=0)
-            ses = np.full_like(means, np.nan)
-            if n > 1:  # a float sum of one repeated value can miss it by an ulp
-                ses = X.std(axis=0, ddof=1) / np.sqrt(n)
-                # columns whose spread is rounding (below n eps |mean|) may be constant
-                tiny = np.flatnonzero(ses <= n * np.finfo(float).eps * np.abs(means))
-                const = tiny[(X[:, tiny] == X[0, tiny]).all(axis=0)]
-                means[const], ses[const] = X[0, const], 0.0
-            dev = means - start
-            z = np.where((ses == 0) & (dev == 0), 0.0, dev / ses)
-        flat = (ses == 0) & (dev != 0)
-        if flat.any():
-            notes.append(f"zero standard error with mean != start {start:g} at t = "
-                         f"{', '.join(f'{t:g}' for t in times[flat])}: z = +-inf under "
-                         f"the {null} null")
-        bad = [f"{label} ({np.count_nonzero(~np.isfinite(arr))} of {arr.size} entries)"
-               for label, arr in (("values", X), ("features", F))
-               if arr is not None and not np.isfinite(arr).all()]
-        if not bad and not (np.isfinite(means).all() and np.isfinite(ses).all()):
-            bad = ["means or standard errors"]
-        if bad:
-            notes.append(f"non-finite {', '.join(bad)}: null rejected")
-            z = np.where(np.isfinite(means) & np.isfinite(ses), z, np.nan)
-            reports[name] = MCTestReport(times, means, ses, z, None, null, True,
-                                         float("inf"), "; ".join(notes))
-            continue
-        max_z = float(np.max(np.abs(z))) if null == "martingale" else float(np.max(z))
-        reports[name] = MCTestReport(times, means, ses, z, None, null, max_z > z_crit,
-                                     max_z, "; ".join(notes) or None)
-        if F is not None and null == "martingale" and X.shape[1] > 1:
+    for (name, (*_, features)), (rep, X, F) in zip(items, moments):
+        reports[name] = rep
+        if F is not None:
             shared.setdefault(id(features), (F, []))[1].append((name, X))
     for F, members in shared.values():
         reg, live = _sandwich_z(F, [X for _, X in members])
@@ -653,6 +750,49 @@ def mc_suite(tests, times, *, z_crit: float = 3.0) -> dict[str, MCTestReport]:
     return reports
 
 
+def _moments(name, test, times, z_crit) -> tuple:
+    """One null's report from its means and standard errors (see ``mc_suite``),
+    its values, and its features when it joins a regression (else None)."""
+    values, start, null, features = test
+    X = np.asarray(values, dtype=float)
+    F = None if features is None else np.asarray(features, dtype=float)
+    if F is not None and (F.ndim != 3 or F.shape[:2] != X.shape):
+        raise ValueError(f"{name}: features of shape {F.shape} do not match values "
+                         f"of shape {X.shape}; expected (n_paths, n_times, p)")
+    n = X.shape[0]
+    notes = [f"only {n} paths: statistical power is low"] if n < 1000 else []
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        means = X.mean(axis=0)
+        ses = np.full_like(means, np.nan)
+        if n > 1:  # a float sum of one repeated value can miss it by an ulp
+            ses = X.std(axis=0, ddof=1) / np.sqrt(n)
+            # columns whose spread is rounding (below n eps |mean|) may be constant
+            tiny = np.flatnonzero(ses <= n * np.finfo(float).eps * np.abs(means))
+            const = tiny[(X[:, tiny] == X[0, tiny]).all(axis=0)]
+            means[const], ses[const] = X[0, const], 0.0
+        dev = means - start
+        z = np.where((ses == 0) & (dev == 0), 0.0, dev / ses)
+    flat = (ses == 0) & (dev != 0)
+    if flat.any():
+        notes.append(f"zero standard error with mean != start {start:g} at t = "
+                     f"{', '.join(f'{t:g}' for t in times[flat])}: z = +-inf under "
+                     f"the {null} null")
+    bad = [f"{label} ({np.count_nonzero(~np.isfinite(arr))} of {arr.size} entries)"
+           for label, arr in (("values", X), ("features", F))
+           if arr is not None and not np.isfinite(arr).all()]
+    if not bad and not (np.isfinite(means).all() and np.isfinite(ses).all()):
+        bad = ["means or standard errors"]
+    if bad:
+        notes.append(f"non-finite {', '.join(bad)}: null rejected")
+        z = np.where(np.isfinite(means) & np.isfinite(ses), z, np.nan)
+        return (MCTestReport(times, means, ses, z, None, null, True, float("inf"),
+                             "; ".join(notes)), X, None)
+    max_z = float(np.max(np.abs(z))) if null == "martingale" else float(np.max(z))
+    rep = MCTestReport(times, means, ses, z, None, null, max_z > z_crit, max_z,
+                       "; ".join(notes) or None)
+    return rep, X, F if null == "martingale" and X.shape[1] > 1 else None
+
+
 def _sandwich_z(F, Xs) -> tuple:
     """Robust z-scores of each X's one-step increments on [1, F_j]: (len(Xs), R - 1, p + 1),
     and the number of moving paths each X's step rests on: (len(Xs), R - 1).
@@ -663,8 +803,9 @@ def _sandwich_z(F, Xs) -> tuple:
     coefficient carried by a handful of paths fits them almost exactly, so
     its sandwich standard error sits near 0 and gives any z.
 
+    The steps run on the worker pool (``_map``), each with its own buffers.
     Per step j the design rows A = [1/2, F_j] and the increment rows DX are
-    filled into preallocated buffers, every feature and increment row scaled
+    filled into those buffers, every feature and increment row scaled
     by a power of two to a maximum modulus in [1/2, 1): that leaves each
     z-score unchanged and keeps every square finite.  One pseudo-inverse of
     G = A A^T gives both the coefficients C = G^+ A DX^T (the minimum-norm fit
@@ -681,15 +822,16 @@ def _sandwich_z(F, Xs) -> tuple:
     rows, cols = np.triu_indices(p)
     rows += 1
     cols += 1
-    A = np.empty((p + 1, n))
-    A[0] = 0.5
-    P = np.empty((len(rows), n))
-    DX = np.empty((k, n))
-    meat = np.empty((k, p + 1, p + 1))
     out = np.empty((k, R - 1, p + 1))
     live = np.empty((k, R - 1), dtype=int)
     rtol = (p + 1) * n * np.finfo(float).eps
-    for j in range(R - 1):
+
+    def step(j):
+        A = np.empty((p + 1, n))
+        A[0] = 0.5
+        P = np.empty((len(rows), n))
+        DX = np.empty((k, n))
+        meat = np.empty((k, p + 1, p + 1))
         A[1:] = F[:, j, :].T
         for i, X in enumerate(Xs):
             np.subtract(X[:, j + 1], X[:, j], out=DX[i])
@@ -712,6 +854,8 @@ def _sandwich_z(F, Xs) -> tuple:
         se = np.sqrt(np.maximum(np.diagonal(cov, axis1=1, axis2=2), 1e-300))
         out[:, j] = C.T / se
         out[live[:, j] < MIN_SAMPLES, j] = np.nan
+
+    _map(step, range(R - 1), n)
     return out, live
 
 
@@ -725,5 +869,9 @@ def _moving(M) -> np.ndarray:
 
 def feature_matrix(bundle: PathBundle) -> np.ndarray:
     """Observable features (S_t, N_t, 1{t < T1}) at each report time."""
-    pre = (bundle.report_times[None, :] < bundle.t1[:, None]).astype(float)
-    return np.stack([bundle.S, bundle.N, pre], axis=2)
+    return _by_rows(_feature_matrix, bundle)
+
+
+def _feature_matrix(b):
+    pre = (b.report_times[None, :] < b.t1[:, None]).astype(float)
+    return np.stack([b.S, b.N, pre], axis=2)

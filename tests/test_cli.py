@@ -451,6 +451,62 @@ def test_simulate_rejects_keep_paths_above_path_override(docs, tmp_path, capsys)
     assert "keep_paths" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("flag,value,field", [
+    ("--paths", "0", "n_paths"), ("--paths", "-5", "n_paths"),
+    ("--dt", "0", "dt"), ("--dt", "-0.5", "dt")])
+def test_simulate_rejects_zero_or_negative_override(docs, tmp_path, capsys, flag, value, field):
+    # an override of 0 is an error, not a fall-back to the document's value
+    root, _ = docs
+    assert run("simulate", "--scenario", root / "scenario.json", flag, value,
+               "--out", tmp_path) == 2
+    assert f"input error: {field} must" in capsys.readouterr().err
+    assert not (tmp_path / "simulate-summary.json").exists()
+
+
+def _cli_subprocess(code, tmp_path):
+    src = str(Path(jd.__file__).parents[1])
+    env = {**os.environ,
+           "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    return subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          env=env, timeout=300, cwd=tmp_path)
+
+
+@pytest.mark.skipif(not hasattr(os, "sched_setaffinity"), reason="no CPU affinity")
+def test_simulate_outputs_do_not_depend_on_the_worker_count(tmp_path):
+    # the README scenario at 20,000 paths (3 chunks), once on one CPU (a pool
+    # of one worker; the affinity is set before numpy loads) and once on all
+    modelio.write_json(tmp_path / "scenario.json", {
+        "sigma": 0.2, "zeta": 0.1, "mu": 0.03, "lambda": 2.0, "a": 0.5, "seed": 7})
+    runs = []
+    for label, pin in (("pinned", True), ("unpinned", False)):
+        code = ("import os, sys\n"
+                + ("os.sched_setaffinity(0, {min(os.sched_getaffinity(0))})\n" if pin else "")
+                + "from horizon_deflators.cli import main\n"
+                f"sys.exit(main(['simulate', '--scenario', 'scenario.json', '--paths', "
+                f"'20000', '--out', {label!r}]))\n")
+        done = _cli_subprocess(code, tmp_path)
+        runs.append((done.returncode, done.stdout, done.stderr))
+    assert runs[0] == runs[1] and runs[0][0] == 0
+    for name in ("simulate-summary.json", "paths.csv"):
+        assert ((tmp_path / "pinned" / name).read_bytes()
+                == (tmp_path / "unpinned" / name).read_bytes()), name
+
+
+def test_simulate_within_one_chunk_starts_no_pool(tmp_path):
+    # 2,000 paths fit one chunk: every map runs inline
+    modelio.write_json(tmp_path / "scenario.json", {
+        "sigma": 0.2, "zeta": 0.1, "mu": 0.03, "lambda": 2.0, "a": 0.5, "n_paths": 2000,
+        "dt": 2.0 ** -6})
+    done = _cli_subprocess(
+        "import sys\n"
+        "from horizon_deflators import jumpdiff\n"
+        "from horizon_deflators.cli import main\n"
+        "main(['simulate', '--scenario', 'scenario.json', '--out', 'out'])\n"
+        "print(jumpdiff._pool, 'concurrent.futures' in sys.modules)\n", tmp_path)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.splitlines()[-1] == "None False"
+
+
 NON_FINITE = (math.nan, math.inf, -math.inf)
 MISSING = object()
 # field: (valid values, values the input contract rejects)

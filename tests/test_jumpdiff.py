@@ -1,6 +1,9 @@
 """Jump-diffusion engine: exactness, closed forms, statistics (fast scale)."""
 
 import re
+import sys
+import threading
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
@@ -155,6 +158,73 @@ def test_simulate_matches_per_path_reference(lam):
         assert s_got.keys() == s_ref.keys()
         for key in s_ref:
             assert np.array_equal(s_got[key], s_ref[key]), key
+
+
+@pytest.mark.parametrize("lam", [2.0, 12.0], ids=["readme", "overflow-heavy"])
+def test_simulate_matches_per_path_reference_in_uneven_chunks(lam, monkeypatch):
+    # 3,000 paths in chunks of 1,100, 1,100 and 800 rows, run on the pool; the
+    # reference evaluates all paths in one block
+    monkeypatch.setattr(jd, "_ROWS", 1100)
+    test_simulate_matches_per_path_reference(lam)
+    if lam > 2.0:  # spill paths in every chunk
+        N = simulate(JumpDiffusionScenario(sigma=0.2, zeta=0.1, mu=0.03, lam=lam, a=0.5,
+                                           n_paths=3000, seed=7)).N[:, -1]
+        assert all((N[lo:lo + 1100] >= 8).any() for lo in (0, 1100, 2200))
+
+
+def test_kept_paths_span_chunks(monkeypatch):
+    sc = scenario(n_paths=7, lam=6.0)
+    whole = simulate(sc, keep_paths=5)
+    monkeypatch.setattr(jd, "_ROWS", 2)
+    chunked = simulate(sc, keep_paths=5)
+    for name in BUNDLE_FIELDS:
+        assert np.array_equal(getattr(chunked, name), getattr(whole, name)), name
+    assert [s["index"] for s in chunked.samples] == [0, 1, 2, 3, 4]
+    for s_chunked, s_whole in zip(chunked.samples, whole.samples):
+        for key in s_whole:
+            assert np.array_equal(s_chunked[key], s_whole[key]), key
+
+
+def test_many_workers_switching_often_give_the_same_bits(monkeypatch):
+    # 8 workers on chunks of 97 rows, the interpreter switching threads every
+    # microsecond: a row written to the wrong place, or a buffer two tasks
+    # share, would change a bundle array, a deflator or a report
+    sc = scenario(n_paths=3000, lam=12.0)
+
+    def pipeline():
+        b = simulate(sc, keep_paths=3)
+        feats = jd.feature_matrix(b)
+        Z = build_deflator(b, solve_drift(sc, 1.0), 1.0, phi_o=0.25)["Z"]
+        suite = {"m": (b.m, 1.0, "martingale", feats), "N_G": (b.N_G, 0.0, "martingale", feats),
+                 "Z": (Z, 1.0, "martingale", None)}
+        return b, Z, jd.mc_suite(suite, b.report_times)
+
+    reference = pipeline()
+    monkeypatch.setattr(jd, "_ROWS", 97)
+    pool = ThreadPoolExecutor(8)
+    monkeypatch.setattr(jd, "_pool", pool)
+    result = []
+    worker = threading.Thread(target=lambda: result.append(pipeline()))
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        worker.start()
+        worker.join(timeout=300)
+    finally:
+        sys.setswitchinterval(interval)
+        pool.shutdown(wait=False)
+    assert not worker.is_alive() and len(result) == 1
+    (b, Z, reports), (b_ref, Z_ref, reports_ref) = result[0], reference
+    for name in BUNDLE_FIELDS:
+        assert np.array_equal(getattr(b, name), getattr(b_ref, name)), name
+    for s, s_ref in zip(b.samples, b_ref.samples, strict=True):
+        assert all(np.array_equal(s[key], s_ref[key]) for key in s_ref)
+    assert np.array_equal(Z, Z_ref)
+    for name, rep in reports.items():
+        assert np.array_equal(rep.zscores, reports_ref[name].zscores), name
+    for name in ("m", "N_G"):
+        assert np.array_equal(reports[name].regression_z, reports_ref[name].regression_z,
+                              equal_nan=True), name
 
 
 def test_horizon_respects_order():
@@ -325,6 +395,19 @@ def test_deflator_constraints():
     with pytest.raises(AdmissibilityError) as err:
         build_deflator(b, 0.0, 1e-9, phi_o=0.5)
     assert "path" in str(err.value)
+
+
+def test_deflator_admissibility_names_the_global_path(monkeypatch):
+    # no path of the first 150 hits tau at T1, so every offending path lies
+    # past the first two chunks of 100 rows, and the error names its index
+    monkeypatch.setattr(jd, "_ROWS", 100)
+    b = simulate(scenario(n_paths=300))
+    b.from_second_jump[:150] = True
+    hit_t1 = ~b.from_second_jump & (b.tau <= b.scenario.horizon)
+    first = int(np.flatnonzero(hit_t1 & (0.5 >= 1e-9 * (1.0 + b.scenario.beta * b.t1)))[0])
+    assert first >= 150
+    with pytest.raises(AdmissibilityError, match=f"on path {first}$"):
+        build_deflator(b, 0.0, 1e-9, phi_o=0.5)
 
 
 def test_deflator_unit_mean_and_wealth():
@@ -519,6 +602,30 @@ def test_mc_suite_matches_reference_on_simulated_nulls(lam, n_paths, seed):
             assert rep.warning.endswith("0.875 -> 1 (1 path)"), name
             assert rep.rejected == (name == "N_G"), name
         assert np.max(np.abs(reports["N_G"].zscores)) > 1000
+
+
+def test_mc_suite_same_on_the_pool_and_inline(monkeypatch):
+    # the simulate suite's nulls, random suites, a null with a NaN and a
+    # supermartingale: one chunk row makes every map run on the pool, a huge
+    # one runs it inline
+    suites = [_bundle_suite(12.0, 3000, 7)] + [_random_suite(seed) for seed in range(5)]
+    values, _, _, feats = suites[0][0]["transported_brownian"]
+    bad = values.copy()
+    bad[3, 2] = np.nan
+    suites[0][0].update({"nan": (bad, 0.0, "martingale", feats),
+                         "super": (values, 0.0, "supermartingale", None)})
+    for suite, times in suites:
+        reports = {}
+        for rows in (1, 10**9):
+            monkeypatch.setattr(jd, "_ROWS", rows)
+            reports[rows] = jd.mc_suite(suite, times)
+        for name, pooled in reports[1].items():
+            inline = reports[10**9][name]
+            for field in ("means", "ses", "zscores", "regression_z"):
+                a, b = getattr(pooled, field), getattr(inline, field)
+                assert (a is None and b is None) or np.array_equal(a, b, equal_nan=True), field
+            assert (pooled.rejected, pooled.max_abs_z, pooled.warning) == \
+                (inline.rejected, inline.max_abs_z, inline.warning), name
 
 
 def test_mc_suite_groups_by_feature_array_and_skips_failed_nulls():
