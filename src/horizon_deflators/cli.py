@@ -13,6 +13,7 @@ import math
 import os
 import sys
 from dataclasses import replace
+from operator import itemgetter
 from statistics import NormalDist
 
 import numpy as np
@@ -168,9 +169,9 @@ def cmd_simulate(args) -> int:
     psi2 = extras["psi2"]
     try:
         psi1 = jd.solve_drift(sc, psi2)
-        plain = jd.build_deflator(bundle, psi1, psi2)["Z"]
-        fancy = jd.build_deflator(bundle, psi1, psi2, phi_o=extras["phi_o"],
-                                  phi_pr=extras["phi_pr"])["Z"]
+        # the plain deflator (phi_o = phi_pr = 0) is E(L): its other two factors are 1
+        plain, fancy = itemgetter("E_L", "Z")(jd.build_deflator(
+            bundle, psi1, psi2, phi_o=extras["phi_o"], phi_pr=extras["phi_pr"]))
     except AdmissibilityError as exc:
         return _fail(2, f"scenario constraint violation: {exc}")
     deflated_wealth = jd.proportional_wealth(bundle, extras["theta"])

@@ -31,6 +31,10 @@ one worker per CPU the process may run on (its affinity set).  Each chunk
 writes its own rows and every reduction runs on whole columns, so no output
 depends on the number of workers; work of one chunk runs inline.
 
+Every (n_paths, R) and (n_paths, R, p) array here is column-major, so one report
+time's values are contiguous: ``mc_suite`` reads its steps, and sums each column
+in one pass (NumPy's pairwise order), on that layout whatever its input's.
+
 Statistical verification is by Monte-Carlo means with standard errors,
 sharpened by regressing one-step increments on observable features with
 heteroskedasticity-robust (sandwich) standard errors.  ``mc_suite`` tests a
@@ -57,8 +61,7 @@ MAX_STEPS = 2**20        # dt-grid points: bounds the quadrature table and each 
 MAX_MEAN_JUMPS = 2**10   # lam * horizon: bounds the jump table and the gap-drawing loop
 MAX_EXPONENT = 512.0     # sigma^2 * horizon and |drift| * horizon: exp(sigma W_t + drift t)
                          # stays far from float overflow
-MIN_SAMPLES = 20         # fewest paths a standard error rests on: a progressive_mean_test
-                         # bin, or the moving paths of an mc_suite regression step
+MIN_SAMPLES = 20         # fewest moving paths an mc_suite regression step rests on
 _ROWS = 8192             # paths per chunk of the row map
 
 _pool = None             # the worker pool of _map, built on first use
@@ -169,14 +172,43 @@ class JumpDiffusionScenario:
         return self.mu - self.zeta * self.lam - 0.5 * self.sigma**2
 
 
-def _i1(beta: float, x):
-    """int_0^x s exp(-beta s) ds, exact."""
-    return (1.0 - np.exp(-beta * x) * (1.0 + beta * x)) / beta**2
+def _i1(beta: float, x) -> np.ndarray:
+    """int_0^x s exp(-beta s) ds = (1 - e^(-beta x)(1 + beta x)) / beta^2, exact.  Below
+    beta x = 0.3, where the closed form cancels (above, its error is under 6e-15 relative),
+    the series x^2 sum_k (-beta x)^k (k + 1) / (k + 2)! takes over: x^2 / 2 at beta = 0."""
+    return _below_cut(beta, x, 0.3, 2, _I1_SERIES,
+                      lambda x: (1.0 - np.exp(-beta * x) * (1.0 + beta * x)) / beta**2)
 
 
-def _ig(beta: float, x):
-    """int_0^x beta s / (1 + beta s) ds = x - log(1 + beta x)/beta, exact."""
-    return x - np.log1p(beta * x) / beta
+def _ig(beta: float, x) -> np.ndarray:
+    """int_0^x beta s / (1 + beta s) ds = x - log(1 + beta x) / beta, exact.  Below
+    beta x = 0.1 (above, the closed form's error is under 4e-15 relative) the series
+    x sum_k>=1 (-1)^(k+1) (beta x)^k / (k + 1) takes over: 0 at beta = 0."""
+    return _below_cut(beta, x, 0.1, 1, _IG_SERIES, lambda x: x - np.log1p(beta * x) / beta)
+
+
+# the leading coefficients of the series of _i1 / x^2 and of _ig / x in beta x, highest
+# power first; below its cut each series' first omitted term is under 1e-17 of its value
+_I1_SERIES = [(-1) ** k * (k + 1) / math.factorial(k + 2) for k in range(13, -1, -1)]
+_IG_SERIES = [(-1) ** (k + 1) / (k + 1) for k in range(17, 0, -1)] + [0.0]
+
+
+def _below_cut(beta, x, cut, power, series, closed) -> np.ndarray:
+    """``closed(x)``, but x^power polyval(series, beta x) on the cells of x where
+    beta x < cut, which alone pay for the series."""
+    x = np.asarray(x, dtype=float)
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore", under="ignore"):
+        out = np.asarray(closed(x))  # cells below the cut may be 0 / 0: they are overwritten
+    small = beta * x < cut
+    x = x[small]
+    out[small] = np.polyval(series, beta * x) * x**power
+    return out
+
+
+def _stopped(f, times, stop) -> np.ndarray:
+    """f(min(times, stop)) for an elementwise f, evaluated on the shared times and on the
+    per-path stop times alone (a stop past the last time is taken there, unused)."""
+    return np.where(times < stop, f(times), f(np.minimum(stop, times[-1])))
 
 
 @dataclass
@@ -233,22 +265,11 @@ def _quadrature_table(sc: JumpDiffusionScenario):
 
 
 def _lebesgue_quadrature(sc, grid, dens, cum, x):
-    """Trapezoid of the D^o density over [0, x] using the dt grid plus a stub.
-
-    The products run in place: on the kept paths' dt grid x is (paths, grid).
-    """
+    """Trapezoid of the D^o density over [0, x] using the dt grid plus a stub."""
     beta, lam = sc.beta, sc.lam
-    idx = (x / sc.dt).astype(int)
-    np.minimum(idx, len(grid) - 1, out=idx)
-    fx = np.exp(-beta * x)
-    fx *= (beta + lam) * beta * x
-    out = dens[idx]
-    out += fx
-    out *= 0.5
-    np.subtract(x, np.take(grid, idx, out=fx, mode="clip"), out=fx)
-    out *= fx
-    out += np.take(cum, idx, out=fx, mode="clip")
-    return out
+    idx = np.minimum((x / sc.dt).astype(int), len(grid) - 1)
+    fx = np.exp(-beta * x) * ((beta + lam) * beta * x)
+    return (dens[idx] + fx) * 0.5 * (x - grid[idx]) + cum[idx]
 
 
 def simulate(sc: JumpDiffusionScenario, *, report_times=None, keep_paths: int = 0) -> PathBundle:
@@ -341,7 +362,7 @@ def _empty_bundle(sc, rep, n: int) -> PathBundle:
     return PathBundle(
         scenario=sc, report_times=rep,
         **{f: np.empty(n, bool if f == "from_second_jump" else float) for f in _PER_PATH},
-        **{f: np.empty((n, len(rep))) for f in _PER_REPORT})
+        **{f: np.empty((n, len(rep)), order="F") for f in _PER_REPORT})
 
 
 def _rows(b: PathBundle, lo: int, hi: int) -> PathBundle:
@@ -351,14 +372,12 @@ def _rows(b: PathBundle, lo: int, hi: int) -> PathBundle:
 
 def _by_rows(fn, bundle: PathBundle, *args):
     """fn(bundle, *args), an array or a tuple of arrays with one row per path,
-    evaluated chunk by chunk (``_row_map``) into arrays shaped like fn's
-    output on no rows."""
+    evaluated chunk by chunk (``_row_map``) into column-major arrays shaped
+    like fn's output on no rows."""
     n = bundle.n_paths
-    if n <= _ROWS:
-        return fn(bundle, *args)
     empty = fn(_rows(bundle, 0, 0), *args)
     one = not isinstance(empty, tuple)
-    outs = [np.empty((n,) + e.shape[1:], e.dtype) for e in ((empty,) if one else empty)]
+    outs = [np.empty((n,) + e.shape[1:], e.dtype, order="F") for e in ((empty,) if one else empty)]
 
     def chunk(lo, hi):
         parts = fn(_rows(bundle, lo, hi), *args)
@@ -427,17 +446,15 @@ def _path_processes(sc, quad, times, jumps, tau, from_second, W) -> dict:
     is (paths, times), and ``quad`` is the dt-grid trapezoid table of D^o.
     """
     beta, lam = sc.beta, sc.lam
-    # the processes with the most temporaries first: on the kept paths' dt
-    # grid every array is (paths, grid)
     tau = tau[:, None]
     N_G = (from_second[:, None] & (tau <= times)).astype(float) \
-        - (lam + beta) * _ig(beta, np.minimum(times, tau))
+        - _stopped(lambda x: (lam + beta) * _ig(beta, x), times, tau)
     t1 = jumps[:, :1]
     before_t1 = times < t1
-    x1 = np.minimum(times, t1)
-    m = 1.0 + lam * beta * _i1(beta, x1) - beta * t1 * np.exp(-beta * t1) * ~before_t1
-    D_opt = _lebesgue_quadrature(sc, *quad, x1) + np.exp(-beta * t1) * ~before_t1
-    del x1
+    m = _stopped(lambda x: 1.0 + lam * beta * _i1(beta, x), times, t1) \
+        - beta * t1 * np.exp(-beta * t1) * ~before_t1
+    D_opt = _stopped(lambda x: _lebesgue_quadrature(sc, *quad, x), times, t1) \
+        + np.exp(-beta * t1) * ~before_t1
     N = _jump_counts(times, jumps)
     S = sc.S0 * np.exp(sc.sigma * W + sc.drift * times) * (1.0 + sc.zeta) ** N
     G = np.where(before_t1, np.exp(-beta * times) * (1.0 + beta * times), 0.0)
@@ -539,8 +556,7 @@ def survival_exponential(bundle: PathBundle) -> np.ndarray:
 
 def _survival_exponential(b):
     beta, lam = b.scenario.beta, b.scenario.lam
-    x1 = np.minimum(b.report_times[None, :], b.t1[:, None])
-    cont = np.exp(lam * _ig(beta, x1))
+    cont = _stopped(lambda x: np.exp(lam * _ig(beta, x)), b.report_times, b.t1[:, None])
     seen = (b.t1[:, None] <= b.report_times[None, :])
     jump = np.where(seen, 1.0 / (1.0 + beta * b.t1[:, None]), 1.0)
     return cont * jump
@@ -594,7 +610,7 @@ def _deflator_factors(sc, times, W, W_tau, tau, t1, from_second, psi1, psi2, phi
               + (lam / beta) * np.log1p(beta * ts))
     e_l = np.exp(log_el) * np.where(seen & ~from_second, (1.0 + beta * t1) * psi2, 1.0)
     e_ng = np.where(seen & from_second, 1.0 + phi_o, 1.0) \
-        * np.exp(-phi_o * (lam + beta) * _ig(beta, ts))
+        * _stopped(lambda x: np.exp(-phi_o * (lam + beta) * _ig(beta, x)), times, tau)
     e_d = 1.0 + phi_pr * seen
     return e_l, e_ng, e_d
 
@@ -628,39 +644,6 @@ def deflator_grid(bundle: PathBundle, index: int, psi1: float, psi2: float, *,
         bundle.scenario, s["time"], s["W"], bundle.W_tau[index], s["tau"], s["t1"],
         bundle.from_second_jump[index], psi1, psi2, phi_o, phi_pr)
     return e_l * e_ng * e_d
-
-
-def progressive_mean_test(bundle: PathBundle, values_at_default, *,
-                          n_bins: int = 6, z_crit: float = 3.0):
-    """Bin test of the zero-conditional-mean condition at the default date.
-
-    ``values_at_default`` gives the progressive integrand evaluated at tau per
-    path; paths defaulting inside the window are binned on observables at the
-    default date (which jump produced it, and the default date quantile) and
-    each bin's mean is z-tested against zero.  Returns (max |z|, rejected,
-    bins) where bins maps a label to (count, mean, se).
-    """
-    vals = np.asarray(values_at_default, dtype=float)
-    seen = bundle.tau <= bundle.scenario.horizon
-    bins = {}
-    max_z = 0.0
-    for flag in (False, True):
-        sel = seen & (bundle.from_second_jump == flag)
-        if not np.any(sel):
-            continue
-        edges = np.quantile(bundle.tau[sel], np.linspace(0, 1, n_bins + 1))
-        which = np.clip(np.searchsorted(edges, bundle.tau[sel], side="right") - 1,
-                        0, n_bins - 1)
-        v = vals[sel]
-        for b in range(n_bins):
-            grp = v[which == b]
-            if len(grp) < MIN_SAMPLES:
-                continue
-            se = grp.std(ddof=1) / np.sqrt(len(grp))
-            z = 0.0 if se == 0 else grp.mean() / se
-            bins[f"jump{int(flag) + 1}/bin{b}"] = (len(grp), float(grp.mean()), float(se))
-            max_z = max(max_z, abs(float(z)))
-    return max_z, max_z > z_crit, bins
 
 
 def lmd_times_price(bundle: PathBundle, psi1: float, psi2: float) -> np.ndarray:
@@ -702,8 +685,11 @@ def mc_suite(tests, times, *, z_crit: float = 3.0) -> dict[str, MCTestReport]:
     """Monte-Carlo null tests of a suite, one :class:`MCTestReport` per name.
 
     ``tests`` maps a name to ``(values, start, null, features)``.  ``values``
-    is (n_paths, n_times).  Under the ``"martingale"`` null every mean equals
-    ``start``; under ``"supermartingale"`` means may only drift down.  A zero
+    is (n_paths, n_times); each column's mean and standard error are sums over
+    it in one pass, in NumPy's pairwise order, on a column-major copy of a
+    row-major input (this module's arrays are read in place), so no bit
+    depends on the memory order.  Under the ``"martingale"`` null every mean
+    equals ``start``; under ``"supermartingale"`` means may only drift down.  A zero
     standard error (a column of one repeated value, whose mean is that value)
     gives z = 0 where the mean equals ``start`` and z = +-inf
     (with a warning naming the null and the times) where it does not.  With
@@ -719,21 +705,30 @@ def mc_suite(tests, times, *, z_crit: float = 3.0) -> dict[str, MCTestReport]:
     regression z-scores are NaN, and a warning names the step and the count.
     Features whose first two axes differ from ``values`` raise ``ValueError``.
 
-    Each test fails closed: non-finite values or features, or a mean or
-    standard error that is not finite (fewer than two paths, overflow), give
-    ``rejected=True`` and ``max_abs_z = inf`` with a warning naming the cause,
-    and the null joins no regression.
+    Each test fails closed: non-finite values or features (each features
+    object is scanned once), or a mean or standard error that is not finite
+    (fewer than two paths, overflow), give ``rejected=True`` and ``max_abs_z =
+    inf`` with a warning naming the cause, and the null joins no regression.
     """
     times = np.asarray(times, float)
     items = list(tests.items())
     rows = max((len(values) for values, *_ in tests.values()), default=0)
-    moments = _map(lambda item: _moments(*item, times, z_crit), items, rows)
-    reports, shared = {}, {}
-    for (name, (*_, features)), (rep, X, F) in zip(items, moments):
+    shared = {}  # per features object: its array, its non-finite count, the nulls regressed on it
+    for *_, features in tests.values():
+        if features is not None and id(features) not in shared:
+            F = np.asfortranarray(features, dtype=float)
+            shared[id(features)] = F, F.size - np.count_nonzero(np.isfinite(F)), []
+
+    def moments(item):
+        F, n_bad, _ = shared.get(id(item[1][3]), (None, 0, None))
+        return _moments(*item, F, n_bad, times, z_crit)
+
+    reports = {}
+    for (name, (*_, features)), (rep, X, joins) in zip(items, _map(moments, items, rows)):
         reports[name] = rep
-        if F is not None:
-            shared.setdefault(id(features), (F, []))[1].append((name, X))
-    for F, members in shared.values():
+        if joins:
+            shared[id(features)][2].append((name, X))
+    for F, _, members in (group for group in shared.values() if group[2]):
         reg, live = _sandwich_z(F, [X for _, X in members])
         for (name, _), reg_z, n_live in zip(members, reg, live):
             rep = reports[name]
@@ -750,12 +745,12 @@ def mc_suite(tests, times, *, z_crit: float = 3.0) -> dict[str, MCTestReport]:
     return reports
 
 
-def _moments(name, test, times, z_crit) -> tuple:
+def _moments(name, test, F, n_bad, times, z_crit) -> tuple:
     """One null's report from its means and standard errors (see ``mc_suite``),
-    its values, and its features when it joins a regression (else None)."""
-    values, start, null, features = test
-    X = np.asarray(values, dtype=float)
-    F = None if features is None else np.asarray(features, dtype=float)
+    its column-major values, and whether it joins the regression on its
+    features F, which hold n_bad non-finite entries."""
+    values, start, null, _ = test
+    X = np.asfortranarray(values, dtype=float)
     if F is not None and (F.ndim != 3 or F.shape[:2] != X.shape):
         raise ValueError(f"{name}: features of shape {F.shape} do not match values "
                          f"of shape {X.shape}; expected (n_paths, n_times, p)")
@@ -777,20 +772,21 @@ def _moments(name, test, times, z_crit) -> tuple:
         notes.append(f"zero standard error with mean != start {start:g} at t = "
                      f"{', '.join(f'{t:g}' for t in times[flat])}: z = +-inf under "
                      f"the {null} null")
-    bad = [f"{label} ({np.count_nonzero(~np.isfinite(arr))} of {arr.size} entries)"
-           for label, arr in (("values", X), ("features", F))
-           if arr is not None and not np.isfinite(arr).all()]
+    bad = [f"{label} ({count} of {arr.size} entries)"
+           for label, arr, count in (("values", X, X.size - np.count_nonzero(np.isfinite(X))),
+                                     ("features", F, n_bad))
+           if count]
     if not bad and not (np.isfinite(means).all() and np.isfinite(ses).all()):
         bad = ["means or standard errors"]
     if bad:
         notes.append(f"non-finite {', '.join(bad)}: null rejected")
         z = np.where(np.isfinite(means) & np.isfinite(ses), z, np.nan)
         return (MCTestReport(times, means, ses, z, None, null, True, float("inf"),
-                             "; ".join(notes)), X, None)
+                             "; ".join(notes)), X, False)
     max_z = float(np.max(np.abs(z))) if null == "martingale" else float(np.max(z))
     rep = MCTestReport(times, means, ses, z, None, null, max_z > z_crit, max_z,
                        "; ".join(notes) or None)
-    return rep, X, F if null == "martingale" and X.shape[1] > 1 else None
+    return rep, X, F is not None and null == "martingale" and X.shape[1] > 1
 
 
 def _sandwich_z(F, Xs) -> tuple:
@@ -873,5 +869,7 @@ def feature_matrix(bundle: PathBundle) -> np.ndarray:
 
 
 def _feature_matrix(b):
-    pre = (b.report_times[None, :] < b.t1[:, None]).astype(float)
-    return np.stack([b.S, b.N, pre], axis=2)
+    F = np.empty(b.S.shape + (3,), order="F")  # as _by_rows stores it: one block copy
+    F[:, :, 0], F[:, :, 1] = b.S, b.N
+    np.less(b.report_times, b.t1[:, None], out=F[:, :, 2])
+    return F

@@ -377,6 +377,35 @@ def transport_loop(V, tau, G_minus, G_tilde, block_rows, w):
 # ``bridge_loop`` is the per-point bridge fill that the engine's
 # cumulative-sum fill replaced.
 
+def i1_series(beta, x):
+    """int_0^x s e^(-beta s) ds = x^2 sum_k (-y)^k (k + 1) / (k + 2)!, y = beta x,
+    summed in exact rationals of the float inputs until a term is below 1e-40
+    of the sum, past its largest; the one rounding is to float at the end."""
+    y = Fraction(beta) * Fraction(x)
+    total, term, k = Fraction(0), Fraction(1, 2), 0
+    while k <= y or abs(term) > Fraction(1, 10**40) * abs(total):
+        total += term
+        term *= -y * (k + 2) / ((k + 1) * (k + 3))
+        k += 1
+    return float(Fraction(x) ** 2 * total)
+
+
+def ig_series(beta, x):
+    """int_0^x beta s / (1 + beta s) ds = x (1 - log(1 + y) / y), y = beta x, with
+    log(1 + y) = 2 sum_j u^(2j + 1) / (2j + 1), u = y / (2 + y), summed in exact
+    rationals until a term is below 1e-40 of the sum; rounded to float once."""
+    y = Fraction(beta) * Fraction(x)
+    if y == 0:
+        return 0.0
+    u = y / (2 + y)
+    total, power, j = Fraction(0), u, 0
+    while power > Fraction(1, 10**40) * total:
+        total += power / (2 * j + 1)
+        power *= u * u
+        j += 1
+    return float(Fraction(x) * (1 - 2 * total / y))
+
+
 def per_path_simulate(sc, *, report_times=None, keep_paths=0):
     from horizon_deflators import jumpdiff as jd
 

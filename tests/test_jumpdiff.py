@@ -3,6 +3,7 @@
 import re
 import sys
 import threading
+import warnings
 from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
@@ -19,7 +20,8 @@ from horizon_deflators import (
     solve_drift,
 )
 from horizon_deflators import jumpdiff as jd
-from oracle import bridge_loop, per_path_simulate, sandwich_regression_z
+from oracle import (bridge_loop, i1_series, ig_series, per_path_simulate,
+                    sandwich_regression_z)
 
 
 def scenario(**kw):
@@ -227,6 +229,47 @@ def test_many_workers_switching_often_give_the_same_bits(monkeypatch):
                               equal_nan=True), name
 
 
+@pytest.mark.parametrize("n_paths", [50, 300], ids=["one-chunk", "five-chunks"])
+def test_path_arrays_are_column_major(n_paths, monkeypatch):
+    monkeypatch.setattr(jd, "_ROWS", 64)
+    sc = scenario(n_paths=n_paths, lam=6.0)
+    b = simulate(sc, keep_paths=2)
+    psi1 = solve_drift(sc, 1.0)
+    arrays = {name: getattr(b, name) for name in jd._PER_REPORT}
+    arrays.update(features=jd.feature_matrix(b), transported_brownian=jd.transported_brownian(b),
+                  transported_poisson=jd.transported_poisson(b),
+                  survival_exponential=jd.survival_exponential(b),
+                  wealth=jd.proportional_wealth(b, 0.8),
+                  unstopped_wealth=jd.proportional_wealth(b, 0.8, stopped=False),
+                  lmd_times_price=jd.lmd_times_price(b, psi1, 1.0),
+                  **build_deflator(b, psi1, 1.0, phi_o=0.25, phi_pr=0.1))
+    for name, arr in arrays.items():
+        assert arr.shape[0] == n_paths and arr.ndim >= 2, name
+        assert arr.flags.f_contiguous and not arr.flags.c_contiguous, name
+
+
+def test_mc_suite_same_on_row_and_column_major_copies():
+    # every column is converted to one layout before it is summed, so a
+    # row-major copy of a suite gives the same bits
+    for suite, times in [_bundle_suite(12.0, 3000, 7), _random_suite(2), _random_suite(4)]:
+        copies = {}
+        for order in "CF":
+            shared = {}
+            copies[order] = {
+                name: (np.array(values, order=order), start, null,
+                       None if feats is None else shared.setdefault(
+                           id(feats), np.array(feats, order=order)))
+                for name, (values, start, null, feats) in suite.items()}
+        assert all(values.flags.c_contiguous for values, *_ in copies["C"].values())
+        row, col = (jd.mc_suite(copies[order], times) for order in "CF")
+        for name, rep in row.items():
+            for field in ("means", "ses", "zscores", "regression_z"):
+                assert np.array_equal(getattr(rep, field), getattr(col[name], field),
+                                      equal_nan=True), (name, field)
+            assert (rep.rejected, rep.max_abs_z, rep.warning) == \
+                (col[name].rejected, col[name].max_abs_z, col[name].warning), name
+
+
 def test_horizon_respects_order():
     b = simulate(scenario(n_paths=300))
     assert np.all(b.tau <= b.t1 + 1e-15)
@@ -267,6 +310,35 @@ def test_closed_form_value_at_inverse_beta():
     alive = b.t1 > 0.5
     assert alive.any()
     assert np.allclose(b.G[alive, t_idx], 2 * np.exp(-1.0))
+
+
+def test_closed_form_integrals_match_exact_series():
+    # the closed forms cancel as beta x falls (at beta x = 1e-8 the closed form
+    # of _i1 is 122% off); below its cut the series takes over, and either side
+    # of the cut is within 1e-14 of the exact value
+    x = np.concatenate([[0.0, 1e-150, 1e-3, 0.049, 0.1, 0.15, 0.5, 0.7], np.linspace(0.8, 1.0, 5)])
+    for beta in np.concatenate([np.logspace(-12, 1, 27), [0.0299, 0.03, 0.2, 0.3, 0.6, 2.0]]):
+        for fn, ref in ((jd._i1, i1_series), (jd._ig, ig_series)):
+            got = fn(beta, x)
+            exact = np.array([ref(beta, xi) for xi in x])
+            assert got[0] == 0.0 and exact[0] == 0.0
+            rel = np.abs(got[1:] - exact[1:]) / exact[1:]
+            assert rel.max() <= 1e-14, (fn.__name__, beta, rel.max())
+    # beta = 0: the limits x^2 / 2 and 0
+    assert np.array_equal(jd._i1(0.0, x), x * x / 2) and np.array_equal(jd._ig(0.0, x), 0 * x)
+
+
+def test_tiny_intensity_raises_no_warning():
+    # at lam = 1e-170, beta^2 underflows: the closed form of _i1 divided by 0
+    sc = scenario(lam=1e-170, n_paths=500)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        b = simulate(sc, keep_paths=1)
+        for null in (jd.survival_exponential, jd.transported_poisson):
+            null(b)
+        build_deflator(b, solve_drift(sc, 1.0), 1.0, phi_o=0.25)
+        assert np.array_equal(b.m, np.ones_like(b.m))
+        assert not mc_test(b.m, b.report_times, start=1.0).rejected
 
 
 def test_survival_mc_matches_closed_form():
@@ -424,6 +496,18 @@ def test_deflator_unit_mean_and_wealth():
     out3 = build_deflator(b, psi1, psi2, phi_o=0.4)
     rep3 = mc_test(out3["Z"], b.report_times, start=1.0)
     assert not rep3.rejected
+
+
+def test_plain_deflator_is_the_e_l_factor():
+    # with phi_o = phi_pr = 0 the other two factors are exactly 1, so the CLI
+    # takes the plain deflator from the one it builds with phi_o and phi_pr
+    sc = scenario(n_paths=3000, lam=6.0)
+    b = simulate(sc)
+    psi1 = solve_drift(sc, 1.3)
+    plain = build_deflator(b, psi1, 1.3)
+    assert np.array_equal(plain["E_NG"], np.ones_like(plain["Z"]))
+    assert np.array_equal(plain["E_D"], np.ones_like(plain["Z"]))
+    assert np.array_equal(plain["Z"], build_deflator(b, psi1, 1.3, phi_o=0.25, phi_pr=0.1)["E_L"])
 
 
 def test_martingale_suite_small():
@@ -671,6 +755,27 @@ def test_mc_suite_checks_each_null_against_shared_features():
         jd.mc_suite(suite, [0.2, 0.4, 0.6, 0.8, 1.0])
 
 
+def test_mc_suite_checks_shared_features_once(monkeypatch):
+    # six nulls share one features array: it is scanned for non-finite entries
+    # once, and each null still fails closed on them
+    rng = np.random.default_rng(8)
+    feats = np.asfortranarray(rng.normal(size=(3000, 4, 2)))
+    feats[7, 2, 1] = np.inf
+    suite = {f"n{i}": (rng.normal(size=(3000, 4)), 0.0, "martingale", feats) for i in range(6)}
+    isfinite, scans = np.isfinite, []
+
+    def counting(x, *args, **kwargs):
+        scans.append(x is feats)
+        return isfinite(x, *args, **kwargs)
+
+    monkeypatch.setattr(np, "isfinite", counting)
+    reports = jd.mc_suite(suite, [0.25, 0.5, 0.75, 1.0])
+    assert scans.count(True) == 1
+    for rep in reports.values():
+        assert rep.rejected and rep.regression_z is None
+        assert "non-finite features (1 of 24000 entries)" in rep.warning
+
+
 def test_regression_z_invariant_to_power_of_two_scales():
     # rows are normalized by exact powers of two, so rescaling a feature (or
     # the values) by one changes no bit, and no square overflows
@@ -718,18 +823,6 @@ def test_deflator_grid_matches_report_values():
         for j, t in enumerate(b.report_times):
             g = np.argmin(np.abs(s["time"] - t))
             assert abs(Z[g] - out["Z"][i, j]) <= 1e-10
-
-
-def test_progressive_mean_bin_test():
-    sc = scenario(n_paths=20000, seed=15)
-    b = simulate(sc)
-    rng = np.random.default_rng(0)
-    centered = rng.normal(size=sc.n_paths)  # independent of everything: passes
-    z0, rej0, bins = jd.progressive_mean_test(b, centered)
-    assert not rej0 and bins
-    biased = np.where(b.from_second_jump, 0.4, -0.1)  # observable at default
-    z1, rej1, _ = jd.progressive_mean_test(b, biased)
-    assert rej1 and z1 > 10
 
 
 def test_transported_poisson_jump_factor_variant_rejected():
