@@ -13,7 +13,6 @@ import math
 import os
 import sys
 from dataclasses import replace
-from operator import itemgetter
 from statistics import NormalDist
 
 import numpy as np
@@ -170,8 +169,9 @@ def cmd_simulate(args) -> int:
     try:
         psi1 = jd.solve_drift(sc, psi2)
         # the plain deflator (phi_o = phi_pr = 0) is E(L): its other two factors are 1
-        plain, fancy = itemgetter("E_L", "Z")(jd.build_deflator(
-            bundle, psi1, psi2, phi_o=extras["phi_o"], phi_pr=extras["phi_pr"]))
+        d = jd.build_deflator(bundle, psi1, psi2, phi_o=extras["phi_o"], phi_pr=extras["phi_pr"])
+        plain, fancy = d["E_L"], d["Z"]
+        del d  # E_NG and E_D need not stay resident through the suite
     except AdmissibilityError as exc:
         return _fail(2, f"scenario constraint violation: {exc}")
     deflated_wealth = jd.proportional_wealth(bundle, extras["theta"])
