@@ -42,8 +42,10 @@ from .prob_core import (
     TOL_EXACT,
     Array,
     as_values,
+    _cond_rows,
+    _date_of,
+    _weights,
     classify,
-    cond_expect,
     project,
     stochastic_exponential,
     stochastic_integral,
@@ -491,11 +493,7 @@ def multiplicative_decomposition(space, Z, *, filtration=None, measure=None,
         raise ContractViolationError(
             f"not a supermartingale: positive residual {rep.sup_residual:g}")
     dX = np.diff(V, axis=1) / V[:, :-1]
-    dVp = np.zeros_like(dX)
-    for k in range(1, V.shape[1]):
-        e, _ = cond_expect(dX[:, k - 1], filt.block_ids[k - 1], meas,
-                           allow_degenerate=True)
-        dVp[:, k - 1] = -e
+    dVp = -_cond_rows(filt, dX.T, _weights(meas), True)
     dN = (dX + dVp) / (1.0 - dVp)
     N = np.zeros_like(V)
     N[:, 1:] = np.cumsum(dN, axis=1)
@@ -524,37 +522,40 @@ def decompose_martingale(M_G, rts: RandomTimeStructure, *, tol: float = 1e-9) ->
         raise ContractViolationError(
             f"decomposition input is not a martingale (residual {rep.max_residual:g})")
     filt = space.filtration
-    w = space.probs
-    dV = np.diff(V, axis=1)
+    x = np.diff(V, axis=1).T[:, :, None]  # time-major increments, dates 1..T
+    dates = np.arange(1, T + 1)[:, None]
+    sub = np.stack([rts.tau == dates, rts.tau > dates], axis=2)  # (dying at k, surviving k)
+    wsub = np.where(sub, space.probs[:, None], 0.0)
+    mass = filt.node_reduce(wsub, first=1)
+    present = mass > 0.0
+    mean = np.zeros_like(mass)
+    np.divide(filt.node_reduce(wsub * x, first=1), mass, out=mean, where=present)
+    hi = filt.node_reduce(np.where(sub, x, -np.inf), np.maximum, 1)
+    lo = filt.node_reduce(np.where(sub, x, np.inf), np.minimum, 1)
+    even = hi - lo <= tol * np.maximum(1.0, np.maximum(hi, -lo))
+    uneven = (present & ~even).any(axis=1)
+    if np.any(uneven):
+        node = np.flatnonzero(uneven) + filt.offsets[1]
+        k = int(_date_of(filt, node[0]))
+        blocks = node[_date_of(filt, node) == k] - filt.offsets[k]
+        raise ContractViolationError(
+            "martingale increment not constant on an enlarged cell "
+            f"at time {k}, block {int(filt.parent[k][blocks].min())}")
+    a, bb = mean[:, 0], mean[:, 1]
+    both = present.all(axis=1)
+    k, first = (a[filt.offsets[1]:] for a in filt.node_atoms())  # one atom per cell
+    g_prev = rts.G_minus[first, k]
     dDo = np.diff(rts.D_opt, axis=1)
-    M_F = np.zeros_like(V)
+    dMF = np.where(both, g_prev * (a * dDo[first, k - 1] + bb * rts.G[first, k]),
+                   g_prev * rts.G_tilde[first, k] * np.where(present[:, 0], a, bb))
+    cells = (filt.nodes[1:] - filt.offsets[1]).T
     phi = np.zeros_like(V)
+    phi[:, 1:] = np.where(both, a - bb, 0.0)[cells]
     known = np.zeros_like(V, dtype=bool)
-    for k in range(1, T + 1):
-        x = dV[:, k - 1, None]
-        sub = np.stack([rts.tau == k, rts.tau > k], axis=1)  # (dying at k, surviving k)
-        wsub = np.where(sub, w[:, None], 0.0)
-        mass = filt.segment_reduce(k, wsub)
-        present = mass > 0.0
-        mean = np.zeros_like(mass)
-        np.divide(filt.segment_reduce(k, wsub * x), mass, out=mean, where=present)
-        hi = filt.segment_reduce(k, np.where(sub, x, -np.inf), np.maximum)
-        lo = filt.segment_reduce(k, np.where(sub, x, np.inf), np.minimum)
-        uneven = (present & (hi - lo > tol * np.maximum(1.0, np.maximum(hi, -lo)))).any(axis=1)
-        if np.any(uneven):
-            raise ContractViolationError(
-                "martingale increment not constant on an enlarged cell "
-                f"at time {k}, block {int(filt.parent[k][uneven].min())}")
-        a, bb = mean[:, 0], mean[:, 1]
-        both = present.all(axis=1)
-        first = filt.order[k][filt.starts[k][:-1]]  # one atom per cell
-        g_prev = rts.G_minus[first, k]
-        dMF = np.where(both, g_prev * (a * dDo[first, k - 1] + bb * rts.G[first, k]),
-                       g_prev * rts.G_tilde[first, k] * np.where(present[:, 0], a, bb))
-        ids = filt.block_ids[k]
-        phi[:, k] = np.where(both, a - bb, 0.0)[ids]
-        known[:, k] = both[ids]
-        M_F[:, k] = M_F[:, k - 1] + dMF[ids]
+    known[:, 1:] = both[cells]
+    M_F = np.zeros_like(V)
+    M_F[:, 1:] = dMF[cells]
+    M_F = np.cumsum(M_F, axis=1)
     rebuilt = reassemble(V[:, 0], M_F, phi, rts)
     residual = float(np.max(np.abs(rebuilt - V)))
     return Representation(M_F=M_F, phi=phi, phi_known=known, residual=residual)
@@ -640,10 +641,9 @@ def _broadcast_live(values, rts: RandomTimeStructure) -> Array:
     """
     out = np.array(values, dtype=float, copy=True)
     filt = rts.space.filtration
-    for k in range(1, rts.horizon + 1):
-        live, found = filt.first_where(k, out[:, k], rts.tau >= k)
-        ids = filt.block_ids[k]
-        out[:, k] = np.where(found[ids], live[ids], out[:, k])
+    live, found = filt.first_where(1, out.T[1:], rts.tau >= np.arange(1, rts.horizon + 1)[:, None])
+    cells = (filt.nodes[1:] - filt.offsets[1]).T
+    out[:, 1:] = np.where(found[cells], live[cells], out[:, 1:])
     return out
 
 
@@ -683,15 +683,13 @@ def lift_predictable(V_G, rts: RandomTimeStructure, *, tol: float = 1e-9) -> Arr
     increment on the surviving sub-cell; blocks without survivors take 0.
     """
     filt = rts.space.filtration
-    dV = np.diff(as_values(V_G), axis=1)
-    out = np.zeros((dV.shape[0], dV.shape[1] + 1))
-    for k in range(1, rts.horizon + 1):
-        alive, x = rts.tau >= k, dV[:, k - 1]
-        hi = filt.segment_reduce(k - 1, np.where(alive, x, -np.inf), np.maximum)
-        lo = filt.segment_reduce(k - 1, np.where(alive, x, np.inf), np.minimum)
-        if np.any(hi - lo > tol * np.maximum(1.0, np.maximum(hi, -lo))):
-            raise ContractViolationError(
-                "predictable part not constant on a surviving sub-cell")
-        col = filt.first_where(k - 1, x, alive)[0]
-        out[:, k] = out[:, k - 1] + col[filt.block_ids[k - 1]]
-    return out
+    x = np.diff(as_values(V_G), axis=1).T  # time-major, dates 1..T
+    alive = rts.tau >= np.arange(1, rts.horizon + 1)[:, None]
+    hi = filt.node_reduce(np.where(alive, x, -np.inf), np.maximum)
+    lo = filt.node_reduce(np.where(alive, x, np.inf), np.minimum)
+    if not np.all(hi - lo <= tol * np.maximum(1.0, np.maximum(hi, -lo))):
+        raise ContractViolationError(
+            "predictable part not constant on a surviving sub-cell")
+    out = np.zeros((x.shape[1], x.shape[0] + 1))
+    out[:, 1:] = filt.first_where(0, x, alive)[0][filt.nodes[:-1].T]
+    return np.cumsum(out, axis=1)

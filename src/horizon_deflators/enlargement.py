@@ -181,9 +181,10 @@ def _compensate(X, A, den, tau, message: str) -> Array:
     if bad.any():
         k, atom = divmod(int(np.argmax(bad.T)), len(tau))
         raise StructuralError(message, time=k + 1, atom=atom)
-    inc = np.zeros_like(X)
+    inc = np.empty_like(X)
     inc[:, 0] = X[:, 0]
-    inc[:, 1:][live] = np.diff(X, axis=1)[live] - np.diff(A, axis=1)[live] / den[live]
+    inc[:, 1:] = np.where(live, np.diff(X, axis=1) - np.diff(A, axis=1) / np.where(live, den, 1.0),
+                          0.0)
     return np.cumsum(inc, axis=1)
 
 
@@ -213,9 +214,9 @@ def transport(M, rts: RandomTimeStructure, *, check: bool = True,
     dead_mass = np.zeros_like(V)
     dead_mass[:, 1:] = dM * (gt <= 0.0)
     corr = project(rts.space, dead_mass, "predictable")[:, 1:]
-    inc = np.zeros_like(V)
+    inc = np.empty_like(V)
     inc[:, 0] = V[:, 0]
-    inc[:, 1:][live] = rts.G_minus[:, 1:][live] / gt[live] * dM[live] + corr[live]
+    inc[:, 1:] = np.where(live, rts.G_minus[:, 1:] / np.where(live, gt, 1.0) * dM + corr, 0.0)
     return np.cumsum(inc, axis=1)
 
 

@@ -35,6 +35,7 @@ from .prob_core import (
     FiniteFilteredSpace,
     Filtration,
     ProbabilityMeasure,
+    _date_of,
     as_values,
     classify,
     stop,
@@ -161,37 +162,52 @@ def verify_lmd(Z, market: MarketModel, *, tol: float = 1e-9) -> OracleReport:
     worst = None
     max_res = rep.max_residual
     if not rep.is_martingale:
-        worst = (None, None, "martingale")
-    w = market.measure.weights
+        worst = (*rep.worst, "martingale")
     filt = market.filtration
-    dS = np.diff(market.S, axis=2)
-    for k in range(1, filt.n_times):
-        mass = filt.segment_reduce(k - 1, w)
-        live = np.flatnonzero(mass > 0)
-        if len(live) == 0:
-            continue
-        sums = filt.segment_reduce(k - 1, (w * V[:, k])[:, None] * dS[:, :, k - 1].T)
-        r = np.abs(sums[live] / mass[live, None]).T  # (asset, node)
-        i, j = np.unravel_index(np.argmax(r), r.shape)
-        if r[i, j] > max_res:
-            max_res, worst = float(r[i, j]), (k, int(live[j]), f"price[{i}]")
+    T = filt.n_times - 1
+    mass = filt.node_reduce(np.tile(market.measure.weights, (T, 1)))
+    live = np.flatnonzero(mass > 0.0)
+    zw = market.measure.weights * V.T[1:]
+    sums = filt.node_reduce(zw[:, :, None] * np.diff(market.S, axis=2).T)
+    r = np.abs(sums[live] / mass[live, None])  # (node, asset)
+    if r.size and r.max() > max_res:
+        node, asset = np.nonzero(r == r.max())
+        date = _date_of(filt, live[node])
+        j = np.lexsort((node, asset, date))[0]  # the first date, then asset, then node
+        max_res = float(r[node[j], asset[j]])
+        worst = (int(date[j]) + 1, int(live[node[j]] - filt.offsets[date[j]]), f"price[{asset[j]}]")
     ok = rep.is_martingale and max_res <= tol
     return OracleReport(ok, float(max_res), worst if not ok else None,
                         {"martingale_residual": rep.max_residual})
 
 
-def _vertex_sup(v: Array, rows: Array, tol: float) -> float:
-    """Sup of v'phi over {phi : rows phi >= -1} given nonpositive recession slopes."""
-    keep = rows[np.linalg.norm(rows, axis=1) > tol]
-    if len(keep) == 0:
-        return 0.0  # phi = 0 is always feasible
-    rank = np.linalg.matrix_rank(keep, tol=1e-12)
-    if rank < len(v):
-        # optimize inside the row space; orthogonal directions have zero slope
-        _, _, vt = np.linalg.svd(keep)
-        Q = vt[:rank].T
-        return _vertex_sup(Q.T @ v, keep @ Q, tol)
-    return float(_vertex_max(v[None], keep[None], -np.ones(len(keep)))[0])
+def _vertex_sup(v: Array, rows: Array, tol: float):
+    """Per node, sup of v'phi over {phi : rows phi >= -1} given nonpositive recession slopes.
+
+    ``v`` is (nodes, d) and ``rows`` (nodes, m, d), or one node's (d,) and
+    (m, d) for a float; rows of norm <= tol are dropped.  Nodes whose kept
+    rows have rank below d are reduced to their row space (orthogonal
+    directions have zero slope) by one stacked SVD per group of nodes with
+    equally many kept rows and equal rank.
+    """
+    if v.ndim == 1:
+        return float(_vertex_sup(v[None], rows[None], tol)[0])
+    out = np.zeros(len(v))
+    keep = np.linalg.norm(rows, axis=2) > tol
+    count = keep.sum(axis=1)
+    for c in np.unique(count[count > 0]):
+        at = np.flatnonzero(count == c)
+        K = rows[at][keep[at]].reshape(len(at), c, v.shape[1])
+        rank = np.linalg.matrix_rank(K, tol=1e-12)
+        for r in np.unique(rank):
+            sel = rank == r
+            if r == v.shape[1]:
+                out[at[sel]] = _vertex_max(v[at[sel]], K[sel], -np.ones(c))
+            else:
+                Qt = np.linalg.svd(K[sel])[2][:, :r]  # (nodes, r, d): the row space
+                out[at[sel]] = _vertex_sup((Qt @ v[at[sel], :, None])[..., 0],
+                                           K[sel] @ Qt.transpose(0, 2, 1), tol)
+    return out
 
 
 _CHUNK_ELEMENTS = 1 << 20  # numbers per (node, d-subset) temporary of one _vertex_max pass
@@ -234,25 +250,28 @@ def _vertex_max(v: Array, A: Array, b: Array) -> Array:
     return best
 
 
-def _child_rows(filt: Filtration, k: int, rows: Array, live: Array):
-    """The rows of each ``live`` time-(k-1) block's time-k child blocks, grouped by width.
+def _child_rows(filt: Filtration, rows: Array, live: Array):
+    """The rows of each ``live`` node's child nodes, grouped by width.
 
-    ``rows`` is indexed by atom and constant on time-k blocks, so one atom
-    per child carries the node's distinct rows.  Yields, per distinct child
-    count c, the positions in ``live`` of the blocks with c children and
-    their rows (blocks, c, d), children in block-id order.  No block is
-    padded, so an enumeration over a group costs what its blocks cost.
+    ``rows`` is time-major (T, n_atoms, d): ``rows[k - 1]`` is constant on
+    time-k blocks, so one atom per child carries a time-(k-1) node's
+    distinct rows.  ``live`` lists node ids of the dates 0..T-1.  Yields,
+    per distinct child count c, the positions in ``live`` of the nodes with
+    c children and their rows (nodes, c, d), children in block-id order.  No
+    node is padded, so an enumeration over a group costs what its nodes cost.
     """
-    par = filt.parent[k]
+    T = len(rows)
+    date, first = (a[filt.offsets[1]:] for a in filt.node_atoms())
+    par = filt.nodes[date - 1, first]  # the parent node of each node of the dates 1..T
     kids = np.argsort(par, kind="stable")
-    count = np.bincount(par, minlength=len(filt.starts[k - 1]) - 1)
-    kid_rows, owner = rows[filt.order[k][filt.starts[k][kids]]], par[kids]
+    count = np.bincount(par, minlength=filt.offsets[T])
+    kid_rows, owner = rows[date[kids] - 1, first[kids]], par[kids]
     width = count[live]
     for c in np.unique(width):
         at = np.flatnonzero(width == c)
         mine = np.zeros(len(count), dtype=bool)
         mine[live[at]] = True
-        yield at, kid_rows[mine[owner]].reshape(len(at), c, rows.shape[1])
+        yield at, kid_rows[mine[owner]].reshape(len(at), c, rows.shape[2])
 
 
 def _polytope_nodes(v: Array, R: Array, room: Array):
@@ -263,8 +282,8 @@ def _polytope_nodes(v: Array, R: Array, room: Array):
     {R r >= 0} capped by the box |r|_inf <= 1, found by :func:`_vertex_max`
     with the rows scaled to unit norm (the cone does not change).  Where it
     is within ``room``, the sup comes from the same enumeration over R;
-    nodes whose rows have rank strictly between 0 and d use the row-space
-    recursion of :func:`_vertex_sup`.
+    nodes whose rows have rank strictly between 0 and d go, all at once,
+    through the row-space reduction of :func:`_vertex_sup`.
     """
     n, m, d = R.shape
     norm = np.linalg.norm(R, axis=2, keepdims=True)
@@ -278,8 +297,8 @@ def _polytope_nodes(v: Array, R: Array, room: Array):
     rank = np.linalg.matrix_rank(R, tol=1e-12)
     full = bounded & (rank == d)
     sup[full] = _vertex_max(v[full], R[full], -np.ones(m))
-    for j in np.flatnonzero(bounded & (rank > 0) & (rank < d)):
-        sup[j] = _vertex_sup(v[j], R[j], 1e-14)
+    low = bounded & (rank > 0) & (rank < d)
+    sup[low] = _vertex_sup(v[low], R[low], 1e-14)
     return rec, sup
 
 
@@ -322,34 +341,31 @@ def verify_deflator(Z, market: MarketModel, *, tol: float = 1e-9) -> OracleRepor
         return OracleReport(False, float("inf"), None, {"reason": "Z not finite and positive"})
     w = market.measure.weights
     filt = market.filtration
-    dS = np.diff(market.S, axis=2)
+    T = filt.n_times - 1
+    mass = filt.node_reduce(np.tile(w, (T, 1)))
+    live = np.flatnonzero(mass > 0.0)
+    wb = w / np.where(mass > 0.0, mass, 1.0)[filt.nodes[:-1]]
+    z_prev = filt.node_reduce(wb * V.T[:-1])[live]
+    zw = wb * V.T[1:]
+    base = filt.node_reduce(zw)[live]
+    rows = np.diff(market.S, axis=2).T  # (date, atom, asset)
+    v = filt.node_reduce(rows * zw[:, :, None])[live]
+    room = tol * np.maximum(1.0, np.abs(z_prev))
+    if d == 1:
+        rec, sup = _interval_nodes(v[:, 0], filt.node_reduce(rows[:, :, 0], np.minimum)[live],
+                                   filt.node_reduce(rows[:, :, 0], np.maximum)[live])
+    else:
+        rec, sup = np.empty(len(live)), np.empty(len(live))
+        for at, R in _child_rows(filt, rows, live):
+            rec[at], sup[at] = _polytope_nodes(v[at], R, room[at])
+    recession = rec > room
+    excess = np.where(recession, np.inf, base + sup - z_prev)
     worst, max_excess = None, -np.inf
-    for k in range(1, filt.n_times):
-        mass = filt.segment_reduce(k - 1, w)
-        live = np.flatnonzero(mass > 0.0)
-        if len(live) == 0:
-            continue
-        wb = w / np.where(mass > 0.0, mass, 1.0)[filt.block_ids[k - 1]]
-        z_prev = filt.segment_reduce(k - 1, wb * V[:, k - 1])[live]
-        zw = wb * V[:, k]
-        base = filt.segment_reduce(k - 1, zw)[live]
-        rows = dS[:, :, k - 1].T
-        v = filt.segment_reduce(k - 1, rows * zw[:, None])[live]
-        room = tol * np.maximum(1.0, np.abs(z_prev))
-        if d == 1:
-            rec, sup = _interval_nodes(
-                v[:, 0], filt.segment_reduce(k - 1, rows[:, 0], np.minimum)[live],
-                filt.segment_reduce(k - 1, rows[:, 0], np.maximum)[live])
-        else:
-            rec, sup = np.empty(len(live)), np.empty(len(live))
-            for at, R in _child_rows(filt, k, rows, live):
-                rec[at], sup[at] = _polytope_nodes(v[at], R, room[at])
-        recession = rec > room
-        excess = np.where(recession, np.inf, base + sup - z_prev)
-        j = int(np.argmax(excess))
-        if excess[j] > max_excess:
-            kind = "recession" if recession[j] else "vertex"
-            max_excess, worst = float(excess[j]), (k, int(live[j]), kind)
+    j = int(np.argmax(excess)) if len(live) else 0
+    if len(live) and excess[j] > max_excess:
+        n = int(_date_of(filt, live[j]))
+        kind = "recession" if recession[j] else "vertex"
+        max_excess, worst = float(excess[j]), (n + 1, int(live[j] - filt.offsets[n]), kind)
     ok = max_excess <= tol * max(1.0, float(np.max(np.abs(V))))
     return OracleReport(ok, float(max_excess), worst if not ok else None, {})
 
@@ -368,14 +384,12 @@ def lift_strategy(phi_G, rts, *, tol: float = 0.0) -> Array:
         if not rts.G_filtration.is_predictable(comp, tol=tol):
             raise ContractViolationError("strategy is not predictable for the enlarged filtration")
     filt = rts.space.filtration
+    x = P[:, :, 1:].T  # (date, atom, component)
+    alive = (rts.tau >= np.arange(1, rts.horizon + 1)[:, None])[:, :, None]
+    hi = filt.node_reduce(np.where(alive, x, -np.inf), np.maximum)
+    lo = filt.node_reduce(np.where(alive, x, np.inf), np.minimum)
+    if not np.all(hi - lo <= tol):
+        raise ContractViolationError("enlarged strategy not constant on a surviving sub-cell")
     out = np.zeros_like(P)
-    for k in range(1, rts.horizon + 1):
-        alive = rts.tau >= k
-        for i, comp in enumerate(P[:, :, k]):
-            hi = filt.segment_reduce(k - 1, np.where(alive, comp, -np.inf), np.maximum)
-            lo = filt.segment_reduce(k - 1, np.where(alive, comp, np.inf), np.minimum)
-            if np.any(hi - lo > tol):
-                raise ContractViolationError(
-                    "enlarged strategy not constant on a surviving sub-cell")
-            out[i, :, k] = filt.first_where(k - 1, comp, alive)[0][filt.block_ids[k - 1]]
+    out[:, :, 1:] = filt.first_where(0, x, alive[:, :, 0])[0][filt.nodes[:-1]].T
     return out if as_values(phi_G).ndim == 3 else out[0]

@@ -223,6 +223,12 @@ def load_model(source) -> ModelDocument:
             S = S[None]
         if S.shape[1:] != (space.n_atoms, horizon + 1):
             raise SpaceValidationError("asset table has wrong shape")
+        if not np.all(np.isfinite(S)):
+            i, atom, n = np.argwhere(~np.isfinite(S))[0]
+            name = assets[i] if i < len(assets) else f"S{i}"
+            raise SpaceValidationError(
+                f"asset table value {float(S[i, atom, n])!r} of (asset {name}, atom "
+                f"{outcomes[atom]}, time {n}) is not finite")
         for comp in S:
             if not space.filtration.is_adapted(comp, tol=1e-12):
                 raise SpaceValidationError("asset table is not adapted")

@@ -32,15 +32,25 @@ def as_values(X) -> Array:
     return np.asarray(getattr(X, "values", X), dtype=float)
 
 
-def _canonical_block_ids(raw) -> Array:
-    """Relabel block ids time by time in order of first appearance."""
-    rows = []
-    for row in raw:
-        _, first, inverse = np.unique(row, return_index=True, return_inverse=True)
-        rank = np.empty(len(first), dtype=np.int64)
-        rank[np.argsort(first, kind="stable")] = np.arange(len(first))
-        rows.append(rank[inverse.ravel()])
-    return np.vstack(rows)
+def _canonical_level(row, ids, order) -> Array:
+    """Fill one level's block ids (by first appearance) and CSR order; return its starts."""
+    n = len(row)
+    perm = np.argsort(row, kind="stable")  # the one sort: labels, atoms ascending within
+    srt = row[perm]
+    new = np.empty(n, dtype=bool)
+    new[0] = True
+    np.not_equal(srt[1:], srt[:-1], out=new[1:])
+    group = np.flatnonzero(new)  # where each label starts in perm
+    leader = np.zeros(n, dtype=bool)
+    leader[perm[group]] = True  # the first atom of every block
+    rank = leader.cumsum()[perm[group]] - 1  # the block id of each label
+    ids[perm] = rank[new.cumsum() - 1]
+    by_id = np.empty_like(rank)
+    by_id[rank] = np.arange(len(rank))
+    starts = np.zeros(len(rank) + 1, dtype=np.int64)
+    np.cumsum(np.diff(np.append(group, n))[by_id], out=starts[1:])
+    order[:] = perm[(group[by_id] - starts[:-1]).repeat(np.diff(starts)) + np.arange(n)]
+    return starts
 
 
 @dataclass(frozen=True)
@@ -52,25 +62,33 @@ class Filtration:
     blocks at time n.
 
     Each level is also held in CSR form: ``order[n]`` lists the atoms sorted
-    by time-n block (a stable argsort, so ascending inside each block),
-    ``starts[n]`` gives the offset of every block in ``order[n]`` plus a
-    final offset ``n_atoms``, and ``parent[n]`` maps each time-n block to
-    the time-(n-1) block containing it (``parent[0]`` is all zeros).
-    ``segment_reduce`` reduces atom-indexed values over the blocks of one
-    level in a single ``ufunc.reduceat`` over this layout.
+    by time-n block (ascending inside each block), ``starts[n]`` gives the
+    offset of every block in ``order[n]`` plus a final offset ``n_atoms``,
+    and ``parent[n]`` maps each time-n block to the time-(n-1) block
+    containing it (``parent[0]`` is all zeros).
+
+    The space-time index numbers every (date, block) node once: block b of
+    time n is node ``offsets[n] + b``.  ``nodes``, built on first use, holds
+    the node of every (date, atom), time-major, in one int64 array (8 bytes
+    per atom and date); its first T rows are the time-(n-1) maps of the
+    predictable projections and increment scans.  Every per-date reduction
+    of the library runs over all dates at once on it: one ``bincount``
+    (:func:`_node_means`) or one ``reduceat`` (:meth:`node_reduce`).  Each
+    node sums its atoms in atom order, as a reduction over its date alone
+    does, so the results are bit-identical to date-by-date loops.
     """
 
     block_ids: Array
     order: Array = field(init=False, repr=False, compare=False)
     starts: tuple = field(init=False, repr=False, compare=False)
     parent: tuple = field(init=False, repr=False, compare=False)
+    offsets: Array = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        ids = _canonical_block_ids(np.atleast_2d(np.asarray(self.block_ids)))
-        order = np.argsort(ids, axis=1, kind="stable")
+        raw = np.atleast_2d(np.asarray(self.block_ids))
+        ids, order = np.empty(raw.shape, dtype=np.int64), np.empty(raw.shape, dtype=np.int64)
+        starts = tuple(map(_canonical_level, raw, ids, order))
         order.flags.writeable = False
-        starts = tuple(np.concatenate(([0], np.cumsum(np.bincount(row))))
-                       for row in ids)
         parent = [np.zeros(len(starts[0]) - 1, dtype=np.int64)]
         for n in range(1, ids.shape[0]):
             parent.append(ids[n - 1][order[n][starts[n][:-1]]])
@@ -81,7 +99,8 @@ class Filtration:
         object.__setattr__(self, "order", order)
         object.__setattr__(self, "starts", starts)
         object.__setattr__(self, "parent", tuple(parent))
-        object.__setattr__(self, "_blocks", {})
+        object.__setattr__(self, "offsets", np.cumsum([0] + [len(s) - 1 for s in starts]))
+        object.__setattr__(self, "_cache", {})
 
     @property
     def n_times(self) -> int:
@@ -91,39 +110,89 @@ class Filtration:
     def n_atoms(self) -> int:
         return self.block_ids.shape[1]
 
+    def _cached(self, key, build):
+        if key not in self._cache:
+            self._cache[key] = build()
+        return self._cache[key]
+
+    @property
+    def nodes(self) -> Array:
+        """The node of every (date, atom), time-major (built on first use)."""
+        return self._cached("nodes", lambda: self.block_ids + self.offsets[:-1, None])
+
+    def _node_starts(self) -> Array:
+        """Where every node starts in the time-major concatenation of ``order``."""
+        return self._cached("starts", lambda: np.concatenate(
+            [j * self.n_atoms + s[:-1] for j, s in enumerate(self.starts)]))
+
+    def node_atoms(self):
+        """(date, first atom) of every node."""
+        dates = np.repeat(np.arange(self.n_times), np.diff(self.offsets))
+        return dates, self.order.ravel()[self._node_starts()]
+
+    def node_mass(self, w) -> Array:
+        """Mass of every node under atom weights w; the last w's masses are kept."""
+        held = self._cache.get("mass")
+        if held is None or not np.array_equal(held[0], w):
+            mass = np.bincount(self.nodes.ravel(), weights=np.tile(w, self.n_times),
+                               minlength=self.offsets[-1])
+            held = self._cache["mass"] = (np.array(w, dtype=float), mass)
+        return held[1]
+
     def blocks(self, n: int) -> tuple:
         """Atom-index arrays of the time-n partition (built on first use)."""
-        if n not in self._blocks:
-            self._blocks[n] = tuple(np.split(self.order[n], self.starts[n][1:-1]))
-        return self._blocks[n]
+        return self._cached(n, lambda: tuple(np.split(self.order[n], self.starts[n][1:-1])))
+
+    def node_reduce(self, rows, ufunc=np.add, first: int = 0) -> Array:
+        """``ufunc`` over every node of the dates first, first+1, ... in one ``reduceat``.
+
+        ``rows`` is time-major: ``rows[j]``, for date first+j, is indexed by
+        atom on its axis 0.  The result is indexed by node minus ``offsets[first]``.
+        """
+        rows = np.asarray(rows)
+        m, n = len(rows), self.n_atoms
+        pos = (self.order[first:first + m] + n * np.arange(m)[:, None]).ravel()
+        starts = self._node_starts()[self.offsets[first]:self.offsets[first + m]] - first * n
+        return ufunc.reduceat(rows.reshape((m * n,) + rows.shape[2:])[pos], starts, axis=0)
 
     def segment_reduce(self, n: int, values, ufunc=np.add) -> Array:
         """``ufunc`` reduced over each time-n block; values are indexed by atom on axis 0."""
-        return ufunc.reduceat(np.asarray(values)[self.order[n]], self.starts[n][:-1], axis=0)
+        return self.node_reduce(np.asarray(values)[None], ufunc, n)
 
     def first_where(self, n: int, x, mask):
-        """Per time-n block: x at its first atom where mask holds (else 0), and if one exists."""
-        idx = self.segment_reduce(n, np.where(mask, np.arange(self.n_atoms), self.n_atoms),
-                                  np.minimum)
-        found = idx < self.n_atoms
-        return np.where(found, np.asarray(x)[np.minimum(idx, self.n_atoms - 1)], 0.0), found
+        """Per node: x at its first atom where mask holds (else 0), and if one exists.
 
-    def _flat(self, n: int, x, tol: float) -> bool:
-        """True iff x spreads by at most tol on every time-n block."""
-        spread = self.segment_reduce(n, x, np.maximum) - self.segment_reduce(n, x, np.minimum)
-        return not np.any(spread > tol)
+        With a 1-d ``mask``, x and mask are indexed by atom and the nodes are
+        the time-n blocks; with time-major ``(m, n_atoms)`` rows, the nodes
+        of the dates n..n+m-1.  x may carry trailing axes.
+        """
+        mask = np.asarray(mask)
+        rows = mask.reshape(-1, self.n_atoms)
+        size = rows.size
+        pos = self.node_reduce(np.where(rows, np.arange(size).reshape(rows.shape), size),
+                               np.minimum, n)
+        found = pos < size
+        x = np.asarray(x).reshape((size,) + np.shape(x)[mask.ndim:])
+        value = x[np.minimum(pos, size - 1)]
+        return np.where(found.reshape((-1,) + (1,) * (x.ndim - 1)), value, 0.0), found
+
+    def spread_ok(self, rows, first: int = 0, tol: float = 0.0) -> Array:
+        """Per node of the dates first, ...: rows spread by at most tol on it.
+
+        Fails closed: a NaN, or a block that is inf throughout, fails.
+        """
+        hi = self.node_reduce(rows, np.maximum, first)
+        with np.errstate(invalid="ignore"):
+            return hi - self.node_reduce(rows, np.minimum, first) <= tol
 
     def is_adapted(self, X, tol: float = 0.0) -> bool:
         """True iff X[:, n] is constant on every time-n block."""
-        V = as_values(X)
-        return all(self._flat(n, V[:, n], tol) for n in range(self.n_times))
+        return bool(self.spread_ok(as_values(X).T, 0, tol).all())
 
     def is_predictable(self, X, tol: float = 0.0) -> bool:
         """True iff X[:, n] is constant on time-(n-1) blocks, X[:, 0] deterministic."""
         V = as_values(X)
-        if np.ptp(V[:, 0]) > tol:
-            return False
-        return all(self._flat(n - 1, V[:, n], tol) for n in range(1, self.n_times))
+        return bool(np.ptp(V[:, 0]) <= tol and self.spread_ok(V.T[1:], 0, tol).all())
 
 
 @dataclass(frozen=True)
@@ -215,8 +284,9 @@ class AdaptedProcess:
     @classmethod
     def from_values(cls, filtration: Filtration, values, tol: float = 0.0):
         V = np.asarray(values, dtype=float)
-        flags = tuple(filtration._flat(n, V[:, n], tol) for n in range(filtration.n_times))
-        return cls(V, flags, filtration.is_predictable(V, tol))
+        ok = filtration.spread_ok(V.T, 0, tol)
+        flags = np.logical_and.reduceat(ok, filtration.offsets[:-1])
+        return cls(V, tuple(map(bool, flags)), filtration.is_predictable(V, tol))
 
     @property
     def is_adapted(self) -> bool:
@@ -247,12 +317,44 @@ def cond_expect(X, block_ids, measure, *, allow_degenerate: bool = False):
     return means[ids], dead[ids]
 
 
-def _cond(space, X, n_partition, measure=None, *, allow_degenerate=False):
-    """E[X | F_{n_partition}] for a single atom-vector X."""
-    meas = measure if measure is not None else space.measure
-    out, _ = cond_expect(X, space.filtration.block_ids[n_partition], meas,
-                         allow_degenerate=allow_degenerate)
-    return out
+def _weights(measure) -> Array:
+    return measure.weights if isinstance(measure, ProbabilityMeasure) else np.asarray(measure, float)
+
+
+def _node_means(filt: Filtration, rows, w, allow_degenerate: bool):
+    """(mean, mass) per node of dates 0..m-1 of time-major rows, m = len(rows).
+
+    Row n is conditioned on the time-n partition: one ``bincount`` for the
+    masses and one for the weighted sums over the index, each node summing
+    in atom order as :func:`cond_expect` does on one partition.  A zero-mass
+    node has mean 0 when ``allow_degenerate`` is set; otherwise the first
+    date holding one raises, naming its zero-mass blocks.
+    """
+    m = len(rows)
+    size = int(filt.offsets[m])
+    mass = filt.node_mass(w)[:size]
+    sums = np.bincount(filt.nodes[:m].ravel(), weights=np.multiply(rows, w, order="C").ravel(),
+                       minlength=size)
+    dead = mass <= 0.0
+    if not allow_degenerate and dead.any():
+        lo, hi = filt.offsets[_date_of(filt, np.argmax(dead)):][:2]
+        raise DegenerateConditioningError(
+            f"zero-mass block(s) {np.flatnonzero(dead[lo:hi]).tolist()} without degeneracy convention"
+        )
+    means = np.zeros(size)
+    np.divide(sums, mass, out=means, where=~dead)
+    return means, mass
+
+
+def _date_of(filt: Filtration, node):
+    """The date of a node id (elementwise for an array of ids)."""
+    return np.searchsorted(filt.offsets, node, side="right") - 1
+
+
+def _cond_rows(filt: Filtration, rows, w, allow_degenerate: bool) -> Array:
+    """(n_atoms, m) table of E[rows[n] | time-n partition], n < m = len(rows)."""
+    means, _ = _node_means(filt, rows, w, allow_degenerate)
+    return means[filt.nodes[:len(rows)].T]
 
 
 def project(space, X, mode: str = "optional", *, filtration=None, measure=None,
@@ -265,16 +367,16 @@ def project(space, X, mode: str = "optional", *, filtration=None, measure=None,
     """
     V = as_values(X)
     filt = filtration if filtration is not None else space.filtration
-    meas = measure if measure is not None else space.measure
+    w = _weights(measure if measure is not None else space.measure)
     out = np.empty_like(V)
-    for n in range(filt.n_times):
-        if mode == "optional":
-            ids = filt.block_ids[n]
-        elif mode == "predictable":
-            ids = filt.block_ids[n - 1] if n >= 1 else np.zeros(filt.n_atoms, dtype=np.int64)
-        else:
-            raise ValueError(f"unknown projection mode {mode!r}")
-        out[:, n], _ = cond_expect(V[:, n], ids, meas, allow_degenerate=allow_degenerate)
+    if mode == "optional":
+        out[:] = _cond_rows(filt, V.T, w, allow_degenerate)
+    elif mode == "predictable":
+        out[:, 0], _ = cond_expect(V[:, 0], np.zeros(filt.n_atoms, dtype=np.int64), w,
+                                   allow_degenerate=allow_degenerate)
+        out[:, 1:] = _cond_rows(filt, V.T[1:], w, allow_degenerate)
+    else:
+        raise ValueError(f"unknown projection mode {mode!r}")
     return out
 
 
@@ -356,13 +458,10 @@ def doob_decomposition(space, X, *, filtration=None, measure=None):
     dA_n = E[dX_n | F_{n-1}] for n >= 1; M = X - A carries X_0.
     """
     filt = filtration if filtration is not None else space.filtration
-    meas = measure if measure is not None else space.measure
+    w = _weights(measure if measure is not None else space.measure)
     V = as_values(X)
     dA = np.zeros_like(V)
-    dX = np.diff(V, axis=1)
-    for n in range(1, filt.n_times):
-        dA[:, n], _ = cond_expect(dX[:, n - 1], filt.block_ids[n - 1], meas,
-                                  allow_degenerate=True)
+    dA[:, 1:] = _cond_rows(filt, np.diff(V, axis=1).T, w, True)
     A = np.cumsum(dA, axis=1)
     return V - A, A
 
@@ -373,12 +472,16 @@ class ClassifyReport:
 
     ``max_residual`` is the sup-norm of the one-step conditional-mean
     increments; ``sup_residual``/``inf_residual`` are their signed extremes.
+    ``worst`` is the node (time k, time-(k-1) block) of the largest
+    |residual| (of the first non-finite one, if any), None without a
+    reachable node.
     """
 
     verdict: str
     max_residual: float
     sup_residual: float
     inf_residual: float
+    worst: tuple | None = None
 
     @property
     def is_martingale(self) -> bool:
@@ -393,24 +496,20 @@ def classify(space, X, *, filtration=None, measure=None, tol: float = TOL_EXACT)
     A non-finite residual is reported as inf with verdict ``"none"``.
     """
     filt = filtration if filtration is not None else space.filtration
-    meas = measure if measure is not None else space.measure
-    V = as_values(X)
-    w = meas.weights if isinstance(meas, ProbabilityMeasure) else np.asarray(meas, float)
-    sup, inf = 0.0, 0.0
-    dX = np.diff(V, axis=1)
-    for n in range(1, filt.n_times):
-        ids = filt.block_ids[n - 1]
-        nb = ids.max() + 1
-        mass = np.bincount(ids, weights=w, minlength=nb)
-        sums = np.bincount(ids, weights=w * dX[:, n - 1], minlength=nb)
-        live = mass > 0.0
-        if not np.any(live):
-            continue
-        r = sums[live] / mass[live]
-        if not np.all(np.isfinite(r)):
-            return ClassifyReport("none", np.inf, np.inf, -np.inf)
-        sup = max(sup, float(r.max()))
-        inf = min(inf, float(r.min()))
+    w = _weights(measure if measure is not None else space.measure)
+    means, mass = _node_means(filt, np.diff(as_values(X), axis=1).T, w, True)
+    live = np.flatnonzero(mass > 0.0)
+    r = means[live]
+    bad = ~np.isfinite(r)
+    at = np.argmax(bad) if bad.any() else np.argmax(np.abs(r)) if r.size else None
+    worst = None
+    if at is not None:
+        n = int(_date_of(filt, live[at]))
+        worst = (n + 1, int(live[at] - filt.offsets[n]))
+    if bad.any():
+        return ClassifyReport("none", np.inf, np.inf, -np.inf, worst)
+    sup = max(0.0, float(r.max())) if r.size else 0.0
+    inf = min(0.0, float(r.min())) if r.size else 0.0
     max_res = max(sup, -inf)
     if max_res <= tol:
         verdict = "martingale"
@@ -420,7 +519,7 @@ def classify(space, X, *, filtration=None, measure=None, tol: float = TOL_EXACT)
         verdict = "submartingale"
     else:
         verdict = "none"
-    return ClassifyReport(verdict, max_res, sup, inf)
+    return ClassifyReport(verdict, max_res, sup, inf, worst)
 
 
 def change_measure(space, density) -> ProbabilityMeasure:

@@ -105,6 +105,21 @@ def test_verify_rejects_nan_prob(docs, tmp_path, capsys):
     assert not (tmp_path / "verify-report.json").exists()
 
 
+@pytest.mark.parametrize("bad", [math.nan, math.inf])
+def test_deflate_rejects_non_finite_price_at_load(docs, tmp_path, capsys, bad):
+    root, model = docs
+    doc = copy.deepcopy(model)
+    doc["assets"]["values"][0][2][1] = bad
+    modelio.write_json(tmp_path / "bad.json", doc)
+    out = tmp_path / "out"
+    out.mkdir()
+    code = run("deflate", "--model", tmp_path / "bad.json",
+               "--params", root / "params_phi.json", "--out", out)
+    assert code == 2
+    assert f"value {bad!r} of (asset S0, atom w3, time 1) is not finite" in capsys.readouterr().err
+    assert list(out.iterdir()) == []
+
+
 def test_verify_rejects_non_refining(docs, tmp_path):
     root, model = docs
     bad = copy.deepcopy(model)

@@ -11,19 +11,28 @@ writer.
 
 import math
 import tracemalloc
+from fractions import Fraction
 
 import numpy as np
 import pytest
 
 import oracle
 from horizon_deflators import (
+    TOL_EXACT,
     ContractViolationError,
+    DegenerateConditioningError,
+    FiniteFilteredSpace,
     Filtration,
     MarketModel,
     ProbabilityMeasure,
     SpaceValidationError,
     build_survival,
+    classify,
     decompose_martingale,
+    doob_decomposition,
+    dual_projection,
+    multiplicative_decomposition,
+    project,
     modelio,
     stop,
     transport,
@@ -32,6 +41,7 @@ from horizon_deflators import (
 )
 from horizon_deflators import market as market_mod
 from horizon_deflators.market import _CHUNK_ELEMENTS, _vertex_max
+from horizon_deflators.prob_core import increments
 
 
 def _full_tree(branching, horizon):
@@ -99,6 +109,135 @@ def test_segment_reduce_conventions():
     value, found = filt.first_where(1, np.array([7.0, 8.0, 9.0, 10.0]),
                                     np.array([False, False, True, False]))
     assert np.array_equal(value, [9.0, 0.0]) and np.array_equal(found, [True, False])
+
+
+def _per_date_cond(x, ids, w):
+    """E[x | ids] by one bincount pair on one date, 0 on zero-mass blocks.
+
+    Returns the conditioned vector, the per-block masses and the zero-mass
+    blocks; this is the date-by-date computation the space-time index
+    replaced, so the index must reproduce it bit for bit.
+    """
+    mass = np.bincount(ids, weights=w)
+    live = mass[ids] > 0.0
+    out = np.zeros(len(x))
+    if live.any():
+        _, label = np.unique(ids[live], return_inverse=True)
+        out[live] = oracle.block_mean(x[live], label.ravel(), w[live])
+    return out, mass, np.flatnonzero(mass <= 0.0)
+
+
+def _per_date_table(V, id_rows, w, allow_degenerate):
+    """Column n of V conditioned on id_rows[n]; raises as the per-date loop did."""
+    out = np.empty_like(V)
+    for n, ids in enumerate(id_rows):
+        out[:, n], _, dead = _per_date_cond(V[:, n], ids, w)
+        if len(dead) and not allow_degenerate:
+            raise DegenerateConditioningError(
+                f"zero-mass block(s) {dead.tolist()} without degeneracy convention")
+    return out
+
+
+def _per_date_classify(V, ids, w, tol=TOL_EXACT):
+    """(verdict, max, sup, inf, worst) by the date loop of the martingale scan."""
+    sup, inf, top, worst = 0.0, 0.0, -1.0, None
+    for n in range(1, ids.shape[0]):
+        cond, mass, _ = _per_date_cond(V[:, n] - V[:, n - 1], ids[n - 1], w)
+        live = np.flatnonzero(mass > 0.0)
+        if not len(live):
+            continue
+        r = cond[np.array([np.flatnonzero(ids[n - 1] == b)[0] for b in live])]
+        if not np.all(np.isfinite(r)):
+            j = int(np.flatnonzero(~np.isfinite(r))[0])
+            return "none", np.inf, np.inf, -np.inf, (n, int(live[j]))
+        j = int(np.argmax(np.abs(r)))
+        if abs(r[j]) > top:
+            top, worst = abs(r[j]), (n, int(live[j]))
+        sup, inf = max(sup, float(r.max())), min(inf, float(r.min()))
+    max_res = max(sup, -inf)
+    verdict = ("martingale" if max_res <= tol else "supermartingale" if sup <= tol
+               else "submartingale" if -inf <= tol else "none")
+    return verdict, max_res, sup, inf, worst
+
+
+def _per_date_flat(V, id_rows, tol):
+    """Every block of id_rows[n] spreads column n of V by at most tol (NaN fails)."""
+    return all(np.ptp(V[blk, n]) <= tol
+               for n, ids in enumerate(id_rows) for blk in oracle.blocks_of(ids))
+
+
+def _index_cases(rng):
+    """Scrambled partitions, T = 1 and single-atom spaces among them."""
+    yield np.zeros((2, 1), dtype=np.int64)
+    yield _scrambled(rng, _full_tree(3, 1))
+    for _ in range(60):
+        yield _raw_partitions(rng)
+
+
+def test_space_time_index_is_bit_identical_to_per_date_loops():
+    rng = np.random.default_rng(105)
+    degenerate = 0
+    for raw in _index_cases(rng):
+        filt = Filtration(raw)
+        ids = filt.block_ids
+        n, T = filt.n_atoms, filt.n_times - 1
+        space = FiniteFilteredSpace(tuple(range(n)), np.full(n, 1.0 / n), T, filt)
+        w = rng.uniform(0.2, 1.0, n) * (rng.random(n) < 0.7)
+        if not w.any():
+            w[rng.integers(n)] = 1.0
+        measure = ProbabilityMeasure(w / w.sum())
+        w = measure.weights
+        V = rng.normal(size=(n, T + 1))
+        # exact fractions confirm the float reference wherever blocks have mass
+        ref, mass, _ = _per_date_cond(V[:, T], ids[T - 1], w)
+        alive = mass[ids[T - 1]] > 0.0
+        exact = oracle.cond_exp([Fraction(x) for x in V[:, T]], [Fraction(p) for p in w],
+                                [b for b in oracle.blocks_of(ids[T - 1]) if alive[b[0]]])
+        assert np.allclose(ref[alive], np.array(exact, dtype=object)[alive].astype(float),
+                           rtol=1e-12, atol=1e-12)
+        pred_rows = np.vstack([np.zeros((1, n), dtype=np.int64), ids[:-1]])
+        for mode, id_rows in (("optional", ids), ("predictable", pred_rows)):
+            for allow in (True, False):
+                try:
+                    want = _per_date_table(V, id_rows, w, allow)
+                except DegenerateConditioningError as exc:
+                    degenerate += 1
+                    with pytest.raises(DegenerateConditioningError) as got:
+                        project(space, V, mode, measure=measure, allow_degenerate=allow)
+                    assert str(got.value) == str(exc)
+                    continue
+                got = project(space, V, mode, measure=measure, allow_degenerate=allow)
+                assert np.array_equal(got, want)
+                dual = dual_projection(space, V, mode, measure=measure, allow_degenerate=allow)
+                assert np.array_equal(dual, np.cumsum(_per_date_table(
+                    increments(V), id_rows, w, allow), axis=1))
+        dA = np.zeros_like(V)
+        dA[:, 1:] = _per_date_table(np.diff(V, axis=1), ids[:-1], w, True)
+        M, A = doob_decomposition(space, V, measure=measure)
+        assert np.array_equal(A, np.cumsum(dA, axis=1)) and np.array_equal(M, V - A)
+        # a positive supermartingale for the multiplicative split
+        Z = _per_date_table(np.repeat(rng.uniform(0.5, 2.0, (n, 1)), T + 1, axis=1), ids, w, True)
+        Z = np.where(Z > 0.0, Z, 1.0) * 0.99 ** np.arange(T + 1)
+        dX = np.diff(Z, axis=1) / Z[:, :-1]
+        dVp = -_per_date_table(dX, ids[:-1], w, True)
+        N, Vd = multiplicative_decomposition(space, Z, measure=measure)
+        assert np.array_equal(N[:, 1:], np.cumsum((dX + dVp) / (1.0 - dVp), axis=1))
+        assert np.array_equal(Vd[:, 1:], np.cumsum(dVp, axis=1))
+        for X in (V, Z, np.cumsum(V, axis=1) ** 2):
+            rep = classify(space, X, measure=measure)
+            got = (rep.verdict, rep.max_residual, rep.sup_residual, rep.inf_residual, rep.worst)
+            assert got == _per_date_classify(X, ids, w)
+        # measurability: adapted and predictable tables, then broken ones
+        adapted = rng.normal(size=(ids.max() + 1, T + 1))[ids.T, np.arange(T + 1)]
+        predictable = np.hstack([np.full((n, 1), 0.5), adapted[:, :-1]])
+        for X in (adapted, predictable, V):
+            broken = X.copy()
+            broken[rng.integers(n), rng.integers(T + 1)] = rng.choice([np.nan, 1e-3])
+            for Y in (X, broken):
+                for tol in (0.0, 1e-2):
+                    assert filt.is_adapted(Y, tol) == _per_date_flat(Y, ids, tol)
+                    assert filt.is_predictable(Y, tol) == _per_date_flat(Y, pred_rows, tol)
+    assert degenerate > 10
 
 
 def _one_asset_prices(rng, space):

@@ -108,6 +108,18 @@ def test_lmd_names_the_block_after_a_dead_one():
     assert not rep.ok and rep.worst == (2, 1, "price[0]")
 
 
+def test_lmd_names_the_node_where_Z_is_no_martingale():
+    # Z is a martingale except on the second time-1 block; the prices are
+    # flat, so the martingale residual is the worst and its node is named
+    space = FiniteFilteredSpace.from_partitions(
+        ("a", "b", "c", "d"), (0.25,) * 4, [[0, 0, 0, 0], [0, 0, 1, 1], [0, 1, 2, 3]])
+    Z = np.ones((4, 3))
+    Z[2:, 2] = [1.2, 1.0]
+    rep = verify_lmd(Z, MarketModel.from_prices(space, np.ones((4, 3))))
+    assert not rep.ok and rep.worst == (2, 1, "martingale")
+    assert abs(rep.max_residual - 0.1) <= 1e-15
+
+
 @pytest.mark.parametrize("n_assets", [1, 2])
 @pytest.mark.parametrize("bad", [np.nan, np.inf])
 def test_oracles_fail_closed_on_non_finite_Z(n_assets, bad):
@@ -313,6 +325,15 @@ def test_lift_rejects_non_predictable(demo_rts):
     phi_G[0, 1] = 1.0  # differs across the surviving date-0 cell
     with pytest.raises(ContractViolationError):
         lift_strategy(phi_G, demo_rts)
+
+
+def test_lift_rejects_nan(demo_rts):
+    phi_G = np.zeros((4, 3))
+    phi_G[1, 2] = np.nan
+    with pytest.raises(ContractViolationError):
+        lift_strategy(phi_G, demo_rts)
+    with pytest.raises(ContractViolationError):
+        lift_strategy(phi_G, demo_rts, tol=np.inf)
 
 
 def test_lift_preserves_stopped_wealth_and_admissibility():

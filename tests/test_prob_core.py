@@ -71,6 +71,30 @@ def test_adapted_process_certificate(demo):
     assert det.predictable
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_measurability_checks_fail_closed(demo, bad):
+    # one NaN cell, or a block that is +inf throughout, is neither adapted
+    # nor predictable: a spread passes only if it is <= tol
+    space, _, S = demo
+    filt = space.filtration
+    X = np.ones((4, 3))
+    if np.isnan(bad):
+        X[1, 2] = bad
+    else:
+        X[:, 2] = bad  # constant +inf: inf - inf is NaN
+    assert filt.is_adapted(S) and filt.is_predictable(np.ones((4, 3)))
+    assert not filt.is_adapted(X, tol=1.0)
+    assert not filt.is_predictable(X, tol=1.0)
+    cert = AdaptedProcess.from_values(filt, X, tol=1.0)
+    assert not cert.is_adapted and not cert.predictable
+    assert cert.adapted == (True, True, False)
+    V = np.ones((4, 3))
+    V[0, 0] = np.nan
+    assert not filt.is_predictable(V, tol=1.0)
+    with pytest.raises(ContractViolationError):
+        stochastic_integral(X, S, filtration=filt)
+
+
 # ------------------------------------------------------- conditional expectation
 
 def test_cond_expect_uniform_average():
@@ -388,6 +412,22 @@ def test_classify_fails_closed_on_non_finite(demo, bad):
     rep = classify(space, X)
     assert rep.verdict == "none" and not rep.is_martingale
     assert rep.max_residual == np.inf
+
+
+def test_classify_names_its_worst_node():
+    # X drifts only on the second time-1 block, so martingality fails at the
+    # node (time 2, time-1 block 1); a NaN elsewhere is named first
+    space = FiniteFilteredSpace.from_partitions(
+        ("a", "b", "c", "d"), (0.25,) * 4, [[0, 0, 0, 0], [0, 0, 1, 1], [0, 1, 2, 3]])
+    X = np.zeros((4, 3))
+    X[:2, 1], X[2:, 1] = 0.1, -0.1
+    X[:, 2] = X[:, 1] + np.array([0.3, -0.3, 0.5, 0.1])
+    rep = classify(space, X)
+    assert rep.verdict == "submartingale" and rep.worst == (2, 1)
+    assert rep.max_residual == rep.sup_residual == 0.3
+    assert classify(space, np.ones((4, 3))).worst == (1, 0)
+    X[0, 2] = np.nan
+    assert classify(space, X).worst == (2, 0)
 
 
 # -------------------------------------------------------------- measure change
