@@ -35,6 +35,7 @@ import numpy as np
 from .errors import AdmissibilityError, ContractViolationError, StructuralError
 from .enlargement import (
     RandomTimeStructure,
+    _lift_surviving,
     survival_exponential_integrand,
     transport,
 )
@@ -44,6 +45,7 @@ from .prob_core import (
     as_values,
     _cond_rows,
     _date_of,
+    _ratio,
     _weights,
     classify,
     project,
@@ -95,10 +97,14 @@ class Deflator:
     params: "DeflatorParams | None" = None
 
     def factor_product(self) -> Array:
-        out = np.ones_like(self.Z)
-        for f in self.factors.values():
-            out = out * f
-        return out
+        return _product(self.factors.values())
+
+
+def _product(factors) -> Array:
+    out = 1.0
+    for f in factors:
+        out = out * f
+    return out
 
 
 @dataclass(frozen=True)
@@ -141,32 +147,30 @@ def _full(rts, x) -> Array:
     return x
 
 
+def _exponential(p, X) -> Array:
+    """The product of the factors 1 + p_k dX_k over 0 < k <= n."""
+    factors = np.ones_like(p)
+    factors[:, 1:] = 1.0 + p[:, 1:] * np.diff(X, axis=1)
+    return np.cumprod(factors, axis=1)
+
+
 def default_exponential(phi, rts: RandomTimeStructure) -> Array:
     """E(phi . N_G) for an adapted integrand: one factor per pre-horizon date.
 
     The factor at k is 1 + phi_k G_k / G~_k on {tau = k} and
     1 - phi_k dD_opt_k / G~_k on {tau > k}; 1 after tau.
     """
-    p = _full(rts, phi)
-    dN = np.diff(rts.N_G, axis=1)
-    factors = np.ones_like(p)
-    factors[:, 1:] = 1.0 + p[:, 1:] * dN
-    return np.cumprod(factors, axis=1)
+    return _exponential(_full(rts, phi), rts.N_G)
 
 
 def progressive_exponential(phi_pr, rts: RandomTimeStructure) -> Array:
     """E(phi_pr . D): a single factor 1 + phi_pr at the default date (>= 1)."""
-    p = _full(rts, phi_pr)
-    dD = np.diff(rts.D, axis=1)
-    factors = np.ones_like(p)
-    factors[:, 1:] = 1.0 + p[:, 1:] * dD
-    return np.cumprod(factors, axis=1)
+    return _exponential(_full(rts, phi_pr), rts.D)
 
 
 def survival_discount(rts: RandomTimeStructure) -> Array:
     """The stopped reciprocal density 1 / Z_bar^tau (positive on every atom)."""
-    zb = stop(rts.Z_bar, rts.tau)
-    return 1.0 / zb
+    return 1.0 / stop(rts.Z_bar, rts.tau)
 
 
 def induced_base(K_F, rts: RandomTimeStructure, *, check: bool = True) -> Array:
@@ -176,9 +180,7 @@ def induced_base(K_F, rts: RandomTimeStructure, *, check: bool = True) -> Array:
     filtration on every tree; it equals (E(K_F))^tau / Z_bar^tau wherever the
     random time is regular.
     """
-    K_F = _full(rts, K_F)
-    Y = driver_base(K_F, rts, check=check)
-    return stochastic_exponential(Y)
+    return stochastic_exponential(driver_base(_full(rts, K_F), rts, check=check))
 
 
 def driver_base(K_F, rts: RandomTimeStructure, *, check: bool = True) -> Array:
@@ -189,9 +191,7 @@ def driver_base(K_F, rts: RandomTimeStructure, *, check: bool = True) -> Array:
 
 
 def _collapse_ok(phi_pr, rts) -> bool:
-    p = _full(rts, phi_pr)
-    at_tau = p[np.arange(rts.space.n_atoms), rts.tau]
-    return bool(np.all(at_tau == 0.0))
+    return bool(np.all(_full(rts, phi_pr)[np.arange(rts.space.n_atoms), rts.tau] == 0.0))
 
 
 def _factor_report(route, factors_live, rts, inequalities, bounds, collapse_ok):
@@ -217,12 +217,7 @@ def _factor_report(route, factors_live, rts, inequalities, bounds, collapse_ok):
 def _optional_bounds(rts) -> dict:
     """The strict interval for the optional integrand, with +/-inf conventions."""
     G, Gt = rts.G, rts.G_tilde
-    dDo = Gt - G
-    lower = np.full_like(G, -np.inf)
-    np.divide(-Gt, G, out=lower, where=G > 0)
-    upper = np.full_like(G, np.inf)
-    np.divide(Gt, dDo, out=upper, where=dDo > 0)
-    return {"optional_lower": lower, "optional_upper": upper}
+    return {"optional_lower": _ratio(-Gt, G, -np.inf), "optional_upper": _ratio(Gt, Gt - G, np.inf)}
 
 
 def _live_factors(Z_inc_factors, rts) -> Array:
@@ -253,19 +248,10 @@ def _check_additive(params, rts) -> AdmissibilityReport:
     dK = np.diff(K_F, axis=1)
     one_dK = np.concatenate([np.ones((rts.space.n_atoms, 1)), 1.0 + dK], axis=1)
     G, Gt, Gm = rts.G, rts.G_tilde, rts.G_minus
-    dDo = Gt - G
-    lo = np.full_like(G, -np.inf)
-    np.divide(-Gm * one_dK, G, out=lo, where=G > 0)
-    hi = np.full_like(G, np.inf)
-    np.divide(Gm * one_dK, dDo, out=hi, where=dDo > 0)
-    bounds = {"optional_lower": lo, "optional_upper": hi}
-    prog_lo = np.full_like(G, -np.inf)
-    np.divide(-(Gm * one_dK + phi_o * G), Gt, out=prog_lo, where=Gt > 0)
-    bounds["progressive_lower"] = prog_lo
-    ineq = {
-        "optional": (phi_o > lo) & (phi_o < hi),
-        "progressive": phi_pr > prog_lo,
-    }
+    lo, hi = _ratio(-Gm * one_dK, G, -np.inf), _ratio(Gm * one_dK, Gt - G, np.inf)
+    prog_lo = _ratio(-(Gm * one_dK + phi_o * G), Gt, -np.inf)
+    bounds = {"optional_lower": lo, "optional_upper": hi, "progressive_lower": prog_lo}
+    ineq = {"optional": (phi_o > lo) & (phi_o < hi), "progressive": phi_pr > prog_lo}
     return _factor_report("additive", factors, rts, ineq, bounds, collapse_ok)
 
 
@@ -378,10 +364,7 @@ def build_multiplicative(Z_F, phi_o, phi_pr, rts: RandomTimeStructure) -> Deflat
         "default_exponential": default_exponential(phi_o, rts),
         "progressive_exponential": progressive_exponential(phi_pr, rts),
     }
-    Z = np.ones_like(Z_F)
-    for f in factors.values():
-        Z = Z * f
-    return Deflator(Z=Z, provenance="multiplicative", K_G=None,
+    return Deflator(Z=_product(factors.values()), provenance="multiplicative", K_G=None,
                     factors=factors, report=report, params=params)
 
 
@@ -411,8 +394,7 @@ def build_measure_change(Z_QF, phi, rts: RandomTimeStructure, *, market=None,
         "base": stop(Z_QF, rts.tau),
         "default_exponential": default_exponential(phi, rts),
     }
-    Z = factors["base"] * factors["default_exponential"]
-    return Deflator(Z=Z, provenance="measure-change", K_G=None,
+    return Deflator(Z=_product(factors.values()), provenance="measure-change", K_G=None,
                     factors=factors, report=report, params=params)
 
 
@@ -528,8 +510,7 @@ def decompose_martingale(M_G, rts: RandomTimeStructure, *, tol: float = 1e-9) ->
     wsub = np.where(sub, space.probs[:, None], 0.0)
     mass = filt.node_reduce(wsub, first=1)
     present = mass > 0.0
-    mean = np.zeros_like(mass)
-    np.divide(filt.node_reduce(wsub * x, first=1), mass, out=mean, where=present)
+    mean = _ratio(filt.node_reduce(wsub * x, first=1), mass)
     hi = filt.node_reduce(np.where(sub, x, -np.inf), np.maximum, 1)
     lo = filt.node_reduce(np.where(sub, x, np.inf), np.minimum, 1)
     even = hi - lo <= tol * np.maximum(1.0, np.maximum(hi, -lo))
@@ -543,18 +524,14 @@ def decompose_martingale(M_G, rts: RandomTimeStructure, *, tol: float = 1e-9) ->
             f"at time {k}, block {int(filt.parent[k][blocks].min())}")
     a, bb = mean[:, 0], mean[:, 1]
     both = present.all(axis=1)
-    k, first = (a[filt.offsets[1]:] for a in filt.node_atoms())  # one atom per cell
+    k, first = (col[filt.offsets[1]:] for col in filt.node_atoms())  # one atom per cell
     g_prev = rts.G_minus[first, k]
     dDo = np.diff(rts.D_opt, axis=1)
     dMF = np.where(both, g_prev * (a * dDo[first, k - 1] + bb * rts.G[first, k]),
                    g_prev * rts.G_tilde[first, k] * np.where(present[:, 0], a, bb))
     cells = (filt.nodes[1:] - filt.offsets[1]).T
-    phi = np.zeros_like(V)
-    phi[:, 1:] = np.where(both, a - bb, 0.0)[cells]
-    known = np.zeros_like(V, dtype=bool)
-    known[:, 1:] = both[cells]
-    M_F = np.zeros_like(V)
-    M_F[:, 1:] = dMF[cells]
+    phi, known, M_F = np.zeros_like(V), np.zeros_like(V, dtype=bool), np.zeros_like(V)
+    phi[:, 1:], known[:, 1:], M_F[:, 1:] = np.where(both, a - bb, 0.0)[cells], both[cells], dMF[cells]
     M_F = np.cumsum(M_F, axis=1)
     rebuilt = reassemble(V[:, 0], M_F, phi, rts)
     residual = float(np.max(np.abs(rebuilt - V)))
@@ -564,9 +541,7 @@ def decompose_martingale(M_G, rts: RandomTimeStructure, *, tol: float = 1e-9) ->
 def reassemble(start, M_F, phi, rts: RandomTimeStructure) -> Array:
     """Rebuild M_0 + (1/G_minus^2) . T(M_F) + phi . N_G from decomposition data."""
     TM = transport(M_F, rts, check=False)
-    gm = rts.G_minus
-    weight = np.zeros_like(gm)
-    np.divide(1.0, gm * gm, out=weight, where=gm > 0)
+    weight = _ratio(1.0, rts.G_minus ** 2, where=rts.G_minus > 0)
     out = stochastic_integral(weight, TM) + stochastic_integral(_full(rts, phi), rts.N_G)
     start = np.asarray(start, dtype=float)
     return (start.reshape(-1, 1) if start.ndim else float(start)) + out
@@ -592,8 +567,7 @@ def represent_payoff(h, rts: RandomTimeStructure, *, tol: float = 1e-10) -> Repr
     h_int = np.cumsum(hv * inc, axis=1)
     Y_h = M_h - h_int
     g_pos = rts.G > 0.0
-    J = np.zeros_like(hv)
-    np.divide(Y_h, rts.G, out=J, where=g_pos)
+    J = _ratio(Y_h, rts.G)
     h_at_tau = hv[np.arange(space.n_atoms), rts.tau]
     H = project(space, np.repeat(h_at_tau[:, None], T + 1, axis=1), filtration=rts.G_filtration)
 
@@ -662,12 +636,8 @@ def extract_multiplicative(Z, rts: RandomTimeStructure, *, tol: float = 1e-9):
     N, V_G = multiplicative_decomposition(space, V, filtration=rts.G_filtration, tol=tol)
     V_F = lift_predictable(V_G, rts)
     repn = decompose_martingale(N, rts, tol=max(tol, 10 * TOL_EXACT))
-    gm = rts.G_minus
-    w1 = np.zeros_like(gm)
-    np.divide(1.0, gm, out=w1, where=gm > 0)
-    w2 = np.zeros_like(gm)
-    np.divide(1.0, gm * gm, out=w2, where=gm > 0)
-    K_F = stochastic_integral(w1, rts.m) + stochastic_integral(w2, repn.M_F)
+    K_F = (stochastic_integral(survival_exponential_integrand(rts), rts.m)
+           + stochastic_integral(_ratio(1.0, rts.G_minus ** 2, where=rts.G_minus > 0), repn.M_F))
     Y = driver_base(K_F, rts, check=False)
     phi_o = _broadcast_live(_rescale(repn.phi, Y, np.divide), rts)
     Z_F = stochastic_exponential(K_F) * stochastic_exponential(-V_F)
@@ -682,14 +652,8 @@ def lift_predictable(V_G, rts: RandomTimeStructure, *, tol: float = 1e-9) -> Arr
     On each public time-(k-1) block the lifted increment is the enlarged
     increment on the surviving sub-cell; blocks without survivors take 0.
     """
-    filt = rts.space.filtration
-    x = np.diff(as_values(V_G), axis=1).T  # time-major, dates 1..T
-    alive = rts.tau >= np.arange(1, rts.horizon + 1)[:, None]
-    hi = filt.node_reduce(np.where(alive, x, -np.inf), np.maximum)
-    lo = filt.node_reduce(np.where(alive, x, np.inf), np.minimum)
-    if not np.all(hi - lo <= tol * np.maximum(1.0, np.maximum(hi, -lo))):
-        raise ContractViolationError(
-            "predictable part not constant on a surviving sub-cell")
-    out = np.zeros((x.shape[1], x.shape[0] + 1))
-    out[:, 1:] = filt.first_where(0, x, alive)[0][filt.nodes[:-1].T]
+    dV = np.diff(as_values(V_G), axis=1)
+    out = np.zeros((dV.shape[0], dV.shape[1] + 1))
+    out[:, 1:] = _lift_surviving(dV.T, rts, lambda hi, lo: tol * np.maximum(1.0, np.maximum(hi, -lo)),
+                                "predictable part not constant on a surviving sub-cell").T
     return np.cumsum(out, axis=1)

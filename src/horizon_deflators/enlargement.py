@@ -37,6 +37,7 @@ from .prob_core import (
     FiniteFilteredSpace,
     Filtration,
     ProbabilityMeasure,
+    _ratio,
     as_values,
     bracket,
     classify,
@@ -147,7 +148,7 @@ def build_survival(space: FiniteFilteredSpace, tau, *, tol: float = TOL_EXACT,
     # density process of the survival measure change: a product of the
     # ratios G~_k / G_{k-1}, with factor 1 where G_{k-1} = 0
     factors = np.ones_like(G)
-    np.divide(G_tilde[:, 1:], G_minus[:, 1:], out=factors[:, 1:], where=G_minus[:, 1:] > 0.0)
+    factors[:, 1:] = _ratio(G_tilde[:, 1:], G_minus[:, 1:], 1.0)
     Z_bar = np.cumprod(factors, axis=1)
 
     rts = RandomTimeStructure(
@@ -253,12 +254,26 @@ def density_change(rts: RandomTimeStructure):
     return rts.Z_bar, rts.qtilde()
 
 
+def _lift_surviving(x, rts: RandomTimeStructure, slack, message: str) -> Array:
+    """Lift time-major x[k - 1] (k = 1..T) from the survivors {tau >= k} of
+    each public time-(k-1) block to the whole block (0 without survivors).
+
+    The survivors' values must spread by at most ``slack(hi, lo)``, else
+    ``ContractViolationError(message)``.
+    """
+    filt = rts.space.filtration
+    alive = rts.tau >= np.arange(1, rts.horizon + 1)[:, None]
+    held = alive.reshape(alive.shape + (1,) * (x.ndim - 2))
+    hi = filt.node_reduce(np.where(held, x, -np.inf), np.maximum)
+    lo = filt.node_reduce(np.where(held, x, np.inf), np.minimum)
+    if not np.all(hi - lo <= slack(hi, lo)):
+        raise ContractViolationError(message)
+    return filt.first_where(0, x, alive)[0][filt.nodes[:-1]]
+
+
 def survival_exponential_integrand(rts: RandomTimeStructure) -> Array:
     """The predictable integrand 1{G_minus > 0} / G_minus against m giving Z_bar."""
-    gm = rts.G_minus
-    out = np.zeros_like(gm)
-    np.divide(1.0, gm, out=out, where=gm > 0.0)
-    return out
+    return _ratio(1.0, rts.G_minus)
 
 
 def _public_residual(rts: RandomTimeStructure, X) -> float:

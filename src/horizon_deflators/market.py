@@ -29,6 +29,7 @@ from itertools import combinations, islice
 
 import numpy as np
 
+from .enlargement import _lift_surviving
 from .errors import ContractViolationError, UnsupportedDimensionError
 from .prob_core import (
     Array,
@@ -36,6 +37,7 @@ from .prob_core import (
     Filtration,
     ProbabilityMeasure,
     _date_of,
+    _ratio,
     as_values,
     classify,
     stop,
@@ -70,9 +72,8 @@ class MarketModel:
             object.__setattr__(self, "assets", tuple(f"S{i}" for i in range(S.shape[0])))
         if not np.all(np.isfinite(S)):
             raise ContractViolationError("prices must be finite")
-        for comp in S:
-            if not self.filtration.is_adapted(comp, tol=0.0):
-                raise ContractViolationError("price process is not adapted")
+        if not self.filtration.is_adapted(S):
+            raise ContractViolationError("price process is not adapted")
 
     @classmethod
     def from_prices(cls, space, S, *, filtration=None, measure=None, assets=()):
@@ -105,9 +106,8 @@ class Strategy:
     @classmethod
     def check(cls, market: "MarketModel", phi) -> "Strategy":
         P = _phi3(phi, market.n_assets)
-        predictable = all(market.filtration.is_predictable(c, tol=0.0) for c in P)
         gains = (P[:, :, 1:] * np.diff(market.S, axis=2)).sum(axis=0)
-        return cls(P, bool(predictable and np.min(gains) > -1.0))
+        return cls(P, bool(market.filtration.is_predictable(P) and np.min(gains) > -1.0))
 
 
 def _phi3(phi, d) -> Array:
@@ -122,10 +122,8 @@ def _phi3(phi, d) -> Array:
 def wealth(phi, market: MarketModel, *, require_predictable: bool = True) -> Array:
     """Wealth of an admissible strategy: product of (1 + phi' dS), started at 1."""
     P = _phi3(phi, market.n_assets)
-    if require_predictable:
-        for comp in P:
-            if not market.filtration.is_predictable(comp, tol=0.0):
-                raise ContractViolationError("strategy is not predictable")
+    if require_predictable and not market.filtration.is_predictable(P):
+        raise ContractViolationError("strategy is not predictable")
     dS = np.diff(market.S, axis=2)
     gains = (P[:, :, 1:] * dS).sum(axis=0)
     if np.min(gains) <= -1.0:
@@ -261,7 +259,7 @@ def _child_rows(filt: Filtration, rows: Array, live: Array):
     node is padded, so an enumeration over a group costs what its nodes cost.
     """
     T = len(rows)
-    date, first = (a[filt.offsets[1]:] for a in filt.node_atoms())
+    date, first = (col[filt.offsets[1]:] for col in filt.node_atoms())
     par = filt.nodes[date - 1, first]  # the parent node of each node of the dates 1..T
     kids = np.argsort(par, kind="stable")
     count = np.bincount(par, minlength=filt.offsets[T])
@@ -312,10 +310,7 @@ def _interval_nodes(v: Array, lo_row: Array, hi_row: Array):
     """
     neg, pos = lo_row < -1e-14, hi_row > 1e-14
     rec = np.maximum(np.where(neg, 0.0, v), np.where(pos, 0.0, -v))
-    hi = np.full_like(v, np.inf)
-    np.divide(-1.0, lo_row, out=hi, where=neg)
-    lo = np.full_like(v, -np.inf)
-    np.divide(-1.0, hi_row, out=lo, where=pos)
+    hi, lo = _ratio(-1.0, lo_row, np.inf, neg), _ratio(-1.0, hi_row, -np.inf, pos)
     return rec, v * np.where(v > 0, hi, np.where(v < 0, lo, 0.0))
 
 
@@ -380,16 +375,9 @@ def lift_strategy(phi_G, rts, *, tol: float = 0.0) -> Array:
     P = np.asarray(as_values(phi_G), dtype=float)
     if P.ndim == 2:
         P = P[None]
-    for comp in P:
-        if not rts.G_filtration.is_predictable(comp, tol=tol):
-            raise ContractViolationError("strategy is not predictable for the enlarged filtration")
-    filt = rts.space.filtration
-    x = P[:, :, 1:].T  # (date, atom, component)
-    alive = (rts.tau >= np.arange(1, rts.horizon + 1)[:, None])[:, :, None]
-    hi = filt.node_reduce(np.where(alive, x, -np.inf), np.maximum)
-    lo = filt.node_reduce(np.where(alive, x, np.inf), np.minimum)
-    if not np.all(hi - lo <= tol):
-        raise ContractViolationError("enlarged strategy not constant on a surviving sub-cell")
+    if not rts.G_filtration.is_predictable(P, tol=tol):
+        raise ContractViolationError("strategy is not predictable for the enlarged filtration")
     out = np.zeros_like(P)
-    out[:, :, 1:] = filt.first_where(0, x, alive[:, :, 0])[0][filt.nodes[:-1]].T
+    out[:, :, 1:] = _lift_surviving(P[:, :, 1:].T, rts, lambda hi, lo: tol,
+                                   "enlarged strategy not constant on a surviving sub-cell").T
     return out if as_values(phi_G).ndim == 3 else out[0]

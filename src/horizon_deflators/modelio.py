@@ -61,13 +61,7 @@ def dumps_canonical(obj, indent: int = 0) -> str:
 def _scalar(v) -> str:
     if v is None:
         return "null"
-    if isinstance(v, str):
-        return json.dumps(v)
-    if isinstance(v, (bool, np.bool_)):
-        return "true" if v else "false"
-    if isinstance(v, (int, np.integer)):
-        return str(int(v))
-    return fmt(v)
+    return json.dumps(v) if isinstance(v, str) else fmt(v)
 
 
 def write_json(path, obj):
@@ -229,9 +223,8 @@ def load_model(source) -> ModelDocument:
             raise SpaceValidationError(
                 f"asset table value {float(S[i, atom, n])!r} of (asset {name}, atom "
                 f"{outcomes[atom]}, time {n}) is not finite")
-        for comp in S:
-            if not space.filtration.is_adapted(comp, tol=1e-12):
-                raise SpaceValidationError("asset table is not adapted")
+        if not space.filtration.is_adapted(S, tol=1e-12):
+            raise SpaceValidationError("asset table is not adapted")
     return ModelDocument(space=space, tau=tau, S=S, assets=assets)
 
 

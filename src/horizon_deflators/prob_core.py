@@ -186,13 +186,14 @@ class Filtration:
             return hi - self.node_reduce(rows, np.minimum, first) <= tol
 
     def is_adapted(self, X, tol: float = 0.0) -> bool:
-        """True iff X[:, n] is constant on every time-n block."""
+        """True iff X[..., n] is constant on every time-n block (X may stack processes)."""
         return bool(self.spread_ok(as_values(X).T, 0, tol).all())
 
     def is_predictable(self, X, tol: float = 0.0) -> bool:
-        """True iff X[:, n] is constant on time-(n-1) blocks, X[:, 0] deterministic."""
+        """True iff X[..., n] is constant on time-(n-1) blocks, X[..., 0] deterministic."""
         V = as_values(X)
-        return bool(np.ptp(V[:, 0]) <= tol and self.spread_ok(V.T[1:], 0, tol).all())
+        return bool(np.all(np.ptp(V[..., 0], axis=-1) <= tol)
+                    and self.spread_ok(V.T[1:], 0, tol).all())
 
 
 @dataclass(frozen=True)
@@ -293,6 +294,16 @@ class AdaptedProcess:
         return all(self.adapted)
 
 
+def _ratio(num, den, fill: float = 0.0, where=None) -> Array:
+    """num / den where ``where`` holds (by default where den > 0), ``fill`` elsewhere."""
+    return np.divide(num, den, out=np.full(np.shape(den), fill),
+                     where=den > 0.0 if where is None else where)
+
+
+def _weights(measure) -> Array:
+    return measure.weights if isinstance(measure, ProbabilityMeasure) else np.asarray(measure, float)
+
+
 def cond_expect(X, block_ids, measure, *, allow_degenerate: bool = False):
     """Conditional expectation of an atom-indexed variable given a partition.
 
@@ -301,49 +312,40 @@ def cond_expect(X, block_ids, measure, *, allow_degenerate: bool = False):
     is set and raises otherwise.  The second return value flags atoms lying
     in degenerate blocks.
     """
-    x = np.asarray(X, dtype=float)
-    ids = np.asarray(block_ids)
-    w = measure.weights if isinstance(measure, ProbabilityMeasure) else np.asarray(measure, float)
+    ids, w = np.asarray(block_ids), _weights(measure)
     nb = ids.max() + 1
     mass = np.bincount(ids, weights=w, minlength=nb)
-    sums = np.bincount(ids, weights=w * x, minlength=nb)
+    sums = np.bincount(ids, weights=w * np.asarray(X, dtype=float), minlength=nb)
+    return _means(sums, mass, [0, nb], allow_degenerate)[ids], (mass <= 0.0)[ids]
+
+
+def _means(sums, mass, offsets, allow_degenerate: bool) -> Array:
+    """sums / mass per block, 0 on a zero-mass block, which raises unless allowed.
+
+    ``offsets`` delimit the dates; the error names the zero-mass blocks of
+    the first date that has one.
+    """
     dead = mass <= 0.0
-    if np.any(dead) and not allow_degenerate:
+    if not allow_degenerate and dead.any():
+        lo, hi = offsets[np.searchsorted(offsets, np.argmax(dead), side="right") - 1:][:2]
         raise DegenerateConditioningError(
-            f"zero-mass block(s) {np.flatnonzero(dead).tolist()} without degeneracy convention"
-        )
-    means = np.zeros(nb)
-    np.divide(sums, mass, out=means, where=~dead)
-    return means[ids], dead[ids]
-
-
-def _weights(measure) -> Array:
-    return measure.weights if isinstance(measure, ProbabilityMeasure) else np.asarray(measure, float)
+            f"zero-mass block(s) {np.flatnonzero(dead[lo:hi]).tolist()} without degeneracy convention")
+    return _ratio(sums, mass, where=~dead)
 
 
 def _node_means(filt: Filtration, rows, w, allow_degenerate: bool):
     """(mean, mass) per node of dates 0..m-1 of time-major rows, m = len(rows).
 
-    Row n is conditioned on the time-n partition: one ``bincount`` for the
-    masses and one for the weighted sums over the index, each node summing
-    in atom order as :func:`cond_expect` does on one partition.  A zero-mass
-    node has mean 0 when ``allow_degenerate`` is set; otherwise the first
-    date holding one raises, naming its zero-mass blocks.
+    Row n is conditioned on the time-n partition by one ``bincount`` over the
+    index (the masses are :meth:`Filtration.node_mass`), each node summing in
+    atom order as :func:`cond_expect` does on one partition.
     """
     m = len(rows)
     size = int(filt.offsets[m])
     mass = filt.node_mass(w)[:size]
     sums = np.bincount(filt.nodes[:m].ravel(), weights=np.multiply(rows, w, order="C").ravel(),
                        minlength=size)
-    dead = mass <= 0.0
-    if not allow_degenerate and dead.any():
-        lo, hi = filt.offsets[_date_of(filt, np.argmax(dead)):][:2]
-        raise DegenerateConditioningError(
-            f"zero-mass block(s) {np.flatnonzero(dead[lo:hi]).tolist()} without degeneracy convention"
-        )
-    means = np.zeros(size)
-    np.divide(sums, mass, out=means, where=~dead)
-    return means, mass
+    return _means(sums, mass, filt.offsets, allow_degenerate), mass
 
 
 def _date_of(filt: Filtration, node):
@@ -415,10 +417,8 @@ def stochastic_integral(phi, X, *, filtration=None) -> Array:
         P3, V3 = P, V
     else:
         raise ContractViolationError("integrand and integrator shapes disagree")
-    if filtration is not None:
-        for comp in P3:
-            if not filtration.is_predictable(comp, tol=0.0):
-                raise ContractViolationError("integrand is not predictable")
+    if filtration is not None and not filtration.is_predictable(P3):
+        raise ContractViolationError("integrand is not predictable")
     dX = np.diff(V3, axis=2)
     out = np.zeros(V3.shape[1:])
     out[:, 1:] = np.cumsum((P3[:, :, 1:] * dX).sum(axis=0), axis=1)
@@ -501,11 +501,11 @@ def classify(space, X, *, filtration=None, measure=None, tol: float = TOL_EXACT)
     live = np.flatnonzero(mass > 0.0)
     r = means[live]
     bad = ~np.isfinite(r)
-    at = np.argmax(bad) if bad.any() else np.argmax(np.abs(r)) if r.size else None
     worst = None
-    if at is not None:
-        n = int(_date_of(filt, live[at]))
-        worst = (n + 1, int(live[at] - filt.offsets[n]))
+    if r.size:
+        node = live[np.argmax(bad) if bad.any() else np.argmax(np.abs(r))]
+        n = int(_date_of(filt, node))
+        worst = (n + 1, int(node - filt.offsets[n]))
     if bad.any():
         return ClassifyReport("none", np.inf, np.inf, -np.inf, worst)
     sup = max(0.0, float(r.max())) if r.size else 0.0
@@ -537,8 +537,7 @@ def change_measure(space, density) -> ProbabilityMeasure:
     if abs(mean - 1.0) > 1e-9:
         raise SpaceValidationError(f"density has mean {mean!r}, not 1")
     w = d * space.probs
-    w = w / w.sum()
-    return ProbabilityMeasure(w)
+    return ProbabilityMeasure(w / w.sum())
 
 
 def stop(X, times) -> Array:
