@@ -38,6 +38,7 @@ from .prob_core import (
     ProbabilityMeasure,
     _date_of,
     _ratio,
+    _step,
     as_values,
     classify,
     stop,
@@ -157,10 +158,7 @@ def verify_lmd(Z, market: MarketModel, *, tol: float = 1e-9) -> OracleReport:
         return OracleReport(False, float("inf"), None, {"reason": "Z not finite and positive"})
     rep = classify(market.space, V, filtration=market.filtration,
                    measure=market.measure, tol=tol)
-    worst = None
-    max_res = rep.max_residual
-    if not rep.is_martingale:
-        worst = (*rep.worst, "martingale")
+    max_res, worst = rep.max_residual, None if rep.is_martingale else (*rep.worst, "martingale")
     filt = market.filtration
     T = filt.n_times - 1
     mass = filt.node_reduce(np.tile(market.measure.weights, (T, 1)))
@@ -173,7 +171,7 @@ def verify_lmd(Z, market: MarketModel, *, tol: float = 1e-9) -> OracleReport:
         date = _date_of(filt, live[node])
         j = np.lexsort((node, asset, date))[0]  # the first date, then asset, then node
         max_res = float(r[node[j], asset[j]])
-        worst = (int(date[j]) + 1, int(live[node[j]] - filt.offsets[date[j]]), f"price[{asset[j]}]")
+        worst = (*_step(filt, live[node[j]]), f"price[{asset[j]}]")
     ok = rep.is_martingale and max_res <= tol
     return OracleReport(ok, float(max_res), worst if not ok else None,
                         {"martingale_residual": rep.max_residual})
@@ -358,9 +356,8 @@ def verify_deflator(Z, market: MarketModel, *, tol: float = 1e-9) -> OracleRepor
     worst, max_excess = None, -np.inf
     j = int(np.argmax(excess)) if len(live) else 0
     if len(live) and excess[j] > max_excess:
-        n = int(_date_of(filt, live[j]))
         kind = "recession" if recession[j] else "vertex"
-        max_excess, worst = float(excess[j]), (n + 1, int(live[j] - filt.offsets[n]), kind)
+        max_excess, worst = float(excess[j]), (*_step(filt, live[j]), kind)
     ok = max_excess <= tol * max(1.0, float(np.max(np.abs(V))))
     return OracleReport(ok, float(max_excess), worst if not ok else None, {})
 

@@ -61,7 +61,13 @@ def dumps_canonical(obj, indent: int = 0) -> str:
 def _scalar(v) -> str:
     if v is None:
         return "null"
-    return json.dumps(v) if isinstance(v, str) else fmt(v)
+    if isinstance(v, str):
+        return json.dumps(v)
+    if isinstance(v, (bool, np.bool_)):
+        return "true" if v else "false"
+    if isinstance(v, (int, np.integer)):
+        return str(int(v))
+    return fmt(v)
 
 
 def write_json(path, obj):

@@ -7,6 +7,14 @@ a pure function of its inputs.  Conditional expectations are block-weighted
 means, so every identity of discrete stochastic calculus (tower property,
 Doob decomposition, Yor's formula, integration by parts) holds up to machine
 rounding; ``TOL_EXACT`` is the library-wide tolerance for those checks.
+
+Every reduction over the blocks of all dates runs on the space-time index of
+:class:`Filtration`: one int64 node id per (date, atom), time-major, built on
+first use (8 bytes per atom and date).  A projection, a martingale scan or a
+measurability check is one ``bincount`` or one ``reduceat`` over all dates,
+not one per date.  Each node sums its atoms in atom order, as a reduction over
+its date alone does, so every result is bit-identical to the date-by-date
+computation.
 """
 
 from __future__ import annotations
@@ -353,6 +361,12 @@ def _date_of(filt: Filtration, node):
     return np.searchsorted(filt.offsets, node, side="right") - 1
 
 
+def _step(filt: Filtration, node) -> tuple:
+    """(k, block) of the time-(k-1) node at which a one-step scan starts."""
+    n = int(_date_of(filt, node))
+    return n + 1, int(node - filt.offsets[n])
+
+
 def _cond_rows(filt: Filtration, rows, w, allow_degenerate: bool) -> Array:
     """(n_atoms, m) table of E[rows[n] | time-n partition], n < m = len(rows)."""
     means, _ = _node_means(filt, rows, w, allow_degenerate)
@@ -501,11 +515,7 @@ def classify(space, X, *, filtration=None, measure=None, tol: float = TOL_EXACT)
     live = np.flatnonzero(mass > 0.0)
     r = means[live]
     bad = ~np.isfinite(r)
-    worst = None
-    if r.size:
-        node = live[np.argmax(bad) if bad.any() else np.argmax(np.abs(r))]
-        n = int(_date_of(filt, node))
-        worst = (n + 1, int(node - filt.offsets[n]))
+    worst = _step(filt, live[np.argmax(bad) if bad.any() else np.argmax(np.abs(r))]) if r.size else None
     if bad.any():
         return ClassifyReport("none", np.inf, np.inf, -np.inf, worst)
     sup = max(0.0, float(r.max())) if r.size else 0.0

@@ -113,15 +113,11 @@ def regular_tau(rng, space: FiniteFilteredSpace, *, p_stop: float = 0.35) -> np.
 
 def is_regular(space: FiniteFilteredSpace, tau) -> bool:
     """True iff no cell with G~_k = 0 sits under a block with G_{k-1} > 0."""
-    t = np.asarray(tau)
     filt = space.filtration
-    for k in range(1, space.horizon + 1):
-        alive = t >= k
-        cell_alive = filt.segment_reduce(k, alive, np.logical_or)
-        block_alive = filt.segment_reduce(k - 1, alive, np.logical_or)
-        if np.any(block_alive[filt.parent[k]] & ~cell_alive):
-            return False
-    return True
+    alive = np.asarray(tau) >= np.arange(1, space.horizon + 1)[:, None]
+    date, first = (col[filt.offsets[1]:] for col in filt.node_atoms())
+    block_alive = filt.node_reduce(alive, np.logical_or)[filt.nodes[date - 1, first]]
+    return not np.any(block_alive & ~filt.node_reduce(alive, np.logical_or, 1))
 
 
 def random_market(rng, space: FiniteFilteredSpace, *, n_assets: int = 1,
