@@ -170,7 +170,8 @@ def progressive_exponential(phi_pr, rts: RandomTimeStructure) -> Array:
 
 def survival_discount(rts: RandomTimeStructure) -> Array:
     """The stopped reciprocal density 1 / Z_bar^tau (positive on every atom)."""
-    return 1.0 / stop(rts.Z_bar, rts.tau)
+    zb = stop(rts.Z_bar, rts.tau)
+    return 1.0 / zb
 
 
 def induced_base(K_F, rts: RandomTimeStructure, *, check: bool = True) -> Array:
@@ -180,7 +181,9 @@ def induced_base(K_F, rts: RandomTimeStructure, *, check: bool = True) -> Array:
     filtration on every tree; it equals (E(K_F))^tau / Z_bar^tau wherever the
     random time is regular.
     """
-    return stochastic_exponential(driver_base(_full(rts, K_F), rts, check=check))
+    K_F = _full(rts, K_F)
+    Y = driver_base(K_F, rts, check=check)
+    return stochastic_exponential(Y)
 
 
 def driver_base(K_F, rts: RandomTimeStructure, *, check: bool = True) -> Array:
@@ -191,7 +194,9 @@ def driver_base(K_F, rts: RandomTimeStructure, *, check: bool = True) -> Array:
 
 
 def _collapse_ok(phi_pr, rts) -> bool:
-    return bool(np.all(_full(rts, phi_pr)[np.arange(rts.space.n_atoms), rts.tau] == 0.0))
+    p = _full(rts, phi_pr)
+    at_tau = p[np.arange(rts.space.n_atoms), rts.tau]
+    return bool(np.all(at_tau == 0.0))
 
 
 def _factor_report(route, factors_live, rts, inequalities, bounds, collapse_ok):
@@ -248,10 +253,15 @@ def _check_additive(params, rts) -> AdmissibilityReport:
     dK = np.diff(K_F, axis=1)
     one_dK = np.concatenate([np.ones((rts.space.n_atoms, 1)), 1.0 + dK], axis=1)
     G, Gt, Gm = rts.G, rts.G_tilde, rts.G_minus
-    lo, hi = _ratio(-Gm * one_dK, G, -np.inf), _ratio(Gm * one_dK, Gt - G, np.inf)
+    lo = _ratio(-Gm * one_dK, G, -np.inf)
+    hi = _ratio(Gm * one_dK, Gt - G, np.inf)
+    bounds = {"optional_lower": lo, "optional_upper": hi}
     prog_lo = _ratio(-(Gm * one_dK + phi_o * G), Gt, -np.inf)
-    bounds = {"optional_lower": lo, "optional_upper": hi, "progressive_lower": prog_lo}
-    ineq = {"optional": (phi_o > lo) & (phi_o < hi), "progressive": phi_pr > prog_lo}
+    bounds["progressive_lower"] = prog_lo
+    ineq = {
+        "optional": (phi_o > lo) & (phi_o < hi),
+        "progressive": phi_pr > prog_lo,
+    }
     return _factor_report("additive", factors, rts, ineq, bounds, collapse_ok)
 
 
@@ -529,9 +539,13 @@ def decompose_martingale(M_G, rts: RandomTimeStructure, *, tol: float = 1e-9) ->
     dDo = np.diff(rts.D_opt, axis=1)
     dMF = np.where(both, g_prev * (a * dDo[first, k - 1] + bb * rts.G[first, k]),
                    g_prev * rts.G_tilde[first, k] * np.where(present[:, 0], a, bb))
-    cells = (filt.nodes[1:] - filt.offsets[1]).T
-    phi, known, M_F = np.zeros_like(V), np.zeros_like(V, dtype=bool), np.zeros_like(V)
-    phi[:, 1:], known[:, 1:], M_F[:, 1:] = np.where(both, a - bb, 0.0)[cells], both[cells], dMF[cells]
+    cells = (filt.nodes[1:] - filt.offsets[1]).T  # the time-k cell of each atom, k = 1..T
+    phi = np.zeros_like(V)
+    phi[:, 1:] = np.where(both, a - bb, 0.0)[cells]
+    known = np.zeros_like(V, dtype=bool)
+    known[:, 1:] = both[cells]
+    M_F = np.zeros_like(V)
+    M_F[:, 1:] = dMF[cells]
     M_F = np.cumsum(M_F, axis=1)
     rebuilt = reassemble(V[:, 0], M_F, phi, rts)
     residual = float(np.max(np.abs(rebuilt - V)))
@@ -541,7 +555,8 @@ def decompose_martingale(M_G, rts: RandomTimeStructure, *, tol: float = 1e-9) ->
 def reassemble(start, M_F, phi, rts: RandomTimeStructure) -> Array:
     """Rebuild M_0 + (1/G_minus^2) . T(M_F) + phi . N_G from decomposition data."""
     TM = transport(M_F, rts, check=False)
-    weight = _ratio(1.0, rts.G_minus ** 2, where=rts.G_minus > 0)
+    gm = rts.G_minus
+    weight = _ratio(1.0, gm * gm, where=gm > 0)
     out = stochastic_integral(weight, TM) + stochastic_integral(_full(rts, phi), rts.N_G)
     start = np.asarray(start, dtype=float)
     return (start.reshape(-1, 1) if start.ndim else float(start)) + out
@@ -636,8 +651,10 @@ def extract_multiplicative(Z, rts: RandomTimeStructure, *, tol: float = 1e-9):
     N, V_G = multiplicative_decomposition(space, V, filtration=rts.G_filtration, tol=tol)
     V_F = lift_predictable(V_G, rts)
     repn = decompose_martingale(N, rts, tol=max(tol, 10 * TOL_EXACT))
-    K_F = (stochastic_integral(survival_exponential_integrand(rts), rts.m)
-           + stochastic_integral(_ratio(1.0, rts.G_minus ** 2, where=rts.G_minus > 0), repn.M_F))
+    gm = rts.G_minus
+    w1 = _ratio(1.0, gm)
+    w2 = _ratio(1.0, gm * gm, where=gm > 0)
+    K_F = stochastic_integral(w1, rts.m) + stochastic_integral(w2, repn.M_F)
     Y = driver_base(K_F, rts, check=False)
     phi_o = _broadcast_live(_rescale(repn.phi, Y, np.divide), rts)
     Z_F = stochastic_exponential(K_F) * stochastic_exponential(-V_F)

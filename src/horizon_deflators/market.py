@@ -158,7 +158,10 @@ def verify_lmd(Z, market: MarketModel, *, tol: float = 1e-9) -> OracleReport:
         return OracleReport(False, float("inf"), None, {"reason": "Z not finite and positive"})
     rep = classify(market.space, V, filtration=market.filtration,
                    measure=market.measure, tol=tol)
-    max_res, worst = rep.max_residual, None if rep.is_martingale else (*rep.worst, "martingale")
+    worst = None
+    max_res = rep.max_residual
+    if not rep.is_martingale:
+        worst = (*(rep.worst or (None, None)), "martingale")
     filt = market.filtration
     T = filt.n_times - 1
     mass = filt.node_reduce(np.tile(market.measure.weights, (T, 1)))

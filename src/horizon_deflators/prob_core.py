@@ -46,7 +46,7 @@ def _canonical_level(row, ids, order) -> Array:
     perm = np.argsort(row, kind="stable")  # the one sort: labels, atoms ascending within
     srt = row[perm]
     new = np.empty(n, dtype=bool)
-    new[0] = True
+    new[:1] = True
     np.not_equal(srt[1:], srt[:-1], out=new[1:])
     group = np.flatnonzero(new)  # where each label starts in perm
     leader = np.zeros(n, dtype=bool)
