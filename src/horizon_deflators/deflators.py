@@ -479,13 +479,12 @@ def multiplicative_decomposition(space, Z, *, filtration=None, measure=None,
     if np.min(V) <= 0.0:
         raise ContractViolationError("multiplicative decomposition needs Z > 0")
     filt = filtration if filtration is not None else space.filtration
-    meas = measure if measure is not None else space.measure
-    rep = classify(space, V, filtration=filt, measure=meas, tol=tol)
+    rep = classify(space, V, filtration=filt, measure=measure, tol=tol)
     if rep.verdict not in ("martingale", "supermartingale"):
         raise ContractViolationError(
             f"not a supermartingale: positive residual {rep.sup_residual:g}")
     dX = np.diff(V, axis=1) / V[:, :-1]
-    dVp = -_cond_rows(filt, dX.T, _weights(meas), True)
+    dVp = -_cond_rows(filt, dX.T, _weights(measure, space), True)
     dN = (dX + dVp) / (1.0 - dVp)
     N = np.zeros_like(V)
     N[:, 1:] = np.cumsum(dN, axis=1)

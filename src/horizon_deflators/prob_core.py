@@ -308,7 +308,10 @@ def _ratio(num, den, fill: float = 0.0, where=None) -> Array:
                      where=den > 0.0 if where is None else where)
 
 
-def _weights(measure) -> Array:
+def _weights(measure, space=None) -> Array:
+    """The atom weights of a measure or weight array; of the space's own measure if None."""
+    if measure is None:
+        return space.probs
     return measure.weights if isinstance(measure, ProbabilityMeasure) else np.asarray(measure, float)
 
 
@@ -383,7 +386,7 @@ def project(space, X, mode: str = "optional", *, filtration=None, measure=None,
     """
     V = as_values(X)
     filt = filtration if filtration is not None else space.filtration
-    w = _weights(measure if measure is not None else space.measure)
+    w = _weights(measure, space)
     out = np.empty_like(V)
     if mode == "optional":
         out[:] = _cond_rows(filt, V.T, w, allow_degenerate)
@@ -472,7 +475,7 @@ def doob_decomposition(space, X, *, filtration=None, measure=None):
     dA_n = E[dX_n | F_{n-1}] for n >= 1; M = X - A carries X_0.
     """
     filt = filtration if filtration is not None else space.filtration
-    w = _weights(measure if measure is not None else space.measure)
+    w = _weights(measure, space)
     V = as_values(X)
     dA = np.zeros_like(V)
     dA[:, 1:] = _cond_rows(filt, np.diff(V, axis=1).T, w, True)
@@ -510,7 +513,7 @@ def classify(space, X, *, filtration=None, measure=None, tol: float = TOL_EXACT)
     A non-finite residual is reported as inf with verdict ``"none"``.
     """
     filt = filtration if filtration is not None else space.filtration
-    w = _weights(measure if measure is not None else space.measure)
+    w = _weights(measure, space)
     means, mass = _node_means(filt, np.diff(as_values(X), axis=1).T, w, True)
     live = np.flatnonzero(mass > 0.0)
     r = means[live]
