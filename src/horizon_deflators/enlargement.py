@@ -215,9 +215,14 @@ def transport(M, rts: RandomTimeStructure, *, check: bool = True,
     dead_mass = np.zeros_like(V)
     dead_mass[:, 1:] = dM * (gt <= 0.0)
     corr = project(rts.space, dead_mass, "predictable")[:, 1:]
+    del dead_mass
+    step = np.where(live, gt, 1.0)
+    np.divide(rts.G_minus[:, 1:], step, out=step)
+    step *= dM
+    step += corr
     inc = np.empty_like(V)
     inc[:, 0] = V[:, 0]
-    inc[:, 1:] = np.where(live, rts.G_minus[:, 1:] / np.where(live, gt, 1.0) * dM + corr, 0.0)
+    inc[:, 1:] = np.where(live, step, 0.0)
     return np.cumsum(inc, axis=1)
 
 

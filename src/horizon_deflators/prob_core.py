@@ -344,19 +344,26 @@ def _means(sums, mass, offsets, allow_degenerate: bool) -> Array:
     return _ratio(sums, mass, where=~dead)
 
 
-def _node_means(filt: Filtration, rows, w, allow_degenerate: bool):
-    """(mean, mass) per node of dates 0..m-1 of time-major rows, m = len(rows).
+def _node_means(filt: Filtration, weighted, w, allow_degenerate: bool):
+    """(mean, mass) per node of dates 0..m-1, m = len(weighted).
 
-    Row n is conditioned on the time-n partition by one ``bincount`` over the
-    index (the masses are :meth:`Filtration.node_mass`), each node summing in
-    atom order as :func:`cond_expect` does on one partition.
+    ``weighted`` is time-major: row n holds w times the values conditioned on
+    the time-n partition.  One ``bincount`` over the index sums them (the
+    masses are :meth:`Filtration.node_mass`), each node in atom order as
+    :func:`cond_expect` does on one partition.
     """
-    m = len(rows)
+    m = len(weighted)
     size = int(filt.offsets[m])
     mass = filt.node_mass(w)[:size]
-    sums = np.bincount(filt.nodes[:m].ravel(), weights=np.multiply(rows, w, order="C").ravel(),
-                       minlength=size)
+    sums = np.bincount(filt.nodes[:m].ravel(), weights=weighted.ravel(), minlength=size)
     return _means(sums, mass, filt.offsets, allow_degenerate), mass
+
+
+def _weighted_steps(V, w) -> Array:
+    """w times the one-step increments of V, time-major, in one array."""
+    steps = np.subtract(V.T[1:], V.T[:-1], order="C")
+    steps *= w
+    return steps
 
 
 def _date_of(filt: Filtration, node):
@@ -372,7 +379,7 @@ def _step(filt: Filtration, node) -> tuple:
 
 def _cond_rows(filt: Filtration, rows, w, allow_degenerate: bool) -> Array:
     """(n_atoms, m) table of E[rows[n] | time-n partition], n < m = len(rows)."""
-    means, _ = _node_means(filt, rows, w, allow_degenerate)
+    means, _ = _node_means(filt, np.multiply(rows, w, order="C"), w, allow_degenerate)
     return means[filt.nodes[:len(rows)].T]
 
 
@@ -478,7 +485,8 @@ def doob_decomposition(space, X, *, filtration=None, measure=None):
     w = _weights(measure, space)
     V = as_values(X)
     dA = np.zeros_like(V)
-    dA[:, 1:] = _cond_rows(filt, np.diff(V, axis=1).T, w, True)
+    means, _ = _node_means(filt, _weighted_steps(V, w), w, True)
+    dA[:, 1:] = means[filt.nodes[:-1].T]
     A = np.cumsum(dA, axis=1)
     return V - A, A
 
@@ -514,7 +522,7 @@ def classify(space, X, *, filtration=None, measure=None, tol: float = TOL_EXACT)
     """
     filt = filtration if filtration is not None else space.filtration
     w = _weights(measure, space)
-    means, mass = _node_means(filt, np.diff(as_values(X), axis=1).T, w, True)
+    means, mass = _node_means(filt, _weighted_steps(as_values(X), w), w, True)
     live = np.flatnonzero(mass > 0.0)
     r = means[live]
     bad = ~np.isfinite(r)
