@@ -8,8 +8,8 @@ deflator directly from one-step conditional quantities:
   means — the local-martingale-deflator property;
 * ``verify_deflator``: at every node, the supremum over one-step admissible
   strategies (the closed polytope {phi : phi' dS >= -1}) of the deflated
-  conditional wealth gain is nonpositive.  All nodes of a date are settled in
-  one vectorized pass, with no LP.  For d = 1 in closed form: the strategy
+  conditional wealth gain is nonpositive.  The nodes of all dates are settled
+  in one vectorized pass, with no LP.  For d = 1 in closed form: the strategy
   set is an interval, unbounded exactly on the side no increment bounds, and
   the supremum sits at its endpoints.  For d in {2, 3} by a stacked vertex
   enumeration over every d-subset of each node's distinct increment rows,
@@ -320,8 +320,8 @@ def verify_deflator(Z, market: MarketModel, *, tol: float = 1e-9) -> OracleRepor
 
     For each node the oracle maximizes E[Z_n (1 + phi' dS_n) | block] over the
     closed admissibility polytope (including recession directions) and checks
-    the optimum against Z_{n-1}.  Supports up to three assets.  All nodes of
-    a date are settled in one batched pass, with no LP: for one asset by the
+    the optimum against Z_{n-1}.  Supports up to three assets.  The nodes of
+    all dates are settled in one batched pass, with no LP: for one asset by the
     interval formulas of :func:`_interval_nodes`, for two or three by the
     vertex enumeration of :func:`_polytope_nodes` over the rows of each
     node's time-n child blocks (S is adapted, so these are all its atoms'
