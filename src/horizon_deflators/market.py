@@ -25,7 +25,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from itertools import combinations, islice
+from itertools import combinations, islice, product
 
 import numpy as np
 
@@ -212,27 +212,26 @@ def _vertex_sup(v: Array, rows: Array, tol: float):
 _CHUNK_ELEMENTS = 1 << 20  # numbers per (node, d-subset) temporary of one _vertex_max pass
 
 
-def _vertex_max(v: Array, A: Array, b: Array) -> Array:
+def _vertex_max(v: Array, A: Array, b: Array, subsets=None) -> Array:
     """Per node, max of v'x over x = 0 and the vertices of {x : A x >= b}.
 
     ``v`` is (nodes, d), ``A`` is (nodes, m, d) and ``b`` is (m,); zero
     rows join no vertex.  Every d-subset of rows is solved with equality:
     subsets with |det| <= 1e-12 scale^d are skipped (scale: the node's
     largest row norm), and a solution counts if every row holds within
-    1e-9 (1 + |A x|).  Subsets are drawn lazily and, with the
-    nodes, run in chunks of at most ``_CHUNK_ELEMENTS`` numbers per
-    temporary, so memory does not grow with the number of subsets.
+    1e-9 (1 + |A x|).  Subsets (all, or ``subsets``: count and tuples) are drawn
+    lazily and, with the nodes, run in chunks of at most ``_CHUNK_ELEMENTS``
+    numbers per temporary, so memory does not grow with the number of subsets.
     """
     n, m, d = A.shape
     best = np.zeros(n)
-    total = math.comb(m, d)
+    total, subsets = subsets or (math.comb(m, d), combinations(range(m), d))
     if n == 0 or total == 0:
         return best
     tiny = 1e-12 * np.linalg.norm(A, axis=2).max(axis=1) ** d
     per_subset = m + d * d
     nodes = max(1, _CHUNK_ELEMENTS // (per_subset * total))
     width = max(1, _CHUNK_ELEMENTS // (per_subset * nodes))
-    subsets = combinations(range(m), d)
     for _ in range(0, total, width):
         idx = np.array(list(islice(subsets, width)), dtype=np.intp)
         for lo in range(0, n, nodes):
@@ -289,8 +288,14 @@ def _polytope_nodes(v: Array, R: Array, room: Array):
     R = np.where(norm > 1e-14, R, 0.0)
     unit = np.divide(R, norm, out=np.zeros_like(R), where=norm > 1e-14)
     box = np.broadcast_to(np.concatenate([np.eye(d), -np.eye(d)]), (n, 2 * d, d))
+    # cone rows alone meet at x = 0 and a box row with its negative is singular, so the
+    # d-subsets that count hold k >= 1 box rows (e_j: row m + j, -e_j: m + d + j) on k axes
+    count = sum(math.comb(m, d - k) * math.comb(d, k) * 2 ** k for k in range(1, d + 1))
+    boxed = (cone + tuple(sorted(m + j + d * sign for j, sign in zip(axes, signs)))
+             for k in range(1, d + 1) for cone in combinations(range(m), d - k)
+             for axes in combinations(range(d), k) for signs in product((0, 1), repeat=k))
     rec = _vertex_max(v, np.concatenate([unit, box], axis=1),
-                      np.concatenate([np.zeros(m), -np.ones(2 * d)]))
+                      np.concatenate([np.zeros(m), -np.ones(2 * d)]), (count, boxed))
     sup = np.zeros(n)
     bounded = rec <= room
     rank = np.linalg.matrix_rank(R, tol=1e-12)

@@ -4,9 +4,10 @@ Everything is plain JSON plus CSV tables.  Floats are printed with 17
 significant digits (:func:`fmt`) so that documents round-trip bit-exactly and
 repeated runs produce byte-identical outputs.  One writer, ``_write_rows``
 behind :func:`process_to_csv` and :func:`table_to_csv`, writes every CSV
-table: a chunk of rows at a time, it formats each distinct value once (by bit
-pattern) and gathers the text by index, so a table adapted to a filtration,
-which repeats one value per (date, block), costs one formatting per block.
+table, a chunk of rows at a time.  It reads only the heads of runs of equal
+bits down each column, formats their distinct values in one ``%`` pass, and
+gives each text its separator (the first column also its row key), so a row
+is its label and one text per value.
 """
 
 from __future__ import annotations
@@ -25,12 +26,7 @@ from .prob_core import FiniteFilteredSpace
 
 def fmt(x) -> str:
     """Canonical float rendering: 17 significant digits, round-trip exact."""
-    if type(x) is not float:  # table cells arrive as Python floats: test them first
-        if isinstance(x, (bool, np.bool_)):
-            return "true" if x else "false"
-        if isinstance(x, (int, np.integer)):
-            return str(int(x))
-        x = float(x)
+    x = float(x)
     if math.isfinite(x):
         return format(x, ".17g")
     return '"nan"' if x != x else '"inf"' if x > 0 else '"-inf"'
@@ -84,26 +80,51 @@ def _write_rows(fh, labels, keys, values):
 
     ``values`` is (records, rows, columns).  Row k of record i reads
     ``labels[i] + keys[k]`` followed by the record's cells joined by commas,
-    each cell rendered by :func:`fmt`.  Records are written a chunk at a time;
-    within a chunk the cells are grouped by their bit pattern, so a table
-    adapted to some filtration, which repeats one value over each block,
-    formats that value once, and -0.0 and 0.0 stay apart.
+    each cell rendered by :func:`fmt`.  Records are written a chunk at a time,
+    each as ``labels[i].join`` of an empty text and its rows' texts.
     """
     values = np.asarray(values, dtype=float)
     n_rows, n_cols = values.shape[1:]
-    labels = np.asarray([str(label) for label in labels], dtype=object)
-    keys = np.asarray(keys, dtype=object)
+    labels = [str(label) for label in labels]
+    col = np.arange(n_rows * n_cols) % n_cols
+    lead = np.where(col == 0, np.repeat(np.asarray(keys, dtype=object), n_cols), "")
     for lo in range(0, len(values), CSV_CHUNK_ATOMS):
-        chunk = np.ascontiguousarray(values[lo:lo + CSV_CHUNK_ATOMS])
-        bits, cells = np.unique(chunk.reshape(-1).view(np.uint64), return_inverse=True)
-        texts = np.array([fmt(v) for v in bits.view(np.float64).tolist()], dtype=object)
-        pieces = np.empty((len(chunk), n_rows, 2 * n_cols + 2), dtype=object)
-        pieces[:, :, 0] = labels[lo:lo + CSV_CHUNK_ATOMS, None]
-        pieces[:, :, 1] = keys
-        pieces[:, :, 2:-1:2] = texts[cells.reshape(chunk.shape)]
-        pieces[:, :, 3:-1:2] = ","
-        pieces[:, :, -1] = "\n"
-        fh.write("".join(pieces.reshape(-1).tolist()))
+        chunk = values[lo:lo + CSV_CHUNK_ATOMS]
+        texts, cells = _cell_texts(chunk, lead, col < n_cols - 1)
+        if n_cols > 1:  # one text per row
+            rows = texts[cells].reshape(-1, n_cols).tolist()
+            texts = np.fromiter(map("".join, rows), dtype=object, count=len(rows))
+            cells = np.arange(len(rows)).reshape(len(chunk), n_rows, 1)
+        lines = np.pad(cells[:, :, 0] + 1, ((0, 0), (1, 0)))  # column 0 reads ""
+        texts = np.concatenate([np.array([""], dtype=object), texts])
+        fh.write("".join(map(str.join, labels[lo:lo + CSV_CHUNK_ATOMS], texts[lines].tolist())))
+
+
+def _cell_texts(chunk, lead, inner):
+    """The distinct cell texts of a chunk (records, rows, columns) and each cell's index.
+
+    Cell position p (row-major) reads ``lead[p]``, the value by :func:`fmt`
+    and a comma where ``inner[p]``, else a line break.  Only the heads of runs
+    of equal bits down each position are looked at: their distinct finite
+    values take one ``%`` pass, each distinct (position, value) pair one text.
+    """
+    bits = np.ascontiguousarray(chunk.reshape(len(chunk), -1).T).view(np.uint64)
+    head = np.ones(bits.shape, dtype=bool)
+    np.not_equal(bits[:, 1:], bits[:, :-1], out=head[:, 1:])
+    starts = np.flatnonzero(head)
+    distinct, value = np.unique(bits.reshape(-1)[starts], return_inverse=True)
+    distinct = distinct.view(np.float64)
+    formatted = ("%.17g\n" * len(distinct)) % tuple(distinct.tolist())
+    base = np.array(formatted.splitlines(True), dtype=object)
+    odd = ~np.isfinite(distinct)
+    base[odd] = [fmt(v) + "\n" for v in distinct[odd].tolist()]
+    pairs, text = np.unique(value * len(bits) + starts // len(chunk), return_inverse=True)
+    place = pairs % len(bits)
+    texts = lead[place] + base[pairs // len(bits)]
+    comma = inner[place]
+    texts[comma] = [t[:-1] + "," for t in texts[comma].tolist()]
+    cells = np.repeat(text, np.diff(starts, append=bits.size)).reshape(bits.shape).T
+    return texts, cells.reshape(chunk.shape)
 
 
 def process_to_csv(path, outcomes, X, *, header=("atom", "time", "value")):
@@ -199,7 +220,10 @@ def load_model(source) -> ModelDocument:
         probs = [float(o["prob"]) for o in doc["outcomes"]]
         horizon = _integral(doc["horizon"], "horizon")
         partitions = np.asarray(doc["partitions"])
-        tau = np.asarray([_integral(t, "tau") for t in doc["tau"]], dtype=np.int64)
+        tau = doc["tau"]
+        if not set(map(type, tau)) <= {int}:  # else every value is a plain integer
+            tau = [_integral(t, "tau") for t in tau]
+        tau = np.array(tau, dtype=np.int64)
     except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise SpaceValidationError(f"malformed model document: {exc}") from exc
     if partitions.shape != (horizon + 1, len(outcomes)):
@@ -208,6 +232,10 @@ def load_model(source) -> ModelDocument:
             np.isfinite(partitions) & (partitions == np.floor(partitions)))):
         raise SpaceValidationError("partition block ids must be integers")
     space = FiniteFilteredSpace.from_partitions(outcomes, probs, partitions)
+    for name in map(str, space.outcomes):  # ids must read back from CSV rows as written
+        if "," in name or "\n" in name or "\r" in name or name != name.strip():
+            raise SpaceValidationError(f"outcome id {name!r} cannot round-trip through a CSV "
+                                       "table: no comma, line break or edge whitespace")
     if tau.shape != (space.n_atoms,):
         raise SpaceValidationError("tau must give one value per atom")
     if np.any((tau < 0) | (tau > horizon)):

@@ -290,6 +290,15 @@ def write_cells(path, outcomes, X):
                 fh.write(f"{name},{n},{fmt_cell(X[i, n])}\n")
 
 
+def write_table_cells(path, header, tables):
+    """The per-cell ``table_to_csv``: one formatted write per table row."""
+    with open(path, "w") as fh:
+        fh.write(",".join(header) + "\n")
+        for label, values in tables:
+            for row in values:
+                fh.write(f"{label}," + ",".join(fmt_cell(v) for v in row) + "\n")
+
+
 def write_paths(path, bundle, deflator_grid, psi1, psi2, phi_o, phi_pr):
     """The per-cell ``paths.csv`` writer: one formatted row per kept grid point.
 

@@ -1,6 +1,7 @@
 """CLI contract: exit codes, certificates, determinism."""
 
 import copy
+import hashlib
 import json
 import math
 import os
@@ -191,6 +192,107 @@ def test_verify_rejects_duplicate_atom_id(docs, tmp_path, capsys):
     modelio.write_json(tmp_path / "bad.json", bad)
     assert run("verify", "--model", tmp_path / "bad.json", "--out", tmp_path) == 2
     assert "duplicate atom id 'w1'" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("bad_id", ["w1,x", " w1"], ids=["comma", "leading-space"])
+@pytest.mark.parametrize("command", ["verify", "deflate", "decompose"])
+def test_tree_commands_reject_ids_a_table_cannot_round_trip(docs, tmp_path, capsys, bad_id,
+                                                            command):
+    # a comma splits the id's rows, and the reader strips a leading space: both
+    # are refused at load, before any table is written
+    root, model = docs
+    assert run("deflate", "--model", root / "model.json", "--params", root / "params_phi.json",
+               "--out", tmp_path / "z") == 0
+    bad = copy.deepcopy(model)
+    bad["outcomes"][0]["id"] = bad_id
+    modelio.write_json(tmp_path / "bad.json", bad)
+    extra = {"verify": [], "deflate": ["--params", root / "params_phi.json"],
+             "decompose": ["--input", tmp_path / "z" / "Z.csv"]}[command]
+    out = tmp_path / "out"
+    out.mkdir()
+    capsys.readouterr()
+    assert run(command, "--model", tmp_path / "bad.json", *extra, "--out", out) == 2
+    assert f"outcome id {bad_id!r} cannot round-trip through a CSV table" in \
+        capsys.readouterr().err
+    assert list(out.iterdir()) == []
+
+
+# sha256 of every file the README commands write for the demo model (deflate
+# on each route, decompose on the measure-change Z), taken before the table
+# writer formatted distinct values in batches: a changed byte fails here
+README_DIGESTS = {
+    "verify/survival_G.csv":
+        "7841c54334ab6ecd44ec3c2a3294173bc9076b3115d36822b13680aeb9a6a122",
+    "verify/survival_G_tilde.csv":
+        "d881064586fc3c6eff22b93f424f2659260f867a16abe3a4591076a4a9643ecd",
+    "verify/survival_N_G.csv":
+        "aeba7637a0b5be8135df3d39bdc9082ba4dda0208a34704141fc196b034b1327",
+    "verify/survival_Z_bar.csv":
+        "f2b530e273e123647b4c66a255a04033ac172bd05cc5edda7b77bb99d259ed24",
+    "verify/survival_m.csv":
+        "da86af8c386919620b0012c4685c0294245ff4ff8a17ab71f2b5dca961484cd9",
+    "verify/verify-report.json":
+        "fa572687d748acd6f27972712f42edd586ceadcb025c7177c61157d9f8dd0ae3",
+    "deflate-additive/Z.csv":
+        "06f6e47ac03bdf7936e4cc9a4e1a77cc6616e77e5c1a874834026f90375542f5",
+    "deflate-additive/certificate.json":
+        "60907f45a11e0cdc4d73b8e7db423184da7e0dec69c5db4505995b240442e02a",
+    "deflate-additive/factor_base.csv":
+        "fe2f7e93186efe77ec13dd72311b0f459e08e87554e8d84d25d8c093141562c8",
+    "deflate-additive/factor_decay.csv":
+        "fe2f7e93186efe77ec13dd72311b0f459e08e87554e8d84d25d8c093141562c8",
+    "deflate-additive/factor_default_exponential.csv":
+        "fe2f7e93186efe77ec13dd72311b0f459e08e87554e8d84d25d8c093141562c8",
+    "deflate-additive/factor_progressive_exponential.csv":
+        "fe2f7e93186efe77ec13dd72311b0f459e08e87554e8d84d25d8c093141562c8",
+    "deflate-additive/factor_survival_discount.csv":
+        "06f6e47ac03bdf7936e4cc9a4e1a77cc6616e77e5c1a874834026f90375542f5",
+    "deflate-multiplicative/Z.csv":
+        "127c53489d0180cdf7faa4e59224a6fc8ca9755752e906fef4aa4b2a64c30579",
+    "deflate-multiplicative/certificate.json":
+        "665fd79bc9ae74f569fc1e2a01755558b53da311673ef5b8ead750d122dd7838",
+    "deflate-multiplicative/factor_base.csv":
+        "fe2f7e93186efe77ec13dd72311b0f459e08e87554e8d84d25d8c093141562c8",
+    "deflate-multiplicative/factor_default_exponential.csv":
+        "fe2f7e93186efe77ec13dd72311b0f459e08e87554e8d84d25d8c093141562c8",
+    "deflate-multiplicative/factor_progressive_exponential.csv":
+        "fe2f7e93186efe77ec13dd72311b0f459e08e87554e8d84d25d8c093141562c8",
+    "deflate-multiplicative/factor_survival_discount.csv":
+        "127c53489d0180cdf7faa4e59224a6fc8ca9755752e906fef4aa4b2a64c30579",
+    "deflate-measure-change/Z.csv":
+        "02d059291e9fc0c8dc392fc2aa1fae6667ef0101d36a0fa400b75ea4ef16bc3e",
+    "deflate-measure-change/certificate.json":
+        "e6cdeaeec39f96854535a41769849b729038efe5089c0e04036c2d978ee9b921",
+    "deflate-measure-change/factor_base.csv":
+        "fe2f7e93186efe77ec13dd72311b0f459e08e87554e8d84d25d8c093141562c8",
+    "deflate-measure-change/factor_default_exponential.csv":
+        "02d059291e9fc0c8dc392fc2aa1fae6667ef0101d36a0fa400b75ea4ef16bc3e",
+    "decompose/M_F.csv":
+        "621bcfe30681a5996e3bcc5ee03e99ba77cc7c894865febde73ecdedd1e3a201",
+    "decompose/decompose-report.json":
+        "6b81ae6eac613c38b58281d51034999f707124b85d6f99188cfda2cb374e8e3a",
+    "decompose/phi.csv":
+        "b352febc23e54b49321d45e76b70160a89ddbbcfe2cf31615f880fbe0d45daeb",
+}
+
+
+def test_readme_outputs_match_pinned_digests(tmp_path):
+    space, tau, S = trees.two_period_demo()
+    modelio.write_json(tmp_path / "model.json", modelio.model_to_dict(space, tau, S))
+    modelio.write_json(tmp_path / "params.json", {"route": "measure-change", "phi": 0.5})
+    model = ["--model", tmp_path / "model.json"]
+    runs = {"verify": ["verify", *model]}
+    for route in ("additive", "multiplicative", "measure-change"):
+        runs[f"deflate-{route}"] = ["deflate", *model, "--params", tmp_path / "params.json",
+                                    "--route", route]
+    runs["decompose"] = ["decompose", *model,
+                         "--input", tmp_path / "deflate-measure-change" / "Z.csv"]
+    got = {}
+    for name, argv in runs.items():
+        assert run(*argv, "--out", tmp_path / name) == 0, name
+        for path in sorted((tmp_path / name).iterdir()):
+            got[f"{name}/{path.name}"] = hashlib.sha256(path.read_bytes()).hexdigest()
+    assert got == README_DIGESTS
 
 
 def test_verify_missing_file(tmp_path):

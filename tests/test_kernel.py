@@ -40,7 +40,7 @@ from horizon_deflators import (
     verify_deflator,
 )
 from horizon_deflators import market as market_mod
-from horizon_deflators.market import _CHUNK_ELEMENTS, _vertex_max
+from horizon_deflators.market import _CHUNK_ELEMENTS, _polytope_nodes, _vertex_max
 from horizon_deflators.prob_core import increments
 
 
@@ -419,6 +419,31 @@ def test_vertex_max_draws_subsets_lazily(monkeypatch):
     assert peak < math.comb(120, 3) * 3 * 8 / 4
 
 
+def test_recession_pass_matches_full_enumeration():
+    # the recession pass of the two- and three-asset oracle enumerates only
+    # the d-subsets that hold a box row and no box row with its negative;
+    # over the same rows, every d-subset must give the same slopes bit for bit
+    rng = np.random.default_rng(109)
+    for d in (2, 3):
+        for m in range(1, 7):
+            R = rng.normal(size=(300, m, d))
+            R[rng.random((300, m)) < 0.2] = 0.0
+            axis = rng.random((300, m)) < 0.2  # rows along an axis, as the box rows are
+            R[axis] = np.eye(d)[rng.integers(0, d, size=axis.sum())] * rng.choice([-2.0, 0.5],
+                                                                                size=(axis.sum(), 1))
+            one_sided = rng.random(300) < 0.5  # a recession direction exists
+            R[one_sided, :, 0] = np.abs(R[one_sided, :, 0])
+            v = rng.normal(size=(300, d))
+            norm = np.linalg.norm(R, axis=2, keepdims=True)
+            unit = np.divide(R, norm, out=np.zeros_like(R), where=norm > 1e-14)
+            box = np.broadcast_to(np.concatenate([np.eye(d), -np.eye(d)]), (300, 2 * d, d))
+            full = _vertex_max(v, np.concatenate([unit, box], axis=1),
+                               np.concatenate([np.zeros(m), -np.ones(2 * d)]))
+            rec, _ = _polytope_nodes(v, R, np.full(300, 1e-9))
+            assert np.array_equal(rec, full)
+            assert (full > 1e-9).sum() > 30  # unbounded nodes are in the draw
+
+
 def _stopped_martingales(rng, rts):
     space = rts.space
     M = trees.random_martingale(rng, space)
@@ -494,3 +519,61 @@ def test_process_to_csv_matches_per_cell_writer(tmp_path):
         modelio.process_to_csv(tmp_path / "got.csv", names[:len(rows)], rows)
         oracle.write_cells(tmp_path / "ref.csv", names[:len(rows)], rows)
         assert (tmp_path / "got.csv").read_bytes() == (tmp_path / "ref.csv").read_bytes()
+
+
+def _random_doubles(rng, n):
+    """Random bit patterns: a third with the exponent of subnormals, a third with
+    that of NaN payloads and infinities, plus the edge cases of each kind."""
+    bits = np.frombuffer(rng.bytes(8 * n), dtype=np.uint64).copy()
+    kind = rng.integers(0, 3, size=n)
+    bits[kind == 1] &= np.uint64(0x800FFFFFFFFFFFFF)
+    bits[kind == 2] |= np.uint64(0x7FF0000000000000)
+    edges = np.array([0, 1 << 63, 1, 0x000FFFFFFFFFFFFF, 0x8000000000000001,
+                      0x0010000000000000, 0x7FEFFFFFFFFFFFFF, 0xFFEFFFFFFFFFFFFF,
+                      0x7FF0000000000000, 0xFFF0000000000000, 0x7FF8000000000000,
+                      0xFFF8000000000000, 0x7FF0000000000001, 0xFFFFFFFFFFFFFFFF], dtype=np.uint64)
+    return np.concatenate([bits, edges]).view(np.float64)
+
+
+def test_batched_texts_match_fmt_on_every_kind_of_double():
+    # one % pass renders the finite values, fmt the others: both as fmt does
+    values = _random_doubles(np.random.default_rng(110), 30000)
+    texts, cells = modelio._cell_texts(values[:, None, None], np.array([""], dtype=object),
+                                       np.array([False]))
+    assert texts[cells.reshape(-1)].tolist() == [modelio.fmt(v) + "\n" for v in values.tolist()]
+
+
+def test_table_to_csv_matches_per_cell_writer(tmp_path):
+    rng = np.random.default_rng(111)
+    n = 4500
+    special = _random_doubles(rng, 40)
+    columns = [
+        np.arange(n) / 1024.0,  # one time grid shared by every table
+        np.repeat(rng.normal(size=n // 70 + 1), 70)[:n],  # runs across the chunk boundary
+        rng.normal(size=n) * 10.0 ** rng.integers(-300, 300, size=n),
+        special[rng.integers(0, len(special), size=n)],
+        np.full(n, -0.0),
+    ]
+    columns.append(columns[1][::-1].copy())  # values the second column also holds
+    block = np.column_stack(columns)
+    block[2040:2060, 2] = 0.0  # a run of 0.0 beside the -0.0 column, across the boundary
+    tables = [(0, block), (1, block[:2048]), (2, -block[:2049]), (3, block[:0]),
+              ("p", block[4499:]), (17, block[:, :1])]
+    header = ("path", *(f"c{k}" for k in range(block.shape[1])))
+    for some in (tables[:5], tables[5:]):
+        modelio.table_to_csv(tmp_path / "got.csv", header, some)
+        oracle.write_table_cells(tmp_path / "ref.csv", header, some)
+        assert (tmp_path / "got.csv").read_bytes() == (tmp_path / "ref.csv").read_bytes()
+
+
+def test_process_table_round_trips_bit_for_bit(tmp_path):
+    rng = np.random.default_rng(112)
+    values = _random_doubles(rng, 60000)
+    values = values[np.isfinite(values)]
+    X = values[rng.integers(0, len(values), size=(4500, 7))]
+    X[2000:2100, 2] = X[2000, 2]  # a run across the chunk boundary
+    X[:, 5] = -0.0
+    names = [f"w{i}" for i in range(len(X))]
+    modelio.process_to_csv(tmp_path / "X.csv", names, X)
+    back = modelio.process_from_csv(tmp_path / "X.csv", names, X.shape[1] - 1)
+    assert np.array_equal(back.view(np.uint64), X.view(np.uint64))
