@@ -221,7 +221,7 @@ def load_model(source) -> ModelDocument:
         horizon = _integral(doc["horizon"], "horizon")
         partitions = np.asarray(doc["partitions"])
         tau = doc["tau"]
-        if not set(map(type, tau)) <= {int}:  # else every value is a plain integer
+        if not set(map(type, tau)) <= {int}:  # not all plain ints: check one at a time
             tau = [_integral(t, "tau") for t in tau]
         tau = np.array(tau, dtype=np.int64)
     except (KeyError, TypeError, ValueError, OverflowError) as exc:

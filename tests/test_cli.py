@@ -218,8 +218,8 @@ def test_tree_commands_reject_ids_a_table_cannot_round_trip(docs, tmp_path, caps
 
 
 # sha256 of every file the README commands write for the demo model (deflate
-# on each route, decompose on the measure-change Z), taken before the table
-# writer formatted distinct values in batches: a changed byte fails here
+# on each route, decompose on the measure-change Z): a byte that changes fails
+# here, where comparing two runs of the same code would not see it
 README_DIGESTS = {
     "verify/survival_G.csv":
         "7841c54334ab6ecd44ec3c2a3294173bc9076b3115d36822b13680aeb9a6a122",
