@@ -288,8 +288,7 @@ def _polytope_nodes(v: Array, R: Array, room: Array):
     R = np.where(norm > 1e-14, R, 0.0)
     unit = np.divide(R, norm, out=np.zeros_like(R), where=norm > 1e-14)
     box = np.broadcast_to(np.concatenate([np.eye(d), -np.eye(d)]), (n, 2 * d, d))
-    # cone rows alone meet at x = 0 and a box row with its negative is singular, so the
-    # d-subsets that count hold k >= 1 box rows (e_j: row m + j, -e_j: m + d + j) on k axes
+    # k >= 1 box rows on k axes: cone rows alone meet at x = 0, e_j with -e_j is singular
     count = sum(math.comb(m, d - k) * math.comb(d, k) * 2 ** k for k in range(1, d + 1))
     boxed = (cone + tuple(sorted(m + j + d * sign for j, sign in zip(axes, signs)))
              for k in range(1, d + 1) for cone in combinations(range(m), d - k)

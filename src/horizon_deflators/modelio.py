@@ -104,9 +104,10 @@ def _cell_texts(chunk, lead, inner):
     """The distinct cell texts of a chunk (records, rows, columns) and each cell's index.
 
     Cell position p (row-major) reads ``lead[p]``, the value by :func:`fmt`
-    and a comma where ``inner[p]``, else a line break.  Only the heads of runs
-    of equal bits down each position are looked at: their distinct finite
-    values take one ``%`` pass, each distinct (position, value) pair one text.
+    and a comma where ``inner[p]``, else a line break.  Values are told apart
+    by bit pattern (-0.0 and 0.0 stay apart), and only the heads of runs of
+    equal bits down each position are looked at: their distinct finite values
+    take one ``%`` pass, each distinct (position, value) pair one text.
     """
     bits = np.ascontiguousarray(chunk.reshape(len(chunk), -1).T).view(np.uint64)
     head = np.ones(bits.shape, dtype=bool)
@@ -232,10 +233,12 @@ def load_model(source) -> ModelDocument:
             np.isfinite(partitions) & (partitions == np.floor(partitions)))):
         raise SpaceValidationError("partition block ids must be integers")
     space = FiniteFilteredSpace.from_partitions(outcomes, probs, partitions)
+    seen = set()
     for name in map(str, space.outcomes):  # ids must read back from CSV rows as written
-        if "," in name or "\n" in name or "\r" in name or name != name.strip():
+        if "," in name or "\n" in name or "\r" in name or name != name.strip() or name in seen:
             raise SpaceValidationError(f"outcome id {name!r} cannot round-trip through a CSV "
-                                       "table: no comma, line break or edge whitespace")
+                                       "table: no comma, line break, edge whitespace or repeat")
+        seen.add(name)
     if tau.shape != (space.n_atoms,):
         raise SpaceValidationError("tau must give one value per atom")
     if np.any((tau < 0) | (tau > horizon)):

@@ -194,17 +194,20 @@ def test_verify_rejects_duplicate_atom_id(docs, tmp_path, capsys):
     assert "duplicate atom id 'w1'" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("bad_id", ["w1,x", " w1"], ids=["comma", "leading-space"])
+@pytest.mark.parametrize("ids,bad_id", [(["w1,x"], "w1,x"), ([" w1"], " w1"), ([1, "1"], "1")],
+                         ids=["comma", "leading-space", "int-and-str"])
 @pytest.mark.parametrize("command", ["verify", "deflate", "decompose"])
-def test_tree_commands_reject_ids_a_table_cannot_round_trip(docs, tmp_path, capsys, bad_id,
+def test_tree_commands_reject_ids_a_table_cannot_round_trip(docs, tmp_path, capsys, ids, bad_id,
                                                             command):
-    # a comma splits the id's rows, and the reader strips a leading space: both
-    # are refused at load, before any table is written
+    # a comma splits the id's rows, the reader strips a leading space, and the
+    # ids 1 and "1" write the same rows: each is refused at load, before any
+    # table is written
     root, model = docs
     assert run("deflate", "--model", root / "model.json", "--params", root / "params_phi.json",
                "--out", tmp_path / "z") == 0
     bad = copy.deepcopy(model)
-    bad["outcomes"][0]["id"] = bad_id
+    for outcome, atom_id in zip(bad["outcomes"], ids):
+        outcome["id"] = atom_id
     modelio.write_json(tmp_path / "bad.json", bad)
     extra = {"verify": [], "deflate": ["--params", root / "params_phi.json"],
              "decompose": ["--input", tmp_path / "z" / "Z.csv"]}[command]
