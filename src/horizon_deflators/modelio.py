@@ -95,7 +95,8 @@ def _write_rows(fh, labels, keys, values):
             rows = texts[cells].reshape(-1, n_cols).tolist()
             texts = np.fromiter(map("".join, rows), dtype=object, count=len(rows))
             cells = np.arange(len(rows)).reshape(len(chunk), n_rows, 1)
-        lines = np.pad(cells[:, :, 0] + 1, ((0, 0), (1, 0)))  # column 0 reads ""
+        lines = np.zeros((len(chunk), n_rows + 1), dtype=np.intp)  # column 0 reads ""
+        lines[:, 1:] = cells[:, :, 0] + 1
         texts = np.concatenate([np.array([""], dtype=object), texts])
         fh.write("".join(map(str.join, labels[lo:lo + CSV_CHUNK_ATOMS], texts[lines].tolist())))
 
