@@ -36,6 +36,7 @@ from .errors import AdmissibilityError, ContractViolationError, StructuralError
 from .enlargement import (
     RandomTimeStructure,
     _lift_surviving,
+    _martingale_input,
     survival_exponential_integrand,
     transport,
 )
@@ -243,13 +244,15 @@ def validate(params: DeflatorParams, rts: RandomTimeStructure) -> AdmissibilityR
     return ROUTES[params.route][0](params, rts)
 
 
-def _check_additive(params, rts) -> AdmissibilityReport:
+def _check_additive(params, rts) -> tuple:
+    """The additive report, with the driver base Y and the driver K_G it checks."""
     collapse_ok = _collapse_ok(params.phi_pr, rts)
     K_F = _full(rts, params.K_F)
     phi_o = _full(rts, params.phi_o)
     phi_pr = _full(rts, params.phi_pr)
-    KG = _additive_driver(K_F, phi_o, phi_pr, rts, check=False)
-    factors = _live_factors(1.0 + np.diff(KG, axis=1), rts)
+    Y = driver_base(K_F, rts, check=False)
+    K_G = Y + stochastic_integral(phi_o, rts.N_G) + stochastic_integral(phi_pr, rts.D)
+    factors = _live_factors(1.0 + np.diff(K_G, axis=1), rts)
     dK = np.diff(K_F, axis=1)
     one_dK = np.concatenate([np.ones((rts.space.n_atoms, 1)), 1.0 + dK], axis=1)
     G, Gt, Gm = rts.G, rts.G_tilde, rts.G_minus
@@ -262,7 +265,7 @@ def _check_additive(params, rts) -> AdmissibilityReport:
         "optional": (phi_o > lo) & (phi_o < hi),
         "progressive": phi_pr > prog_lo,
     }
-    return _factor_report("additive", factors, rts, ineq, bounds, collapse_ok)
+    return _factor_report("additive", factors, rts, ineq, bounds, collapse_ok), Y, K_G
 
 
 def _check_multiplicative(params, rts) -> AdmissibilityReport:
@@ -301,12 +304,6 @@ def _require_ok(report: AdmissibilityReport):
             inequality=name, atom=atom, time=time)
 
 
-def _additive_driver(K_F, phi_o, phi_pr, rts, *, check: bool = True) -> Array:
-    Y = driver_base(K_F, rts, check=check)
-    return (Y + stochastic_integral(phi_o, rts.N_G)
-            + stochastic_integral(phi_pr, rts.D))
-
-
 def _check_V(V_F, rts):
     V = _full(rts, V_F)
     if np.max(np.abs(V[:, 0])) > 0.0:
@@ -330,22 +327,19 @@ def build_additive(K_F, V_F, phi_o, phi_pr, rts: RandomTimeStructure, *,
     positivity of the realized factors.
     """
     K_F = _full(rts, K_F)
-    phi_o_full = _full(rts, phi_o)
-    phi_pr_full = _full(rts, phi_pr)
-    params = DeflatorParams("additive", K_F=K_F, phi_o=phi_o_full,
-                            phi_pr=phi_pr_full, V_F=_full(rts, V_F))
-    report = validate(params, rts)
+    params = DeflatorParams("additive", K_F=K_F, phi_o=_full(rts, phi_o),
+                            phi_pr=_full(rts, phi_pr), V_F=_full(rts, V_F))
+    report, Y, K_G = _check_additive(params, rts)
     _require_ok(report)
     if np.min(1.0 + np.diff(K_F, axis=1)) <= 0.0:
         raise AdmissibilityError("driver factors 1 + dK_F must be positive")
     V = _check_V(V_F, rts)
-    K_G = _additive_driver(K_F, phi_o_full, phi_pr_full, rts, check=check)
+    _martingale_input(K_F, rts, check, TOL_EXACT)  # raises unless a public martingale
     decay = stop(stochastic_exponential(-V), rts.tau)
     Z = stochastic_exponential(K_G) * decay
 
     # exact Yor split into certificate factors
-    Y = driver_base(K_F, rts, check=False)
-    phi_o_mult, phi_pr_mult = _yor_split(phi_o_full, phi_pr_full, Y, rts, np.divide)
+    phi_o_mult, phi_pr_mult = _yor_split(params.phi_o, params.phi_pr, Y, rts, np.divide)
     e_y = stochastic_exponential(Y)
     base_stopped = stop(stochastic_exponential(K_F), rts.tau)
     factors = {
@@ -362,8 +356,6 @@ def build_additive(K_F, V_F, phi_o, phi_pr, rts: RandomTimeStructure, *,
 def build_multiplicative(Z_F, phi_o, phi_pr, rts: RandomTimeStructure) -> Deflator:
     """Product-route deflator: (Z_F)^tau / Z_bar^tau * E(phi_o . N_G) * E(phi_pr . D)."""
     Z_F = _full(rts, Z_F if Z_F is not None else 1.0)
-    if np.min(Z_F) <= 0.0:
-        raise AdmissibilityError("multiplicative base must be strictly positive")
     params = DeflatorParams("multiplicative", Z_F=Z_F, phi_o=_full(rts, phi_o),
                             phi_pr=_full(rts, phi_pr))
     report = validate(params, rts)
@@ -411,7 +403,7 @@ def build_measure_change(Z_QF, phi, rts: RandomTimeStructure, *, market=None,
 # route -> (its admissibility check, its builder from a parameter bundle).  The
 # builders are looked up when called, so a rebinding of one (a wrapper) is used.
 ROUTES = {
-    "additive": (_check_additive,
+    "additive": (lambda p, rts: _check_additive(p, rts)[0],
                  lambda p, rts: build_additive(p.K_F, p.V_F, p.phi_o, p.phi_pr, rts)),
     "multiplicative": (_check_multiplicative,
                        lambda p, rts: build_multiplicative(p.Z_F, p.phi_o, p.phi_pr, rts)),

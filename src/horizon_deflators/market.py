@@ -17,8 +17,11 @@ deflator directly from one-step conditional quantities:
   cone capped by the unit box, and once over the polytope itself.  Higher
   dimensions are refused.
 
-Both oracles fail closed: a Z that is not finite and positive is reported as
-not a deflator, with residual inf.
+Every node sum runs through :meth:`Filtration.node_reduce`, in the order of
+``classify``, and the masses are the filtration's cached ``node_mass``.
+Both oracles fail closed, with no numpy warning: a Z that is not finite and
+positive, or a node whose residual or excess is not finite (an overflowing
+sum gives inf - inf = NaN), reads inf and not ok; ``worst`` names the node.
 """
 
 from __future__ import annotations
@@ -146,6 +149,7 @@ class OracleReport:
     details: dict
 
 
+@np.errstate(over="ignore", invalid="ignore")  # what overflows fails closed below
 def verify_lmd(Z, market: MarketModel, *, tol: float = 1e-9) -> OracleReport:
     """Local-martingale-deflator check for Z against a market.
 
@@ -156,19 +160,16 @@ def verify_lmd(Z, market: MarketModel, *, tol: float = 1e-9) -> OracleReport:
     V = as_values(Z)
     if not (np.all(np.isfinite(V)) and np.min(V) > 0.0):
         return OracleReport(False, float("inf"), None, {"reason": "Z not finite and positive"})
-    rep = classify(market.space, V, filtration=market.filtration,
-                   measure=market.measure, tol=tol)
-    worst = None
-    max_res = rep.max_residual
-    if not rep.is_martingale:
-        worst = (*(rep.worst or (None, None)), "martingale")
     filt = market.filtration
-    T = filt.n_times - 1
-    mass = filt.node_reduce(np.tile(market.measure.weights, (T, 1)))
+    rep = classify(market.space, V, filtration=filt, measure=market.measure, tol=tol)
+    max_res = rep.max_residual
+    worst = (*(rep.worst or (None, None)), "martingale")  # dropped if the verdict is ok
+    mass = filt.node_mass(market.measure.weights)[:filt.offsets[-2]]
     live = np.flatnonzero(mass > 0.0)
     zw = market.measure.weights * V.T[1:]
     sums = filt.node_reduce(zw[:, :, None] * np.diff(market.S, axis=2).T)
     r = np.abs(sums[live] / mass[live, None])  # (node, asset)
+    r[~np.isfinite(r)] = np.inf
     if r.size and r.max() > max_res:
         node, asset = np.nonzero(r == r.max())
         date = _date_of(filt, live[node])
@@ -319,6 +320,7 @@ def _interval_nodes(v: Array, lo_row: Array, hi_row: Array):
     return rec, v * np.where(v > 0, hi, np.where(v < 0, lo, 0.0))
 
 
+@np.errstate(over="ignore", invalid="ignore")  # what overflows fails closed below
 def verify_deflator(Z, market: MarketModel, *, tol: float = 1e-9) -> OracleReport:
     """Supermartingale-deflator check by one-step strategy optimization.
 
@@ -341,8 +343,7 @@ def verify_deflator(Z, market: MarketModel, *, tol: float = 1e-9) -> OracleRepor
         return OracleReport(False, float("inf"), None, {"reason": "Z not finite and positive"})
     w = market.measure.weights
     filt = market.filtration
-    T = filt.n_times - 1
-    mass = filt.node_reduce(np.tile(w, (T, 1)))
+    mass = filt.node_mass(w)[:filt.offsets[-2]]
     live = np.flatnonzero(mass > 0.0)
     wb = w / np.where(mass > 0.0, mass, 1.0)[filt.nodes[:-1]]
     z_prev = filt.node_reduce(wb * V.T[:-1])[live]
@@ -359,11 +360,12 @@ def verify_deflator(Z, market: MarketModel, *, tol: float = 1e-9) -> OracleRepor
         for at, R in _child_rows(filt, rows, live):
             rec[at], sup[at] = _polytope_nodes(v[at], R, room[at])
     recession = rec > room
-    excess = np.where(recession, np.inf, base + sup - z_prev)
+    finite = np.isfinite(base) & np.isfinite(z_prev) & np.isfinite(v).all(axis=1)
+    excess = np.where(recession | ~finite, np.inf, base + sup - z_prev)
     worst, max_excess = None, -np.inf
-    j = int(np.argmax(excess)) if len(live) else 0
-    if len(live) and excess[j] > max_excess:
-        kind = "recession" if recession[j] else "vertex"
+    if len(live):
+        j = int(np.argmax(excess))
+        kind = "recession" if recession[j] else "vertex" if finite[j] else "non-finite"
         max_excess, worst = float(excess[j]), (*_step(filt, live[j]), kind)
     ok = max_excess <= tol * max(1.0, float(np.max(np.abs(V))))
     return OracleReport(ok, float(max_excess), worst if not ok else None, {})

@@ -10,11 +10,11 @@ rounding; ``TOL_EXACT`` is the library-wide tolerance for those checks.
 
 Every reduction over the blocks of all dates runs on the space-time index of
 :class:`Filtration`: one int64 node id per (date, atom), time-major, built on
-first use (8 bytes per atom and date).  A projection, a martingale scan or a
-measurability check is one ``bincount`` or one ``reduceat`` over all dates,
-not one per date.  Each node sums its atoms in atom order, as a reduction over
-its date alone does, so every result is bit-identical to the date-by-date
-computation.
+first use (8 bytes per atom and date).  Each is one :meth:`Filtration.node_reduce`
+over all dates: one ``bincount`` for a sum, one ``reduceat`` for a minimum,
+maximum or logical or.  Every sum adds each node's atoms in atom order from
+0.0, as :func:`cond_expect` does on one partition, so every layer rounds its
+node sums alike, and bit for bit as the date-by-date computation did.
 """
 
 from __future__ import annotations
@@ -80,10 +80,10 @@ class Filtration:
     the node of every (date, atom), time-major, in one int64 array (8 bytes
     per atom and date); its first T rows are the time-(n-1) maps of the
     predictable projections and increment scans.  Every per-date reduction
-    of the library runs over all dates at once on it: one ``bincount``
-    (:func:`_node_means`) or one ``reduceat`` (:meth:`node_reduce`).  Each
-    node sums its atoms in atom order, as a reduction over its date alone
-    does, so the results are bit-identical to date-by-date loops.
+    of the library runs over all dates at once on it, through
+    :meth:`node_reduce`: one ``bincount`` or one ``reduceat``.  Each node
+    sums its atoms in atom order, as a reduction over its date alone does,
+    so the results are bit-identical to date-by-date loops.
     """
 
     block_ids: Array
@@ -142,8 +142,7 @@ class Filtration:
         """Mass of every node under atom weights w; the last w's masses are kept."""
         held = self._cache.get("mass")
         if held is None or not np.array_equal(held[0], w):
-            mass = np.bincount(self.nodes.ravel(), weights=np.tile(w, self.n_times),
-                               minlength=self.offsets[-1])
+            mass = self.node_reduce(np.broadcast_to(w, (self.n_times, self.n_atoms)))
             held = self._cache["mass"] = (np.array(w, dtype=float), mass)
         return held[1]
 
@@ -152,15 +151,26 @@ class Filtration:
         return self._cached(n, lambda: tuple(np.split(self.order[n], self.starts[n][1:-1])))
 
     def node_reduce(self, rows, ufunc=np.add, first: int = 0) -> Array:
-        """``ufunc`` over every node of the dates first, first+1, ... in one ``reduceat``.
+        """``ufunc`` over every node of the dates first, first+1, ...: one bincount or one reduceat.
 
         ``rows`` is time-major: ``rows[j]``, for date first+j, is indexed by
         atom on its axis 0.  The result is indexed by node minus ``offsets[first]``.
+        A sum (``np.add``) is one ``bincount``, each node adding its atoms in
+        atom order from 0.0; ``np.minimum``, ``np.maximum`` and
+        ``np.logical_or``, exact in any order, are one ``reduceat`` over ``order``.
         """
         rows = np.asarray(rows)
         m, n = len(rows), self.n_atoms
+        lo, hi = self.offsets[first], self.offsets[first + m]
+        if ufunc is np.add:
+            k = int(np.prod(rows.shape[2:]))
+            ids = self.nodes[first:first + m]
+            if k != 1:  # one bin per (node, trailing index)
+                ids = ids[..., None] * k + np.arange(k)
+            sums = np.bincount(ids.ravel(), weights=rows.ravel(), minlength=hi * k)
+            return sums[lo * k:].reshape((hi - lo,) + rows.shape[2:])
         pos = (self.order[first:first + m] + n * np.arange(m)[:, None]).ravel()
-        starts = self._node_starts()[self.offsets[first]:self.offsets[first + m]] - first * n
+        starts = self._node_starts()[lo:hi] - first * n
         return ufunc.reduceat(rows.reshape((m * n,) + rows.shape[2:])[pos], starts, axis=0)
 
     def segment_reduce(self, n: int, values, ufunc=np.add) -> Array:
@@ -348,15 +358,11 @@ def _node_means(filt: Filtration, weighted, w, allow_degenerate: bool):
     """(mean, mass) per node of dates 0..m-1, m = len(weighted).
 
     ``weighted`` is time-major: row n holds w times the values conditioned on
-    the time-n partition.  One ``bincount`` over the index sums them (the
-    masses are :meth:`Filtration.node_mass`), each node in atom order as
-    :func:`cond_expect` does on one partition.
+    the time-n partition.  :meth:`Filtration.node_reduce` sums them (the
+    masses are :meth:`Filtration.node_mass`).
     """
-    m = len(weighted)
-    size = int(filt.offsets[m])
-    mass = filt.node_mass(w)[:size]
-    sums = np.bincount(filt.nodes[:m].ravel(), weights=weighted.ravel(), minlength=size)
-    return _means(sums, mass, filt.offsets, allow_degenerate), mass
+    mass = filt.node_mass(w)[:filt.offsets[len(weighted)]]
+    return _means(filt.node_reduce(weighted), mass, filt.offsets, allow_degenerate), mass
 
 
 def _weighted_steps(V, w) -> Array:

@@ -132,22 +132,20 @@ def random_market(rng, space: FiniteFilteredSpace, *, n_assets: int = 1,
     T, n = space.horizon, space.n_atoms
     S = np.ones((n_assets, n, T + 1))
     density = np.ones(n)  # dq/dP per atom, built as a product of one-step ratios
+    filt = space.filtration
+    mass = filt.node_mass(space.probs)
     for k in range(1, T + 1):
-        for atoms in space.filtration.blocks(k - 1):
-            ids = space.filtration.block_ids[k][atoms]
-            cells = [atoms[ids == b] for b in np.unique(ids)]
-            qc = rng.uniform(0.2, 1.0, size=len(cells))
+        for atoms in filt.blocks(k - 1):
+            kids, cell = np.unique(filt.block_ids[k][atoms], return_inverse=True)
+            qc = rng.uniform(0.2, 1.0, size=len(kids))
             qc = qc / qc.sum()
-            pc = np.array([space.probs[c].sum() for c in cells])
-            pc = pc / pc.sum()
-            for c, qq, pp in zip(cells, qc, pc):
-                density[c] *= qq / pp
+            pc = mass[filt.offsets[k] + kids] / mass[filt.nodes[k - 1, atoms[0]]]
+            density[atoms] *= (qc / pc)[cell]
             for i in range(n_assets):
                 prev = S[i, atoms[0], k - 1]
-                moves = rng.uniform(-scale, scale, size=len(cells)) * prev
+                moves = rng.uniform(-scale, scale, size=len(kids)) * prev
                 moves = moves - qc @ moves
-                for c, mv in zip(cells, moves):
-                    S[i, c, k] = S[i, c, k - 1] + mv
+                S[i, atoms, k] = S[i, atoms, k - 1] + moves[cell]
     Z = project(space, np.repeat(density[:, None], T + 1, axis=1))
     market = MarketModel.from_prices(space, S if n_assets > 1 else S[0])
     return market, Z

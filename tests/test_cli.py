@@ -17,7 +17,7 @@ from hypothesis import event, given, settings
 from hypothesis import strategies as st
 
 import oracle
-from horizon_deflators import build_survival, modelio, trees
+from horizon_deflators import FiniteFilteredSpace, build_survival, modelio, trees
 from horizon_deflators import enlargement as enl
 from horizon_deflators import jumpdiff as jd
 from horizon_deflators.cli import main
@@ -328,6 +328,22 @@ def test_deflate_empty_params_emits_base(docs, tmp_path):
     space, _, _ = trees.two_period_demo()
     Z = modelio.process_from_csv(tmp_path / "Z.csv", space.outcomes, 2)
     assert np.allclose(Z[:, 1], [0.75, 0.75, 1.5, 1.0])
+
+
+@pytest.mark.parametrize("Z_F", [1.0, 1e300])
+def test_deflate_certificate_fails_closed_on_overflowing_sums(tmp_path, Z_F):
+    # the price drifts by 5e9 per step, so Z is no deflator at any scale of
+    # Z_F; at 1e300 the oracles' node sums overflow, which must read inf
+    space = FiniteFilteredSpace.from_partitions(("u", "d"), (0.75, 0.25), [[0, 0], [0, 1]])
+    S = np.array([[1.0, 1.0 + 1e10], [1.0, 1.0 - 1e10]])
+    modelio.write_json(tmp_path / "model.json", modelio.model_to_dict(space, [1, 1], S))
+    modelio.write_json(tmp_path / "params.json", {"route": "multiplicative", "Z_F": Z_F})
+    assert run("deflate", "--model", tmp_path / "model.json", "--params",
+               tmp_path / "params.json", "--out", tmp_path / "out") == 0
+    cert = json.loads((tmp_path / "out" / "certificate.json").read_text())
+    assert cert["verify_lmd"]["ok"] is False and cert["verify_deflator"]["ok"] is False
+    if Z_F > 1.0:
+        assert cert["verify_lmd"]["residual"] == cert["verify_deflator"]["excess"] == "inf"
 
 
 def test_decompose_basis_element(docs, tmp_path):

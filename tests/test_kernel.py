@@ -240,6 +240,40 @@ def test_space_time_index_is_bit_identical_to_per_date_loops():
     assert degenerate > 10
 
 
+def _per_node_sums(filt, rows, first):
+    """Each node's atoms added in atom order from 0.0, one node at a time."""
+    sums = []
+    for j, row in enumerate(rows):
+        for block in filt.blocks(first + j):
+            total = np.zeros(row.shape[1:])
+            for atom in block:
+                total += row[atom]
+            sums.append(total)
+    return np.array(sums).reshape((-1,) + rows.shape[2:])
+
+
+def test_node_sums_add_atoms_in_atom_order():
+    # -0.0 tells the orders apart on every node: 0.0 + -0.0 is 0.0, while a
+    # reduction that starts from the first atom keeps -0.0; magnitudes over
+    # 16 decades tell sequential from pairwise sums on nodes of many atoms
+    rng = np.random.default_rng(106)
+    for raw in _index_cases(rng):
+        filt = Filtration(raw)
+        n, T = filt.n_atoms, filt.n_times
+        for trail in ((), (3,), (2, 2)):
+            for first in range(T):
+                shape = (int(rng.integers(1, T - first + 1)), n) + trail
+                rows = rng.normal(size=shape) * 10.0 ** rng.integers(-8, 9, shape)
+                rows[rng.random(shape) < 0.3] = -0.0
+                got = filt.node_reduce(rows, np.add, first)
+                want = _per_node_sums(filt, rows, first)
+                assert got.shape == want.shape
+                assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
+        w = rng.uniform(0.0, 1.0, n) * 10.0 ** rng.integers(-8, 9, n)
+        mass = filt.node_reduce(np.broadcast_to(w, (T, n)))
+        assert np.array_equal(filt.node_mass(w).view(np.uint64), mass.view(np.uint64))
+
+
 def _one_asset_prices(rng, space):
     """Prices whose nodes are mixed, all-up, all-down or flat, chosen per node."""
     ids = space.filtration.block_ids

@@ -133,6 +133,24 @@ def test_oracles_fail_closed_on_non_finite_Z(n_assets, bad):
         assert not rep.ok and rep.max_residual == np.inf
 
 
+@pytest.mark.parametrize("n_assets", [1, 2])
+@pytest.mark.parametrize("scale", [1.0, 1e300])
+def test_oracles_fail_closed_on_overflowing_sums(n_assets, scale):
+    # prices move by 1e10 under a drift, so Z is no deflator at any scale; at
+    # 1e300 the node sums overflow and inf - inf gives NaN, which must fail
+    space = FiniteFilteredSpace.from_partitions(
+        ("u", "m", "d"), (0.5, 0.25, 0.25), [[0, 0, 0], [0, 1, 2]])
+    up, down = 1.0 + 1e10, 1.0 - 1e10
+    S = np.array([[[1.0, up], [1.0, down], [1.0, 1.0]],
+                  [[1.0, 1.0], [1.0, up], [1.0, down]]])[:n_assets]
+    Z, market = np.full((3, 2), scale), MarketModel.from_prices(space, S)
+    lmd, gen = verify_lmd(Z, market), verify_deflator(Z, market)
+    assert not lmd.ok and lmd.worst == (1, 0, "price[0]")
+    assert not gen.ok and gen.worst == (1, 0, "vertex" if scale == 1.0 else "non-finite")
+    if scale > 1.0:
+        assert lmd.max_residual == gen.max_residual == np.inf
+
+
 # -------------------------------------------------------------- verify_deflator
 
 def test_deflator_accepts_lmd():
