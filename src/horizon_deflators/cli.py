@@ -115,18 +115,25 @@ def cmd_deflate(args) -> int:
         "classify": classify(rts.space, deflator.Z,
                              filtration=rts.G_filtration).verdict,
     }
+    verdicts = "no price table, so no oracle ran"
     if doc.S is not None:
         market = MarketModel.from_prices(doc.space, doc.S, assets=doc.assets)
         stopped = market.stopped(rts.tau, rts.G_filtration)
         lmd = verify_lmd(deflator.Z, stopped, tol=args.tol)
         certificate["verify_lmd"] = {"ok": lmd.ok, "residual": lmd.max_residual}
+        verdicts = (f"verify_lmd {'accepts' if lmd.ok else 'rejects'} Z "
+                    f"(residual {lmd.max_residual:g})")
         try:
             gen = verify_deflator(deflator.Z, stopped, tol=args.tol)
             certificate["verify_deflator"] = {"ok": gen.ok, "excess": gen.max_residual}
+            verdicts += (f", verify_deflator {'accepts' if gen.ok else 'rejects'} Z "
+                         f"(excess {gen.max_residual:g})")
         except UnsupportedDimensionError as exc:
             certificate["verify_deflator"] = {"ok": None, "note": str(exc)}
+            verdicts += ", verify_deflator not run"
     modelio.write_json(os.path.join(out, "certificate.json"), certificate)
-    print(f"deflate: route {params.route}, admissible, certificate written")
+    # exit 0 says the parameters are admissible; the oracles' verdicts on Z close the line
+    print(f"deflate: route {params.route}, admissible, certificate written; {verdicts}")
     return 0
 
 

@@ -35,6 +35,7 @@ import numpy as np
 from .errors import AdmissibilityError, ContractViolationError, StructuralError
 from .enlargement import (
     RandomTimeStructure,
+    _alive,
     _lift_surviving,
     _martingale_input,
     survival_exponential_integrand,
@@ -228,9 +229,7 @@ def _optional_bounds(rts) -> dict:
 
 def _live_factors(Z_inc_factors, rts) -> Array:
     """Restrict one-step factors (atom, k>=1) to cells with k <= tau (else 1)."""
-    T = rts.horizon
-    live = rts.tau[:, None] >= np.arange(1, T + 1)[None, :]
-    return np.where(live, Z_inc_factors, 1.0)
+    return np.where(_alive(rts.tau, rts.horizon), Z_inc_factors, 1.0)
 
 
 def validate(params: DeflatorParams, rts: RandomTimeStructure) -> AdmissibilityReport:
@@ -621,7 +620,7 @@ def _broadcast_live(values, rts: RandomTimeStructure) -> Array:
     """
     out = np.array(values, dtype=float, copy=True)
     filt = rts.space.filtration
-    live, found = filt.first_where(1, out.T[1:], rts.tau >= np.arange(1, rts.horizon + 1)[:, None])
+    live, found = filt.first_where(1, out.T[1:], _alive(rts.tau, rts.horizon).T)
     cells = (filt.nodes[1:] - filt.offsets[1]).T
     out[:, 1:] = np.where(found[cells], live[cells], out[:, 1:])
     return out

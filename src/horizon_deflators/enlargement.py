@@ -267,7 +267,7 @@ def _lift_surviving(x, rts: RandomTimeStructure, slack, message: str) -> Array:
     ``ContractViolationError(message)``.
     """
     filt = rts.space.filtration
-    alive = rts.tau >= np.arange(1, rts.horizon + 1)[:, None]
+    alive = _alive(rts.tau, rts.horizon).T
     held = alive.reshape(alive.shape + (1,) * (x.ndim - 2))
     hi = filt.node_reduce(np.where(held, x, -np.inf), np.maximum)
     lo = filt.node_reduce(np.where(held, x, np.inf), np.minimum)

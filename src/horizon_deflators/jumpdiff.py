@@ -232,7 +232,6 @@ class PathBundle:
     N: np.ndarray
     S: np.ndarray
     G: np.ndarray
-    G_tilde: np.ndarray
     m: np.ndarray
     D_opt: np.ndarray
     N_G: np.ndarray
@@ -241,6 +240,11 @@ class PathBundle:
     @property
     def n_paths(self) -> int:
         return len(self.tau)
+
+    @property
+    def G_tilde(self) -> np.ndarray:
+        """G~, which is G: {t = T1} has probability 0 on a fixed grid."""
+        return self.G
 
     def stopped_times(self) -> np.ndarray:
         return np.minimum(self.report_times[None, :], self.tau[:, None])
@@ -354,7 +358,7 @@ def _main_draws(key, n: int, R: int, lam: float, first: int = 0):
 
 # the arrays of a bundle: one value, or one row of report-time values, per path
 _PER_PATH = ("t1", "t2", "tau", "from_second_jump", "W_tau")
-_PER_REPORT = ("W", "N", "S", "G", "G_tilde", "m", "D_opt", "N_G")
+_PER_REPORT = ("W", "N", "S", "G", "m", "D_opt", "N_G")
 
 
 def _empty_bundle(sc, rep, n: int) -> PathBundle:
@@ -434,13 +438,13 @@ def _fill(bundle, quad, lo, jumps, normals, keep, stream) -> list:
     np.subtract(full["m"], res, out=res)
     res = np.abs(res, out=res).max(axis=1)
     return [{"index": lo + i, "time": grid, "W": W[i],
-             **{key: v[i] for key, v in full.items()}, "tau": float(tau[i]),
-             "t1": float(t1[i]), "m_identity_residual": float(res[i])}
+             **{key: v[i] for key, v in full.items()}, "G_tilde": full["G"][i],  # G~ = G
+             "tau": float(tau[i]), "t1": float(t1[i]), "m_identity_residual": float(res[i])}
             for i in range(keep)]
 
 
 def _path_processes(sc, quad, times, jumps, tau, from_second, W) -> dict:
-    """N, S, G, G~, m, D^o and N_G of every path (row) at the shared ``times``.
+    """N, S, G, m, D^o and N_G of every path (row) at the shared ``times``.
 
     ``jumps`` (inf-padded rows), ``tau`` and ``from_second`` are per path, ``W``
     is (paths, times), and ``quad`` is the dt-grid trapezoid table of D^o.
@@ -458,8 +462,7 @@ def _path_processes(sc, quad, times, jumps, tau, from_second, W) -> dict:
     N = _jump_counts(times, jumps)
     S = sc.S0 * np.exp(sc.sigma * W + sc.drift * times) * (1.0 + sc.zeta) ** N
     G = np.where(before_t1, np.exp(-beta * times) * (1.0 + beta * times), 0.0)
-    # G~ = G: {t = T1} has probability 0 on a fixed grid
-    return {"N": N, "S": S, "G": G, "G_tilde": G.copy(), "m": m, "D_opt": D_opt, "N_G": N_G}
+    return {"N": N, "S": S, "G": G, "m": m, "D_opt": D_opt, "N_G": N_G}
 
 
 def _jump_counts(times, jumps) -> np.ndarray:

@@ -8,13 +8,14 @@ means, so every identity of discrete stochastic calculus (tower property,
 Doob decomposition, Yor's formula, integration by parts) holds up to machine
 rounding; ``TOL_EXACT`` is the library-wide tolerance for those checks.
 
-Every reduction over the blocks of all dates runs on the space-time index of
-:class:`Filtration`: one int64 node id per (date, atom), time-major, built on
-first use (8 bytes per atom and date).  Each is one :meth:`Filtration.node_reduce`
-over all dates: one ``bincount`` for a sum, one ``reduceat`` for a minimum,
-maximum or logical or.  Every sum adds each node's atoms in atom order from
-0.0, as :func:`cond_expect` does on one partition, so every layer rounds its
-node sums alike, and bit for bit as the date-by-date computation did.
+Every reduction over the blocks of all dates runs on one index, the
+space-time node ids of :class:`Filtration`: one int64 node id per (date,
+atom), time-major, built on first use (8 bytes per atom and date).  Each is
+one :meth:`Filtration.node_reduce` over all dates: one ``bincount`` for a
+sum, one ``ufunc.at`` for a minimum or maximum.  Each node takes in its atoms
+in atom order; a sum starts from 0.0, as :func:`cond_expect` does on one
+partition, so every layer rounds its node sums alike, and bit for bit as the
+date-by-date computation did.
 """
 
 from __future__ import annotations
@@ -40,25 +41,14 @@ def as_values(X) -> Array:
     return np.asarray(getattr(X, "values", X), dtype=float)
 
 
-def _canonical_level(row, ids, order) -> Array:
-    """Fill one level's block ids (by first appearance) and CSR order; return its starts."""
-    n = len(row)
-    perm = np.argsort(row, kind="stable")  # the one sort: labels, atoms ascending within
-    srt = row[perm]
-    new = np.empty(n, dtype=bool)
-    new[:1] = True
-    np.not_equal(srt[1:], srt[:-1], out=new[1:])
-    group = np.flatnonzero(new)  # where each label starts in perm
-    leader = np.zeros(n, dtype=bool)
-    leader[perm[group]] = True  # the first atom of every block
-    rank = leader.cumsum()[perm[group]] - 1  # the block id of each label
-    ids[perm] = rank[new.cumsum() - 1]
-    by_id = np.empty_like(rank)
-    by_id[rank] = np.arange(len(rank))
-    starts = np.zeros(len(rank) + 1, dtype=np.int64)
-    np.cumsum(np.diff(np.append(group, n))[by_id], out=starts[1:])
-    order[:] = perm[(group[by_id] - starts[:-1]).repeat(np.diff(starts)) + np.arange(n)]
-    return starts
+def _canonical_level(row, ids) -> Array:
+    """Fill one level's block ids (numbered by first appearance); return each block's first atom."""
+    _, first, label = np.unique(row, return_index=True, return_inverse=True)
+    by_first = np.argsort(first)
+    rank = np.empty_like(by_first)
+    rank[by_first] = np.arange(len(first))
+    ids[:] = rank[label]
+    return first[by_first]
 
 
 @dataclass(frozen=True)
@@ -67,47 +57,41 @@ class Filtration:
 
     ``block_ids[n, i]`` is the index of the time-n block containing atom i,
     numbered in order of first appearance.  Blocks at time n+1 must refine
-    blocks at time n.
-
-    Each level is also held in CSR form: ``order[n]`` lists the atoms sorted
-    by time-n block (ascending inside each block), ``starts[n]`` gives the
-    offset of every block in ``order[n]`` plus a final offset ``n_atoms``,
-    and ``parent[n]`` maps each time-n block to the time-(n-1) block
-    containing it (``parent[0]`` is all zeros).
+    blocks at time n; ``parent[n]`` maps each time-n block to the time-(n-1)
+    block containing it (``parent[0]`` is all zeros).
 
     The space-time index numbers every (date, block) node once: block b of
     time n is node ``offsets[n] + b``.  ``nodes``, built on first use, holds
     the node of every (date, atom), time-major, in one int64 array (8 bytes
     per atom and date); its first T rows are the time-(n-1) maps of the
-    predictable projections and increment scans.  Every per-date reduction
-    of the library runs over all dates at once on it, through
-    :meth:`node_reduce`: one ``bincount`` or one ``reduceat``.  Each node
-    sums its atoms in atom order, as a reduction over its date alone does,
-    so the results are bit-identical to date-by-date loops.
+    predictable projections and increment scans.  ``heads[v]`` is the
+    time-major cell ``n * n_atoms + i`` of node v's first atom i.  This is
+    the one index of the blocks: every per-date reduction of the library
+    runs over all dates at once on it, through :meth:`node_reduce`, and
+    each node takes in its atoms in atom order, as a reduction over its
+    date alone does, so the results are bit-identical to date-by-date loops.
     """
 
     block_ids: Array
-    order: Array = field(init=False, repr=False, compare=False)
-    starts: tuple = field(init=False, repr=False, compare=False)
     parent: tuple = field(init=False, repr=False, compare=False)
     offsets: Array = field(init=False, repr=False, compare=False)
+    heads: Array = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         raw = np.atleast_2d(np.asarray(self.block_ids))
-        ids, order = np.empty(raw.shape, dtype=np.int64), np.empty(raw.shape, dtype=np.int64)
-        starts = tuple(map(_canonical_level, raw, ids, order))
-        order.flags.writeable = False
-        parent = [np.zeros(len(starts[0]) - 1, dtype=np.int64)]
+        ids = np.empty(raw.shape, dtype=np.int64)
+        firsts = list(map(_canonical_level, raw, ids))
+        parent = [np.zeros(len(firsts[0]), dtype=np.int64)]
         for n in range(1, ids.shape[0]):
-            parent.append(ids[n - 1][order[n][starts[n][:-1]]])
+            parent.append(ids[n - 1][firsts[n]])
             # each finer block must sit inside exactly one coarser block
             if not np.array_equal(parent[n][ids[n]], ids[n - 1]):
                 raise SpaceValidationError(f"partition at time {n} does not refine time {n - 1}")
         object.__setattr__(self, "block_ids", ids)
-        object.__setattr__(self, "order", order)
-        object.__setattr__(self, "starts", starts)
         object.__setattr__(self, "parent", tuple(parent))
-        object.__setattr__(self, "offsets", np.cumsum([0] + [len(s) - 1 for s in starts]))
+        object.__setattr__(self, "offsets", np.cumsum([0] + list(map(len, firsts))))
+        object.__setattr__(self, "heads", np.concatenate(
+            [n * raw.shape[1] + first for n, first in enumerate(firsts)]))
         object.__setattr__(self, "_cache", {})
 
     @property
@@ -128,15 +112,9 @@ class Filtration:
         """The node of every (date, atom), time-major (built on first use)."""
         return self._cached("nodes", lambda: self.block_ids + self.offsets[:-1, None])
 
-    def _node_starts(self) -> Array:
-        """Where every node starts in the time-major concatenation of ``order``."""
-        return self._cached("starts", lambda: np.concatenate(
-            [j * self.n_atoms + s[:-1] for j, s in enumerate(self.starts)]))
-
     def node_atoms(self):
         """(date, first atom) of every node."""
-        dates = np.repeat(np.arange(self.n_times), np.diff(self.offsets))
-        return dates, self.order.ravel()[self._node_starts()]
+        return np.divmod(self.heads, self.n_atoms)
 
     def node_mass(self, w) -> Array:
         """Mass of every node under atom weights w; the last w's masses are kept."""
@@ -147,31 +125,39 @@ class Filtration:
         return held[1]
 
     def blocks(self, n: int) -> tuple:
-        """Atom-index arrays of the time-n partition (built on first use)."""
-        return self._cached(n, lambda: tuple(np.split(self.order[n], self.starts[n][1:-1])))
+        """Atom-index arrays of the time-n partition, atoms ascending (built on first use)."""
+        ids = self.block_ids[n]
+        return self._cached(n, lambda: tuple(np.split(np.argsort(ids, kind="stable"),
+                                                      np.cumsum(np.bincount(ids))[:-1])))
 
     def node_reduce(self, rows, ufunc=np.add, first: int = 0) -> Array:
-        """``ufunc`` over every node of the dates first, first+1, ...: one bincount or one reduceat.
+        """``ufunc`` over every node of the dates first, first+1, ...: one bincount or ufunc.at.
 
         ``rows`` is time-major: ``rows[j]``, for date first+j, is indexed by
         atom on its axis 0.  The result is indexed by node minus ``offsets[first]``.
-        A sum (``np.add``) is one ``bincount``, each node adding its atoms in
-        atom order from 0.0; ``np.minimum``, ``np.maximum`` and
-        ``np.logical_or``, exact in any order, are one ``reduceat`` over ``order``.
+        Each node takes in its atoms in atom order: a sum (``np.add``) in one
+        ``bincount`` from 0.0; ``np.minimum`` or ``np.maximum`` in one
+        ``ufunc.at`` per trailing index from the node's first atom, so a NaN
+        propagates and a tie of -0.0 and 0.0 resolves as that fold does.
         """
         rows = np.asarray(rows)
         m, n = len(rows), self.n_atoms
         lo, hi = self.offsets[first], self.offsets[first + m]
+        k = int(np.prod(rows.shape[2:]))
+        ids = self.nodes[first:first + m]
         if ufunc is np.add:
-            k = int(np.prod(rows.shape[2:]))
-            ids = self.nodes[first:first + m]
             if k != 1:  # one bin per (node, trailing index)
                 ids = ids[..., None] * k + np.arange(k)
             sums = np.bincount(ids.ravel(), weights=rows.ravel(), minlength=hi * k)
             return sums[lo * k:].reshape((hi - lo,) + rows.shape[2:])
-        pos = (self.order[first:first + m] + n * np.arange(m)[:, None]).ravel()
-        starts = self._node_starts()[lo:hi] - first * n
-        return ufunc.reduceat(rows.reshape((m * n,) + rows.shape[2:])[pos], starts, axis=0)
+        ids, heads = ids.ravel(), self.heads[lo:hi] - first * n
+        out = np.empty((k, hi), rows.dtype)
+        with np.errstate(invalid="ignore"):  # a NaN propagates, as it should
+            for col, acc in zip(rows.reshape(m * n, k).T, out):
+                col = np.ascontiguousarray(col)
+                acc[lo:] = col[heads]
+                ufunc.at(acc, ids, col)
+        return out[:, lo:].T.reshape((hi - lo,) + rows.shape[2:])
 
     def segment_reduce(self, n: int, values, ufunc=np.add) -> Array:
         """``ufunc`` reduced over each time-n block; values are indexed by atom on axis 0."""

@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import numpy as np
 
+from .enlargement import _alive
 from .market import MarketModel
 from .prob_core import FiniteFilteredSpace, project
 
@@ -114,10 +115,10 @@ def regular_tau(rng, space: FiniteFilteredSpace, *, p_stop: float = 0.35) -> np.
 def is_regular(space: FiniteFilteredSpace, tau) -> bool:
     """True iff no cell with G~_k = 0 sits under a block with G_{k-1} > 0."""
     filt = space.filtration
-    alive = np.asarray(tau) >= np.arange(1, space.horizon + 1)[:, None]
+    alive = _alive(np.asarray(tau), space.horizon).T
     date, first = (col[filt.offsets[1]:] for col in filt.node_atoms())
-    block_alive = filt.node_reduce(alive, np.logical_or)[filt.nodes[date - 1, first]]
-    return not np.any(block_alive & ~filt.node_reduce(alive, np.logical_or, 1))
+    block_alive = filt.node_reduce(alive)[filt.nodes[date - 1, first]] > 0
+    return not np.any(block_alive & (filt.node_reduce(alive, first=1) <= 0))
 
 
 def random_market(rng, space: FiniteFilteredSpace, *, n_assets: int = 1,

@@ -346,6 +346,28 @@ def test_deflate_certificate_fails_closed_on_overflowing_sums(tmp_path, Z_F):
         assert cert["verify_lmd"]["residual"] == cert["verify_deflator"]["excess"] == "inf"
 
 
+def test_deflate_stdout_states_the_oracle_verdicts(docs, tmp_path, capsys):
+    # exit 0 covers the parameters; the closing line names each oracle's verdict
+    root, model = docs
+    assert run("deflate", "--model", root / "model.json",
+               "--params", root / "params_phi.json", "--out", tmp_path / "demo") == 0
+    assert capsys.readouterr().out.strip().endswith(
+        "; verify_lmd rejects Z (residual 1.5), verify_deflator rejects Z (excess inf)")
+    space = FiniteFilteredSpace.from_partitions(("u", "d"), (0.75, 0.25), [[0, 0], [0, 1]])
+    S = np.array([[1.0, 1.25], [1.0, 0.25]])  # a martingale, so Z = 1 deflates it
+    modelio.write_json(tmp_path / "model.json", modelio.model_to_dict(space, [1, 1], S))
+    modelio.write_json(tmp_path / "params.json", {"route": "multiplicative", "Z_F": 1.0})
+    assert run("deflate", "--model", tmp_path / "model.json", "--params",
+               tmp_path / "params.json", "--out", tmp_path / "ok") == 0
+    assert capsys.readouterr().out.strip().endswith(
+        "; verify_lmd accepts Z (residual 0), verify_deflator accepts Z (excess 0)")
+    no_prices = {k: v for k, v in model.items() if k != "assets"}
+    modelio.write_json(tmp_path / "no_prices.json", no_prices)
+    assert run("deflate", "--model", tmp_path / "no_prices.json",
+               "--params", root / "params_phi.json", "--out", tmp_path / "none") == 0
+    assert capsys.readouterr().out.strip().endswith("; no price table, so no oracle ran")
+
+
 def test_decompose_basis_element(docs, tmp_path):
     root, _ = docs
     space, tau, _ = trees.two_period_demo()

@@ -1,12 +1,11 @@
 """The vectorized partition kernel against the per-block loops it replaced.
 
 Each test draws random trees and compares the package with a reference scan
-kept in ``oracle.py``: the CSR ``Filtration`` against first-appearance
-relabelling and per-block scans, the closed-form one-asset and the batched
-two- and three-asset deflator oracles against the per-node LP scan, the
-segment-reduced two-term decomposition
-against its block-pair loop, and the chunked CSV writer against the per-cell
-writer.
+kept in ``oracle.py``: the ``Filtration`` and its node reductions against
+first-appearance relabelling and per-block scans, the closed-form one-asset
+and the batched two- and three-asset deflator oracles against the per-node
+LP scan, the segment-reduced two-term decomposition against its block-pair
+loop, and the chunked CSV writer against the per-cell writer.
 """
 
 import math
@@ -96,6 +95,9 @@ def test_filtration_csr_matches_per_block_reference():
             assert all(np.array_equal(a, b) for a, b in zip(got, blocks[n]))
             if n:
                 assert np.array_equal(filt.parent[n], [ids[n - 1][b[0]] for b in blocks[n]])
+        date, first = filt.node_atoms()
+        assert np.array_equal(date, [n for n in range(filt.n_times) for _ in blocks[n]])
+        assert np.array_equal(first, [b[0] for level in blocks for b in level])
     assert broken > 10
 
 
@@ -240,16 +242,17 @@ def test_space_time_index_is_bit_identical_to_per_date_loops():
     assert degenerate > 10
 
 
-def _per_node_sums(filt, rows, first):
-    """Each node's atoms added in atom order from 0.0, one node at a time."""
-    sums = []
+def _per_node_fold(filt, rows, first, ufunc=np.add):
+    """Each node's atoms folded in atom order, one node at a time: a sum from
+    0.0, a minimum or maximum from the node's first atom."""
+    out = []
     for j, row in enumerate(rows):
         for block in filt.blocks(first + j):
-            total = np.zeros(row.shape[1:])
-            for atom in block:
-                total += row[atom]
-            sums.append(total)
-    return np.array(sums).reshape((-1,) + rows.shape[2:])
+            acc = np.zeros(row.shape[1:]) if ufunc is np.add else row[block[0]]
+            for atom in block if ufunc is np.add else block[1:]:
+                acc = ufunc(acc, row[atom])
+            out.append(acc)
+    return np.array(out, dtype=rows.dtype).reshape((-1,) + rows.shape[2:])
 
 
 def test_node_sums_add_atoms_in_atom_order():
@@ -266,12 +269,31 @@ def test_node_sums_add_atoms_in_atom_order():
                 rows = rng.normal(size=shape) * 10.0 ** rng.integers(-8, 9, shape)
                 rows[rng.random(shape) < 0.3] = -0.0
                 got = filt.node_reduce(rows, np.add, first)
-                want = _per_node_sums(filt, rows, first)
+                want = _per_node_fold(filt, rows, first)
                 assert got.shape == want.shape
                 assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
         w = rng.uniform(0.0, 1.0, n) * 10.0 ** rng.integers(-8, 9, n)
         mass = filt.node_reduce(np.broadcast_to(w, (T, n)))
         assert np.array_equal(filt.node_mass(w).view(np.uint64), mass.view(np.uint64))
+    # a minimum or maximum folds from each node's first atom in atom order:
+    # ties of -0.0 and 0.0 resolve by that order, a NaN propagates without a
+    # warning, and int64 rows (as first_where reduces) keep their dtype
+    rng = np.random.default_rng(107)
+    for raw in _index_cases(rng):
+        filt = Filtration(raw)
+        n, T = filt.n_atoms, filt.n_times
+        for trail in ((), (3,), (2, 2)):
+            for first in range(T):
+                shape = (int(rng.integers(1, T - first + 1)), n) + trail
+                rows = rng.choice([-0.0, 0.0, 1.0, -1.0], size=shape)
+                rows[rng.random(shape) < 0.05] = np.nan
+                ints = rng.integers(-3, 4, size=shape)
+                for x in (rows, ints):
+                    for ufunc in (np.minimum, np.maximum):
+                        got = filt.node_reduce(x, ufunc, first)
+                        want = _per_node_fold(filt, x, first, ufunc)
+                        assert got.shape == want.shape and got.dtype == x.dtype
+                        assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
 
 
 def _one_asset_prices(rng, space):
