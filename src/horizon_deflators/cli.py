@@ -171,30 +171,27 @@ def cmd_simulate(args) -> int:
     except SpaceValidationError as exc:
         return _fail(2, f"input error: {exc}")
     bundle = jd.simulate(sc, keep_paths=extras["keep_paths"])
-    feats = jd.feature_matrix(bundle)
-    psi2 = extras["psi2"]
+    psi2, phi_o, phi_pr = extras["psi2"], extras["phi_o"], extras["phi_pr"]
     try:
         psi1 = jd.solve_drift(sc, psi2)
-        # the plain deflator (phi_o = phi_pr = 0) is E(L): its other two factors are 1
-        d = jd.build_deflator(bundle, psi1, psi2, phi_o=extras["phi_o"], phi_pr=extras["phi_pr"])
-        plain, fancy = d["E_L"], d["Z"]
-        del d  # E_NG and E_D need not stay resident through the suite
+        jd.check_deflator(bundle, psi2, phi_o=phi_o, phi_pr=phi_pr)
     except AdmissibilityError as exc:
         return _fail(2, f"scenario constraint violation: {exc}")
-    deflated_wealth = jd.proportional_wealth(bundle, extras["theta"])
-    deflated_wealth *= plain
-    suite = {
-        "m": (bundle.m, 1.0, "martingale", feats),
-        "transported_brownian": (jd.transported_brownian(bundle), 0.0, "martingale", feats),
-        "transported_poisson": (jd.transported_poisson(bundle), 0.0, "martingale", feats),
-        "N_G": (bundle.N_G, 0.0, "martingale", feats),
-        "survival_exponential": (jd.survival_exponential(bundle), 1.0, "martingale", feats),
-        "deflator_plain": (plain, 1.0, "martingale", None),
-        "deflator_with_default_leg": (fancy, 1.0, "martingale", None),
-        "deflated_wealth": (deflated_wealth, 1.0, "supermartingale", None),
-        "deflated_price_drift": (jd.lmd_times_price(bundle, psi1, psi2), 1.0,
-                                 "martingale", feats),
-    }
+    # an inadmissible theta raises here, on to main's handler
+    values, feats, m_residual = jd.suite_arrays(bundle, psi1, psi2, theta=extras["theta"],
+                                                phi_o=phi_o, phi_pr=phi_pr)
+    # the plain deflator (phi_o = phi_pr = 0) is E(L): its other two factors are 1
+    suite = {name: (values[name], start, null, features)
+             for name, start, null, features in (
+                 ("m", 1.0, "martingale", feats),
+                 ("transported_brownian", 0.0, "martingale", feats),
+                 ("transported_poisson", 0.0, "martingale", feats),
+                 ("N_G", 0.0, "martingale", feats),
+                 ("survival_exponential", 1.0, "martingale", feats),
+                 ("deflator_plain", 1.0, "martingale", None),
+                 ("deflator_with_default_leg", 1.0, "martingale", None),
+                 ("deflated_wealth", 1.0, "supermartingale", None),
+                 ("deflated_price_drift", 1.0, "martingale", feats))}
     # every mean z, and every regression coefficient z of a (martingale) null
     # with (n_paths, R, p) features; Sidak (JASA 1967): n_z independent
     # N(0, 1) z-scores each tested two-sided at 1 - (1 - alpha)^(1/n_z)
@@ -226,7 +223,7 @@ def cmd_simulate(args) -> int:
         "n_zscores": n_z,
         "z_crit": z_crit,
         "results": results,
-        "m_identity_residual": jd.closed_forms(bundle)["m_identity_residual"],
+        "m_identity_residual": m_residual,
         "rejected": sorted(rejected),
         "warnings": warnings,
         "ok": not rejected,
@@ -237,8 +234,7 @@ def cmd_simulate(args) -> int:
 
         def kept_paths():
             for s in bundle.samples:
-                Z = jd.deflator_grid(bundle, s["index"], psi1, psi2,
-                                     phi_o=extras["phi_o"], phi_pr=extras["phi_pr"])
+                Z = jd.deflator_grid(bundle, s["index"], psi1, psi2, phi_o=phi_o, phi_pr=phi_pr)
                 yield s["index"], np.column_stack([s[c] for c in cols] + [Z])
 
         modelio.table_to_csv(os.path.join(out, "paths.csv"), ("path", *cols, "Z"), kept_paths())

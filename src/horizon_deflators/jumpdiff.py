@@ -33,7 +33,15 @@ depends on the number of workers; work of one chunk runs inline.
 
 Every (n_paths, R) and (n_paths, R, p) array here is column-major, so one report
 time's values are contiguous: ``mc_suite`` reads its steps, and sums each column
-in one pass (NumPy's pairwise order), on that layout whatever its input's.
+in one pass (NumPy's pairwise order), on that layout whatever its input's.  The
+row kernels compute on the ``.T`` views of those arrays, (report time, path)
+rows: an (R, 1) column of times broadcasts against per-path rows, and each
+kernel returns its (paths, R) block as a view.  ``simulate`` places tau ^ H
+among the report times by one ``searchsorted`` and writes its rows through
+``.T``; kept paths on the dt grid stay (path, grid).  ``suite_arrays`` fills
+every array of the ``simulate`` suite in one map over the paths, each chunk
+running all the kernels while its rows are in cache; each public null function
+is a map of one of the same kernels.
 
 Statistical verification is by Monte-Carlo means with standard errors,
 sharpened by regressing one-step increments on observable features with
@@ -205,10 +213,12 @@ def _below_cut(beta, x, cut, power, series, closed) -> np.ndarray:
     return out
 
 
-def _stopped(f, times, stop) -> np.ndarray:
+def _stopped(f, times, stop, after=None) -> np.ndarray:
     """f(min(times, stop)) for an elementwise f, evaluated on the shared times and on the
-    per-path stop times alone (a stop past the last time is taken there, unused)."""
-    return np.where(times < stop, f(times), f(np.minimum(stop, times[-1])))
+    per-path stop times alone (a stop past the last time is taken there, unused).  With
+    ``after``, each path's value v from its stop on is after(v), evaluated per path."""
+    at_stop = f(np.minimum(stop, times[-1]))
+    return np.where(times < stop, f(times), at_stop if after is None else after(at_stop))
 
 
 @dataclass
@@ -246,17 +256,18 @@ class PathBundle:
         """G~, which is G: {t = T1} has probability 0 on a fixed grid."""
         return self.G
 
+    # each (n_paths, R) process below is the .T view of its (R, n_paths) rows
+
     def stopped_times(self) -> np.ndarray:
-        return np.minimum(self.report_times[None, :], self.tau[:, None])
+        return np.minimum(self.report_times[:, None], self.tau).T
 
     def stopped_W(self) -> np.ndarray:
-        hit = self.tau[:, None] <= self.report_times[None, :]
-        return np.where(hit, self.W_tau[:, None], self.W)
+        return np.where(self.tau <= self.report_times[:, None], self.W_tau, self.W.T).T
 
     def first_jump_stopped(self) -> np.ndarray:
         """1{tau = T1 <= t}: the price jump happened before or at the horizon."""
-        return ((~self.from_second_jump)[:, None]
-                & (self.t1[:, None] <= self.report_times[None, :])).astype(float)
+        return (~self.from_second_jump
+                & (self.t1 <= self.report_times[:, None])).astype(float).T
 
 
 def _quadrature_table(sc: JumpDiffusionScenario):
@@ -405,7 +416,9 @@ def _fill(bundle, quad, lo, jumps, normals, keep, stream) -> list:
 
     ``jumps`` holds each row's jump times (inf-padded), ``normals`` its R+1
     Brownian normals, ``stream(i)`` the generator that row i's bridge fill
-    draws from, and ``quad`` the dt-grid trapezoid table of D^o.
+    draws from, and ``quad`` the dt-grid trapezoid table of D^o.  The report
+    arrays are computed as (report time, path) rows and written through the
+    bundle's ``.T`` views.
     """
     sc, rep = bundle.scenario, bundle.report_times
     H, n, R = sc.horizon, len(jumps), len(rep)
@@ -414,26 +427,32 @@ def _fill(bundle, quad, lo, jumps, normals, keep, stream) -> list:
     from_second = sc.a * t2 < t1
     tau_c = np.minimum(tau, H)
 
-    # Brownian values at the report grid augmented (per path) by tau
-    stacked = np.concatenate([np.tile(rep, (n, 1)), tau_c[:, None]], axis=1)
-    order = np.argsort(stacked, axis=1, kind="stable")
-    times_aug = np.take_along_axis(stacked, order, axis=1)
-    dt_aug = np.diff(np.concatenate([np.zeros((n, 1)), times_aug], axis=1), axis=1)
-    W_aug = np.cumsum(normals * np.sqrt(dt_aug), axis=1)
-    tau_col = order == R
-    W_tau = W_aug[tau_col]
-    W_rep = W_aug[~tau_col].reshape(n, R)
+    # Brownian values at the report times and at tau ^ H in time order, (R + 1, n): tau ^ H
+    # is row `at`, after the report times equal to it, report time j row j or j + 1
+    at = np.searchsorted(rep, tau_c, side="right")
+    paths, rows = np.arange(n), np.arange(R + 1)[:, None]
+    starts = np.r_[0.0, rep]
+    root = np.sqrt(np.diff(starts))  # of the steps between report times
+    scale = np.where(rows < at, np.r_[root, 0.0][:, None], np.r_[0.0, root][:, None])
+    scale[at, paths] = np.sqrt(tau_c - starts[at])
+    inner = np.flatnonzero(at < R)
+    scale[at[inner] + 1, inner] = np.sqrt(rep[at[inner]] - tau_c[inner])
+    W_aug = _running_sum(normals.T * scale)
+    W_tau = W_aug[at, paths]
+    W = np.where(rows[:R] < at, W_aug[:R], W_aug[1:])
 
-    rows = {"t1": t1, "t2": t2, "tau": tau, "from_second_jump": from_second, "W": W_rep,
-            "W_tau": W_tau, **_path_processes(sc, quad, rep, jumps, tau, from_second, W_rep)}
-    for name, value in rows.items():
-        getattr(bundle, name)[lo:lo + n] = value
+    N = _jump_counts(rep, jumps, axis=0)
+    cols = {"t1": t1, "t2": t2, "tau": tau, "from_second_jump": from_second, "W": W,
+            "W_tau": W_tau, **_path_processes(sc, quad, rep[:, None], t1, tau, from_second, W, N)}
+    for name, value in cols.items():
+        getattr(bundle, name).T[..., lo:lo + n] = value
     if keep <= 0:
         return []
     grid = quad[0]
-    W = np.stack([_bridge_fill(grid, np.r_[0.0, times_aug[i]], np.r_[0.0, W_aug[i]],
-                               stream(i)) for i in range(keep)])
-    full = _path_processes(sc, quad, grid, jumps[:keep], tau[:keep], from_second[:keep], W)
+    W = np.stack([_bridge_fill(grid, np.r_[0.0, np.insert(rep, at[i], tau_c[i])],
+                               np.r_[0.0, W_aug[:, i]], stream(i)) for i in range(keep)])
+    full = _path_processes(sc, quad, grid, t1[:keep, None], tau[:keep, None],
+                           from_second[:keep, None], W, _jump_counts(grid, jumps[:keep]))
     res = full["G"] + full["D_opt"]
     np.subtract(full["m"], res, out=res)
     res = np.abs(res, out=res).max(axis=1)
@@ -443,37 +462,48 @@ def _fill(bundle, quad, lo, jumps, normals, keep, stream) -> list:
             for i in range(keep)]
 
 
-def _path_processes(sc, quad, times, jumps, tau, from_second, W) -> dict:
-    """N, S, G, m, D^o and N_G of every path (row) at the shared ``times``.
+def _path_processes(sc, quad, times, t1, tau, from_second, W, N) -> dict:
+    """S, G, m, D^o and N_G of every path at the shared ``times``, and the jump counts N.
 
-    ``jumps`` (inf-padded rows), ``tau`` and ``from_second`` are per path, ``W``
-    is (paths, times), and ``quad`` is the dt-grid trapezoid table of D^o.
+    The arguments broadcast in either orientation: a (times, 1) column against
+    per-path rows (n,), or times (T,) against per-path columns (n, 1).  ``W``
+    and ``N`` are shaped as the results, and ``quad`` is the dt-grid trapezoid
+    table of D^o.
     """
     beta, lam = sc.beta, sc.lam
-    tau = tau[:, None]
-    N_G = (from_second[:, None] & (tau <= times)).astype(float) \
-        - _stopped(lambda x: (lam + beta) * _ig(beta, x), times, tau)
-    t1 = jumps[:, :1]
-    before_t1 = times < t1
-    m = _stopped(lambda x: 1.0 + lam * beta * _i1(beta, x), times, t1) \
-        - beta * t1 * np.exp(-beta * t1) * ~before_t1
-    D_opt = _stopped(lambda x: _lebesgue_quadrature(sc, *quad, x), times, t1) \
-        + np.exp(-beta * t1) * ~before_t1
-    N = _jump_counts(times, jumps)
+    # the compensator (lam + beta) I_G(t ^ tau) before tau and from it on; 0.0 - c, not -c,
+    # so that a compensator of 0 (at time 0) gives +0
+    c, c_tau = ((lam + beta) * _ig(beta, x) for x in (times, np.minimum(tau, times[-1])))
+    N_G = np.where(times < tau, 0.0 - c, from_second - c_tau)
+    m = _stopped(lambda x: 1.0 + lam * beta * _i1(beta, x), times, t1,
+                 lambda v: v - beta * t1 * np.exp(-beta * t1))
+    D_opt = _stopped(lambda x: _lebesgue_quadrature(sc, *quad, x), times, t1,
+                     lambda v: v + np.exp(-beta * t1))
     S = sc.S0 * np.exp(sc.sigma * W + sc.drift * times) * (1.0 + sc.zeta) ** N
-    G = np.where(before_t1, np.exp(-beta * times) * (1.0 + beta * times), 0.0)
+    G = np.where(times < t1, np.exp(-beta * times) * (1.0 + beta * times), 0.0)
     return {"N": N, "S": S, "G": G, "m": m, "D_opt": D_opt, "N_G": N_G}
 
 
-def _jump_counts(times, jumps) -> np.ndarray:
-    """#{k : jumps[i, k] <= times[g]}, (paths, times), with no times x jumps table:
-    each jump lands on the first time at or after it (inf padding past the end),
-    and counts are running sums of landings."""
-    T = len(times)
-    land = np.searchsorted(times, jumps)
-    land += (T + 1) * np.arange(len(land))[:, None]
-    hits = np.bincount(land.ravel(), minlength=len(land) * (T + 1))
-    return hits.reshape(-1, T + 1).cumsum(axis=1)[:, :T].astype(float)
+def _jump_counts(times, jumps, axis: int = 1) -> np.ndarray:
+    """#{k : jumps[i, k] <= times[g]}, (paths, times), or (times, paths) with axis 0,
+    with no times x jumps table: each jump up to the last time lands on the first
+    time at or after it, and counts are running sums of landings along ``axis``."""
+    T, (n, J) = len(times), jumps.shape
+    cell = np.flatnonzero(jumps <= times[-1])
+    path, land = cell // J, np.searchsorted(times, jumps.ravel()[cell])
+    cells = land * n + path if axis == 0 else land + T * path
+    hits = np.bincount(cells, minlength=n * T)
+    if axis == 0:
+        return _running_sum(hits.reshape(T, n)).astype(float)
+    return hits.reshape(n, T).cumsum(axis=1).astype(float)
+
+
+def _running_sum(rows) -> np.ndarray:
+    """np.cumsum(rows, axis=0), the same sums in the same order, in place: one
+    vector add per row, where cumsum would run down each column in turn."""
+    for k in range(1, len(rows)):
+        rows[k] += rows[k - 1]
+    return rows
 
 
 def _bridge_fill(grid, anchors_t, anchors_w, gen) -> np.ndarray:
@@ -509,12 +539,17 @@ def _bridge_fill(grid, anchors_t, anchors_w, gen) -> np.ndarray:
 
 def closed_forms(bundle: PathBundle) -> dict:
     """Survival grids at the report times with the pathwise identity residual."""
-    res = _by_rows(lambda b: np.abs(b.m - (b.G + b.D_opt)).max(axis=1), bundle)
+    res = _by_rows(_m_residual, bundle)
     return {
         "G": bundle.G, "G_tilde": bundle.G_tilde, "m": bundle.m,
         "D_opt": bundle.D_opt, "N_G": bundle.N_G,
         "m_identity_residual": float(res.max()),
     }
+
+
+def _m_residual(b):
+    """max_t |m - (G + D^o)| of each path."""
+    return np.abs(b.m.T - (b.G.T + b.D_opt.T)).max(axis=0)
 
 
 def solve_drift(sc: JumpDiffusionScenario, psi2: float) -> float:
@@ -549,7 +584,8 @@ def transported_poisson(bundle: PathBundle) -> np.ndarray:
 
 def _transported_poisson(b):
     sc = b.scenario
-    return b.first_jump_stopped() * (1.0 + sc.beta * b.t1[:, None]) - sc.lam * b.stopped_times()
+    return (b.first_jump_stopped().T * (1.0 + sc.beta * b.t1)
+            - sc.lam * b.stopped_times().T).T
 
 
 def survival_exponential(bundle: PathBundle) -> np.ndarray:
@@ -559,10 +595,8 @@ def survival_exponential(bundle: PathBundle) -> np.ndarray:
 
 def _survival_exponential(b):
     beta, lam = b.scenario.beta, b.scenario.lam
-    cont = _stopped(lambda x: np.exp(lam * _ig(beta, x)), b.report_times, b.t1[:, None])
-    seen = (b.t1[:, None] <= b.report_times[None, :])
-    jump = np.where(seen, 1.0 / (1.0 + beta * b.t1[:, None]), 1.0)
-    return cont * jump
+    return _stopped(lambda x: np.exp(lam * _ig(beta, x)), b.report_times[:, None], b.t1,
+                    lambda v: v * (1.0 / (1.0 + beta * b.t1))).T
 
 
 def build_deflator(bundle: PathBundle, psi1: float, psi2: float, *,
@@ -573,6 +607,15 @@ def build_deflator(bundle: PathBundle, psi1: float, psi2: float, *,
     survival discount; the pathwise constraints are checked at the realized
     default dates and violations name the offending path.
     """
+    check_deflator(bundle, psi2, phi_o=phi_o, phi_pr=phi_pr)
+    Z, e_l, e_ng, e_d = _by_rows(_deflator_rows, bundle, psi1, psi2, phi_o, phi_pr)
+    return {"Z": Z, "E_L": e_l, "E_NG": e_ng, "E_D": e_d}
+
+
+def check_deflator(bundle: PathBundle, psi2: float, *, phi_o: float = 0.0,
+                   phi_pr: float = 0.0) -> None:
+    """Raise :class:`AdmissibilityError` unless the deflator of ``build_deflator``
+    is admissible on every path; a path breach names the first offending path."""
     sc = bundle.scenario
     if not psi2 > 0.0:
         raise AdmissibilityError("psi2 must be strictly positive")
@@ -588,32 +631,30 @@ def build_deflator(bundle: PathBundle, psi1: float, psi2: float, *,
             f"phi_o at the first jump breaches psi2 (1 + beta T1) on path {int(bad[0])}",
         )
 
-    Z, e_l, e_ng, e_d = _by_rows(_deflator_rows, bundle, psi1, psi2, phi_o, phi_pr)
-    return {"Z": Z, "E_L": e_l, "E_NG": e_ng, "E_D": e_d}
-
 
 def _deflator_rows(b, psi1, psi2, phi_o, phi_pr):
     e_l, e_ng, e_d = _deflator_factors(
-        b.scenario, b.report_times, b.W, b.W_tau[:, None], b.tau[:, None], b.t1[:, None],
-        b.from_second_jump[:, None], psi1, psi2, phi_o, phi_pr)
-    return e_l * e_ng * e_d, e_l, e_ng, e_d
+        b.scenario, b.report_times[:, None], b.W.T, b.W_tau, b.tau, b.t1,
+        b.from_second_jump, psi1, psi2, phi_o, phi_pr)
+    return (e_l * e_ng * e_d).T, e_l.T, e_ng.T, e_d.T
 
 
 def _deflator_factors(sc, times, W, W_tau, tau, t1, from_second, psi1, psi2, phi_o, phi_pr):
     """E(L)^tau, E(phi_o . N_G) and E(phi_pr . D) at the stopped (t ^ tau, W_{t ^ tau}).
 
     ``W`` is unstopped at ``times``; the per-path arguments broadcast against
-    it (columns for many paths, scalars for one).
+    it: rows (n,) against a (times, 1) column for many paths, scalars for one.
     """
     beta, lam = sc.beta, sc.lam
     seen = tau <= times
     ts = np.minimum(times, tau)
     Ws = np.where(seen, W_tau, W)
     log_el = (psi1 * Ws - 0.5 * psi1**2 * ts - lam * psi2 * ts
-              + (lam / beta) * np.log1p(beta * ts))
-    e_l = np.exp(log_el) * np.where(seen & ~from_second, (1.0 + beta * t1) * psi2, 1.0)
-    e_ng = np.where(seen & from_second, 1.0 + phi_o, 1.0) \
-        * _stopped(lambda x: np.exp(-phi_o * (lam + beta) * _ig(beta, x)), times, tau)
+              + _stopped(lambda x: (lam / beta) * np.log1p(beta * x), times, tau))
+    e_l = np.exp(log_el) * np.where(seen, np.where(from_second, 1.0, (1.0 + beta * t1) * psi2),
+                                    1.0)
+    e_ng = _stopped(lambda x: np.exp(-phi_o * (lam + beta) * _ig(beta, x)), times, tau,
+                    lambda v: np.where(from_second, 1.0 + phi_o, 1.0) * v)
     e_d = 1.0 + phi_pr * seen
     return e_l, e_ng, e_d
 
@@ -624,19 +665,24 @@ def proportional_wealth(bundle: PathBundle, theta: float, *, stopped: bool = Tru
     The multiplicative wealth E(theta . X) with X the price driver; requires
     1 + theta zeta > 0 for admissibility.
     """
-    if 1.0 + theta * bundle.scenario.zeta <= 0.0:
-        raise AdmissibilityError("inadmissible proportional strategy")
+    check_wealth(bundle.scenario, theta)
     return _by_rows(_wealth, bundle, theta, stopped)
+
+
+def check_wealth(sc: JumpDiffusionScenario, theta: float) -> None:
+    """Raise :class:`AdmissibilityError` unless 1 + theta zeta > 0."""
+    if 1.0 + theta * sc.zeta <= 0.0:
+        raise AdmissibilityError("inadmissible proportional strategy")
 
 
 def _wealth(b, theta, stopped):
     sc = b.scenario
     if stopped:
-        ts, Ws, Ns = b.stopped_times(), b.stopped_W(), b.first_jump_stopped()
+        ts, Ws, Ns = b.stopped_times().T, b.stopped_W().T, b.first_jump_stopped().T
     else:
-        ts, Ws, Ns = np.tile(b.report_times, (b.n_paths, 1)), b.W, b.N
+        ts, Ws, Ns = b.report_times[:, None], b.W.T, b.N.T
     drift = theta * sc.mu - theta * sc.zeta * sc.lam - 0.5 * theta**2 * sc.sigma**2
-    return np.exp(theta * sc.sigma * Ws + drift * ts) * (1.0 + theta * sc.zeta) ** Ns
+    return (np.exp(theta * sc.sigma * Ws + drift * ts) * (1.0 + theta * sc.zeta) ** Ns).T
 
 
 def deflator_grid(bundle: PathBundle, index: int, psi1: float, psi2: float, *,
@@ -655,9 +701,41 @@ def lmd_times_price(bundle: PathBundle, psi1: float, psi2: float) -> np.ndarray:
 
 
 def _lmd_times_price(b, psi1, psi2):
-    sc, t = b.scenario, b.report_times[None, :]
-    dens = np.exp(psi1 * b.W - 0.5 * psi1**2 * t - (psi2 - 1.0) * sc.lam * t) * psi2 ** b.N
-    return dens * b.S / sc.S0
+    sc, t = b.scenario, b.report_times[:, None]
+    dens = np.exp(psi1 * b.W.T - 0.5 * psi1**2 * t - (psi2 - 1.0) * sc.lam * t) * psi2 ** b.N.T
+    return (dens * b.S.T / sc.S0).T
+
+
+def suite_arrays(bundle: PathBundle, psi1: float, psi2: float, *, theta: float,
+                 phi_o: float = 0.0, phi_pr: float = 0.0) -> tuple:
+    """The arrays of the ``simulate`` suite in one pass over the paths.
+
+    Returns (values, features, m_identity_residual): ``values`` maps each
+    null of the suite to its (n_paths, R) array, bit for bit what the public
+    functions give: ``m`` and ``N_G`` of the bundle, ``transported_brownian``,
+    ``transported_poisson``, ``survival_exponential``, ``deflator_plain``
+    (``build_deflator``'s ``E_L``), ``deflator_with_default_leg`` (its ``Z``),
+    ``deflated_wealth`` (``proportional_wealth(bundle, theta) * E_L``) and
+    ``deflated_price_drift`` (``lmd_times_price``); ``features`` is
+    ``feature_matrix(bundle)`` and the residual ``closed_forms``' one.  The
+    parameters are checked first, as ``build_deflator`` and
+    ``proportional_wealth`` check them.
+    """
+    check_deflator(bundle, psi2, phi_o=phi_o, phi_pr=phi_pr)
+    check_wealth(bundle.scenario, theta)
+    *arrays, features, residual = _by_rows(_suite_rows, bundle, psi1, psi2, theta, phi_o, phi_pr)
+    names = ("transported_brownian", "transported_poisson", "survival_exponential",
+             "deflator_plain", "deflator_with_default_leg", "deflated_wealth",
+             "deflated_price_drift")
+    values = {"m": bundle.m, "N_G": bundle.N_G, **dict(zip(names, arrays))}
+    return values, features, float(residual.max())
+
+
+def _suite_rows(b, psi1, psi2, theta, phi_o, phi_pr):
+    Z, e_l, _, _ = _deflator_rows(b, psi1, psi2, phi_o, phi_pr)
+    return (b.stopped_W(), _transported_poisson(b), _survival_exponential(b), e_l, Z,
+            _wealth(b, theta, True) * e_l, _lmd_times_price(b, psi1, psi2),
+            _feature_matrix(b), _m_residual(b))
 
 
 @dataclass(frozen=True)
@@ -872,7 +950,7 @@ def feature_matrix(bundle: PathBundle) -> np.ndarray:
 
 
 def _feature_matrix(b):
-    F = np.empty(b.S.shape + (3,), order="F")  # as _by_rows stores it: one block copy
-    F[:, :, 0], F[:, :, 1] = b.S, b.N
-    np.less(b.report_times, b.t1[:, None], out=F[:, :, 2])
-    return F
+    F = np.empty((3,) + b.S.T.shape)  # (feature, time, path): F.T is stored as _by_rows stores it
+    F[0], F[1] = b.S.T, b.N.T
+    np.less(b.report_times[:, None], b.t1, out=F[2])
+    return F.T

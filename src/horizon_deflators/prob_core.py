@@ -270,9 +270,6 @@ class FiniteFilteredSpace:
     def measure(self) -> ProbabilityMeasure:
         return ProbabilityMeasure(self.probs)
 
-    def constant(self, value: float) -> Array:
-        return np.full((self.n_atoms, self.horizon + 1), float(value))
-
 
 @dataclass(frozen=True)
 class AdaptedProcess:

@@ -488,6 +488,41 @@ def test_simulate_rejects_overflowing_drift_or_price_of_risk(tmp_path, capsys, f
     assert not (tmp_path / "simulate-summary.json").exists()
 
 
+def _first_breach(doc):
+    """The first path whose deflator breaches psi2 (1 + beta T1), as build_deflator finds it."""
+    sc, extras = modelio.load_scenario(doc)
+    b = jd.simulate(sc, keep_paths=extras["keep_paths"])
+    hit_t1 = ~b.from_second_jump & (b.tau <= sc.horizon)
+    return int(np.flatnonzero(hit_t1 & (extras["phi_o"] >= extras["psi2"]
+                                        * (1.0 + sc.beta * b.t1)))[0])
+
+
+@pytest.mark.parametrize("fields,message", [
+    ({"psi2": 0.0}, "scenario constraint violation: psi2 must be strictly positive"),
+    ({"phi_o": -1.0}, "scenario constraint violation: phi_o must exceed -1 before the first jump"),
+    ({"phi_pr": -1.0}, "scenario constraint violation: phi_pr must exceed -1 at the default date"),
+    ({"psi2": 1e-9, "phi_o": 0.5},
+     "scenario constraint violation: phi_o at the first jump breaches psi2 (1 + beta T1) on path"),
+    ({"zeta": 0.5, "theta": -2.0}, "error: inadmissible proportional strategy"),
+    # the deflator's parameters are checked before the strategy's
+    ({"psi2": 0.0, "zeta": 0.5, "theta": -2.0},
+     "scenario constraint violation: psi2 must be strictly positive"),
+    ({"phi_o": -1.0, "zeta": 0.5, "theta": -2.0},
+     "scenario constraint violation: phi_o must exceed -1 before the first jump"),
+], ids=["psi2", "phi_o", "phi_pr", "path", "theta", "psi2-first", "phi_o-first"])
+def test_simulate_names_each_inadmissible_suite_parameter(tmp_path, capsys, fields, message):
+    # each is a constraint of the deflator or of the wealth strategy, met only
+    # once the paths are drawn: exit 2 with the constraint's message, no summary
+    doc = {"sigma": 0.2, "zeta": 0.1, "mu": 0.03, "lambda": 2.0, "a": 0.5, "n_paths": 500,
+           "seed": 3, "dt": 2.0 ** -6, **fields}
+    if message.endswith("on path"):
+        message += f" {_first_breach(doc)}"
+    modelio.write_json(tmp_path / "scenario.json", doc)
+    assert run("simulate", "--scenario", tmp_path / "scenario.json", "--out", tmp_path) == 2
+    assert capsys.readouterr().err == message + "\n"
+    assert not (tmp_path / "simulate-summary.json").exists()
+
+
 def test_simulate_regression_survives_huge_price_feature(tmp_path):
     # the contract admits mu = 400, so S reaches about e^400 and S^2 overflows;
     # the regression z-scores of the nulls that use S as a feature stay finite
@@ -523,7 +558,7 @@ def test_simulate_rejects_wrong_processes(tmp_path, monkeypatch, seed):
     # four processes that are not martingales, each in place of one null of
     # the README suite at 100k paths; the suite must reject every one at its
     # family-wise critical value, on every seed
-    simulate, lmd_times_price = jd.simulate, jd.lmd_times_price
+    simulate, lmd_rows = jd.simulate, jd._lmd_times_price
 
     def wrong_bundle(sc, **kwargs):
         b = simulate(sc, **kwargs)
@@ -540,10 +575,11 @@ def test_simulate_rejects_wrong_processes(tmp_path, monkeypatch, seed):
         return b.first_jump_stopped() * (1.0 + sc.beta * t1 / (1.0 + sc.beta * t1)) \
             - sc.lam * b.stopped_times()
 
+    # the suite map calls the row kernels by their module names, once per chunk of paths
     monkeypatch.setattr(jd, "simulate", wrong_bundle)
-    monkeypatch.setattr(jd, "transported_poisson", damped_poisson)
-    monkeypatch.setattr(jd, "lmd_times_price",  # psi1 10% off
-                        lambda b, psi1, psi2: lmd_times_price(b, 1.1 * psi1, psi2))
+    monkeypatch.setattr(jd, "_transported_poisson", damped_poisson)
+    monkeypatch.setattr(jd, "_lmd_times_price",  # psi1 10% off
+                        lambda b, psi1, psi2: lmd_rows(b, 1.1 * psi1, psi2))
     doc = {"sigma": 0.2, "zeta": 0.1, "mu": 0.03, "lambda": 2.0, "a": 0.5, "psi2": 1.0,
            "seed": seed, "n_paths": 100_000, "keep_paths": 0}
     modelio.write_json(tmp_path / "scenario.json", doc)

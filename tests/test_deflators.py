@@ -71,6 +71,29 @@ def test_validate_progressive_collapse(demo_rts):
         build_multiplicative(1.0, None, phi_pr, demo_rts)
 
 
+def test_validate_additive_reports_what_build_additive_enforces(demo_rts):
+    # validate runs the additive check of ROUTES; build_additive raises on
+    # exactly the violation that check names, and builds when it passes
+    rep = validate(DeflatorParams("additive"), demo_rts)
+    d = build_additive(None, None, None, None, demo_rts)
+    assert rep.route == "additive" and rep.ok and rep.first_violation is None
+    assert rep.min_factor == d.report.min_factor == 0.75
+    phi_o, phi_pr = np.zeros((4, 3)), np.zeros((4, 3))
+    phi_o[:, 1] = -5.0  # the factor 1 + dK_G at date 1 falls to -1.75 on w2
+    phi_pr[1, 1] = 0.3  # w2 defaults at date 1, where phi_pr must vanish
+    for params, violation in ((DeflatorParams("additive", phi_o=phi_o), ("factor_positive", 1, 1)),
+                              (DeflatorParams("additive", phi_pr=phi_pr),
+                               ("progressive_collapse", None, None))):
+        rep = validate(params, demo_rts)
+        assert rep.route == "additive" and not rep.ok
+        assert rep.first_violation == violation
+        assert rep.collapse_ok == (violation[0] != "progressive_collapse")
+        with pytest.raises(AdmissibilityError) as err:
+            build_additive(params.K_F, params.V_F, params.phi_o, params.phi_pr, demo_rts)
+        assert (err.value.inequality, err.value.atom, err.value.time) == violation
+    assert validate(DeflatorParams("additive", phi_o=phi_o), demo_rts).min_factor == -1.75
+
+
 # ------------------------------------------------------------------- factories
 
 def test_additive_null_params_demo(demo_rts):

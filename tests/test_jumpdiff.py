@@ -199,7 +199,8 @@ def test_many_workers_switching_often_give_the_same_bits(monkeypatch):
         Z = build_deflator(b, solve_drift(sc, 1.0), 1.0, phi_o=0.25)["Z"]
         suite = {"m": (b.m, 1.0, "martingale", feats), "N_G": (b.N_G, 0.0, "martingale", feats),
                  "Z": (Z, 1.0, "martingale", None)}
-        return b, Z, jd.mc_suite(suite, b.report_times)
+        arrays = jd.suite_arrays(b, solve_drift(sc, 1.0), 1.0, theta=0.7, phi_o=0.25)
+        return b, Z, jd.mc_suite(suite, b.report_times), arrays
 
     reference = pipeline()
     monkeypatch.setattr(jd, "_ROWS", 97)
@@ -216,7 +217,7 @@ def test_many_workers_switching_often_give_the_same_bits(monkeypatch):
         sys.setswitchinterval(interval)
         pool.shutdown(wait=False)
     assert not worker.is_alive() and len(result) == 1
-    (b, Z, reports), (b_ref, Z_ref, reports_ref) = result[0], reference
+    (b, Z, reports, arrays), (b_ref, Z_ref, reports_ref, arrays_ref) = result[0], reference
     for name in BUNDLE_FIELDS:
         assert np.array_equal(getattr(b, name), getattr(b_ref, name)), name
     for s, s_ref in zip(b.samples, b_ref.samples, strict=True):
@@ -227,6 +228,9 @@ def test_many_workers_switching_often_give_the_same_bits(monkeypatch):
     for name in ("m", "N_G"):
         assert np.array_equal(reports[name].regression_z, reports_ref[name].regression_z,
                               equal_nan=True), name
+    for name, values in arrays_ref[0].items():
+        assert np.array_equal(arrays[0][name], values), name
+    assert np.array_equal(arrays[1], arrays_ref[1]) and arrays[2] == arrays_ref[2]
 
 
 @pytest.mark.parametrize("n_paths", [50, 300], ids=["one-chunk", "five-chunks"])
@@ -243,6 +247,8 @@ def test_path_arrays_are_column_major(n_paths, monkeypatch):
                   unstopped_wealth=jd.proportional_wealth(b, 0.8, stopped=False),
                   lmd_times_price=jd.lmd_times_price(b, psi1, 1.0),
                   **build_deflator(b, psi1, 1.0, phi_o=0.25, phi_pr=0.1))
+    values, features, _ = jd.suite_arrays(b, psi1, 1.0, theta=0.8, phi_o=0.25, phi_pr=0.1)
+    arrays.update({f"suite {name}": v for name, v in values.items()}, suite_features=features)
     for name, arr in arrays.items():
         assert arr.shape[0] == n_paths and arr.ndim >= 2, name
         assert arr.flags.f_contiguous and not arr.flags.c_contiguous, name
@@ -293,7 +299,9 @@ def test_closed_forms_initials_and_identity():
     for s in b.samples:
         assert s["G"][0] == 1.0 and s["G_tilde"][0] == 1.0
         assert s["D_opt"][0] == 0.0 and s["m"][0] == 1.0
-        assert s["m_identity_residual"] <= 5 * b.scenario.dt
+        # N_G and D^o start at +0, never -0: paths.csv writes 0, not -0
+        assert not np.signbit(s["N_G"][0]) and not np.signbit(s["D_opt"][0])
+        assert s["N_G"][0] == 0.0 and s["m_identity_residual"] <= 5 * b.scenario.dt
         # the pre-default interval sits inside {G_minus > 0}
         before = s["time"] < s["tau"]
         assert np.all(s["G"][before] > 0)
@@ -368,6 +376,31 @@ def test_g_tilde_vanishes_from_t1_on_both_grids():
             assert np.array_equal(G_tilde, G)
             assert np.all(G_tilde[times >= t1[i]] == 0.0)
             assert np.all(G_tilde[times < t1[i]] > 0.0)
+
+
+def test_brownian_values_with_tau_on_a_report_time_or_past_the_horizon():
+    # tau = T1 on the report time 0.5, tau = a T2 on 0.75, tau = T1 before 0.125,
+    # and tau past the horizon, where it is taken at H = 1: on the default grid
+    # that is the last report time, on [0.25, 0.5, 0.75] a time after it.  tau
+    # ^ H takes its place among the report times after those it equals, so
+    # there its step is 0 and its normal adds nothing
+    sc = scenario(n_paths=4, dt=2.0 ** -6)
+    jumps = np.array([[0.5, 3.0, np.inf], [0.9, 1.5, np.inf],
+                      [0.1, 3.0, np.inf], [3.0, 7.0, np.inf]])
+    tau = np.array([0.5, 0.75, 0.1, 3.0])
+    z = np.random.default_rng(4).standard_normal((4, 9))
+    # the row of tau ^ H among the report times of each grid, path by path
+    for rep, places in ((np.arange(1, 9) / 8.0, [4, 6, 0, 8]),
+                        (np.array([0.25, 0.5, 0.75]), [2, 3, 0, 3])):
+        R = len(rep)
+        b = jd._evaluate(sc, rep, jumps, z[:, :R + 1], 0, None)
+        assert np.array_equal(b.tau, tau)
+        for i, at in enumerate(places):
+            times = np.insert(rep, at, min(tau[i], 1.0))
+            W = np.cumsum(z[i, :R + 1] * np.sqrt(np.diff(times, prepend=0.0)))
+            assert np.array_equal(b.W[i], np.delete(W, at)), i
+            assert b.W_tau[i] == W[at], i
+        assert b.W_tau[0] == b.W[0, places[0] - 1]  # tau = 0.5: its step is 0
 
 
 def _bridge_anchors(b, i):
@@ -508,6 +541,34 @@ def test_plain_deflator_is_the_e_l_factor():
     assert np.array_equal(plain["E_NG"], np.ones_like(plain["Z"]))
     assert np.array_equal(plain["E_D"], np.ones_like(plain["Z"]))
     assert np.array_equal(plain["Z"], build_deflator(b, psi1, 1.3, phi_o=0.25, phi_pr=0.1)["E_L"])
+
+
+@pytest.mark.parametrize("rows", [1, 10**9], ids=["pooled", "inline"])
+def test_suite_arrays_equal_the_public_functions(rows, monkeypatch):
+    # a bundle drawn in five chunks, with kept paths: the one-map suite, one
+    # row per task on the pool or all rows inline, gives the bits of the
+    # public functions, each its own map over the paths
+    monkeypatch.setattr(jd, "_ROWS", 64)
+    sc = scenario(n_paths=300, lam=6.0)
+    b = simulate(sc, keep_paths=3)
+    psi1, psi2, theta, phi_o, phi_pr = solve_drift(sc, 1.3), 1.3, -0.6, 0.25, 0.1
+    d = build_deflator(b, psi1, psi2, phi_o=phi_o, phi_pr=phi_pr)
+    want = {"m": b.m, "N_G": b.N_G, "transported_brownian": jd.transported_brownian(b),
+            "transported_poisson": jd.transported_poisson(b),
+            "survival_exponential": jd.survival_exponential(b),
+            "deflator_plain": d["E_L"], "deflator_with_default_leg": d["Z"],
+            "deflated_wealth": jd.proportional_wealth(b, theta) * d["E_L"],
+            "deflated_price_drift": jd.lmd_times_price(b, psi1, psi2)}
+    features, residual = jd.feature_matrix(b), closed_forms(b)["m_identity_residual"]
+    monkeypatch.setattr(jd, "_ROWS", rows)
+    got, got_features, got_residual = jd.suite_arrays(b, psi1, psi2, theta=theta,
+                                                      phi_o=phi_o, phi_pr=phi_pr)
+    assert got.keys() == want.keys()
+    for name, values in want.items():
+        assert got[name].shape == values.shape, name
+        assert np.array_equal(got[name].view(np.uint64), values.view(np.uint64)), name
+    assert np.array_equal(got_features.view(np.uint64), features.view(np.uint64))
+    assert got_residual == residual and residual > 0.0
 
 
 def test_martingale_suite_small():
