@@ -11,6 +11,13 @@ public-filtration data:
 * measure-change: Z = (Z_QF)^tau * Z^(phi) with Z_QF a deflator under the
   survival-changed measure and Z^(phi) = E(phi . N_G).
 
+Each route is one generator of the parameters: it broadcasts each table and
+forms each exponential's one-step factors 1 + p_k dX_k once, yields the
+admissibility report that ``validate`` returns and, resumed by a ``build_*``
+once that report passes, the deflator built from the same tables.
+``validate`` raises where a route's checks precede its report: a product
+route's base must be finite and positive.
+
 On trees where no sub-cell dies while a sibling survives (``regular`` random
 times, the discrete counterpart of the G > 0 hypothesis of the continuous
 theory) the three routes agree exactly after the parameter re-scalings
@@ -41,10 +48,12 @@ from .enlargement import (
     survival_exponential_integrand,
     transport,
 )
+from .market import verify_deflator
 from .prob_core import (
     TOL_EXACT,
     Array,
     as_values,
+    _compound,
     _cond_rows,
     _date_of,
     _ratio,
@@ -149,11 +158,10 @@ def _full(rts, x) -> Array:
     return x
 
 
-def _exponential(p, X) -> Array:
-    """The product of the factors 1 + p_k dX_k over 0 < k <= n."""
-    factors = np.ones_like(p)
-    factors[:, 1:] = 1.0 + p[:, 1:] * np.diff(X, axis=1)
-    return np.cumprod(factors, axis=1)
+def _steps(X, p=None) -> Array:
+    """The one-step factors 1 + p_k dX_k of E(p . X) at the dates 1..T (p = 1 if None)."""
+    dX = np.diff(X, axis=1)
+    return 1.0 + (dX if p is None else p[:, 1:] * dX)
 
 
 def default_exponential(phi, rts: RandomTimeStructure) -> Array:
@@ -162,30 +170,27 @@ def default_exponential(phi, rts: RandomTimeStructure) -> Array:
     The factor at k is 1 + phi_k G_k / G~_k on {tau = k} and
     1 - phi_k dD_opt_k / G~_k on {tau > k}; 1 after tau.
     """
-    return _exponential(_full(rts, phi), rts.N_G)
+    return _compound(_steps(rts.N_G, _full(rts, phi)))
 
 
 def progressive_exponential(phi_pr, rts: RandomTimeStructure) -> Array:
     """E(phi_pr . D): a single factor 1 + phi_pr at the default date (>= 1)."""
-    return _exponential(_full(rts, phi_pr), rts.D)
+    return _compound(_steps(rts.D, _full(rts, phi_pr)))
 
 
 def survival_discount(rts: RandomTimeStructure) -> Array:
     """The stopped reciprocal density 1 / Z_bar^tau (positive on every atom)."""
-    zb = stop(rts.Z_bar, rts.tau)
-    return 1.0 / zb
+    return 1.0 / stop(rts.Z_bar, rts.tau)
 
 
-def induced_base(K_F, rts: RandomTimeStructure, *, check: bool = True) -> Array:
+def induced_base(K_F, rts: RandomTimeStructure) -> Array:
     """E(T(K_F) - (1/G_minus) . T(m)): the martingale base of every route.
 
     For a public martingale driver K_F this is a martingale of the enlarged
     filtration on every tree; it equals (E(K_F))^tau / Z_bar^tau wherever the
     random time is regular.
     """
-    K_F = _full(rts, K_F)
-    Y = driver_base(K_F, rts, check=check)
-    return stochastic_exponential(Y)
+    return stochastic_exponential(driver_base(_full(rts, K_F), rts))
 
 
 def driver_base(K_F, rts: RandomTimeStructure, *, check: bool = True) -> Array:
@@ -195,116 +200,48 @@ def driver_base(K_F, rts: RandomTimeStructure, *, check: bool = True) -> Array:
     return TK - stochastic_integral(survival_exponential_integrand(rts), Tm)
 
 
-def _collapse_ok(phi_pr, rts) -> bool:
-    p = _full(rts, phi_pr)
-    at_tau = p[np.arange(rts.space.n_atoms), rts.tau]
-    return bool(np.all(at_tau == 0.0))
+def _optional(phi, rts) -> tuple:
+    """The strict interval for the optional integrand, with +/-inf conventions,
+    and the map of where ``phi`` lies inside it."""
+    G, Gt = rts.G, rts.G_tilde
+    lo, hi = _ratio(-Gt, G, -np.inf), _ratio(Gt, Gt - G, np.inf)
+    return {"optional_lower": lo, "optional_upper": hi}, (phi > lo) & (phi < hi)
 
 
-def _factor_report(route, factors_live, rts, inequalities, bounds, collapse_ok):
-    """Assemble the report from realized one-step factors on live cells."""
-    pos = factors_live > 0.0
-    ok = bool(pos.all()) and collapse_ok
+def _report(route, steps, phi_pr, rts, inequalities, bounds) -> AdmissibilityReport:
+    """The verdict on the one-step factors of Z at the dates 1..T.
+
+    Every factor on a live cell (k <= tau) must be positive, and the integrand
+    ``phi_pr`` against D (None on a route without one) must vanish at tau.
+    """
+    live = np.where(_alive(rts.tau, rts.horizon), steps, 1.0)
+    pos = live > 0.0
+    collapse_ok = phi_pr is None or bool(
+        np.all(phi_pr[np.arange(rts.space.n_atoms), rts.tau] == 0.0))
     first = None
     if not pos.all():
-        atom, km1 = np.unravel_index(np.argmin(factors_live), factors_live.shape)
+        atom, km1 = np.unravel_index(np.argmin(live), live.shape)
         first = ("factor_positive", int(atom), int(km1) + 1)
     elif not collapse_ok:
         first = ("progressive_collapse", None, None)
-    full_pos = np.ones((rts.space.n_atoms, rts.horizon + 1), dtype=bool)
-    full_pos[:, 1:] = pos
     return AdmissibilityReport(
-        route=route, ok=ok, factor_positive=full_pos, inequalities=inequalities,
-        bounds=bounds, collapse_ok=collapse_ok,
-        min_factor=float(factors_live.min()) if factors_live.size else 1.0,
+        route=route, ok=first is None, factor_positive=np.insert(pos, 0, True, axis=1),
+        inequalities=inequalities, bounds=bounds, collapse_ok=collapse_ok,
+        min_factor=float(live.min()) if live.size else 1.0,
         first_violation=first,
     )
 
 
-def _optional_bounds(rts) -> dict:
-    """The strict interval for the optional integrand, with +/-inf conventions."""
-    G, Gt = rts.G, rts.G_tilde
-    return {"optional_lower": _ratio(-Gt, G, -np.inf), "optional_upper": _ratio(Gt, Gt - G, np.inf)}
+def _positive_base(x, rts, route: str) -> Array:
+    """The base table of a product route (1 if None), which must be finite and positive."""
+    base = _full(rts, 1.0 if x is None else x)
+    if not (np.isfinite(base) & (base > 0.0)).all():
+        raise AdmissibilityError(f"{route} base must be finite and strictly positive")
+    return base
 
 
-def _live_factors(Z_inc_factors, rts) -> Array:
-    """Restrict one-step factors (atom, k>=1) to cells with k <= tau (else 1)."""
-    return np.where(_alive(rts.tau, rts.horizon), Z_inc_factors, 1.0)
-
-
-def validate(params: DeflatorParams, rts: RandomTimeStructure) -> AdmissibilityReport:
-    """Admissibility check for a parameter bundle, report only.
-
-    Inequality maps are reported per node with zero-denominator bounds read as
-    +/-infinity; the overall verdict is the strict positivity of every
-    realized exponential factor of the would-be deflator plus the progressive
-    collapse condition (the integrand against D must vanish at tau).
-    """
-    return ROUTES[params.route][0](params, rts)
-
-
-def _check_additive(params, rts) -> tuple:
-    """The additive report, with the driver base Y and the driver K_G it checks."""
-    collapse_ok = _collapse_ok(params.phi_pr, rts)
-    K_F = _full(rts, params.K_F)
-    phi_o = _full(rts, params.phi_o)
-    phi_pr = _full(rts, params.phi_pr)
-    Y = driver_base(K_F, rts, check=False)
-    K_G = Y + stochastic_integral(phi_o, rts.N_G) + stochastic_integral(phi_pr, rts.D)
-    factors = _live_factors(1.0 + np.diff(K_G, axis=1), rts)
-    dK = np.diff(K_F, axis=1)
-    one_dK = np.concatenate([np.ones((rts.space.n_atoms, 1)), 1.0 + dK], axis=1)
-    G, Gt, Gm = rts.G, rts.G_tilde, rts.G_minus
-    lo = _ratio(-Gm * one_dK, G, -np.inf)
-    hi = _ratio(Gm * one_dK, Gt - G, np.inf)
-    bounds = {"optional_lower": lo, "optional_upper": hi}
-    prog_lo = _ratio(-(Gm * one_dK + phi_o * G), Gt, -np.inf)
-    bounds["progressive_lower"] = prog_lo
-    ineq = {
-        "optional": (phi_o > lo) & (phi_o < hi),
-        "progressive": phi_pr > prog_lo,
-    }
-    return _factor_report("additive", factors, rts, ineq, bounds, collapse_ok), Y, K_G
-
-
-def _check_multiplicative(params, rts) -> AdmissibilityReport:
-    collapse_ok = _collapse_ok(params.phi_pr, rts)
-    Z_F = _full(rts, params.Z_F if params.Z_F is not None else 1.0)
-    if np.min(Z_F) <= 0.0:
-        raise AdmissibilityError("multiplicative base must be strictly positive")
-    phi_o = _full(rts, params.phi_o)
-    phi_pr = _full(rts, params.phi_pr)
-    f_ng = 1.0 + phi_o[:, 1:] * np.diff(rts.N_G, axis=1)
-    f_d = 1.0 + phi_pr[:, 1:] * np.diff(rts.D, axis=1)
-    factors = _live_factors(f_ng * f_d, rts)
-    bounds = _optional_bounds(rts)
-    ineq = {
-        "optional": (phi_o > bounds["optional_lower"]) & (phi_o < bounds["optional_upper"]),
-        "progressive": phi_pr > -1.0,
-    }
-    return _factor_report("multiplicative", factors, rts, ineq, bounds, collapse_ok)
-
-
-def _check_measure_change(params, rts) -> AdmissibilityReport:
-    phi = _full(rts, params.phi)
-    f_ng = 1.0 + phi[:, 1:] * np.diff(rts.N_G, axis=1)
-    factors = _live_factors(f_ng, rts)
-    bounds = _optional_bounds(rts)
-    ineq = {"optional": (phi > bounds["optional_lower"]) & (phi < bounds["optional_upper"])}
-    return _factor_report("measure-change", factors, rts, ineq, bounds, True)
-
-
-def _require_ok(report: AdmissibilityReport):
-    if not report.ok:
-        name, atom, time = report.first_violation
-        raise AdmissibilityError(
-            f"inadmissible parameters on route {report.route!r}: {name} fails"
-            + ("" if atom is None else f" at atom {atom}, time {time}"),
-            inequality=name, atom=atom, time=time)
-
-
-def _check_V(V_F, rts):
-    V = _full(rts, V_F)
+def _decay_steps(V, rts) -> Array:
+    """The one-step factors 1 - dV of E(-V), once V is checked."""
     if np.max(np.abs(V[:, 0])) > 0.0:
         raise AdmissibilityError("V must start at 0")
     dV = np.diff(V, axis=1)
@@ -314,59 +251,122 @@ def _check_V(V_F, rts):
         raise AdmissibilityError("V increments must stay below 1")
     if not rts.space.filtration.is_predictable(V, tol=0.0):
         raise AdmissibilityError("V must be predictable")
-    return V
+    return 1.0 - dV
 
 
-def build_additive(K_F, V_F, phi_o, phi_pr, rts: RandomTimeStructure, *,
-                   check: bool = True) -> Deflator:
+def _additive(params: DeflatorParams, rts):
+    """The additive route: yields its report, then, resumed, its deflator."""
+    K_F, V_F, phi_o, phi_pr = (_full(rts, x) for x in
+                               (params.K_F, params.V_F, params.phi_o, params.phi_pr))
+    Y = driver_base(K_F, rts, check=False)
+    K_G = Y + stochastic_integral(phi_o, rts.N_G) + stochastic_integral(phi_pr, rts.D)
+    steps_G, steps_F = _steps(K_G), _steps(K_F)
+    one_dK = np.insert(steps_F, 0, 1.0, axis=1)
+    G, Gt, Gm = rts.G, rts.G_tilde, rts.G_minus
+    lo = _ratio(-Gm * one_dK, G, -np.inf)
+    hi = _ratio(Gm * one_dK, Gt - G, np.inf)
+    prog_lo = _ratio(-(Gm * one_dK + phi_o * G), Gt, -np.inf)
+    report = _report("additive", steps_G, phi_pr, rts,
+                     {"optional": (phi_o > lo) & (phi_o < hi), "progressive": phi_pr > prog_lo},
+                     {"optional_lower": lo, "optional_upper": hi, "progressive_lower": prog_lo})
+    yield report
+    if np.min(steps_F) <= 0.0:
+        raise AdmissibilityError("driver factors 1 + dK_F must be positive")
+    decay = stop(_compound(_decay_steps(V_F, rts)), rts.tau)
+    _martingale_input(K_F, rts, True, TOL_EXACT)  # raises unless a public martingale
+    steps_Y = _steps(Y)
+    phi_o_mult, phi_pr_mult = _yor_split(phi_o, phi_pr, Y, steps_Y, rts, np.divide)
+    base = stop(_compound(steps_F), rts.tau)
+    factors = {
+        "base": base,
+        "survival_discount": _compound(steps_Y) / base,
+        "default_exponential": default_exponential(phi_o_mult, rts),
+        "progressive_exponential": progressive_exponential(phi_pr_mult, rts),
+        "decay": decay,
+    }
+    yield Deflator(Z=_compound(steps_G) * decay, provenance="additive", K_G=K_G,
+                   factors=factors, report=report,
+                   params=DeflatorParams("additive", K_F=K_F, phi_o=phi_o, phi_pr=phi_pr, V_F=V_F))
+
+
+def _multiplicative(params: DeflatorParams, rts):
+    """The product route: yields its report, then, resumed, its deflator."""
+    Z_F = _positive_base(params.Z_F, rts, "multiplicative")
+    phi_o, phi_pr = _full(rts, params.phi_o), _full(rts, params.phi_pr)
+    steps_o, steps_pr = _steps(rts.N_G, phi_o), _steps(rts.D, phi_pr)
+    bounds, inside = _optional(phi_o, rts)
+    report = _report("multiplicative", steps_o * steps_pr, phi_pr, rts,
+                     {"optional": inside, "progressive": phi_pr > -1.0}, bounds)
+    yield report
+    factors = {
+        "base": stop(Z_F, rts.tau),
+        "survival_discount": survival_discount(rts),
+        "default_exponential": _compound(steps_o),
+        "progressive_exponential": _compound(steps_pr),
+    }
+    yield Deflator(Z=_product(factors.values()), provenance="multiplicative", K_G=None,
+                   factors=factors, report=report,
+                   params=DeflatorParams("multiplicative", Z_F=Z_F, phi_o=phi_o, phi_pr=phi_pr))
+
+
+def _measure_change(params: DeflatorParams, rts, market=None, tol: float = 1e-9):
+    """The measure-change route: yields its report, then, resumed, its deflator."""
+    Z_QF = _positive_base(params.Z_QF, rts, "measure-change")
+    phi = _full(rts, params.phi)
+    steps = _steps(rts.N_G, phi)
+    bounds, inside = _optional(phi, rts)
+    report = _report("measure-change", steps, None, rts, {"optional": inside}, bounds)
+    yield report
+    if market is not None:
+        oracle = verify_deflator(Z_QF, market, tol=tol)
+        if not oracle.ok:
+            raise AdmissibilityError(
+                f"base process is not a deflator under the changed measure "
+                f"(excess {oracle.max_residual:g} at node {oracle.worst})")
+    factors = {"base": stop(Z_QF, rts.tau), "default_exponential": _compound(steps)}
+    yield Deflator(Z=_product(factors.values()), provenance="measure-change", K_G=None,
+                   factors=factors, report=report,
+                   params=DeflatorParams("measure-change", Z_QF=Z_QF, phi=phi))
+
+
+def _built(params: DeflatorParams, rts, *options) -> Deflator:
+    """The deflator of the parameters' route once its report passes; else raise its violation."""
+    route = ROUTES[params.route][0](params, rts, *options)
+    report = next(route)
+    if not report.ok:
+        name, atom, time = report.first_violation
+        raise AdmissibilityError(
+            f"inadmissible parameters on route {report.route!r}: {name} fails"
+            + ("" if atom is None else f" at atom {atom}, time {time}"),
+            inequality=name, atom=atom, time=time)
+    return next(route)
+
+
+def validate(params: DeflatorParams, rts: RandomTimeStructure) -> AdmissibilityReport:
+    """Admissibility check for a parameter bundle, report only.
+
+    Inequality maps are reported per node with zero-denominator bounds read as
+    +/-infinity; the overall verdict is the strict positivity of every
+    realized exponential factor of the would-be deflator plus the progressive
+    collapse condition (the integrand against D must vanish at tau).  A base of a
+    product route that is not finite and positive raises, as in its builder.
+    """
+    return next(ROUTES[params.route][0](params, rts))
+
+
+def build_additive(K_F, V_F, phi_o, phi_pr, rts: RandomTimeStructure) -> Deflator:
     """Additive-route deflator: E(K_G) E(-V_F)^tau.
 
     K_G transports the public driver, removes the survival drift, and adds
     the optional and progressive integrals; admissibility is the strict
     positivity of the realized factors.
     """
-    K_F = _full(rts, K_F)
-    params = DeflatorParams("additive", K_F=K_F, phi_o=_full(rts, phi_o),
-                            phi_pr=_full(rts, phi_pr), V_F=_full(rts, V_F))
-    report, Y, K_G = _check_additive(params, rts)
-    _require_ok(report)
-    if np.min(1.0 + np.diff(K_F, axis=1)) <= 0.0:
-        raise AdmissibilityError("driver factors 1 + dK_F must be positive")
-    V = _check_V(V_F, rts)
-    _martingale_input(K_F, rts, check, TOL_EXACT)  # raises unless a public martingale
-    decay = stop(stochastic_exponential(-V), rts.tau)
-    Z = stochastic_exponential(K_G) * decay
-
-    # exact Yor split into certificate factors
-    phi_o_mult, phi_pr_mult = _yor_split(params.phi_o, params.phi_pr, Y, rts, np.divide)
-    e_y = stochastic_exponential(Y)
-    base_stopped = stop(stochastic_exponential(K_F), rts.tau)
-    factors = {
-        "base": base_stopped,
-        "survival_discount": e_y / base_stopped,
-        "default_exponential": default_exponential(phi_o_mult, rts),
-        "progressive_exponential": progressive_exponential(phi_pr_mult, rts),
-        "decay": decay,
-    }
-    return Deflator(Z=Z, provenance="additive", K_G=K_G, factors=factors,
-                    report=report, params=params)
+    return _built(DeflatorParams("additive", K_F=K_F, V_F=V_F, phi_o=phi_o, phi_pr=phi_pr), rts)
 
 
 def build_multiplicative(Z_F, phi_o, phi_pr, rts: RandomTimeStructure) -> Deflator:
     """Product-route deflator: (Z_F)^tau / Z_bar^tau * E(phi_o . N_G) * E(phi_pr . D)."""
-    Z_F = _full(rts, Z_F if Z_F is not None else 1.0)
-    params = DeflatorParams("multiplicative", Z_F=Z_F, phi_o=_full(rts, phi_o),
-                            phi_pr=_full(rts, phi_pr))
-    report = validate(params, rts)
-    _require_ok(report)
-    factors = {
-        "base": stop(Z_F, rts.tau),
-        "survival_discount": survival_discount(rts),
-        "default_exponential": default_exponential(phi_o, rts),
-        "progressive_exponential": progressive_exponential(phi_pr, rts),
-    }
-    return Deflator(Z=_product(factors.values()), provenance="multiplicative", K_G=None,
-                    factors=factors, report=report, params=params)
+    return _built(DeflatorParams("multiplicative", Z_F=Z_F, phi_o=phi_o, phi_pr=phi_pr), rts)
 
 
 def build_measure_change(Z_QF, phi, rts: RandomTimeStructure, *, market=None,
@@ -377,84 +377,59 @@ def build_measure_change(Z_QF, phi, rts: RandomTimeStructure, *, market=None,
     when a market under that measure is supplied the membership is verified
     by the one-step oracle.
     """
-    from .market import verify_deflator
-
-    Z_QF = _full(rts, Z_QF if Z_QF is not None else 1.0)
-    if np.min(Z_QF) <= 0.0:
-        raise AdmissibilityError("measure-change base must be strictly positive")
-    params = DeflatorParams("measure-change", Z_QF=Z_QF, phi=_full(rts, phi))
-    report = validate(params, rts)
-    _require_ok(report)
-    if market is not None:
-        oracle = verify_deflator(Z_QF, market, tol=tol)
-        if not oracle.ok:
-            raise AdmissibilityError(
-                f"base process is not a deflator under the changed measure "
-                f"(excess {oracle.max_residual:g} at node {oracle.worst})")
-    factors = {
-        "base": stop(Z_QF, rts.tau),
-        "default_exponential": default_exponential(phi, rts),
-    }
-    return Deflator(Z=_product(factors.values()), provenance="measure-change", K_G=None,
-                    factors=factors, report=report, params=params)
+    return _built(DeflatorParams("measure-change", Z_QF=Z_QF, phi=phi), rts, market, tol)
 
 
-# route -> (its admissibility check, its builder from a parameter bundle).  The
+# route -> (its generator of the report and the deflator, its public builder).  The
 # builders are looked up when called, so a rebinding of one (a wrapper) is used.
 ROUTES = {
-    "additive": (lambda p, rts: _check_additive(p, rts)[0],
+    "additive": (_additive,
                  lambda p, rts: build_additive(p.K_F, p.V_F, p.phi_o, p.phi_pr, rts)),
-    "multiplicative": (_check_multiplicative,
+    "multiplicative": (_multiplicative,
                        lambda p, rts: build_multiplicative(p.Z_F, p.phi_o, p.phi_pr, rts)),
-    "measure-change": (_check_measure_change,
+    "measure-change": (_measure_change,
                        lambda p, rts: build_measure_change(p.Z_QF, p.phi, rts)),
 }
 
 
-def _rescale(phi, driver, op) -> Array:
-    """phi_k op (1 + d driver_k) for k >= 1, and 0 at time 0."""
-    out = np.zeros_like(phi)
-    out[:, 1:] = op(phi[:, 1:], 1.0 + np.diff(driver, axis=1))
-    return out
+def _rescale(phi, steps, op) -> Array:
+    """phi_k op steps_k for k >= 1, and 0 at time 0."""
+    return np.insert(op(phi[:, 1:], steps), 0, 0.0, axis=1)
 
 
-def _yor_split(phi_o, phi_pr, Y, rts, op) -> tuple:
+def _yor_split(phi_o, phi_pr, Y, steps_Y, rts, op) -> tuple:
     """Re-scale (phi_o, phi_pr) between the additive and product routes.
 
     Yor's formula E(Y + phi_o . N_G + phi_pr . D) = E(Y) E(phi_o' . N_G)
     E(phi_pr' . D) holds with phi_o' = phi_o / (1 + dY) and phi_pr' =
     phi_pr / (1 + dX), X = Y + phi_o . N_G the additive driver so far.
-    ``op`` is ``np.divide`` for additive -> product, ``np.multiply`` back.
+    ``steps_Y`` are the factors 1 + dY, and ``op`` is ``np.divide`` for
+    additive -> product, ``np.multiply`` back.
     """
-    phi_o_new = _rescale(phi_o, Y, op)
+    phi_o_new = _rescale(phi_o, steps_Y, op)
     phi_o_add = phi_o if op is np.divide else phi_o_new
     X = Y + stochastic_integral(phi_o_add, rts.N_G)
-    return phi_o_new, _rescale(phi_pr, X, op)
+    return phi_o_new, _rescale(phi_pr, _steps(X), op)
 
 
 def additive_to_multiplicative(params: DeflatorParams, rts) -> DeflatorParams:
     """Re-scale additive parameters into the product parametrization."""
-    K_F = _full(rts, params.K_F)
-    V_F = _full(rts, params.V_F)
-    phi_o = _full(rts, params.phi_o)
-    phi_pr = _full(rts, params.phi_pr)
+    K_F, V_F, phi_o, phi_pr = (_full(rts, x) for x in
+                               (params.K_F, params.V_F, params.phi_o, params.phi_pr))
     Y = driver_base(K_F, rts, check=False)
-    phi_o_m, phi_pr_m = _yor_split(phi_o, phi_pr, Y, rts, np.divide)
+    phi_o_m, phi_pr_m = _yor_split(phi_o, phi_pr, Y, _steps(Y), rts, np.divide)
     Z_F = stochastic_exponential(K_F) * stochastic_exponential(-V_F)
     return DeflatorParams("multiplicative", Z_F=Z_F, phi_o=phi_o_m, phi_pr=phi_pr_m,
                           V_F=V_F)
 
 
-def multiplicative_to_additive(params: DeflatorParams, rts, *, space=None) -> DeflatorParams:
+def multiplicative_to_additive(params: DeflatorParams, rts) -> DeflatorParams:
     """Re-scale product parameters into the additive parametrization."""
-    space = space if space is not None else rts.space
     Z_F = _full(rts, params.Z_F if params.Z_F is not None else 1.0)
-    N, V = multiplicative_decomposition(space, Z_F)
-    K_F = N
-    phi_o = _full(rts, params.phi_o)
-    phi_pr = _full(rts, params.phi_pr)
+    K_F, V = multiplicative_decomposition(rts.space, Z_F)
+    phi_o, phi_pr = _full(rts, params.phi_o), _full(rts, params.phi_pr)
     Y = driver_base(K_F, rts, check=False)
-    phi_o_a, phi_pr_a = _yor_split(phi_o, phi_pr, Y, rts, np.multiply)
+    phi_o_a, phi_pr_a = _yor_split(phi_o, phi_pr, Y, _steps(Y), rts, np.multiply)
     return DeflatorParams("additive", K_F=K_F, V_F=V, phi_o=phi_o_a, phi_pr=phi_pr_a)
 
 
@@ -646,7 +621,7 @@ def extract_multiplicative(Z, rts: RandomTimeStructure, *, tol: float = 1e-9):
     w2 = _ratio(1.0, gm * gm, where=gm > 0)
     K_F = stochastic_integral(w1, rts.m) + stochastic_integral(w2, repn.M_F)
     Y = driver_base(K_F, rts, check=False)
-    phi_o = _broadcast_live(_rescale(repn.phi, Y, np.divide), rts)
+    phi_o = _broadcast_live(_rescale(repn.phi, _steps(Y), np.divide), rts)
     Z_F = stochastic_exponential(K_F) * stochastic_exponential(-V_F)
     params = DeflatorParams("multiplicative", Z_F=Z_F, phi_o=phi_o,
                             phi_pr=np.zeros_like(K_F), V_F=V_F)

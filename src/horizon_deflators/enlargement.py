@@ -37,6 +37,7 @@ from .prob_core import (
     FiniteFilteredSpace,
     Filtration,
     ProbabilityMeasure,
+    _compound,
     _ratio,
     as_values,
     bracket,
@@ -147,9 +148,7 @@ def build_survival(space: FiniteFilteredSpace, tau, *, tol: float = TOL_EXACT,
 
     # density process of the survival measure change: a product of the
     # ratios G~_k / G_{k-1}, with factor 1 where G_{k-1} = 0
-    factors = np.ones_like(G)
-    factors[:, 1:] = _ratio(G_tilde[:, 1:], G_minus[:, 1:], 1.0)
-    Z_bar = np.cumprod(factors, axis=1)
+    Z_bar = _compound(_ratio(G_tilde[:, 1:], G_minus[:, 1:], 1.0))
 
     rts = RandomTimeStructure(
         space=space, tau=t, D=D, G=G, G_tilde=G_tilde, G_minus=G_minus,

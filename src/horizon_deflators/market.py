@@ -39,6 +39,7 @@ from .prob_core import (
     FiniteFilteredSpace,
     Filtration,
     ProbabilityMeasure,
+    _compound,
     _date_of,
     _ratio,
     _step,
@@ -134,9 +135,7 @@ def wealth(phi, market: MarketModel, *, require_predictable: bool = True) -> Arr
         atom, k = np.unravel_index(np.argmin(gains), gains.shape)
         raise ContractViolationError(
             f"inadmissible strategy: wealth hits zero at atom {atom}, time {int(k) + 1}")
-    W = np.ones((market.S.shape[1], market.S.shape[2]))
-    W[:, 1:] = np.cumprod(1.0 + gains, axis=1)
-    return W
+    return _compound(1.0 + gains)
 
 
 @dataclass(frozen=True)

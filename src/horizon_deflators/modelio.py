@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -271,28 +271,25 @@ def _table(doc, key, n_atoms, horizon):
         return None
     v = doc[key]
     if isinstance(v, (int, float)):
-        return np.full((n_atoms, horizon + 1), float(v))
-    arr = np.asarray(v, dtype=float)
-    if arr.shape != (n_atoms, horizon + 1):
+        arr = np.full((n_atoms, horizon + 1), float(v))
+    else:
+        arr = np.asarray(v, dtype=float)
+        if arr.shape != (n_atoms, horizon + 1):
+            raise SpaceValidationError(
+                f"table {key!r} must be {n_atoms} x {horizon + 1} or a constant")
+    if not np.isfinite(arr).all():
+        atom, n = np.argwhere(~np.isfinite(arr))[0]
         raise SpaceValidationError(
-            f"table {key!r} must be {n_atoms} x {horizon + 1} or a constant")
+            f"table {key!r} value {float(arr[atom, n])!r} of (atom {atom}, time {n}) is not finite")
     return arr
 
 
 def load_params(source, n_atoms, horizon) -> DeflatorParams:
     """Parse a parameter document; absent tables default to the null choice."""
     doc = _read(source)
-    route = doc.get("route", "additive")
-    return DeflatorParams(
-        route=route,
-        K_F=_table(doc, "K_F", n_atoms, horizon),
-        Z_F=_table(doc, "Z_F", n_atoms, horizon),
-        Z_QF=_table(doc, "Z_QF", n_atoms, horizon),
-        phi_o=_table(doc, "phi_o", n_atoms, horizon),
-        phi_pr=_table(doc, "phi_pr", n_atoms, horizon),
-        phi=_table(doc, "phi", n_atoms, horizon),
-        V_F=_table(doc, "V_F", n_atoms, horizon),
-    )
+    tables = {f.name: _table(doc, f.name, n_atoms, horizon)
+              for f in fields(DeflatorParams) if f.name != "route"}
+    return DeflatorParams(route=doc.get("route", "additive"), **tables)
 
 
 def _integral(v, name) -> int:

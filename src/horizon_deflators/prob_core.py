@@ -438,12 +438,17 @@ def stochastic_integral(phi, X, *, filtration=None) -> Array:
     return out
 
 
+def _compound(steps) -> Array:
+    """Running products of one-step factors (atom, k = 1..T), with value 1 at time 0."""
+    out = np.empty((steps.shape[0], steps.shape[1] + 1))
+    out[:, 0] = 1.0
+    np.cumprod(steps, axis=1, out=out[:, 1:])
+    return out
+
+
 def stochastic_exponential(X) -> Array:
     """Discrete Doleans-Dade exponential: product of (1 + dX_k), value 1 at 0."""
-    V = as_values(X)
-    factors = np.ones_like(V)
-    factors[:, 1:] = 1.0 + np.diff(V, axis=1)
-    return np.cumprod(factors, axis=1)
+    return _compound(1.0 + np.diff(as_values(X), axis=1))
 
 
 def bracket(X, Y, mode: str = "optional", *, space=None) -> Array:

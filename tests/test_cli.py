@@ -330,6 +330,38 @@ def test_deflate_empty_params_emits_base(docs, tmp_path):
     assert np.allclose(Z[:, 1], [0.75, 0.75, 1.5, 1.0])
 
 
+@pytest.mark.parametrize("route, key", [("multiplicative", "Z_F"), ("measure-change", "Z_QF"),
+                                        ("additive", "phi_o")])
+@pytest.mark.parametrize("text, value", [("NaN", "nan"), ("Infinity", "inf"),
+                                         ("-Infinity", "-inf")])
+@pytest.mark.parametrize("constant", [True, False])
+def test_deflate_refuses_non_finite_parameter_tables(docs, tmp_path, capsys, route, key, text,
+                                                     value, constant):
+    # Python's json reads NaN and Infinity; such a table used to be certified
+    root, _ = docs
+    table = text if constant else json.dumps([[0.5] * 3, [0.5, 1.0, 0.5], [0.5] * 3,
+                                              [0.5] * 3]).replace("1.0", text)
+    (tmp_path / "params.json").write_text(f'{{"route": "{route}", "{key}": {table}}}')
+    code = run("deflate", "--model", root / "model.json",
+               "--params", tmp_path / "params.json", "--out", tmp_path / "out")
+    cell = "(atom 0, time 0)" if constant else "(atom 1, time 1)"
+    assert code == 2
+    err = capsys.readouterr()
+    assert f"input error: table {key!r} value {value} of {cell} is not finite" in err.err
+    assert not err.out and not (tmp_path / "out" / "certificate.json").exists()
+
+
+def test_deflate_refuses_a_driver_that_is_not_a_martingale(docs, tmp_path, capsys):
+    root, _ = docs
+    modelio.write_json(tmp_path / "params.json",
+                       {"route": "additive", "K_F": [[0.0, 0.1, 0.2]] * 4})
+    code = run("deflate", "--model", root / "model.json",
+               "--params", tmp_path / "params.json", "--out", tmp_path / "out")
+    assert code == 2
+    assert "error: transport input is not a martingale" in capsys.readouterr().err
+    assert not (tmp_path / "out" / "certificate.json").exists()
+
+
 @pytest.mark.parametrize("Z_F", [1.0, 1e300])
 def test_deflate_certificate_fails_closed_on_overflowing_sums(tmp_path, Z_F):
     # the price drifts by 5e9 per step, so Z is no deflator at any scale of

@@ -1,5 +1,7 @@
 """Deflator factories, admissibility, decompositions, and round-trips."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -25,7 +27,12 @@ from horizon_deflators import (
     trees,
     validate,
 )
-from horizon_deflators.deflators import progressive_exponential, reassemble
+from horizon_deflators.deflators import (
+    ROUTES,
+    AdmissibilityReport,
+    progressive_exponential,
+    reassemble,
+)
 from horizon_deflators.prob_core import bracket, cond_expect
 
 
@@ -92,6 +99,124 @@ def test_validate_additive_reports_what_build_additive_enforces(demo_rts):
             build_additive(params.K_F, params.V_F, params.phi_o, params.phi_pr, demo_rts)
         assert (err.value.inequality, err.value.atom, err.value.time) == violation
     assert validate(DeflatorParams("additive", phi_o=phi_o), demo_rts).min_factor == -1.75
+
+
+def _assert_same_report(a, b):
+    for field in dataclasses.fields(AdmissibilityReport):
+        x, y = getattr(a, field.name), getattr(b, field.name)
+        if isinstance(x, dict):
+            assert x.keys() == y.keys(), field.name
+            assert all(np.array_equal(x[k], y[k]) for k in x), field.name
+        elif isinstance(x, np.ndarray):
+            assert np.array_equal(x, y), field.name
+        else:
+            assert x == y, field.name
+
+
+def test_validate_reports_what_each_builder_enforces():
+    # on every route, regular and free tau, admissible and inadmissible draws:
+    # an ok report is the builder's report field by field, and a failed one
+    # names the violation the builder raises
+    rng = np.random.default_rng(24)
+    seen = {True: 0, False: 0}
+    for i in range(40):
+        space = trees.random_space(rng, max_horizon=5, max_atoms=40)
+        tau = trees.regular_tau(rng, space) if i % 2 else trees.random_tau(rng, space)
+        rts = build_survival(space, tau)
+        K = trees.random_driver(rng, space)
+        V = trees.random_predictable_nondecreasing(rng, space)
+        Z_QF = trees.random_martingale(rng, space, positive=True)
+        for scale in (1.0, 6.0):
+            phi_o = scale * trees.random_optional_integrand(rng, rts)
+            phi_pr = trees.random_progressive_integrand(rng, rts)
+            if scale > 1.0 and i % 3 == 0:
+                phi_pr[np.arange(space.n_atoms), tau] = 0.25  # breaks the collapse
+            Z_F = stochastic_exponential(K) * stochastic_exponential(-V)
+            cases = (
+                (DeflatorParams("additive", K_F=K, V_F=V, phi_o=phi_o, phi_pr=phi_pr),
+                 lambda: build_additive(K, V, phi_o, phi_pr, rts)),
+                (DeflatorParams("multiplicative", Z_F=Z_F, phi_o=phi_o, phi_pr=phi_pr),
+                 lambda: build_multiplicative(Z_F, phi_o, phi_pr, rts)),
+                (DeflatorParams("measure-change", Z_QF=Z_QF, phi=phi_o),
+                 lambda: build_measure_change(Z_QF, phi_o, rts)),
+            )
+            for params, build in cases:
+                rep = validate(params, rts)
+                seen[rep.ok] += 1
+                if rep.ok:
+                    _assert_same_report(rep, build().report)
+                else:
+                    with pytest.raises(AdmissibilityError) as err:
+                        build()
+                    assert (err.value.inequality, err.value.atom,
+                            err.value.time) == rep.first_violation
+    assert min(seen.values()) >= 40, seen
+
+
+def _additive_build_after_ok_report(demo_rts, **tables):
+    params = DeflatorParams("additive", **tables)
+    assert validate(params, demo_rts).ok  # only the builder's input checks fail
+    return lambda: build_additive(params.K_F, params.V_F, params.phi_o, params.phi_pr,
+                                  demo_rts)
+
+
+def test_build_additive_checks_the_driver_factors(demo_rts):
+    K_F = np.zeros((4, 3))
+    K_F[3, 1:] = -2.0  # w4 defaults at 0, so only the driver check sees 1 + dK_F = -1
+    with pytest.raises(AdmissibilityError, match=r"driver factors 1 \+ dK_F must be positive"):
+        _additive_build_after_ok_report(demo_rts, K_F=K_F)()
+
+
+@pytest.mark.parametrize("rows, message", [
+    ([[0.1, 0.1, 0.1]] * 4, "V must start at 0"),
+    ([[0.0, 0.2, 0.1]] * 4, "V must be nondecreasing"),
+    ([[0.0, 1.0, 1.0]] * 4, "V increments must stay below 1"),
+    ([[0.0, 0.1, 0.1], [0.0, 0.1, 0.1], [0.0, 0.2, 0.2], [0.0, 0.2, 0.2]],
+     "V must be predictable"),
+])
+def test_build_additive_checks_V(demo_rts, rows, message):
+    with pytest.raises(AdmissibilityError, match=message):
+        _additive_build_after_ok_report(demo_rts, V_F=np.array(rows))()
+
+
+def test_build_additive_requires_a_public_martingale_driver(demo_rts):
+    K_F = np.tile([0.0, 0.1, 0.2], (4, 1))  # deterministic drift
+    with pytest.raises(ContractViolationError, match="transport input is not a martingale"):
+        _additive_build_after_ok_report(demo_rts, K_F=K_F)()
+
+
+def test_build_additive_names_the_report_violation_before_V(demo_rts):
+    phi_o = np.zeros((4, 3))
+    phi_o[:, 1] = -5.0
+    V_F = np.full((4, 3), 0.1)  # V_0 != 0 too
+    with pytest.raises(AdmissibilityError) as err:
+        build_additive(None, V_F, phi_o, None, demo_rts)
+    assert (err.value.inequality, err.value.atom, err.value.time) == ("factor_positive", 1, 1)
+
+
+@pytest.mark.parametrize("route, build", [
+    ("multiplicative", lambda base, rts: build_multiplicative(base, None, None, rts)),
+    ("measure-change", lambda base, rts: build_measure_change(base, None, rts)),
+])
+@pytest.mark.parametrize("base", [0.0, -1.0])
+def test_product_routes_require_a_positive_base(demo_rts, route, build, base):
+    with pytest.raises(AdmissibilityError, match=f"{route} base must be"):
+        build(base, demo_rts)
+
+
+@pytest.mark.parametrize("base", [-1.0, 0.0, np.nan, np.inf, -np.inf])
+@pytest.mark.parametrize("route, key", [("multiplicative", "Z_F"), ("measure-change", "Z_QF")])
+def test_validate_refuses_the_base_its_builder_refuses(demo_rts, route, key, base):
+    # validate used to report ok on a measure-change base <= 0, and both
+    # routes let a NaN or infinite base through
+    table = np.ones((4, 3))
+    table[2, 1] = base
+    for value in (base, table):
+        params = DeflatorParams(route, **{key: value})
+        for check in (validate, ROUTES[route][1]):
+            with pytest.raises(AdmissibilityError,
+                               match=f"{route} base must be finite and strictly positive"):
+                check(params, demo_rts)
 
 
 # ------------------------------------------------------------------- factories
