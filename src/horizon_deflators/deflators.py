@@ -15,8 +15,8 @@ Each route is one generator of the parameters: it broadcasts each table and
 forms each exponential's one-step factors 1 + p_k dX_k once, yields the
 admissibility report that ``validate`` returns and, resumed by a ``build_*``
 once that report passes, the deflator built from the same tables.
-``validate`` raises where a route's checks precede its report: a product
-route's base must be finite and positive.
+``validate`` raises where a route's checks precede its report: every
+parameter table must be finite, and a product route's base positive.
 
 On trees where no sub-cell dies while a sibling survives (``regular`` random
 times, the discrete counterpart of the G > 0 hypothesis of the continuous
@@ -44,9 +44,9 @@ from .enlargement import (
     RandomTimeStructure,
     _alive,
     _lift_surviving,
-    _martingale_input,
+    _martingale_steps,
+    _transport_steps,
     survival_exponential_integrand,
-    transport,
 )
 from .market import verify_deflator
 from .prob_core import (
@@ -57,11 +57,12 @@ from .prob_core import (
     _cond_rows,
     _date_of,
     _ratio,
+    _steps,
     _weights,
     classify,
+    increments,
     project,
     stochastic_exponential,
-    stochastic_integral,
     stop,
 )
 
@@ -148,20 +149,26 @@ class Representation:
     g_positive: Array | None = None
 
 
-def _full(rts, x) -> Array:
-    """Broadcast scalars to an (atom, time) table."""
-    if x is None:
-        return np.zeros((rts.space.n_atoms, rts.horizon + 1))
-    x = np.asarray(as_values(x), dtype=float)
+def _full(rts, x, name: str, positive: bool = False) -> Array:
+    """Broadcast a parameter to an (atom, time) table; None reads 1 if ``positive``, else 0.
+
+    Every cell, a dead one too (an exponential multiplies in every cell), must
+    be finite, and positive if ``positive``; else the error names the first bad cell.
+    """
+    x = np.asarray(as_values(float(positive) if x is None else x), dtype=float)
     if x.ndim == 0:
-        return np.full((rts.space.n_atoms, rts.horizon + 1), float(x))
+        x = np.full((rts.space.n_atoms, rts.horizon + 1), float(x))
+    ok = np.isfinite(x) & (x > 0.0) if positive else np.isfinite(x)
+    if not ok.all():
+        cell = np.unravel_index(np.argmin(ok), ok.shape)
+        raise AdmissibilityError(f"{name} must be finite{' and strictly positive' * positive}, "
+                                 f"got {float(x[cell])!r} at cell {tuple(map(int, cell))}")
     return x
 
 
-def _steps(X, p=None) -> Array:
-    """The one-step factors 1 + p_k dX_k of E(p . X) at the dates 1..T (p = 1 if None)."""
-    dX = np.diff(X, axis=1)
-    return 1.0 + (dX if p is None else p[:, 1:] * dX)
+def _tables(params: DeflatorParams, rts, *names) -> tuple:
+    """The named parameter tables, each broadcast and checked by :func:`_full`."""
+    return tuple(_full(rts, getattr(params, name), name) for name in names)
 
 
 def default_exponential(phi, rts: RandomTimeStructure) -> Array:
@@ -170,12 +177,12 @@ def default_exponential(phi, rts: RandomTimeStructure) -> Array:
     The factor at k is 1 + phi_k G_k / G~_k on {tau = k} and
     1 - phi_k dD_opt_k / G~_k on {tau > k}; 1 after tau.
     """
-    return _compound(_steps(rts.N_G, _full(rts, phi)))
+    return _compound(_steps(rts.dN_G, _full(rts, phi, "phi")))
 
 
 def progressive_exponential(phi_pr, rts: RandomTimeStructure) -> Array:
     """E(phi_pr . D): a single factor 1 + phi_pr at the default date (>= 1)."""
-    return _compound(_steps(rts.D, _full(rts, phi_pr)))
+    return _compound(_steps(rts.dD, _full(rts, phi_pr, "phi_pr")))
 
 
 def survival_discount(rts: RandomTimeStructure) -> Array:
@@ -190,14 +197,20 @@ def induced_base(K_F, rts: RandomTimeStructure) -> Array:
     filtration on every tree; it equals (E(K_F))^tau / Z_bar^tau wherever the
     random time is regular.
     """
-    return stochastic_exponential(driver_base(_full(rts, K_F), rts))
+    dK_F = _martingale_steps(_full(rts, K_F, "K_F"), rts, True, TOL_EXACT)
+    return _compound(_steps(_driver_steps(dK_F, rts)))
 
 
 def driver_base(K_F, rts: RandomTimeStructure, *, check: bool = True) -> Array:
     """The additive driver Y = T(K_F) - (1/G_minus) . T(m)."""
-    TK = transport(K_F, rts, check=check)
-    Tm = transport(rts.m, rts, check=False)
-    return TK - stochastic_integral(survival_exponential_integrand(rts), Tm)
+    return np.cumsum(_driver_steps(_martingale_steps(K_F, rts, check, TOL_EXACT), rts), axis=1)
+
+
+def _driver_steps(dK_F, rts) -> Array:
+    """The increments of :func:`driver_base` from the increments of K_F."""
+    dY = _transport_steps(dK_F, rts)
+    dY[:, 1:] -= survival_exponential_integrand(rts)[:, 1:] * _transport_steps(rts.dm, rts)[:, 1:]
+    return dY
 
 
 def _optional(phi, rts) -> tuple:
@@ -232,14 +245,6 @@ def _report(route, steps, phi_pr, rts, inequalities, bounds) -> AdmissibilityRep
     )
 
 
-def _positive_base(x, rts, route: str) -> Array:
-    """The base table of a product route (1 if None), which must be finite and positive."""
-    base = _full(rts, 1.0 if x is None else x)
-    if not (np.isfinite(base) & (base > 0.0)).all():
-        raise AdmissibilityError(f"{route} base must be finite and strictly positive")
-    return base
-
-
 def _decay_steps(V, rts) -> Array:
     """The one-step factors 1 - dV of E(-V), once V is checked."""
     if np.max(np.abs(V[:, 0])) > 0.0:
@@ -256,11 +261,12 @@ def _decay_steps(V, rts) -> Array:
 
 def _additive(params: DeflatorParams, rts):
     """The additive route: yields its report, then, resumed, its deflator."""
-    K_F, V_F, phi_o, phi_pr = (_full(rts, x) for x in
-                               (params.K_F, params.V_F, params.phi_o, params.phi_pr))
-    Y = driver_base(K_F, rts, check=False)
-    K_G = Y + stochastic_integral(phi_o, rts.N_G) + stochastic_integral(phi_pr, rts.D)
-    steps_G, steps_F = _steps(K_G), _steps(K_F)
+    K_F, V_F, phi_o, phi_pr = _tables(params, rts, "K_F", "V_F", "phi_o", "phi_pr")
+    dK_F = increments(K_F)
+    dY = _driver_steps(dK_F, rts)
+    dK_G = dY + phi_o * rts.dN_G + phi_pr * rts.dD
+    dK_G[:, 0] = dY[:, 0]  # the integrals start at 0
+    steps_G, steps_F = _steps(dK_G), _steps(dK_F)
     one_dK = np.insert(steps_F, 0, 1.0, axis=1)
     G, Gt, Gm = rts.G, rts.G_tilde, rts.G_minus
     lo = _ratio(-Gm * one_dK, G, -np.inf)
@@ -273,9 +279,9 @@ def _additive(params: DeflatorParams, rts):
     if np.min(steps_F) <= 0.0:
         raise AdmissibilityError("driver factors 1 + dK_F must be positive")
     decay = stop(_compound(_decay_steps(V_F, rts)), rts.tau)
-    _martingale_input(K_F, rts, True, TOL_EXACT)  # raises unless a public martingale
-    steps_Y = _steps(Y)
-    phi_o_mult, phi_pr_mult = _yor_split(phi_o, phi_pr, Y, steps_Y, rts, np.divide)
+    _martingale_steps(K_F, rts, True, TOL_EXACT)  # raises unless a public martingale
+    steps_Y = _steps(dY)
+    phi_o_mult, phi_pr_mult = _yor_split(phi_o, phi_pr, dY, steps_Y, rts, np.divide)
     base = stop(_compound(steps_F), rts.tau)
     factors = {
         "base": base,
@@ -284,16 +290,16 @@ def _additive(params: DeflatorParams, rts):
         "progressive_exponential": progressive_exponential(phi_pr_mult, rts),
         "decay": decay,
     }
-    yield Deflator(Z=_compound(steps_G) * decay, provenance="additive", K_G=K_G,
-                   factors=factors, report=report,
+    yield Deflator(Z=_compound(steps_G) * decay, provenance="additive",
+                   K_G=np.cumsum(dK_G, axis=1), factors=factors, report=report,
                    params=DeflatorParams("additive", K_F=K_F, phi_o=phi_o, phi_pr=phi_pr, V_F=V_F))
 
 
 def _multiplicative(params: DeflatorParams, rts):
     """The product route: yields its report, then, resumed, its deflator."""
-    Z_F = _positive_base(params.Z_F, rts, "multiplicative")
-    phi_o, phi_pr = _full(rts, params.phi_o), _full(rts, params.phi_pr)
-    steps_o, steps_pr = _steps(rts.N_G, phi_o), _steps(rts.D, phi_pr)
+    Z_F = _full(rts, params.Z_F, "multiplicative base", positive=True)
+    phi_o, phi_pr = _tables(params, rts, "phi_o", "phi_pr")
+    steps_o, steps_pr = _steps(rts.dN_G, phi_o), _steps(rts.dD, phi_pr)
     bounds, inside = _optional(phi_o, rts)
     report = _report("multiplicative", steps_o * steps_pr, phi_pr, rts,
                      {"optional": inside, "progressive": phi_pr > -1.0}, bounds)
@@ -311,9 +317,9 @@ def _multiplicative(params: DeflatorParams, rts):
 
 def _measure_change(params: DeflatorParams, rts, market=None, tol: float = 1e-9):
     """The measure-change route: yields its report, then, resumed, its deflator."""
-    Z_QF = _positive_base(params.Z_QF, rts, "measure-change")
-    phi = _full(rts, params.phi)
-    steps = _steps(rts.N_G, phi)
+    Z_QF = _full(rts, params.Z_QF, "measure-change base", positive=True)
+    phi = _full(rts, params.phi, "phi")
+    steps = _steps(rts.dN_G, phi)
     bounds, inside = _optional(phi, rts)
     report = _report("measure-change", steps, None, rts, {"optional": inside}, bounds)
     yield report
@@ -348,8 +354,9 @@ def validate(params: DeflatorParams, rts: RandomTimeStructure) -> AdmissibilityR
     Inequality maps are reported per node with zero-denominator bounds read as
     +/-infinity; the overall verdict is the strict positivity of every
     realized exponential factor of the would-be deflator plus the progressive
-    collapse condition (the integrand against D must vanish at tau).  A base of a
-    product route that is not finite and positive raises, as in its builder.
+    collapse condition (the integrand against D must vanish at tau).  A parameter
+    table with a non-finite cell, or a product route's base with a cell <= 0,
+    raises, as in its builder.
     """
     return next(ROUTES[params.route][0](params, rts))
 
@@ -397,27 +404,25 @@ def _rescale(phi, steps, op) -> Array:
     return np.insert(op(phi[:, 1:], steps), 0, 0.0, axis=1)
 
 
-def _yor_split(phi_o, phi_pr, Y, steps_Y, rts, op) -> tuple:
+def _yor_split(phi_o, phi_pr, dY, steps_Y, rts, op) -> tuple:
     """Re-scale (phi_o, phi_pr) between the additive and product routes.
 
     Yor's formula E(Y + phi_o . N_G + phi_pr . D) = E(Y) E(phi_o' . N_G)
     E(phi_pr' . D) holds with phi_o' = phi_o / (1 + dY) and phi_pr' =
     phi_pr / (1 + dX), X = Y + phi_o . N_G the additive driver so far.
-    ``steps_Y`` are the factors 1 + dY, and ``op`` is ``np.divide`` for
-    additive -> product, ``np.multiply`` back.
+    ``dY`` are the increments of Y, ``steps_Y`` the factors 1 + dY, and
+    ``op`` is ``np.divide`` for additive -> product, ``np.multiply`` back.
     """
     phi_o_new = _rescale(phi_o, steps_Y, op)
     phi_o_add = phi_o if op is np.divide else phi_o_new
-    X = Y + stochastic_integral(phi_o_add, rts.N_G)
-    return phi_o_new, _rescale(phi_pr, _steps(X), op)
+    return phi_o_new, _rescale(phi_pr, _steps(dY + phi_o_add * rts.dN_G), op)
 
 
 def additive_to_multiplicative(params: DeflatorParams, rts) -> DeflatorParams:
     """Re-scale additive parameters into the product parametrization."""
-    K_F, V_F, phi_o, phi_pr = (_full(rts, x) for x in
-                               (params.K_F, params.V_F, params.phi_o, params.phi_pr))
-    Y = driver_base(K_F, rts, check=False)
-    phi_o_m, phi_pr_m = _yor_split(phi_o, phi_pr, Y, _steps(Y), rts, np.divide)
+    K_F, V_F, phi_o, phi_pr = _tables(params, rts, "K_F", "V_F", "phi_o", "phi_pr")
+    dY = _driver_steps(increments(K_F), rts)
+    phi_o_m, phi_pr_m = _yor_split(phi_o, phi_pr, dY, _steps(dY), rts, np.divide)
     Z_F = stochastic_exponential(K_F) * stochastic_exponential(-V_F)
     return DeflatorParams("multiplicative", Z_F=Z_F, phi_o=phi_o_m, phi_pr=phi_pr_m,
                           V_F=V_F)
@@ -425,11 +430,11 @@ def additive_to_multiplicative(params: DeflatorParams, rts) -> DeflatorParams:
 
 def multiplicative_to_additive(params: DeflatorParams, rts) -> DeflatorParams:
     """Re-scale product parameters into the additive parametrization."""
-    Z_F = _full(rts, params.Z_F if params.Z_F is not None else 1.0)
+    Z_F = _full(rts, 1.0 if params.Z_F is None else params.Z_F, "Z_F")
     K_F, V = multiplicative_decomposition(rts.space, Z_F)
-    phi_o, phi_pr = _full(rts, params.phi_o), _full(rts, params.phi_pr)
-    Y = driver_base(K_F, rts, check=False)
-    phi_o_a, phi_pr_a = _yor_split(phi_o, phi_pr, Y, _steps(Y), rts, np.multiply)
+    phi_o, phi_pr = _tables(params, rts, "phi_o", "phi_pr")
+    dY = _driver_steps(increments(K_F), rts)
+    phi_o_a, phi_pr_a = _yor_split(phi_o, phi_pr, dY, _steps(dY), rts, np.multiply)
     return DeflatorParams("additive", K_F=K_F, V_F=V, phi_o=phi_o_a, phi_pr=phi_pr_a)
 
 
@@ -452,11 +457,7 @@ def multiplicative_decomposition(space, Z, *, filtration=None, measure=None,
     dX = np.diff(V, axis=1) / V[:, :-1]
     dVp = -_cond_rows(filt, dX.T, _weights(measure, space), True)
     dN = (dX + dVp) / (1.0 - dVp)
-    N = np.zeros_like(V)
-    N[:, 1:] = np.cumsum(dN, axis=1)
-    Vout = np.zeros_like(V)
-    Vout[:, 1:] = np.cumsum(dVp, axis=1)
-    return N, Vout
+    return tuple(np.insert(np.cumsum([dN, dVp], axis=2), 0, 0.0, axis=2))  # (N, V)
 
 
 def decompose_martingale(M_G, rts: RandomTimeStructure, *, tol: float = 1e-9) -> Representation:
@@ -501,17 +502,12 @@ def decompose_martingale(M_G, rts: RandomTimeStructure, *, tol: float = 1e-9) ->
     both = present.all(axis=1)
     k, first = (col[filt.offsets[1]:] for col in filt.node_atoms())  # one atom per cell
     g_prev = rts.G_minus[first, k]
-    dDo = np.diff(rts.D_opt, axis=1)
-    dMF = np.where(both, g_prev * (a * dDo[first, k - 1] + bb * rts.G[first, k]),
+    dMF = np.where(both, g_prev * (a * rts.dD_opt[first, k] + bb * rts.G[first, k]),
                    g_prev * rts.G_tilde[first, k] * np.where(present[:, 0], a, bb))
     cells = (filt.nodes[1:] - filt.offsets[1]).T  # the time-k cell of each atom, k = 1..T
-    phi = np.zeros_like(V)
-    phi[:, 1:] = np.where(both, a - bb, 0.0)[cells]
-    known = np.zeros_like(V, dtype=bool)
-    known[:, 1:] = both[cells]
-    M_F = np.zeros_like(V)
-    M_F[:, 1:] = dMF[cells]
-    M_F = np.cumsum(M_F, axis=1)
+    phi = np.insert(np.where(both, a - bb, 0.0)[cells], 0, 0.0, axis=1)
+    known = np.insert(both[cells], 0, False, axis=1)
+    M_F = np.cumsum(np.insert(dMF[cells], 0, 0.0, axis=1), axis=1)
     rebuilt = reassemble(V[:, 0], M_F, phi, rts)
     residual = float(np.max(np.abs(rebuilt - V)))
     return Representation(M_F=M_F, phi=phi, phi_known=known, residual=residual)
@@ -519,12 +515,11 @@ def decompose_martingale(M_G, rts: RandomTimeStructure, *, tol: float = 1e-9) ->
 
 def reassemble(start, M_F, phi, rts: RandomTimeStructure) -> Array:
     """Rebuild M_0 + (1/G_minus^2) . T(M_F) + phi . N_G from decomposition data."""
-    TM = transport(M_F, rts, check=False)
     gm = rts.G_minus
     weight = _ratio(1.0, gm * gm, where=gm > 0)
-    out = stochastic_integral(weight, TM) + stochastic_integral(_full(rts, phi), rts.N_G)
-    start = np.asarray(start, dtype=float)
-    return (start.reshape(-1, 1) if start.ndim else float(start)) + out
+    inc = weight * _transport_steps(increments(M_F), rts) + _full(rts, phi, "phi") * rts.dN_G
+    inc[:, 0] = start
+    return np.cumsum(inc, axis=1)
 
 
 def represent_payoff(h, rts: RandomTimeStructure, *, tol: float = 1e-10) -> Representation:
@@ -537,30 +532,24 @@ def represent_payoff(h, rts: RandomTimeStructure, *, tol: float = 1e-10) -> Repr
     is verified node for node on {G > 0}.
     """
     space, T = rts.space, rts.horizon
-    hv = _full(rts, h)
+    hv = _full(rts, h, "h")
     if not space.filtration.is_adapted(hv, tol=1e-12):
         raise ContractViolationError("payoff must be adapted")
-    dDo = np.diff(rts.D_opt, axis=1)
-    inc = np.concatenate([rts.D_opt[:, :1], dDo], axis=1)  # dD_opt with time-0 mass
-    total = (hv * inc).sum(axis=1)
-    M_h = project(space, np.repeat(total[:, None], T + 1, axis=1))
-    h_int = np.cumsum(hv * inc, axis=1)
+    h_int = np.cumsum(hv * rts.dD_opt, axis=1)
+    M_h = project(space, np.repeat(h_int[:, -1:], T + 1, axis=1))
     Y_h = M_h - h_int
     g_pos = rts.G > 0.0
     J = _ratio(Y_h, rts.G)
     h_at_tau = hv[np.arange(space.n_atoms), rts.tau]
     H = project(space, np.repeat(h_at_tau[:, None], T + 1, axis=1), filtration=rts.G_filtration)
 
-    TM = transport(M_h, rts, check=False)
-    Tm = transport(rts.m, rts, check=False)
     gm_inv = survival_exponential_integrand(rts)
     J_minus = np.concatenate([J[:, :1], J[:, :-1]], axis=1)
-    rhs = (H[:, :1]
-           + stochastic_integral(gm_inv, TM)
-           - stochastic_integral(J_minus * gm_inv, Tm)
-           + stochastic_integral(hv - J, rts.N_G))
-    residual_map = np.abs(rhs - H)
-    residual = float(np.max(residual_map[g_pos])) if np.any(g_pos) else 0.0
+    inc = (gm_inv * _transport_steps(increments(M_h), rts)
+           - J_minus * gm_inv * _transport_steps(rts.dm, rts)
+           + (hv - J) * rts.dN_G)
+    inc[:, 0] = H[:, 0]
+    residual = float(np.max(np.abs(np.cumsum(inc, axis=1) - H)[g_pos], initial=0.0))
     if residual > tol:
         raise StructuralError(f"payoff representation identity fails: {residual:g}")
     return Representation(h=hv, J=J, Y_h=Y_h, M_h=M_h, H_h=H,
@@ -579,11 +568,9 @@ def split_at(Z, sigma, *, filtration=None) -> tuple:
     s = np.asarray(sigma, dtype=np.int64)
     if filtration is not None and not filtration.is_adapted(s[:, None] <= np.arange(V.shape[1])):
         raise ContractViolationError("sigma is not a stopping time")
-    K = np.zeros_like(V)
-    K[:, 1:] = np.cumsum(np.diff(V, axis=1) / V[:, :-1], axis=1)
+    K = np.insert(np.cumsum(np.diff(V, axis=1) / V[:, :-1], axis=1), 0, 0.0, axis=1)
     K1 = stop(K, s)
-    K2 = K - K1
-    return K1, K2
+    return K1, K - K1
 
 
 def _broadcast_live(values, rts: RandomTimeStructure) -> Array:
@@ -617,12 +604,11 @@ def extract_multiplicative(Z, rts: RandomTimeStructure, *, tol: float = 1e-9):
     V_F = lift_predictable(V_G, rts)
     repn = decompose_martingale(N, rts, tol=max(tol, 10 * TOL_EXACT))
     gm = rts.G_minus
-    w1 = _ratio(1.0, gm)
-    w2 = _ratio(1.0, gm * gm, where=gm > 0)
-    K_F = stochastic_integral(w1, rts.m) + stochastic_integral(w2, repn.M_F)
-    Y = driver_base(K_F, rts, check=False)
-    phi_o = _broadcast_live(_rescale(repn.phi, _steps(Y), np.divide), rts)
-    Z_F = stochastic_exponential(K_F) * stochastic_exponential(-V_F)
+    dK_F = _ratio(1.0, gm) * rts.dm + _ratio(1.0, gm * gm, where=gm > 0) * increments(repn.M_F)
+    dK_F[:, 0] = 0.0  # K_F = (1/G_minus) . m + (1/G_minus^2) . M_F
+    K_F = np.cumsum(dK_F, axis=1)
+    phi_o = _broadcast_live(_rescale(repn.phi, _steps(_driver_steps(dK_F, rts)), np.divide), rts)
+    Z_F = _compound(_steps(dK_F)) * stochastic_exponential(-V_F)
     params = DeflatorParams("multiplicative", Z_F=Z_F, phi_o=phi_o,
                             phi_pr=np.zeros_like(K_F), V_F=V_F)
     return params, {"K_F": K_F, "decomposition": repn, "V_G": V_G, "N": N}
@@ -634,8 +620,7 @@ def lift_predictable(V_G, rts: RandomTimeStructure, *, tol: float = 1e-9) -> Arr
     On each public time-(k-1) block the lifted increment is the enlarged
     increment on the surviving sub-cell; blocks without survivors take 0.
     """
-    dV = np.diff(as_values(V_G), axis=1)
-    out = np.zeros((dV.shape[0], dV.shape[1] + 1))
-    out[:, 1:] = _lift_surviving(dV.T, rts, lambda hi, lo: tol * np.maximum(1.0, np.maximum(hi, -lo)),
-                                "predictable part not constant on a surviving sub-cell").T
-    return np.cumsum(out, axis=1)
+    dV = _lift_surviving(np.diff(as_values(V_G), axis=1).T, rts,
+                         lambda hi, lo: tol * np.maximum(1.0, np.maximum(hi, -lo)),
+                         "predictable part not constant on a surviving sub-cell").T
+    return np.cumsum(np.insert(dV, 0, 0.0, axis=1), axis=1)

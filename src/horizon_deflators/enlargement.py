@@ -19,6 +19,10 @@ correction term that redistributes mass from cells whose conditional survival
 probability vanishes, which is what keeps the output an exact martingale on
 finite trees (where the terminal survival probability is forced to zero).
 
+D, its dual projections, m and N_G are stored once, as their increments, and
+the calculus below works on those; a level is one cumulative sum where a
+caller reads it, so a level of 1 never absorbs a survival probability of 1e-17.
+
 ``SURVIVAL_INVARIANTS`` is the one registry of the layer's structural
 identities: ``build_survival`` checks it at construction and the ``verify``
 command reports it.
@@ -37,17 +41,14 @@ from .prob_core import (
     FiniteFilteredSpace,
     Filtration,
     ProbabilityMeasure,
+    _classify_steps,
     _compound,
     _ratio,
-    as_values,
-    bracket,
+    _steps,
     classify,
     change_measure,
-    dual_projection,
+    increments,
     project,
-    stochastic_exponential,
-    stochastic_integral,
-    stop,
 )
 
 
@@ -59,31 +60,43 @@ def enlarge(space: FiniteFilteredSpace, tau) -> Filtration:
     return Filtration(space.filtration.block_ids * (n + 2) + level)
 
 
+def _level(name: str, doc: str) -> property:
+    """A read-only level: the cumulative sum of an increment field, built on each read."""
+    return property(lambda self: np.cumsum(getattr(self, name), axis=1), doc=doc)
+
+
 @dataclass(frozen=True)
 class RandomTimeStructure:
     """A random time tau with all derived survival objects on one space.
 
-    Fields follow the standard enlargement-of-filtration notation: D is the
-    default indicator, G and G_tilde the Azema supermartingales, G_minus the
-    left shift of G (value 1 at time 0), D_opt / D_pred the dual optional and
-    predictable projections of D, m = G + D_opt, N_G the compensated default
-    indicator (martingale of the enlarged filtration), Z_bar the density
-    process of the survival measure change, and G_filtration the enlarged
-    partition chain.
+    Fields follow the standard enlargement-of-filtration notation: G and
+    G_tilde the Azema supermartingales, G_minus the left shift of G (value 1
+    at time 0), Z_bar the density process of the survival measure change,
+    G_filtration the enlarged partition chain.  The finite-variation objects
+    are stored as increments (column 0 the time-0 value): dD of the default
+    indicator D, dD_opt / dD_pred of its dual projections, dm of m = G + D_opt
+    and dN_G of the compensated default indicator N_G.  Each level is a
+    read-only property, one uncached cumulative sum.
     """
 
     space: FiniteFilteredSpace
     tau: Array
-    D: Array
+    dD: Array
     G: Array
     G_tilde: Array
     G_minus: Array
-    D_opt: Array
-    D_pred: Array
-    m: Array
-    N_G: Array
+    dD_opt: Array
+    dD_pred: Array
+    dm: Array
+    dN_G: Array
     Z_bar: Array
     G_filtration: Filtration
+
+    D = _level("dD", "The default indicator D_n = 1{tau <= n}.")
+    D_opt = _level("dD_opt", "The dual optional projection of D.")
+    D_pred = _level("dD_pred", "The dual predictable projection of D.")
+    m = _level("dm", "The public martingale m = G + D_opt.")
+    N_G = _level("dN_G", "The compensated default indicator, an enlarged-filtration martingale.")
 
     @property
     def horizon(self) -> int:
@@ -101,9 +114,8 @@ class RandomTimeStructure:
         On these cells the transport correction term is active and the
         continuous-theory hypotheses fail; empty for regular random times.
         """
-        out = np.zeros_like(self.G, dtype=bool)
-        out[:, 1:] = (self.G_tilde[:, 1:] <= 0.0) & (self.G_minus[:, 1:] > 0.0)
-        return out
+        return np.insert((self.G_tilde[:, 1:] <= 0.0) & (self.G_minus[:, 1:] > 0.0),
+                         0, False, axis=1)
 
     def qtilde(self) -> ProbabilityMeasure:
         """The measure defined by the terminal value of Z_bar."""
@@ -127,32 +139,28 @@ def build_survival(space: FiniteFilteredSpace, tau, *, tol: float = TOL_EXACT,
         raise SpaceValidationError("tau out of range: values must lie in 0..horizon")
 
     grid = np.arange(T + 1)[None, :]
-    D = (t[:, None] <= grid).astype(float)
+    dD = (t[:, None] == grid).astype(float)  # the increments of D_n = 1{tau <= n}
 
     # survival probabilities via optional projections of the indicators
-    alive_strict = (t[:, None] > grid).astype(float)   # 1{tau > n}
-    alive_weak = (t[:, None] >= grid).astype(float)    # 1{tau >= n}
-    G = project(space, alive_strict, "optional")
-    G_tilde = project(space, alive_weak, "optional")
-    G_minus = np.empty_like(G)
-    G_minus[:, 0] = 1.0
-    G_minus[:, 1:] = G[:, :-1]
+    G = project(space, (t[:, None] > grid).astype(float), "optional")         # 1{tau > n}
+    G_tilde = project(space, (t[:, None] >= grid).astype(float), "optional")  # 1{tau >= n}
+    G_minus = np.insert(G[:, :-1], 0, 1.0, axis=1)
 
-    D_opt = dual_projection(space, D, "optional")
-    D_pred = dual_projection(space, D, "predictable")
-    m = G + D_opt
+    dD_opt = project(space, dD, "optional")
+    dD_pred = project(space, dD, "predictable")
+    dm = increments(G) + dD_opt
 
     # compensated default indicator: dN_k = dD_k - 1{k<=tau} dD_opt_k / G~_k
-    N_G = _compensate(D, D_opt, G_tilde, t,
-                      "vanishing pre-horizon survival probability on a live cell")
+    dN_G = _compensate(dD, dD_opt, G_tilde, t,
+                       "vanishing pre-horizon survival probability on a live cell")
 
     # density process of the survival measure change: a product of the
     # ratios G~_k / G_{k-1}, with factor 1 where G_{k-1} = 0
     Z_bar = _compound(_ratio(G_tilde[:, 1:], G_minus[:, 1:], 1.0))
 
     rts = RandomTimeStructure(
-        space=space, tau=t, D=D, G=G, G_tilde=G_tilde, G_minus=G_minus,
-        D_opt=D_opt, D_pred=D_pred, m=m, N_G=N_G, Z_bar=Z_bar,
+        space=space, tau=t, dD=dD, G=G, G_tilde=G_tilde, G_minus=G_minus,
+        dD_opt=dD_opt, dD_pred=dD_pred, dm=dm, dN_G=dN_G, Z_bar=Z_bar,
         G_filtration=enlarge(space, t),
     )
     if verify:
@@ -169,34 +177,28 @@ def _alive(tau, T: int) -> Array:
     return tau[:, None] >= np.arange(1, T + 1)[None, :]
 
 
-def _compensate(X, A, den, tau, message: str) -> Array:
-    """X_0 plus the sum over ]0, tau] of dX_k - dA_k / den_k, in one cumsum.
+def _compensate(dX, dA, den, tau, message: str) -> Array:
+    """The increments dX_k - dA_k / den_k on ]0, tau], 0 after tau, X_0 at time 0.
 
     Raises ``StructuralError`` with ``message`` at the earliest date, and there
     at the first atom, where ``den`` vanishes on a cell with k <= tau.
     """
-    live = _alive(tau, X.shape[1] - 1)
+    live = _alive(tau, dX.shape[1] - 1)
     den = den[:, 1:]
     bad = live & (den <= 0.0)
     if bad.any():
         k, atom = divmod(int(np.argmax(bad.T)), len(tau))
         raise StructuralError(message, time=k + 1, atom=atom)
-    inc = np.empty_like(X)
-    inc[:, 0] = X[:, 0]
-    inc[:, 1:] = np.where(live, np.diff(X, axis=1) - np.diff(A, axis=1) / np.where(live, den, 1.0),
-                          0.0)
-    return np.cumsum(inc, axis=1)
+    return np.insert(np.where(live, dX[:, 1:] - dA[:, 1:] / np.where(live, den, 1.0), 0.0),
+                     0, dX[:, 0], axis=1)
 
 
-def _martingale_input(M, rts: RandomTimeStructure, check: bool, tol: float) -> Array:
-    """The values of a transport input; with ``check``, it must be a public martingale."""
-    V = as_values(M)
-    if check:
-        rep = classify(rts.space, V, tol=tol)
-        if not rep.is_martingale:
-            raise ContractViolationError(
-                f"transport input is not a martingale (residual {rep.max_residual:g})")
-    return V
+def _martingale_steps(M, rts: RandomTimeStructure, check: bool, tol: float) -> Array:
+    """The increments of a transport input; with ``check``, it must be a public martingale."""
+    dM = increments(M)
+    if check and not (residual := _residual(rts, dM)) <= tol:
+        raise ContractViolationError(f"transport input is not a martingale (residual {residual:g})")
+    return dM
 
 
 def transport(M, rts: RandomTimeStructure, *, check: bool = True,
@@ -207,22 +209,18 @@ def transport(M, rts: RandomTimeStructure, *, check: bool = True,
     conditional mass E[dM_k 1{G~_k = 0} | F_{k-1}] recovered from sub-blocks
     that died out; the output is flat after tau and starts at M_0.
     """
-    V = _martingale_input(M, rts, check, tol)
+    return np.cumsum(_transport_steps(_martingale_steps(M, rts, check, tol), rts), axis=1)
+
+
+def _transport_steps(dM, rts: RandomTimeStructure) -> Array:
+    """The increments of :func:`transport` from the increments dM of its input."""
     live = _alive(rts.tau, rts.horizon)
-    dM = np.diff(V, axis=1)
-    gt = rts.G_tilde[:, 1:]
-    dead_mass = np.zeros_like(V)
-    dead_mass[:, 1:] = dM * (gt <= 0.0)
-    corr = project(rts.space, dead_mass, "predictable")[:, 1:]
-    del dead_mass
-    step = np.where(live, gt, 1.0)
+    corr = project(rts.space, dM * (rts.G_tilde <= 0.0), "predictable")[:, 1:]
+    step = np.where(live, rts.G_tilde[:, 1:], 1.0)
     np.divide(rts.G_minus[:, 1:], step, out=step)
-    step *= dM
+    step *= dM[:, 1:]
     step += corr
-    inc = np.empty_like(V)
-    inc[:, 0] = V[:, 0]
-    inc[:, 1:] = np.where(live, step, 0.0)
-    return np.cumsum(inc, axis=1)
+    return np.insert(np.where(live, step, 0.0), 0, dM[:, 0], axis=1)
 
 
 def transport_compensated(M, rts: RandomTimeStructure, *, check: bool = True,
@@ -233,9 +231,13 @@ def transport_compensated(M, rts: RandomTimeStructure, *, check: bool = True,
     filtration martingale for every public martingale M, with no hypotheses
     on the random time beyond reachable cells having G_{k-1} > 0.
     """
-    V = _martingale_input(M, rts, check, tol)
-    angle = bracket(V, rts.m, "predictable", space=rts.space)
-    return _compensate(V, angle, rts.G_minus, rts.tau, "G_{k-1} vanishes on a reachable cell")
+    return np.cumsum(_compensated_steps(_martingale_steps(M, rts, check, tol), rts), axis=1)
+
+
+def _compensated_steps(dM, rts: RandomTimeStructure) -> Array:
+    """The increments of :func:`transport_compensated`, with d<M, m> = E[dM dm | F_{k-1}]."""
+    angle = project(rts.space, dM * rts.dm, "predictable")  # column 0 is not read
+    return _compensate(dM, angle, rts.G_minus, rts.tau, "G_{k-1} vanishes on a reachable cell")
 
 
 def compensated_default_indicator(rts: RandomTimeStructure) -> Array:
@@ -244,7 +246,11 @@ def compensated_default_indicator(rts: RandomTimeStructure) -> Array:
     The Doob-Meyer martingale part of the default indicator in the enlarged
     filtration, using the predictable dual projection of D.
     """
-    return _compensate(rts.D, rts.D_pred, rts.G_minus, rts.tau,
+    return np.cumsum(_default_steps(rts), axis=1)
+
+
+def _default_steps(rts: RandomTimeStructure) -> Array:
+    return _compensate(rts.dD, rts.dD_pred, rts.G_minus, rts.tau,
                        "G_{k-1} vanishes on a reachable cell")
 
 
@@ -280,36 +286,36 @@ def survival_exponential_integrand(rts: RandomTimeStructure) -> Array:
     return _ratio(1.0, rts.G_minus)
 
 
-def _public_residual(rts: RandomTimeStructure, X) -> float:
-    return classify(rts.space, X).max_residual
-
-
-def _enlarged_residual(rts: RandomTimeStructure, X) -> float:
-    return classify(rts.space, X, filtration=rts.G_filtration).max_residual
+def _residual(rts: RandomTimeStructure, dX, filtration=None) -> float:
+    """The martingale residual of the process with increments dX (public filtration if None)."""
+    filt = filtration if filtration is not None else rts.space.filtration
+    return _classify_steps(filt, dX, rts.space.probs, TOL_EXACT).max_residual
 
 
 # Every structural identity of the survival layer, as a residual computed from
 # the structure alone (0 when the identity holds exactly).  Listed in the order
-# the verify report prints them.  The mass balance uses the linearity of the
-# projection: sum_{k<=n} P(tau = k | F_n) = P(tau <= n | F_n).
+# the verify report prints them.  Each reads the increments, never a level
+# differenced back.  The mass balance uses the linearity of the projection:
+# sum_{k<=n} P(tau = k | F_n) = P(tau <= n | F_n).
 SURVIVAL_INVARIANTS = {
     "compensated_default_martingale":
-        lambda r: _enlarged_residual(r, compensated_default_indicator(r)),
+        lambda r: _residual(r, _default_steps(r), r.G_filtration),
     "compensated_transport_martingale":
-        lambda r: _enlarged_residual(r, transport_compensated(r.m, r, check=False)),
+        lambda r: _residual(r, _compensated_steps(r.dm, r), r.G_filtration),
     "gtilde_dominates": lambda r: np.max(r.G - r.G_tilde, initial=0.0),
     "increment_identity":
-        lambda r: np.max(np.abs(np.diff(r.m, axis=1) - (r.G_tilde[:, 1:] - r.G_minus[:, 1:]))),
-    "m_martingale": lambda r: _public_residual(r, r.m),
-    "ng_martingale": lambda r: _enlarged_residual(r, r.N_G),
-    "ng_stopped": lambda r: np.max(np.abs(stop(r.N_G, r.tau) - r.N_G)),
+        lambda r: np.max(np.abs(r.dm[:, 1:] - (r.G_tilde[:, 1:] - r.G_minus[:, 1:]))),
+    "m_martingale": lambda r: _residual(r, r.dm),
+    "ng_martingale": lambda r: _residual(r, r.dN_G, r.G_filtration),
+    "ng_stopped":
+        lambda r: np.max(np.abs(r.dN_G[:, 1:][~_alive(r.tau, r.horizon)]), initial=0.0),
     "survival_mass_balance": lambda r: np.max(np.abs(r.G + project(r.space, r.D) - 1.0)),
     "terminal_survival_zero": lambda r: np.max(np.abs(r.G[:, -1])),
     "transport_m_martingale":
-        lambda r: _enlarged_residual(r, transport(r.m, r, check=False)),
-    "zbar_exponential_identity": lambda r: np.max(np.abs(stochastic_exponential(
-        stochastic_integral(survival_exponential_integrand(r), r.m)) - r.Z_bar)),
-    "zbar_martingale": lambda r: _public_residual(r, r.Z_bar),
+        lambda r: _residual(r, _transport_steps(r.dm, r), r.G_filtration),
+    "zbar_exponential_identity": lambda r: np.max(np.abs(
+        _compound(_steps(r.dm, survival_exponential_integrand(r))) - r.Z_bar)),
+    "zbar_martingale": lambda r: classify(r.space, r.Z_bar).max_residual,
 }
 
 

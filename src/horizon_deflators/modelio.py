@@ -273,7 +273,10 @@ def _table(doc, key, n_atoms, horizon):
     if isinstance(v, (int, float)):
         arr = np.full((n_atoms, horizon + 1), float(v))
     else:
-        arr = np.asarray(v, dtype=float)
+        try:
+            arr = np.asarray(v, dtype=float)
+        except (TypeError, ValueError) as exc:  # a word, or ragged rows
+            raise SpaceValidationError(f"table {key!r} is not a table of numbers: {exc}") from exc
         if arr.shape != (n_atoms, horizon + 1):
             raise SpaceValidationError(
                 f"table {key!r} must be {n_atoms} x {horizon + 1} or a constant")

@@ -8,6 +8,11 @@ means, so every identity of discrete stochastic calculus (tower property,
 Doob decomposition, Yor's formula, integration by parts) holds up to machine
 rounding; ``TOL_EXACT`` is the library-wide tolerance for those checks.
 
+A finite-variation process is handled as its increments (column 0 the time-0
+value, as :func:`increments` has them).  A projection or bracket projects the
+increments and sums them to a level once; no level is differenced back, since
+a level near 1 absorbs an increment below its ulp.
+
 Every reduction over the blocks of all dates runs on one index, the
 space-time node ids of :class:`Filtration`: one int64 node id per (date,
 atom), time-major, built on first use (8 bytes per atom and date).  Each is
@@ -348,11 +353,9 @@ def _node_means(filt: Filtration, weighted, w, allow_degenerate: bool):
     return _means(filt.node_reduce(weighted), mass, filt.offsets, allow_degenerate), mass
 
 
-def _weighted_steps(V, w) -> Array:
-    """w times the one-step increments of V, time-major, in one array."""
-    steps = np.subtract(V.T[1:], V.T[:-1], order="C")
-    steps *= w
-    return steps
+def _weighted_steps(dX, w) -> Array:
+    """w times the one-step increments dX_k, k = 1..T, time-major, in one array."""
+    return np.multiply(dX.T[1:], w, order="C")
 
 
 def _date_of(filt: Filtration, node):
@@ -397,11 +400,7 @@ def project(space, X, mode: str = "optional", *, filtration=None, measure=None,
 
 def increments(X) -> Array:
     """One-step increments with the finite-variation convention dX_0 = X_0."""
-    V = as_values(X)
-    dX = np.empty_like(V)
-    dX[:, 0] = V[:, 0]
-    dX[:, 1:] = np.diff(V, axis=1)
-    return dX
+    return np.diff(as_values(X), axis=1, prepend=0.0)
 
 
 def dual_projection(space, A, mode: str = "optional", *, filtration=None, measure=None,
@@ -409,7 +408,7 @@ def dual_projection(space, A, mode: str = "optional", *, filtration=None, measur
     """Dual optional/predictable projection of a finite-variation raw process.
 
     Cumulative conditional expectations of the increments of A, with the
-    time-0 increment equal to A_0.
+    time-0 increment equal to A_0: one projection, one sum.
     """
     return np.cumsum(project(space, increments(A), mode, filtration=filtration,
                              measure=measure, allow_degenerate=allow_degenerate), axis=1)
@@ -438,6 +437,11 @@ def stochastic_integral(phi, X, *, filtration=None) -> Array:
     return out
 
 
+def _steps(dX, p=None) -> Array:
+    """The factors 1 + p_k dX_k of E(p . X), k = 1..T, from X's increments (p = 1 if None)."""
+    return 1.0 + (dX[:, 1:] if p is None else p[:, 1:] * dX[:, 1:])
+
+
 def _compound(steps) -> Array:
     """Running products of one-step factors (atom, k = 1..T), with value 1 at time 0."""
     out = np.empty((steps.shape[0], steps.shape[1] + 1))
@@ -455,19 +459,18 @@ def bracket(X, Y, mode: str = "optional", *, space=None) -> Array:
     """Quadratic covariation [X, Y]; predictable mode compensates it.
 
     Optional mode is the raw sum of dX_k dY_k (from k = 1); predictable mode
-    returns the predictable dual projection <X, Y> and requires ``space``.
+    sums their predictable projections, the dual projection <X, Y>, and
+    requires ``space``.
     """
-    VX, VY = as_values(X), as_values(Y)
-    prod = np.zeros_like(VX)
-    prod[:, 1:] = np.diff(VX, axis=1) * np.diff(VY, axis=1)
-    raw = np.cumsum(prod, axis=1)
-    if mode == "optional":
-        return raw
+    prod = increments(X) * increments(Y)
+    prod[:, 0] = 0.0
     if mode == "predictable":
         if space is None:
             raise ContractViolationError("predictable bracket needs the space")
-        return dual_projection(space, raw, "predictable")
-    raise ValueError(f"unknown bracket mode {mode!r}")
+        prod = project(space, prod, "predictable")
+    elif mode != "optional":
+        raise ValueError(f"unknown bracket mode {mode!r}")
+    return np.cumsum(prod, axis=1)
 
 
 def doob_decomposition(space, X, *, filtration=None, measure=None):
@@ -478,10 +481,8 @@ def doob_decomposition(space, X, *, filtration=None, measure=None):
     filt = filtration if filtration is not None else space.filtration
     w = _weights(measure, space)
     V = as_values(X)
-    dA = np.zeros_like(V)
-    means, _ = _node_means(filt, _weighted_steps(V, w), w, True)
-    dA[:, 1:] = means[filt.nodes[:-1].T]
-    A = np.cumsum(dA, axis=1)
+    means, _ = _node_means(filt, _weighted_steps(increments(V), w), w, True)
+    A = np.cumsum(np.insert(means[filt.nodes[:-1].T], 0, 0.0, axis=1), axis=1)
     return V - A, A
 
 
@@ -515,8 +516,12 @@ def classify(space, X, *, filtration=None, measure=None, tol: float = TOL_EXACT)
     A non-finite residual is reported as inf with verdict ``"none"``.
     """
     filt = filtration if filtration is not None else space.filtration
-    w = _weights(measure, space)
-    means, mass = _node_means(filt, _weighted_steps(as_values(X), w), w, True)
+    return _classify_steps(filt, increments(X), _weights(measure, space), tol)
+
+
+def _classify_steps(filt: Filtration, dX, w, tol: float) -> ClassifyReport:
+    """:func:`classify` of the process with increments dX, under atom weights w."""
+    means, mass = _node_means(filt, _weighted_steps(dX, w), w, True)
     live = np.flatnonzero(mass > 0.0)
     r = means[live]
     bad = ~np.isfinite(r)

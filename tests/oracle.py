@@ -228,14 +228,16 @@ def deflator_scan(Z, S, block_rows, w, sup, tol=1e-9):
     return ok, max_excess, worst if not ok else None
 
 
-def decompose_cells(V, probs, block_rows, tau, G, G_tilde, G_minus, D_opt, tol=1e-9):
+def decompose_cells(V, probs, block_rows, tau, G, G_tilde, G_minus, dD_opt, tol=1e-9):
     """Block-pair loop of the two-term decomposition of a stopped martingale V.
 
-    Returns (M_F, phi, known); raises ValueError naming (time, block) of the
-    first public block holding a sub-cell where the increment is not constant.
+    ``dD_opt`` holds the increments of the dual optional projection of the
+    default indicator (column 0 its time-0 value).  Returns (M_F, phi, known);
+    raises ValueError naming (time, block) of the first public block holding
+    a sub-cell where the increment is not constant.
     """
     w = np.asarray(probs, dtype=float)
-    dV, dDo = np.diff(V, axis=1), np.diff(D_opt, axis=1)
+    dV, dDo = np.diff(V, axis=1), dD_opt[:, 1:]
     M_F, phi = np.zeros_like(V), np.zeros_like(V)
     known = np.zeros(V.shape, dtype=bool)
 
@@ -318,46 +320,45 @@ def write_paths(path, bundle, deflator_grid, psi1, psi2, phi_o, phi_pr):
 # ------------------------------------------------------------------------------
 # Per-date reference loops for the survival layer: the date-by-date scans that
 # ``enlargement`` replaced by masked increments and one cumsum (or cumprod).
-# A vanishing denominator on a live cell raises ValueError(time, atom) at the
-# earliest date, and there at the first atom.
+# They take increment tables (column 0 the time-0 value), as the library
+# stores them.  A vanishing denominator on a live cell raises
+# ValueError(time, atom) at the earliest date, and there at the first atom.
 
 def block_mean(x, ids, w):
     """E[x | partition] the way ``cond_expect`` computes it (no zero-mass blocks)."""
     return (np.bincount(ids, weights=w * x) / np.bincount(ids, weights=w))[ids]
 
 
-def survival_loops(D, D_opt, G, G_tilde, tau):
+def survival_loops(dD, dD_opt, G, G_tilde, tau):
     """(N_G, Z_bar) by the date loops of the survival construction."""
-    n_atoms, n_times = D.shape
-    N_G, Z_bar = np.empty_like(D), np.ones_like(G)
-    N_G[:, 0] = D[:, 0]
-    dD, dD_opt = np.diff(D, axis=1), np.diff(D_opt, axis=1)
+    n_atoms, n_times = dD.shape
+    N_G, Z_bar = np.empty_like(dD), np.ones_like(G)
+    N_G[:, 0] = dD[:, 0]
     for k in range(1, n_times):
         live = tau >= k
         gt = G_tilde[:, k]
         if np.any(live & (gt <= 0.0)):
             raise ValueError(k, int(np.flatnonzero(live & (gt <= 0.0))[0]))
         comp = np.zeros(n_atoms)
-        comp[live] = dD_opt[live, k - 1] / gt[live]
-        N_G[:, k] = N_G[:, k - 1] + dD[:, k - 1] - comp
+        comp[live] = dD_opt[live, k] / gt[live]
+        N_G[:, k] = N_G[:, k - 1] + dD[:, k] - comp
         gm = G[:, k - 1]
         factor = np.divide(G_tilde[:, k], gm, out=np.ones_like(gm), where=gm > 0.0)
         Z_bar[:, k] = Z_bar[:, k - 1] * factor
     return N_G, Z_bar
 
 
-def compensate_loop(X, A, G_minus, tau):
+def compensate_loop(dX, dA, G_minus, tau):
     """X_0 plus dX_k - dA_k / G_{k-1}, summed date by date over ]0, tau]."""
-    out = np.empty_like(X)
-    out[:, 0] = X[:, 0]
-    dX, dA = np.diff(X, axis=1), np.diff(A, axis=1)
-    for k in range(1, X.shape[1]):
+    out = np.empty_like(dX)
+    out[:, 0] = dX[:, 0]
+    for k in range(1, dX.shape[1]):
         live = tau >= k
         gm = G_minus[:, k]
         if np.any(live & (gm <= 0.0)):
             raise ValueError(k, int(np.flatnonzero(live & (gm <= 0.0))[0]))
-        inc = np.zeros(X.shape[0])
-        inc[live] = dX[live, k - 1] - dA[live, k - 1] / gm[live]
+        inc = np.zeros(dX.shape[0])
+        inc[live] = dX[live, k] - dA[live, k] / gm[live]
         out[:, k] = out[:, k - 1] + inc
     return out
 

@@ -88,6 +88,17 @@ def test_tolerance_must_be_finite_and_non_negative(docs, capsys, command, value)
     assert "--tol" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("p", [1e-8, 1e-16, 1e-17, 1e-300])
+def test_verify_two_atom_model_at_every_probability(tmp_path, capsys, p):
+    # it exited 1 at p = 1e-300 with "fails with residual 1": the levels of
+    # D_opt and m rounded p away, and the compensator got it back as 0
+    space = FiniteFilteredSpace.from_partitions(["a", "b"], [p, 1.0 - p], [[0, 0], [0, 1]])
+    modelio.write_json(tmp_path / "model.json", modelio.model_to_dict(space, [1, 0]))
+    assert run("verify", "--model", tmp_path / "model.json", "--out", tmp_path / "out") == 0
+    report = json.loads((tmp_path / "out" / "verify-report.json").read_text())
+    assert report["ok"] and max(report["invariants"].values()) <= 1e-15
+
+
 def test_verify_rejects_bad_probs(docs, tmp_path):
     root, model = docs
     bad = copy.deepcopy(model)
@@ -235,7 +246,7 @@ README_DIGESTS = {
     "verify/survival_m.csv":
         "da86af8c386919620b0012c4685c0294245ff4ff8a17ab71f2b5dca961484cd9",
     "verify/verify-report.json":
-        "fa572687d748acd6f27972712f42edd586ceadcb025c7177c61157d9f8dd0ae3",
+        "293ebc94d168a65b4c625e0e1c7ce95cad2750fe5da852970c80e8deb5016ef1",
     "deflate-additive/Z.csv":
         "06f6e47ac03bdf7936e4cc9a4e1a77cc6616e77e5c1a874834026f90375542f5",
     "deflate-additive/certificate.json":
@@ -348,6 +359,21 @@ def test_deflate_refuses_non_finite_parameter_tables(docs, tmp_path, capsys, rou
     assert code == 2
     err = capsys.readouterr()
     assert f"input error: table {key!r} value {value} of {cell} is not finite" in err.err
+    assert not err.out and not (tmp_path / "out" / "certificate.json").exists()
+
+
+@pytest.mark.parametrize("table", [[["a", 1, 1], [1, 1, 1], [1, 1, 1], [1, 1, 1]],
+                                   [[1, 1], [1, 1, 1], [1, 1, 1], [1, 1, 1]]],
+                         ids=["word", "ragged"])
+def test_deflate_refuses_a_table_that_is_not_numbers(docs, tmp_path, capsys, table):
+    # either document used to raise a bare ValueError out of main
+    root, _ = docs
+    modelio.write_json(tmp_path / "params.json", {"route": "multiplicative", "Z_F": table})
+    code = run("deflate", "--model", root / "model.json",
+               "--params", tmp_path / "params.json", "--out", tmp_path / "out")
+    assert code == 2
+    err = capsys.readouterr()
+    assert "input error: table 'Z_F' is not a table of numbers" in err.err
     assert not err.out and not (tmp_path / "out" / "certificate.json").exists()
 
 

@@ -219,6 +219,19 @@ def test_validate_refuses_the_base_its_builder_refuses(demo_rts, route, key, bas
                 check(params, demo_rts)
 
 
+@pytest.mark.parametrize("route, key", [("multiplicative", "phi_o"), ("multiplicative", "phi_pr"),
+                                        ("measure-change", "phi"), ("additive", "phi_o")])
+def test_a_non_finite_parameter_is_refused_in_a_dead_cell_too(demo_rts, route, key):
+    # atom 3 is dead at date 2, so no factor there is checked, but the
+    # exponentials multiply in every cell: 1 + nan * 0 made Z[3, 2] NaN
+    table = np.zeros((4, 3))
+    table[3, 2] = np.nan
+    params = DeflatorParams(route, **{key: table})
+    for check in (validate, ROUTES[route][1]):
+        with pytest.raises(AdmissibilityError, match=rf"{key} must be finite, got nan at cell \(3, 2\)"):
+            check(params, demo_rts)
+
+
 # ------------------------------------------------------------------- factories
 
 def test_additive_null_params_demo(demo_rts):

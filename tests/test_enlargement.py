@@ -10,7 +10,6 @@ from horizon_deflators import (
     ContractViolationError,
     SpaceValidationError,
     StructuralError,
-    bracket,
     build_survival,
     classify,
     compensated_default_indicator,
@@ -25,7 +24,7 @@ from horizon_deflators import (
 )
 from horizon_deflators import enlargement as enl
 from horizon_deflators.enlargement import survival_exponential_integrand
-from horizon_deflators.prob_core import FiniteFilteredSpace, dual_projection
+from horizon_deflators.prob_core import FiniteFilteredSpace, dual_projection, increments, project
 
 import oracle
 from conftest import frac_table
@@ -75,6 +74,59 @@ def test_immediate_death(demo):
     assert np.allclose(rts.G, 0.0)
     assert np.allclose(rts.m, 1.0)
     assert np.allclose(rts.N_G, 1.0)
+
+
+def two_atom_model(p):
+    """Atoms of probability p and 1 - p, split at date 1; the first dies at 1, the other at 0."""
+    return FiniteFilteredSpace.from_partitions(["a", "b"], [p, 1.0 - p], [[0, 0], [0, 1]]), [1, 0]
+
+
+def rare_branch_tree(T=3, p=1e-5):
+    """A binary tree whose every step is rare (bit 1) with probability p; tau is
+    the index of the first common step, T if there is none, so each death is
+    seen one date late."""
+    bits = (np.arange(2 ** T)[:, None] >> np.arange(T - 1, -1, -1)) & 1
+    probs = np.prod(np.where(bits == 1, p, 1.0 - p), axis=1)
+    tau = np.where(bits.all(axis=1), T, np.argmin(bits, axis=1))
+    partitions = [np.arange(2 ** T) >> (T - n) for n in range(T + 1)]
+    space = FiniteFilteredSpace.from_partitions([f"w{i}" for i in range(2 ** T)],
+                                                probs / probs.sum(), partitions)
+    return space, tau
+
+
+@pytest.mark.parametrize("p", [1e-8, 1e-16, 1e-17, 1e-300])
+def test_two_atom_model_verifies_at_every_probability(p):
+    # the levels D_opt_0 = 1 - p and m_0 rounded to 1 and, differenced back,
+    # lost p: the compensator and the Z_bar identity read 5e-9 at p = 1e-8
+    # and 1.0 from p = 1e-17
+    rts = build_survival(*two_atom_model(p), verify=True)
+    assert max(enl.survival_residuals(rts).values()) <= 1e-15
+
+
+def test_rare_branch_compensator_is_a_martingale_to_rounding():
+    # it read 6.6e-12 when D_pred was differenced from its levels
+    rts = build_survival(*rare_branch_tree(), verify=False)
+    assert enl.survival_residuals(rts)["compensated_default_martingale"] <= 1e-15
+
+
+def test_levels_are_one_cumulative_sum_of_the_increments():
+    for rts, _ in _random_structures(23, 6):
+        for level, inc in (("D", "dD"), ("D_opt", "dD_opt"), ("D_pred", "dD_pred"),
+                           ("m", "dm"), ("N_G", "dN_G")):
+            assert np.array_equal(getattr(rts, level), np.cumsum(getattr(rts, inc), axis=1))
+
+
+def test_a_g_cell_off_by_1e9_relative_still_shows():
+    # the guard for any later bound of the mass balance: one G cell of the
+    # rare-branch tree (G = 1e-5) off by 1e-9 relative moves the residual to
+    # the full 1e-14, twenty times and more its rounding on the true tree
+    rts = build_survival(*rare_branch_tree(), verify=False)
+    good = enl.survival_residuals(rts)["survival_mass_balance"]
+    for atom, n in np.argwhere(rts.G > 0.0):
+        G = rts.G.copy()
+        G[atom, n] *= 1.0 + 1e-9
+        bad = enl.survival_residuals(replace(rts, G=G))["survival_mass_balance"]
+        assert bad >= 0.9e-9 * rts.G[atom, n] and bad >= 20 * good
 
 
 def test_tau_out_of_range(demo):
@@ -338,17 +390,18 @@ def test_survival_layer_matches_date_loops():
     for rts, M in _random_structures(17, 30):
         space, tau = rts.space, rts.tau
         irregular += int(rts.irregular_cells.any())
-        N_G, Z_bar = oracle.survival_loops(rts.D, rts.D_opt, rts.G, rts.G_tilde, tau)
+        N_G, Z_bar = oracle.survival_loops(rts.dD, rts.dD_opt, rts.G, rts.G_tilde, tau)
         assert np.array_equal(rts.Z_bar, Z_bar)
         assert np.max(np.abs(rts.N_G - N_G)) <= TOL_EXACT
         want = oracle.transport_loop(M, tau, rts.G_minus, rts.G_tilde,
                                      space.filtration.block_ids, space.probs)
         assert np.array_equal(transport(M, rts, check=False), want)
-        angle = bracket(M, rts.m, "predictable", space=space)
+        dM = increments(M)
+        angle = project(space, dM * rts.dm, "predictable")  # the increments of <M, m>
         assert np.array_equal(transport_compensated(M, rts, check=False),
-                              oracle.compensate_loop(M, angle, rts.G_minus, tau))
+                              oracle.compensate_loop(dM, angle, rts.G_minus, tau))
         assert np.array_equal(compensated_default_indicator(rts),
-                              oracle.compensate_loop(rts.D, rts.D_pred, rts.G_minus, tau))
+                              oracle.compensate_loop(rts.dD, rts.dD_pred, rts.G_minus, tau))
     assert irregular > 0  # the dead-cell correction was exercised
 
 
@@ -363,7 +416,7 @@ def test_vanishing_g_minus_raises_where_the_date_loop_does():
             gm[atom, k + 1] = 0.0
         bad = replace(rts, G_minus=gm)
         with pytest.raises(ValueError) as ref:
-            oracle.compensate_loop(rts.D, rts.D_pred, gm, rts.tau)
+            oracle.compensate_loop(rts.dD, rts.dD_pred, gm, rts.tau)
         for build in (lambda: compensated_default_indicator(bad),
                       lambda: transport_compensated(M, bad, check=False)):
             with pytest.raises(StructuralError) as got:

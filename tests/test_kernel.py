@@ -511,7 +511,7 @@ def _stopped_martingales(rng, rts):
 def _decompose_reference(MG, rts):
     return oracle.decompose_cells(
         stop(MG, rts.tau), rts.space.probs, rts.space.filtration.block_ids, rts.tau,
-        rts.G, rts.G_tilde, rts.G_minus, rts.D_opt)
+        rts.G, rts.G_tilde, rts.G_minus, rts.dD_opt)
 
 
 def _break_cell(rng, MG, rts, k):
