@@ -13,7 +13,6 @@ import math
 import os
 import sys
 from dataclasses import replace
-from statistics import NormalDist
 
 import numpy as np
 
@@ -32,9 +31,6 @@ from .market import MarketModel, verify_deflator, verify_lmd
 from .prob_core import classify
 
 OUT_ENV = "HORIZON_DEFLATORS_OUT"
-# family-wise size of the simulate suite: the chance that a correct model has
-# any of the suite's z-scores past the critical value
-SUITE_ALPHA = 0.01
 
 
 def _outdir(args) -> str:
@@ -180,38 +176,10 @@ def cmd_simulate(args) -> int:
     # an inadmissible theta raises here, on to main's handler
     values, feats, m_residual = jd.suite_arrays(bundle, psi1, psi2, theta=extras["theta"],
                                                 phi_o=phi_o, phi_pr=phi_pr)
-    # the plain deflator (phi_o = phi_pr = 0) is E(L): its other two factors are 1
-    suite = {name: (values[name], start, null, features)
-             for name, start, null, features in (
-                 ("m", 1.0, "martingale", feats),
-                 ("transported_brownian", 0.0, "martingale", feats),
-                 ("transported_poisson", 0.0, "martingale", feats),
-                 ("N_G", 0.0, "martingale", feats),
-                 ("survival_exponential", 1.0, "martingale", feats),
-                 ("deflator_plain", 1.0, "martingale", None),
-                 ("deflator_with_default_leg", 1.0, "martingale", None),
-                 ("deflated_wealth", 1.0, "supermartingale", None),
-                 ("deflated_price_drift", 1.0, "martingale", feats))}
-    # every mean z, and every regression coefficient z of a (martingale) null
-    # with (n_paths, R, p) features; Sidak (JASA 1967): n_z independent
-    # N(0, 1) z-scores each tested two-sided at 1 - (1 - alpha)^(1/n_z)
-    R = len(bundle.report_times)
-    n_z = sum(R if f is None else R + (R - 1) * (f.shape[2] + 1) for *_, f in suite.values())
-    z_crit = NormalDist().inv_cdf(1.0 + math.expm1(math.log1p(-SUITE_ALPHA) / n_z) / 2.0)
-    results, rejected, warnings = {}, [], []
-    for name, rep in jd.mc_suite(suite, bundle.report_times, z_crit=z_crit).items():
-        results[name] = {
-            "null": rep.null,
-            "means": rep.means.tolist(),
-            "ses": rep.ses.tolist(),
-            "zscores": rep.zscores.tolist(),
-            "max_abs_z": rep.max_abs_z,
-            "rejected": rep.rejected,
-        }
-        if rep.rejected:
-            rejected.append(name)
-        if rep.warning:
-            warnings.append(f"{name}: {rep.warning}")
+    suite, n_z, z_crit = jd.suite_tests(values, feats, phi_pr=phi_pr)
+    reports = jd.mc_suite(suite, bundle.report_times, z_crit=z_crit)
+    rejected = sorted(name for name, rep in reports.items() if rep.rejected)
+    warnings = [f"{name}: {rep.warning}" for name, rep in reports.items() if rep.warning]
     out = _outdir(args)
     summary = {
         "scenario": {"sigma": sc.sigma, "zeta": sc.zeta, "mu": sc.mu, "lambda": sc.lam,
@@ -219,31 +187,30 @@ def cmd_simulate(args) -> int:
                      "dt": sc.dt, "n_paths": sc.n_paths, "seed": sc.seed,
                      "psi1": psi1, "psi2": psi2},
         "report_times": bundle.report_times.tolist(),
-        "alpha": SUITE_ALPHA,
+        "alpha": jd.SUITE_ALPHA,
         "n_zscores": n_z,
         "z_crit": z_crit,
-        "results": results,
+        "results": {name: {"null": rep.null, "means": rep.means, "ses": rep.ses,
+                           "zscores": rep.zscores, "max_abs_z": rep.max_abs_z,
+                           "rejected": rep.rejected} for name, rep in reports.items()},
         "m_identity_residual": m_residual,
-        "rejected": sorted(rejected),
+        "rejected": rejected,
         "warnings": warnings,
         "ok": not rejected,
     }
     modelio.write_json(os.path.join(out, "simulate-summary.json"), summary)
     if bundle.samples:
         cols = ("time", "W", "N", "S", "G", "m", "N_G")
-
-        def kept_paths():
-            for s in bundle.samples:
-                Z = jd.deflator_grid(bundle, s["index"], psi1, psi2, phi_o=phi_o, phi_pr=phi_pr)
-                yield s["index"], np.column_stack([s[c] for c in cols] + [Z])
-
-        modelio.table_to_csv(os.path.join(out, "paths.csv"), ("path", *cols, "Z"), kept_paths())
+        kept = ((s["index"], np.column_stack([s[c] for c in cols] + [
+            jd.deflator_grid(bundle, s["index"], psi1, psi2, phi_o=phi_o, phi_pr=phi_pr)]))
+            for s in bundle.samples)
+        modelio.table_to_csv(os.path.join(out, "paths.csv"), ("path", *cols, "Z"), kept)
     for w in warnings:
         print(f"warning: {w}", file=sys.stderr)
     if rejected:
-        return _fail(1, f"null rejected for: {', '.join(sorted(rejected))}")
+        return _fail(1, f"null rejected for: {', '.join(rejected)}")
     print(f"simulate: all {len(suite)} statistical nulls pass: every one of {n_z} z-scores "
-          f"within {z_crit:.3f} (family-wise size {SUITE_ALPHA:g})")
+          f"within {z_crit:.3f} (family-wise size {jd.SUITE_ALPHA:g})")
     return 0
 
 

@@ -213,11 +213,11 @@ def _driver_steps(dK_F, rts) -> Array:
     return dY
 
 
-def _optional(phi, rts) -> tuple:
-    """The strict interval for the optional integrand, with +/-inf conventions,
-    and the map of where ``phi`` lies inside it."""
-    G, Gt = rts.G, rts.G_tilde
-    lo, hi = _ratio(-Gt, G, -np.inf), _ratio(Gt, Gt - G, np.inf)
+def _optional(phi, c, rts) -> tuple:
+    """The strict interval (-c / G, c / (G~ - G)) for the optional integrand, with
+    +/-inf conventions, and the map of where ``phi`` lies inside it.  The numerator c
+    is G~ on the product routes and G_-(1 + dK_F) on the additive one."""
+    lo, hi = _ratio(-c, rts.G, -np.inf), _ratio(c, rts.G_tilde - rts.G, np.inf)
     return {"optional_lower": lo, "optional_upper": hi}, (phi > lo) & (phi < hi)
 
 
@@ -267,14 +267,12 @@ def _additive(params: DeflatorParams, rts):
     dK_G = dY + phi_o * rts.dN_G + phi_pr * rts.dD
     dK_G[:, 0] = dY[:, 0]  # the integrals start at 0
     steps_G, steps_F = _steps(dK_G), _steps(dK_F)
-    one_dK = np.insert(steps_F, 0, 1.0, axis=1)
-    G, Gt, Gm = rts.G, rts.G_tilde, rts.G_minus
-    lo = _ratio(-Gm * one_dK, G, -np.inf)
-    hi = _ratio(Gm * one_dK, Gt - G, np.inf)
-    prog_lo = _ratio(-(Gm * one_dK + phi_o * G), Gt, -np.inf)
+    c = rts.G_minus * np.insert(steps_F, 0, 1.0, axis=1)
+    bounds, inside = _optional(phi_o, c, rts)
+    prog_lo = _ratio(-(c + phi_o * rts.G), rts.G_tilde, -np.inf)
     report = _report("additive", steps_G, phi_pr, rts,
-                     {"optional": (phi_o > lo) & (phi_o < hi), "progressive": phi_pr > prog_lo},
-                     {"optional_lower": lo, "optional_upper": hi, "progressive_lower": prog_lo})
+                     {"optional": inside, "progressive": phi_pr > prog_lo},
+                     {**bounds, "progressive_lower": prog_lo})
     yield report
     if np.min(steps_F) <= 0.0:
         raise AdmissibilityError("driver factors 1 + dK_F must be positive")
@@ -300,7 +298,7 @@ def _multiplicative(params: DeflatorParams, rts):
     Z_F = _full(rts, params.Z_F, "multiplicative base", positive=True)
     phi_o, phi_pr = _tables(params, rts, "phi_o", "phi_pr")
     steps_o, steps_pr = _steps(rts.dN_G, phi_o), _steps(rts.dD, phi_pr)
-    bounds, inside = _optional(phi_o, rts)
+    bounds, inside = _optional(phi_o, rts.G_tilde, rts)
     report = _report("multiplicative", steps_o * steps_pr, phi_pr, rts,
                      {"optional": inside, "progressive": phi_pr > -1.0}, bounds)
     yield report
@@ -320,7 +318,7 @@ def _measure_change(params: DeflatorParams, rts, market=None, tol: float = 1e-9)
     Z_QF = _full(rts, params.Z_QF, "measure-change base", positive=True)
     phi = _full(rts, params.phi, "phi")
     steps = _steps(rts.dN_G, phi)
-    bounds, inside = _optional(phi, rts)
+    bounds, inside = _optional(phi, rts.G_tilde, rts)
     report = _report("measure-change", steps, None, rts, {"optional": inside}, bounds)
     yield report
     if market is not None:

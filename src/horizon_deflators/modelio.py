@@ -129,11 +129,11 @@ def _cell_texts(chunk, lead, inner):
     return texts, cells.reshape(chunk.shape)
 
 
-def process_to_csv(path, outcomes, X, *, header=("atom", "time", "value")):
+def process_to_csv(path, outcomes, X):
     """Write a process table as (atom id, time, value) rows; values render as in :func:`fmt`."""
     X = np.asarray(X, dtype=float)
     with open(path, "w") as fh:
-        fh.write(",".join(header) + "\n")
+        fh.write("atom,time,value\n")
         _write_rows(fh, outcomes, [f",{n}," for n in range(X.shape[1])], X[:, :, None])
 
 

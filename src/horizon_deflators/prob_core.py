@@ -353,11 +353,6 @@ def _node_means(filt: Filtration, weighted, w, allow_degenerate: bool):
     return _means(filt.node_reduce(weighted), mass, filt.offsets, allow_degenerate), mass
 
 
-def _weighted_steps(dX, w) -> Array:
-    """w times the one-step increments dX_k, k = 1..T, time-major, in one array."""
-    return np.multiply(dX.T[1:], w, order="C")
-
-
 def _date_of(filt: Filtration, node):
     """The date of a node id (elementwise for an array of ids)."""
     return np.searchsorted(filt.offsets, node, side="right") - 1
@@ -481,8 +476,8 @@ def doob_decomposition(space, X, *, filtration=None, measure=None):
     filt = filtration if filtration is not None else space.filtration
     w = _weights(measure, space)
     V = as_values(X)
-    means, _ = _node_means(filt, _weighted_steps(increments(V), w), w, True)
-    A = np.cumsum(np.insert(means[filt.nodes[:-1].T], 0, 0.0, axis=1), axis=1)
+    dA = _cond_rows(filt, increments(V).T[1:], w, True)
+    A = np.cumsum(np.insert(dA, 0, 0.0, axis=1), axis=1)
     return V - A, A
 
 
@@ -521,7 +516,7 @@ def classify(space, X, *, filtration=None, measure=None, tol: float = TOL_EXACT)
 
 def _classify_steps(filt: Filtration, dX, w, tol: float) -> ClassifyReport:
     """:func:`classify` of the process with increments dX, under atom weights w."""
-    means, mass = _node_means(filt, _weighted_steps(dX, w), w, True)
+    means, mass = _node_means(filt, np.multiply(dX.T[1:], w, order="C"), w, True)
     live = np.flatnonzero(mass > 0.0)
     r = means[live]
     bad = ~np.isfinite(r)

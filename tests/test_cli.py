@@ -496,7 +496,7 @@ def test_simulate_exit_codes(docs, tmp_path):
                          ids=["crosses-a-chunk", "horizon-off-grid"])
 def test_simulate_paths_csv_matches_per_cell_writer(tmp_path, horizon, dt):
     doc = {"sigma": 0.2, "zeta": 0.1, "mu": 0.03, "lambda": 2.0, "a": 0.5, "n_paths": 300,
-           "seed": 11, "horizon": horizon, "dt": dt, "keep_paths": 3, "phi_pr": 0.1}
+           "seed": 11, "horizon": horizon, "dt": dt, "keep_paths": 3, "phi_pr": -0.1}
     modelio.write_json(tmp_path / "scenario.json", doc)
     assert run("simulate", "--scenario", tmp_path / "scenario.json", "--out", tmp_path) in (0, 1)
     sc, extras = modelio.load_scenario(doc)
@@ -559,6 +559,8 @@ def _first_breach(doc):
     ({"psi2": 0.0}, "scenario constraint violation: psi2 must be strictly positive"),
     ({"phi_o": -1.0}, "scenario constraint violation: phi_o must exceed -1 before the first jump"),
     ({"phi_pr": -1.0}, "scenario constraint violation: phi_pr must exceed -1 at the default date"),
+    ({"phi_pr": 0.2}, "scenario constraint violation: phi_pr must not exceed 0: above, E[Z_t] > 1 "
+                      "once default can occur, so Z is no supermartingale deflator"),
     ({"psi2": 1e-9, "phi_o": 0.5},
      "scenario constraint violation: phi_o at the first jump breaches psi2 (1 + beta T1) on path"),
     ({"zeta": 0.5, "theta": -2.0}, "error: inadmissible proportional strategy"),
@@ -567,7 +569,8 @@ def _first_breach(doc):
      "scenario constraint violation: psi2 must be strictly positive"),
     ({"phi_o": -1.0, "zeta": 0.5, "theta": -2.0},
      "scenario constraint violation: phi_o must exceed -1 before the first jump"),
-], ids=["psi2", "phi_o", "phi_pr", "path", "theta", "psi2-first", "phi_o-first"])
+], ids=["psi2", "phi_o", "phi_pr", "phi_pr-positive", "path", "theta", "psi2-first",
+        "phi_o-first"])
 def test_simulate_names_each_inadmissible_suite_parameter(tmp_path, capsys, fields, message):
     # each is a constraint of the deflator or of the wealth strategy, met only
     # once the paths are drawn: exit 2 with the constraint's message, no summary
@@ -579,6 +582,42 @@ def test_simulate_names_each_inadmissible_suite_parameter(tmp_path, capsys, fiel
     assert run("simulate", "--scenario", tmp_path / "scenario.json", "--out", tmp_path) == 2
     assert capsys.readouterr().err == message + "\n"
     assert not (tmp_path / "simulate-summary.json").exists()
+
+
+README_SCENARIO = {"sigma": 0.2, "zeta": 0.1, "mu": 0.03, "lambda": 2.0, "a": 0.5, "seed": 7}
+
+
+def test_simulate_summary_holds_the_suite_table(tmp_path):
+    # the summary's nulls and hypotheses are jumpdiff's table, and its z-score
+    # count and critical value are what jumpdiff computes from that table
+    modelio.write_json(tmp_path / "scenario.json", {**README_SCENARIO, "n_paths": 2000})
+    run("simulate", "--scenario", tmp_path / "scenario.json", "--out", tmp_path)
+    summary = json.loads((tmp_path / "simulate-summary.json").read_text())
+    assert ({name: result["null"] for name, result in summary["results"].items()}
+            == {name: null for name, _, null, _ in jd.SUITE})
+    sc, extras = modelio.load_scenario(tmp_path / "scenario.json")
+    b = jd.simulate(sc)
+    values, features, _ = jd.suite_arrays(b, jd.solve_drift(sc, extras["psi2"]), extras["psi2"],
+                                          theta=extras["theta"], phi_o=extras["phi_o"])
+    _, n_z, z_crit = jd.suite_tests(values, features)
+    assert (summary["alpha"], summary["n_zscores"], summary["z_crit"]) == (jd.SUITE_ALPHA, n_z,
+                                                                           z_crit)
+    assert n_z == 240 and f"{z_crit:.3f}" == "4.097"
+
+
+@pytest.mark.parametrize("seed", [7, 424242])
+def test_simulate_tests_a_negative_default_leg_as_a_supermartingale(tmp_path, seed):
+    # with phi_pr < 0 the deflator is a martingale times 1 + phi_pr 1{tau <= t},
+    # which falls at the default date: its means drop below 1, and the suite
+    # tests it as the supermartingale it is
+    modelio.write_json(tmp_path / "scenario.json",
+                       {**README_SCENARIO, "seed": seed, "phi_pr": -0.2})
+    assert run("simulate", "--scenario", tmp_path / "scenario.json", "--paths", "20000",
+               "--out", tmp_path) == 0
+    leg = json.loads((tmp_path / "simulate-summary.json").read_text())["results"][
+        "deflator_with_default_leg"]
+    assert leg["null"] == "supermartingale" and not leg["rejected"]
+    assert max(leg["means"]) < 1.0 and max(leg["zscores"]) < -100.0
 
 
 def test_simulate_regression_survives_huge_price_feature(tmp_path):
@@ -776,7 +815,7 @@ SCENARIO_FIELDS = {
     "seed": (st.integers(0, 2**70), (-1, 7.5, True, "7")),
     "psi2": (st.floats(0.5, 2.0), (*NON_FINITE, 0.0, -1.0, 1e300)),
     "phi_o": (st.floats(-0.5, 0.4), (*NON_FINITE, -1.0, -2.0)),
-    "phi_pr": (st.floats(-0.5, 0.5), (*NON_FINITE, -1.0)),
+    "phi_pr": (st.floats(-0.5, 0.0), (*NON_FINITE, -1.0, 0.25)),
     "theta": (st.floats(-1.0, 1.0), (*NON_FINITE, 1e300)),
     "keep_paths": (st.integers(0, 4), (-1, 1.5)),
 }

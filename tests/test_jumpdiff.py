@@ -246,8 +246,8 @@ def test_path_arrays_are_column_major(n_paths, monkeypatch):
                   wealth=jd.proportional_wealth(b, 0.8),
                   unstopped_wealth=jd.proportional_wealth(b, 0.8, stopped=False),
                   lmd_times_price=jd.lmd_times_price(b, psi1, 1.0),
-                  **build_deflator(b, psi1, 1.0, phi_o=0.25, phi_pr=0.1))
-    values, features, _ = jd.suite_arrays(b, psi1, 1.0, theta=0.8, phi_o=0.25, phi_pr=0.1)
+                  **build_deflator(b, psi1, 1.0, phi_o=0.25, phi_pr=-0.1))
+    values, features, _ = jd.suite_arrays(b, psi1, 1.0, theta=0.8, phi_o=0.25, phi_pr=-0.1)
     arrays.update({f"suite {name}": v for name, v in values.items()}, suite_features=features)
     for name, arr in arrays.items():
         assert arr.shape[0] == n_paths and arr.ndim >= 2, name
@@ -540,7 +540,7 @@ def test_plain_deflator_is_the_e_l_factor():
     plain = build_deflator(b, psi1, 1.3)
     assert np.array_equal(plain["E_NG"], np.ones_like(plain["Z"]))
     assert np.array_equal(plain["E_D"], np.ones_like(plain["Z"]))
-    assert np.array_equal(plain["Z"], build_deflator(b, psi1, 1.3, phi_o=0.25, phi_pr=0.1)["E_L"])
+    assert np.array_equal(plain["Z"], build_deflator(b, psi1, 1.3, phi_o=0.25, phi_pr=-0.1)["E_L"])
 
 
 @pytest.mark.parametrize("rows", [1, 10**9], ids=["pooled", "inline"])
@@ -551,7 +551,7 @@ def test_suite_arrays_equal_the_public_functions(rows, monkeypatch):
     monkeypatch.setattr(jd, "_ROWS", 64)
     sc = scenario(n_paths=300, lam=6.0)
     b = simulate(sc, keep_paths=3)
-    psi1, psi2, theta, phi_o, phi_pr = solve_drift(sc, 1.3), 1.3, -0.6, 0.25, 0.1
+    psi1, psi2, theta, phi_o, phi_pr = solve_drift(sc, 1.3), 1.3, -0.6, 0.25, -0.1
     d = build_deflator(b, psi1, psi2, phi_o=phi_o, phi_pr=phi_pr)
     want = {"m": b.m, "N_G": b.N_G, "transported_brownian": jd.transported_brownian(b),
             "transported_poisson": jd.transported_poisson(b),
