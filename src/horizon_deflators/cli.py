@@ -27,7 +27,7 @@ from .errors import (
     SpaceValidationError,
     UnsupportedDimensionError,
 )
-from .market import MarketModel, verify_deflator, verify_lmd
+from .market import verify_deflator, verify_lmd
 from .prob_core import classify
 
 OUT_ENV = "HORIZON_DEFLATORS_OUT"
@@ -35,7 +35,10 @@ OUT_ENV = "HORIZON_DEFLATORS_OUT"
 
 def _outdir(args) -> str:
     out = args.out or os.environ.get(OUT_ENV) or "."
-    os.makedirs(out, exist_ok=True)
+    try:
+        os.makedirs(out, exist_ok=True)
+    except OSError as exc:
+        raise SpaceValidationError(f"output directory {out}: {exc.strerror}") from exc
     return out
 
 
@@ -112,9 +115,8 @@ def cmd_deflate(args) -> int:
                              filtration=rts.G_filtration).verdict,
     }
     verdicts = "no price table, so no oracle ran"
-    if doc.S is not None:
-        market = MarketModel.from_prices(doc.space, doc.S, assets=doc.assets)
-        stopped = market.stopped(rts.tau, rts.G_filtration)
+    if doc.market is not None:
+        stopped = doc.market.stopped(rts.tau, rts.G_filtration)
         lmd = verify_lmd(deflator.Z, stopped, tol=args.tol)
         certificate["verify_lmd"] = {"ok": lmd.ok, "residual": lmd.max_residual}
         verdicts = (f"verify_lmd {'accepts' if lmd.ok else 'rejects'} Z "
@@ -164,18 +166,15 @@ def cmd_simulate(args) -> int:
         sc, extras = modelio.load_scenario(args.scenario)
         overrides = {"dt": args.dt, "n_paths": args.paths, "seed": args.seed}
         sc = replace(sc, **{k: v for k, v in overrides.items() if v is not None})
+        psi2, phi_o, phi_pr = extras["psi2"], extras["phi_o"], extras["phi_pr"]
+        psi1 = jd.solve_drift(sc, psi2)
+        bundle = jd.simulate(sc, keep_paths=extras["keep_paths"])
+        values, feats, m_residual = jd.suite_arrays(bundle, psi1, psi2, theta=extras["theta"],
+                                                    phi_o=phi_o, phi_pr=phi_pr)
     except SpaceValidationError as exc:
         return _fail(2, f"input error: {exc}")
-    bundle = jd.simulate(sc, keep_paths=extras["keep_paths"])
-    psi2, phi_o, phi_pr = extras["psi2"], extras["phi_o"], extras["phi_pr"]
-    try:
-        psi1 = jd.solve_drift(sc, psi2)
-        jd.check_deflator(bundle, psi2, phi_o=phi_o, phi_pr=phi_pr)
     except AdmissibilityError as exc:
         return _fail(2, f"scenario constraint violation: {exc}")
-    # an inadmissible theta raises here, on to main's handler
-    values, feats, m_residual = jd.suite_arrays(bundle, psi1, psi2, theta=extras["theta"],
-                                                phi_o=phi_o, phi_pr=phi_pr)
     suite, n_z, z_crit = jd.suite_tests(values, feats, phi_pr=phi_pr)
     reports = jd.mc_suite(suite, bundle.report_times, z_crit=z_crit)
     rejected = sorted(name for name, rep in reports.items() if rep.rejected)

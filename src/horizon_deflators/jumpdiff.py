@@ -696,7 +696,8 @@ def proportional_wealth(bundle: PathBundle, theta: float, *, stopped: bool = Tru
 def check_wealth(sc: JumpDiffusionScenario, theta: float) -> None:
     """Raise :class:`AdmissibilityError` unless 1 + theta zeta > 0."""
     if 1.0 + theta * sc.zeta <= 0.0:
-        raise AdmissibilityError("inadmissible proportional strategy")
+        raise AdmissibilityError(
+            f"theta = {theta:g} is inadmissible: 1 + theta zeta must be positive")
 
 
 def _wealth(b, theta, stopped):

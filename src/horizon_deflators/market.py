@@ -60,7 +60,13 @@ def __getattr__(name):
 
 @dataclass(frozen=True)
 class MarketModel:
-    """Adapted price process S (d assets), its filtration, and its measure."""
+    """Adapted price process S (d assets), its filtration, and its measure.
+
+    The one home of the price rules, checked in this order: S is (d, atoms,
+    T + 1), or (atoms, T + 1); names are absent (S0, S1, ...) or one per
+    asset; S is finite and exactly adapted, as the oracles assume.  A breach
+    raises :class:`ContractViolationError` naming where it occurs.
+    """
 
     space: FiniteFilteredSpace
     S: Array
@@ -70,15 +76,28 @@ class MarketModel:
 
     def __post_init__(self):
         S = np.asarray(as_values(self.S), dtype=float)
-        if S.ndim == 2:
-            S = S[None]
+        shape = (self.filtration.n_atoms, self.filtration.n_times)
+        if S.shape[-2:] != shape or S.ndim not in (2, 3):
+            raise ContractViolationError(f"price table must have shape (assets, {shape[0]}, "
+                                         f"{shape[1]}) or {shape}, got {S.shape}")
+        S = S.reshape(-1, *shape)
+        names = tuple(self.assets) or tuple(f"S{i}" for i in range(S.shape[0]))
+        if len(names) != S.shape[0]:
+            raise ContractViolationError(
+                f"asset names must be one per asset: {len(names)} name(s), {len(S)} asset(s)")
         object.__setattr__(self, "S", S)
-        if not self.assets:
-            object.__setattr__(self, "assets", tuple(f"S{i}" for i in range(S.shape[0])))
+        object.__setattr__(self, "assets", names)
         if not np.all(np.isfinite(S)):
-            raise ContractViolationError("prices must be finite")
-        if not self.filtration.is_adapted(S):
-            raise ContractViolationError("price process is not adapted")
+            i, atom, n = np.argwhere(~np.isfinite(S))[0]
+            raise ContractViolationError(
+                f"asset table value {float(S[i, atom, n])!r} of (asset {names[i]}, atom "
+                f"{self.space.outcomes[atom]}, time {n}) is not finite")
+        ok = self.filtration.spread_ok(S.T).all(axis=1)  # per node, in date order
+        if not ok.all():
+            date, atom = (col[np.argmin(ok)] for col in self.filtration.node_atoms())
+            raise ContractViolationError(
+                f"price process is not adapted: at time {date} it is not constant on the "
+                f"block of atom {self.space.outcomes[atom]}")
 
     @classmethod
     def from_prices(cls, space, S, *, filtration=None, measure=None, assets=()):
@@ -183,14 +202,11 @@ def verify_lmd(Z, market: MarketModel, *, tol: float = 1e-9) -> OracleReport:
 def _vertex_sup(v: Array, rows: Array, tol: float):
     """Per node, sup of v'phi over {phi : rows phi >= -1} given nonpositive recession slopes.
 
-    ``v`` is (nodes, d) and ``rows`` (nodes, m, d), or one node's (d,) and
-    (m, d) for a float; rows of norm <= tol are dropped.  Nodes whose kept
-    rows have rank below d are reduced to their row space (orthogonal
-    directions have zero slope) by one stacked SVD per group of nodes with
-    equally many kept rows and equal rank.
+    ``v`` is (nodes, d) and ``rows`` (nodes, m, d); rows of norm <= tol are
+    dropped.  Nodes whose kept rows have rank below d are reduced to their
+    row space (orthogonal directions have zero slope) by one stacked SVD per
+    group of nodes with equally many kept rows and equal rank.
     """
-    if v.ndim == 1:
-        return float(_vertex_sup(v[None], rows[None], tol)[0])
     out = np.zeros(len(v))
     keep = np.linalg.norm(rows, axis=2) > tol
     count = keep.sum(axis=1)
@@ -279,13 +295,10 @@ def _polytope_nodes(v: Array, R: Array, room: Array):
     count as zero.  The recession slope is the max of v'r over the cone
     {R r >= 0} capped by the box |r|_inf <= 1, found by :func:`_vertex_max`
     with the rows scaled to unit norm (the cone does not change).  Where it
-    is within ``room``, the sup comes from the same enumeration over R;
-    nodes whose rows have rank strictly between 0 and d go, all at once,
-    through the row-space reduction of :func:`_vertex_sup`.
+    is within ``room``, the sup comes from :func:`_vertex_sup` over R.
     """
     n, m, d = R.shape
     norm = np.linalg.norm(R, axis=2, keepdims=True)
-    R = np.where(norm > 1e-14, R, 0.0)
     unit = np.divide(R, norm, out=np.zeros_like(R), where=norm > 1e-14)
     box = np.broadcast_to(np.concatenate([np.eye(d), -np.eye(d)]), (n, 2 * d, d))
     # k >= 1 box rows on k axes: cone rows alone meet at x = 0, e_j with -e_j is singular
@@ -297,11 +310,7 @@ def _polytope_nodes(v: Array, R: Array, room: Array):
                       np.concatenate([np.zeros(m), -np.ones(2 * d)]), (count, boxed))
     sup = np.zeros(n)
     bounded = rec <= room
-    rank = np.linalg.matrix_rank(R, tol=1e-12)
-    full = bounded & (rank == d)
-    sup[full] = _vertex_max(v[full], R[full], -np.ones(m))
-    low = bounded & (rank > 0) & (rank < d)
-    sup[low] = _vertex_sup(v[low], R[low], 1e-14)
+    sup[bounded] = _vertex_sup(v[bounded], R[bounded], 1e-14)
     return rec, sup
 
 

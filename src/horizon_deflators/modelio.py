@@ -8,6 +8,9 @@ table, a chunk of rows at a time.  It reads only the heads of runs of equal
 bits down each column, formats their distinct values in one ``%`` pass, and
 gives each text its separator (the first column also its row key), so a row
 is its label and one text per value.
+
+The loaders only parse: each model or scenario rule is checked once, by the
+object it constrains (see :func:`load_model` and :func:`load_scenario`).
 """
 
 from __future__ import annotations
@@ -20,7 +23,8 @@ import numpy as np
 
 from .deflators import DeflatorParams
 from .errors import SpaceValidationError
-from .jumpdiff import MAX_EXPONENT, JumpDiffusionScenario, solve_drift
+from .jumpdiff import MAX_EXPONENT, JumpDiffusionScenario
+from .market import MarketModel
 from .prob_core import FiniteFilteredSpace
 
 
@@ -153,33 +157,32 @@ def process_from_csv(path, outcomes, horizon) -> np.ndarray:
     """
     index = {str(name): i for i, name in enumerate(outcomes)}
     X = np.full((len(outcomes), horizon + 1), np.nan)
-    with open(path) as fh:
-        header = fh.readline()
-        if not header.lower().startswith("atom"):
-            raise SpaceValidationError("process table must carry an atom,time,value header")
-        for row, line in enumerate(fh, start=2):
-            line = line.strip()
-            if not line:
-                continue
-            parts = line.split(",")
-            if len(parts) != 3:
-                raise SpaceValidationError(f"row {row}: malformed process row {line!r}")
-            name, n, v = parts
-            if name not in index:
-                raise SpaceValidationError(f"row {row}: unknown atom id {name!r}")
-            try:
-                n, v = int(n), float(v)
-            except ValueError:
-                raise SpaceValidationError(
-                    f"row {row}: time must be an integer and value a number, got {line!r}"
-                ) from None
-            if not 0 <= n <= horizon:
-                raise SpaceValidationError(f"row {row}: time {n} outside 0..{horizon}")
-            if not math.isfinite(v):
-                raise SpaceValidationError(f"row {row}: value {v!r} of ({name}, {n}) is not finite")
-            if not math.isnan(X[index[name], n]):
-                raise SpaceValidationError(f"row {row}: cell ({name}, {n}) appears twice")
-            X[index[name], n] = v
+    header, *lines = _text(path).split("\n")  # not splitlines: only a line break ends a row
+    if not header.lower().startswith("atom"):
+        raise SpaceValidationError("process table must carry an atom,time,value header")
+    for row, line in enumerate(lines, start=2):
+        line = line.strip()
+        if not line:
+            continue
+        parts = line.split(",")
+        if len(parts) != 3:
+            raise SpaceValidationError(f"row {row}: malformed process row {line!r}")
+        name, n, v = parts
+        if name not in index:
+            raise SpaceValidationError(f"row {row}: unknown atom id {name!r}")
+        try:
+            n, v = int(n), float(v)
+        except ValueError:
+            raise SpaceValidationError(
+                f"row {row}: time must be an integer and value a number, got {line!r}"
+            ) from None
+        if not 0 <= n <= horizon:
+            raise SpaceValidationError(f"row {row}: time {n} outside 0..{horizon}")
+        if not math.isfinite(v):
+            raise SpaceValidationError(f"row {row}: value {v!r} of ({name}, {n}) is not finite")
+        if not math.isnan(X[index[name], n]):
+            raise SpaceValidationError(f"row {row}: cell ({name}, {n}) appears twice")
+        X[index[name], n] = v
     if np.any(np.isnan(X)):
         i, n = np.argwhere(np.isnan(X))[0]
         raise SpaceValidationError(
@@ -189,12 +192,11 @@ def process_from_csv(path, outcomes, horizon) -> np.ndarray:
 
 @dataclass(frozen=True)
 class ModelDocument:
-    """A parsed model: space, random time, optional price table."""
+    """A parsed model: space, random time, and the checked market of its price table, if any."""
 
     space: FiniteFilteredSpace
     tau: np.ndarray
-    S: np.ndarray | None
-    assets: tuple
+    market: MarketModel | None
 
 
 def model_to_dict(space, tau, S=None, assets=()) -> dict:
@@ -215,7 +217,12 @@ def model_to_dict(space, tau, S=None, assets=()) -> dict:
 
 
 def load_model(source) -> ModelDocument:
-    """Parse a model document (path or dict); all validation errors are raised."""
+    """Parse a model document (path or dict) into its space, tau and checked market.
+
+    Parsing and the outcome-id rule raise :class:`SpaceValidationError`.  The
+    shape and range of ``tau`` are :func:`build_survival`'s rules, and the
+    price rules are :class:`MarketModel`'s (:class:`ContractViolationError`).
+    """
     doc = _read(source)
     try:
         outcomes = [o["id"] for o in doc["outcomes"]]
@@ -240,30 +247,15 @@ def load_model(source) -> ModelDocument:
             raise SpaceValidationError(f"outcome id {name!r} cannot round-trip through a CSV "
                                        "table: no comma, line break, edge whitespace or repeat")
         seen.add(name)
-    if tau.shape != (space.n_atoms,):
-        raise SpaceValidationError("tau must give one value per atom")
-    if np.any((tau < 0) | (tau > horizon)):
-        raise SpaceValidationError("tau out of range")
-    S, assets = None, ()
+    market = None
     if "assets" in doc and doc["assets"]:
         try:
             S = np.asarray(doc["assets"]["values"], dtype=float)
             assets = tuple(doc["assets"].get("names", ()))
         except (KeyError, TypeError, ValueError, AttributeError, OverflowError) as exc:
             raise SpaceValidationError(f"malformed asset table: {exc}") from exc
-        if S.ndim == 2:
-            S = S[None]
-        if S.shape[1:] != (space.n_atoms, horizon + 1):
-            raise SpaceValidationError("asset table has wrong shape")
-        if not np.all(np.isfinite(S)):
-            i, atom, n = np.argwhere(~np.isfinite(S))[0]
-            name = assets[i] if i < len(assets) else f"S{i}"
-            raise SpaceValidationError(
-                f"asset table value {float(S[i, atom, n])!r} of (asset {name}, atom "
-                f"{outcomes[atom]}, time {n}) is not finite")
-        if not space.filtration.is_adapted(S, tol=1e-12):
-            raise SpaceValidationError("asset table is not adapted")
-    return ModelDocument(space=space, tau=tau, S=S, assets=assets)
+        market = MarketModel.from_prices(space, S, assets=assets)
+    return ModelDocument(space=space, tau=tau, market=market)
 
 
 def _table(doc, key, n_atoms, horizon):
@@ -304,22 +296,16 @@ def _integral(v, name) -> int:
     return int(v)
 
 
-def _integer(doc, key, default) -> int:
-    """The integer field ``key`` of ``doc``, by the rule of :func:`_integral`."""
-    return _integral(doc.get(key, default), key)
-
-
 def load_scenario(source) -> tuple:
     """Parse a scenario document; returns (scenario, extras dict).
 
-    Every field is checked before anything is drawn: the model fields by
-    :class:`JumpDiffusionScenario`, and here the integer fields, the finite
-    suite parameters ``psi2``, ``phi_o``, ``phi_pr`` and ``theta``,
-    ``keep_paths`` in [0, n_paths], a market price of risk
-    (:func:`solve_drift`) whose square does not overflow, and exponents of
-    the wealth and the deflator within ``MAX_EXPONENT``: theta^2 sigma^2
-    and |theta (mu - zeta lam)| for ``theta``, |psi2 - 1| lam for ``psi2``,
-    each times the horizon.  A failure names the field.
+    Checked here, naming the field: the integer fields, finite ``psi2``,
+    ``phi_o``, ``phi_pr`` and ``theta``, and exponents within
+    ``MAX_EXPONENT`` times the horizon: theta^2 sigma^2 and |theta (mu -
+    zeta lam)| for ``theta``, |psi2 - 1| lam for ``psi2``.  The other rules
+    are :mod:`jumpdiff`'s: the model fields :class:`JumpDiffusionScenario`'s,
+    ``keep_paths`` :func:`simulate`'s, psi2 > 0 :func:`solve_drift`'s, and
+    admissibility :func:`check_deflator`'s and :func:`check_wealth`'s.
     """
     doc = _read(source)
     required = ("sigma", "zeta", "mu", "lambda", "a")
@@ -332,7 +318,8 @@ def load_scenario(source) -> tuple:
             lam=float(doc["lambda"]), a=float(doc["a"]),
             S0=float(doc.get("S0", 1.0)), horizon=float(doc.get("horizon", 1.0)),
             dt=float(doc.get("dt", 2.0 ** -10)),
-            n_paths=_integer(doc, "n_paths", 100_000), seed=_integer(doc, "seed", 0),
+            n_paths=_integral(doc.get("n_paths", 100_000), "n_paths"),
+            seed=_integral(doc.get("seed", 0), "seed"),
         )
         extras = {name: float(doc.get(name, default)) for name, default in
                   (("psi2", 1.0), ("phi_o", 0.25), ("phi_pr", 0.0), ("theta", 0.7))}
@@ -341,9 +328,7 @@ def load_scenario(source) -> tuple:
     for name, value in extras.items():
         if not math.isfinite(value):
             raise SpaceValidationError(f"{name} must be finite")
-    extras["keep_paths"] = _integer(doc, "keep_paths", 4)
-    if not 0 <= extras["keep_paths"] <= sc.n_paths:
-        raise SpaceValidationError(f"keep_paths must lie in [0, n_paths = {sc.n_paths}]")
+    extras["keep_paths"] = _integral(doc.get("keep_paths", 4), "keep_paths")
     theta, psi2 = extras["theta"], extras["psi2"]
     bounds = (("theta", theta * theta * sc.sigma * sc.sigma, "theta^2 sigma^2"),
               ("theta", abs(theta * (sc.mu - sc.zeta * sc.lam)), "|theta (mu - zeta lam)|"),
@@ -353,18 +338,23 @@ def load_scenario(source) -> tuple:
             raise SpaceValidationError(
                 f"{name} = {extras[name]:.3g}: {formula} times the horizon must not exceed "
                 f"{MAX_EXPONENT:g}")
-    if psi2 > 0.0:  # else the suite reports psi2 as a constraint violation
-        solve_drift(sc, psi2)
     return sc, extras
+
+
+def _text(path) -> str:
+    """The text of a document; an unreadable one raises :class:`SpaceValidationError`."""
+    try:
+        with open(path) as fh:
+            return fh.read()
+    except (OSError, UnicodeDecodeError) as exc:  # missing, a directory, undecodable bytes
+        reason = getattr(exc, "strerror", None) or exc
+        raise SpaceValidationError(f"cannot read {path}: {reason}") from exc
 
 
 def _read(source):
     if isinstance(source, dict):
         return source
     try:
-        with open(source) as fh:
-            return json.load(fh)
-    except FileNotFoundError as exc:
-        raise SpaceValidationError(f"no such file: {source}") from exc
+        return json.loads(_text(source))
     except json.JSONDecodeError as exc:
         raise SpaceValidationError(f"invalid JSON in {source}: {exc}") from exc

@@ -132,6 +132,59 @@ def test_deflate_rejects_non_finite_price_at_load(docs, tmp_path, capsys, bad):
     assert list(out.iterdir()) == []
 
 
+@pytest.mark.parametrize("command", ["verify", "deflate", "decompose"])
+@pytest.mark.parametrize("flaw,message", [
+    ("moved", "price process is not adapted: at time 1 it is not constant on the block of "
+              "atom w1"),
+    ("names", "asset names must be one per asset: 2 name(s), 1 asset(s)"),
+])
+def test_tree_commands_refuse_a_price_table_before_writing(docs, tmp_path, capsys, command,
+                                                           flaw, message):
+    # a price moved by 1e-14 within its block is not adapted, as the oracles
+    # need; asset names must be one per asset
+    root, model = docs
+    doc = copy.deepcopy(model)
+    if flaw == "moved":
+        doc["assets"]["values"][0][0][1] += 1e-14  # (asset S0, atom w1, time 1)
+    else:
+        doc["assets"]["names"] = ["A", "B"]
+    modelio.write_json(tmp_path / "bad.json", doc)
+    space, tau, _ = trees.two_period_demo()
+    modelio.process_to_csv(tmp_path / "N_G.csv", space.outcomes, build_survival(space, tau).N_G)
+    argv = {"verify": ["verify"],
+            "deflate": ["deflate", "--params", root / "params_phi.json"],
+            "decompose": ["decompose", "--input", tmp_path / "N_G.csv"]}[command]
+    out = tmp_path / "out"
+    out.mkdir()
+    assert run(*argv, "--model", tmp_path / "bad.json", "--out", out) == 2
+    assert capsys.readouterr().err == f"input error: {message}\n"
+    assert list(out.iterdir()) == []
+
+
+UNREADABLE = [(option, kind) for option in ("--model", "--params", "--scenario", "--input")
+              for kind in ("missing", "directory", "undecodable")] + [("--out", "file")]
+
+
+@pytest.mark.parametrize("option,kind", UNREADABLE)
+def test_unreadable_file_exits_two_naming_its_path(docs, tmp_path, capsys, option, kind):
+    root, _ = docs
+    bad = tmp_path / "bad"
+    if kind == "directory":
+        bad.mkdir()
+    elif kind != "missing":
+        bad.write_bytes(b"\xff\xfe\x00\x81")  # not UTF-8
+    model = root / "model.json"
+    argv = {"--model": ["verify", "--model", bad],
+            "--params": ["deflate", "--model", model, "--params", bad],
+            "--scenario": ["simulate", "--scenario", bad],
+            "--input": ["decompose", "--model", model, "--input", bad],
+            "--out": ["verify", "--model", model]}[option]
+    out = bad if option == "--out" else tmp_path / "out"
+    assert run(*argv, "--out", out) == 2
+    assert str(bad) in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
 def test_verify_rejects_non_refining(docs, tmp_path):
     root, model = docs
     bad = copy.deepcopy(model)
@@ -563,7 +616,8 @@ def _first_breach(doc):
                       "once default can occur, so Z is no supermartingale deflator"),
     ({"psi2": 1e-9, "phi_o": 0.5},
      "scenario constraint violation: phi_o at the first jump breaches psi2 (1 + beta T1) on path"),
-    ({"zeta": 0.5, "theta": -2.0}, "error: inadmissible proportional strategy"),
+    ({"zeta": 0.5, "theta": -2.0},
+     "scenario constraint violation: theta = -2 is inadmissible: 1 + theta zeta must be positive"),
     # the deflator's parameters are checked before the strategy's
     ({"psi2": 0.0, "zeta": 0.5, "theta": -2.0},
      "scenario constraint violation: psi2 must be strictly positive"),
@@ -585,6 +639,14 @@ def test_simulate_names_each_inadmissible_suite_parameter(tmp_path, capsys, fiel
 
 
 README_SCENARIO = {"sigma": 0.2, "zeta": 0.1, "mu": 0.03, "lambda": 2.0, "a": 0.5, "seed": 7}
+
+
+def test_simulate_checks_keep_paths_against_the_path_override(tmp_path, capsys):
+    modelio.write_json(tmp_path / "scenario.json", {**README_SCENARIO, "keep_paths": 4})
+    assert run("simulate", "--scenario", tmp_path / "scenario.json", "--paths", "2",
+               "--out", tmp_path / "out") == 2
+    assert capsys.readouterr().err == "input error: keep_paths must lie in [0, n_paths = 2]\n"
+    assert not (tmp_path / "out").exists()
 
 
 def test_simulate_summary_holds_the_suite_table(tmp_path):
@@ -998,7 +1060,7 @@ def test_verify_accepts_irregular_random_time(docs, tmp_path):
 def test_model_document_round_trip(docs, tmp_path):
     root, model = docs
     doc = modelio.load_model(root / "model.json")
-    again = modelio.model_to_dict(doc.space, doc.tau, doc.S, doc.assets)
+    again = modelio.model_to_dict(doc.space, doc.tau, doc.market.S, doc.market.assets)
     modelio.write_json(tmp_path / "again.json", again)
     assert (tmp_path / "again.json").read_bytes() == (root / "model.json").read_bytes()
 

@@ -27,6 +27,14 @@ def binomial_market():
     return MarketModel.from_prices(space, S)
 
 
+@pytest.mark.parametrize("shape", [(4, 2), (3, 3), (4, 4), (4,)])
+def test_market_refuses_a_price_table_of_the_wrong_shape(demo, shape):
+    # the demo space has 4 atoms and dates 0..2: a one-asset table is (4, 3)
+    space, _, _ = demo
+    with pytest.raises(ContractViolationError, match=r"shape \(assets, 4, 3\) or \(4, 3\)"):
+        MarketModel.from_prices(space, np.ones(shape))
+
+
 # ---------------------------------------------------------------------- wealth
 
 def test_wealth_zero_strategy(demo):
@@ -278,7 +286,7 @@ def test_node_sup_matches_grid_search():
         if np.any((rows @ dirs.T >= -1e-12).all(axis=0)):
             continue  # unbounded: that case belongs to the recession LP
         kept += 1
-        exact = _vertex_sup(v, rows, 1e-14)
+        exact = float(_vertex_sup(v[None], rows[None], 1e-14)[0])
         samples = rng.uniform(-40, 40, size=(40000, 2))
         feasible = samples[(samples @ rows.T >= -1.0).all(axis=1)]
         if len(feasible) == 0:
