@@ -33,8 +33,7 @@ from .prob_core import classify
 OUT_ENV = "HORIZON_DEFLATORS_OUT"
 
 
-def _outdir(args) -> str:
-    out = args.out or os.environ.get(OUT_ENV) or "."
+def _outdir(out: str) -> str:
     try:
         os.makedirs(out, exist_ok=True)
     except OSError as exc:
@@ -65,7 +64,7 @@ def cmd_verify(args) -> int:
         invariants = enl.survival_residuals(rts)
     except (SpaceValidationError, ContractViolationError) as exc:
         return _fail(2, f"input error: {exc}")
-    out = _outdir(args)
+    out = _outdir(args.out)
     failing = {k: v for k, v in invariants.items() if not v <= args.tol}  # NaN fails
     report = {
         "model": os.path.basename(str(args.model)),
@@ -99,7 +98,7 @@ def cmd_deflate(args) -> int:
         deflator = dfl.ROUTES[params.route][1](params, rts)
     except AdmissibilityError as exc:
         return _fail(1, f"inadmissible parameters: {exc}")
-    out = _outdir(args)
+    out = _outdir(args.out)
     modelio.process_to_csv(os.path.join(out, "Z.csv"), doc.space.outcomes, deflator.Z)
     for name, f in deflator.factors.items():
         modelio.process_to_csv(os.path.join(out, f"factor_{name}.csv"),
@@ -149,7 +148,7 @@ def cmd_decompose(args) -> int:
         repn = dfl.decompose_martingale(table, rts, tol=args.tol)
     except ContractViolationError as exc:
         return _fail(1, f"decomposition rejected: {exc}")
-    out = _outdir(args)
+    out = _outdir(args.out)
     modelio.process_to_csv(os.path.join(out, "M_F.csv"), doc.space.outcomes, repn.M_F)
     modelio.process_to_csv(os.path.join(out, "phi.csv"), doc.space.outcomes, repn.phi)
     report = {"reassembly_residual": repn.residual, "tolerance": args.tol,
@@ -179,7 +178,7 @@ def cmd_simulate(args) -> int:
     reports = jd.mc_suite(suite, bundle.report_times, z_crit=z_crit)
     rejected = sorted(name for name, rep in reports.items() if rep.rejected)
     warnings = [f"{name}: {rep.warning}" for name, rep in reports.items() if rep.warning]
-    out = _outdir(args)
+    out = _outdir(args.out)
     summary = {
         "scenario": {"sigma": sc.sigma, "zeta": sc.zeta, "mu": sc.mu, "lambda": sc.lam,
                      "a": sc.a, "beta": sc.beta, "S0": sc.S0, "horizon": sc.horizon,
@@ -252,7 +251,10 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
+    args.out = args.out or os.environ.get(OUT_ENV) or "."
     try:
+        if os.path.exists(args.out) and not os.path.isdir(args.out):  # refused before any work
+            raise SpaceValidationError(f"output directory {args.out}: File exists")
         return args.func(args)
     except HorizonDeflatorError as exc:
         return _fail(2, f"error: {exc}")

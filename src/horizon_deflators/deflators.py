@@ -197,13 +197,13 @@ def induced_base(K_F, rts: RandomTimeStructure) -> Array:
     filtration on every tree; it equals (E(K_F))^tau / Z_bar^tau wherever the
     random time is regular.
     """
-    dK_F = _martingale_steps(_full(rts, K_F, "K_F"), rts, True, TOL_EXACT)
+    dK_F = _martingale_steps(_full(rts, K_F, "K_F"), rts, True)
     return _compound(_steps(_driver_steps(dK_F, rts)))
 
 
 def driver_base(K_F, rts: RandomTimeStructure, *, check: bool = True) -> Array:
     """The additive driver Y = T(K_F) - (1/G_minus) . T(m)."""
-    return np.cumsum(_driver_steps(_martingale_steps(K_F, rts, check, TOL_EXACT), rts), axis=1)
+    return np.cumsum(_driver_steps(_martingale_steps(K_F, rts, check), rts), axis=1)
 
 
 def _driver_steps(dK_F, rts) -> Array:
@@ -277,7 +277,7 @@ def _additive(params: DeflatorParams, rts):
     if np.min(steps_F) <= 0.0:
         raise AdmissibilityError("driver factors 1 + dK_F must be positive")
     decay = stop(_compound(_decay_steps(V_F, rts)), rts.tau)
-    _martingale_steps(K_F, rts, True, TOL_EXACT)  # raises unless a public martingale
+    _martingale_steps(K_F, rts, True)  # raises unless a public martingale
     steps_Y = _steps(dY)
     phi_o_mult, phi_pr_mult = _yor_split(phi_o, phi_pr, dY, steps_Y, rts, np.divide)
     base = stop(_compound(steps_F), rts.tau)
@@ -313,8 +313,8 @@ def _multiplicative(params: DeflatorParams, rts):
                    params=DeflatorParams("multiplicative", Z_F=Z_F, phi_o=phi_o, phi_pr=phi_pr))
 
 
-def _measure_change(params: DeflatorParams, rts, market=None, tol: float = 1e-9):
-    """The measure-change route: yields its report, then, resumed, its deflator."""
+def _measure_change(params: DeflatorParams, rts, market=None):
+    """Measure-change route (oracle tol 1e-9): yields its report, then, resumed, its deflator."""
     Z_QF = _full(rts, params.Z_QF, "measure-change base", positive=True)
     phi = _full(rts, params.phi, "phi")
     steps = _steps(rts.dN_G, phi)
@@ -322,7 +322,7 @@ def _measure_change(params: DeflatorParams, rts, market=None, tol: float = 1e-9)
     report = _report("measure-change", steps, None, rts, {"optional": inside}, bounds)
     yield report
     if market is not None:
-        oracle = verify_deflator(Z_QF, market, tol=tol)
+        oracle = verify_deflator(Z_QF, market, tol=1e-9)
         if not oracle.ok:
             raise AdmissibilityError(
                 f"base process is not a deflator under the changed measure "
@@ -374,15 +374,14 @@ def build_multiplicative(Z_F, phi_o, phi_pr, rts: RandomTimeStructure) -> Deflat
     return _built(DeflatorParams("multiplicative", Z_F=Z_F, phi_o=phi_o, phi_pr=phi_pr), rts)
 
 
-def build_measure_change(Z_QF, phi, rts: RandomTimeStructure, *, market=None,
-                         tol: float = 1e-9) -> Deflator:
+def build_measure_change(Z_QF, phi, rts: RandomTimeStructure, *, market=None) -> Deflator:
     """Measure-change-route deflator: (Z_QF)^tau * E(phi . N_G).
 
     ``Z_QF`` is a deflator for the market under the survival-changed measure;
     when a market under that measure is supplied the membership is verified
-    by the one-step oracle.
+    by the one-step oracle at tolerance 1e-9.
     """
-    return _built(DeflatorParams("measure-change", Z_QF=Z_QF, phi=phi), rts, market, tol)
+    return _built(DeflatorParams("measure-change", Z_QF=Z_QF, phi=phi), rts, market)
 
 
 # route -> (its generator of the report and the deflator, its public builder).  The
@@ -520,14 +519,14 @@ def reassemble(start, M_F, phi, rts: RandomTimeStructure) -> Array:
     return np.cumsum(inc, axis=1)
 
 
-def represent_payoff(h, rts: RandomTimeStructure, *, tol: float = 1e-10) -> Representation:
+def represent_payoff(h, rts: RandomTimeStructure) -> Representation:
     """Optional-payoff representation of the enlarged projection of h at tau.
 
     Builds M_h (the projection of the full integral of h against the dual
     optional projection of D), the ratio J = (M_h - h . D_opt)/G on {G > 0},
     and H = E[h_tau | enlarged blocks]; the increment identity
     dH = (1/G_minus) dT(M_h) - (J_minus/G_minus) dT(m) + (h - J) dN_G
-    is verified node for node on {G > 0}.
+    is verified node for node on {G > 0}; a residual above 1e-10 raises.
     """
     space, T = rts.space, rts.horizon
     hv = _full(rts, h, "h")
@@ -548,7 +547,7 @@ def represent_payoff(h, rts: RandomTimeStructure, *, tol: float = 1e-10) -> Repr
            + (hv - J) * rts.dN_G)
     inc[:, 0] = H[:, 0]
     residual = float(np.max(np.abs(np.cumsum(inc, axis=1) - H)[g_pos], initial=0.0))
-    if residual > tol:
+    if residual > 1e-10:
         raise StructuralError(f"payoff representation identity fails: {residual:g}")
     return Representation(h=hv, J=J, Y_h=Y_h, M_h=M_h, H_h=H,
                           residual=residual, g_positive=g_pos)
@@ -586,21 +585,20 @@ def _broadcast_live(values, rts: RandomTimeStructure) -> Array:
     return out
 
 
-def extract_multiplicative(Z, rts: RandomTimeStructure, *, tol: float = 1e-9):
+def extract_multiplicative(Z, rts: RandomTimeStructure):
     """Recover product-route parameters from a positive stopped deflator.
 
     Inverts the construction: multiplicative split of Z in the enlarged
     filtration, lift of the predictable part, two-term decomposition of the
-    martingale part, and the driver re-scaling.  Returns (params, diagnostics)
-    with params rebuilding Z exactly on regular trees.
+    martingale part (each at tolerance 1e-9), and the driver re-scaling.  Returns
+    (params, diagnostics) with params rebuilding Z exactly on regular trees.
     """
-    space = rts.space
     V = as_values(getattr(Z, "Z", Z))
     if np.max(np.abs(stop(V, rts.tau) - V)) > 0:
         raise ContractViolationError("extraction applies to processes stopped at tau")
-    N, V_G = multiplicative_decomposition(space, V, filtration=rts.G_filtration, tol=tol)
+    N, V_G = multiplicative_decomposition(rts.space, V, filtration=rts.G_filtration, tol=1e-9)
     V_F = lift_predictable(V_G, rts)
-    repn = decompose_martingale(N, rts, tol=max(tol, 10 * TOL_EXACT))
+    repn = decompose_martingale(N, rts, tol=1e-9)
     gm = rts.G_minus
     dK_F = _ratio(1.0, gm) * rts.dm + _ratio(1.0, gm * gm, where=gm > 0) * increments(repn.M_F)
     dK_F[:, 0] = 0.0  # K_F = (1/G_minus) . m + (1/G_minus^2) . M_F
@@ -612,13 +610,13 @@ def extract_multiplicative(Z, rts: RandomTimeStructure, *, tol: float = 1e-9):
     return params, {"K_F": K_F, "decomposition": repn, "V_G": V_G, "N": N}
 
 
-def lift_predictable(V_G, rts: RandomTimeStructure, *, tol: float = 1e-9) -> Array:
+def lift_predictable(V_G, rts: RandomTimeStructure) -> Array:
     """Lift an enlarged-predictable finite-variation process to the public side.
 
-    On each public time-(k-1) block the lifted increment is the enlarged
-    increment on the surviving sub-cell; blocks without survivors take 0.
+    On each public time-(k-1) block the lifted increment is its survivors'
+    enlarged increment (equal to 1e-9 relative); blocks without any take 0.
     """
     dV = _lift_surviving(np.diff(as_values(V_G), axis=1).T, rts,
-                         lambda hi, lo: tol * np.maximum(1.0, np.maximum(hi, -lo)),
+                         lambda hi, lo: 1e-9 * np.maximum(1.0, np.maximum(hi, -lo)),
                          "predictable part not constant on a surviving sub-cell").T
     return np.cumsum(np.insert(dV, 0, 0.0, axis=1), axis=1)

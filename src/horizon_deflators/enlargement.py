@@ -122,13 +122,12 @@ class RandomTimeStructure:
         return change_measure(self.space, self.Z_bar[:, -1])
 
 
-def build_survival(space: FiniteFilteredSpace, tau, *, tol: float = TOL_EXACT,
-                   verify: bool = True) -> RandomTimeStructure:
+def build_survival(space: FiniteFilteredSpace, tau, *, verify: bool = True) -> RandomTimeStructure:
     """Build the full survival structure for a random time.
 
     ``tau`` gives one integer death date in 0..T per atom.  Unless ``verify``
     is disabled, every invariant of the registry ``SURVIVAL_INVARIANTS`` is
-    checked at construction, and the first residual above ``tol``, in
+    checked at construction, and the first residual above ``TOL_EXACT``, in
     registry order, raises ``SpaceValidationError`` naming the invariant.
     """
     t = np.asarray(tau, dtype=np.int64)
@@ -165,10 +164,10 @@ def build_survival(space: FiniteFilteredSpace, tau, *, tol: float = TOL_EXACT,
     )
     if verify:
         for name, value in survival_residuals(rts).items():
-            if not value <= tol:
+            if not value <= TOL_EXACT:
                 raise SpaceValidationError(
                     f"survival invariant {name} fails: residual {value:g} exceeds "
-                    f"tolerance {tol:g}")
+                    f"tolerance {TOL_EXACT:g}")
     return rts
 
 
@@ -193,23 +192,23 @@ def _compensate(dX, dA, den, tau, message: str) -> Array:
                      0, dX[:, 0], axis=1)
 
 
-def _martingale_steps(M, rts: RandomTimeStructure, check: bool, tol: float) -> Array:
+def _martingale_steps(M, rts: RandomTimeStructure, check: bool) -> Array:
     """The increments of a transport input; with ``check``, it must be a public martingale."""
     dM = increments(M)
-    if check and not (residual := _residual(rts, dM)) <= tol:
+    if check and not (residual := _residual(rts, dM)) <= TOL_EXACT:
         raise ContractViolationError(f"transport input is not a martingale (residual {residual:g})")
     return dM
 
 
-def transport(M, rts: RandomTimeStructure, *, check: bool = True,
-              tol: float = TOL_EXACT) -> Array:
+def transport(M, rts: RandomTimeStructure, *, check: bool = True) -> Array:
     """Carry a public-filtration martingale into the enlarged filtration.
 
     The increment at k on {k <= tau} is (G_{k-1} / G~_k) dM_k plus the
     conditional mass E[dM_k 1{G~_k = 0} | F_{k-1}] recovered from sub-blocks
-    that died out; the output is flat after tau and starts at M_0.
+    that died out; the output is flat after tau and starts at M_0.  With
+    ``check``, an input off martingale by more than ``TOL_EXACT`` raises.
     """
-    return np.cumsum(_transport_steps(_martingale_steps(M, rts, check, tol), rts), axis=1)
+    return np.cumsum(_transport_steps(_martingale_steps(M, rts, check), rts), axis=1)
 
 
 def _transport_steps(dM, rts: RandomTimeStructure) -> Array:
@@ -223,15 +222,15 @@ def _transport_steps(dM, rts: RandomTimeStructure) -> Array:
     return np.insert(np.where(live, step, 0.0), 0, dM[:, 0], axis=1)
 
 
-def transport_compensated(M, rts: RandomTimeStructure, *, check: bool = True,
-                          tol: float = TOL_EXACT) -> Array:
+def transport_compensated(M, rts: RandomTimeStructure, *, check: bool = True) -> Array:
     """Martingale part of the stopped process in its Doob-Meyer decomposition.
 
     M_bar = M^tau - (1/G_{k-1}) d<M, m>_k summed over ]0, tau]; an enlarged-
     filtration martingale for every public martingale M, with no hypotheses
-    on the random time beyond reachable cells having G_{k-1} > 0.
+    on the random time beyond reachable cells having G_{k-1} > 0.  With
+    ``check``, an input off martingale by more than ``TOL_EXACT`` raises.
     """
-    return np.cumsum(_compensated_steps(_martingale_steps(M, rts, check, tol), rts), axis=1)
+    return np.cumsum(_compensated_steps(_martingale_steps(M, rts, check), rts), axis=1)
 
 
 def _compensated_steps(dM, rts: RandomTimeStructure) -> Array:

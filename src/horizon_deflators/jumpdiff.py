@@ -694,8 +694,8 @@ def proportional_wealth(bundle: PathBundle, theta: float, *, stopped: bool = Tru
 
 
 def check_wealth(sc: JumpDiffusionScenario, theta: float) -> None:
-    """Raise :class:`AdmissibilityError` unless 1 + theta zeta > 0."""
-    if 1.0 + theta * sc.zeta <= 0.0:
+    """Raise :class:`AdmissibilityError` unless 1 + theta zeta > 0 (so a NaN theta fails)."""
+    if not 1.0 + theta * sc.zeta > 0.0:
         raise AdmissibilityError(
             f"theta = {theta:g} is inadmissible: 1 + theta zeta must be positive")
 
@@ -794,12 +794,12 @@ class MCTestReport:
 
 
 def mc_test(values, times, *, start: float, null: str = "martingale",
-            features=None, z_crit: float = 3.0) -> MCTestReport:
+            features=None) -> MCTestReport:
     """Monte-Carlo null test of mean constancy (or decrease) from ``start``.
 
-    The one-null call of :func:`mc_suite`, which documents the test.
+    The one-null call of :func:`mc_suite`, at ``z_crit`` 3.0; that function documents the test.
     """
-    return mc_suite({null: (values, start, null, features)}, times, z_crit=z_crit)[null]
+    return mc_suite({null: (values, start, null, features)}, times, z_crit=3.0)[null]
 
 
 def mc_suite(tests, times, *, z_crit: float = 3.0) -> dict[str, MCTestReport]:

@@ -143,10 +143,10 @@ def _phi3(phi, d) -> Array:
     return P
 
 
-def wealth(phi, market: MarketModel, *, require_predictable: bool = True) -> Array:
-    """Wealth of an admissible strategy: product of (1 + phi' dS), started at 1."""
+def wealth(phi, market: MarketModel) -> Array:
+    """Wealth of a predictable admissible strategy: product of (1 + phi' dS), started at 1."""
     P = _phi3(phi, market.n_assets)
-    if require_predictable and not market.filtration.is_predictable(P):
+    if not market.filtration.is_predictable(P):
         raise ContractViolationError("strategy is not predictable")
     dS = np.diff(market.S, axis=2)
     gains = (P[:, :, 1:] * dS).sum(axis=0)

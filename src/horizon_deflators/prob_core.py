@@ -185,24 +185,24 @@ class Filtration:
         value = x[np.minimum(pos, size - 1)]
         return np.where(found.reshape((-1,) + (1,) * (x.ndim - 1)), value, 0.0), found
 
-    def spread_ok(self, rows, first: int = 0, tol: float = 0.0) -> Array:
-        """Per node of the dates first, ...: rows spread by at most tol on it.
+    def spread_ok(self, rows, tol: float = 0.0) -> Array:
+        """Per node of the dates 0, 1, ...: rows spread by at most tol on it.
 
         Fails closed: a NaN, or a block that is inf throughout, fails.
         """
-        hi = self.node_reduce(rows, np.maximum, first)
+        hi = self.node_reduce(rows, np.maximum)
         with np.errstate(invalid="ignore"):
-            return hi - self.node_reduce(rows, np.minimum, first) <= tol
+            return hi - self.node_reduce(rows, np.minimum) <= tol
 
     def is_adapted(self, X, tol: float = 0.0) -> bool:
         """True iff X[..., n] is constant on every time-n block (X may stack processes)."""
-        return bool(self.spread_ok(as_values(X).T, 0, tol).all())
+        return bool(self.spread_ok(as_values(X).T, tol).all())
 
     def is_predictable(self, X, tol: float = 0.0) -> bool:
         """True iff X[..., n] is constant on time-(n-1) blocks, X[..., 0] deterministic."""
         V = as_values(X)
         return bool(np.all(np.ptp(V[..., 0], axis=-1) <= tol)
-                    and self.spread_ok(V.T[1:], 0, tol).all())
+                    and self.spread_ok(V.T[1:], tol).all())
 
 
 @dataclass(frozen=True)
@@ -291,7 +291,7 @@ class AdaptedProcess:
     @classmethod
     def from_values(cls, filtration: Filtration, values, tol: float = 0.0):
         V = np.asarray(values, dtype=float)
-        ok = filtration.spread_ok(V.T, 0, tol)
+        ok = filtration.spread_ok(V.T, tol)
         flags = np.logical_and.reduceat(ok, filtration.offsets[:-1])
         return cls(V, tuple(map(bool, flags)), filtration.is_predictable(V, tol))
 

@@ -82,13 +82,13 @@ def random_tau(rng, space: FiniteFilteredSpace) -> np.ndarray:
     return rng.integers(0, space.horizon + 1, size=space.n_atoms)
 
 
-def regular_tau(rng, space: FiniteFilteredSpace, *, p_stop: float = 0.35) -> np.ndarray:
+def regular_tau(rng, space: FiniteFilteredSpace) -> np.ndarray:
     """A random death date whose sub-cells never die out under live parents.
 
-    Survivor pools follow the refinement tree; a pool that stops at step j
-    leaves one representative dying exactly at j-1 (keeping its cell
-    reachable) and scatters the rest below, while pools that survive the
-    final step die at the horizon block-for-block.  The resulting time
+    Survivor pools follow the refinement tree; a pool stops at step j with
+    probability 0.35, leaving one representative dying exactly at j-1 (keeping
+    its cell reachable) and scattering the rest below, while pools that survive
+    the final step die at the horizon block-for-block.  The resulting time
     satisfies: no time-k cell has all atoms dead before k while its time-(k-1)
     parent still holds an atom with tau >= k.
     """
@@ -98,7 +98,7 @@ def regular_tau(rng, space: FiniteFilteredSpace, *, p_stop: float = 0.35) -> np.
     for j in range(1, T + 1):
         next_pools = []
         for atoms in pools:
-            if rng.random() < p_stop:
+            if rng.random() < 0.35:
                 rep = atoms[int(rng.integers(0, len(atoms)))]
                 tau[atoms] = rng.integers(0, j, size=len(atoms))
                 tau[rep] = j - 1
@@ -121,14 +121,13 @@ def is_regular(space: FiniteFilteredSpace, tau) -> bool:
     return not np.any(block_alive & (filt.node_reduce(alive, first=1) <= 0))
 
 
-def random_market(rng, space: FiniteFilteredSpace, *, n_assets: int = 1,
-                  scale: float = 0.35):
+def random_market(rng, space: FiniteFilteredSpace, *, n_assets: int = 1):
     """An arbitrage-free market with a known local martingale deflator.
 
     Prices are built around a strictly positive one-step measure q chosen per
-    node: increments are recentred so that q prices every asset to zero drift.
-    Returns (market, Z) where Z is the density martingale of q, an exact
-    local martingale deflator for the market.
+    node: moves uniform within 0.35 of the last price, recentred so that q
+    prices every asset to zero drift.  Returns (market, Z) where Z is the
+    density martingale of q, an exact local martingale deflator for the market.
     """
     T, n = space.horizon, space.n_atoms
     S = np.ones((n_assets, n, T + 1))
@@ -144,7 +143,7 @@ def random_market(rng, space: FiniteFilteredSpace, *, n_assets: int = 1,
             density[atoms] *= (qc / pc)[cell]
             for i in range(n_assets):
                 prev = S[i, atoms[0], k - 1]
-                moves = rng.uniform(-scale, scale, size=len(kids)) * prev
+                moves = rng.uniform(-0.35, 0.35, size=len(kids)) * prev
                 moves = moves - qc @ moves
                 S[i, atoms, k] = S[i, atoms, k - 1] + moves[cell]
     Z = project(space, np.repeat(density[:, None], T + 1, axis=1))
@@ -153,14 +152,15 @@ def random_market(rng, space: FiniteFilteredSpace, *, n_assets: int = 1,
 
 
 def random_martingale(rng, space: FiniteFilteredSpace, *, positive: bool = False,
-                      lo: float = 0.25, hi: float = 2.0, measure=None) -> np.ndarray:
-    """An exact martingale from conditional expectations of a terminal draw.
+                      measure=None) -> np.ndarray:
+    """An exact martingale from conditional expectations of a terminal draw,
+    uniform on [0.25, 2.0) if ``positive``, else standard normal.
 
     A measure with zero-mass atoms may be supplied (degenerate blocks take the
     convention value 0); the result is a martingale under that measure.
     """
     if positive:
-        xi = rng.uniform(lo, hi, size=space.n_atoms)
+        xi = rng.uniform(0.25, 2.0, size=space.n_atoms)
     else:
         xi = rng.normal(size=space.n_atoms)
     meas = measure if measure is not None else space.measure
@@ -187,12 +187,12 @@ def random_predictable_nondecreasing(rng, space: FiniteFilteredSpace, *,
     return V
 
 
-def random_optional_integrand(rng, rts, *, margin: float = 0.9) -> np.ndarray:
+def random_optional_integrand(rng, rts) -> np.ndarray:
     """An adapted integrand against N_G inside the strict admissible interval.
 
     Per public time-k cell the admissible interval for the product route is
     (-G~/G, G~/(G~-G)) with vanishing denominators read as +/-infinity; the
-    draw stays inside ``margin`` of the interval (capped for unbounded sides).
+    draw stays inside 0.9 of the interval (capped for unbounded sides).
     """
     space, T = rts.space, rts.horizon
     phi = np.zeros((space.n_atoms, T + 1))
@@ -200,8 +200,8 @@ def random_optional_integrand(rng, rts, *, margin: float = 0.9) -> np.ndarray:
         for atoms in space.filtration.blocks(k):
             i = atoms[0]
             g, gt = rts.G[i, k], rts.G_tilde[i, k]
-            lo = -gt / g * margin if g > 0 else -2.0
-            hi = gt / (gt - g) * margin if gt > g else 2.0
+            lo = -gt / g * 0.9 if g > 0 else -2.0
+            hi = gt / (gt - g) * 0.9 if gt > g else 2.0
             if gt <= 0:
                 lo, hi = -2.0, 2.0
             phi[atoms, k] = rng.uniform(max(lo, -8.0), min(hi, 8.0))

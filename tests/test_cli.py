@@ -73,7 +73,7 @@ def test_verify_fails_closed_on_nan_survival(docs, tmp_path, capsys, monkeypatch
     assert "fails with residual inf" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("value", ["nan", "inf", "-1"])
+@pytest.mark.parametrize("value", ["nan", "inf", "-1", "abc"])
 @pytest.mark.parametrize("command", ["verify", "deflate", "decompose"])
 def test_tolerance_must_be_finite_and_non_negative(docs, capsys, command, value):
     root, _ = docs
@@ -183,6 +183,23 @@ def test_unreadable_file_exits_two_naming_its_path(docs, tmp_path, capsys, optio
     assert run(*argv, "--out", out) == 2
     assert str(bad) in capsys.readouterr().err
     assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("command", ["simulate", "deflate"])
+def test_out_at_a_file_is_refused_before_any_work(docs, tmp_path, capsys, monkeypatch, command):
+    # it used to run the whole command, then fail to make the directory
+    def work(*args, **kwargs):
+        raise AssertionError("the command started its work")
+    monkeypatch.setattr(jd, "simulate", work)
+    monkeypatch.setattr(enl, "build_survival", work)
+    root, _ = docs
+    afile = tmp_path / "afile"
+    afile.write_text("")
+    argv = {"simulate": ["simulate", "--scenario", root / "scenario.json"],
+            "deflate": ["deflate", "--model", root / "model.json",
+                        "--params", root / "params_phi.json"]}[command]
+    assert run(*argv, "--out", afile) == 2
+    assert capsys.readouterr().err == f"error: output directory {afile}: File exists\n"
 
 
 def test_verify_rejects_non_refining(docs, tmp_path):
@@ -455,6 +472,21 @@ def test_deflate_certificate_fails_closed_on_overflowing_sums(tmp_path, Z_F):
     assert cert["verify_lmd"]["ok"] is False and cert["verify_deflator"]["ok"] is False
     if Z_F > 1.0:
         assert cert["verify_lmd"]["residual"] == cert["verify_deflator"]["excess"] == "inf"
+
+
+def test_deflate_certificate_notes_an_oracle_that_does_not_run(tmp_path, capsys):
+    # verify_deflator's node polytope stops at 3 assets; on 4 the certificate says so
+    space = FiniteFilteredSpace.from_partitions(("u", "d"), (0.75, 0.25), [[0, 0], [0, 1]])
+    S = np.array([[[1.0, 1.25], [1.0, 0.25]]] * 4)  # four martingales
+    modelio.write_json(tmp_path / "model.json", modelio.model_to_dict(space, [1, 1], S))
+    modelio.write_json(tmp_path / "params.json", {"route": "multiplicative", "Z_F": 1.0})
+    assert run("deflate", "--model", tmp_path / "model.json", "--params",
+               tmp_path / "params.json", "--out", tmp_path) == 0
+    assert capsys.readouterr().out.strip().endswith(
+        "; verify_lmd accepts Z (residual 0), verify_deflator not run")
+    cert = json.loads((tmp_path / "certificate.json").read_text())
+    assert cert["verify_deflator"] == {"ok": None,
+                                       "note": "node polytope oracle supports d <= 3, got 4"}
 
 
 def test_deflate_stdout_states_the_oracle_verdicts(docs, tmp_path, capsys):

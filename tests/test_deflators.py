@@ -30,6 +30,7 @@ from horizon_deflators import (
 from horizon_deflators.deflators import (
     ROUTES,
     AdmissibilityReport,
+    lift_predictable,
     progressive_exponential,
     reassemble,
 )
@@ -563,6 +564,16 @@ def test_factorization_uniqueness_on_live_region():
         assert np.max(np.abs((params.V_F - V)[live])) <= 1e-9
         known = diag["decomposition"].phi_known
         assert np.max(np.abs((params.phi_o - phi_o)[known]), initial=0.0) <= 1e-9
+
+
+def test_lift_predictable_refuses_a_move_on_a_surviving_sub_cell(demo_rts):
+    # tau = (2, 1, 2, 0): w1, w2 and w3 survive date 0, and w1 and w3 date 1
+    V = trees.random_predictable_nondecreasing(np.random.default_rng(5), demo_rts.space)
+    assert np.array_equal(lift_predictable(V, demo_rts), V)
+    moved = V.copy()
+    moved[0, 1:] += 1e-6  # w1 moves at date 1, apart from its fellow survivors w2, w3
+    with pytest.raises(ContractViolationError, match="not constant on a surviving sub-cell"):
+        lift_predictable(moved, demo_rts)
 
 
 def test_measure_change_market_precondition(demo, demo_rts):

@@ -502,6 +502,15 @@ def test_deflator_constraints():
     assert "path" in str(err.value)
 
 
+def test_nan_theta_is_refused():
+    # 1 + nan * zeta <= 0 is False, so the refusal must read "unless > 0"
+    b = simulate(scenario(n_paths=50))
+    with pytest.raises(AdmissibilityError, match="^theta = nan is inadmissible"):
+        jd.proportional_wealth(b, np.nan)
+    with pytest.raises(AdmissibilityError, match="^theta = nan is inadmissible"):
+        jd.suite_arrays(b, solve_drift(b.scenario, 1.0), 1.0, theta=np.nan)
+
+
 def test_deflator_admissibility_names_the_global_path(monkeypatch):
     # no path of the first 150 hits tau at T1, so every offending path lies
     # past the first two chunks of 100 rows, and the error names its index

@@ -382,7 +382,7 @@ def test_lift_preserves_stopped_wealth_and_admissibility():
         w_g = wealth(phi_G, stopped)
         phi_F = lift_strategy(phi_G, rts)
         assert space.filtration.is_predictable(phi_F, tol=0.0)
-        w_f = wealth(phi_F, market, require_predictable=True)
+        w_f = wealth(phi_F, market)
         assert np.max(np.abs(stop(w_f, tau) - w_g)) <= 1e-12
         assert np.min(1.0 + np.diff(w_f, axis=1) / w_f[:, :-1]) > 0.0
 

@@ -237,6 +237,18 @@ def test_integral_rejects_non_predictable(demo):
         stochastic_integral(S, S, filtration=space.filtration)
 
 
+def test_integral_of_a_d_asset_stack_sums_the_per_asset_integrals():
+    rng = np.random.default_rng(12)
+    phi = rng.normal(size=(3, 4, 5))
+    X = np.cumsum(rng.normal(size=(3, 4, 5)), axis=2)
+    stacked = stochastic_integral(phi, X)
+    assert stacked.shape == (4, 5)
+    assert np.max(np.abs(stacked - sum(map(stochastic_integral, phi, X)))) <= 1e-12
+    for P, V in ((phi, X[:2]), (phi, X[0]), (phi[0], X)):
+        with pytest.raises(ContractViolationError, match="shapes disagree"):
+            stochastic_integral(P, V)
+
+
 def test_integral_constant_integrator(demo):
     space, _, _ = demo
     const = np.ones((4, 3)) * 4.2
