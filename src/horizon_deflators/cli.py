@@ -253,8 +253,12 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     args.out = args.out or os.environ.get(OUT_ENV) or "."
     try:
-        if os.path.exists(args.out) and not os.path.isdir(args.out):  # refused before any work
-            raise SpaceValidationError(f"output directory {args.out}: File exists")
+        out = path = os.path.abspath(args.out)  # refused before any work: a file, or below one
+        while not os.path.exists(path):
+            path = os.path.dirname(path)
+        if not os.path.isdir(path):
+            reason = "File exists" if path == out else "Not a directory"
+            raise SpaceValidationError(f"output directory {args.out}: {reason}")
         return args.func(args)
     except HorizonDeflatorError as exc:
         return _fail(2, f"error: {exc}")

@@ -15,8 +15,8 @@ Each route is one generator of the parameters: it broadcasts each table and
 forms each exponential's one-step factors 1 + p_k dX_k once, yields the
 admissibility report that ``validate`` returns and, resumed by a ``build_*``
 once that report passes, the deflator built from the same tables.
-``validate`` raises where a route's checks precede its report: every
-parameter table must be finite, and a product route's base positive.
+``validate`` raises where a route's checks precede its report: every parameter
+is a number or a finite (atoms, T+1) table, and a product route's base positive.
 
 On trees where no sub-cell dies while a sibling survives (``regular`` random
 times, the discrete counterpart of the G > 0 hypothesis of the continuous
@@ -150,14 +150,19 @@ class Representation:
 
 
 def _full(rts, x, name: str, positive: bool = False) -> Array:
-    """Broadcast a parameter to an (atom, time) table; None reads 1 if ``positive``, else 0.
+    """Broadcast a number to an (atom, time) table; None reads 1 if ``positive``, else 0.
 
-    Every cell, a dead one too (an exponential multiplies in every cell), must
-    be finite, and positive if ``positive``; else the error names the first bad cell.
+    A table must have that shape.  Every cell, a dead one too (an exponential multiplies
+    in every cell), must be finite, and positive if ``positive``; else the error names
+    the first bad cell.
     """
-    x = np.asarray(as_values(float(positive) if x is None else x), dtype=float)
+    x = as_values(float(positive) if x is None else x)
+    shape = (rts.space.n_atoms, rts.horizon + 1)
     if x.ndim == 0:
-        x = np.full((rts.space.n_atoms, rts.horizon + 1), float(x))
+        x = np.full(shape, float(x))
+    elif x.shape != shape:
+        raise AdmissibilityError(f"{name} must be a number or a table of shape {shape}, "
+                                 f"got shape {x.shape}")
     ok = np.isfinite(x) & (x > 0.0) if positive else np.isfinite(x)
     if not ok.all():
         cell = np.unravel_index(np.argmin(ok), ok.shape)
@@ -353,8 +358,8 @@ def validate(params: DeflatorParams, rts: RandomTimeStructure) -> AdmissibilityR
     +/-infinity; the overall verdict is the strict positivity of every
     realized exponential factor of the would-be deflator plus the progressive
     collapse condition (the integrand against D must vanish at tau).  A parameter
-    table with a non-finite cell, or a product route's base with a cell <= 0,
-    raises, as in its builder.
+    table of the wrong shape or with a non-finite cell, or a product route's base
+    with a cell <= 0, raises, as in its builder.
     """
     return next(ROUTES[params.route][0](params, rts))
 

@@ -26,10 +26,11 @@ i owns a fixed run of counter blocks, and each path has a spill stream of its
 own for the rare extra draws (``simulate``).  So any block of paths can be
 drawn and evaluated on its own, with the same bits.  ``simulate``, the null
 processes and ``build_deflator`` work in chunks of ``_ROWS`` paths, and
-``mc_suite`` one null, then one report step, at a time, on a thread pool with
-one worker per CPU the process may run on (its affinity set).  Each chunk
-writes its own rows and every reduction runs on whole columns, so no output
-depends on the number of workers; work of one chunk runs inline.
+``mc_suite`` one null, then one report step, at a time, each map on a thread
+pool of its own, made and joined inside the call, with one worker per CPU of
+the process's affinity set.  Each chunk writes its own rows and every reduction
+runs on whole columns, so no output depends on the number of workers; work of
+one chunk runs inline, with no thread.
 
 Every (n_paths, R) and (n_paths, R, p) array here is column-major, so one report
 time's values are contiguous: ``mc_suite`` reads its steps, and sums each column
@@ -58,7 +59,6 @@ from __future__ import annotations
 
 import math
 import os
-import threading
 from dataclasses import dataclass, field, replace
 from statistics import NormalDist
 
@@ -93,43 +93,32 @@ SUITE = (
     ("deflated_price_drift", 1.0, "martingale", True),
 )
 
-_pool = None             # the worker pool of _map, built on first use
-_pool_lock = threading.Lock()
+
+def _workers() -> int:
+    """The worker count of ``_map``: the CPUs in the process's affinity set, else all CPUs."""
+    cpus = os.sched_getaffinity(0) if hasattr(os, "sched_getaffinity") else None
+    return len(cpus) if cpus else os.cpu_count() or 1
 
 
 def _map(fn, items, rows: int) -> list:
-    """[fn(x) for x in items], run on the worker pool when there are several
-    and ``rows``, the paths the work spans, fill more than one chunk.
+    """[fn(x) for x in items], on a pool of ``_workers()`` threads made and joined
+    inside the call when there are several and ``rows``, the paths the work
+    spans, fill more than one chunk.
 
-    The pool has one thread per CPU in the process's affinity set.  Callers
-    write disjoint outputs and reduce in a fixed order, so results do not
-    depend on the worker count.  Tasks call private helpers only (a public
-    function may be wrapped by a tracer that keeps one call stack), and never
-    ``_map``: a task waiting on tasks of its own pool can deadlock it.
+    Callers write disjoint outputs and reduce in a fixed order, so results do
+    not depend on the worker count.  Tasks call private helpers only (a public
+    function may be wrapped by a tracer that keeps one call stack).
     """
-    global _pool
     if len(items) < 2 or rows <= _ROWS:
         return [fn(x) for x in items]
-    with _pool_lock:
-        if _pool is None:
-            from concurrent.futures import ThreadPoolExecutor
-            cpus = os.sched_getaffinity(0) if hasattr(os, "sched_getaffinity") else None
-            _pool = ThreadPoolExecutor(len(cpus) if cpus else os.cpu_count() or 1)
-    return list(_pool.map(fn, items))
+    from concurrent.futures import ThreadPoolExecutor
+    with ThreadPoolExecutor(_workers()) as pool:
+        return list(pool.map(fn, items))
 
 
 def _row_map(fn, n: int) -> list:
     """[fn(lo, hi) for every chunk lo : hi of _ROWS rows of n], run by ``_map``."""
     return _map(lambda c: fn(*c), [(lo, min(lo + _ROWS, n)) for lo in range(0, n, _ROWS)], n)
-
-
-def _drop_pool():
-    global _pool, _pool_lock
-    _pool, _pool_lock = None, threading.Lock()
-
-
-if hasattr(os, "register_at_fork"):  # a forked child has none of the pool's threads
-    os.register_at_fork(after_in_child=_drop_pool)
 
 
 @dataclass(frozen=True)
@@ -317,7 +306,7 @@ def simulate(sc: JumpDiffusionScenario, *, report_times=None, keep_paths: int = 
     words of ``Philox(key, counter=[i K / 4, 0, 0, 0]).random_raw(K)``: K/4
     whole counter blocks.  Each chunk lo : hi of ``_ROWS`` paths draws its
     words in one ``random_raw((hi - lo) K)`` call from counter lo K / 4, and
-    the chunks run on the worker pool (``_row_map``).
+    the chunks run on a thread pool (``_row_map``).
     Each word w is the uniform u = ((w >> 11) + 1/2) 2^-53 in (0, 1); words
     0-7 give 8 exponential jump gaps -log(u) / lam, and words 8 to 8 + 2P
     give R + 1 Brownian normals by Box-Muller (the first P are r cos, the
@@ -694,8 +683,8 @@ def proportional_wealth(bundle: PathBundle, theta: float, *, stopped: bool = Tru
 
 
 def check_wealth(sc: JumpDiffusionScenario, theta: float) -> None:
-    """Raise :class:`AdmissibilityError` unless 1 + theta zeta > 0 (so a NaN theta fails)."""
-    if not 1.0 + theta * sc.zeta > 0.0:
+    """Raise :class:`AdmissibilityError` unless theta is finite and 1 + theta zeta > 0."""
+    if not (math.isfinite(theta) and 1.0 + theta * sc.zeta > 0.0):
         raise AdmissibilityError(
             f"theta = {theta:g} is inadmissible: 1 + theta zeta must be positive")
 
@@ -788,8 +777,8 @@ class MCTestReport:
     zscores: np.ndarray
     regression_z: np.ndarray | None
     null: str
-    rejected: bool
-    max_abs_z: float
+    rejected: bool      # past z_crit: the largest |z|, or a supermartingale null's largest z
+    max_abs_z: float    # the largest |z|, regression z's included
     warning: str | None
 
 
@@ -904,8 +893,9 @@ def _moments(name, test, F, n_bad, times, z_crit) -> tuple:
         z = np.where(np.isfinite(means) & np.isfinite(ses), z, np.nan)
         return (MCTestReport(times, means, ses, z, None, null, True, float("inf"),
                              "; ".join(notes)), X, False)
-    max_z = float(np.max(np.abs(z))) if null == "martingale" else float(np.max(z))
-    rep = MCTestReport(times, means, ses, z, None, null, max_z > z_crit, max_z,
+    size = float(np.max(np.abs(z)))
+    top = size if null == "martingale" else np.max(z)  # only a rise rejects a supermartingale
+    rep = MCTestReport(times, means, ses, z, None, null, bool(top > z_crit), size,
                        "; ".join(notes) or None)
     return rep, X, F is not None and null == "martingale" and X.shape[1] > 1
 
@@ -920,7 +910,7 @@ def _sandwich_z(F, Xs) -> tuple:
     coefficient carried by a handful of paths fits them almost exactly, so
     its sandwich standard error sits near 0 and gives any z.
 
-    The steps run on the worker pool (``_map``), each with its own buffers.
+    The steps run on a thread pool (``_map``), each with its own buffers.
     Per step j the design rows A = [1/2, F_j] and the increment rows DX are
     filled into those buffers, every feature and increment row scaled
     by a power of two to a maximum modulus in [1/2, 1): that leaves each

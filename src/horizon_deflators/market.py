@@ -50,8 +50,9 @@ from .prob_core import (
 
 
 def __getattr__(name):
-    # no oracle path runs an LP; clibench/spans.py counts LP calls through
-    # market.linprog, so the name stays, imported only when looked up
+    # no oracle path runs an LP; clibench/spans.py counts LP calls through market.linprog,
+    # so the name stays until an in-library trace replaces that tracer.  It loads scipy
+    # only when looked up, and scipy comes with the test extra alone, not at run time.
     if name == "linprog":
         from scipy.optimize import linprog
         return linprog
@@ -148,8 +149,7 @@ def wealth(phi, market: MarketModel) -> Array:
     P = _phi3(phi, market.n_assets)
     if not market.filtration.is_predictable(P):
         raise ContractViolationError("strategy is not predictable")
-    dS = np.diff(market.S, axis=2)
-    gains = (P[:, :, 1:] * dS).sum(axis=0)
+    gains = (P[:, :, 1:] * np.diff(market.S, axis=2)).sum(axis=0)
     if np.min(gains) <= -1.0:
         atom, k = np.unravel_index(np.argmin(gains), gains.shape)
         raise ContractViolationError(

@@ -219,7 +219,7 @@ class ProbabilityMeasure:
         if np.any(w < -TOL_EXACT):
             raise SpaceValidationError("measure weights must be nonnegative")
         if abs(w.sum() - 1.0) > 1e-9:
-            raise SpaceValidationError(f"measure weights sum to {w.sum()!r}, not 1")
+            raise SpaceValidationError(f"measure weights sum to {float(w.sum())!r}, not 1")
 
 
 @dataclass(frozen=True)
@@ -256,7 +256,7 @@ class FiniteFilteredSpace:
         if np.any(p <= 0):
             raise SpaceValidationError("atom probabilities must be strictly positive")
         if abs(p.sum() - 1.0) > 1e-9:
-            raise SpaceValidationError(f"atom probabilities sum to {p.sum()!r}, not 1")
+            raise SpaceValidationError(f"atom probabilities sum to {float(p.sum())!r}, not 1")
         if self.filtration.n_times != self.horizon + 1:
             raise SpaceValidationError("filtration must carry horizon+1 partitions")
         if self.filtration.n_atoms != len(self.outcomes):

@@ -5,6 +5,7 @@ import hashlib
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 import tempfile
@@ -17,7 +18,8 @@ from hypothesis import event, given, settings
 from hypothesis import strategies as st
 
 import oracle
-from horizon_deflators import FiniteFilteredSpace, build_survival, modelio, trees
+from horizon_deflators import (FiniteFilteredSpace, SpaceValidationError, build_survival,
+                               modelio, trees)
 from horizon_deflators import enlargement as enl
 from horizon_deflators import jumpdiff as jd
 from horizon_deflators.cli import main
@@ -187,7 +189,8 @@ def test_unreadable_file_exits_two_naming_its_path(docs, tmp_path, capsys, optio
 
 @pytest.mark.parametrize("command", ["simulate", "deflate"])
 def test_out_at_a_file_is_refused_before_any_work(docs, tmp_path, capsys, monkeypatch, command):
-    # it used to run the whole command, then fail to make the directory
+    # it used to run the whole command, then fail to make the directory: at the
+    # file itself, or at a path below it
     def work(*args, **kwargs):
         raise AssertionError("the command started its work")
     monkeypatch.setattr(jd, "simulate", work)
@@ -198,8 +201,9 @@ def test_out_at_a_file_is_refused_before_any_work(docs, tmp_path, capsys, monkey
     argv = {"simulate": ["simulate", "--scenario", root / "scenario.json"],
             "deflate": ["deflate", "--model", root / "model.json",
                         "--params", root / "params_phi.json"]}[command]
-    assert run(*argv, "--out", afile) == 2
-    assert capsys.readouterr().err == f"error: output directory {afile}: File exists\n"
+    for out, reason in ((afile, "File exists"), (afile / "sub", "Not a directory")):
+        assert run(*argv, "--out", out) == 2
+        assert capsys.readouterr().err == f"error: output directory {out}: {reason}\n"
 
 
 def test_verify_rejects_non_refining(docs, tmp_path):
@@ -670,6 +674,7 @@ def test_simulate_names_each_inadmissible_suite_parameter(tmp_path, capsys, fiel
     assert not (tmp_path / "simulate-summary.json").exists()
 
 
+DEMO_IDS = ("w1", "w2", "w3", "w4")  # the atoms of trees.two_period_demo
 README_SCENARIO = {"sigma": 0.2, "zeta": 0.1, "mu": 0.03, "lambda": 2.0, "a": 0.5, "seed": 7}
 
 
@@ -883,13 +888,13 @@ def test_simulate_within_one_chunk_starts_no_pool(tmp_path):
         "sigma": 0.2, "zeta": 0.1, "mu": 0.03, "lambda": 2.0, "a": 0.5, "n_paths": 2000,
         "dt": 2.0 ** -6})
     done = _cli_subprocess(
-        "import sys\n"
-        "from horizon_deflators import jumpdiff\n"
+        "import sys, threading\n"
         "from horizon_deflators.cli import main\n"
         "main(['simulate', '--scenario', 'scenario.json', '--out', 'out'])\n"
-        "print(jumpdiff._pool, 'concurrent.futures' in sys.modules)\n", tmp_path)
+        "print('concurrent.futures' in sys.modules, threading.enumerate() == "
+        "[threading.main_thread()])\n", tmp_path)
     assert done.returncode == 0, done.stderr
-    assert done.stdout.splitlines()[-1] == "None False"
+    assert done.stdout.splitlines()[-1] == "False True"
 
 
 NON_FINITE = (math.nan, math.inf, -math.inf)
@@ -1095,6 +1100,28 @@ def test_model_document_round_trip(docs, tmp_path):
     again = modelio.model_to_dict(doc.space, doc.tau, doc.market.S, doc.market.assets)
     modelio.write_json(tmp_path / "again.json", again)
     assert (tmp_path / "again.json").read_bytes() == (root / "model.json").read_bytes()
+
+
+@pytest.mark.parametrize("text, read, message", [
+    ("time,value\nw1,0,1\n", lambda path: modelio.process_from_csv(path, DEMO_IDS, 2),
+     "process table must carry an atom,time,value header"),
+    ("atom,time,value\nw1,3,1\n", lambda path: modelio.process_from_csv(path, DEMO_IDS, 2),
+     "row 2: time 3 outside 0..2"),
+    ('{"phi_o": [[0, 0, 0]]}', lambda path: modelio.load_params(path, 4, 2),
+     "table 'phi_o' must be 4 x 3 or a constant"),
+    ('{"sigma": 0.2, "a": 0.5}', modelio.load_scenario,
+     "scenario misses fields ['zeta', 'mu', 'lambda']"),
+    (json.dumps({**README_SCENARIO, "dt": "fine"}), modelio.load_scenario,
+     "malformed scenario: could not convert string to float: 'fine'"),
+    ('{"horizon": 2,', modelio.load_model, "invalid JSON in {path}: Expecting property name "
+                                          "enclosed in double quotes: line 1 column 15 (char 14)"),
+], ids=["csv-header", "csv-time", "params-shape", "scenario-fields", "scenario-malformed",
+        "json"])
+def test_each_document_refusal_names_its_rule(tmp_path, text, read, message):
+    path = tmp_path / "document"
+    path.write_text(text)
+    with pytest.raises(SpaceValidationError, match=f"^{re.escape(message.format(path=path))}$"):
+        read(path)
 
 
 def test_out_env_variable(docs, tmp_path, monkeypatch):

@@ -1,6 +1,7 @@
 """Deflator factories, admissibility, decompositions, and round-trips."""
 
 import dataclasses
+import re
 
 import numpy as np
 import pytest
@@ -231,6 +232,39 @@ def test_a_non_finite_parameter_is_refused_in_a_dead_cell_too(demo_rts, route, k
     for check in (validate, ROUTES[route][1]):
         with pytest.raises(AdmissibilityError, match=rf"{key} must be finite, got nan at cell \(3, 2\)"):
             check(params, demo_rts)
+
+
+@pytest.mark.parametrize("shape", [(3,), (4,), (1, 3), (3, 3), (4, 2), (4, 3, 1)],
+                         ids=["3", "4", "1x3", "3x3", "4x2", "4x3x1"])
+@pytest.mark.parametrize("route, key, name", [
+    ("additive", "K_F", "K_F"), ("additive", "V_F", "V_F"), ("additive", "phi_o", "phi_o"),
+    ("additive", "phi_pr", "phi_pr"), ("multiplicative", "Z_F", "multiplicative base"),
+    ("multiplicative", "phi_o", "phi_o"), ("multiplicative", "phi_pr", "phi_pr"),
+    ("measure-change", "Z_QF", "measure-change base"), ("measure-change", "phi", "phi")])
+def test_a_parameter_table_of_the_wrong_shape_is_refused(demo_rts, route, key, name, shape):
+    # the demo has 4 atoms and T = 2: a table must be (4, 3); a (1, 3) one was
+    # broadcast across the atoms, others raised IndexError or AxisError, or passed
+    params = DeflatorParams(route, **{key: np.ones(shape)})
+    for check in (validate, ROUTES[route][1]):
+        with pytest.raises(AdmissibilityError, match=rf"^{name} must be a number or a table "
+                           rf"of shape \(4, 3\), got shape {re.escape(str(shape))}$"):
+            check(params, demo_rts)
+
+
+@pytest.mark.parametrize("make, error, message", [
+    (lambda rts: DeflatorParams("affine"), AdmissibilityError, "unknown route 'affine'"),
+    (lambda rts: multiplicative_decomposition(rts.space, -np.ones((4, 3))),
+     ContractViolationError, "multiplicative decomposition needs Z > 0"),
+    (lambda rts: represent_payoff(np.arange(12.0).reshape(4, 3), rts), ContractViolationError,
+     "payoff must be adapted"),
+    (lambda rts: split_at(-np.ones((4, 3)), rts.tau), ContractViolationError,
+     "split needs a positive process"),
+    (lambda rts: extract_multiplicative(np.arange(1.0, 13.0).reshape(4, 3), rts),
+     ContractViolationError, "extraction applies to processes stopped at tau"),
+], ids=["route", "decomposition-sign", "payoff-adapted", "split-sign", "extraction-stopped"])
+def test_each_deflator_refusal_names_its_rule(demo_rts, make, error, message):
+    with pytest.raises(error, match=f"^{message}$"):
+        make(demo_rts)
 
 
 # ------------------------------------------------------------------- factories

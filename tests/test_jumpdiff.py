@@ -4,7 +4,6 @@ import re
 import sys
 import threading
 import warnings
-from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
@@ -64,6 +63,22 @@ def test_scenario_rejections():
 def test_scenario_rejects_non_finite_and_bad_integers(field, value, message):
     with pytest.raises(SpaceValidationError, match=re.escape(message)):
         scenario(**{field: value})
+
+
+@pytest.mark.parametrize("make, message", [
+    (lambda: scenario(lam=0.0), "lam must be positive"),
+    (lambda: scenario(lam=-2.0), "lam must be positive"),
+    (lambda: scenario(horizon=0.0), "horizon must be positive"),
+    (lambda: scenario(S0=0.0), "S0 must be positive"),
+    (lambda: scenario(S0=-1.0), "S0 must be positive"),
+    # a huge psi2 makes psi1 = -(mu + (psi2 - 1) zeta lam) / sigma about -1e300
+    (lambda: solve_drift(scenario(), 1e300),
+     "the market price of risk -(mu + (psi2 - 1) zeta lam) / sigma = -1e+300 overflows: "
+     "its square times the horizon must be finite"),
+], ids=["lam-zero", "lam-negative", "horizon-zero", "S0-zero", "S0-negative", "psi1-overflow"])
+def test_each_scenario_refusal_names_its_rule(make, message):
+    with pytest.raises(SpaceValidationError, match=f"^{re.escape(message)}$"):
+        make()
 
 
 def test_simulate_rejects_keep_paths_outside_range():
@@ -204,8 +219,7 @@ def test_many_workers_switching_often_give_the_same_bits(monkeypatch):
 
     reference = pipeline()
     monkeypatch.setattr(jd, "_ROWS", 97)
-    pool = ThreadPoolExecutor(8)
-    monkeypatch.setattr(jd, "_pool", pool)
+    monkeypatch.setattr(jd, "_workers", lambda: 8)
     result = []
     worker = threading.Thread(target=lambda: result.append(pipeline()))
     interval = sys.getswitchinterval()
@@ -215,7 +229,6 @@ def test_many_workers_switching_often_give_the_same_bits(monkeypatch):
         worker.join(timeout=300)
     finally:
         sys.setswitchinterval(interval)
-        pool.shutdown(wait=False)
     assert not worker.is_alive() and len(result) == 1
     (b, Z, reports, arrays), (b_ref, Z_ref, reports_ref, arrays_ref) = result[0], reference
     for name in BUNDLE_FIELDS:
@@ -503,12 +516,14 @@ def test_deflator_constraints():
 
 
 def test_nan_theta_is_refused():
-    # 1 + nan * zeta <= 0 is False, so the refusal must read "unless > 0"
+    # 1 + nan * zeta <= 0 is False, so the refusal must read "unless > 0"; and
+    # 1 + inf * zeta > 0 at zeta = 0.1, but the wealth would read inf - inf
     b = simulate(scenario(n_paths=50))
-    with pytest.raises(AdmissibilityError, match="^theta = nan is inadmissible"):
-        jd.proportional_wealth(b, np.nan)
-    with pytest.raises(AdmissibilityError, match="^theta = nan is inadmissible"):
-        jd.suite_arrays(b, solve_drift(b.scenario, 1.0), 1.0, theta=np.nan)
+    for theta in (np.nan, np.inf):
+        with pytest.raises(AdmissibilityError, match=f"^theta = {theta:g} is inadmissible"):
+            jd.proportional_wealth(b, theta)
+        with pytest.raises(AdmissibilityError, match=f"^theta = {theta:g} is inadmissible"):
+            jd.suite_arrays(b, solve_drift(b.scenario, 1.0), 1.0, theta=theta)
 
 
 def test_deflator_admissibility_names_the_global_path(monkeypatch):
@@ -641,9 +656,19 @@ def test_mc_test_zero_variance_off_start(value, null, z):
     rep = mc_test(np.full((1000, 4), value), times, start=1.0, null=null)
     assert np.array_equal(rep.zscores, np.full(4, z))
     assert rep.rejected == (z > 0 or null == "martingale")
-    assert rep.max_abs_z == (np.inf if rep.rejected else -np.inf)
+    assert rep.max_abs_z == np.inf
     assert rep.warning == ("zero standard error with mean != start 1 at t = 0.25, 0.5, "
                            f"0.75, 1: z = +-inf under the {null} null")
+
+
+def test_supermartingale_max_abs_z_is_its_largest_size():
+    # a null drifting down 0.1 a step: its z-scores fall to about -190, and
+    # max_abs_z reports that size, while only a rise would reject it
+    rng = np.random.default_rng(3)
+    values = 1.0 - np.array([0.0, 0.1, 0.2, 0.3]) + rng.normal(0.0, 0.1, size=(4000, 4))
+    rep = mc_test(values, [0.25, 0.5, 0.75, 1.0], start=1.0, null="supermartingale")
+    assert np.max(rep.zscores) < 3.0 and np.min(rep.zscores) < -100.0
+    assert not rep.rejected and rep.max_abs_z == np.max(np.abs(rep.zscores))
 
 
 @pytest.mark.parametrize("n", [1000, 1001, 4097])

@@ -17,6 +17,7 @@ from horizon_deflators import (
     verify_lmd,
     wealth,
 )
+from horizon_deflators.market import Strategy
 from horizon_deflators.prob_core import FiniteFilteredSpace, ProbabilityMeasure
 
 
@@ -61,6 +62,17 @@ def test_wealth_rejects_inadmissible():
     with pytest.raises(ContractViolationError) as err:
         wealth(np.full((2, 2), 2.5), market)
     assert "atom" in str(err.value)
+
+
+@pytest.mark.parametrize("check", [wealth, lambda phi, market: Strategy.check(market, phi)],
+                         ids=["wealth", "Strategy.check"])
+@pytest.mark.parametrize("shape", [(2, 4, 3), (0, 4, 3)])
+def test_a_strategy_with_the_wrong_number_of_components_is_refused(demo, check, shape):
+    # the demo market has one asset: a strategy is (4, 3) or (1, 4, 3)
+    space, _, S = demo
+    market = MarketModel.from_prices(space, S)
+    with pytest.raises(ContractViolationError, match="^strategy has wrong number of components$"):
+        check(np.zeros(shape), market)
 
 
 def test_wealth_rejects_non_predictable(demo):

@@ -21,7 +21,7 @@ from horizon_deflators import (
     stochastic_exponential,
     stochastic_integral,
 )
-from horizon_deflators.prob_core import AdaptedProcess, increments
+from horizon_deflators.prob_core import AdaptedProcess, Filtration, increments
 from horizon_deflators import trees
 
 from conftest import frac_table
@@ -61,6 +61,38 @@ def test_space_rejects_non_refining_partitions():
     with pytest.raises(SpaceValidationError):
         FiniteFilteredSpace.from_partitions(
             ("a", "b", "c"), (0.25, 0.25, 0.5), [[0, 0, 1], [0, 1, 0], [0, 1, 2]])
+
+
+@pytest.mark.parametrize("make, error, message", [
+    (lambda space: ProbabilityMeasure(np.array([-0.5, 1.5])), SpaceValidationError,
+     "measure weights must be nonnegative"),
+    (lambda space: ProbabilityMeasure(np.array([0.5, 0.25])), SpaceValidationError,
+     "measure weights sum to 0.75, not 1"),
+    (lambda space: FiniteFilteredSpace.from_partitions(("a", "b"), (0.5, 0.25), [[0, 0], [0, 1]]),
+     SpaceValidationError, "atom probabilities sum to 0.75, not 1"),
+    (lambda space: FiniteFilteredSpace.from_partitions(("a", "b"), (0.5, 0.5), [[0, 0]]),
+     SpaceValidationError, "horizon must be >= 1"),
+    (lambda space: FiniteFilteredSpace.from_partitions(("a", "b"), (1.0,), [[0, 0], [0, 1]]),
+     SpaceValidationError, "outcomes and probs disagree in length"),
+    (lambda space: FiniteFilteredSpace(("a", "b"), np.array([0.5, 0.5]), 2,
+                                       Filtration(np.array([[0, 0], [0, 1]]))),
+     SpaceValidationError, "filtration must carry horizon\\+1 partitions"),
+    (lambda space: FiniteFilteredSpace(("a", "b", "c"), np.array([0.25, 0.25, 0.5]), 1,
+                                       Filtration(np.array([[0, 0], [0, 1]]))),
+     SpaceValidationError, "filtration atom count mismatch"),
+    (lambda space: project(space, np.ones((4, 3)), "dual"), ValueError,
+     "unknown projection mode 'dual'"),
+    (lambda space: bracket(np.ones((4, 3)), np.ones((4, 3)), "predictable"),
+     ContractViolationError, "predictable bracket needs the space"),
+    (lambda space: bracket(np.ones((4, 3)), np.ones((4, 3)), "dual"), ValueError,
+     "unknown bracket mode 'dual'"),
+    (lambda space: change_measure(space, np.ones((4, 1))), SpaceValidationError,
+     "density must be one value per atom"),
+], ids=["negative-weight", "weight-sum", "prob-sum", "horizon", "probs-length", "partition-count",
+        "atom-count", "projection-mode", "bracket-space", "bracket-mode", "density-shape"])
+def test_each_core_refusal_names_its_rule(demo, make, error, message):
+    with pytest.raises(error, match=f"^{message}$"):
+        make(demo[0])
 
 
 def test_adapted_process_certificate(demo):
