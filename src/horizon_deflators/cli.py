@@ -167,15 +167,15 @@ def cmd_simulate(args) -> int:
         sc = replace(sc, **{k: v for k, v in overrides.items() if v is not None})
         psi2, phi_o, phi_pr = extras["psi2"], extras["phi_o"], extras["phi_pr"]
         psi1 = jd.solve_drift(sc, psi2)
-        bundle = jd.simulate(sc, keep_paths=extras["keep_paths"])
-        values, feats, m_residual = jd.suite_arrays(bundle, psi1, psi2, theta=extras["theta"],
-                                                    phi_o=phi_o, phi_pr=phi_pr)
+        kept, values, feats, m_residual = jd.simulate_suite(
+            sc, psi1, psi2, theta=extras["theta"], phi_o=phi_o, phi_pr=phi_pr,
+            keep_paths=extras["keep_paths"])
     except SpaceValidationError as exc:
         return _fail(2, f"input error: {exc}")
     except AdmissibilityError as exc:
         return _fail(2, f"scenario constraint violation: {exc}")
     suite, n_z, z_crit = jd.suite_tests(values, feats, phi_pr=phi_pr)
-    reports = jd.mc_suite(suite, bundle.report_times, z_crit=z_crit)
+    reports = jd.mc_suite(suite, kept.report_times, z_crit=z_crit)
     rejected = sorted(name for name, rep in reports.items() if rep.rejected)
     warnings = [f"{name}: {rep.warning}" for name, rep in reports.items() if rep.warning]
     out = _outdir(args.out)
@@ -184,7 +184,7 @@ def cmd_simulate(args) -> int:
                      "a": sc.a, "beta": sc.beta, "S0": sc.S0, "horizon": sc.horizon,
                      "dt": sc.dt, "n_paths": sc.n_paths, "seed": sc.seed,
                      "psi1": psi1, "psi2": psi2},
-        "report_times": bundle.report_times.tolist(),
+        "report_times": kept.report_times.tolist(),
         "alpha": jd.SUITE_ALPHA,
         "n_zscores": n_z,
         "z_crit": z_crit,
@@ -197,12 +197,12 @@ def cmd_simulate(args) -> int:
         "ok": not rejected,
     }
     modelio.write_json(os.path.join(out, "simulate-summary.json"), summary)
-    if bundle.samples:
+    if kept.samples:
         cols = ("time", "W", "N", "S", "G", "m", "N_G")
-        kept = ((s["index"], np.column_stack([s[c] for c in cols] + [
-            jd.deflator_grid(bundle, s["index"], psi1, psi2, phi_o=phi_o, phi_pr=phi_pr)]))
-            for s in bundle.samples)
-        modelio.table_to_csv(os.path.join(out, "paths.csv"), ("path", *cols, "Z"), kept)
+        rows = ((s["index"], np.column_stack([s[c] for c in cols] + [
+            jd.deflator_grid(kept, s["index"], psi1, psi2, phi_o=phi_o, phi_pr=phi_pr)]))
+            for s in kept.samples)
+        modelio.table_to_csv(os.path.join(out, "paths.csv"), ("path", *cols, "Z"), rows)
     for w in warnings:
         print(f"warning: {w}", file=sys.stderr)
     if rejected:

@@ -24,13 +24,13 @@ O(dt^2).
 Draws come from one counter-based Philox stream (Salmon et al., SC'11): path
 i owns a fixed run of counter blocks, and each path has a spill stream of its
 own for the rare extra draws (``simulate``).  So any block of paths can be
-drawn and evaluated on its own, with the same bits.  ``simulate``, the null
-processes and ``build_deflator`` work in chunks of ``_ROWS`` paths, and
-``mc_suite`` one null, then one report step, at a time, each map on a thread
-pool of its own, made and joined inside the call, with one worker per CPU of
-the process's affinity set.  Each chunk writes its own rows and every reduction
-runs on whole columns, so no output depends on the number of workers; work of
-one chunk runs inline, with no thread.
+drawn and evaluated on its own, with the same bits.  ``simulate``,
+``simulate_suite``, the null processes and ``build_deflator`` work in chunks of
+``_ROWS`` paths, and ``mc_suite`` one null, then one report step, at a time,
+each map on a thread pool of its own, made and joined inside the call, with one
+worker per CPU of the process's affinity set.  Each chunk writes its own rows
+and every reduction runs on whole columns, so no output depends on the number
+of workers; work of one chunk runs inline, with no thread.
 
 Every (n_paths, R) and (n_paths, R, p) array here is column-major, so one report
 time's values are contiguous: ``mc_suite`` reads its steps, and sums each column
@@ -42,10 +42,10 @@ among the report times by one ``searchsorted`` and writes its rows through
 ``.T``.  Kept paths on the dt grid stay (path, grid), so each orientation keeps its
 long axis innermost: time-major they gave the same bits, but ``simulate`` of 100 paths at
 dt 2^-16 with 4 kept paths took 32-37 ms against 27-29 ms, and 84-134 ms with the counts
-by ``_running_sum`` (medians of 30 calls, 2 shared vCPUs).  ``SUITE`` lists the nulls: one
-map over the paths, ``suite_arrays``, fills their arrays, each chunk running all the
-kernels while its rows are in cache, and ``suite_tests`` makes them ``mc_suite``'s
-tests at the Sidak critical value.  Each public null function maps one of the kernels.
+by ``_running_sum`` (medians of 30 calls, 2 shared vCPUs).  ``SUITE`` lists the nulls:
+``simulate_suite`` draws each chunk of paths and runs all their kernels on it in one pass,
+holding no array of all paths but theirs, and ``suite_tests`` makes them ``mc_suite``'s
+tests at the Sidak critical value.  Each public null function maps one kernel over a bundle.
 
 Statistical verification is by Monte-Carlo means with standard errors,
 sharpened by regressing one-step increments on observable features with
@@ -80,7 +80,7 @@ _ROWS = 8192             # paths per chunk of the row map
 # any of the suite's z-scores past the critical value
 SUITE_ALPHA = 0.01
 # the simulate suite's nulls in test order: (name, start, hypothesis, increments regressed
-# on the features); m and N_G are bundle arrays, the others _suite_rows' outputs in order
+# on the features); _suite_rows gives their rows in this order
 SUITE = (
     ("m", 1.0, "martingale", True),
     ("transported_brownian", 0.0, "martingale", True),
@@ -281,9 +281,10 @@ class PathBundle:
 
 
 def _quadrature_table(sc: JumpDiffusionScenario):
+    """The dt grid, ending at the horizon, with the D^o density and its trapezoid table."""
     beta, lam = sc.beta, sc.lam
     n_steps = int(np.ceil(sc.horizon / sc.dt - 1e-9))
-    grid = np.arange(n_steps + 1) * sc.dt
+    grid = np.append(np.arange(n_steps) * sc.dt, sc.horizon)
     dens = (beta + lam) * beta * grid * np.exp(-beta * grid)
     cum = np.concatenate([[0.0], np.cumsum(0.5 * (dens[1:] + dens[:-1]) * np.diff(grid))])
     return grid, dens, cum
@@ -313,17 +314,27 @@ def simulate(sc: JumpDiffusionScenario, *, report_times=None, keep_paths: int = 
     next r sin, of the P pairs).  The draws of path i do not depend on
     n_paths, so the first k paths are the same whatever n_paths.
 
-    Path i also owns a spill stream, ``Generator(Philox(key, counter=[0, i
-    + 1, 0, 0]))``, whose counters never meet the main stream's.  A path
-    whose 8 gaps end before the horizon draws further blocks of 8 gaps from
-    it (about 0.1% of paths at lam = 2), and a kept path then draws its
-    bridge normals from it: one per dt-grid point that is neither a report
-    time nor tau, in grid order.  ``report_times`` must be finite, strictly
-    increasing and in (0, horizon].
+    Path i also owns a spill stream, ``Generator(Philox(key, counter=[0, i + 1, 0, 0]))``,
+    whose counters never meet the main stream's.  A path whose 8 gaps end before the
+    horizon draws further blocks of 8 gaps from it (about 0.1% of paths at lam = 2), and a
+    kept path then draws its bridge normals from it: one per dt-grid point that is neither
+    a report time nor tau, in grid order.  The dt grid ends at the horizon, so its last
+    step may be shorter.  ``report_times`` must be finite, strictly increasing and in
+    (0, horizon].
     """
+    rep, draw = _paths(sc, report_times, keep_paths)
+    bundle = _empty_bundle(sc, rep, sc.n_paths)
+    chunks = _row_map(lambda lo, hi: draw(_rows(bundle, lo, hi), lo), sc.n_paths)
+    bundle.samples = [s for samples in chunks for s in samples]
+    return bundle
+
+
+def _paths(sc, report_times, keep_paths):
+    """(rep, draw): the checked report times, and draw(part, lo), which fills ``part`` with
+    paths lo, lo + 1, ... as ``simulate`` does and returns their samples below ``keep_paths``."""
     if not 0 <= keep_paths <= sc.n_paths:
         raise SpaceValidationError(f"keep_paths must lie in [0, n_paths = {sc.n_paths}]")
-    H, n = sc.horizon, sc.n_paths
+    H = sc.horizon
     if report_times is None:
         report_times = H * np.arange(1, 9) / 8.0
     rep = np.asarray(report_times, dtype=float)
@@ -333,10 +344,9 @@ def simulate(sc: JumpDiffusionScenario, *, report_times=None, keep_paths: int = 
             f"report_times must be finite, strictly increasing and in (0, horizon = {H:g}]")
     key = np.random.SeedSequence(sc.seed).generate_state(2, np.uint64)
     quad = _quadrature_table(sc)
-    bundle = _empty_bundle(sc, rep, n)
 
-    def chunk(lo, hi):
-        gaps, normals = _main_draws(key, hi - lo, len(rep), sc.lam, first=lo)
+    def draw(part, lo):
+        gaps, normals = _main_draws(key, part.n_paths, len(rep), sc.lam, first=lo)
         jumps = np.cumsum(gaps, axis=1)
         streams = {}
 
@@ -355,10 +365,9 @@ def simulate(sc: JumpDiffusionScenario, *, report_times=None, keep_paths: int = 
                 jumps = np.pad(jumps, ((0, 0), (0, len(path_jumps) - jumps.shape[1])),
                                constant_values=np.inf)
             jumps[i, :len(path_jumps)] = path_jumps
-        return _fill(bundle, quad, lo, jumps, normals, min(keep_paths, hi) - lo, stream)
+        return _fill(part, quad, lo, jumps, normals, min(keep_paths - lo, part.n_paths), stream)
 
-    bundle.samples = [s for samples in _row_map(chunk, n) for s in samples]
-    return bundle
+    return rep, draw
 
 
 def _main_draws(key, n: int, R: int, lam: float, first: int = 0):
@@ -420,9 +429,9 @@ def _evaluate(sc, rep, jumps, normals, keep_paths, stream) -> PathBundle:
     return bundle
 
 
-def _fill(bundle, quad, lo, jumps, normals, keep, stream) -> list:
-    """Rows lo : lo + len(jumps) of ``bundle`` from their draws, and the
-    dt-grid samples of the first ``keep`` of them.
+def _fill(bundle, quad, first, jumps, normals, keep, stream) -> list:
+    """The arrays of ``bundle`` from the draws of its paths, one per row of ``jumps``,
+    and the dt-grid samples of its first ``keep``, whose indexes start at ``first``.
 
     ``jumps`` holds each row's jump times (inf-padded), ``normals`` its R+1
     Brownian normals, ``stream(i)`` the generator that row i's bridge fill
@@ -455,7 +464,7 @@ def _fill(bundle, quad, lo, jumps, normals, keep, stream) -> list:
     cols = {"t1": t1, "t2": t2, "tau": tau, "from_second_jump": from_second, "W": W,
             "W_tau": W_tau, **_path_processes(sc, quad, rep[:, None], t1, tau, from_second, W, N)}
     for name, value in cols.items():
-        getattr(bundle, name).T[..., lo:lo + n] = value
+        getattr(bundle, name).T[...] = value
     if keep <= 0:
         return []
     grid = quad[0]
@@ -466,7 +475,7 @@ def _fill(bundle, quad, lo, jumps, normals, keep, stream) -> list:
     res = full["G"] + full["D_opt"]
     np.subtract(full["m"], res, out=res)
     res = np.abs(res, out=res).max(axis=1)
-    return [{"index": lo + i, "time": grid, "W": W[i],
+    return [{"index": first + i, "time": grid, "W": W[i],
              **{key: v[i] for key, v in full.items()}, "G_tilde": full["G"][i],  # G~ = G
              "tau": float(tau[i]), "t1": float(t1[i]), "m_identity_residual": float(res[i])}
             for i in range(keep)]
@@ -625,8 +634,7 @@ def build_deflator(bundle: PathBundle, psi1: float, psi2: float, *,
 def check_deflator(bundle: PathBundle, psi2: float, *, phi_o: float = 0.0,
                    phi_pr: float = 0.0) -> None:
     """Raise :class:`AdmissibilityError` unless the deflator of ``build_deflator``
-    is admissible on every path; a path breach names the first offending path."""
-    sc = bundle.scenario
+    is admissible on every path: psi2, phi_o and phi_pr first, then ``_check_paths``."""
     if not psi2 > 0.0:
         raise AdmissibilityError("psi2 must be strictly positive")
     if not phi_o > -1.0:
@@ -636,13 +644,17 @@ def check_deflator(bundle: PathBundle, psi2: float, *, phi_o: float = 0.0,
     if phi_pr > 0.0:  # Z = M (1 + phi_pr 1{tau <= t}) with M > 0 a unit-mean martingale
         raise AdmissibilityError("phi_pr must not exceed 0: above, E[Z_t] > 1 once default "
                                  "can occur, so Z is no supermartingale deflator")
-    hit_t1 = (~bundle.from_second_jump) & (bundle.tau <= sc.horizon)
-    bound = psi2 * (1.0 + sc.beta * bundle.t1)
-    bad = np.flatnonzero(hit_t1 & (phi_o >= bound))
+    _check_paths(bundle, psi2, phi_o, 0)
+
+
+def _check_paths(b, psi2, phi_o, first) -> None:
+    """``check_deflator``'s path rule, phi_o < psi2 (1 + beta T1) wherever tau = T1 <= H,
+    on the rows of ``b``, which are the paths first, first + 1, ..."""
+    hit_t1 = (~b.from_second_jump) & (b.tau <= b.scenario.horizon)
+    bad = np.flatnonzero(hit_t1 & (phi_o >= psi2 * (1.0 + b.scenario.beta * b.t1)))
     if len(bad):
         raise AdmissibilityError(
-            f"phi_o at the first jump breaches psi2 (1 + beta T1) on path {int(bad[0])}",
-        )
+            f"phi_o at the first jump breaches psi2 (1 + beta T1) on path {first + int(bad[0])}")
 
 
 def _deflator_rows(b, psi1, psi2, phi_o, phi_pr):
@@ -720,37 +732,55 @@ def _lmd_times_price(b, psi1, psi2):
     return (dens * b.S.T / sc.S0).T
 
 
-def suite_arrays(bundle: PathBundle, psi1: float, psi2: float, *, theta: float,
-                 phi_o: float = 0.0, phi_pr: float = 0.0) -> tuple:
-    """The arrays of the ``simulate`` suite in one pass over the paths.
+def simulate_suite(sc: JumpDiffusionScenario, psi1: float, psi2: float, *, theta: float,
+                   phi_o: float = 0.0, phi_pr: float = 0.0, keep_paths: int = 0) -> tuple:
+    """The ``simulate`` suite, drawn and evaluated in one pass per chunk of paths.
 
-    Returns (values, features, m_identity_residual): ``values`` maps each null
-    of ``SUITE`` to its (n_paths, R) array, bit for bit what the public functions
-    give: ``m`` and ``N_G`` are the bundle's, ``deflator_plain`` is ``build_deflator``'s
-    ``E_L``, ``deflator_with_default_leg`` its ``Z``, ``deflated_wealth``
-    ``proportional_wealth(bundle, theta) * E_L``, ``deflated_price_drift``
-    ``lmd_times_price``, and the others their namesakes; ``features`` is
-    ``feature_matrix(bundle)`` and the residual ``closed_forms``' one.  The parameters
-    are checked first, as ``build_deflator`` and ``proportional_wealth`` check them.
+    Returns (kept, values, features, m_identity_residual), bit for bit what the public
+    functions give on ``bundle = simulate(sc, keep_paths=keep_paths)``: its first
+    ``keep_paths`` paths and their samples; each ``SUITE`` null's (n_paths, R) array (``m``
+    and ``N_G`` the bundle's, ``deflator_plain`` and ``deflator_with_default_leg``
+    ``build_deflator``'s ``E_L`` and ``Z``, ``deflated_wealth`` ``proportional_wealth`` times
+    ``E_L``, ``deflated_price_drift`` ``lmd_times_price``, the others their namesakes);
+    ``feature_matrix(bundle)``; and ``closed_forms``' residual.  ``keep_paths``, then psi2,
+    phi_o and phi_pr, then theta are checked before any draw; each chunk's paths then meet
+    the path rule, and ``_map`` raises in chunk order, so a breach names the first offending path.
     """
-    check_deflator(bundle, psi2, phi_o=phi_o, phi_pr=phi_pr)
-    check_wealth(bundle.scenario, theta)
-    *arrays, features, residual = _by_rows(_suite_rows, bundle, psi1, psi2, theta, phi_o, phi_pr)
-    kernels = iter(arrays)
-    values = {n: getattr(bundle, n) if n in _PER_REPORT else next(kernels) for n, *_ in SUITE}
-    return values, features, float(residual.max())
+    rep, draw = _paths(sc, None, keep_paths)
+    n, R = sc.n_paths, len(rep)
+    kept = _empty_bundle(sc, rep, keep_paths)
+    check_deflator(_rows(kept, 0, 0), psi2, phi_o=phi_o, phi_pr=phi_pr)  # 0 paths: loadings alone
+    check_wealth(sc, theta)
+    values = {name: np.empty((n, R), order="F") for name, *_ in SUITE}
+    features, residual = np.empty((n, R, 3), order="F"), np.empty(n)
+
+    def chunk(lo, hi):
+        b = _empty_bundle(sc, rep, hi - lo)
+        b.samples = draw(b, lo)
+        _check_paths(b, psi2, phi_o, lo)
+        parts = _suite_rows(b, psi1, psi2, theta, phi_o, phi_pr)
+        for out, part in zip((*values.values(), features, residual), parts):
+            out[lo:hi] = part
+        if lo < keep_paths:  # the rows past keep_paths fall off both slices
+            for f in _PER_PATH + _PER_REPORT:
+                getattr(kept, f)[lo:hi] = getattr(b, f)[:keep_paths - lo]
+        return b.samples
+
+    kept.samples = [s for samples in _row_map(chunk, n) for s in samples]
+    return kept, values, features, float(residual.max())
 
 
 def _suite_rows(b, psi1, psi2, theta, phi_o, phi_pr):
+    """The rows of ``SUITE``'s nulls in its order, then the features and the m residual."""
     Z, e_l, _, _ = _deflator_rows(b, psi1, psi2, phi_o, phi_pr)
-    return (b.stopped_W(), _transported_poisson(b), _survival_exponential(b), e_l, Z,
-            _wealth(b, theta, True) * e_l, _lmd_times_price(b, psi1, psi2),
+    return (b.m, b.stopped_W(), _transported_poisson(b), b.N_G, _survival_exponential(b), e_l,
+            Z, _wealth(b, theta, True) * e_l, _lmd_times_price(b, psi1, psi2),
             _feature_matrix(b), _m_residual(b))
 
 
 def suite_tests(values, features, *, phi_pr: float = 0.0) -> tuple:
     """(tests, n_zscores, z_crit): ``SUITE``'s nulls as ``mc_suite``'s tests of
-    ``suite_arrays``' values and features, how many z-scores they compute (R per null
+    ``simulate_suite``'s values and features, how many z-scores they compute (R per null
     of R report times, plus (R - 1)(p + 1) per martingale null regressed on p features),
     and the Sidak (JASA 1967) two-sided critical value that gives so many independent
     N(0, 1) z-scores the family-wise size SUITE_ALPHA.  With phi_pr < 0 the default

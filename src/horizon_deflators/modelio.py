@@ -304,7 +304,7 @@ def load_scenario(source) -> tuple:
     ``MAX_EXPONENT`` times the horizon: theta^2 sigma^2 and |theta (mu -
     zeta lam)| for ``theta``, |psi2 - 1| lam for ``psi2``.  The other rules
     are :mod:`jumpdiff`'s: the model fields :class:`JumpDiffusionScenario`'s,
-    ``keep_paths`` :func:`simulate`'s, psi2 > 0 :func:`solve_drift`'s, and
+    ``keep_paths`` :func:`simulate_suite`'s, psi2 > 0 :func:`solve_drift`'s, and
     admissibility :func:`check_deflator`'s and :func:`check_wealth`'s.
     """
     doc = _read(source)

@@ -194,6 +194,7 @@ def test_out_at_a_file_is_refused_before_any_work(docs, tmp_path, capsys, monkey
     def work(*args, **kwargs):
         raise AssertionError("the command started its work")
     monkeypatch.setattr(jd, "simulate", work)
+    monkeypatch.setattr(jd, "simulate_suite", work)
     monkeypatch.setattr(enl, "build_survival", work)
     root, _ = docs
     afile = tmp_path / "afile"
@@ -674,6 +675,41 @@ def test_simulate_names_each_inadmissible_suite_parameter(tmp_path, capsys, fiel
     assert not (tmp_path / "simulate-summary.json").exists()
 
 
+def test_simulate_names_the_smallest_breaching_path_across_chunks(tmp_path, capsys,
+                                                                 monkeypatch):
+    # chunks of 8 paths on 8 workers: chunks 0-2 hold no breach of psi2 (1 + beta T1),
+    # chunk 3 holds the first, and many later chunks hold more; whichever chunk
+    # finishes first, the error names the smallest offending path
+    monkeypatch.setattr(jd, "_ROWS", 8)
+    monkeypatch.setattr(jd, "_workers", lambda: 8)
+    doc = {"sigma": 0.2, "zeta": 0.1, "mu": 0.03, "lambda": 2.0, "a": 0.5, "n_paths": 500,
+           "seed": 3, "dt": 2.0 ** -6, "psi2": 0.49, "phi_o": 0.5}
+    first = _first_breach(doc)
+    assert first // 8 == 3
+    modelio.write_json(tmp_path / "scenario.json", doc)
+    assert run("simulate", "--scenario", tmp_path / "scenario.json", "--out", tmp_path) == 2
+    assert capsys.readouterr().err == ("scenario constraint violation: phi_o at the first jump "
+                                       f"breaches psi2 (1 + beta T1) on path {first}\n")
+    assert not (tmp_path / "simulate-summary.json").exists()
+
+
+@pytest.mark.parametrize("dt", [0.3, 2.0])
+def test_simulate_kept_paths_end_at_the_horizon(tmp_path, dt):
+    # a dt that does not divide the horizon used to put a last paths.csv row past
+    # it (t = 1.2 at dt 0.3, t = 2 at dt 2), where no jump was drawn; the grid now
+    # ends at the horizon, and the last row there agrees with the report grid
+    doc = {**README_SCENARIO, "n_paths": 50, "dt": dt, "keep_paths": 3}
+    modelio.write_json(tmp_path / "scenario.json", doc)
+    assert run("simulate", "--scenario", tmp_path / "scenario.json", "--out", tmp_path) in (0, 1)
+    table = np.loadtxt(tmp_path / "paths.csv", delimiter=",", skiprows=1)
+    sc, _ = modelio.load_scenario(doc)
+    b = jd.simulate(sc)
+    for i in range(3):
+        last = table[table[:, 0] == i][-1]
+        assert last[1] == sc.horizon == b.report_times[-1]
+        assert last[3] == b.N[i, -1]
+
+
 DEMO_IDS = ("w1", "w2", "w3", "w4")  # the atoms of trees.two_period_demo
 README_SCENARIO = {"sigma": 0.2, "zeta": 0.1, "mu": 0.03, "lambda": 2.0, "a": 0.5, "seed": 7}
 
@@ -695,9 +731,9 @@ def test_simulate_summary_holds_the_suite_table(tmp_path):
     assert ({name: result["null"] for name, result in summary["results"].items()}
             == {name: null for name, _, null, _ in jd.SUITE})
     sc, extras = modelio.load_scenario(tmp_path / "scenario.json")
-    b = jd.simulate(sc)
-    values, features, _ = jd.suite_arrays(b, jd.solve_drift(sc, extras["psi2"]), extras["psi2"],
-                                          theta=extras["theta"], phi_o=extras["phi_o"])
+    _, values, features, _ = jd.simulate_suite(sc, jd.solve_drift(sc, extras["psi2"]),
+                                               extras["psi2"], theta=extras["theta"],
+                                               phi_o=extras["phi_o"])
     _, n_z, z_crit = jd.suite_tests(values, features)
     assert (summary["alpha"], summary["n_zscores"], summary["z_crit"]) == (jd.SUITE_ALPHA, n_z,
                                                                            z_crit)
@@ -754,16 +790,18 @@ def test_simulate_rejects_wrong_processes(tmp_path, monkeypatch, seed):
     # four processes that are not martingales, each in place of one null of
     # the README suite at 100k paths; the suite must reject every one at its
     # family-wise critical value, on every seed
-    simulate, lmd_rows = jd.simulate, jd._lmd_times_price
+    path_processes, lmd_rows = jd._path_processes, jd._lmd_times_price
+    calls = []
 
-    def wrong_bundle(sc, **kwargs):
-        b = simulate(sc, **kwargs)
-        t, t1 = b.report_times, b.t1[:, None]
+    def wrong_processes(sc, quad, t, t1, tau, from_second, W, N):
+        # (time, path) rows: t is a column of report times against rows of per-path values
+        out = path_processes(sc, quad, t, t1, tau, from_second, W, N)
         # N_G without its compensator
-        b.N_G = (b.from_second_jump[:, None] & (b.tau[:, None] <= t)).astype(float)
+        out["N_G"] = (from_second & (tau <= t)).astype(float)
         # m with lam 10% too high in its Lebesgue part
-        b.m = b.m + 0.1 * sc.lam * sc.beta * jd._i1(sc.beta, np.minimum(t, t1))
-        return b
+        out["m"] = out["m"] + 0.1 * sc.lam * sc.beta * jd._i1(sc.beta, np.minimum(t, t1))
+        calls.append(len(t1))
+        return out
 
     def damped_poisson(b):
         # jump factor 1 + beta T1 / (1 + beta T1) in place of 1 + beta T1
@@ -771,8 +809,8 @@ def test_simulate_rejects_wrong_processes(tmp_path, monkeypatch, seed):
         return b.first_jump_stopped() * (1.0 + sc.beta * t1 / (1.0 + sc.beta * t1)) \
             - sc.lam * b.stopped_times()
 
-    # the suite map calls the row kernels by their module names, once per chunk of paths
-    monkeypatch.setattr(jd, "simulate", wrong_bundle)
+    # the suite pass calls the row kernels by their module names, once per chunk of paths
+    monkeypatch.setattr(jd, "_path_processes", wrong_processes)
     monkeypatch.setattr(jd, "_transported_poisson", damped_poisson)
     monkeypatch.setattr(jd, "_lmd_times_price",  # psi1 10% off
                         lambda b, psi1, psi2: lmd_rows(b, 1.1 * psi1, psi2))
@@ -780,6 +818,7 @@ def test_simulate_rejects_wrong_processes(tmp_path, monkeypatch, seed):
            "seed": seed, "n_paths": 100_000, "keep_paths": 0}
     modelio.write_json(tmp_path / "scenario.json", doc)
     assert run("simulate", "--scenario", tmp_path / "scenario.json", "--out", tmp_path) == 1
+    assert sum(calls) == 100_000  # every path's report rows came from the wrong kernel
     summary = json.loads((tmp_path / "simulate-summary.json").read_text())
     wrong = ("N_G", "deflated_price_drift", "m", "transported_poisson")
     assert set(wrong) <= set(summary["rejected"])

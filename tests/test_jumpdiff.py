@@ -202,6 +202,42 @@ def test_kept_paths_span_chunks(monkeypatch):
             assert np.array_equal(s_chunked[key], s_whole[key]), key
 
 
+def test_suite_pass_keeps_the_first_paths_across_chunks(monkeypatch):
+    # chunks of 2 rows: the 5 kept paths come from three chunks, the last in part
+    sc = scenario(n_paths=7, lam=6.0)
+    whole = simulate(sc, keep_paths=5)
+    monkeypatch.setattr(jd, "_ROWS", 2)
+    kept = jd.simulate_suite(sc, solve_drift(sc, 1.0), 1.0, theta=0.5, keep_paths=5)[0]
+    assert kept.n_paths == 5 and np.array_equal(kept.report_times, whole.report_times)
+    for name in BUNDLE_FIELDS[1:]:  # every per-path field
+        assert np.array_equal(getattr(kept, name), getattr(whole, name)[:5]), name
+    assert [s["index"] for s in kept.samples] == [0, 1, 2, 3, 4]
+    for s_kept, s_whole in zip(kept.samples, whole.samples, strict=True):
+        assert s_kept.keys() == s_whole.keys()
+        for key in s_whole:
+            assert np.array_equal(s_kept[key], s_whole[key]), key
+
+
+def test_suite_pass_holds_little_beyond_its_outputs(monkeypatch):
+    # 40 chunks on 2 workers, each drawn, evaluated and written out in turn: the
+    # traced peak stays within 1.25x of the bytes the pass returns (9 nulls, the
+    # features and the residual); a bundle of all paths beside them reads about 1.5x
+    import tracemalloc
+
+    monkeypatch.setattr(jd, "_ROWS", 1024)
+    monkeypatch.setattr(jd, "_workers", lambda: 2)
+    sc = scenario(n_paths=40_000)
+    psi1 = solve_drift(sc, 1.0)
+    tracemalloc.start()
+    try:
+        _, values, features, _ = jd.simulate_suite(sc, psi1, 1.0, theta=0.5, keep_paths=4)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    outputs = sum(v.nbytes for v in values.values()) + features.nbytes + 8 * sc.n_paths
+    assert len(values) == 9 and peak < 1.25 * outputs, peak / outputs
+
+
 def test_many_workers_switching_often_give_the_same_bits(monkeypatch):
     # 8 workers on chunks of 97 rows, the interpreter switching threads every
     # microsecond: a row written to the wrong place, or a buffer two tasks
@@ -214,7 +250,7 @@ def test_many_workers_switching_often_give_the_same_bits(monkeypatch):
         Z = build_deflator(b, solve_drift(sc, 1.0), 1.0, phi_o=0.25)["Z"]
         suite = {"m": (b.m, 1.0, "martingale", feats), "N_G": (b.N_G, 0.0, "martingale", feats),
                  "Z": (Z, 1.0, "martingale", None)}
-        arrays = jd.suite_arrays(b, solve_drift(sc, 1.0), 1.0, theta=0.7, phi_o=0.25)
+        arrays = jd.simulate_suite(sc, solve_drift(sc, 1.0), 1.0, theta=0.7, phi_o=0.25)[1:]
         return b, Z, jd.mc_suite(suite, b.report_times), arrays
 
     reference = pipeline()
@@ -260,7 +296,7 @@ def test_path_arrays_are_column_major(n_paths, monkeypatch):
                   unstopped_wealth=jd.proportional_wealth(b, 0.8, stopped=False),
                   lmd_times_price=jd.lmd_times_price(b, psi1, 1.0),
                   **build_deflator(b, psi1, 1.0, phi_o=0.25, phi_pr=-0.1))
-    values, features, _ = jd.suite_arrays(b, psi1, 1.0, theta=0.8, phi_o=0.25, phi_pr=-0.1)
+    _, values, features, _ = jd.simulate_suite(sc, psi1, 1.0, theta=0.8, phi_o=0.25, phi_pr=-0.1)
     arrays.update({f"suite {name}": v for name, v in values.items()}, suite_features=features)
     for name, arr in arrays.items():
         assert arr.shape[0] == n_paths and arr.ndim >= 2, name
@@ -495,7 +531,7 @@ def test_bridge_fill_covers_grid_past_last_anchor():
     for rep in (None, [0.1, 0.3]):
         b = simulate(sc, report_times=rep, keep_paths=3)
         for s in b.samples:
-            assert s["time"][-1] > sc.horizon
+            assert s["time"][-1] == sc.horizon  # the last step is half a dt
             steps = np.abs(np.diff(s["W"])) / np.sqrt(np.diff(s["time"]))
             assert np.max(steps) < 6.0
             for key in ("S", "G", "m", "D_opt", "N_G"):
@@ -523,7 +559,7 @@ def test_nan_theta_is_refused():
         with pytest.raises(AdmissibilityError, match=f"^theta = {theta:g} is inadmissible"):
             jd.proportional_wealth(b, theta)
         with pytest.raises(AdmissibilityError, match=f"^theta = {theta:g} is inadmissible"):
-            jd.suite_arrays(b, solve_drift(b.scenario, 1.0), 1.0, theta=theta)
+            jd.simulate_suite(b.scenario, solve_drift(b.scenario, 1.0), 1.0, theta=theta)
 
 
 def test_deflator_admissibility_names_the_global_path(monkeypatch):
@@ -585,8 +621,8 @@ def test_suite_arrays_equal_the_public_functions(rows, monkeypatch):
             "deflated_price_drift": jd.lmd_times_price(b, psi1, psi2)}
     features, residual = jd.feature_matrix(b), closed_forms(b)["m_identity_residual"]
     monkeypatch.setattr(jd, "_ROWS", rows)
-    got, got_features, got_residual = jd.suite_arrays(b, psi1, psi2, theta=theta,
-                                                      phi_o=phi_o, phi_pr=phi_pr)
+    _, got, got_features, got_residual = jd.simulate_suite(sc, psi1, psi2, theta=theta,
+                                                           phi_o=phi_o, phi_pr=phi_pr)
     assert got.keys() == want.keys()
     for name, values in want.items():
         assert got[name].shape == values.shape, name
