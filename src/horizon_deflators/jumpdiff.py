@@ -28,13 +28,16 @@ drawn and evaluated on its own, with the same bits.  ``simulate``,
 ``simulate_suite``, the null processes and ``build_deflator`` work in chunks of
 ``_ROWS`` paths, and ``mc_suite`` one null, then one report step, at a time,
 each map on a thread pool of its own, made and joined inside the call, with one
-worker per CPU of the process's affinity set.  Each chunk writes its own rows
-and every reduction runs on whole columns, so no output depends on the number
-of workers; work of one chunk runs inline, with no thread.
+worker per CPU of the process's affinity set.  Each chunk writes its own rows;
+``mc_suite``'s column moments run on whole columns, and its regression sums over
+fixed blocks of ``_BLOCK`` paths, in block order, inside one step's task, so no
+output depends on the number of workers; work of one chunk runs inline, with no
+thread.
 
 Every (n_paths, R) and (n_paths, R, p) array here is column-major, so one report
-time's values are contiguous: ``mc_suite`` reads its steps, and sums each column
-in one pass (NumPy's pairwise order), on that layout whatever its input's.  The
+time's values are contiguous: ``mc_suite`` sums each column in one pass (NumPy's
+pairwise order) and reads each step's blocks in place, on that layout whatever its
+input's, so it holds one block's buffers per worker beside the arrays.  The
 row kernels compute on the ``.T`` views of those arrays, (report time, path)
 rows: an (R, 1) column of times broadcasts against per-path rows, and each
 kernel returns its (paths, R) block as a view.  ``simulate`` places tau ^ H
@@ -75,6 +78,7 @@ MAX_EXPONENT = 512.0     # sigma^2 * horizon and |drift| * horizon: exp(sigma W_
                          # stays far from float overflow
 MIN_SAMPLES = 20         # fewest moving paths an mc_suite regression step rests on
 _ROWS = 8192             # paths per chunk of the row map
+_BLOCK = 8192            # paths per block of mc_suite's regression sums
 
 # family-wise size of the simulate suite: the chance that a correct model has
 # any of the suite's z-scores past the critical value
@@ -828,7 +832,9 @@ def mc_suite(tests, times, *, z_crit: float = 3.0) -> dict[str, MCTestReport]:
     is (n_paths, n_times); each column's mean and standard error are sums over
     it in one pass, in NumPy's pairwise order, on a column-major copy of a
     row-major input (this module's arrays are read in place), so no bit
-    depends on the memory order.  Under the ``"martingale"`` null every mean
+    depends on the memory order.  The regression's normal equations and
+    meats are sums over fixed blocks of ``_BLOCK`` paths, added in block
+    order (see ``_sandwich_z``).  Under the ``"martingale"`` null every mean
     equals ``start``; under ``"supermartingale"`` means may only drift down.  A zero
     standard error (a column of one repeated value, whose mean is that value)
     gives z = 0 where the mean equals ``start`` and z = +-inf
@@ -888,23 +894,28 @@ def mc_suite(tests, times, *, z_crit: float = 3.0) -> dict[str, MCTestReport]:
 def _moments(name, test, F, n_bad, times, z_crit) -> tuple:
     """One null's report from its means and standard errors (see ``mc_suite``),
     its column-major values, and whether it joins the regression on its
-    features F, which hold n_bad non-finite entries."""
+    features F, which hold n_bad non-finite entries.  Each column's standard
+    error, constant check and non-finite count run on that column alone, so no
+    temporary spans more than one column."""
     values, start, null, _ = test
     X = np.asfortranarray(values, dtype=float)
     if F is not None and (F.ndim != 3 or F.shape[:2] != X.shape):
         raise ValueError(f"{name}: features of shape {F.shape} do not match values "
                          f"of shape {X.shape}; expected (n_paths, n_times, p)")
-    n = X.shape[0]
+    n, R = X.shape
     notes = [f"only {n} paths: statistical power is low"] if n < 1000 else []
+    ses, x_bad, rounding = np.full(R, np.nan), 0, n * np.finfo(float).eps
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         means = X.mean(axis=0)
-        ses = np.full_like(means, np.nan)
-        if n > 1:  # a float sum of one repeated value can miss it by an ulp
-            ses = X.std(axis=0, ddof=1) / np.sqrt(n)
-            # columns whose spread is rounding (below n eps |mean|) may be constant
-            tiny = np.flatnonzero(ses <= n * np.finfo(float).eps * np.abs(means))
-            const = tiny[(X[:, tiny] == X[0, tiny]).all(axis=0)]
-            means[const], ses[const] = X[0, const], 0.0
+        for j in range(R):
+            col = X[:, j]
+            if not np.isfinite(means[j]):  # a non-finite entry leaves no finite sum
+                x_bad += n - np.count_nonzero(np.isfinite(col))
+            if n > 1:  # a float sum of one repeated value can miss it by an ulp
+                ses[j] = col.std(ddof=1) / np.sqrt(n)
+                # a column whose spread is rounding (below n eps |mean|) may be constant
+                if ses[j] <= rounding * abs(means[j]) and (col == col[0]).all():
+                    means[j], ses[j] = col[0], 0.0
         dev = means - start
         z = np.where((ses == 0) & (dev == 0), 0.0, dev / ses)
     flat = (ses == 0) & (dev != 0)
@@ -913,9 +924,7 @@ def _moments(name, test, F, n_bad, times, z_crit) -> tuple:
                      f"{', '.join(f'{t:g}' for t in times[flat])}: z = +-inf under "
                      f"the {null} null")
     bad = [f"{label} ({count} of {arr.size} entries)"
-           for label, arr, count in (("values", X, X.size - np.count_nonzero(np.isfinite(X))),
-                                     ("features", F, n_bad))
-           if count]
+           for label, arr, count in (("values", X, x_bad), ("features", F, n_bad)) if count]
     if not bad and not (np.isfinite(means).all() and np.isfinite(ses).all()):
         bad = ["means or standard errors"]
     if bad:
@@ -940,19 +949,30 @@ def _sandwich_z(F, Xs) -> tuple:
     coefficient carried by a handful of paths fits them almost exactly, so
     its sandwich standard error sits near 0 and gives any z.
 
-    The steps run on a thread pool (``_map``), each with its own buffers.
-    Per step j the design rows A = [1/2, F_j] and the increment rows DX are
-    filled into those buffers, every feature and increment row scaled
-    by a power of two to a maximum modulus in [1/2, 1): that leaves each
-    z-score unchanged and keeps every square finite.  One pseudo-inverse of
-    G = A A^T gives both the coefficients C = G^+ A DX^T (the minimum-norm fit
-    when the features are rank-deficient) and each null's covariance
-    G^+ meat G^+ (MacKinnon and White's HC0 sandwich, its diagonal floored at
-    1e-300), so the two cut the same directions: those of G below
-    (p + 1) n eps of its largest, the rounding of its n-term sums.  The meats
-    of all nulls come from two products of the squared residuals: with A,
-    whose rows are twice the intercept's row products A_0 A_b, and with the
-    products A_a A_b for 1 <= a <= b.
+    The steps run on a thread pool (``_map``), one task each.  A step reads
+    the column-major F and Xs in place, and sums over blocks of ``_BLOCK``
+    paths, in block order, into buffers of one block that its task makes
+    once: the design rows A = [1/2, F_j] and the increment rows DX.  It
+    makes three sweeps over the blocks:
+
+    1. the moving-path counts, each against the median of its row's first
+       2 MIN_SAMPLES - 1 entries (``_common``), and the extremes of each
+       row, which give the power of two that scales the row to a maximum
+       modulus in [1/2, 1): that leaves each z-score unchanged and keeps
+       every square finite;
+    2. G = A A^T and A DX^T, of the scaled rows;
+    3. after one pseudo-inverse of G, which gives the coefficients
+       C = G^+ A DX^T (the minimum-norm fit when the features are
+       rank-deficient), the meats of the squared residuals.
+
+    Each null's covariance is G^+ meat G^+ (MacKinnon and White's HC0
+    sandwich, its diagonal floored at 1e-300), so the fit and the covariance
+    cut the same directions: those of G below (p + 1) n eps of its largest,
+    the rounding of its n-term sums.  The meats of all nulls come from two
+    products of the squared residuals: with A, whose rows are twice the
+    intercept's row products A_0 A_b, and with the products A_a A_b for
+    1 <= a <= b.  Sweep 1 reads each feature's counts and extremes straight
+    from its contiguous column of F; only the increments need a buffer there.
     """
     n, R, p = F.shape
     k = len(Xs)
@@ -962,31 +982,66 @@ def _sandwich_z(F, Xs) -> tuple:
     out = np.empty((k, R - 1, p + 1))
     live = np.empty((k, R - 1), dtype=int)
     rtol = (p + 1) * n * np.finfo(float).eps
+    blocks = [(lo, min(lo + _BLOCK, n)) for lo in range(0, n, _BLOCK)]
+    head = slice(0, 2 * MIN_SAMPLES - 1)
 
     def step(j):
-        A = np.empty((p + 1, n))
+        A = np.empty((p + 1, min(_BLOCK, n)))
         A[0] = 0.5
-        P = np.empty((len(rows), n))
-        DX = np.empty((k, n))
+        P = np.empty((len(rows), A.shape[1]))
+        DX = np.empty((k, A.shape[1]))
+        feats = [F[:, j, c] for c in range(p)]
+
+        def increments(lo, hi):
+            dx = DX[:, :hi - lo]
+            for i, X in enumerate(Xs):
+                np.subtract(X[lo:hi, j + 1], X[lo:hi, j], out=dx[i])
+            return dx
+
+        # sweep 1: moving paths, and the extremes that give each row's scale
+        on_features = [np.count_nonzero(f != _common(f[head])) for f in feats]
+        common = np.array([_common(X[head, j + 1] - X[head, j]) for X in Xs])[:, None]
+        moving = np.zeros(k, dtype=int)
+        top, bottom = np.full(k, -np.inf), np.full(k, np.inf)
+        for lo, hi in blocks:
+            dx = increments(lo, hi)
+            moving += np.count_nonzero(dx != common, axis=1)
+            np.maximum(top, dx.max(axis=1), out=top)
+            np.minimum(bottom, dx.min(axis=1), out=bottom)
+        live[:, j] = np.minimum(moving, min((c for c in on_features if c > 0), default=n))
+        e_f = [np.frexp(max(f.max(), -f.min()))[1] for f in feats]
+        e_x = np.frexp(np.maximum(top, -bottom))[1][:, None]
+
+        def scaled(lo, hi):  # the block's design rows and increments, each row scaled
+            a, dx = A[:, :hi - lo], increments(lo, hi)
+            for c, f in enumerate(feats):
+                np.ldexp(f[lo:hi], -e_f[c], out=a[c + 1])
+            return a, np.ldexp(dx, -e_x, out=dx)
+
+        # sweep 2: the normal equations
+        G, AD = np.zeros((p + 1, p + 1)), np.zeros((p + 1, k))
+        for lo, hi in blocks:
+            a, dx = scaled(lo, hi)
+            G += a @ a.T
+            AD += a @ dx.T
+        G_inv = np.linalg.pinv(G, rcond=rtol, hermitian=True)
+        C = G_inv @ AD
+
+        # sweep 3: the meats of the squared residuals
+        on_a, on_p = np.zeros((k, p + 1)), np.zeros((k, len(rows)))
+        for lo, hi in blocks:
+            a, dx = scaled(lo, hi)
+            for i in range(k):
+                dx[i] -= C[:, i] @ a
+            np.square(dx, out=dx)
+            pr = P[:, :hi - lo]
+            for q, (r, c) in enumerate(zip(rows, cols)):
+                np.multiply(a[r], a[c], out=pr[q])
+            on_a += dx @ a.T
+            on_p += dx @ pr.T
         meat = np.empty((k, p + 1, p + 1))
-        A[1:] = F[:, j, :].T
-        for i, X in enumerate(Xs):
-            np.subtract(X[:, j + 1], X[:, j], out=DX[i])
-        on_features = _moving(A[1:])
-        on_features = on_features[on_features > 0].min(initial=n)
-        live[:, j] = np.minimum(_moving(DX), on_features)
-        for M in (A[1:], DX):
-            top = np.maximum(M.max(axis=1), -M.min(axis=1))
-            np.ldexp(M, -np.frexp(top)[1][:, None], out=M)
-        G_inv = np.linalg.pinv(A @ A.T, rcond=rtol, hermitian=True)
-        C = G_inv @ (A @ DX.T)
-        for i in range(k):
-            DX[i] -= C[:, i] @ A
-        np.square(DX, out=DX)
-        for q, (a, b) in enumerate(zip(rows, cols)):
-            np.multiply(A[a], A[b], out=P[q])
-        meat[:, 0, :] = meat[:, :, 0] = 0.5 * (DX @ A.T)
-        meat[:, rows, cols] = meat[:, cols, rows] = DX @ P.T
+        meat[:, 0, :] = meat[:, :, 0] = 0.5 * on_a
+        meat[:, rows, cols] = meat[:, cols, rows] = on_p
         cov = G_inv @ meat @ G_inv
         se = np.sqrt(np.maximum(np.diagonal(cov, axis1=1, axis2=2), 1e-300))
         out[:, j] = C.T / se
@@ -996,12 +1051,11 @@ def _sandwich_z(F, Xs) -> tuple:
     return out, live
 
 
-def _moving(M) -> np.ndarray:
-    """Per row of M, the entries off the median of its first 2 MIN_SAMPLES - 1: if
-    fewer than MIN_SAMPLES entries differ from some value, that median is it."""
-    head = M[:, :2 * MIN_SAMPLES - 1]
-    common = np.partition(head, (head.shape[1] - 1) // 2, axis=1)[:, (head.shape[1] - 1) // 2]
-    return np.count_nonzero(M != common[:, None], axis=1)
+def _common(head):
+    """The median of ``head``, a row's first 2 MIN_SAMPLES - 1 entries: if fewer
+    than MIN_SAMPLES entries of the row differ from some value, that median is it."""
+    mid = (len(head) - 1) // 2
+    return np.partition(head, mid)[mid]
 
 
 def feature_matrix(bundle: PathBundle) -> np.ndarray:

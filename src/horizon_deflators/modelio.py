@@ -18,6 +18,7 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass, fields
+from itertools import repeat
 
 import numpy as np
 
@@ -154,12 +155,53 @@ def process_from_csv(path, outcomes, horizon) -> np.ndarray:
 
     Every (atom, time) cell must appear exactly once with a finite value; a
     failure raises :class:`SpaceValidationError` naming the row (by line).
+    The body is parsed by whole columns (``_process_columns``); a table that
+    fails any check there is read again row by row (``_process_rows``), which
+    names the first bad row.
     """
     index = {str(name): i for i, name in enumerate(outcomes)}
-    X = np.full((len(outcomes), horizon + 1), np.nan)
     header, *lines = _text(path).split("\n")  # not splitlines: only a line break ends a row
     if not header.lower().startswith("atom"):
         raise SpaceValidationError("process table must carry an atom,time,value header")
+    X = _process_columns(lines, index, len(outcomes), horizon)
+    return _process_rows(lines, outcomes, index, horizon) if X is None else X
+
+
+def _process_columns(lines, index, n_atoms, horizon):
+    """The table of the body ``lines``, or None unless every check passes.
+
+    Its rows are split once into three columns, which ``map(int, ...)`` and
+    ``map(float, ...)`` convert exactly as the row loop does; shape, range,
+    finiteness, repeated and missing cells are checked on the whole arrays.
+    """
+    rows = [line for line in map(str.strip, lines) if line]
+    if set(map(str.count, rows, repeat(","))) != {2}:  # some row is not three cells
+        return None
+    cells = ",".join(rows).split(",")
+    try:
+        atom = np.fromiter(map(index.__getitem__, cells[0::3]), np.intp, len(rows))
+        time = np.fromiter(map(int, cells[1::3]), np.int64, len(rows))
+        value = np.fromiter(map(float, cells[2::3]), float, len(rows))
+    except (KeyError, ValueError, OverflowError):  # an unknown atom, a word, a huge time
+        return None
+    size = n_atoms * (horizon + 1)
+    if len(rows) != size or not (((time >= 0) & (time <= horizon)).all()
+                                 and np.isfinite(value).all()):
+        return None
+    cell = atom * (horizon + 1) + time
+    seen = np.zeros(size, dtype=bool)
+    seen[cell] = True
+    if not seen.all():  # as many rows as cells, so some cell appears twice
+        return None
+    X = np.empty(size)
+    X[cell] = value
+    return X.reshape(n_atoms, horizon + 1)
+
+
+def _process_rows(lines, outcomes, index, horizon) -> np.ndarray:
+    """The table of the body ``lines``, read one row at a time: the first bad row
+    raises :class:`SpaceValidationError` naming it."""
+    X = np.full((len(outcomes), horizon + 1), np.nan)
     for row, line in enumerate(lines, start=2):
         line = line.strip()
         if not line:

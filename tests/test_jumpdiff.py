@@ -238,6 +238,27 @@ def test_suite_pass_holds_little_beyond_its_outputs(monkeypatch):
     assert len(values) == 9 and peak < 1.25 * outputs, peak / outputs
 
 
+def test_mc_suite_holds_one_block_per_worker_beside_its_inputs(monkeypatch):
+    # blocks of 1024 paths on 2 workers: beside the nulls and features it reads in
+    # place, mc_suite allocates under a tenth of their bytes; a sandwich that forms
+    # each step's design, product and increment rows over all paths reads about 0.36
+    import tracemalloc
+
+    monkeypatch.setattr(jd, "_BLOCK", 1024)
+    monkeypatch.setattr(jd, "_workers", lambda: 2)
+    sc = scenario(n_paths=40_000)
+    kept, values, features, _ = jd.simulate_suite(sc, solve_drift(sc, 1.0), 1.0, theta=0.5)
+    tests, _, z_crit = jd.suite_tests(values, features)
+    tracemalloc.start()
+    try:
+        reports = jd.mc_suite(tests, kept.report_times, z_crit=z_crit)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    inputs = sum(v.nbytes for v in values.values()) + features.nbytes
+    assert len(reports) == 9 and (inputs + peak) / inputs < 1.1, (inputs + peak) / inputs
+
+
 def test_many_workers_switching_often_give_the_same_bits(monkeypatch):
     # 8 workers on chunks of 97 rows, the interpreter switching threads every
     # microsecond: a row written to the wrong place, or a buffer two tasks
@@ -940,6 +961,76 @@ def test_regression_z_same_for_any_constant_feature():
         rep = mc_test(vals, times, start=0.0, features=feats)
         assert np.allclose(rep.regression_z, ref.regression_z, rtol=1e-8, atol=0.0), c
         assert rep.rejected == ref.rejected
+
+
+def test_regression_sums_over_many_blocks_match_the_reference(monkeypatch):
+    # blocks of 97 paths: a 3000-path suite spans 31 of them
+    monkeypatch.setattr(jd, "_BLOCK", 97)
+    for suite, times in [_bundle_suite(12.0, 3000, 7)] + [_random_suite(s) for s in range(10)]:
+        _assert_matches_reference(suite, times)
+
+
+def test_regression_over_many_blocks_skips_the_steps_of_one_block(monkeypatch):
+    # the moving-path counts and the common values do not depend on the blocks,
+    # even where every moving path lies past the first block
+    suite, times = _bundle_suite(12.0, 3000, 7)
+    F = np.asfortranarray(suite["m"][3])
+    Xs = [np.asfortranarray(values) for values, *_ in suite.values()]
+    rng = np.random.default_rng(22)
+    feats = rng.normal(size=(3000, 4, 2))
+    feats[:, 2, 1] = 1.0
+    feats[[1500, 2200, 2999], 2, 1] = 0.0  # 3 paths move off the feature at t = 0.75
+    vals = rng.normal(size=(3000, 4)).cumsum(axis=1)
+    vals[:, 1] = vals[:, 0]
+    vals[500:505, 1] += 1.0  # 5 paths move from t = 0.25 to 0.5
+    runs = []
+    for block in (8192, 97):
+        monkeypatch.setattr(jd, "_BLOCK", block)
+        runs.append((jd._sandwich_z(F, Xs), mc_test(vals, [0.25, 0.5, 0.75, 1.0], start=0.0,
+                                                         features=feats)))
+    ((z_one, live_one), rep_one), ((z_many, live_many), rep_many) = runs
+    assert np.array_equal(live_many, live_one) and live_one.min() < jd.MIN_SAMPLES
+    assert np.array_equal(np.isnan(z_many), np.isnan(z_one))
+    assert rep_many.warning == rep_one.warning == (
+        "regression skipped where fewer than 20 paths move off the common increment or "
+        "feature value: t = 0.25 -> 0.5 (5 paths), 0.75 -> 1 (3 paths)")
+    assert np.array_equal(np.isnan(rep_many.regression_z), np.isnan(rep_one.regression_z))
+    assert np.isnan(rep_many.regression_z[[0, 2]]).all()
+    assert not np.isnan(rep_many.regression_z[1]).any()
+
+
+def test_blocked_regression_same_bits_on_one_and_eight_workers(monkeypatch):
+    # 31 blocks per step, the steps on a pool of 1 or 8 workers switching every
+    # microsecond: each step sums its blocks in order inside its own task
+    suite, times = _bundle_suite(12.0, 3000, 7)
+    monkeypatch.setattr(jd, "_BLOCK", 97)
+    monkeypatch.setattr(jd, "_ROWS", 97)  # every map runs on the pool
+    reports = {}
+    interval = sys.getswitchinterval()
+    for workers in (1, 8):
+        monkeypatch.setattr(jd, "_workers", lambda w=workers: w)
+        result = []
+        worker = threading.Thread(target=lambda: result.append(jd.mc_suite(suite, times)))
+        sys.setswitchinterval(1e-6)
+        try:
+            worker.start()
+            worker.join(timeout=300)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not worker.is_alive() and len(result) == 1
+        reports[workers] = result[0]
+    for name, rep in reports[8].items():
+        one = reports[1][name]
+        for field in ("means", "ses", "zscores", "regression_z"):
+            assert np.array_equal(getattr(rep, field), getattr(one, field), equal_nan=True), name
+        assert (rep.rejected, rep.max_abs_z, rep.warning) == \
+            (one.rejected, one.max_abs_z, one.warning), name
+
+
+def test_regression_z_invariant_to_power_of_two_scales_across_blocks(monkeypatch):
+    # each row's scale comes from its extremes over all paths, not per block
+    monkeypatch.setattr(jd, "_BLOCK", 97)
+    test_regression_z_invariant_to_power_of_two_scales()
 
 
 def test_deflator_grid_matches_report_values():

@@ -5,10 +5,12 @@ kept in ``oracle.py``: the ``Filtration`` and its node reductions against
 first-appearance relabelling and per-block scans, the closed-form one-asset
 and the batched two- and three-asset deflator oracles against the per-node
 LP scan, the segment-reduced two-term decomposition against its block-pair
-loop, and the chunked CSV writer against the per-cell writer.
+loop, the chunked CSV writer against the per-cell writer, and the column-wise CSV
+reader against its row loop.
 """
 
 import math
+import re
 import tracemalloc
 from fractions import Fraction
 
@@ -633,3 +635,34 @@ def test_process_table_round_trips_bit_for_bit(tmp_path):
     modelio.process_to_csv(tmp_path / "X.csv", names, X)
     back = modelio.process_from_csv(tmp_path / "X.csv", names, X.shape[1] - 1)
     assert np.array_equal(back.view(np.uint64), X.view(np.uint64))
+
+
+@pytest.mark.parametrize("text,message", [
+    ("w916,2", "row 5500: malformed process row 'w916,2'"),
+    ("w916,2,687.25,0", "row 5500: malformed process row 'w916,2,687.25,0'"),
+    ("x916,2,687.25", "row 5500: unknown atom id 'x916'"),
+    ("w916,two,687.25", "row 5500: time must be an integer and value a number, "
+                        "got 'w916,two,687.25'"),
+    ("w916,6,687.25", "row 5500: time 6 outside 0..5"),
+    ("w916,99999999999999999999,687.25", "row 5500: time 99999999999999999999 outside 0..5"),
+    ("w916,2,-inf", "row 5500: value -inf of (w916, 2) is not finite"),
+    ("w916,1,687.25", "row 5500: cell (w916, 1) appears twice"),
+    ("", "process table misses (atom, time) cells, first (w916, 2)"),
+], ids=["two-cells", "four-cells", "unknown-atom", "word", "time-past-horizon", "huge-time",
+        "infinite", "duplicate", "missing"])
+def test_process_table_reader_names_a_bad_row_deep_in_a_large_table(tmp_path, monkeypatch,
+                                                                   text, message):
+    # a good table is read by whole columns alone; a bad row past row 5000 sends
+    # the reader to its row loop, which names it exactly
+    names = [f"w{i}" for i in range(1024)]
+    X = np.arange(1024 * 6.0).reshape(1024, 6) / 8.0
+    modelio.process_to_csv(tmp_path / "X.csv", names, X)
+    with monkeypatch.context() as patch:
+        patch.setattr(modelio, "_process_rows", None)
+        assert np.array_equal(modelio.process_from_csv(tmp_path / "X.csv", names, 5), X)
+    lines = (tmp_path / "X.csv").read_text().split("\n")
+    assert lines[5499] == "w916,2,687.25"  # row 5500: the header is row 1
+    lines[5499] = text
+    (tmp_path / "bad.csv").write_text("\n".join(lines))
+    with pytest.raises(SpaceValidationError, match=f"^{re.escape(message)}$"):
+        modelio.process_from_csv(tmp_path / "bad.csv", names, 5)
