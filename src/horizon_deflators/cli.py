@@ -167,15 +167,14 @@ def cmd_simulate(args) -> int:
         sc = replace(sc, **{k: v for k, v in overrides.items() if v is not None})
         psi2, phi_o, phi_pr = extras["psi2"], extras["phi_o"], extras["phi_pr"]
         psi1 = jd.solve_drift(sc, psi2)
-        kept, values, feats, m_residual = jd.simulate_suite(
+        kept, fold, m_residual = jd.simulate_suite(
             sc, psi1, psi2, theta=extras["theta"], phi_o=phi_o, phi_pr=phi_pr,
             keep_paths=extras["keep_paths"])
     except SpaceValidationError as exc:
         return _fail(2, f"input error: {exc}")
     except AdmissibilityError as exc:
         return _fail(2, f"scenario constraint violation: {exc}")
-    suite, n_z, z_crit = jd.suite_tests(values, feats, phi_pr=phi_pr)
-    reports = jd.mc_suite(suite, kept.report_times, z_crit=z_crit)
+    reports, n_z, z_crit = jd.suite_reports(fold)
     rejected = sorted(name for name, rep in reports.items() if rep.rejected)
     warnings = [f"{name}: {rep.warning}" for name, rep in reports.items() if rep.warning]
     out = _outdir(args.out)
@@ -207,7 +206,7 @@ def cmd_simulate(args) -> int:
         print(f"warning: {w}", file=sys.stderr)
     if rejected:
         return _fail(1, f"null rejected for: {', '.join(rejected)}")
-    print(f"simulate: all {len(suite)} statistical nulls pass: every one of {n_z} z-scores "
+    print(f"simulate: all {len(reports)} statistical nulls pass: every one of {n_z} z-scores "
           f"within {z_crit:.3f} (family-wise size {jd.SUITE_ALPHA:g})")
     return 0
 

@@ -26,18 +26,17 @@ i owns a fixed run of counter blocks, and each path has a spill stream of its
 own for the rare extra draws (``simulate``).  So any block of paths can be
 drawn and evaluated on its own, with the same bits.  ``simulate``,
 ``simulate_suite``, the null processes and ``build_deflator`` work in chunks of
-``_ROWS`` paths, and ``mc_suite`` one null, then one report step, at a time,
-each map on a thread pool of its own, made and joined inside the call, with one
-worker per CPU of the process's affinity set.  Each chunk writes its own rows;
-``mc_suite``'s column moments run on whole columns, and its regression sums over
-fixed blocks of ``_BLOCK`` paths, in block order, inside one step's task, so no
-output depends on the number of workers; work of one chunk runs inline, with no
-thread.
+``_ROWS`` paths, and the suite's tests fold the same blocks, then sweep one report
+step at a time, each map on a thread pool of its own, made and joined inside the
+call, with one worker per CPU of the process's affinity set.  Each chunk writes its
+own rows or returns its own record, and records merge in block order, so no output
+depends on the number of workers; work of one chunk, or on one worker, runs inline,
+with no thread.
 
 Every (n_paths, R) and (n_paths, R, p) array here is column-major, so one report
-time's values are contiguous: ``mc_suite`` sums each column in one pass (NumPy's
-pairwise order) and reads each step's blocks in place, on that layout whatever its
-input's, so it holds one block's buffers per worker beside the arrays.  The
+time's values are contiguous: the fold sums each column of a block in one pass
+(NumPy's pairwise order) and the regression reads each step's blocks in place, on
+that layout whatever its input's, holding one block's buffers per worker.  The
 row kernels compute on the ``.T`` views of those arrays, (report time, path)
 rows: an (R, 1) column of times broadcasts against per-path rows, and each
 kernel returns its (paths, R) block as a view.  ``simulate`` places tau ^ H
@@ -46,16 +45,20 @@ among the report times by one ``searchsorted`` and writes its rows through
 long axis innermost: time-major they gave the same bits, but ``simulate`` of 100 paths at
 dt 2^-16 with 4 kept paths took 32-37 ms against 27-29 ms, and 84-134 ms with the counts
 by ``_running_sum`` (medians of 30 calls, 2 shared vCPUs).  ``SUITE`` lists the nulls:
-``simulate_suite`` draws each chunk of paths and runs all their kernels on it in one pass,
-holding no array of all paths but theirs, and ``suite_tests`` makes them ``mc_suite``'s
-tests at the Sidak critical value.  Each public null function maps one kernel over a bundle.
+``simulate_suite`` draws each chunk of paths, runs all their kernels on it and folds
+them in one pass, holding of all paths only the increments and features that the
+regression's meat reads again, and ``suite_reports`` tests them at the Sidak critical
+value; ``suite_tests`` makes the public functions' arrays ``mc_suite``'s tests of the
+same suite.  Each public null function maps one kernel over a bundle.
 
 Statistical verification is by Monte-Carlo means with standard errors,
 sharpened by regressing one-step increments on observable features with
 heteroskedasticity-robust (sandwich) standard errors.  ``mc_suite`` tests a
-whole suite of nulls: per report step, one regression pass serves every null
-that passes the same feature array.  ``mc_test`` is its one-null call.  A
-zero standard error reads as a pass only where the mean equals the start.
+whole suite of nulls: each block of paths is folded once into per-null moments
+and per-step normal equations, and per report step one sweep for the meats
+serves every null that passes the same feature array.  ``mc_test`` is its
+one-null call.  A zero standard error reads as a pass only where the mean
+equals the start.
 """
 
 from __future__ import annotations
@@ -77,8 +80,7 @@ MAX_MEAN_JUMPS = 2**10   # lam * horizon: bounds the jump table and the gap-draw
 MAX_EXPONENT = 512.0     # sigma^2 * horizon and |drift| * horizon: exp(sigma W_t + drift t)
                          # stays far from float overflow
 MIN_SAMPLES = 20         # fewest moving paths an mc_suite regression step rests on
-_ROWS = 8192             # paths per chunk of the row map
-_BLOCK = 8192            # paths per block of mc_suite's regression sums
+_ROWS = 8192             # paths per chunk of the row map, and per block of the suite's fold
 
 # family-wise size of the simulate suite: the chance that a correct model has
 # any of the suite's z-scores past the critical value
@@ -106,17 +108,18 @@ def _workers() -> int:
 
 def _map(fn, items, rows: int) -> list:
     """[fn(x) for x in items], on a pool of ``_workers()`` threads made and joined
-    inside the call when there are several and ``rows``, the paths the work
-    spans, fill more than one chunk.
+    inside the call when there are several workers and items and ``rows``, the
+    paths the work spans, fill more than one chunk.
 
     Callers write disjoint outputs and reduce in a fixed order, so results do
     not depend on the worker count.  Tasks call private helpers only (a public
     function may be wrapped by a tracer that keeps one call stack).
     """
-    if len(items) < 2 or rows <= _ROWS:
+    workers = _workers()
+    if len(items) < 2 or rows <= _ROWS or workers < 2:
         return [fn(x) for x in items]
     from concurrent.futures import ThreadPoolExecutor
-    with ThreadPoolExecutor(_workers()) as pool:
+    with ThreadPoolExecutor(workers) as pool:
         return list(pool.map(fn, items))
 
 
@@ -581,14 +584,19 @@ def solve_drift(sc: JumpDiffusionScenario, psi2: float) -> float:
     Solves mu + psi1 sigma + (psi2 - 1) zeta lam = 0 for psi1; psi2 must be
     strictly positive, and psi1^2 * horizon finite.
     """
-    if not psi2 > 0.0:
-        raise AdmissibilityError("psi2 must be strictly positive")
+    _check_psi2(psi2)
     psi1 = -(sc.mu + (psi2 - 1.0) * sc.zeta * sc.lam) / sc.sigma
     if not math.isfinite(psi1 * psi1 * sc.horizon):
         raise SpaceValidationError(
             f"the market price of risk -(mu + (psi2 - 1) zeta lam) / sigma = {psi1:.3g} "
             "overflows: its square times the horizon must be finite")
     return psi1
+
+
+def _check_psi2(psi2) -> None:
+    """The rule of ``solve_drift`` and ``check_deflator``: psi2 > 0 (so not NaN)."""
+    if not psi2 > 0.0:
+        raise AdmissibilityError("psi2 must be strictly positive")
 
 
 def transported_brownian(bundle: PathBundle) -> np.ndarray:
@@ -639,8 +647,7 @@ def check_deflator(bundle: PathBundle, psi2: float, *, phi_o: float = 0.0,
                    phi_pr: float = 0.0) -> None:
     """Raise :class:`AdmissibilityError` unless the deflator of ``build_deflator``
     is admissible on every path: psi2, phi_o and phi_pr first, then ``_check_paths``."""
-    if not psi2 > 0.0:
-        raise AdmissibilityError("psi2 must be strictly positive")
+    _check_psi2(psi2)
     if not phi_o > -1.0:
         raise AdmissibilityError("phi_o must exceed -1 before the first jump")
     if not phi_pr > -1.0:
@@ -738,40 +745,67 @@ def _lmd_times_price(b, psi1, psi2):
 
 def simulate_suite(sc: JumpDiffusionScenario, psi1: float, psi2: float, *, theta: float,
                    phi_o: float = 0.0, phi_pr: float = 0.0, keep_paths: int = 0) -> tuple:
-    """The ``simulate`` suite, drawn and evaluated in one pass per chunk of paths.
+    """The ``simulate`` suite, drawn, evaluated and folded in one pass per chunk of paths.
 
-    Returns (kept, values, features, m_identity_residual), bit for bit what the public
-    functions give on ``bundle = simulate(sc, keep_paths=keep_paths)``: its first
-    ``keep_paths`` paths and their samples; each ``SUITE`` null's (n_paths, R) array (``m``
-    and ``N_G`` the bundle's, ``deflator_plain`` and ``deflator_with_default_leg``
-    ``build_deflator``'s ``E_L`` and ``Z``, ``deflated_wealth`` ``proportional_wealth`` times
-    ``E_L``, ``deflated_price_drift`` ``lmd_times_price``, the others their namesakes);
-    ``feature_matrix(bundle)``; and ``closed_forms``' residual.  ``keep_paths``, then psi2,
-    phi_o and phi_pr, then theta are checked before any draw; each chunk's paths then meet
-    the path rule, and ``_map`` raises in chunk order, so a breach names the first offending path.
+    Returns (kept, fold, m_identity_residual): the first ``keep_paths`` paths of
+    ``bundle = simulate(sc, keep_paths=keep_paths)`` and their samples; the
+    :class:`SuiteFold` of ``SUITE``'s nulls on the bundle, which ``suite_reports`` turns
+    into the reports that ``mc_suite`` gives on ``suite_tests`` of the public functions'
+    arrays (``m`` and ``N_G`` the bundle's, ``deflator_plain`` and
+    ``deflator_with_default_leg`` ``build_deflator``'s ``E_L`` and ``Z``, ``deflated_wealth``
+    ``proportional_wealth`` times ``E_L``, ``deflated_price_drift`` ``lmd_times_price``, the
+    others their namesakes, on ``feature_matrix(bundle)``); and ``closed_forms``' residual.
+    Each chunk of ``_ROWS`` paths is one block of ``_fold_block``, folded in its task while
+    it is in cache; of its arrays the pass keeps only what the HC0 meat reads again, the
+    regressed nulls' one-step increments and the features at the R - 1 regression steps.
+    ``keep_paths``, then psi2, phi_o and phi_pr, then theta are checked before any draw;
+    each chunk's paths then meet the path rule, and ``_map`` raises in chunk order, so a
+    breach names the first offending path.
     """
     rep, draw = _paths(sc, None, keep_paths)
     n, R = sc.n_paths, len(rep)
     kept = _empty_bundle(sc, rep, keep_paths)
     check_deflator(_rows(kept, 0, 0), psi2, phi_o=phi_o, phi_pr=phi_pr)  # 0 paths: loadings alone
     check_wealth(sc, theta)
-    values = {name: np.empty((n, R), order="F") for name, *_ in SUITE}
-    features, residual = np.empty((n, R, 3), order="F"), np.empty(n)
+    regressed = [i for i, (*_, reg) in enumerate(SUITE) if reg]
+    increments = np.empty((n, R - 1, len(regressed)), order="F")
+    features = np.empty((n, R - 1, 3), order="F")  # _feature_matrix's S, N and 1{t < T1}
 
     def chunk(lo, hi):
         b = _empty_bundle(sc, rep, hi - lo)
         b.samples = draw(b, lo)
         _check_paths(b, psi2, phi_o, lo)
-        parts = _suite_rows(b, psi1, psi2, theta, phi_o, phi_pr)
-        for out, part in zip((*values.values(), features, residual), parts):
-            out[lo:hi] = part
+        *nulls, F, residual = _suite_rows(b, psi1, psi2, theta, phi_o, phi_pr)
+        features[lo:hi] = F[:, :-1]
+        block = _fold_block(nulls, [(F, regressed, increments[lo:hi])])
         if lo < keep_paths:  # the rows past keep_paths fall off both slices
             for f in _PER_PATH + _PER_REPORT:
                 getattr(kept, f)[lo:hi] = getattr(b, f)[:keep_paths - lo]
-        return b.samples
+        return b.samples, block, F.size - np.count_nonzero(np.isfinite(F)), residual.max()
 
-    kept.samples = [s for samples in _row_map(chunk, n) for s in samples]
-    return kept, values, features, float(residual.max())
+    samples, blocks, bad, residual = zip(*_row_map(chunk, n))
+    kept.samples = [s for part in samples for s in part]
+    fold = SuiteFold(rep, phi_pr, increments, features, sum(bad), list(blocks))
+    return kept, fold, float(max(residual))
+
+
+@dataclass(frozen=True)
+class SuiteFold:
+    """``SUITE``'s nulls folded over their paths by ``simulate_suite``.
+
+    ``blocks`` holds one ``_fold_block`` record per block of ``_ROWS`` paths,
+    in path order.  ``increments`` is the (n_paths, R - 1, k) one-step increments
+    of the k nulls that ``SUITE`` regresses, in its order, and ``features`` the
+    (n_paths, R - 1, p) features at the R - 1 steps they are regressed on;
+    ``features_bad`` counts the non-finite features at all R report times.
+    """
+
+    report_times: np.ndarray
+    phi_pr: float
+    increments: np.ndarray
+    features: np.ndarray
+    features_bad: int
+    blocks: list
 
 
 def _suite_rows(b, psi1, psi2, theta, phi_o, phi_pr):
@@ -782,23 +816,52 @@ def _suite_rows(b, psi1, psi2, theta, phi_o, phi_pr):
             _feature_matrix(b), _m_residual(b))
 
 
-def suite_tests(values, features, *, phi_pr: float = 0.0) -> tuple:
-    """(tests, n_zscores, z_crit): ``SUITE``'s nulls as ``mc_suite``'s tests of
-    ``simulate_suite``'s values and features, how many z-scores they compute (R per null
-    of R report times, plus (R - 1)(p + 1) per martingale null regressed on p features),
-    and the Sidak (JASA 1967) two-sided critical value that gives so many independent
-    N(0, 1) z-scores the family-wise size SUITE_ALPHA.  With phi_pr < 0 the default
-    leg's deflator is a supermartingale null: a martingale times 1 + phi_pr 1{tau <= t}.
-    """
-    _, R, p = features.shape
-    tests, n_z = {}, 0
+def _suite_nulls(R: int, p: int, phi_pr: float) -> tuple:
+    """(nulls, n_zscores, z_crit): ``SUITE``'s (name, start, hypothesis, regressed) at
+    phi_pr, how many z-scores they compute over R report times and p features (R per
+    null, plus (R - 1)(p + 1) per regressed martingale null), and the Sidak (JASA 1967)
+    two-sided critical value that gives so many independent N(0, 1) z-scores the
+    family-wise size SUITE_ALPHA.  With phi_pr < 0 the default leg's deflator is a
+    supermartingale null: a martingale times 1 + phi_pr 1{tau <= t}."""
+    nulls, n_z = [], 0
     for name, start, null, regressed in SUITE:
         null = "supermartingale" if name == "deflator_with_default_leg" and phi_pr < 0 else null
         regressed = regressed and null == "martingale"
-        tests[name] = (values[name], start, null, features if regressed else None)
+        nulls.append((name, start, null, regressed))
         n_z += R + ((R - 1) * (p + 1) if regressed else 0)
     z_crit = NormalDist().inv_cdf(1.0 + math.expm1(math.log1p(-SUITE_ALPHA) / n_z) / 2.0)
+    return nulls, n_z, z_crit
+
+
+def suite_tests(values, features, *, phi_pr: float = 0.0) -> tuple:
+    """(tests, n_zscores, z_crit): ``SUITE``'s nulls as ``mc_suite``'s tests of its
+    (n_paths, R) arrays ``values`` and (n_paths, R, p) ``features``, with the z-score
+    count and critical value of ``_suite_nulls``."""
+    _, R, p = features.shape
+    nulls, n_z, z_crit = _suite_nulls(R, p, phi_pr)
+    tests = {name: (values[name], start, null, features if regressed else None)
+             for name, start, null, regressed in nulls}
     return tests, n_z, z_crit
+
+
+def suite_reports(fold: SuiteFold) -> tuple:
+    """(reports, n_zscores, z_crit): ``mc_suite``'s reports of the suite that
+    ``simulate_suite`` folded, at the critical value of ``_suite_nulls``, bit for bit
+    what ``mc_suite`` gives on ``suite_tests`` of the same arrays."""
+    n, _, p = fold.features.shape
+    R = len(fold.report_times)
+    nulls, n_z, z_crit = _suite_nulls(R, p, fold.phi_pr)
+    members = [i for i, (*_, regressed) in enumerate(nulls) if regressed]
+    held = fold.increments
+
+    def increments(joined):
+        cols = slice(None) if joined == list(range(len(members))) else joined
+        return lambda j, lo, hi, out: held[lo:hi, j, cols].T
+
+    group = (fold.features, fold.features_bad, n * R * p, members, increments)
+    specs = [(name, start, null, 0 if regressed else None)
+             for name, start, null, regressed in nulls]
+    return _reports(specs, [group], fold.blocks, fold.report_times, z_crit), n_z, z_crit
 
 
 @dataclass(frozen=True)
@@ -829,20 +892,22 @@ def mc_suite(tests, times, *, z_crit: float = 3.0) -> dict[str, MCTestReport]:
     """Monte-Carlo null tests of a suite, one :class:`MCTestReport` per name.
 
     ``tests`` maps a name to ``(values, start, null, features)``.  ``values``
-    is (n_paths, n_times); each column's mean and standard error are sums over
-    it in one pass, in NumPy's pairwise order, on a column-major copy of a
-    row-major input (this module's arrays are read in place), so no bit
-    depends on the memory order.  The regression's normal equations and
-    meats are sums over fixed blocks of ``_BLOCK`` paths, added in block
-    order (see ``_sandwich_z``).  Under the ``"martingale"`` null every mean
+    is (n_paths, n_times).  The paths are folded in blocks of ``_ROWS``, one task
+    each, by ``_fold_block``, the fold that ``simulate_suite`` runs in its chunks,
+    on a column-major copy of a row-major input (this module's arrays are read in
+    place), so no bit depends on the memory order, and the blocks merge in block
+    order: each column's mean is its block sums' sum over n, and its standard
+    error comes from the blocks' centred second moments, merged pairwise (Chan,
+    Golub and LeVeque 1979).  Under the ``"martingale"`` null every mean
     equals ``start``; under ``"supermartingale"`` means may only drift down.  A zero
     standard error (a column of one repeated value, whose mean is that value)
     gives z = 0 where the mean equals ``start`` and z = +-inf
     (with a warning naming the null and the times) where it does not.  With
     (n_paths, n_times, p) ``features`` observable at each time, the one-step
     increments of a martingale null are regressed on them (intercept added)
-    and the heteroskedasticity-robust coefficient z-scores sharpen the test;
-    nulls passing the same features object share one regression pass per step.
+    and the heteroskedasticity-robust coefficient z-scores sharpen the test
+    (see ``_sandwich_z``); nulls passing the same features object share one
+    regression pass per step.
     A step that rests on fewer than ``MIN_SAMPLES`` moving paths is not
     regressed for a null: where fewer move off the increment the null's
     other paths share (0 for a stopped process, the deterministic drift
@@ -857,26 +922,139 @@ def mc_suite(tests, times, *, z_crit: float = 3.0) -> dict[str, MCTestReport]:
     inf`` with a warning naming the cause, and the null joins no regression.
     """
     times = np.asarray(times, float)
-    items = list(tests.items())
-    rows = max((len(values) for values, *_ in tests.values()), default=0)
-    shared = {}  # per features object: its array, its non-finite count, the nulls regressed on it
+    shared = {}  # per features object: its group index, array, non-finite count, regressed nulls
     for *_, features in tests.values():
         if features is not None and id(features) not in shared:
             F = np.asfortranarray(features, dtype=float)
-            shared[id(features)] = F, F.size - np.count_nonzero(np.isfinite(F)), []
+            shared[id(features)] = len(shared), F, F.size - np.count_nonzero(np.isfinite(F)), []
+    Xs, specs = [], []
+    for i, (name, (values, start, null, features)) in enumerate(tests.items()):
+        X = np.asfortranarray(values, dtype=float)
+        g = None
+        if features is not None:
+            g, F, _, members = shared[id(features)]
+            if F.ndim != 3 or F.shape[:2] != X.shape:
+                raise ValueError(f"{name}: features of shape {F.shape} do not match values "
+                                 f"of shape {X.shape}; expected (n_paths, n_times, p)")
+            if null == "martingale" and X.shape[1] > 1:
+                members.append(i)
+        Xs.append(X)
+        specs.append((name, start, null, g))
+    groups = [(F, n_bad, F.size, members,
+               lambda joined, members=members: _differences([Xs[members[m]] for m in joined]))
+              for _, F, n_bad, members in shared.values()]
+    blocks = _row_map(lambda lo, hi: _fold_block(
+        [X[lo:hi] for X in Xs], [(F[lo:hi], members, None) for F, _, _, members, _ in groups]),
+        max((len(X) for X in Xs), default=0))
+    return _reports(specs, groups, blocks, times, z_crit)
 
-    def moments(item):
-        F, n_bad, _ = shared.get(id(item[1][3]), (None, 0, None))
-        return _moments(*item, F, n_bad, times, z_crit)
 
-    reports = {}
-    for (name, (*_, features)), (rep, X, joins) in zip(items, _map(moments, items, rows)):
-        reports[name] = rep
-        if joins:
-            shared[id(features)][2].append((name, X))
-    for F, _, members in (group for group in shared.values() if group[2]):
-        reg, live = _sandwich_z(F, [X for _, X in members])
-        for (name, _), reg_z, n_live in zip(members, reg, live):
+def _differences(Xs):
+    """increments(j, lo, hi, out): the one-step increments X_{j+1} - X_j of paths
+    lo : hi of the (paths, R) arrays Xs, written in the rows of ``out``."""
+    def increments(j, lo, hi, out):
+        dx = out[:, :hi - lo]
+        for row, X in zip(dx, Xs):
+            np.subtract(X[lo:hi, j + 1], X[lo:hi, j], out=row)
+        return dx
+    return increments
+
+
+def _fold_block(nulls, groups) -> tuple:
+    """One block of paths folded: (moments, normal).
+
+    ``nulls`` holds each null's (paths, R) rows of the block, ``groups`` each
+    feature array's (F, members, held): its (paths, R, p) rows of the block, the
+    indices of the nulls regressed on it, and where to write their one-step
+    increments, a (paths, R - 1, len(members)) array, or None.  ``moments``
+    holds, per null, ``_fold_moments`` of its rows, and ``normal``, per group,
+    ``_fold_normal`` of its members; each is None where there are no rows or no
+    members.  Non-finite entries fold without a warning; the reports fail closed
+    on them.
+    """
+    with np.errstate(all="ignore"):
+        moments = [_fold_moments(X) if len(X) else None for X in nulls]
+        normal = [_fold_normal(F, [nulls[i] for i in members], held)
+                  if members and len(F) else None for F, members, held in groups]
+    return moments, normal
+
+
+def _fold_moments(X) -> tuple:
+    """(count, sums, m2, low, high, bad) of a null's rows X, (paths, R), per report
+    time: the paths, each column's pairwise sum, its second moment about its own
+    mean, its extremes, and its non-finite entries, counted where the sum is not
+    finite (a non-finite entry leaves no finite sum)."""
+    rows = X.T
+    n = len(X)
+    sums = rows.sum(axis=1)
+    dev = rows - (sums / n)[:, None]
+    m2 = np.square(dev, out=dev).sum(axis=1)
+    bad = np.zeros(len(sums), dtype=int)
+    for r in np.flatnonzero(~np.isfinite(sums)):
+        bad[r] = n - np.count_nonzero(np.isfinite(rows[r]))
+    return n, sums, m2, rows.min(axis=1), rows.max(axis=1), bad
+
+
+def _fold_normal(F, Xs, held) -> tuple:
+    """(f_ext, x_ext, G, AD) of one block: per regression step j < R - 1, the
+    extremes (low, high) of each feature column F_j, (2, R - 1, p), and of each X's
+    increments, (2, R - 1, k), and G = A A^T and A DX^T of the design rows
+    A = [1/2, F_j] and the increment rows DX, each row scaled by the power of two
+    of the block's own extremes (``_exponent``).  With ``held``, the increments are
+    written there."""
+    n, R, p = F.shape
+    steps, k = R - 1, len(Xs)
+    A = np.empty((p + 1, n))
+    A[0] = 0.5
+    DX = np.empty((k, n))
+    f_ext = np.stack([F[:, :steps].min(axis=0), F[:, :steps].max(axis=0)])
+    e_f = _exponent(f_ext)
+    x_ext = np.empty((2, steps, k))
+    G, AD = np.empty((steps, p + 1, p + 1)), np.empty((steps, p + 1, k))
+    for j in range(steps):
+        dx = DX if held is None else held[:, j].T
+        for row, X in zip(dx, Xs):
+            np.subtract(X[:, j + 1], X[:, j], out=row)
+        x_ext[0, j], x_ext[1, j] = dx.min(axis=1), dx.max(axis=1)
+        for c in range(p):
+            np.ldexp(F[:, j, c], -e_f[j, c], out=A[c + 1])
+        dx = np.ldexp(dx, -_exponent(x_ext[:, j])[:, None], out=DX)
+        G[j] = A @ A.T
+        AD[j] = A @ dx.T
+    return f_ext, x_ext, G, AD
+
+
+def _exponent(ext) -> np.ndarray:
+    """The exponent e of the power of two 2^-e that scales values with extremes
+    ext = (low, high) to a maximum modulus in [1/2, 1) (0 for values all 0)."""
+    return np.frexp(np.maximum(ext[1], -ext[0]))[1]
+
+
+def _reports(specs, groups, blocks, times, z_crit) -> dict:
+    """The reports of ``mc_suite`` from the fold of its blocks.
+
+    ``specs`` holds each null's (name, start, null, group), the group the index of
+    its features in ``groups`` or None; ``groups`` each features array's (F,
+    n_bad, size, members, increments): F read at the regression steps, its
+    non-finite count and size, the nulls regressed on it, and
+    increments(joined), which reads the one-step increments of those members
+    as ``_sandwich_z`` does; ``blocks`` the ``_fold_block`` records in block order.
+    """
+    reports, joined = {}, [[] for _ in groups]
+    for i, (name, start, null, g) in enumerate(specs):
+        _, n_bad, size, members, _ = groups[g] if g is not None else (None, 0, 0, [], None)
+        reports[name], ok = _report(start, null, _merged_moments([m[i] for m, _ in blocks]),
+                                    n_bad, size, times, z_crit)
+        if ok and i in members:
+            joined[g].append(members.index(i))
+    for g, (F, _, _, members, increments) in enumerate(groups):
+        if not joined[g]:
+            continue
+        normal = _merged_normal([normal[g] for _, normal in blocks if normal[g] is not None],
+                                joined[g])
+        reg, live = _sandwich_z(F, increments(joined[g]), *normal)
+        for m, reg_z, n_live in zip(joined[g], reg, live):
+            name = specs[members[m]][0]
             rep = reports[name]
             used = ~np.isnan(reg_z)
             max_z = max(rep.max_abs_z, float(np.max(np.abs(reg_z), where=used, initial=0.0)))
@@ -891,31 +1069,41 @@ def mc_suite(tests, times, *, z_crit: float = 3.0) -> dict[str, MCTestReport]:
     return reports
 
 
-def _moments(name, test, F, n_bad, times, z_crit) -> tuple:
-    """One null's report from its means and standard errors (see ``mc_suite``),
-    its column-major values, and whether it joins the regression on its
-    features F, which hold n_bad non-finite entries.  Each column's standard
-    error, constant check and non-finite count run on that column alone, so no
-    temporary spans more than one column."""
-    values, start, null, _ = test
-    X = np.asfortranarray(values, dtype=float)
-    if F is not None and (F.ndim != 3 or F.shape[:2] != X.shape):
-        raise ValueError(f"{name}: features of shape {F.shape} do not match values "
-                         f"of shape {X.shape}; expected (n_paths, n_times, p)")
-    n, R = X.shape
+def _merged_moments(parts) -> tuple:
+    """(n, sums, m2, low, high, bad) of a null's ``_fold_moments`` records, merged
+    in block order: counts, sums and non-finite counts add, extremes take their
+    extremes, and the centred second moments merge pairwise (Chan, Golub and
+    LeVeque 1979), M2 = M2_a + M2_b + d^2 n_a n_b / n with d the difference of
+    the two means."""
+    parts = [part for part in parts if part is not None]
+    if not parts:
+        return 0, np.nan, np.nan, np.nan, np.nan, 0
+    n, sums, m2, low, high, bad = parts[0]
+    with np.errstate(all="ignore"):
+        for n_b, s_b, m2_b, low_b, high_b, bad_b in parts[1:]:
+            d = s_b / n_b - sums / n
+            m2 = m2 + m2_b + d * d * (n * n_b / (n + n_b))
+            n, sums, bad = n + n_b, sums + s_b, bad + bad_b
+            low, high = np.minimum(low, low_b), np.maximum(high, high_b)
+    return n, sums, m2, low, high, bad
+
+
+def _report(start, null, moments, f_bad, f_size, times, z_crit) -> tuple:
+    """One null's report from its merged moments (see ``mc_suite``), and whether
+    it may join a regression: its values and features are finite, and so are its
+    means and standard errors."""
+    n, sums, m2, low, high, x_bad = moments
+    R = len(times)
     notes = [f"only {n} paths: statistical power is low"] if n < 1000 else []
-    ses, x_bad, rounding = np.full(R, np.nan), 0, n * np.finfo(float).eps
+    rounding = n * np.finfo(float).eps
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        means = X.mean(axis=0)
-        for j in range(R):
-            col = X[:, j]
-            if not np.isfinite(means[j]):  # a non-finite entry leaves no finite sum
-                x_bad += n - np.count_nonzero(np.isfinite(col))
-            if n > 1:  # a float sum of one repeated value can miss it by an ulp
-                ses[j] = col.std(ddof=1) / np.sqrt(n)
-                # a column whose spread is rounding (below n eps |mean|) may be constant
-                if ses[j] <= rounding * abs(means[j]) and (col == col[0]).all():
-                    means[j], ses[j] = col[0], 0.0
+        means = sums / n
+        # one path has no standard error; a float sum of one repeated value can miss
+        # it by an ulp, so a column whose spread is rounding (below n eps |mean|) and
+        # whose extremes are equal holds that value
+        ses = np.sqrt(m2 / (n - 1)) / np.sqrt(n) if n > 1 else np.full(R, np.nan)
+        flat = (ses <= rounding * np.abs(means)) & (low == high)
+        means, ses = np.where(flat, low, means), np.where(flat, 0.0, ses)
         dev = means - start
         z = np.where((ses == 0) & (dev == 0), 0.0, dev / ses)
     flat = (ses == 0) & (dev != 0)
@@ -923,114 +1111,105 @@ def _moments(name, test, F, n_bad, times, z_crit) -> tuple:
         notes.append(f"zero standard error with mean != start {start:g} at t = "
                      f"{', '.join(f'{t:g}' for t in times[flat])}: z = +-inf under "
                      f"the {null} null")
-    bad = [f"{label} ({count} of {arr.size} entries)"
-           for label, arr, count in (("values", X, x_bad), ("features", F, n_bad)) if count]
+    bad = [f"{label} ({count} of {size} entries)"
+           for label, size, count in (("values", n * R, int(np.sum(x_bad))),
+                                      ("features", f_size, f_bad)) if count]
     if not bad and not (np.isfinite(means).all() and np.isfinite(ses).all()):
         bad = ["means or standard errors"]
     if bad:
         notes.append(f"non-finite {', '.join(bad)}: null rejected")
         z = np.where(np.isfinite(means) & np.isfinite(ses), z, np.nan)
         return (MCTestReport(times, means, ses, z, None, null, True, float("inf"),
-                             "; ".join(notes)), X, False)
+                             "; ".join(notes)), False)
     size = float(np.max(np.abs(z)))
     top = size if null == "martingale" else np.max(z)  # only a rise rejects a supermartingale
     rep = MCTestReport(times, means, ses, z, None, null, bool(top > z_crit), size,
                        "; ".join(notes) or None)
-    return rep, X, F is not None and null == "martingale" and X.shape[1] > 1
+    return rep, True
 
 
-def _sandwich_z(F, Xs) -> tuple:
-    """Robust z-scores of each X's one-step increments on [1, F_j]: (len(Xs), R - 1, p + 1),
-    and the number of moving paths each X's step rests on: (len(Xs), R - 1).
+def _merged_normal(parts, joined) -> tuple:
+    """(G, AD, e_f, e_x) of one group's ``_fold_normal`` records and its nulls
+    ``joined``, per step: the normal equations with every row scaled by the power of
+    two of its extremes over all paths (``_exponent``).  Each block's sums are
+    rescaled from its own scales to these by ``ldexp``, which is exact but where a
+    product falls below the normal range, and added in block order, so they are the
+    sums of the rows scaled at the global scales, block by block."""
+    f_ext = np.stack([np.min([f[0] for f, *_ in parts], axis=0),
+                      np.max([f[1] for f, *_ in parts], axis=0)])
+    x_ext = np.stack([np.min([x[0] for _, x, *_ in parts], axis=0),
+                      np.max([x[1] for _, x, *_ in parts], axis=0)])[:, :, joined]
+    e_f, e_x = _exponent(f_ext), _exponent(x_ext)
+    steps, p = e_f.shape
+    G, AD = np.zeros((steps, p + 1, p + 1)), np.zeros((steps, p + 1, len(joined)))
+    shift = np.zeros((steps, p + 1), dtype=e_f.dtype)
+    for f_b, x_b, G_b, AD_b in parts:
+        shift[:, 1:] = _exponent(f_b) - e_f
+        G += np.ldexp(G_b, shift[:, :, None] + shift[:, None, :])
+        AD += np.ldexp(AD_b[:, :, joined],
+                       shift[:, :, None] + (_exponent(x_b[:, :, joined]) - e_x)[:, None, :])
+    return G, AD, e_f, e_x
 
-    That number is the fewest paths that move off a common value: of the
-    X's increments, or of a feature column some path moves off.  A step
-    where it is below ``MIN_SAMPLES`` has NaN z-scores for that X: a
-    coefficient carried by a handful of paths fits them almost exactly, so
-    its sandwich standard error sits near 0 and gives any z.
 
-    The steps run on a thread pool (``_map``), one task each.  A step reads
-    the column-major F and Xs in place, and sums over blocks of ``_BLOCK``
-    paths, in block order, into buffers of one block that its task makes
-    once: the design rows A = [1/2, F_j] and the increment rows DX.  It
-    makes three sweeps over the blocks:
+def _sandwich_z(F, increments, G, AD, e_f, e_x) -> tuple:
+    """Robust z-scores of k nulls' one-step increments on [1, F_j]: (k, R - 1, p + 1),
+    and the number of moving paths each null's step rests on: (k, R - 1).
 
-    1. the moving-path counts, each against the median of its row's first
-       2 MIN_SAMPLES - 1 entries (``_common``), and the extremes of each
-       row, which give the power of two that scales the row to a maximum
-       modulus in [1/2, 1): that leaves each z-score unchanged and keeps
-       every square finite;
-    2. G = A A^T and A DX^T, of the scaled rows;
-    3. after one pseudo-inverse of G, which gives the coefficients
-       C = G^+ A DX^T (the minimum-norm fit when the features are
-       rank-deficient), the meats of the squared residuals.
+    F is (n, >= R - 1, p), read at the steps j < R - 1; increments(j, lo, hi, out)
+    gives the nulls' (k, hi - lo) increments of step j on paths lo : hi, in ``out``
+    or in place; and G, AD, e_f and e_x are ``_merged_normal``'s normal equations
+    A A^T and A DX^T of the design rows A = [1/2, F_j] and the increment rows DX,
+    each row scaled by 2^-e, which leaves each z-score unchanged and keeps every
+    square finite.  The moving-path count is the fewest paths that move off a
+    common value: of the null's increments, or of a feature column some path moves
+    off, each against the median of its first 2 MIN_SAMPLES - 1 entries
+    (``_common``).  A step where it is below ``MIN_SAMPLES`` has NaN z-scores for
+    that null: a coefficient carried by a handful of paths fits them almost
+    exactly, so its sandwich standard error sits near 0 and gives any z.
 
-    Each null's covariance is G^+ meat G^+ (MacKinnon and White's HC0
-    sandwich, its diagonal floored at 1e-300), so the fit and the covariance
-    cut the same directions: those of G below (p + 1) n eps of its largest,
-    the rounding of its n-term sums.  The meats of all nulls come from two
+    The steps run on a thread pool (``_map``), one task each.  After one
+    pseudo-inverse of G, which gives the coefficients C = G^+ A DX^T (the
+    minimum-norm fit when the features are rank-deficient), a step makes one sweep
+    over blocks of ``_ROWS`` paths, in block order, into buffers of one block
+    that its task makes once: it counts the moving paths and sums the meats of
+    the squared residuals.  Each null's covariance is G^+ meat G^+ (MacKinnon and
+    White's HC0 sandwich, its diagonal floored at 1e-300), so the fit and the
+    covariance cut the same directions: those of G below (p + 1) n eps of its
+    largest, the rounding of its n-term sums.  The meats of all nulls come from two
     products of the squared residuals: with A, whose rows are twice the
     intercept's row products A_0 A_b, and with the products A_a A_b for
-    1 <= a <= b.  Sweep 1 reads each feature's counts and extremes straight
-    from its contiguous column of F; only the increments need a buffer there.
+    1 <= a <= b.
     """
-    n, R, p = F.shape
-    k = len(Xs)
+    n, _, p = F.shape
+    k = e_x.shape[1]
     rows, cols = np.triu_indices(p)
     rows += 1
     cols += 1
-    out = np.empty((k, R - 1, p + 1))
-    live = np.empty((k, R - 1), dtype=int)
+    out = np.empty((k, len(e_x), p + 1))
+    live = np.empty((k, len(e_x)), dtype=int)
     rtol = (p + 1) * n * np.finfo(float).eps
-    blocks = [(lo, min(lo + _BLOCK, n)) for lo in range(0, n, _BLOCK)]
-    head = slice(0, 2 * MIN_SAMPLES - 1)
+    blocks = [(lo, min(lo + _ROWS, n)) for lo in range(0, n, _ROWS)]
+    head = min(2 * MIN_SAMPLES - 1, n)
 
     def step(j):
-        A = np.empty((p + 1, min(_BLOCK, n)))
+        A = np.empty((p + 1, min(_ROWS, n)))
         A[0] = 0.5
         P = np.empty((len(rows), A.shape[1]))
         DX = np.empty((k, A.shape[1]))
         feats = [F[:, j, c] for c in range(p)]
-
-        def increments(lo, hi):
-            dx = DX[:, :hi - lo]
-            for i, X in enumerate(Xs):
-                np.subtract(X[lo:hi, j + 1], X[lo:hi, j], out=dx[i])
-            return dx
-
-        # sweep 1: moving paths, and the extremes that give each row's scale
-        on_features = [np.count_nonzero(f != _common(f[head])) for f in feats]
-        common = np.array([_common(X[head, j + 1] - X[head, j]) for X in Xs])[:, None]
+        on_features = [np.count_nonzero(f != _common(f[:head])) for f in feats]
+        common = np.array([_common(row) for row in increments(j, 0, head, DX)])[:, None]
+        G_inv = np.linalg.pinv(G[j], rcond=rtol, hermitian=True)
+        C = G_inv @ AD[j]
         moving = np.zeros(k, dtype=int)
-        top, bottom = np.full(k, -np.inf), np.full(k, np.inf)
-        for lo, hi in blocks:
-            dx = increments(lo, hi)
-            moving += np.count_nonzero(dx != common, axis=1)
-            np.maximum(top, dx.max(axis=1), out=top)
-            np.minimum(bottom, dx.min(axis=1), out=bottom)
-        live[:, j] = np.minimum(moving, min((c for c in on_features if c > 0), default=n))
-        e_f = [np.frexp(max(f.max(), -f.min()))[1] for f in feats]
-        e_x = np.frexp(np.maximum(top, -bottom))[1][:, None]
-
-        def scaled(lo, hi):  # the block's design rows and increments, each row scaled
-            a, dx = A[:, :hi - lo], increments(lo, hi)
-            for c, f in enumerate(feats):
-                np.ldexp(f[lo:hi], -e_f[c], out=a[c + 1])
-            return a, np.ldexp(dx, -e_x, out=dx)
-
-        # sweep 2: the normal equations
-        G, AD = np.zeros((p + 1, p + 1)), np.zeros((p + 1, k))
-        for lo, hi in blocks:
-            a, dx = scaled(lo, hi)
-            G += a @ a.T
-            AD += a @ dx.T
-        G_inv = np.linalg.pinv(G, rcond=rtol, hermitian=True)
-        C = G_inv @ AD
-
-        # sweep 3: the meats of the squared residuals
         on_a, on_p = np.zeros((k, p + 1)), np.zeros((k, len(rows)))
         for lo, hi in blocks:
-            a, dx = scaled(lo, hi)
+            dx = increments(j, lo, hi, DX)
+            moving += np.count_nonzero(dx != common, axis=1)
+            a = A[:, :hi - lo]
+            for c, f in enumerate(feats):
+                np.ldexp(f[lo:hi], -e_f[j, c], out=a[c + 1])
+            dx = np.ldexp(dx, -e_x[j][:, None], out=DX[:, :hi - lo])
             for i in range(k):
                 dx[i] -= C[:, i] @ a
             np.square(dx, out=dx)
@@ -1039,6 +1218,7 @@ def _sandwich_z(F, Xs) -> tuple:
                 np.multiply(a[r], a[c], out=pr[q])
             on_a += dx @ a.T
             on_p += dx @ pr.T
+        live[:, j] = np.minimum(moving, min((c for c in on_features if c > 0), default=n))
         meat = np.empty((k, p + 1, p + 1))
         meat[:, 0, :] = meat[:, :, 0] = 0.5 * on_a
         meat[:, rows, cols] = meat[:, cols, rows] = on_p
@@ -1047,7 +1227,7 @@ def _sandwich_z(F, Xs) -> tuple:
         out[:, j] = C.T / se
         out[live[:, j] < MIN_SAMPLES, j] = np.nan
 
-    _map(step, range(R - 1), n)
+    _map(step, range(len(e_x)), n)
     return out, live
 
 

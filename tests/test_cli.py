@@ -731,10 +731,9 @@ def test_simulate_summary_holds_the_suite_table(tmp_path):
     assert ({name: result["null"] for name, result in summary["results"].items()}
             == {name: null for name, _, null, _ in jd.SUITE})
     sc, extras = modelio.load_scenario(tmp_path / "scenario.json")
-    _, values, features, _ = jd.simulate_suite(sc, jd.solve_drift(sc, extras["psi2"]),
-                                               extras["psi2"], theta=extras["theta"],
-                                               phi_o=extras["phi_o"])
-    _, n_z, z_crit = jd.suite_tests(values, features)
+    _, fold, _ = jd.simulate_suite(sc, jd.solve_drift(sc, extras["psi2"]), extras["psi2"],
+                                   theta=extras["theta"], phi_o=extras["phi_o"])
+    _, n_z, z_crit = jd.suite_reports(fold)
     assert (summary["alpha"], summary["n_zscores"], summary["z_crit"]) == (jd.SUITE_ALPHA, n_z,
                                                                            z_crit)
     assert n_z == 240 and f"{z_crit:.3f}" == "4.097"
@@ -902,8 +901,8 @@ def _cli_subprocess(code, tmp_path):
 
 @pytest.mark.skipif(not hasattr(os, "sched_setaffinity"), reason="no CPU affinity")
 def test_simulate_outputs_do_not_depend_on_the_worker_count(tmp_path):
-    # the README scenario at 20,000 paths (3 chunks), once on one CPU (a pool
-    # of one worker; the affinity is set before numpy loads) and once on all
+    # the README scenario at 20,000 paths (3 chunks), once on one CPU (inline,
+    # with no pool; the affinity is set before numpy loads) and once on all
     modelio.write_json(tmp_path / "scenario.json", {
         "sigma": 0.2, "zeta": 0.1, "mu": 0.03, "lambda": 2.0, "a": 0.5, "seed": 7})
     runs = []

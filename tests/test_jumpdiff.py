@@ -219,9 +219,10 @@ def test_suite_pass_keeps_the_first_paths_across_chunks(monkeypatch):
 
 
 def test_suite_pass_holds_little_beyond_its_outputs(monkeypatch):
-    # 40 chunks on 2 workers, each drawn, evaluated and written out in turn: the
-    # traced peak stays within 1.25x of the bytes the pass returns (9 nulls, the
-    # features and the residual); a bundle of all paths beside them reads about 1.5x
+    # 40 chunks on 2 workers, each drawn, evaluated and folded in turn: the traced
+    # peak stays within 1.25x of the bytes the pass holds, the 6 regressed nulls'
+    # increments and the 3 features at the 7 regression steps (63 doubles per path);
+    # the suite's arrays (97 doubles per path) held beside them would read over 2.5x
     import tracemalloc
 
     monkeypatch.setattr(jd, "_ROWS", 1024)
@@ -230,40 +231,49 @@ def test_suite_pass_holds_little_beyond_its_outputs(monkeypatch):
     psi1 = solve_drift(sc, 1.0)
     tracemalloc.start()
     try:
-        _, values, features, _ = jd.simulate_suite(sc, psi1, 1.0, theta=0.5, keep_paths=4)
+        _, fold, _ = jd.simulate_suite(sc, psi1, 1.0, theta=0.5, keep_paths=4)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    outputs = sum(v.nbytes for v in values.values()) + features.nbytes + 8 * sc.n_paths
-    assert len(values) == 9 and peak < 1.25 * outputs, peak / outputs
+    held = fold.increments.nbytes + fold.features.nbytes
+    assert held == 63 * 8 * sc.n_paths and peak < 1.25 * held, peak / held
 
 
 def test_mc_suite_holds_one_block_per_worker_beside_its_inputs(monkeypatch):
-    # blocks of 1024 paths on 2 workers: beside the nulls and features it reads in
-    # place, mc_suite allocates under a tenth of their bytes; a sandwich that forms
-    # each step's design, product and increment rows over all paths reads about 0.36
+    # blocks of 1024 paths on 2 workers: beside the 63 doubles per path that the
+    # pass holds, the streamed suite's reports allocate under a tenth of their
+    # bytes, and so does mc_suite beside the nulls and features it reads in place;
+    # a sandwich that forms each step's design, product and increment rows over all
+    # paths reads about 0.36 of the suite's arrays
     import tracemalloc
 
-    monkeypatch.setattr(jd, "_BLOCK", 1024)
+    monkeypatch.setattr(jd, "_ROWS", 1024)
     monkeypatch.setattr(jd, "_workers", lambda: 2)
     sc = scenario(n_paths=40_000)
-    kept, values, features, _ = jd.simulate_suite(sc, solve_drift(sc, 1.0), 1.0, theta=0.5)
+    psi1 = solve_drift(sc, 1.0)
+    _, fold, _ = jd.simulate_suite(sc, psi1, 1.0, theta=0.5)
+    held = fold.increments.nbytes + fold.features.nbytes
+    _, values, features, _ = _public_suite(sc, psi1, 1.0, 0.5, 0.0, 0.0)
     tests, _, z_crit = jd.suite_tests(values, features)
-    tracemalloc.start()
-    try:
-        reports = jd.mc_suite(tests, kept.report_times, z_crit=z_crit)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
     inputs = sum(v.nbytes for v in values.values()) + features.nbytes
-    assert len(reports) == 9 and (inputs + peak) / inputs < 1.1, (inputs + peak) / inputs
+    for run, base in ((lambda: jd.suite_reports(fold)[0], held),
+                      (lambda: jd.mc_suite(tests, fold.report_times, z_crit=z_crit), inputs)):
+        tracemalloc.start()
+        try:
+            reports = run()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert len(reports) == 9 and (base + peak) / base < 1.1, (base + peak) / base
 
 
 def test_many_workers_switching_often_give_the_same_bits(monkeypatch):
     # 8 workers on chunks of 97 rows, the interpreter switching threads every
-    # microsecond: a row written to the wrong place, or a buffer two tasks
-    # share, would change a bundle array, a deflator or a report
+    # microsecond, against one worker (inline) on the same chunks: a row written
+    # to the wrong place, a block record out of order, or a buffer two tasks
+    # share would change a bundle array, a deflator, a held array or a report
     sc = scenario(n_paths=3000, lam=12.0)
+    monkeypatch.setattr(jd, "_ROWS", 97)
 
     def pipeline():
         b = simulate(sc, keep_paths=3)
@@ -271,11 +281,13 @@ def test_many_workers_switching_often_give_the_same_bits(monkeypatch):
         Z = build_deflator(b, solve_drift(sc, 1.0), 1.0, phi_o=0.25)["Z"]
         suite = {"m": (b.m, 1.0, "martingale", feats), "N_G": (b.N_G, 0.0, "martingale", feats),
                  "Z": (Z, 1.0, "martingale", None)}
-        arrays = jd.simulate_suite(sc, solve_drift(sc, 1.0), 1.0, theta=0.7, phi_o=0.25)[1:]
-        return b, Z, jd.mc_suite(suite, b.report_times), arrays
+        _, fold, residual = jd.simulate_suite(sc, solve_drift(sc, 1.0), 1.0, theta=0.7,
+                                              phi_o=0.25)
+        return b, Z, jd.mc_suite(suite, b.report_times), (fold, residual,
+                                                           jd.suite_reports(fold)[0])
 
+    monkeypatch.setattr(jd, "_workers", lambda: 1)
     reference = pipeline()
-    monkeypatch.setattr(jd, "_ROWS", 97)
     monkeypatch.setattr(jd, "_workers", lambda: 8)
     result = []
     worker = threading.Thread(target=lambda: result.append(pipeline()))
@@ -298,9 +310,10 @@ def test_many_workers_switching_often_give_the_same_bits(monkeypatch):
     for name in ("m", "N_G"):
         assert np.array_equal(reports[name].regression_z, reports_ref[name].regression_z,
                               equal_nan=True), name
-    for name, values in arrays_ref[0].items():
-        assert np.array_equal(arrays[0][name], values), name
-    assert np.array_equal(arrays[1], arrays_ref[1]) and arrays[2] == arrays_ref[2]
+    (fold, residual, streamed), (fold_ref, residual_ref, streamed_ref) = arrays, arrays_ref
+    assert np.array_equal(fold.increments, fold_ref.increments)
+    assert np.array_equal(fold.features, fold_ref.features) and residual == residual_ref
+    _assert_same_reports(streamed, streamed_ref)
 
 
 @pytest.mark.parametrize("n_paths", [50, 300], ids=["one-chunk", "five-chunks"])
@@ -317,8 +330,8 @@ def test_path_arrays_are_column_major(n_paths, monkeypatch):
                   unstopped_wealth=jd.proportional_wealth(b, 0.8, stopped=False),
                   lmd_times_price=jd.lmd_times_price(b, psi1, 1.0),
                   **build_deflator(b, psi1, 1.0, phi_o=0.25, phi_pr=-0.1))
-    _, values, features, _ = jd.simulate_suite(sc, psi1, 1.0, theta=0.8, phi_o=0.25, phi_pr=-0.1)
-    arrays.update({f"suite {name}": v for name, v in values.items()}, suite_features=features)
+    _, fold, _ = jd.simulate_suite(sc, psi1, 1.0, theta=0.8, phi_o=0.25, phi_pr=-0.1)
+    arrays.update(held_increments=fold.increments, held_features=fold.features)
     for name, arr in arrays.items():
         assert arr.shape[0] == n_paths and arr.ndim >= 2, name
         assert arr.flags.f_contiguous and not arr.flags.c_contiguous, name
@@ -624,31 +637,59 @@ def test_plain_deflator_is_the_e_l_factor():
     assert np.array_equal(plain["Z"], build_deflator(b, psi1, 1.3, phi_o=0.25, phi_pr=-0.1)["E_L"])
 
 
-@pytest.mark.parametrize("rows", [1, 10**9], ids=["pooled", "inline"])
-def test_suite_arrays_equal_the_public_functions(rows, monkeypatch):
-    # a bundle drawn in five chunks, with kept paths: the one-map suite, one
-    # row per task on the pool or all rows inline, gives the bits of the
-    # public functions, each its own map over the paths
-    monkeypatch.setattr(jd, "_ROWS", 64)
-    sc = scenario(n_paths=300, lam=6.0)
+def _public_suite(sc, psi1, psi2, theta, phi_o, phi_pr):
+    """The bundle, the simulate suite's arrays by the public functions, each its own
+    map over the paths, its features and the m residual."""
     b = simulate(sc, keep_paths=3)
-    psi1, psi2, theta, phi_o, phi_pr = solve_drift(sc, 1.3), 1.3, -0.6, 0.25, -0.1
     d = build_deflator(b, psi1, psi2, phi_o=phi_o, phi_pr=phi_pr)
-    want = {"m": b.m, "N_G": b.N_G, "transported_brownian": jd.transported_brownian(b),
-            "transported_poisson": jd.transported_poisson(b),
-            "survival_exponential": jd.survival_exponential(b),
-            "deflator_plain": d["E_L"], "deflator_with_default_leg": d["Z"],
-            "deflated_wealth": jd.proportional_wealth(b, theta) * d["E_L"],
-            "deflated_price_drift": jd.lmd_times_price(b, psi1, psi2)}
-    features, residual = jd.feature_matrix(b), closed_forms(b)["m_identity_residual"]
-    monkeypatch.setattr(jd, "_ROWS", rows)
-    _, got, got_features, got_residual = jd.simulate_suite(sc, psi1, psi2, theta=theta,
-                                                           phi_o=phi_o, phi_pr=phi_pr)
+    values = {"m": b.m, "transported_brownian": jd.transported_brownian(b),
+              "transported_poisson": jd.transported_poisson(b), "N_G": b.N_G,
+              "survival_exponential": jd.survival_exponential(b),
+              "deflator_plain": d["E_L"], "deflator_with_default_leg": d["Z"],
+              "deflated_wealth": jd.proportional_wealth(b, theta) * d["E_L"],
+              "deflated_price_drift": jd.lmd_times_price(b, psi1, psi2)}
+    return b, values, jd.feature_matrix(b), closed_forms(b)["m_identity_residual"]
+
+
+def _bits(x):
+    return None if x is None else np.asarray(x, dtype=float).view(np.uint64)
+
+
+def _assert_same_reports(got, want):
     assert got.keys() == want.keys()
-    for name, values in want.items():
-        assert got[name].shape == values.shape, name
-        assert np.array_equal(got[name].view(np.uint64), values.view(np.uint64)), name
-    assert np.array_equal(got_features.view(np.uint64), features.view(np.uint64))
+    for name, rep in want.items():
+        for field in ("means", "ses", "zscores", "regression_z"):
+            a, b = _bits(getattr(got[name], field)), _bits(getattr(rep, field))
+            assert (a is None and b is None) or np.array_equal(a, b), (name, field)
+        assert (got[name].rejected, got[name].max_abs_z, got[name].warning, got[name].null) \
+            == (rep.rejected, rep.max_abs_z, rep.warning, rep.null), name
+
+
+@pytest.mark.parametrize("rows,workers", [(64, 2), (64, 1), (10**9, 2)],
+                         ids=["pooled", "inline", "one-block"])
+def test_suite_arrays_equal_the_public_functions(rows, workers, monkeypatch):
+    # 300 paths in blocks of 64, the last of 44, with kept paths: the streamed suite,
+    # on the pool or inline, holds the public functions' increments and features, and
+    # its reports are mc_suite's over the public functions' arrays, folded in the same
+    # blocks; in one block of all paths too
+    sc = scenario(n_paths=300, lam=6.0)
+    psi1, psi2, theta, phi_o, phi_pr = solve_drift(sc, 1.3), 1.3, -0.6, 0.25, -0.1
+    b, values, features, residual = _public_suite(sc, psi1, psi2, theta, phi_o, phi_pr)
+    monkeypatch.setattr(jd, "_ROWS", rows)
+    monkeypatch.setattr(jd, "_workers", lambda: workers)
+    _, fold, got_residual = jd.simulate_suite(sc, psi1, psi2, theta=theta, phi_o=phi_o,
+                                              phi_pr=phi_pr)
+    streamed = jd.suite_reports(fold)
+    tests, n_z, z_crit = jd.suite_tests(values, features, phi_pr=phi_pr)
+    assert streamed[1:] == (n_z, z_crit)
+    _assert_same_reports(streamed[0], jd.mc_suite(tests, b.report_times, z_crit=z_crit))
+    assert streamed[0]["deflator_with_default_leg"].null == "supermartingale"
+    regressed = [name for name, *_, reg in jd.SUITE if reg]
+    assert fold.increments.shape == (300, 7, len(regressed)) == (300, 7, 6)
+    for i, name in enumerate(regressed):
+        want = values[name][:, 1:] - values[name][:, :-1]
+        assert np.array_equal(_bits(fold.increments[:, :, i]), _bits(want)), name
+    assert np.array_equal(_bits(fold.features), _bits(features[:, :-1]))
     assert got_residual == residual and residual > 0.0
 
 
@@ -842,8 +883,9 @@ def test_mc_suite_matches_reference_on_simulated_nulls(lam, n_paths, seed):
 
 def test_mc_suite_same_on_the_pool_and_inline(monkeypatch):
     # the simulate suite's nulls, random suites, a null with a NaN and a
-    # supermartingale: one chunk row makes every map run on the pool, a huge
-    # one runs it inline
+    # supermartingale, in blocks of 97 paths: two workers run every map of more
+    # than one block on the pool, one runs it inline
+    monkeypatch.setattr(jd, "_ROWS", 97)
     suites = [_bundle_suite(12.0, 3000, 7)] + [_random_suite(seed) for seed in range(5)]
     values, _, _, feats = suites[0][0]["transported_brownian"]
     bad = values.copy()
@@ -852,11 +894,11 @@ def test_mc_suite_same_on_the_pool_and_inline(monkeypatch):
                          "super": (values, 0.0, "supermartingale", None)})
     for suite, times in suites:
         reports = {}
-        for rows in (1, 10**9):
-            monkeypatch.setattr(jd, "_ROWS", rows)
-            reports[rows] = jd.mc_suite(suite, times)
-        for name, pooled in reports[1].items():
-            inline = reports[10**9][name]
+        for workers in (2, 1):
+            monkeypatch.setattr(jd, "_workers", lambda w=workers: w)
+            reports[workers] = jd.mc_suite(suite, times)
+        for name, pooled in reports[2].items():
+            inline = reports[1][name]
             for field in ("means", "ses", "zscores", "regression_z"):
                 a, b = getattr(pooled, field), getattr(inline, field)
                 assert (a is None and b is None) or np.array_equal(a, b, equal_nan=True), field
@@ -965,7 +1007,7 @@ def test_regression_z_same_for_any_constant_feature():
 
 def test_regression_sums_over_many_blocks_match_the_reference(monkeypatch):
     # blocks of 97 paths: a 3000-path suite spans 31 of them
-    monkeypatch.setattr(jd, "_BLOCK", 97)
+    monkeypatch.setattr(jd, "_ROWS", 97)
     for suite, times in [_bundle_suite(12.0, 3000, 7)] + [_random_suite(s) for s in range(10)]:
         _assert_matches_reference(suite, times)
 
@@ -983,11 +1025,15 @@ def test_regression_over_many_blocks_skips_the_steps_of_one_block(monkeypatch):
     vals = rng.normal(size=(3000, 4)).cumsum(axis=1)
     vals[:, 1] = vals[:, 0]
     vals[500:505, 1] += 1.0  # 5 paths move from t = 0.25 to 0.5
-    runs = []
+    sandwich, runs = jd._sandwich_z, []
     for block in (8192, 97):
-        monkeypatch.setattr(jd, "_BLOCK", block)
-        runs.append((jd._sandwich_z(F, Xs), mc_test(vals, [0.25, 0.5, 0.75, 1.0], start=0.0,
-                                                         features=feats)))
+        monkeypatch.setattr(jd, "_ROWS", block)
+        calls = []  # (z, live) of each regression: the suite's, then the test's
+        monkeypatch.setattr(jd, "_sandwich_z", lambda *args: calls.append(sandwich(*args))
+                            or calls[-1])
+        jd.mc_suite({i: (X, 0.0, "martingale", F) for i, X in enumerate(Xs)}, times)
+        runs.append((calls[0], mc_test(vals, [0.25, 0.5, 0.75, 1.0], start=0.0,
+                                       features=feats)))
     ((z_one, live_one), rep_one), ((z_many, live_many), rep_many) = runs
     assert np.array_equal(live_many, live_one) and live_one.min() < jd.MIN_SAMPLES
     assert np.array_equal(np.isnan(z_many), np.isnan(z_one))
@@ -1000,11 +1046,11 @@ def test_regression_over_many_blocks_skips_the_steps_of_one_block(monkeypatch):
 
 
 def test_blocked_regression_same_bits_on_one_and_eight_workers(monkeypatch):
-    # 31 blocks per step, the steps on a pool of 1 or 8 workers switching every
-    # microsecond: each step sums its blocks in order inside its own task
+    # 31 blocks, folded and then swept per step inline on 1 worker or on a pool of
+    # 8 switching every microsecond: the fold's records merge in block order, and
+    # each step sums its blocks in order inside its own task
     suite, times = _bundle_suite(12.0, 3000, 7)
-    monkeypatch.setattr(jd, "_BLOCK", 97)
-    monkeypatch.setattr(jd, "_ROWS", 97)  # every map runs on the pool
+    monkeypatch.setattr(jd, "_ROWS", 97)  # on 8 workers every map runs on the pool
     reports = {}
     interval = sys.getswitchinterval()
     for workers in (1, 8):
@@ -1028,9 +1074,64 @@ def test_blocked_regression_same_bits_on_one_and_eight_workers(monkeypatch):
 
 
 def test_regression_z_invariant_to_power_of_two_scales_across_blocks(monkeypatch):
-    # each row's scale comes from its extremes over all paths, not per block
-    monkeypatch.setattr(jd, "_BLOCK", 97)
+    # each block's sums are rescaled to the scales of its rows' extremes over all paths
+    monkeypatch.setattr(jd, "_ROWS", 97)
     test_regression_z_invariant_to_power_of_two_scales()
+
+
+def test_regression_rescale_at_the_scale_edges(monkeypatch):
+    # blocks of 97 paths: the feature and increment rows of block 1 sit 2^600 below
+    # the others', and no path of block 2 moves, so its increment rows have the
+    # frexp exponent 0, above the others' (about -17); each block's normal equations,
+    # summed at its own scales and rescaled to the global ones, still give the
+    # reference's z-scores and its skipped steps
+    monkeypatch.setattr(jd, "_ROWS", 97)
+    rng = np.random.default_rng(23)
+    n, times = 5 * 97 + 30, [0.25, 0.5, 0.75, 1.0]
+    feats = rng.normal(size=(n, 4, 2)) * np.array([1.0, 30.0])
+    vals = rng.normal(size=(n, 4)).cumsum(axis=1) * 2.0 ** -20
+    feats[97:194] *= 2.0 ** -600
+    vals[97:194] *= 2.0 ** -600
+    vals[194:291] = vals[194:291, :1]
+    frozen = vals.copy()
+    frozen[:, 2] = frozen[:, 1]
+    frozen[300:305, 2] += 2.0 ** -20  # 5 paths move from t = 0.5 to 0.75
+    suite = {"scaled": (vals, 0.0, "martingale", feats),
+             "frozen": (frozen, 0.0, "martingale", feats)}
+    reports = jd.mc_suite(suite, times)
+    for name, (values, *_, f) in suite.items():
+        z_ref, se_ref = sandwich_regression_z(values, f)
+        reg = reports[name].regression_z
+        assert np.array_equal(np.isnan(reg), np.isnan(z_ref)), name
+        live = se_ref > 1e-150
+        assert np.allclose(reg[live], z_ref[live], rtol=1e-8, atol=0.0), name
+    assert not np.isnan(reports["scaled"].regression_z).any()
+    assert np.isnan(reports["frozen"].regression_z[1]).all()
+    assert not np.isnan(reports["frozen"].regression_z[[0, 2]]).any()
+
+
+def test_moments_over_many_blocks_match_numpy(monkeypatch):
+    # 21 blocks of 97 paths (the last of 13) whose means lie up to thousands of
+    # their spreads apart: the merged means and standard errors are numpy's over
+    # all paths, to rounding
+    monkeypatch.setattr(jd, "_ROWS", 97)
+    rng = np.random.default_rng(24)
+    n = 20 * 97 + 13
+    offsets = 5e3 + 1e3 * rng.normal(size=(21, 4))
+    vals = rng.normal(size=(n, 4)) + np.repeat(offsets, 97, axis=0)[:n]
+    rep = mc_test(vals, [0.25, 0.5, 0.75, 1.0], start=5e3)
+    assert np.allclose(rep.means, vals.mean(axis=0), rtol=1e-13, atol=0.0)
+    assert np.allclose(rep.ses, vals.std(axis=0, ddof=1) / np.sqrt(n), rtol=1e-12, atol=0.0)
+
+
+@pytest.mark.parametrize("psi2", [0.0, -1.0, np.nan])
+def test_psi2_rule_is_the_same_in_both_public_functions(psi2):
+    sc = scenario(n_paths=50)
+    b = simulate(sc)
+    with pytest.raises(AdmissibilityError, match="^psi2 must be strictly positive$"):
+        solve_drift(sc, psi2)
+    with pytest.raises(AdmissibilityError, match="^psi2 must be strictly positive$"):
+        jd.check_deflator(b, psi2)
 
 
 def test_deflator_grid_matches_report_values():
