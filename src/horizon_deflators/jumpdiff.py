@@ -25,7 +25,7 @@ Draws come from one counter-based Philox stream (Salmon et al., SC'11): path
 i owns a fixed run of counter blocks, and each path has a spill stream of its
 own for the rare extra draws (``simulate``).  So any block of paths can be
 drawn and evaluated on its own, with the same bits.  ``simulate``,
-``simulate_suite``, the null processes and ``build_deflator`` work in chunks of
+``simulate_suite``, ``suite_tests`` and ``build_deflator`` work in chunks of
 ``_ROWS`` paths, and the suite's tests fold the same blocks, then sweep one report
 step at a time, each map on a thread pool of its own, made and joined inside the
 call, with one worker per CPU of the process's affinity set.  Each chunk writes its
@@ -44,12 +44,13 @@ among the report times by one ``searchsorted`` and writes its rows through
 ``.T``.  Kept paths on the dt grid stay (path, grid), so each orientation keeps its
 long axis innermost: time-major they gave the same bits, but ``simulate`` of 100 paths at
 dt 2^-16 with 4 kept paths took 32-37 ms against 27-29 ms, and 84-134 ms with the counts
-by ``_running_sum`` (medians of 30 calls, 2 shared vCPUs).  ``SUITE`` lists the nulls:
-``simulate_suite`` draws each chunk of paths, runs all their kernels on it and folds
-them in one pass, holding of all paths only the increments and features that the
-regression's meat reads again, and ``suite_reports`` tests them at the Sidak critical
-value; ``suite_tests`` makes the public functions' arrays ``mc_suite``'s tests of the
-same suite.  Each public null function maps one kernel over a bundle.
+by ``_running_sum`` (medians of 30 calls, 2 shared vCPUs).
+
+``SUITE`` is the one table of the suite's nulls, a row per null: name, start, hypothesis,
+regression and row kernel.  ``simulate_suite`` runs the kernels on each chunk of paths as
+it draws it and folds them, holding only what the regression's meat reads again;
+``suite_reports`` tests the fold at the Sidak critical value, and ``suite_tests`` maps the
+same kernels over a bundle into ``mc_suite``'s tests.
 
 Statistical verification is by Monte-Carlo means with standard errors,
 sharpened by regressing one-step increments on observable features with
@@ -86,17 +87,20 @@ _ROWS = 8192             # paths per chunk of the row map, and per block of the 
 # any of the suite's z-scores past the critical value
 SUITE_ALPHA = 0.01
 # the simulate suite's nulls in test order: (name, start, hypothesis, increments regressed
-# on the features); _suite_rows gives their rows in this order
+# on the features, rows(b, k)): rows gives the null on the paths of a bundle b from the
+# parameters and deflator factors k of _suite_rows, looking its kernel up when called
 SUITE = (
-    ("m", 1.0, "martingale", True),
-    ("transported_brownian", 0.0, "martingale", True),
-    ("transported_poisson", 0.0, "martingale", True),
-    ("N_G", 0.0, "martingale", True),
-    ("survival_exponential", 1.0, "martingale", True),
-    ("deflator_plain", 1.0, "martingale", False),
-    ("deflator_with_default_leg", 1.0, "martingale", False),
-    ("deflated_wealth", 1.0, "supermartingale", False),
-    ("deflated_price_drift", 1.0, "martingale", True),
+    ("m", 1.0, "martingale", True, lambda b, k: b.m),
+    ("transported_brownian", 0.0, "martingale", True, lambda b, k: b.stopped_W()),
+    ("transported_poisson", 0.0, "martingale", True, lambda b, k: _transported_poisson(b)),
+    ("N_G", 0.0, "martingale", True, lambda b, k: b.N_G),
+    ("survival_exponential", 1.0, "martingale", True, lambda b, k: _survival_exponential(b)),
+    ("deflator_plain", 1.0, "martingale", False, lambda b, k: k["E_L"]),
+    ("deflator_with_default_leg", 1.0, "martingale", False, lambda b, k: k["Z"]),
+    ("deflated_wealth", 1.0, "supermartingale", False,
+     lambda b, k: _wealth(b, k["theta"]) * k["E_L"]),
+    ("deflated_price_drift", 1.0, "martingale", True,
+     lambda b, k: _lmd_times_price(b, k["psi1"], k["psi2"])),
 )
 
 
@@ -230,10 +234,10 @@ def _below_cut(beta, x, cut, power, series, closed) -> np.ndarray:
     return out
 
 
-def _stopped(f, times, stop, after=None) -> np.ndarray:
+def _stopped(f, times, stop, after) -> np.ndarray:
     """f(min(times, stop)) for an elementwise f, evaluated on the shared times and on the
-    per-path stop times alone (a stop past the last time is taken there, unused).  With
-    ``after``, each path's value v from its stop on is after(v), evaluated per path."""
+    per-path stop times alone (a stop past the last time is taken there, unused).  Unless
+    ``after`` is None, each path's value v from its stop on is after(v), evaluated per path."""
     at_stop = f(np.minimum(stop, times[-1]))
     return np.where(times < stop, f(times), at_stop if after is None else after(at_stop))
 
@@ -411,22 +415,19 @@ def _rows(b: PathBundle, lo: int, hi: int) -> PathBundle:
     return replace(b, samples=[], **{f: getattr(b, f)[lo:hi] for f in _PER_PATH + _PER_REPORT})
 
 
-def _by_rows(fn, bundle: PathBundle, *args):
-    """fn(bundle, *args), an array or a tuple of arrays with one row per path,
-    evaluated chunk by chunk (``_row_map``) into column-major arrays shaped
-    like fn's output on no rows."""
+def _by_rows(fn, bundle: PathBundle, *args) -> tuple:
+    """fn(bundle, *args), a tuple of arrays with one row per path, evaluated chunk by
+    chunk (``_row_map``) into column-major arrays shaped like fn's output on no rows."""
     n = bundle.n_paths
     empty = fn(_rows(bundle, 0, 0), *args)
-    one = not isinstance(empty, tuple)
-    outs = [np.empty((n,) + e.shape[1:], e.dtype, order="F") for e in ((empty,) if one else empty)]
+    outs = [np.empty((n,) + e.shape[1:], e.dtype, order="F") for e in empty]
 
     def chunk(lo, hi):
-        parts = fn(_rows(bundle, lo, hi), *args)
-        for out, part in zip(outs, (parts,) if one else parts):
+        for out, part in zip(outs, fn(_rows(bundle, lo, hi), *args)):
             out[lo:hi] = part
 
     _row_map(chunk, n)
-    return outs[0] if one else tuple(outs)
+    return tuple(outs)
 
 
 def _evaluate(sc, rep, jumps, normals, keep_paths, stream) -> PathBundle:
@@ -478,7 +479,7 @@ def _fill(bundle, quad, first, jumps, normals, keep, stream) -> list:
     W = np.stack([_bridge_fill(grid, np.r_[0.0, np.insert(rep, at[i], tau_c[i])],
                                np.r_[0.0, W_aug[:, i]], stream(i)) for i in range(keep)])
     full = _path_processes(sc, quad, grid, t1[:keep, None], tau[:keep, None],
-                           from_second[:keep, None], W, _jump_counts(grid, jumps[:keep]))
+                           from_second[:keep, None], W, _jump_counts(grid, jumps[:keep], axis=1))
     res = full["G"] + full["D_opt"]
     np.subtract(full["m"], res, out=res)
     res = np.abs(res, out=res).max(axis=1)
@@ -510,8 +511,8 @@ def _path_processes(sc, quad, times, t1, tau, from_second, W, N) -> dict:
     return {"N": N, "S": S, "G": G, "m": m, "D_opt": D_opt, "N_G": N_G}
 
 
-def _jump_counts(times, jumps, axis: int = 1) -> np.ndarray:
-    """#{k : jumps[i, k] <= times[g]}, (paths, times), or (times, paths) with axis 0,
+def _jump_counts(times, jumps, axis: int) -> np.ndarray:
+    """#{k : jumps[i, k] <= times[g]}, (paths, times) with axis 1, (times, paths) with 0,
     with no times x jumps table: each jump up to the last time lands on the first
     time at or after it, and counts are running sums of landings along ``axis``."""
     T, (n, J) = len(times), jumps.shape
@@ -565,17 +566,14 @@ def _bridge_fill(grid, anchors_t, anchors_w, gen) -> np.ndarray:
 
 def closed_forms(bundle: PathBundle) -> dict:
     """Survival grids at the report times with the pathwise identity residual."""
-    res = _by_rows(_m_residual, bundle)
-    return {
-        "G": bundle.G, "G_tilde": bundle.G_tilde, "m": bundle.m,
-        "D_opt": bundle.D_opt, "N_G": bundle.N_G,
-        "m_identity_residual": float(res.max()),
-    }
+    res = np.max(_row_map(lambda lo, hi: _m_residual(_rows(bundle, lo, hi)), bundle.n_paths))
+    return {"G": bundle.G, "G_tilde": bundle.G_tilde, "m": bundle.m, "D_opt": bundle.D_opt,
+            "N_G": bundle.N_G, "m_identity_residual": float(res)}
 
 
-def _m_residual(b):
-    """max_t |m - (G + D^o)| of each path."""
-    return np.abs(b.m.T - (b.G.T + b.D_opt.T)).max(axis=0)
+def _m_residual(b) -> float:
+    """max |m - (G + D^o)| over the paths of ``b`` and the report times."""
+    return float(np.abs(b.m.T - (b.G.T + b.D_opt.T)).max())
 
 
 def solve_drift(sc: JumpDiffusionScenario, psi2: float) -> float:
@@ -599,32 +597,15 @@ def _check_psi2(psi2) -> None:
         raise AdmissibilityError("psi2 must be strictly positive")
 
 
-def transported_brownian(bundle: PathBundle) -> np.ndarray:
-    """W stopped at tau: the transport of the Brownian motion."""
-    return _by_rows(PathBundle.stopped_W, bundle)
-
-
-def transported_poisson(bundle: PathBundle) -> np.ndarray:
-    """Transport of the compensated Poisson process.
-
-    The stopped compensated process plus the jump correction (1 + beta T1)
-    replacing the plain unit jump when the horizon coincides with T1.
-    """
-    return _by_rows(_transported_poisson, bundle)
-
-
 def _transported_poisson(b):
+    """The transported compensated Poisson process: stopped, jumping 1 + beta T1 at tau = T1."""
     sc = b.scenario
     return (b.first_jump_stopped().T * (1.0 + sc.beta * b.t1)
             - sc.lam * b.stopped_times().T).T
 
 
-def survival_exponential(bundle: PathBundle) -> np.ndarray:
-    """The density-style exponential of (1/G_minus) . m, a unit-mean martingale."""
-    return _by_rows(_survival_exponential, bundle)
-
-
 def _survival_exponential(b):
+    """The density-style exponential of (1/G_minus) . m, a unit-mean martingale."""
     beta, lam = b.scenario.beta, b.scenario.lam
     return _stopped(lambda x: np.exp(lam * _ig(beta, x)), b.report_times[:, None], b.t1,
                     lambda v: v * (1.0 / (1.0 + beta * b.t1))).T
@@ -686,23 +667,13 @@ def _deflator_factors(sc, times, W, W_tau, tau, t1, from_second, psi1, psi2, phi
     ts = np.minimum(times, tau)
     Ws = np.where(seen, W_tau, W)
     log_el = (psi1 * Ws - 0.5 * psi1**2 * ts - lam * psi2 * ts
-              + _stopped(lambda x: (lam / beta) * np.log1p(beta * x), times, tau))
+              + _stopped(lambda x: (lam / beta) * np.log1p(beta * x), times, tau, None))
     e_l = np.exp(log_el) * np.where(seen, np.where(from_second, 1.0, (1.0 + beta * t1) * psi2),
                                     1.0)
     e_ng = _stopped(lambda x: np.exp(-phi_o * (lam + beta) * _ig(beta, x)), times, tau,
                     lambda v: np.where(from_second, 1.0 + phi_o, 1.0) * v)
     e_d = 1.0 + phi_pr * seen
     return e_l, e_ng, e_d
-
-
-def proportional_wealth(bundle: PathBundle, theta: float, *, stopped: bool = True) -> np.ndarray:
-    """Wealth of the constant proportional strategy theta, optionally stopped.
-
-    The multiplicative wealth E(theta . X) with X the price driver; requires
-    1 + theta zeta > 0 for admissibility.
-    """
-    check_wealth(bundle.scenario, theta)
-    return _by_rows(_wealth, bundle, theta, stopped)
 
 
 def check_wealth(sc: JumpDiffusionScenario, theta: float) -> None:
@@ -712,12 +683,10 @@ def check_wealth(sc: JumpDiffusionScenario, theta: float) -> None:
             f"theta = {theta:g} is inadmissible: 1 + theta zeta must be positive")
 
 
-def _wealth(b, theta, stopped):
+def _wealth(b, theta):
+    """E(theta . X)^tau, X the price driver: the wealth of the proportional strategy theta."""
     sc = b.scenario
-    if stopped:
-        ts, Ws, Ns = b.stopped_times().T, b.stopped_W().T, b.first_jump_stopped().T
-    else:
-        ts, Ws, Ns = b.report_times[:, None], b.W.T, b.N.T
+    ts, Ws, Ns = b.stopped_times().T, b.stopped_W().T, b.first_jump_stopped().T
     drift = theta * sc.mu - theta * sc.zeta * sc.lam - 0.5 * theta**2 * sc.sigma**2
     return (np.exp(theta * sc.sigma * Ws + drift * ts) * (1.0 + theta * sc.zeta) ** Ns).T
 
@@ -732,12 +701,8 @@ def deflator_grid(bundle: PathBundle, index: int, psi1: float, psi2: float, *,
     return e_l * e_ng * e_d
 
 
-def lmd_times_price(bundle: PathBundle, psi1: float, psi2: float) -> np.ndarray:
-    """E(psi1.W + (psi2-1).N^c) * S / S0, unstopped: the drift-condition probe."""
-    return _by_rows(_lmd_times_price, bundle, psi1, psi2)
-
-
 def _lmd_times_price(b, psi1, psi2):
+    """E(psi1.W + (psi2-1).N^c) * S / S0, unstopped: the drift-condition probe."""
     sc, t = b.scenario, b.report_times[:, None]
     dens = np.exp(psi1 * b.W.T - 0.5 * psi1**2 * t - (psi2 - 1.0) * sc.lam * t) * psi2 ** b.N.T
     return (dens * b.S.T / sc.S0).T
@@ -747,27 +712,23 @@ def simulate_suite(sc: JumpDiffusionScenario, psi1: float, psi2: float, *, theta
                    phi_o: float = 0.0, phi_pr: float = 0.0, keep_paths: int = 0) -> tuple:
     """The ``simulate`` suite, drawn, evaluated and folded in one pass per chunk of paths.
 
-    Returns (kept, fold, m_identity_residual): the first ``keep_paths`` paths of
-    ``bundle = simulate(sc, keep_paths=keep_paths)`` and their samples; the
-    :class:`SuiteFold` of ``SUITE``'s nulls on the bundle, which ``suite_reports`` turns
-    into the reports that ``mc_suite`` gives on ``suite_tests`` of the public functions'
-    arrays (``m`` and ``N_G`` the bundle's, ``deflator_plain`` and
-    ``deflator_with_default_leg`` ``build_deflator``'s ``E_L`` and ``Z``, ``deflated_wealth``
-    ``proportional_wealth`` times ``E_L``, ``deflated_price_drift`` ``lmd_times_price``, the
-    others their namesakes, on ``feature_matrix(bundle)``); and ``closed_forms``' residual.
-    Each chunk of ``_ROWS`` paths is one block of ``_fold_block``, folded in its task while
-    it is in cache; of its arrays the pass keeps only what the HC0 meat reads again, the
-    regressed nulls' one-step increments and the features at the R - 1 regression steps.
-    ``keep_paths``, then psi2, phi_o and phi_pr, then theta are checked before any draw;
-    each chunk's paths then meet the path rule, and ``_map`` raises in chunk order, so a
-    breach names the first offending path.
+    Returns (kept, fold, m_identity_residual): the first ``keep_paths`` paths of ``bundle =
+    simulate(sc, keep_paths=keep_paths)`` and their samples; the :class:`SuiteFold` of
+    ``SUITE``'s nulls on the bundle, which ``suite_reports`` turns into ``mc_suite``'s
+    reports on ``suite_tests(bundle, psi1, psi2, ...)``; and ``closed_forms``' residual.
+    Each chunk of ``_ROWS`` paths runs ``SUITE``'s kernels and is one block of
+    ``_fold_block``, folded while it is in cache; the pass keeps only what the HC0 meat
+    reads again, the regressed nulls' one-step increments and the features at the R - 1
+    regression steps.  ``keep_paths``, then psi2, phi_o and phi_pr, then theta are checked
+    before any draw; each chunk's paths then meet the path rule, and ``_map`` raises in
+    chunk order, so a breach names the first offending path.
     """
     rep, draw = _paths(sc, None, keep_paths)
     n, R = sc.n_paths, len(rep)
     kept = _empty_bundle(sc, rep, keep_paths)
     check_deflator(_rows(kept, 0, 0), psi2, phi_o=phi_o, phi_pr=phi_pr)  # 0 paths: loadings alone
     check_wealth(sc, theta)
-    regressed = [i for i, (*_, reg) in enumerate(SUITE) if reg]
+    regressed = [i for i, (_, _, _, reg, _) in enumerate(SUITE) if reg]
     increments = np.empty((n, R - 1, len(regressed)), order="F")
     features = np.empty((n, R - 1, 3), order="F")  # _feature_matrix's S, N and 1{t < T1}
 
@@ -775,18 +736,18 @@ def simulate_suite(sc: JumpDiffusionScenario, psi1: float, psi2: float, *, theta
         b = _empty_bundle(sc, rep, hi - lo)
         b.samples = draw(b, lo)
         _check_paths(b, psi2, phi_o, lo)
-        *nulls, F, residual = _suite_rows(b, psi1, psi2, theta, phi_o, phi_pr)
+        *nulls, F = _suite_rows(b, psi1, psi2, theta, phi_o, phi_pr)
         features[lo:hi] = F[:, :-1]
         block = _fold_block(nulls, [(F, regressed, increments[lo:hi])])
         if lo < keep_paths:  # the rows past keep_paths fall off both slices
             for f in _PER_PATH + _PER_REPORT:
                 getattr(kept, f)[lo:hi] = getattr(b, f)[:keep_paths - lo]
-        return b.samples, block, F.size - np.count_nonzero(np.isfinite(F)), residual.max()
+        return b.samples, block, F.size - np.count_nonzero(np.isfinite(F)), _m_residual(b)
 
     samples, blocks, bad, residual = zip(*_row_map(chunk, n))
     kept.samples = [s for part in samples for s in part]
     fold = SuiteFold(rep, phi_pr, increments, features, sum(bad), list(blocks))
-    return kept, fold, float(max(residual))
+    return kept, fold, float(np.max(residual))
 
 
 @dataclass(frozen=True)
@@ -808,12 +769,11 @@ class SuiteFold:
     blocks: list
 
 
-def _suite_rows(b, psi1, psi2, theta, phi_o, phi_pr):
-    """The rows of ``SUITE``'s nulls in its order, then the features and the m residual."""
+def _suite_rows(b, psi1, psi2, theta, phi_o, phi_pr) -> tuple:
+    """``SUITE``'s rows on the paths of ``b`` in its order, then the features."""
     Z, e_l, _, _ = _deflator_rows(b, psi1, psi2, phi_o, phi_pr)
-    return (b.m, b.stopped_W(), _transported_poisson(b), b.N_G, _survival_exponential(b), e_l,
-            Z, _wealth(b, theta, True) * e_l, _lmd_times_price(b, psi1, psi2),
-            _feature_matrix(b), _m_residual(b))
+    k = {"psi1": psi1, "psi2": psi2, "theta": theta, "E_L": e_l, "Z": Z}
+    return (*(rows(b, k) for *_, rows in SUITE), _feature_matrix(b))
 
 
 def _suite_nulls(R: int, p: int, phi_pr: float) -> tuple:
@@ -824,7 +784,7 @@ def _suite_nulls(R: int, p: int, phi_pr: float) -> tuple:
     family-wise size SUITE_ALPHA.  With phi_pr < 0 the default leg's deflator is a
     supermartingale null: a martingale times 1 + phi_pr 1{tau <= t}."""
     nulls, n_z = [], 0
-    for name, start, null, regressed in SUITE:
+    for name, start, null, regressed, _ in SUITE:
         null = "supermartingale" if name == "deflator_with_default_leg" and phi_pr < 0 else null
         regressed = regressed and null == "martingale"
         nulls.append((name, start, null, regressed))
@@ -833,30 +793,32 @@ def _suite_nulls(R: int, p: int, phi_pr: float) -> tuple:
     return nulls, n_z, z_crit
 
 
-def suite_tests(values, features, *, phi_pr: float = 0.0) -> tuple:
-    """(tests, n_zscores, z_crit): ``SUITE``'s nulls as ``mc_suite``'s tests of its
-    (n_paths, R) arrays ``values`` and (n_paths, R, p) ``features``, with the z-score
-    count and critical value of ``_suite_nulls``."""
-    _, R, p = features.shape
-    nulls, n_z, z_crit = _suite_nulls(R, p, phi_pr)
-    tests = {name: (values[name], start, null, features if regressed else None)
-             for name, start, null, regressed in nulls}
+def suite_tests(bundle: PathBundle, psi1: float, psi2: float, *, theta: float,
+                phi_o: float = 0.0, phi_pr: float = 0.0) -> tuple:
+    """(tests, n_zscores, z_crit): ``SUITE``'s nulls on ``bundle`` as ``mc_suite``'s tests,
+    the regressed ones on the features (S_t, N_t, 1{t < T1}), and ``_suite_nulls``' count
+    and critical value; the checks and kernels are ``simulate_suite``'s, chunk by chunk."""
+    check_deflator(bundle, psi2, phi_o=phi_o, phi_pr=phi_pr)
+    check_wealth(bundle.scenario, theta)
+    *values, features = _by_rows(_suite_rows, bundle, psi1, psi2, theta, phi_o, phi_pr)
+    nulls, n_z, z_crit = _suite_nulls(len(bundle.report_times), features.shape[2], phi_pr)
+    tests = {name: (X, start, null, features if regressed else None)
+             for X, (name, start, null, regressed) in zip(values, nulls)}
     return tests, n_z, z_crit
 
 
 def suite_reports(fold: SuiteFold) -> tuple:
     """(reports, n_zscores, z_crit): ``mc_suite``'s reports of the suite that
     ``simulate_suite`` folded, at the critical value of ``_suite_nulls``, bit for bit
-    what ``mc_suite`` gives on ``suite_tests`` of the same arrays."""
+    what ``mc_suite`` gives on ``suite_tests`` of the same bundle."""
     n, _, p = fold.features.shape
     R = len(fold.report_times)
     nulls, n_z, z_crit = _suite_nulls(R, p, fold.phi_pr)
     members = [i for i, (*_, regressed) in enumerate(nulls) if regressed]
-    held = fold.increments
 
     def increments(joined):
         cols = slice(None) if joined == list(range(len(members))) else joined
-        return lambda j, lo, hi, out: held[lo:hi, j, cols].T
+        return lambda j, lo, hi, out: fold.increments[lo:hi, j, cols].T
 
     group = (fold.features, fold.features_bad, n * R * p, members, increments)
     specs = [(name, start, null, 0 if regressed else None)
@@ -908,18 +870,19 @@ def mc_suite(tests, times, *, z_crit: float = 3.0) -> dict[str, MCTestReport]:
     and the heteroskedasticity-robust coefficient z-scores sharpen the test
     (see ``_sandwich_z``); nulls passing the same features object share one
     regression pass per step.
-    A step that rests on fewer than ``MIN_SAMPLES`` moving paths is not
-    regressed for a null: where fewer move off the increment the null's
-    other paths share (0 for a stopped process, the deterministic drift
-    before a jump), or off the value a feature's other paths share while at
-    least one moves off it (a jump count that one path has left at 0).  Its
-    regression z-scores are NaN, and a warning names the step and the count.
-    Features whose first two axes differ from ``values`` raise ``ValueError``.
+    A step that rests on fewer than ``MIN_SAMPLES`` moving paths is not regressed for a
+    null: where fewer move off the increment the null's other paths share (0 for a stopped
+    process, the deterministic drift before a jump), or off the value a feature's other
+    paths share while at least one moves off it (a jump count that one path has left at
+    0).  Its regression z-scores are NaN, and a warning names the step and the count.
+    Values that are not (n_paths, n_times) for the times, features that are not (n_paths,
+    n_times, p), and a null other than ``"martingale"`` or ``"supermartingale"`` raise
+    ``ValueError`` naming the test.
 
-    Each test fails closed: non-finite values or features (each features
-    object is scanned once), or a mean or standard error that is not finite
-    (fewer than two paths, overflow), give ``rejected=True`` and ``max_abs_z =
-    inf`` with a warning naming the cause, and the null joins no regression.
+    Each test fails closed: a non-finite start, values or features (each features
+    object is scanned once), or a mean or standard error that is not finite (fewer
+    than two paths, overflow), give ``rejected=True`` and ``max_abs_z = inf`` with a
+    warning naming the cause, and the null joins no regression.
     """
     times = np.asarray(times, float)
     shared = {}  # per features object: its group index, array, non-finite count, regressed nulls
@@ -930,6 +893,9 @@ def mc_suite(tests, times, *, z_crit: float = 3.0) -> dict[str, MCTestReport]:
     Xs, specs = [], []
     for i, (name, (values, start, null, features)) in enumerate(tests.items()):
         X = np.asfortranarray(values, dtype=float)
+        if X.ndim != 2 or times.shape != X.shape[1:]:
+            raise ValueError(f"{name}: values of shape {X.shape} do not match times of shape "
+                             f"{times.shape}; expected (n_paths, n_times) and (n_times,)")
         g = None
         if features is not None:
             g, F, _, members = shared[id(features)]
@@ -938,6 +904,8 @@ def mc_suite(tests, times, *, z_crit: float = 3.0) -> dict[str, MCTestReport]:
                                  f"of shape {X.shape}; expected (n_paths, n_times, p)")
             if null == "martingale" and X.shape[1] > 1:
                 members.append(i)
+        if null not in ("martingale", "supermartingale"):
+            raise ValueError(f"{name}: null {null!r} is not 'martingale' or 'supermartingale'")
         Xs.append(X)
         specs.append((name, start, null, g))
     groups = [(F, n_bad, F.size, members,
@@ -1111,9 +1079,10 @@ def _report(start, null, moments, f_bad, f_size, times, z_crit) -> tuple:
         notes.append(f"zero standard error with mean != start {start:g} at t = "
                      f"{', '.join(f'{t:g}' for t in times[flat])}: z = +-inf under "
                      f"the {null} null")
-    bad = [f"{label} ({count} of {size} entries)"
-           for label, size, count in (("values", n * R, int(np.sum(x_bad))),
-                                      ("features", f_size, f_bad)) if count]
+    bad = [f"start ({start:g})"] if not np.isfinite(start) else []
+    bad += [f"{label} ({count} of {size} entries)"
+            for label, size, count in (("values", n * R, int(np.sum(x_bad))),
+                                       ("features", f_size, f_bad)) if count]
     if not bad and not (np.isfinite(means).all() and np.isfinite(ses).all()):
         bad = ["means or standard errors"]
     if bad:
@@ -1238,12 +1207,8 @@ def _common(head):
     return np.partition(head, mid)[mid]
 
 
-def feature_matrix(bundle: PathBundle) -> np.ndarray:
-    """Observable features (S_t, N_t, 1{t < T1}) at each report time."""
-    return _by_rows(_feature_matrix, bundle)
-
-
 def _feature_matrix(b):
+    """Observable features (S_t, N_t, 1{t < T1}) at each report time."""
     F = np.empty((3,) + b.S.T.shape)  # (feature, time, path): F.T is stored as _by_rows stores it
     F[0], F[1] = b.S.T, b.N.T
     np.less(b.report_times[:, None], b.t1, out=F[2])

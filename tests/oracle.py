@@ -526,3 +526,73 @@ def sandwich_regression_z(values, features):
         rows.append(coef / se)
         ses.append(se)
     return np.asarray(rows), np.asarray(ses)
+
+
+# ------------------------------------------------------------------------------
+# Per-path reference for the simulate suite: its seven computed nulls as scalar
+# formulas of the model, one path and one report time at a time.  The model is
+# S = S0 E(X), X = sigma W + zeta N^c + mu t, with N a Poisson process of
+# intensity lam and N^c = N - lam t; tau = (a T2) ^ T1 and beta = lam (1/a - 1);
+# I_G(x) = int_0^x beta s / (1 + beta s) ds, by ``ig_series``.
+
+def suite_reference(bundle, psi1, psi2, theta, phi_o, phi_pr):
+    """The computed nulls of the simulate suite on ``bundle``, (n_paths, R) each.
+
+    With s = t ^ tau, J = 1{tau = T1 <= t} (so N_s = J), and
+    Y = E(psi1 W + (psi2 - 1) N^c) = exp(psi1 W - psi1^2 t / 2 - (psi2 - 1) lam t) psi2^N:
+      transported_brownian       W_s;
+      transported_poisson        J (1 + beta T1) - lam s;
+      survival_exponential       V_t = exp(lam I_G(t ^ T1)) / (1 + beta T1)^1{T1 <= t}, the
+                                 exponential of (1 / G_-) . m, G_- = e^(-beta t)(1 + beta t)
+                                 and dm = lam beta t e^(-beta t) dt before T1, and m jumps
+                                 by -beta T1 e^(-beta T1) at T1;
+      deflator_plain             E_L = Y_s / V_s;
+      deflator_with_default_leg  E_L exp(-phi_o (lam + beta) I_G(s))
+                                 (1 + phi_o 1{tau = a T2 <= t}) (1 + phi_pr 1{tau <= t}):
+                                 the exponentials of phi_o . N_G, with
+                                 N_G = 1{tau = a T2 <= t} - (lam + beta) I_G(s), and of
+                                 phi_pr . D;
+      deflated_wealth            E(theta X)_s E_L, with E(theta X) = (1 + theta zeta)^N
+                                 exp(theta sigma W + (theta mu - theta zeta lam
+                                 - theta^2 sigma^2 / 2) t);
+      deflated_price_drift       Y_t E(X)_t, unstopped.
+    """
+    sc = bundle.scenario
+    lam, beta = sc.lam, sc.beta
+    ig = {}
+
+    def I_G(x):
+        if x not in ig:
+            ig[x] = ig_series(beta, x)
+        return ig[x]
+
+    def Y(w, t, n):
+        return math.exp(psi1 * w - 0.5 * psi1**2 * t - (psi2 - 1.0) * lam * t) * psi2**n
+
+    def V(x, t1):
+        return math.exp(lam * I_G(min(x, t1))) / (1.0 + beta * t1) ** (t1 <= x)
+
+    def wealth(th, w, t, n):  # E(th X)
+        drift = th * sc.mu - th * sc.zeta * lam - 0.5 * th**2 * sc.sigma**2
+        return math.exp(th * sc.sigma * w + drift * t) * (1.0 + th * sc.zeta) ** n
+
+    names = ("transported_brownian", "transported_poisson", "survival_exponential",
+             "deflator_plain", "deflator_with_default_leg", "deflated_wealth",
+             "deflated_price_drift")
+    out = {name: np.empty(bundle.W.shape) for name in names}
+    for i in range(bundle.n_paths):
+        t1, tau = float(bundle.t1[i]), float(bundle.tau[i])
+        second = bool(bundle.from_second_jump[i])
+        for j, t in enumerate(bundle.report_times.tolist()):
+            w, n = float(bundle.W[i, j]), float(bundle.N[i, j])
+            seen = tau <= t
+            s, J = min(t, tau), int(seen and not second)
+            w_s = float(bundle.W_tau[i]) if seen else w
+            e_l = Y(w_s, s, J) / V(s, t1)
+            values = (w_s, J * (1.0 + beta * t1) - lam * s, V(t, t1), e_l,
+                      e_l * math.exp(-phi_o * (lam + beta) * I_G(s))
+                      * (1.0 + phi_o * (seen and second)) * (1.0 + phi_pr * seen),
+                      wealth(theta, w_s, s, J) * e_l, Y(w, t, n) * wealth(1.0, w, t, n))
+            for name, value in zip(names, values):
+                out[name][i, j] = value
+    return out

@@ -280,20 +280,18 @@ def test_criterion_09_jump_diffusion_suite(mc_bundle):
         ok &= dev <= 3 * se
         msgs.append(f"{name}: |mean-1| = {dev:.2e} vs 3se = {3 * se:.2e}")
 
-    feats = jd.feature_matrix(bundle)
-    base = jd.mc_test(jd.lmd_times_price(bundle, psi1, psi2),
-                      bundle.report_times, start=1.0, features=feats)
-    pert = jd.mc_test(jd.lmd_times_price(bundle, psi1 + 0.1 * abs(sc.mu) / sc.sigma, psi2),
-                      bundle.report_times, start=1.0, features=feats)
+    tests = jd.suite_tests(bundle, psi1, psi2, theta=0.7)[0]
+    drift_off = jd.suite_tests(bundle, psi1 + 0.1 * abs(sc.mu) / sc.sigma, psi2,
+                               theta=0.7)[0]["deflated_price_drift"]
+    base, pert = (jd.mc_test(values, bundle.report_times, start=start, features=feats)
+                  for values, start, _, feats in (tests["deflated_price_drift"], drift_off))
     ok &= (not base.rejected) and pert.rejected
     msgs.append(f"drift power: base z = {base.max_abs_z:.2f}, "
                 f"perturbed z = {pert.max_abs_z:.2f}")
 
-    for name, vals, x0 in (("m", bundle.m, 1.0),
-                           ("transported Brownian", jd.transported_brownian(bundle), 0.0),
-                           ("transported Poisson", jd.transported_poisson(bundle), 0.0),
-                           ("compensated default", bundle.N_G, 0.0),
-                           ("survival exponential", jd.survival_exponential(bundle), 1.0)):
+    for name in ("m", "transported_brownian", "transported_poisson", "N_G",
+                 "survival_exponential"):
+        vals, x0, _, feats = tests[name]
         rep = jd.mc_test(vals, bundle.report_times, start=x0, features=feats)
         ok &= not rep.rejected
         if rep.rejected:

@@ -729,7 +729,7 @@ def test_simulate_summary_holds_the_suite_table(tmp_path):
     run("simulate", "--scenario", tmp_path / "scenario.json", "--out", tmp_path)
     summary = json.loads((tmp_path / "simulate-summary.json").read_text())
     assert ({name: result["null"] for name, result in summary["results"].items()}
-            == {name: null for name, _, null, _ in jd.SUITE})
+            == {name: null for name, _, null, *_ in jd.SUITE})
     sc, extras = modelio.load_scenario(tmp_path / "scenario.json")
     _, fold, _ = jd.simulate_suite(sc, jd.solve_drift(sc, extras["psi2"]), extras["psi2"],
                                    theta=extras["theta"], phi_o=extras["phi_o"])
@@ -771,13 +771,8 @@ def test_simulate_regression_survives_huge_price_feature(tmp_path):
     for mu in (400, 0.03):
         sc, _ = modelio.load_scenario({**doc, "mu": mu})
         b = jd.simulate(sc)
-        feats = jd.feature_matrix(b)
-        suite = {"m": (b.m, 1.0), "N_G": (b.N_G, 0.0),
-                 "survival_exponential": (jd.survival_exponential(b), 1.0),
-                 "transported_brownian": (jd.transported_brownian(b), 0.0),
-                 "transported_poisson": (jd.transported_poisson(b), 0.0)}
-        reports = jd.mc_suite({name: (values, start, "martingale", feats)
-                               for name, (values, start) in suite.items()}, b.report_times)
+        tests = jd.suite_tests(b, jd.solve_drift(sc, 1.0), 1.0, theta=0.7)[0]
+        reports = jd.mc_suite({name: tests[name] for name in five}, b.report_times)
         regression_z[mu] = {name: rep.regression_z for name, rep in reports.items()}
     for name in five:
         assert np.allclose(regression_z[400][name], regression_z[0.03][name],

@@ -20,7 +20,7 @@ from horizon_deflators import (
 )
 from horizon_deflators import jumpdiff as jd
 from oracle import (bridge_loop, i1_series, ig_series, per_path_simulate,
-                    sandwich_regression_z)
+                    sandwich_regression_z, suite_reference)
 
 
 def scenario(**kw):
@@ -253,9 +253,8 @@ def test_mc_suite_holds_one_block_per_worker_beside_its_inputs(monkeypatch):
     psi1 = solve_drift(sc, 1.0)
     _, fold, _ = jd.simulate_suite(sc, psi1, 1.0, theta=0.5)
     held = fold.increments.nbytes + fold.features.nbytes
-    _, values, features, _ = _public_suite(sc, psi1, 1.0, 0.5, 0.0, 0.0)
-    tests, _, z_crit = jd.suite_tests(values, features)
-    inputs = sum(v.nbytes for v in values.values()) + features.nbytes
+    tests, _, z_crit = jd.suite_tests(simulate(sc), psi1, 1.0, theta=0.5)
+    inputs = sum(values.nbytes for values, *_ in tests.values()) + tests["m"][3].nbytes
     for run, base in ((lambda: jd.suite_reports(fold)[0], held),
                       (lambda: jd.mc_suite(tests, fold.report_times, z_crit=z_crit), inputs)):
         tracemalloc.start()
@@ -271,20 +270,19 @@ def test_many_workers_switching_often_give_the_same_bits(monkeypatch):
     # 8 workers on chunks of 97 rows, the interpreter switching threads every
     # microsecond, against one worker (inline) on the same chunks: a row written
     # to the wrong place, a block record out of order, or a buffer two tasks
-    # share would change a bundle array, a deflator, a held array or a report
+    # share would change a bundle array, a deflator, a null's array, a held
+    # array or a report
     sc = scenario(n_paths=3000, lam=12.0)
     monkeypatch.setattr(jd, "_ROWS", 97)
 
     def pipeline():
         b = simulate(sc, keep_paths=3)
-        feats = jd.feature_matrix(b)
         Z = build_deflator(b, solve_drift(sc, 1.0), 1.0, phi_o=0.25)["Z"]
-        suite = {"m": (b.m, 1.0, "martingale", feats), "N_G": (b.N_G, 0.0, "martingale", feats),
-                 "Z": (Z, 1.0, "martingale", None)}
+        tests, _, _ = jd.suite_tests(b, solve_drift(sc, 1.0), 1.0, theta=0.7, phi_o=0.25)
         _, fold, residual = jd.simulate_suite(sc, solve_drift(sc, 1.0), 1.0, theta=0.7,
                                               phi_o=0.25)
-        return b, Z, jd.mc_suite(suite, b.report_times), (fold, residual,
-                                                           jd.suite_reports(fold)[0])
+        return b, Z, tests, jd.mc_suite(tests, b.report_times), (fold, residual,
+                                                                  jd.suite_reports(fold)[0])
 
     monkeypatch.setattr(jd, "_workers", lambda: 1)
     reference = pipeline()
@@ -299,17 +297,17 @@ def test_many_workers_switching_often_give_the_same_bits(monkeypatch):
     finally:
         sys.setswitchinterval(interval)
     assert not worker.is_alive() and len(result) == 1
-    (b, Z, reports, arrays), (b_ref, Z_ref, reports_ref, arrays_ref) = result[0], reference
+    (b, Z, tests, reports, arrays), (b_ref, Z_ref, tests_ref, reports_ref, arrays_ref) = \
+        result[0], reference
     for name in BUNDLE_FIELDS:
         assert np.array_equal(getattr(b, name), getattr(b_ref, name)), name
     for s, s_ref in zip(b.samples, b_ref.samples, strict=True):
         assert all(np.array_equal(s[key], s_ref[key]) for key in s_ref)
     assert np.array_equal(Z, Z_ref)
-    for name, rep in reports.items():
-        assert np.array_equal(rep.zscores, reports_ref[name].zscores), name
-    for name in ("m", "N_G"):
-        assert np.array_equal(reports[name].regression_z, reports_ref[name].regression_z,
-                              equal_nan=True), name
+    for name, (values, *_, feats) in tests.items():
+        assert np.array_equal(values, tests_ref[name][0]), name
+        assert feats is None or np.array_equal(feats, tests_ref[name][3]), name
+    _assert_same_reports(reports, reports_ref)
     (fold, residual, streamed), (fold_ref, residual_ref, streamed_ref) = arrays, arrays_ref
     assert np.array_equal(fold.increments, fold_ref.increments)
     assert np.array_equal(fold.features, fold_ref.features) and residual == residual_ref
@@ -323,13 +321,9 @@ def test_path_arrays_are_column_major(n_paths, monkeypatch):
     b = simulate(sc, keep_paths=2)
     psi1 = solve_drift(sc, 1.0)
     arrays = {name: getattr(b, name) for name in jd._PER_REPORT}
-    arrays.update(features=jd.feature_matrix(b), transported_brownian=jd.transported_brownian(b),
-                  transported_poisson=jd.transported_poisson(b),
-                  survival_exponential=jd.survival_exponential(b),
-                  wealth=jd.proportional_wealth(b, 0.8),
-                  unstopped_wealth=jd.proportional_wealth(b, 0.8, stopped=False),
-                  lmd_times_price=jd.lmd_times_price(b, psi1, 1.0),
-                  **build_deflator(b, psi1, 1.0, phi_o=0.25, phi_pr=-0.1))
+    tests, _, _ = jd.suite_tests(b, psi1, 1.0, theta=0.8, phi_o=0.25, phi_pr=-0.1)
+    arrays.update({f"suite {name}": values for name, (values, *_) in tests.items()},
+                  features=tests["m"][3], **build_deflator(b, psi1, 1.0, phi_o=0.25, phi_pr=-0.1))
     _, fold, _ = jd.simulate_suite(sc, psi1, 1.0, theta=0.8, phi_o=0.25, phi_pr=-0.1)
     arrays.update(held_increments=fold.increments, held_features=fold.features)
     for name, arr in arrays.items():
@@ -420,16 +414,20 @@ def test_closed_form_integrals_match_exact_series():
 
 
 def test_tiny_intensity_raises_no_warning():
-    # at lam = 1e-170, beta^2 underflows: the closed form of _i1 divided by 0
-    sc = scenario(lam=1e-170, n_paths=500)
-    with warnings.catch_warnings():
-        warnings.simplefilter("error")
-        b = simulate(sc, keep_paths=1)
-        for null in (jd.survival_exponential, jd.transported_poisson):
-            null(b)
-        build_deflator(b, solve_drift(sc, 1.0), 1.0, phi_o=0.25)
-        assert np.array_equal(b.m, np.ones_like(b.m))
-        assert not mc_test(b.m, b.report_times, start=1.0).rejected
+    # at lam = 1e-170, beta^2 underflows: the closed form of _i1 divided by 0; at
+    # a = 0.9999999999999999, beta is 4.4e-16 lam.  Each runs all nine kernels
+    for kw in (dict(lam=1e-170), dict(a=0.9999999999999999)):
+        sc = scenario(n_paths=500, **kw)
+        psi1 = solve_drift(sc, 1.0)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            b = simulate(sc, keep_paths=1)
+            tests, _, _ = jd.suite_tests(b, psi1, 1.0, theta=0.7, phi_o=0.25, phi_pr=-0.1)
+            build_deflator(b, psi1, 1.0, phi_o=0.25)
+            if sc.lam == 1e-170:
+                assert np.array_equal(b.m, np.ones_like(b.m))
+                assert not mc_test(b.m, b.report_times, start=1.0).rejected
+        assert all(np.isfinite(values).all() for values, *_ in tests.values()), kw
 
 
 def test_survival_mc_matches_closed_form():
@@ -591,7 +589,7 @@ def test_nan_theta_is_refused():
     b = simulate(scenario(n_paths=50))
     for theta in (np.nan, np.inf):
         with pytest.raises(AdmissibilityError, match=f"^theta = {theta:g} is inadmissible"):
-            jd.proportional_wealth(b, theta)
+            jd.suite_tests(b, solve_drift(b.scenario, 1.0), 1.0, theta=theta)
         with pytest.raises(AdmissibilityError, match=f"^theta = {theta:g} is inadmissible"):
             jd.simulate_suite(b.scenario, solve_drift(b.scenario, 1.0), 1.0, theta=theta)
 
@@ -617,9 +615,10 @@ def test_deflator_unit_mean_and_wealth():
     out = build_deflator(b, psi1, psi2)
     rep = mc_test(out["Z"], b.report_times, start=1.0)
     assert not rep.rejected
-    w = jd.proportional_wealth(b, 0.8)
-    rep2 = mc_test(out["Z"] * w, b.report_times, start=1.0, null="supermartingale")
-    assert not rep2.rejected
+    # the suite's deflated wealth, E(0.8 X)^tau times E_L, which is Z at phi_o = phi_pr = 0
+    values, start, null, _ = jd.suite_tests(b, psi1, psi2, theta=0.8)[0]["deflated_wealth"]
+    rep2 = mc_test(values, b.report_times, start=start, null=null)
+    assert null == "supermartingale" and not rep2.rejected
     out3 = build_deflator(b, psi1, psi2, phi_o=0.4)
     rep3 = mc_test(out3["Z"], b.report_times, start=1.0)
     assert not rep3.rejected
@@ -635,20 +634,6 @@ def test_plain_deflator_is_the_e_l_factor():
     assert np.array_equal(plain["E_NG"], np.ones_like(plain["Z"]))
     assert np.array_equal(plain["E_D"], np.ones_like(plain["Z"]))
     assert np.array_equal(plain["Z"], build_deflator(b, psi1, 1.3, phi_o=0.25, phi_pr=-0.1)["E_L"])
-
-
-def _public_suite(sc, psi1, psi2, theta, phi_o, phi_pr):
-    """The bundle, the simulate suite's arrays by the public functions, each its own
-    map over the paths, its features and the m residual."""
-    b = simulate(sc, keep_paths=3)
-    d = build_deflator(b, psi1, psi2, phi_o=phi_o, phi_pr=phi_pr)
-    values = {"m": b.m, "transported_brownian": jd.transported_brownian(b),
-              "transported_poisson": jd.transported_poisson(b), "N_G": b.N_G,
-              "survival_exponential": jd.survival_exponential(b),
-              "deflator_plain": d["E_L"], "deflator_with_default_leg": d["Z"],
-              "deflated_wealth": jd.proportional_wealth(b, theta) * d["E_L"],
-              "deflated_price_drift": jd.lmd_times_price(b, psi1, psi2)}
-    return b, values, jd.feature_matrix(b), closed_forms(b)["m_identity_residual"]
 
 
 def _bits(x):
@@ -667,41 +652,63 @@ def _assert_same_reports(got, want):
 
 @pytest.mark.parametrize("rows,workers", [(64, 2), (64, 1), (10**9, 2)],
                          ids=["pooled", "inline", "one-block"])
-def test_suite_arrays_equal_the_public_functions(rows, workers, monkeypatch):
+def test_streamed_suite_equals_mc_suite_on_suite_tests(rows, workers, monkeypatch):
     # 300 paths in blocks of 64, the last of 44, with kept paths: the streamed suite,
-    # on the pool or inline, holds the public functions' increments and features, and
-    # its reports are mc_suite's over the public functions' arrays, folded in the same
-    # blocks; in one block of all paths too
+    # on the pool or inline, holds the increments and features of suite_tests' arrays,
+    # made in chunks of the default size, and its reports are mc_suite's over those
+    # arrays, folded in the same blocks; in one block of all paths too
     sc = scenario(n_paths=300, lam=6.0)
     psi1, psi2, theta, phi_o, phi_pr = solve_drift(sc, 1.3), 1.3, -0.6, 0.25, -0.1
-    b, values, features, residual = _public_suite(sc, psi1, psi2, theta, phi_o, phi_pr)
+    b = simulate(sc, keep_paths=3)
+    tests, n_z, z_crit = jd.suite_tests(b, psi1, psi2, theta=theta, phi_o=phi_o, phi_pr=phi_pr)
+    residual = closed_forms(b)["m_identity_residual"]
     monkeypatch.setattr(jd, "_ROWS", rows)
     monkeypatch.setattr(jd, "_workers", lambda: workers)
     _, fold, got_residual = jd.simulate_suite(sc, psi1, psi2, theta=theta, phi_o=phi_o,
                                               phi_pr=phi_pr)
     streamed = jd.suite_reports(fold)
-    tests, n_z, z_crit = jd.suite_tests(values, features, phi_pr=phi_pr)
     assert streamed[1:] == (n_z, z_crit)
     _assert_same_reports(streamed[0], jd.mc_suite(tests, b.report_times, z_crit=z_crit))
     assert streamed[0]["deflator_with_default_leg"].null == "supermartingale"
-    regressed = [name for name, *_, reg in jd.SUITE if reg]
+    regressed = [name for name, (*_, feats) in tests.items() if feats is not None]
     assert fold.increments.shape == (300, 7, len(regressed)) == (300, 7, 6)
     for i, name in enumerate(regressed):
-        want = values[name][:, 1:] - values[name][:, :-1]
+        values = tests[name][0]
+        want = values[:, 1:] - values[:, :-1]
         assert np.array_equal(_bits(fold.increments[:, :, i]), _bits(want)), name
-    assert np.array_equal(_bits(fold.features), _bits(features[:, :-1]))
+    assert np.array_equal(_bits(fold.features), _bits(tests["m"][3][:, :-1]))
     assert got_residual == residual and residual > 0.0
+
+
+def test_suite_tests_match_the_per_path_reference():
+    # 300 paths at lam = 6 and a = 0.4 (beta = 9, so a swap of beta and lam shows) with
+    # S0, psi2, theta, phi_o and phi_pr away from 0 and 1: each computed null is within
+    # rtol 1e-13 of oracle.suite_reference's scalar formulas (the kernels differ from
+    # them by about 2e-15 at most), and m, N_G and the features are the bundle's bits
+    sc = scenario(n_paths=300, lam=6.0, a=0.4, S0=1.7)
+    psi1, psi2, theta, phi_o, phi_pr = solve_drift(sc, 1.3), 1.3, -0.6, 0.25, -0.1
+    b = simulate(sc)
+    tests, _, _ = jd.suite_tests(b, psi1, psi2, theta=theta, phi_o=phi_o, phi_pr=phi_pr)
+    ref = suite_reference(b, psi1, psi2, theta, phi_o, phi_pr)
+    assert list(tests) == [name for name, *_ in jd.SUITE]
+    assert set(tests) - set(ref) == {"m", "N_G"}
+    for name, want in ref.items():
+        assert np.allclose(tests[name][0], want, rtol=1e-13, atol=0.0), name
+    assert np.array_equal(tests["m"][0], b.m) and np.array_equal(tests["N_G"][0], b.N_G)
+    features = tests["m"][3]
+    assert np.array_equal(features, np.stack([b.S, b.N, b.report_times < b.t1[:, None]], -1))
+    assert (b.tau < b.t1).any() and (b.tau == b.t1).any()  # tau = a T2 and tau = T1
 
 
 def test_martingale_suite_small():
     sc = scenario(n_paths=20000, seed=11)
     b = simulate(sc)
-    feats = jd.feature_matrix(b)
-    for vals, x0 in ((b.m, 1.0), (jd.transported_brownian(b), 0.0),
-                     (jd.transported_poisson(b), 0.0), (b.N_G, 0.0),
-                     (jd.survival_exponential(b), 1.0)):
-        rep = mc_test(vals, b.report_times, start=x0, features=feats)
-        assert not rep.rejected, rep.max_abs_z
+    tests, _, _ = jd.suite_tests(b, solve_drift(sc, 1.0), 1.0, theta=0.7)
+    for name in ("m", "transported_brownian", "transported_poisson", "N_G",
+                 "survival_exponential"):
+        values, start, null, feats = tests[name]
+        rep = mc_test(values, b.report_times, start=start, null=null, features=feats)
+        assert not rep.rejected, (name, rep.max_abs_z)
 
 
 def test_mc_power_detects_price_drift():
@@ -739,6 +746,10 @@ def test_mc_test_fails_closed_on_non_finite(monkeypatch):
     rep = mc_test(np.ones((1, 4)), times, start=1.0, null="supermartingale")
     assert rep.rejected and rep.max_abs_z == np.inf  # one path: no standard error
     assert "only 1 paths" in rep.warning and "standard errors" in rep.warning
+    for start in (np.nan, np.inf):
+        rep = mc_test(rng.normal(size=(2000, 4)), times, start=start)
+        assert rep.rejected and rep.max_abs_z == np.inf
+        assert rep.warning == f"non-finite start ({start:g}): null rejected"
 
 
 @pytest.mark.parametrize("value,null,z", [
@@ -812,22 +823,15 @@ def _random_suite(seed):
 
 
 def _bundle_suite(lam, n_paths, seed):
-    """The simulate suite's martingale nulls with features, each with random increments."""
+    """The simulate suite's martingale nulls with features, each with random increments:
+    of ``suite_tests``, those it regresses, but for the four that are deterministic
+    where no path jumps before the horizon."""
     sc = scenario(lam=lam, n_paths=n_paths, seed=seed, dt=2.0 ** -10)
     b = simulate(sc)
-    feats = jd.feature_matrix(b)
-    suite = {
-        "transported_brownian": (jd.transported_brownian(b), 0.0, "martingale", feats),
-        "deflated_price_drift": (jd.lmd_times_price(b, solve_drift(sc, 1.0), 1.0), 1.0,
-                                 "martingale", feats),
-    }
-    if np.any(b.t1 < sc.horizon):  # else m, N_G and the rest are deterministic
-        suite.update({
-            "m": (b.m, 1.0, "martingale", feats),
-            "transported_poisson": (jd.transported_poisson(b), 0.0, "martingale", feats),
-            "N_G": (b.N_G, 0.0, "martingale", feats),
-            "survival_exponential": (jd.survival_exponential(b), 1.0, "martingale", feats),
-        })
+    tests = jd.suite_tests(b, solve_drift(sc, 1.0), 1.0, theta=0.7)[0]
+    jumps = np.any(b.t1 < sc.horizon)
+    suite = {name: test for name, test in tests.items() if test[3] is not None
+             and (jumps or name in ("transported_brownian", "deflated_price_drift"))}
     return suite, b.report_times
 
 
@@ -939,14 +943,35 @@ def test_mc_test_rejects_features_of_another_shape(shape):
                 features=rng.normal(size=shape))
 
 
+_WALK = np.random.default_rng(7).normal(size=(2000, 4)).cumsum(axis=1)
+_UNMATCHED = "do not match times of shape ({},); expected (n_paths, n_times) and (n_times,)"
+
+
+@pytest.mark.parametrize("values, n_times, null, message", [
+    (_WALK, 4, "Martingale", "null 'Martingale' is not 'martingale' or 'supermartingale'"),
+    (_WALK, 4, "martingle", "null 'martingle' is not 'martingale' or 'supermartingale'"),
+    (_WALK, 3, "martingale", "values of shape (2000, 4) " + _UNMATCHED.format(3)),
+    (_WALK, 5, "supermartingale", "values of shape (2000, 4) " + _UNMATCHED.format(5)),
+    (np.ones((2000, 4)), 3, "martingale", "values of shape (2000, 4) " + _UNMATCHED.format(3)),
+    (_WALK[:, 0], 4, "martingale", "values of shape (2000,) " + _UNMATCHED.format(4)),
+], ids=["null-capitalised", "null-misspelt", "fewer-times", "more-times",
+        "fewer-times-constant", "one-axis"])
+def test_mc_suite_refuses_a_malformed_test(values, n_times, null, message):
+    # a null it does not know was tested as a supermartingale, so it failed open;
+    # times that miss a column were taken silently, or raised a bare IndexError on
+    # a constant column; one-axis values raised a bare AxisError
+    with pytest.raises(ValueError, match=f"^{re.escape('x: ' + message)}$"):
+        jd.mc_suite({"x": (values, 0.0, null, None)}, np.arange(1, n_times + 1) / n_times)
+
+
 def test_mc_suite_checks_each_null_against_shared_features():
-    # "b" shares the features of "a" but has one more report time
+    # "b" shares the features of "a" but has one path fewer
     rng = np.random.default_rng(6)
     feats = rng.normal(size=(3000, 4, 2))
     suite = {"a": (rng.normal(size=(3000, 4)), 0.0, "martingale", feats),
-             "b": (rng.normal(size=(3000, 5)), 0.0, "martingale", feats)}
+             "b": (rng.normal(size=(2999, 4)), 0.0, "martingale", feats)}
     with pytest.raises(ValueError, match="^b: features of shape"):
-        jd.mc_suite(suite, [0.2, 0.4, 0.6, 0.8, 1.0])
+        jd.mc_suite(suite, [0.25, 0.5, 0.75, 1.0])
 
 
 def test_mc_suite_checks_shared_features_once(monkeypatch):
@@ -1159,7 +1184,9 @@ def test_transported_poisson_jump_factor_variant_rejected():
     ours = hit * (1.0 + beta * b.t1[:, None]) - lam * ts
     damped = hit * (1.0 + beta * b.t1[:, None] / (1.0 + beta * b.t1[:, None])) \
         - lam * ts
-    feats = jd.feature_matrix(b)
+    values, _, _, feats = jd.suite_tests(b, solve_drift(sc, 1.0), 1.0,
+                                         theta=0.7)[0]["transported_poisson"]
+    assert np.array_equal(values, ours)
     assert not mc_test(ours, b.report_times, start=0.0, features=feats).rejected
     rep = mc_test(damped, b.report_times, start=0.0, features=feats)
     assert rep.rejected and rep.max_abs_z > 8
