@@ -167,14 +167,13 @@ def cmd_simulate(args) -> int:
         sc = replace(sc, **{k: v for k, v in overrides.items() if v is not None})
         psi2, phi_o, phi_pr = extras["psi2"], extras["phi_o"], extras["phi_pr"]
         psi1 = jd.solve_drift(sc, psi2)
-        kept, fold, m_residual = jd.simulate_suite(
+        kept, reports, n_z, z_crit, m_residual = jd.simulate_suite(
             sc, psi1, psi2, theta=extras["theta"], phi_o=phi_o, phi_pr=phi_pr,
             keep_paths=extras["keep_paths"])
     except SpaceValidationError as exc:
         return _fail(2, f"input error: {exc}")
     except AdmissibilityError as exc:
         return _fail(2, f"scenario constraint violation: {exc}")
-    reports, n_z, z_crit = jd.suite_reports(fold)
     rejected = sorted(name for name, rep in reports.items() if rep.rejected)
     warnings = [f"{name}: {rep.warning}" for name, rep in reports.items() if rep.warning]
     out = _outdir(args.out)

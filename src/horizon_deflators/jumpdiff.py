@@ -26,20 +26,18 @@ i owns a fixed run of counter blocks, and each path has a spill stream of its
 own for the rare extra draws (``simulate``).  So any block of paths can be
 drawn and evaluated on its own, with the same bits.  ``simulate``,
 ``simulate_suite``, ``suite_tests`` and ``build_deflator`` work in chunks of
-``_ROWS`` paths, and the suite's tests fold the same blocks, then sweep one report
-step at a time, each map on a thread pool of its own, made and joined inside the
-call, with one worker per CPU of the process's affinity set.  Each chunk writes its
-own rows or returns its own record, and records merge in block order, so no output
-depends on the number of workers; work of one chunk, or on one worker, runs inline,
-with no thread.
+``_ROWS`` paths, and the suite's tests fold the same blocks, each map on a thread
+pool of its own, made and joined inside the call, with one worker per CPU of the
+process's affinity set.  Each chunk writes its own rows or returns its own record,
+and records merge in block order, so no output depends on the number of workers;
+work of one chunk, or on one worker, runs inline, with no thread.
 
 Every (n_paths, R) and (n_paths, R, p) array here is column-major, so one report
 time's values are contiguous: the fold sums each column of a block in one pass
-(NumPy's pairwise order) and the regression reads each step's blocks in place, on
-that layout whatever its input's, holding one block's buffers per worker.  The
-row kernels compute on the ``.T`` views of those arrays, (report time, path)
-rows: an (R, 1) column of times broadcasts against per-path rows, and each
-kernel returns its (paths, R) block as a view.  ``simulate`` places tau ^ H
+(NumPy's pairwise order), on that layout whatever its input's.  The row kernels
+compute on the ``.T`` views of those arrays, (report time, path) rows: an (R, 1)
+column of times broadcasts against per-path rows, and each kernel returns its
+(paths, R) block as a view.  ``simulate`` places tau ^ H
 among the report times by one ``searchsorted`` and writes its rows through
 ``.T``.  Kept paths on the dt grid stay (path, grid), so each orientation keeps its
 long axis innermost: time-major they gave the same bits, but ``simulate`` of 100 paths at
@@ -48,22 +46,24 @@ by ``_running_sum`` (medians of 30 calls, 2 shared vCPUs).
 
 ``SUITE`` is the one table of the suite's nulls, a row per null: name, start, hypothesis,
 regression and row kernel.  ``simulate_suite`` runs the kernels on each chunk of paths as
-it draws it and folds them, holding only what the regression's meat reads again;
-``suite_reports`` tests the fold at the Sidak critical value, and ``suite_tests`` maps the
-same kernels over a bundle into ``mc_suite``'s tests.
+it draws it, folds them and tests the fold at the Sidak critical value, holding one record
+per block; ``suite_tests`` maps the same kernels over a bundle into ``mc_suite``'s tests.
 
 Statistical verification is by Monte-Carlo means with standard errors,
 sharpened by regressing one-step increments on observable features with
 heteroskedasticity-robust (sandwich) standard errors.  ``mc_suite`` tests a
 whole suite of nulls: each block of paths is folded once into per-null moments
-and per-step normal equations, and per report step one sweep for the meats
-serves every null that passes the same feature array.  ``mc_test`` is its
-one-null call.  A zero standard error reads as a pass only where the mean
-equals the start.
+and, per step, one table of moments of the increments and features, which holds
+the normal equations and the HC0 meats of every null that passes the same
+feature array.  One finish per step turns the merged tables into z-scores, with
+no second pass over the paths.  ``mc_test`` is its one-null call.  A zero
+standard error reads as a pass only where the mean equals the start.
 """
 
 from __future__ import annotations
 
+import functools
+import itertools
 import math
 import os
 from dataclasses import dataclass, field, replace
@@ -82,6 +82,8 @@ MAX_EXPONENT = 512.0     # sigma^2 * horizon and |drift| * horizon: exp(sigma W_
                          # stays far from float overflow
 MIN_SAMPLES = 20         # fewest moving paths an mc_suite regression step rests on
 _ROWS = 8192             # paths per chunk of the row map, and per block of the suite's fold
+_SERIAL_PRODUCT = 2**18  # m n k of the largest matrix product OpenBLAS runs on the calling thread:
+                         # the fold's products stay below it, so no BLAS threads meet _map's
 
 # family-wise size of the simulate suite: the chance that a correct model has
 # any of the suite's z-scores past the critical value
@@ -710,35 +712,44 @@ def _lmd_times_price(b, psi1, psi2):
 
 def simulate_suite(sc: JumpDiffusionScenario, psi1: float, psi2: float, *, theta: float,
                    phi_o: float = 0.0, phi_pr: float = 0.0, keep_paths: int = 0) -> tuple:
-    """The ``simulate`` suite, drawn, evaluated and folded in one pass per chunk of paths.
+    """The ``simulate`` suite, drawn, evaluated, folded and tested in one pass per chunk of paths.
 
-    Returns (kept, fold, m_identity_residual): the first ``keep_paths`` paths of ``bundle =
-    simulate(sc, keep_paths=keep_paths)`` and their samples; the :class:`SuiteFold` of
-    ``SUITE``'s nulls on the bundle, which ``suite_reports`` turns into ``mc_suite``'s
-    reports on ``suite_tests(bundle, psi1, psi2, ...)``; and ``closed_forms``' residual.
-    Each chunk of ``_ROWS`` paths runs ``SUITE``'s kernels and is one block of
-    ``_fold_block``, folded while it is in cache; the pass keeps only what the HC0 meat
-    reads again, the regressed nulls' one-step increments and the features at the R - 1
-    regression steps.  ``keep_paths``, then psi2, phi_o and phi_pr, then theta are checked
-    before any draw; each chunk's paths then meet the path rule, and ``_map`` raises in
-    chunk order, so a breach names the first offending path.
+    Returns (kept, reports, n_zscores, z_crit, m_identity_residual): the first ``keep_paths``
+    paths of ``bundle = simulate(sc, keep_paths=keep_paths)`` and their samples; the reports
+    that ``mc_suite`` gives, bit for bit, on ``suite_tests(bundle, psi1, psi2, ...)``, with
+    its count and critical value; and ``closed_forms``' residual.  Each chunk of ``_ROWS``
+    paths runs ``SUITE``'s kernels and is one block of ``_fold_block``, so the pass keeps one
+    record per block.  The first 2 MIN_SAMPLES - 1 paths, drawn first, give the common
+    values of ``_commons``; the chunks that hold them draw only their other paths, so each
+    path is drawn once.  ``keep_paths``, then psi2, phi_o and phi_pr, then theta are checked
+    before any draw; the paths then meet the path rule, the first ones first and the others
+    raised in chunk order (``_map``), so a breach names the first offending path.
     """
     rep, draw = _paths(sc, None, keep_paths)
     n, R = sc.n_paths, len(rep)
     kept = _empty_bundle(sc, rep, keep_paths)
     check_deflator(_rows(kept, 0, 0), psi2, phi_o=phi_o, phi_pr=phi_pr)  # 0 paths: loadings alone
     check_wealth(sc, theta)
-    regressed = [i for i, (_, _, _, reg, _) in enumerate(SUITE) if reg]
-    increments = np.empty((n, R - 1, len(regressed)), order="F")
-    features = np.empty((n, R - 1, 3), order="F")  # _feature_matrix's S, N and 1{t < T1}
+
+    head = _empty_bundle(sc, rep, min(2 * MIN_SAMPLES - 1, n))
+    head.samples = draw(head, 0)
+    _check_paths(head, psi2, phi_o, 0)
+    *values, F = _suite_rows(head, psi1, psi2, theta, phi_o, phi_pr)
+    p = F.shape[2]
+    nulls, n_z, z_crit = _suite_nulls(R, p, phi_pr)
+    members = [i for i, (*_, regressed) in enumerate(nulls) if regressed]
+    common = _commons(F, [values[i] for i in members])
 
     def chunk(lo, hi):
         b = _empty_bundle(sc, rep, hi - lo)
-        b.samples = draw(b, lo)
-        _check_paths(b, psi2, phi_o, lo)
-        *nulls, F = _suite_rows(b, psi1, psi2, theta, phi_o, phi_pr)
-        features[lo:hi] = F[:, :-1]
-        block = _fold_block(nulls, [(F, regressed, increments[lo:hi])])
+        cut = min(max(lo, head.n_paths), hi)  # paths lo : cut are the head's, drawn already
+        for f in _PER_PATH + _PER_REPORT:
+            getattr(b, f)[:cut - lo] = getattr(head, f)[lo:cut]
+        rest = _rows(b, cut - lo, hi - lo)
+        b.samples = [s for s in head.samples if lo <= s["index"] < cut] + draw(rest, cut)
+        _check_paths(rest, psi2, phi_o, cut)
+        *values, F = _suite_rows(b, psi1, psi2, theta, phi_o, phi_pr)
+        block = _fold_block(values, [(F, members, common)])
         if lo < keep_paths:  # the rows past keep_paths fall off both slices
             for f in _PER_PATH + _PER_REPORT:
                 getattr(kept, f)[lo:hi] = getattr(b, f)[:keep_paths - lo]
@@ -746,27 +757,10 @@ def simulate_suite(sc: JumpDiffusionScenario, psi1: float, psi2: float, *, theta
 
     samples, blocks, bad, residual = zip(*_row_map(chunk, n))
     kept.samples = [s for part in samples for s in part]
-    fold = SuiteFold(rep, phi_pr, increments, features, sum(bad), list(blocks))
-    return kept, fold, float(np.max(residual))
-
-
-@dataclass(frozen=True)
-class SuiteFold:
-    """``SUITE``'s nulls folded over their paths by ``simulate_suite``.
-
-    ``blocks`` holds one ``_fold_block`` record per block of ``_ROWS`` paths,
-    in path order.  ``increments`` is the (n_paths, R - 1, k) one-step increments
-    of the k nulls that ``SUITE`` regresses, in its order, and ``features`` the
-    (n_paths, R - 1, p) features at the R - 1 steps they are regressed on;
-    ``features_bad`` counts the non-finite features at all R report times.
-    """
-
-    report_times: np.ndarray
-    phi_pr: float
-    increments: np.ndarray
-    features: np.ndarray
-    features_bad: int
-    blocks: list
+    specs = [(name, start, null, 0 if regressed else None)
+             for name, start, null, regressed in nulls]
+    reports = _reports(specs, [(sum(bad), n * R * p, members)], blocks, rep, z_crit)
+    return kept, reports, n_z, z_crit, float(np.max(residual))
 
 
 def _suite_rows(b, psi1, psi2, theta, phi_o, phi_pr) -> tuple:
@@ -807,25 +801,6 @@ def suite_tests(bundle: PathBundle, psi1: float, psi2: float, *, theta: float,
     return tests, n_z, z_crit
 
 
-def suite_reports(fold: SuiteFold) -> tuple:
-    """(reports, n_zscores, z_crit): ``mc_suite``'s reports of the suite that
-    ``simulate_suite`` folded, at the critical value of ``_suite_nulls``, bit for bit
-    what ``mc_suite`` gives on ``suite_tests`` of the same bundle."""
-    n, _, p = fold.features.shape
-    R = len(fold.report_times)
-    nulls, n_z, z_crit = _suite_nulls(R, p, fold.phi_pr)
-    members = [i for i, (*_, regressed) in enumerate(nulls) if regressed]
-
-    def increments(joined):
-        cols = slice(None) if joined == list(range(len(members))) else joined
-        return lambda j, lo, hi, out: fold.increments[lo:hi, j, cols].T
-
-    group = (fold.features, fold.features_bad, n * R * p, members, increments)
-    specs = [(name, start, null, 0 if regressed else None)
-             for name, start, null, regressed in nulls]
-    return _reports(specs, [group], fold.blocks, fold.report_times, z_crit), n_z, z_crit
-
-
 @dataclass(frozen=True)
 class MCTestReport:
     """Mean / standard-error / z-score table per report time, plus regression z's."""
@@ -855,7 +830,7 @@ def mc_suite(tests, times, *, z_crit: float = 3.0) -> dict[str, MCTestReport]:
 
     ``tests`` maps a name to ``(values, start, null, features)``.  ``values``
     is (n_paths, n_times).  The paths are folded in blocks of ``_ROWS``, one task
-    each, by ``_fold_block``, the fold that ``simulate_suite`` runs in its chunks,
+    each, by ``_fold_block``, the fold and finish that ``simulate_suite`` runs,
     on a column-major copy of a row-major input (this module's arrays are read in
     place), so no bit depends on the memory order, and the blocks merge in block
     order: each column's mean is its block sums' sum over n, and its standard
@@ -869,7 +844,7 @@ def mc_suite(tests, times, *, z_crit: float = 3.0) -> dict[str, MCTestReport]:
     increments of a martingale null are regressed on them (intercept added)
     and the heteroskedasticity-robust coefficient z-scores sharpen the test
     (see ``_sandwich_z``); nulls passing the same features object share one
-    regression pass per step.
+    moment table per block and step, and one pseudo-inverse per step.
     A step that rests on fewer than ``MIN_SAMPLES`` moving paths is not regressed for a
     null: where fewer move off the increment the null's other paths share (0 for a stopped
     process, the deterministic drift before a jump), or off the value a feature's other
@@ -908,33 +883,30 @@ def mc_suite(tests, times, *, z_crit: float = 3.0) -> dict[str, MCTestReport]:
             raise ValueError(f"{name}: null {null!r} is not 'martingale' or 'supermartingale'")
         Xs.append(X)
         specs.append((name, start, null, g))
-    groups = [(F, n_bad, F.size, members,
-               lambda joined, members=members: _differences([Xs[members[m]] for m in joined]))
-              for _, F, n_bad, members in shared.values()]
+    groups = [(n_bad, F.size, members) for _, F, n_bad, members in shared.values()]
+    folds = [(F, members, _commons(F, [Xs[i] for i in members]) if members and len(F) else None)
+             for _, F, _, members in shared.values()]
     blocks = _row_map(lambda lo, hi: _fold_block(
-        [X[lo:hi] for X in Xs], [(F[lo:hi], members, None) for F, _, _, members, _ in groups]),
+        [X[lo:hi] for X in Xs], [(F[lo:hi], members, common) for F, members, common in folds]),
         max((len(X) for X in Xs), default=0))
     return _reports(specs, groups, blocks, times, z_crit)
 
 
-def _differences(Xs):
-    """increments(j, lo, hi, out): the one-step increments X_{j+1} - X_j of paths
-    lo : hi of the (paths, R) arrays Xs, written in the rows of ``out``."""
-    def increments(j, lo, hi, out):
-        dx = out[:, :hi - lo]
-        for row, X in zip(dx, Xs):
-            np.subtract(X[lo:hi, j + 1], X[lo:hi, j], out=row)
-        return dx
-    return increments
+def _commons(F, Xs) -> tuple:
+    """(features, increments): the common values of the few-moving-paths rule, ``_common`` of
+    the first 2 MIN_SAMPLES - 1 paths, per regression step j < R - 1, of each feature column
+    F_j, (R - 1, p), and of each X's one-step increments X_{j+1} - X_j, (R - 1, k)."""
+    head = min(2 * MIN_SAMPLES - 1, len(F))
+    dx = [np.subtract(X[:head, 1:], X[:head, :-1]) for X in Xs]
+    return _common(F[:head, :-1]), _common(np.stack(dx, axis=-1))
 
 
 def _fold_block(nulls, groups) -> tuple:
     """One block of paths folded: (moments, normal).
 
     ``nulls`` holds each null's (paths, R) rows of the block, ``groups`` each
-    feature array's (F, members, held): its (paths, R, p) rows of the block, the
-    indices of the nulls regressed on it, and where to write their one-step
-    increments, a (paths, R - 1, len(members)) array, or None.  ``moments``
+    feature array's (F, members, common): its (paths, R, p) rows of the block, the
+    indices of the nulls regressed on it, and their ``_commons``.  ``moments``
     holds, per null, ``_fold_moments`` of its rows, and ``normal``, per group,
     ``_fold_normal`` of its members; each is None where there are no rows or no
     members.  Non-finite entries fold without a warning; the reports fail closed
@@ -942,8 +914,8 @@ def _fold_block(nulls, groups) -> tuple:
     """
     with np.errstate(all="ignore"):
         moments = [_fold_moments(X) if len(X) else None for X in nulls]
-        normal = [_fold_normal(F, [nulls[i] for i in members], held)
-                  if members and len(F) else None for F, members, held in groups]
+        normal = [_fold_normal(F, [nulls[i] for i in members], common)
+                  if members and len(F) else None for F, members, common in groups]
     return moments, normal
 
 
@@ -963,33 +935,72 @@ def _fold_moments(X) -> tuple:
     return n, sums, m2, rows.min(axis=1), rows.max(axis=1), bad
 
 
-def _fold_normal(F, Xs, held) -> tuple:
-    """(f_ext, x_ext, G, AD) of one block: per regression step j < R - 1, the
-    extremes (low, high) of each feature column F_j, (2, R - 1, p), and of each X's
-    increments, (2, R - 1, k), and G = A A^T and A DX^T of the design rows
-    A = [1/2, F_j] and the increment rows DX, each row scaled by the power of two
-    of the block's own extremes (``_exponent``).  With ``held``, the increments are
-    written there."""
+def _fold_normal(F, Xs, common) -> tuple:
+    """(n, f_ext, x_ext, S, moving, off) of one block of n paths, per regression step
+    j < R - 1: the extremes (low, high) of each feature column F_j, (2, R - 1, p), and of
+    each X's increments DX, (2, R - 1, k); the moment table S = U V^T, (R - 1, 2k + 1 + p,
+    len(V)), of the rows U = [DX; DX^2; 1; F_j] and V = [1; F_j; F_j's monomials of degree
+    2 and 3] (``_monomials``), rows of one buffer [DX; DX^2; V], with F_j and DX scaled by
+    the powers of two of the block's own extremes (``_exponent``); and the paths off the
+    ``common`` values (``_commons``), of each X's increments and of each feature column."""
     n, R, p = F.shape
     steps, k = R - 1, len(Xs)
-    A = np.empty((p + 1, n))
-    A[0] = 0.5
-    DX = np.empty((k, n))
+    _, products, *_ = _monomials(p)
+    T = np.empty((2 * k + p + 1 + len(products), n))
+    DX, U, V = T[:k], T[:2 * k + 1 + p], T[2 * k:]
+    V[0] = 1.0
     f_ext = np.stack([F[:, :steps].min(axis=0), F[:, :steps].max(axis=0)])
     e_f = _exponent(f_ext)
     x_ext = np.empty((2, steps, k))
-    G, AD = np.empty((steps, p + 1, p + 1)), np.empty((steps, p + 1, k))
+    S = np.empty((steps, len(U), len(V)))
+    width = max(_SERIAL_PRODUCT // S[0].size, 1)
+    moving, off = np.empty((steps, k), dtype=int), np.empty((steps, p), dtype=int)
     for j in range(steps):
-        dx = DX if held is None else held[:, j].T
-        for row, X in zip(dx, Xs):
+        for row, X in zip(DX, Xs):
             np.subtract(X[:, j + 1], X[:, j], out=row)
-        x_ext[0, j], x_ext[1, j] = dx.min(axis=1), dx.max(axis=1)
+        moving[j] = np.count_nonzero(DX != common[1][j][:, None], axis=1)
+        x_ext[0, j], x_ext[1, j] = DX.min(axis=1), DX.max(axis=1)
+        np.ldexp(DX, -_exponent(x_ext[:, j])[:, None], out=DX)
+        np.square(DX, out=T[k:2 * k])
         for c in range(p):
-            np.ldexp(F[:, j, c], -e_f[j, c], out=A[c + 1])
-        dx = np.ldexp(dx, -_exponent(x_ext[:, j])[:, None], out=DX)
-        G[j] = A @ A.T
-        AD[j] = A @ dx.T
-    return f_ext, x_ext, G, AD
+            off[j, c] = np.count_nonzero(F[:, j, c] != common[0][j, c])
+            np.ldexp(F[:, j, c], -e_f[j, c], out=V[c + 1])
+        for m, (a, b) in enumerate(products, start=p + 1):
+            np.multiply(V[a], V[b], out=V[m])
+        S[j] = 0.0
+        for lo in range(0, n, width):
+            S[j] += U[:, lo:lo + width] @ V[:, lo:lo + width].T
+    return n, f_ext, x_ext, S, moving, off
+
+
+@functools.cache
+def _monomials(p: int) -> tuple:
+    """(degrees, products, at, index, zeros) of the monomials of degree <= 4 in p features
+    (35 for p = 3), by degree; degrees holds each one's power of each feature.  Those of
+    degree <= 3 are the rows of ``_fold_normal``'s V: 1, the features, and then row
+    m = products[m - p - 1] = (a, b), the product of rows a and b (a feature).  Each
+    monomial's sum is S[2k + at[0], at[1]] of the table: the row of 1 against it, or for
+    degree 4 its first feature against the rest.  For the design rows a = [1/2, features],
+    index[d] and zeros[d], shaped (p + 1,) * d, give the monomial of each product a_u a_v
+    ... of d rows and its count of intercepts: the product is 2^-zeros times it."""
+    rows = [()]
+    for d in range(1, 5):
+        rows += itertools.combinations_with_replacement(range(1, p + 1), d)
+    order = {m: i for i, m in enumerate(rows)}
+    products = [(order[m[:-1]], m[-1]) for m in rows[p + 1:] if len(m) < 4]
+    degrees = np.array([[m.count(c) for c in range(1, p + 1)] for m in rows],
+                       dtype=int).reshape(len(rows), p)
+    at = np.array([(m[0], order[m[1:]]) if len(m) == 4 else (0, order[m]) for m in rows],
+                  dtype=int).reshape(len(rows), 2).T
+    index, zeros = {}, {}
+    for d in range(1, 5):
+        cells = list(itertools.product(range(p + 1), repeat=d))
+        index[d] = np.array([order[tuple(sorted(c for c in u if c))] for u in cells]).reshape(
+            (p + 1,) * d)
+        zeros[d] = np.array([u.count(0) for u in cells]).reshape((p + 1,) * d)
+    for table in (degrees, at, *index.values(), *zeros.values()):  # one copy serves all calls
+        table.setflags(write=False)
+    return degrees, products, at, index, zeros
 
 
 def _exponent(ext) -> np.ndarray:
@@ -1002,25 +1013,22 @@ def _reports(specs, groups, blocks, times, z_crit) -> dict:
     """The reports of ``mc_suite`` from the fold of its blocks.
 
     ``specs`` holds each null's (name, start, null, group), the group the index of
-    its features in ``groups`` or None; ``groups`` each features array's (F,
-    n_bad, size, members, increments): F read at the regression steps, its
-    non-finite count and size, the nulls regressed on it, and
-    increments(joined), which reads the one-step increments of those members
-    as ``_sandwich_z`` does; ``blocks`` the ``_fold_block`` records in block order.
+    its features in ``groups`` or None; ``groups`` each features array's (n_bad,
+    size, members): its non-finite count and size, and the nulls regressed on it;
+    ``blocks`` the ``_fold_block`` records in block order.
     """
     reports, joined = {}, [[] for _ in groups]
     for i, (name, start, null, g) in enumerate(specs):
-        _, n_bad, size, members, _ = groups[g] if g is not None else (None, 0, 0, [], None)
+        n_bad, size, members = groups[g] if g is not None else (0, 0, [])
         reports[name], ok = _report(start, null, _merged_moments([m[i] for m, _ in blocks]),
                                     n_bad, size, times, z_crit)
         if ok and i in members:
             joined[g].append(members.index(i))
-    for g, (F, _, _, members, increments) in enumerate(groups):
+    for g, (_, _, members) in enumerate(groups):
         if not joined[g]:
             continue
-        normal = _merged_normal([normal[g] for _, normal in blocks if normal[g] is not None],
-                                joined[g])
-        reg, live = _sandwich_z(F, increments(joined[g]), *normal)
+        reg, live = _sandwich_z(*_merged_normal(
+            [normal[g] for _, normal in blocks if normal[g] is not None], joined[g]))
         for m, reg_z, n_live in zip(joined[g], reg, live):
             name = specs[members[m]][0]
             rep = reports[name]
@@ -1098,113 +1106,80 @@ def _report(start, null, moments, f_bad, f_size, times, z_crit) -> tuple:
 
 
 def _merged_normal(parts, joined) -> tuple:
-    """(G, AD, e_f, e_x) of one group's ``_fold_normal`` records and its nulls
-    ``joined``, per step: the normal equations with every row scaled by the power of
-    two of its extremes over all paths (``_exponent``).  Each block's sums are
-    rescaled from its own scales to these by ``ldexp``, which is exact but where a
-    product falls below the normal range, and added in block order, so they are the
-    sums of the rows scaled at the global scales, block by block."""
-    f_ext = np.stack([np.min([f[0] for f, *_ in parts], axis=0),
-                      np.max([f[1] for f, *_ in parts], axis=0)])
-    x_ext = np.stack([np.min([x[0] for _, x, *_ in parts], axis=0),
-                      np.max([x[1] for _, x, *_ in parts], axis=0)])[:, :, joined]
+    """(n, S, moving, off) of one group's ``_fold_normal`` records and its nulls
+    ``joined``: the paths, the moment tables with each row scaled by the power of two of
+    its extremes over all paths (``_exponent``), and the moving-path counts.  A block's
+    table is rescaled to these scales by ``ldexp`` (a product's shift is the sum of its
+    factors'), exact but where a product falls below the normal range, and the tables
+    add in block order."""
+    f_ext = np.stack([np.min([f[0] for _, f, *_ in parts], axis=0),
+                      np.max([f[1] for _, f, *_ in parts], axis=0)])
+    x_ext = np.stack([np.min([x[0] for _, _, x, *_ in parts], axis=0),
+                      np.max([x[1] for _, _, x, *_ in parts], axis=0)])[:, :, joined]
     e_f, e_x = _exponent(f_ext), _exponent(x_ext)
-    steps, p = e_f.shape
-    G, AD = np.zeros((steps, p + 1, p + 1)), np.zeros((steps, p + 1, len(joined)))
-    shift = np.zeros((steps, p + 1), dtype=e_f.dtype)
-    for f_b, x_b, G_b, AD_b in parts:
-        shift[:, 1:] = _exponent(f_b) - e_f
-        G += np.ldexp(G_b, shift[:, :, None] + shift[:, None, :])
-        AD += np.ldexp(AD_b[:, :, joined],
-                       shift[:, :, None] + (_exponent(x_b[:, :, joined]) - e_x)[:, None, :])
-    return G, AD, e_f, e_x
+    k, p = parts[0][2].shape[2], e_f.shape[1]
+    tables = [*joined, *(k + i for i in joined), *range(2 * k, 2 * k + 1 + p)]
+    degrees = _monomials(p)[0]
+    n, S, moving, off = 0, 0.0, 0, 0
+    for n_b, f_b, x_b, S_b, moving_b, off_b in parts:
+        shift_x, shift_f = _exponent(x_b[:, :, joined]) - e_x, _exponent(f_b) - e_f
+        rows = np.concatenate([shift_x, 2 * shift_x, 0 * shift_f[:, :1], shift_f], axis=1)
+        cols = shift_f @ degrees[:S_b.shape[2]].T
+        S = S + np.ldexp(S_b[:, tables], rows[:, :, None] + cols[:, None, :])
+        n, moving, off = n + n_b, moving + moving_b[:, joined], off + off_b
+    return n, S, moving, off
 
 
-def _sandwich_z(F, increments, G, AD, e_f, e_x) -> tuple:
+def _sandwich_z(n, S, moving, off) -> tuple:
     """Robust z-scores of k nulls' one-step increments on [1, F_j]: (k, R - 1, p + 1),
     and the number of moving paths each null's step rests on: (k, R - 1).
 
-    F is (n, >= R - 1, p), read at the steps j < R - 1; increments(j, lo, hi, out)
-    gives the nulls' (k, hi - lo) increments of step j on paths lo : hi, in ``out``
-    or in place; and G, AD, e_f and e_x are ``_merged_normal``'s normal equations
-    A A^T and A DX^T of the design rows A = [1/2, F_j] and the increment rows DX,
-    each row scaled by 2^-e, which leaves each z-score unchanged and keeps every
-    square finite.  The moving-path count is the fewest paths that move off a
-    common value: of the null's increments, or of a feature column some path moves
-    off, each against the median of its first 2 MIN_SAMPLES - 1 entries
-    (``_common``).  A step where it is below ``MIN_SAMPLES`` has NaN z-scores for
-    that null: a coefficient carried by a handful of paths fits them almost
-    exactly, so its sandwich standard error sits near 0 and gives any z.
-
-    The steps run on a thread pool (``_map``), one task each.  After one
-    pseudo-inverse of G, which gives the coefficients C = G^+ A DX^T (the
-    minimum-norm fit when the features are rank-deficient), a step makes one sweep
-    over blocks of ``_ROWS`` paths, in block order, into buffers of one block
-    that its task makes once: it counts the moving paths and sums the meats of
-    the squared residuals.  Each null's covariance is G^+ meat G^+ (MacKinnon and
+    n, S, moving and off are ``_merged_normal``'s: from S, with the design rows
+    a = [1/2, F_j] and the increment rows dx at the global power-of-two row scales,
+    which leave each z-score unchanged and keep every sum finite, come the normal
+    equations G = sum a a^T and sum a dx, and per null M2 = sum dx^2 a a^T and
+    M3 = sum dx a (x) a (x) a, and M4 = sum a (x) a (x) a (x) a.  One pseudo-inverse
+    of G per step gives the coefficients c = G^+ sum a dx (the minimum-norm fit when
+    the features are rank-deficient), and the HC0 meat sum (dx - c^T a)^2 a a^T is
+    M2 - 2 c.M3 + c c : M4.  Each null's covariance is G^+ meat G^+ (MacKinnon and
     White's HC0 sandwich, its diagonal floored at 1e-300), so the fit and the
     covariance cut the same directions: those of G below (p + 1) n eps of its
-    largest, the rounding of its n-term sums.  The meats of all nulls come from two
-    products of the squared residuals: with A, whose rows are twice the
-    intercept's row products A_0 A_b, and with the products A_a A_b for
-    1 <= a <= b.
+    largest, the rounding of its n-term sums.  A meat that cancels to rounding (an
+    exact fit) floors its standard errors, so a nonzero coefficient rejects.
+
+    The moving-path count is the fewest paths that move off a common value: of the
+    null's increments, or of a feature column some path moves off, each against the
+    median of its first 2 MIN_SAMPLES - 1 entries (``_commons``).  A step where it is
+    below ``MIN_SAMPLES`` has NaN z-scores for that null: a coefficient carried by a
+    handful of paths fits them almost exactly, so its sandwich standard error sits
+    near 0 and gives any z.
     """
-    n, _, p = F.shape
-    k = e_x.shape[1]
-    rows, cols = np.triu_indices(p)
-    rows += 1
-    cols += 1
-    out = np.empty((k, len(e_x), p + 1))
-    live = np.empty((k, len(e_x)), dtype=int)
-    rtol = (p + 1) * n * np.finfo(float).eps
-    blocks = [(lo, min(lo + _ROWS, n)) for lo in range(0, n, _ROWS)]
-    head = min(2 * MIN_SAMPLES - 1, n)
-
-    def step(j):
-        A = np.empty((p + 1, min(_ROWS, n)))
-        A[0] = 0.5
-        P = np.empty((len(rows), A.shape[1]))
-        DX = np.empty((k, A.shape[1]))
-        feats = [F[:, j, c] for c in range(p)]
-        on_features = [np.count_nonzero(f != _common(f[:head])) for f in feats]
-        common = np.array([_common(row) for row in increments(j, 0, head, DX)])[:, None]
-        G_inv = np.linalg.pinv(G[j], rcond=rtol, hermitian=True)
-        C = G_inv @ AD[j]
-        moving = np.zeros(k, dtype=int)
-        on_a, on_p = np.zeros((k, p + 1)), np.zeros((k, len(rows)))
-        for lo, hi in blocks:
-            dx = increments(j, lo, hi, DX)
-            moving += np.count_nonzero(dx != common, axis=1)
-            a = A[:, :hi - lo]
-            for c, f in enumerate(feats):
-                np.ldexp(f[lo:hi], -e_f[j, c], out=a[c + 1])
-            dx = np.ldexp(dx, -e_x[j][:, None], out=DX[:, :hi - lo])
-            for i in range(k):
-                dx[i] -= C[:, i] @ a
-            np.square(dx, out=dx)
-            pr = P[:, :hi - lo]
-            for q, (r, c) in enumerate(zip(rows, cols)):
-                np.multiply(a[r], a[c], out=pr[q])
-            on_a += dx @ a.T
-            on_p += dx @ pr.T
-        live[:, j] = np.minimum(moving, min((c for c in on_features if c > 0), default=n))
-        meat = np.empty((k, p + 1, p + 1))
-        meat[:, 0, :] = meat[:, :, 0] = 0.5 * on_a
-        meat[:, rows, cols] = meat[:, cols, rows] = on_p
-        cov = G_inv @ meat @ G_inv
-        se = np.sqrt(np.maximum(np.diagonal(cov, axis1=1, axis2=2), 1e-300))
-        out[:, j] = C.T / se
-        out[live[:, j] < MIN_SAMPLES, j] = np.nan
-
-    _map(step, range(len(e_x)), n)
+    p, k = off.shape[1], moving.shape[1]
+    _, _, at, index, zeros = _monomials(p)
+    linear, square, ones = S[:, :k], S[:, k:2 * k], S[:, 2 * k + at[0], at[1]]
+    G = np.ldexp(ones[:, index[2]], -zeros[2])
+    AD = np.ldexp(linear[:, :, index[1]], -zeros[1])
+    M2 = np.ldexp(square[:, :, index[2]], -zeros[2])
+    M3 = np.ldexp(linear[:, :, index[3]], -zeros[3])
+    M4 = np.ldexp(ones[:, index[4]], -zeros[4])
+    G_inv = np.linalg.pinv(G, rcond=(p + 1) * n * np.finfo(float).eps, hermitian=True)
+    C = (G_inv @ AD.swapaxes(1, 2)).swapaxes(1, 2)  # (steps, k, p + 1): each null's c
+    meat = (M2 - 2.0 * np.einsum("skuvw,skw->skuv", M3, C)
+            + np.einsum("suvwx,skw,skx->skuv", M4, C, C))
+    cov = G_inv[:, None] @ meat @ G_inv[:, None]
+    se = np.sqrt(np.maximum(np.diagonal(cov, axis1=2, axis2=3), 1e-300))
+    live = np.minimum(moving, np.where(off > 0, off, n).min(axis=1, initial=n)[:, None]).T
+    out = (C / se).transpose(1, 0, 2)
+    out[live < MIN_SAMPLES] = np.nan
     return out, live
 
 
 def _common(head):
-    """The median of ``head``, a row's first 2 MIN_SAMPLES - 1 entries: if fewer
-    than MIN_SAMPLES entries of the row differ from some value, that median is it."""
+    """The median of ``head`` along its first axis, a column's first 2 MIN_SAMPLES - 1
+    entries: if fewer than MIN_SAMPLES entries of the column differ from some value,
+    that median is it."""
     mid = (len(head) - 1) // 2
-    return np.partition(head, mid)[mid]
+    return np.partition(head, mid, axis=0)[mid]
 
 
 def _feature_matrix(b):

@@ -731,9 +731,9 @@ def test_simulate_summary_holds_the_suite_table(tmp_path):
     assert ({name: result["null"] for name, result in summary["results"].items()}
             == {name: null for name, _, null, *_ in jd.SUITE})
     sc, extras = modelio.load_scenario(tmp_path / "scenario.json")
-    _, fold, _ = jd.simulate_suite(sc, jd.solve_drift(sc, extras["psi2"]), extras["psi2"],
-                                   theta=extras["theta"], phi_o=extras["phi_o"])
-    _, n_z, z_crit = jd.suite_reports(fold)
+    _, _, n_z, z_crit, _ = jd.simulate_suite(sc, jd.solve_drift(sc, extras["psi2"]),
+                                             extras["psi2"], theta=extras["theta"],
+                                             phi_o=extras["phi_o"])
     assert (summary["alpha"], summary["n_zscores"], summary["z_crit"]) == (jd.SUITE_ALPHA, n_z,
                                                                            z_crit)
     assert n_z == 240 and f"{z_crit:.3f}" == "4.097"

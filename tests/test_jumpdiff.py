@@ -218,60 +218,73 @@ def test_suite_pass_keeps_the_first_paths_across_chunks(monkeypatch):
             assert np.array_equal(s_kept[key], s_whole[key]), key
 
 
-def test_suite_pass_holds_little_beyond_its_outputs(monkeypatch):
-    # 40 chunks on 2 workers, each drawn, evaluated and folded in turn: the traced
-    # peak stays within 1.25x of the bytes the pass holds, the 6 regressed nulls'
-    # increments and the 3 features at the 7 regression steps (63 doubles per path);
-    # the suite's arrays (97 doubles per path) held beside them would read over 2.5x
+def _traced_growth(run):
+    """The traced peak of run(n_paths) per path added from 20k to 80k paths, after one
+    untraced call that loads what the call imports and caches."""
     import tracemalloc
 
-    monkeypatch.setattr(jd, "_ROWS", 1024)
-    monkeypatch.setattr(jd, "_workers", lambda: 2)
-    sc = scenario(n_paths=40_000)
-    psi1 = solve_drift(sc, 1.0)
-    tracemalloc.start()
-    try:
-        _, fold, _ = jd.simulate_suite(sc, psi1, 1.0, theta=0.5, keep_paths=4)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    held = fold.increments.nbytes + fold.features.nbytes
-    assert held == 63 * 8 * sc.n_paths and peak < 1.25 * held, peak / held
-
-
-def test_mc_suite_holds_one_block_per_worker_beside_its_inputs(monkeypatch):
-    # blocks of 1024 paths on 2 workers: beside the 63 doubles per path that the
-    # pass holds, the streamed suite's reports allocate under a tenth of their
-    # bytes, and so does mc_suite beside the nulls and features it reads in place;
-    # a sandwich that forms each step's design, product and increment rows over all
-    # paths reads about 0.36 of the suite's arrays
-    import tracemalloc
-
-    monkeypatch.setattr(jd, "_ROWS", 1024)
-    monkeypatch.setattr(jd, "_workers", lambda: 2)
-    sc = scenario(n_paths=40_000)
-    psi1 = solve_drift(sc, 1.0)
-    _, fold, _ = jd.simulate_suite(sc, psi1, 1.0, theta=0.5)
-    held = fold.increments.nbytes + fold.features.nbytes
-    tests, _, z_crit = jd.suite_tests(simulate(sc), psi1, 1.0, theta=0.5)
-    inputs = sum(values.nbytes for values, *_ in tests.values()) + tests["m"][3].nbytes
-    for run, base in ((lambda: jd.suite_reports(fold)[0], held),
-                      (lambda: jd.mc_suite(tests, fold.report_times, z_crit=z_crit), inputs)):
+    run(3000)
+    peaks = []
+    for n in (20_000, 80_000):
         tracemalloc.start()
         try:
-            reports = run()
-            peak = tracemalloc.get_traced_memory()[1]
+            run(n)
+            peaks.append(tracemalloc.get_traced_memory()[1])
         finally:
             tracemalloc.stop()
-        assert len(reports) == 9 and (base + peak) / base < 1.1, (base + peak) / base
+    return (peaks[1] - peaks[0]) / 60_000
+
+
+# In chunks of 1024 paths the pass keeps one _fold_block record per chunk: the moment
+# table (7 steps x 16 rows x 20 monomials, 17.9 KB), the 9 nulls' moments (2.9 KB), the
+# extremes and counts (1.5 KB) and their array headers, about 28 KB, or 28 B per path.
+# The peak of the pass, or of mc_suite beside its inputs, may grow by no more than
+# 64 B per path; holding the 63 increments and features per path would add 504.
+RECORD_BYTES_PER_PATH = 64
+
+
+def test_suite_pass_grows_by_its_block_records_alone(monkeypatch):
+    # 20 to 79 chunks on 2 workers, each drawn, evaluated and folded in turn
+    monkeypatch.setattr(jd, "_ROWS", 1024)
+    monkeypatch.setattr(jd, "_workers", lambda: 2)
+
+    def run(n):
+        sc = scenario(n_paths=n)
+        jd.simulate_suite(sc, solve_drift(sc, 1.0), 1.0, theta=0.5, keep_paths=4)
+
+    growth = _traced_growth(run)
+    assert growth < RECORD_BYTES_PER_PATH, growth
+
+
+def test_mc_suite_holds_one_block_record_per_block_beside_its_inputs(monkeypatch):
+    # blocks of 1024 paths on 2 workers: mc_suite reads the suite's arrays in place
+    # and, beside them, grows by its block records alone, as the streamed pass does,
+    # whose reports it gives bit for bit
+    monkeypatch.setattr(jd, "_ROWS", 1024)
+    monkeypatch.setattr(jd, "_workers", lambda: 2)
+    suites = {}
+    for n in (3000, 20_000, 80_000):
+        sc = scenario(n_paths=n)
+        suites[n] = sc, jd.suite_tests(simulate(sc), solve_drift(sc, 1.0), 1.0, theta=0.5)
+
+    def run(n):
+        sc, (tests, _, z_crit) = suites[n]
+        reports = jd.mc_suite(tests, sc.horizon * np.arange(1, 9) / 8, z_crit=z_crit)
+        assert len(reports) == 9
+
+    growth = _traced_growth(run)
+    assert growth < RECORD_BYTES_PER_PATH, growth
+    sc, (tests, _, z_crit) = suites[20_000]
+    streamed = jd.simulate_suite(sc, solve_drift(sc, 1.0), 1.0, theta=0.5)[1]
+    _assert_same_reports(streamed, jd.mc_suite(tests, sc.horizon * np.arange(1, 9) / 8,
+                                               z_crit=z_crit))
 
 
 def test_many_workers_switching_often_give_the_same_bits(monkeypatch):
     # 8 workers on chunks of 97 rows, the interpreter switching threads every
     # microsecond, against one worker (inline) on the same chunks: a row written
     # to the wrong place, a block record out of order, or a buffer two tasks
-    # share would change a bundle array, a deflator, a null's array, a held
-    # array or a report
+    # share would change a bundle array, a deflator, a null's array or a report
     sc = scenario(n_paths=3000, lam=12.0)
     monkeypatch.setattr(jd, "_ROWS", 97)
 
@@ -279,10 +292,9 @@ def test_many_workers_switching_often_give_the_same_bits(monkeypatch):
         b = simulate(sc, keep_paths=3)
         Z = build_deflator(b, solve_drift(sc, 1.0), 1.0, phi_o=0.25)["Z"]
         tests, _, _ = jd.suite_tests(b, solve_drift(sc, 1.0), 1.0, theta=0.7, phi_o=0.25)
-        _, fold, residual = jd.simulate_suite(sc, solve_drift(sc, 1.0), 1.0, theta=0.7,
-                                              phi_o=0.25)
-        return b, Z, tests, jd.mc_suite(tests, b.report_times), (fold, residual,
-                                                                  jd.suite_reports(fold)[0])
+        kept, streamed, *_, residual = jd.simulate_suite(sc, solve_drift(sc, 1.0), 1.0,
+                                                         theta=0.7, phi_o=0.25, keep_paths=3)
+        return b, Z, tests, jd.mc_suite(tests, b.report_times), (kept, streamed, residual)
 
     monkeypatch.setattr(jd, "_workers", lambda: 1)
     reference = pipeline()
@@ -308,9 +320,10 @@ def test_many_workers_switching_often_give_the_same_bits(monkeypatch):
         assert np.array_equal(values, tests_ref[name][0]), name
         assert feats is None or np.array_equal(feats, tests_ref[name][3]), name
     _assert_same_reports(reports, reports_ref)
-    (fold, residual, streamed), (fold_ref, residual_ref, streamed_ref) = arrays, arrays_ref
-    assert np.array_equal(fold.increments, fold_ref.increments)
-    assert np.array_equal(fold.features, fold_ref.features) and residual == residual_ref
+    (kept, streamed, residual), (kept_ref, streamed_ref, residual_ref) = arrays, arrays_ref
+    for name in BUNDLE_FIELDS:
+        assert np.array_equal(getattr(kept, name), getattr(kept_ref, name)), name
+    assert residual == residual_ref
     _assert_same_reports(streamed, streamed_ref)
 
 
@@ -321,14 +334,15 @@ def test_path_arrays_are_column_major(n_paths, monkeypatch):
     b = simulate(sc, keep_paths=2)
     psi1 = solve_drift(sc, 1.0)
     arrays = {name: getattr(b, name) for name in jd._PER_REPORT}
-    tests, _, _ = jd.suite_tests(b, psi1, 1.0, theta=0.8, phi_o=0.25, phi_pr=-0.1)
+    tests, _, z_crit = jd.suite_tests(b, psi1, 1.0, theta=0.8, phi_o=0.25, phi_pr=-0.1)
     arrays.update({f"suite {name}": values for name, (values, *_) in tests.items()},
                   features=tests["m"][3], **build_deflator(b, psi1, 1.0, phi_o=0.25, phi_pr=-0.1))
-    _, fold, _ = jd.simulate_suite(sc, psi1, 1.0, theta=0.8, phi_o=0.25, phi_pr=-0.1)
-    arrays.update(held_increments=fold.increments, held_features=fold.features)
     for name, arr in arrays.items():
         assert arr.shape[0] == n_paths and arr.ndim >= 2, name
         assert arr.flags.f_contiguous and not arr.flags.c_contiguous, name
+    # the streamed pass folds its chunks in that layout, as mc_suite folds these arrays
+    streamed = jd.simulate_suite(sc, psi1, 1.0, theta=0.8, phi_o=0.25, phi_pr=-0.1)[1]
+    _assert_same_reports(streamed, jd.mc_suite(tests, b.report_times, z_crit=z_crit))
 
 
 def test_mc_suite_same_on_row_and_column_major_copies():
@@ -650,13 +664,14 @@ def _assert_same_reports(got, want):
             == (rep.rejected, rep.max_abs_z, rep.warning, rep.null), name
 
 
-@pytest.mark.parametrize("rows,workers", [(64, 2), (64, 1), (10**9, 2)],
-                         ids=["pooled", "inline", "one-block"])
+@pytest.mark.parametrize("rows,workers", [(64, 2), (64, 1), (10**9, 2), (16, 2)],
+                         ids=["pooled", "inline", "one-block", "head-across-blocks"])
 def test_streamed_suite_equals_mc_suite_on_suite_tests(rows, workers, monkeypatch):
     # 300 paths in blocks of 64, the last of 44, with kept paths: the streamed suite,
-    # on the pool or inline, holds the increments and features of suite_tests' arrays,
-    # made in chunks of the default size, and its reports are mc_suite's over those
-    # arrays, folded in the same blocks; in one block of all paths too
+    # on the pool or inline, gives mc_suite's reports over suite_tests' arrays, made in
+    # chunks of the default size and folded in the same blocks; in one block of all
+    # paths too, and in blocks of 16, where the 39 paths of the common values, drawn
+    # first, span three blocks
     sc = scenario(n_paths=300, lam=6.0)
     psi1, psi2, theta, phi_o, phi_pr = solve_drift(sc, 1.3), 1.3, -0.6, 0.25, -0.1
     b = simulate(sc, keep_paths=3)
@@ -664,19 +679,14 @@ def test_streamed_suite_equals_mc_suite_on_suite_tests(rows, workers, monkeypatc
     residual = closed_forms(b)["m_identity_residual"]
     monkeypatch.setattr(jd, "_ROWS", rows)
     monkeypatch.setattr(jd, "_workers", lambda: workers)
-    _, fold, got_residual = jd.simulate_suite(sc, psi1, psi2, theta=theta, phi_o=phi_o,
-                                              phi_pr=phi_pr)
-    streamed = jd.suite_reports(fold)
-    assert streamed[1:] == (n_z, z_crit)
-    _assert_same_reports(streamed[0], jd.mc_suite(tests, b.report_times, z_crit=z_crit))
-    assert streamed[0]["deflator_with_default_leg"].null == "supermartingale"
-    regressed = [name for name, (*_, feats) in tests.items() if feats is not None]
-    assert fold.increments.shape == (300, 7, len(regressed)) == (300, 7, 6)
-    for i, name in enumerate(regressed):
-        values = tests[name][0]
-        want = values[:, 1:] - values[:, :-1]
-        assert np.array_equal(_bits(fold.increments[:, :, i]), _bits(want)), name
-    assert np.array_equal(_bits(fold.features), _bits(tests["m"][3][:, :-1]))
+    kept, streamed, *counts, got_residual = jd.simulate_suite(
+        sc, psi1, psi2, theta=theta, phi_o=phi_o, phi_pr=phi_pr, keep_paths=3)
+    assert counts == [n_z, z_crit]
+    _assert_same_reports(streamed, jd.mc_suite(tests, b.report_times, z_crit=z_crit))
+    assert streamed["deflator_with_default_leg"].null == "supermartingale"
+    assert sum(rep.regression_z is not None for rep in streamed.values()) == 6
+    for name in BUNDLE_FIELDS[1:]:  # every per-path field
+        assert np.array_equal(getattr(kept, name), getattr(b, name)[:3]), name
     assert got_residual == residual and residual > 0.0
 
 
@@ -1133,6 +1143,24 @@ def test_regression_rescale_at_the_scale_edges(monkeypatch):
     assert not np.isnan(reports["scaled"].regression_z).any()
     assert np.isnan(reports["frozen"].regression_z[1]).all()
     assert not np.isnan(reports["frozen"].regression_z[[0, 2]]).any()
+
+
+@pytest.mark.parametrize("rows", [8192, 97], ids=["one-block", "many-blocks"])
+def test_exact_linear_increments_fail_closed(rows, monkeypatch):
+    # increments exactly 0.5 F_0 (small integers, so every sum is exact) on paths in
+    # pairs (f, -f), so every mean is exactly 0: the residuals are 0 and the folded
+    # meat M2 - 2 c.M3 + c c : M4 cancels to rounding, which must floor the slope's
+    # standard error and reject, as a sweep over the residuals does; a meat that
+    # cancelled to a positive multiple of M2 would give the slope a z of about 24
+    monkeypatch.setattr(jd, "_ROWS", rows)
+    half = np.random.default_rng(23).integers(-8, 9, size=(1000, 4, 2)).astype(float)
+    feats = np.concatenate([half, -half])
+    vals = np.zeros((2000, 4))
+    vals[:, 1:] = np.cumsum(0.5 * feats[:, :-1, 0], axis=1)
+    assert np.array_equal(np.diff(vals, axis=1), 0.5 * feats[:, :-1, 0])
+    rep = mc_test(vals, [0.25, 0.5, 0.75, 1.0], start=0.0, features=feats)
+    assert np.array_equal(rep.zscores, np.zeros(4)) and rep.warning is None
+    assert rep.rejected and (np.abs(rep.regression_z[:, 1]) > 1e6).all()
 
 
 def test_moments_over_many_blocks_match_numpy(monkeypatch):
