@@ -92,8 +92,8 @@ def cmd_deflate(args) -> int:
         if args.route:
             params = replace(params, route=args.route)
         rts = enl.build_survival(doc.space, doc.tau)
-    except (SpaceValidationError, ContractViolationError) as exc:
-        return _fail(2, f"input error: {exc}")
+    except (SpaceValidationError, ContractViolationError, AdmissibilityError) as exc:
+        return _fail(2, f"input error: {exc}")  # AdmissibilityError: a table or route
     try:
         deflator = dfl.ROUTES[params.route][1](params, rts)
     except AdmissibilityError as exc:

@@ -16,7 +16,8 @@ forms each exponential's one-step factors 1 + p_k dX_k once, yields the
 admissibility report that ``validate`` returns and, resumed by a ``build_*``
 once that report passes, the deflator built from the same tables.
 ``validate`` raises where a route's checks precede its report: every parameter
-is a number or a finite (atoms, T+1) table, and a product route's base positive.
+meets the one table rule, ``_full`` (numbers only, a number or a finite
+(atoms, T+1) table), and a product route's base is positive.
 
 On trees where no sub-cell dies while a sibling survives (``regular`` random
 times, the discrete counterpart of the G > 0 hypothesis of the continuous
@@ -35,6 +36,7 @@ and the split of a deflator at a stopping time.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 
 import numpy as np
@@ -149,15 +151,27 @@ class Representation:
     g_positive: Array | None = None
 
 
-def _full(rts, x, name: str, positive: bool = False) -> Array:
-    """Broadcast a number to an (atom, time) table; None reads 1 if ``positive``, else 0.
+def _full(shape, x, name: str, positive: bool = False) -> Array:
+    """The one rule of a parameter table: ``x`` broadcast to ``shape``, (atoms, T+1).
 
-    A table must have that shape.  Every cell, a dead one too (an exponential multiplies
-    in every cell), must be finite, and positive if ``positive``; else the error names
-    the first bad cell.
+    None reads 1 if ``positive``, else 0.  ``x`` must hold numbers only (no bool, no text,
+    no ragged rows) and be a number or a table of that shape.  Every cell, a dead one too
+    (an exponential multiplies in every cell), must be finite, and positive if ``positive``;
+    else the error names ``name``, and the first bad cell.
     """
-    x = as_values(float(positive) if x is None else x)
-    shape = (rts.space.n_atoms, rts.horizon + 1)
+    x = getattr(x, "values", float(positive) if x is None else x)
+    try:
+        values = np.asarray(x)
+        numbers = values.dtype.kind in "iuf"
+    except ValueError:  # ragged rows
+        numbers = False
+    if numbers and isinstance(x, list):  # numpy reads a bool among Python numbers as a number
+        cells = itertools.chain.from_iterable(x) if values.ndim > 1 else x
+        numbers = {bool, np.bool_}.isdisjoint(map(type, cells))
+    if not numbers:
+        raise AdmissibilityError(f"{name} must be a number or a table of numbers: "
+                                 "no bool, no text, no ragged rows")
+    x = np.asarray(values, dtype=float)
     if x.ndim == 0:
         x = np.full(shape, float(x))
     elif x.shape != shape:
@@ -173,7 +187,7 @@ def _full(rts, x, name: str, positive: bool = False) -> Array:
 
 def _tables(params: DeflatorParams, rts, *names) -> tuple:
     """The named parameter tables, each broadcast and checked by :func:`_full`."""
-    return tuple(_full(rts, getattr(params, name), name) for name in names)
+    return tuple(_full(rts.G.shape, getattr(params, name), name) for name in names)
 
 
 def default_exponential(phi, rts: RandomTimeStructure) -> Array:
@@ -182,12 +196,12 @@ def default_exponential(phi, rts: RandomTimeStructure) -> Array:
     The factor at k is 1 + phi_k G_k / G~_k on {tau = k} and
     1 - phi_k dD_opt_k / G~_k on {tau > k}; 1 after tau.
     """
-    return _compound(_steps(rts.dN_G, _full(rts, phi, "phi")))
+    return _compound(_steps(rts.dN_G, _full(rts.G.shape, phi, "phi")))
 
 
 def progressive_exponential(phi_pr, rts: RandomTimeStructure) -> Array:
     """E(phi_pr . D): a single factor 1 + phi_pr at the default date (>= 1)."""
-    return _compound(_steps(rts.dD, _full(rts, phi_pr, "phi_pr")))
+    return _compound(_steps(rts.dD, _full(rts.G.shape, phi_pr, "phi_pr")))
 
 
 def survival_discount(rts: RandomTimeStructure) -> Array:
@@ -202,7 +216,7 @@ def induced_base(K_F, rts: RandomTimeStructure) -> Array:
     filtration on every tree; it equals (E(K_F))^tau / Z_bar^tau wherever the
     random time is regular.
     """
-    dK_F = _martingale_steps(_full(rts, K_F, "K_F"), rts, True)
+    dK_F = _martingale_steps(_full(rts.G.shape, K_F, "K_F"), rts, True)
     return _compound(_steps(_driver_steps(dK_F, rts)))
 
 
@@ -300,7 +314,7 @@ def _additive(params: DeflatorParams, rts):
 
 def _multiplicative(params: DeflatorParams, rts):
     """The product route: yields its report, then, resumed, its deflator."""
-    Z_F = _full(rts, params.Z_F, "multiplicative base", positive=True)
+    Z_F = _full(rts.G.shape, params.Z_F, "multiplicative base", positive=True)
     phi_o, phi_pr = _tables(params, rts, "phi_o", "phi_pr")
     steps_o, steps_pr = _steps(rts.dN_G, phi_o), _steps(rts.dD, phi_pr)
     bounds, inside = _optional(phi_o, rts.G_tilde, rts)
@@ -320,8 +334,8 @@ def _multiplicative(params: DeflatorParams, rts):
 
 def _measure_change(params: DeflatorParams, rts, market=None):
     """Measure-change route (oracle tol 1e-9): yields its report, then, resumed, its deflator."""
-    Z_QF = _full(rts, params.Z_QF, "measure-change base", positive=True)
-    phi = _full(rts, params.phi, "phi")
+    Z_QF = _full(rts.G.shape, params.Z_QF, "measure-change base", positive=True)
+    phi = _full(rts.G.shape, params.phi, "phi")
     steps = _steps(rts.dN_G, phi)
     bounds, inside = _optional(phi, rts.G_tilde, rts)
     report = _report("measure-change", steps, None, rts, {"optional": inside}, bounds)
@@ -358,8 +372,8 @@ def validate(params: DeflatorParams, rts: RandomTimeStructure) -> AdmissibilityR
     +/-infinity; the overall verdict is the strict positivity of every
     realized exponential factor of the would-be deflator plus the progressive
     collapse condition (the integrand against D must vanish at tau).  A parameter
-    table of the wrong shape or with a non-finite cell, or a product route's base
-    with a cell <= 0, raises, as in its builder.
+    table that is not numbers, of the wrong shape or with a non-finite cell, or a
+    product route's base with a cell <= 0, raises, as in its builder.
     """
     return next(ROUTES[params.route][0](params, rts))
 
@@ -432,7 +446,7 @@ def additive_to_multiplicative(params: DeflatorParams, rts) -> DeflatorParams:
 
 def multiplicative_to_additive(params: DeflatorParams, rts) -> DeflatorParams:
     """Re-scale product parameters into the additive parametrization."""
-    Z_F = _full(rts, 1.0 if params.Z_F is None else params.Z_F, "Z_F")
+    Z_F = _full(rts.G.shape, 1.0 if params.Z_F is None else params.Z_F, "Z_F")
     K_F, V = multiplicative_decomposition(rts.space, Z_F)
     phi_o, phi_pr = _tables(params, rts, "phi_o", "phi_pr")
     dY = _driver_steps(increments(K_F), rts)
@@ -519,7 +533,8 @@ def reassemble(start, M_F, phi, rts: RandomTimeStructure) -> Array:
     """Rebuild M_0 + (1/G_minus^2) . T(M_F) + phi . N_G from decomposition data."""
     gm = rts.G_minus
     weight = _ratio(1.0, gm * gm, where=gm > 0)
-    inc = weight * _transport_steps(increments(M_F), rts) + _full(rts, phi, "phi") * rts.dN_G
+    inc = (weight * _transport_steps(increments(M_F), rts)
+           + _full(rts.G.shape, phi, "phi") * rts.dN_G)
     inc[:, 0] = start
     return np.cumsum(inc, axis=1)
 
@@ -534,7 +549,7 @@ def represent_payoff(h, rts: RandomTimeStructure) -> Representation:
     is verified node for node on {G > 0}; a residual above 1e-10 raises.
     """
     space, T = rts.space, rts.horizon
-    hv = _full(rts, h, "h")
+    hv = _full(rts.G.shape, h, "h")
     if not space.filtration.is_adapted(hv, tol=1e-12):
         raise ContractViolationError("payoff must be adapted")
     h_int = np.cumsum(hv * rts.dD_opt, axis=1)

@@ -581,22 +581,33 @@ def _m_residual(b) -> float:
 def solve_drift(sc: JumpDiffusionScenario, psi2: float) -> float:
     """The Brownian loading making the deflated price driftless.
 
-    Solves mu + psi1 sigma + (psi2 - 1) zeta lam = 0 for psi1; psi2 must be
-    strictly positive, and psi1^2 * horizon finite.
+    Solves mu + psi1 sigma + (psi2 - 1) zeta lam = 0 for psi1.  Checked in this
+    order: psi2 > 0, psi1^2 * horizon finite, then the exponent bound of
+    ``_check_psi2``.
     """
-    _check_psi2(psi2)
     psi1 = -(sc.mu + (psi2 - 1.0) * sc.zeta * sc.lam) / sc.sigma
-    if not math.isfinite(psi1 * psi1 * sc.horizon):
+    if psi2 > 0.0 and not math.isfinite(psi1 * psi1 * sc.horizon):  # else _check_psi2 raises
         raise SpaceValidationError(
             f"the market price of risk -(mu + (psi2 - 1) zeta lam) / sigma = {psi1:.3g} "
             "overflows: its square times the horizon must be finite")
+    _check_psi2(sc, psi2)
     return psi1
 
 
-def _check_psi2(psi2) -> None:
-    """The rule of ``solve_drift`` and ``check_deflator``: psi2 > 0 (so not NaN)."""
+def _check_psi2(sc, psi2) -> None:
+    """The psi2 rule of ``solve_drift`` and ``check_deflator``: psi2 > 0 (so not NaN), then
+    |psi2 - 1| lam, the exponent of psi2^N exp(-(psi2 - 1) lam t), within ``_check_exponent``."""
     if not psi2 > 0.0:
         raise AdmissibilityError("psi2 must be strictly positive")
+    _check_exponent(sc, "psi2", psi2, abs(psi2 - 1.0) * sc.lam, "|psi2 - 1| lam")
+
+
+def _check_exponent(sc, name, value, rate, formula) -> None:
+    """Raise :class:`SpaceValidationError` naming ``name`` unless ``rate``, an exponent's
+    coefficient of time, times the horizon stays within MAX_EXPONENT (so not NaN)."""
+    if not rate * sc.horizon <= MAX_EXPONENT:
+        raise SpaceValidationError(f"{name} = {value:.3g}: {formula} times the horizon must "
+                                   f"not exceed {MAX_EXPONENT:g}")
 
 
 def _transported_poisson(b):
@@ -628,9 +639,17 @@ def build_deflator(bundle: PathBundle, psi1: float, psi2: float, *,
 
 def check_deflator(bundle: PathBundle, psi2: float, *, phi_o: float = 0.0,
                    phi_pr: float = 0.0) -> None:
-    """Raise :class:`AdmissibilityError` unless the deflator of ``build_deflator``
-    is admissible on every path: psi2, phi_o and phi_pr first, then ``_check_paths``."""
-    _check_psi2(psi2)
+    """Raise unless the deflator of ``build_deflator`` is admissible on every path:
+    psi2, phi_o and phi_pr first (``_check_loadings``), then ``_check_paths``."""
+    _check_loadings(bundle.scenario, psi2, phi_o, phi_pr)
+    _check_paths(bundle, psi2, phi_o, 0)
+
+
+def _check_loadings(sc, psi2, phi_o, phi_pr) -> None:
+    """``check_deflator``'s rules on the parameters alone, in this order: ``_check_psi2``,
+    then :class:`AdmissibilityError` unless phi_o > -1 and -1 < phi_pr <= 0, then
+    :class:`SpaceValidationError` unless phi_o is finite."""
+    _check_psi2(sc, psi2)
     if not phi_o > -1.0:
         raise AdmissibilityError("phi_o must exceed -1 before the first jump")
     if not phi_pr > -1.0:
@@ -638,7 +657,8 @@ def check_deflator(bundle: PathBundle, psi2: float, *, phi_o: float = 0.0,
     if phi_pr > 0.0:  # Z = M (1 + phi_pr 1{tau <= t}) with M > 0 a unit-mean martingale
         raise AdmissibilityError("phi_pr must not exceed 0: above, E[Z_t] > 1 once default "
                                  "can occur, so Z is no supermartingale deflator")
-    _check_paths(bundle, psi2, phi_o, 0)
+    if not math.isfinite(phi_o):
+        raise SpaceValidationError("phi_o must be finite")
 
 
 def _check_paths(b, psi2, phi_o, first) -> None:
@@ -679,10 +699,15 @@ def _deflator_factors(sc, times, W, W_tau, tau, t1, from_second, psi1, psi2, phi
 
 
 def check_wealth(sc: JumpDiffusionScenario, theta: float) -> None:
-    """Raise :class:`AdmissibilityError` unless theta is finite and 1 + theta zeta > 0."""
+    """Raise :class:`AdmissibilityError` unless theta is finite and 1 + theta zeta > 0,
+    then :class:`SpaceValidationError` unless the wealth's exponent rates theta^2 sigma^2
+    and |theta (mu - zeta lam)| meet ``_check_exponent``."""
     if not (math.isfinite(theta) and 1.0 + theta * sc.zeta > 0.0):
         raise AdmissibilityError(
             f"theta = {theta:g} is inadmissible: 1 + theta zeta must be positive")
+    _check_exponent(sc, "theta", theta, theta * theta * sc.sigma * sc.sigma, "theta^2 sigma^2")
+    _check_exponent(sc, "theta", theta, abs(theta * (sc.mu - sc.zeta * sc.lam)),
+                    "|theta (mu - zeta lam)|")
 
 
 def _wealth(b, theta):
@@ -721,15 +746,16 @@ def simulate_suite(sc: JumpDiffusionScenario, psi1: float, psi2: float, *, theta
     paths runs ``SUITE``'s kernels and is one block of ``_fold_block``, so the pass keeps one
     record per block.  The first 2 MIN_SAMPLES - 1 paths, drawn first, give the common
     values of ``_commons``; the chunks that hold them draw only their other paths, so each
-    path is drawn once.  ``keep_paths``, then psi2, phi_o and phi_pr, then theta are checked
-    before any draw; the paths then meet the path rule, the first ones first and the others
-    raised in chunk order (``_map``), so a breach names the first offending path.
+    path is drawn once.  psi2, phi_o and phi_pr (``_check_loadings``), then theta
+    (``check_wealth``), then ``keep_paths`` are checked before any draw; the paths then meet
+    the path rule, the first ones first and the others raised in chunk order (``_map``), so a
+    breach names the first offending path.
     """
+    _check_loadings(sc, psi2, phi_o, phi_pr)
+    check_wealth(sc, theta)
     rep, draw = _paths(sc, None, keep_paths)
     n, R = sc.n_paths, len(rep)
     kept = _empty_bundle(sc, rep, keep_paths)
-    check_deflator(_rows(kept, 0, 0), psi2, phi_o=phi_o, phi_pr=phi_pr)  # 0 paths: loadings alone
-    check_wealth(sc, theta)
 
     head = _empty_bundle(sc, rep, min(2 * MIN_SAMPLES - 1, n))
     head.samples = draw(head, 0)

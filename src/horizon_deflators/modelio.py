@@ -9,8 +9,12 @@ bits down each column, formats their distinct values in one ``%`` pass, and
 gives each text its separator (the first column also its row key), so a row
 is its label and one text per value.
 
-The loaders only parse: each model or scenario rule is checked once, by the
-object it constrains (see :func:`load_model` and :func:`load_scenario`).
+The loaders only parse: each rule of a model, a parameter table or a scenario
+is checked once, by the library object or function it constrains, which the
+loader calls (see :func:`load_model`, :func:`load_params` and
+:func:`load_scenario`).  The loaders themselves refuse a value of the wrong
+kind, such as a text where a number belongs, and the parameter and scenario
+loaders a key they do not read, each naming it.
 """
 
 from __future__ import annotations
@@ -22,9 +26,9 @@ from itertools import repeat
 
 import numpy as np
 
-from .deflators import DeflatorParams
+from .deflators import DeflatorParams, _full
 from .errors import SpaceValidationError
-from .jumpdiff import MAX_EXPONENT, JumpDiffusionScenario
+from .jumpdiff import JumpDiffusionScenario
 from .market import MarketModel
 from .prob_core import FiniteFilteredSpace
 
@@ -300,33 +304,25 @@ def load_model(source) -> ModelDocument:
     return ModelDocument(space=space, tau=tau, market=market)
 
 
-def _table(doc, key, n_atoms, horizon):
-    if key not in doc or doc[key] is None:
-        return None
-    v = doc[key]
-    if isinstance(v, (int, float)):
-        arr = np.full((n_atoms, horizon + 1), float(v))
-    else:
-        try:
-            arr = np.asarray(v, dtype=float)
-        except (TypeError, ValueError) as exc:  # a word, or ragged rows
-            raise SpaceValidationError(f"table {key!r} is not a table of numbers: {exc}") from exc
-        if arr.shape != (n_atoms, horizon + 1):
-            raise SpaceValidationError(
-                f"table {key!r} must be {n_atoms} x {horizon + 1} or a constant")
-    if not np.isfinite(arr).all():
-        atom, n = np.argwhere(~np.isfinite(arr))[0]
-        raise SpaceValidationError(
-            f"table {key!r} value {float(arr[atom, n])!r} of (atom {atom}, time {n}) is not finite")
-    return arr
-
-
 def load_params(source, n_atoms, horizon) -> DeflatorParams:
-    """Parse a parameter document; absent tables default to the null choice."""
+    """Parse a parameter document; absent tables default to the null choice.
+
+    Each table meets the one table rule, ``deflators._full``, at shape (n_atoms,
+    horizon + 1), else :class:`AdmissibilityError` names it; its route checks the rest.
+    """
     doc = _read(source)
-    tables = {f.name: _table(doc, f.name, n_atoms, horizon)
-              for f in fields(DeflatorParams) if f.name != "route"}
-    return DeflatorParams(route=doc.get("route", "additive"), **tables)
+    tables = [f.name for f in fields(DeflatorParams) if f.name != "route"]
+    _known(doc, ("route", *tables), "parameter document")
+    return DeflatorParams(route=doc.get("route", "additive"), **{
+        key: _full((n_atoms, horizon + 1), doc[key], key)
+        for key in tables if doc.get(key) is not None})
+
+
+def _known(doc, keys, what) -> None:
+    """Refuse a document key that the loader does not read, naming it."""
+    unknown = [key for key in doc if key not in keys]
+    if unknown:
+        raise SpaceValidationError(f"{what} has unknown fields {unknown}")
 
 
 def _integral(v, name) -> int:
@@ -338,48 +334,44 @@ def _integral(v, name) -> int:
     return int(v)
 
 
+def _number(v, name) -> float:
+    """A float value of a number; true, "0.2" or an integer past the float range is not one."""
+    if isinstance(v, (int, float, np.integer, np.floating)) and not isinstance(v, bool):
+        try:
+            return float(v)
+        except OverflowError:
+            pass
+    raise SpaceValidationError(f"{name} must be a number, got {v!r}")
+
+
+# a scenario's float fields: the model's, None where required, then the suite's, with defaults
+_MODEL_FIELDS = {"sigma": None, "zeta": None, "mu": None, "lambda": None, "a": None,
+                 "S0": 1.0, "horizon": 1.0, "dt": 2.0 ** -10}
+_SUITE_FIELDS = {"psi2": 1.0, "phi_o": 0.25, "phi_pr": 0.0, "theta": 0.7}
+
+
 def load_scenario(source) -> tuple:
     """Parse a scenario document; returns (scenario, extras dict).
 
-    Checked here, naming the field: the integer fields, finite ``psi2``,
-    ``phi_o``, ``phi_pr`` and ``theta``, and exponents within
-    ``MAX_EXPONENT`` times the horizon: theta^2 sigma^2 and |theta (mu -
-    zeta lam)| for ``theta``, |psi2 - 1| lam for ``psi2``.  The other rules
-    are :mod:`jumpdiff`'s: the model fields :class:`JumpDiffusionScenario`'s,
-    ``keep_paths`` :func:`simulate_suite`'s, psi2 > 0 :func:`solve_drift`'s, and
-    admissibility :func:`check_deflator`'s and :func:`check_wealth`'s.
+    Checked here, naming the field: every field is known, the float fields
+    are numbers, and the integer fields integers.  Every other rule is
+    :mod:`jumpdiff`'s: the model fields :class:`JumpDiffusionScenario`'s,
+    ``keep_paths`` :func:`simulate_suite`'s, psi2 :func:`solve_drift`'s, and
+    the suite parameters :func:`check_deflator`'s and :func:`check_wealth`'s.
     """
     doc = _read(source)
-    required = ("sigma", "zeta", "mu", "lambda", "a")
-    missing = [k for k in required if k not in doc]
+    missing = [k for k, default in _MODEL_FIELDS.items() if default is None and k not in doc]
     if missing:
         raise SpaceValidationError(f"scenario misses fields {missing}")
-    try:
-        sc = JumpDiffusionScenario(
-            sigma=float(doc["sigma"]), zeta=float(doc["zeta"]), mu=float(doc["mu"]),
-            lam=float(doc["lambda"]), a=float(doc["a"]),
-            S0=float(doc.get("S0", 1.0)), horizon=float(doc.get("horizon", 1.0)),
-            dt=float(doc.get("dt", 2.0 ** -10)),
-            n_paths=_integral(doc.get("n_paths", 100_000), "n_paths"),
-            seed=_integral(doc.get("seed", 0), "seed"),
-        )
-        extras = {name: float(doc.get(name, default)) for name, default in
-                  (("psi2", 1.0), ("phi_o", 0.25), ("phi_pr", 0.0), ("theta", 0.7))}
-    except (TypeError, ValueError, OverflowError) as exc:
-        raise SpaceValidationError(f"malformed scenario: {exc}") from exc
-    for name, value in extras.items():
-        if not math.isfinite(value):
-            raise SpaceValidationError(f"{name} must be finite")
+    _known(doc, (*_MODEL_FIELDS, *_SUITE_FIELDS, "n_paths", "seed", "keep_paths"), "scenario")
+    model = {k: _number(doc.get(k, default), k) for k, default in _MODEL_FIELDS.items()}
+    sc = JumpDiffusionScenario(
+        lam=model.pop("lambda"), **model,
+        n_paths=_integral(doc.get("n_paths", 100_000), "n_paths"),
+        seed=_integral(doc.get("seed", 0), "seed"),
+    )
+    extras = {k: _number(doc.get(k, default), k) for k, default in _SUITE_FIELDS.items()}
     extras["keep_paths"] = _integral(doc.get("keep_paths", 4), "keep_paths")
-    theta, psi2 = extras["theta"], extras["psi2"]
-    bounds = (("theta", theta * theta * sc.sigma * sc.sigma, "theta^2 sigma^2"),
-              ("theta", abs(theta * (sc.mu - sc.zeta * sc.lam)), "|theta (mu - zeta lam)|"),
-              ("psi2", abs(psi2 - 1.0) * sc.lam, "|psi2 - 1| lam"))
-    for name, rate, formula in bounds:
-        if not rate * sc.horizon <= MAX_EXPONENT:
-            raise SpaceValidationError(
-                f"{name} = {extras[name]:.3g}: {formula} times the horizon must not exceed "
-                f"{MAX_EXPONENT:g}")
     return sc, extras
 
 
@@ -393,10 +385,14 @@ def _text(path) -> str:
         raise SpaceValidationError(f"cannot read {path}: {reason}") from exc
 
 
-def _read(source):
+def _read(source) -> dict:
+    """The JSON object of a document (a path, or the dict itself)."""
     if isinstance(source, dict):
         return source
     try:
-        return json.loads(_text(source))
+        doc = json.loads(_text(source))
     except json.JSONDecodeError as exc:
         raise SpaceValidationError(f"invalid JSON in {source}: {exc}") from exc
+    if not isinstance(doc, dict):  # a list or a number has no fields to read
+        raise SpaceValidationError(f"{source} must hold a JSON object, got {type(doc).__name__}")
+    return doc

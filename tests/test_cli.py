@@ -9,6 +9,7 @@ import re
 import subprocess
 import sys
 import tempfile
+import warnings
 from dataclasses import replace
 from pathlib import Path
 
@@ -18,8 +19,9 @@ from hypothesis import event, given, settings
 from hypothesis import strategies as st
 
 import oracle
-from horizon_deflators import (FiniteFilteredSpace, SpaceValidationError, build_survival,
-                               modelio, trees)
+from horizon_deflators import (AdmissibilityError, FiniteFilteredSpace, SpaceValidationError,
+                               build_survival, modelio, trees)
+from horizon_deflators import deflators as dfl
 from horizon_deflators import enlargement as enl
 from horizon_deflators import jumpdiff as jd
 from horizon_deflators.cli import main
@@ -430,10 +432,10 @@ def test_deflate_refuses_non_finite_parameter_tables(docs, tmp_path, capsys, rou
     (tmp_path / "params.json").write_text(f'{{"route": "{route}", "{key}": {table}}}')
     code = run("deflate", "--model", root / "model.json",
                "--params", tmp_path / "params.json", "--out", tmp_path / "out")
-    cell = "(atom 0, time 0)" if constant else "(atom 1, time 1)"
+    cell = "(0, 0)" if constant else "(1, 1)"
     assert code == 2
     err = capsys.readouterr()
-    assert f"input error: table {key!r} value {value} of {cell} is not finite" in err.err
+    assert f"input error: {key} must be finite, got {value} at cell {cell}" in err.err
     assert not err.out and not (tmp_path / "out" / "certificate.json").exists()
 
 
@@ -448,7 +450,8 @@ def test_deflate_refuses_a_table_that_is_not_numbers(docs, tmp_path, capsys, tab
                "--params", tmp_path / "params.json", "--out", tmp_path / "out")
     assert code == 2
     err = capsys.readouterr()
-    assert "input error: table 'Z_F' is not a table of numbers" in err.err
+    assert err.err == ("input error: Z_F must be a number or a table of numbers: "
+                       "no bool, no text, no ragged rows\n")
     assert not err.out and not (tmp_path / "out" / "certificate.json").exists()
 
 
@@ -1135,26 +1138,129 @@ def test_model_document_round_trip(docs, tmp_path):
     assert (tmp_path / "again.json").read_bytes() == (root / "model.json").read_bytes()
 
 
-@pytest.mark.parametrize("text, read, message", [
+@pytest.mark.parametrize("text, read, error, message", [
     ("time,value\nw1,0,1\n", lambda path: modelio.process_from_csv(path, DEMO_IDS, 2),
-     "process table must carry an atom,time,value header"),
+     SpaceValidationError, "process table must carry an atom,time,value header"),
     ("atom,time,value\nw1,3,1\n", lambda path: modelio.process_from_csv(path, DEMO_IDS, 2),
-     "row 2: time 3 outside 0..2"),
-    ('{"phi_o": [[0, 0, 0]]}', lambda path: modelio.load_params(path, 4, 2),
-     "table 'phi_o' must be 4 x 3 or a constant"),
-    ('{"sigma": 0.2, "a": 0.5}', modelio.load_scenario,
+     SpaceValidationError, "row 2: time 3 outside 0..2"),
+    # a table's rule is the library's, which deflate reports as an input error
+    ('{"phi_o": [[0, 0, 0]]}', lambda path: modelio.load_params(path, 4, 2), AdmissibilityError,
+     "phi_o must be a number or a table of shape (4, 3), got shape (1, 3)"),
+    ('{"sigma": 0.2, "a": 0.5}', modelio.load_scenario, SpaceValidationError,
      "scenario misses fields ['zeta', 'mu', 'lambda']"),
-    (json.dumps({**README_SCENARIO, "dt": "fine"}), modelio.load_scenario,
-     "malformed scenario: could not convert string to float: 'fine'"),
-    ('{"horizon": 2,', modelio.load_model, "invalid JSON in {path}: Expecting property name "
-                                          "enclosed in double quotes: line 1 column 15 (char 14)"),
+    (json.dumps({**README_SCENARIO, "dt": "fine"}), modelio.load_scenario, SpaceValidationError,
+     "dt must be a number, got 'fine'"),
+    ('{"horizon": 2,', modelio.load_model, SpaceValidationError,
+     "invalid JSON in {path}: Expecting property name enclosed in double quotes: "
+     "line 1 column 15 (char 14)"),
 ], ids=["csv-header", "csv-time", "params-shape", "scenario-fields", "scenario-malformed",
         "json"])
-def test_each_document_refusal_names_its_rule(tmp_path, text, read, message):
+def test_each_document_refusal_names_its_rule(tmp_path, text, read, error, message):
     path = tmp_path / "document"
     path.write_text(text)
+    with pytest.raises(error, match=f"^{re.escape(message.format(path=path))}$"):
+        read(path)
+
+
+@pytest.mark.parametrize("doc, read, message", [
+    ({**README_SCENARIO, "sigma": True}, modelio.load_scenario, "sigma must be a number, got True"),
+    ({**README_SCENARIO, "sigma": "0.2"}, modelio.load_scenario,
+     "sigma must be a number, got '0.2'"),
+    ({**README_SCENARIO, "theta": False}, modelio.load_scenario,
+     "theta must be a number, got False"),
+    ({**README_SCENARIO, "lambda": 10 ** 400}, modelio.load_scenario,
+     f"lambda must be a number, got {10 ** 400}"),
+    ({**README_SCENARIO, "phi_0": 0.5}, modelio.load_scenario,
+     "scenario has unknown fields ['phi_0']"),
+    ({"route": "additive", "phi_0": 0.5, "Phi": 1}, lambda path: modelio.load_params(path, 4, 2),
+     "parameter document has unknown fields ['phi_0', 'Phi']"),
+    (5, lambda path: modelio.load_params(path, 4, 2), "{path} must hold a JSON object, got int"),
+    ([README_SCENARIO], modelio.load_scenario, "{path} must hold a JSON object, got list"),
+], ids=["bool", "text", "false", "huge-int", "scenario-key", "params-key", "params-number",
+        "scenario-list"])
+def test_loaders_refuse_unknown_keys_and_values_that_are_not_numbers(tmp_path, doc, read,
+                                                                     message):
+    # true read as 1.0, "0.2" as 0.2 and false as 0.0; a misspelt key ran with the
+    # default of the key meant; a document that is a number raised a bare TypeError
+    path = tmp_path / "document.json"
+    path.write_text(json.dumps(doc))
     with pytest.raises(SpaceValidationError, match=f"^{re.escape(message.format(path=path))}$"):
         read(path)
+
+
+def _scenario(doc):
+    """The scenario of a document, built without the loader."""
+    return jd.JumpDiffusionScenario(sigma=doc["sigma"], zeta=doc["zeta"], mu=doc["mu"],
+                                    lam=doc["lambda"], a=doc["a"], n_paths=doc["n_paths"],
+                                    seed=doc["seed"])
+
+
+def _suite(doc, build=False):
+    """``simulate``'s library call on a scenario document, with psi1 = 0 and the CLI's
+    defaults, or ``build_deflator`` on its paths."""
+    sc, psi2, phi_o = _scenario(doc), doc.get("psi2", 1.0), doc.get("phi_o", 0.25)
+    if build:
+        return jd.build_deflator(jd.simulate(sc), 0.0, psi2, phi_o=phi_o)
+    return jd.simulate_suite(sc, 0.0, psi2, theta=doc.get("theta", 0.7), phi_o=phi_o)
+
+
+def _build(doc):
+    """``build_multiplicative`` on the demo with the document's ``phi_o``."""
+    space, tau, _ = trees.two_period_demo()
+    return dfl.build_multiplicative(1.0, doc["phi_o"], None, build_survival(space, tau))
+
+
+def _validate(doc):
+    """``validate`` of the document's parameters on the demo."""
+    space, tau, _ = trees.two_period_demo()
+    return dfl.validate(dfl.DeflatorParams(**doc), build_survival(space, tau))
+
+
+NOT_NUMBERS = "phi_o must be a number or a table of numbers: no bool, no text, no ragged rows"
+WORD = [["a", 1, 1], [1, 1, 1], [1, 1, 1], [1, 1, 1]]
+RAGGED = [[1, 1], [1, 1, 1], [1, 1, 1], [1, 1, 1]]
+ONE_BOOL = [[0, 0, 0], [0, True, 0], [0, 0, 0], [0, 0, 0]]
+
+
+@pytest.mark.parametrize("command, doc, call, error, message", [
+    # the README scenario at 5,000 paths: the wealth underflowed to 0, and the suite passed
+    ("simulate", {"theta": 200.0}, _suite, SpaceValidationError,
+     "theta = 200: theta^2 sigma^2 times the horizon must not exceed 512"),
+    ("simulate", {"theta": 200.0},
+     lambda doc: jd.check_wealth(_scenario(doc), doc["theta"]),
+     SpaceValidationError, "theta = 200: theta^2 sigma^2 times the horizon must not exceed 512"),
+    # psi2^N overflowed, and three nulls were rejected
+    ("simulate", {"psi2": 300.0}, _suite, SpaceValidationError,
+     "psi2 = 300: |psi2 - 1| lam times the horizon must not exceed 512"),
+    ("simulate", {"psi2": 300.0},
+     lambda doc: jd.solve_drift(_scenario(doc), doc["psi2"]),
+     SpaceValidationError, "psi2 = 300: |psi2 - 1| lam times the horizon must not exceed 512"),
+    # no path meets the path rule at lambda 1e-6: 1 - inf * 0 made Z NaN, with a RuntimeWarning
+    ("simulate", {"phi_o": math.inf, "lambda": 1e-6, "n_paths": 1000}, _suite,
+     SpaceValidationError, "phi_o must be finite"),
+    ("simulate", {"phi_o": math.inf, "lambda": 1e-6, "n_paths": 1000},
+     lambda doc: _suite(doc, build=True), SpaceValidationError, "phi_o must be finite"),
+    # a bare ValueError, or a bool read as 1
+    *[("deflate", {"route": "multiplicative", "phi_o": table}, call, AdmissibilityError,
+       NOT_NUMBERS) for table in (WORD, RAGGED, ONE_BOOL) for call in (_build, _validate)],
+], ids=["theta-suite", "theta-wealth", "psi2-suite", "psi2-drift", "phi_o-suite",
+        "phi_o-deflator", *(f"{table}-{check}" for table in ("word", "ragged", "bool")
+                            for check in ("build", "validate"))])
+def test_the_library_refuses_each_input_the_cli_refuses(docs, tmp_path, capsys, command, doc,
+                                                        call, error, message):
+    # each input used to pass the library, or fail it otherwise, while the CLI refused it
+    root, _ = docs
+    doc = {**README_SCENARIO, "n_paths": 5000, **doc} if command == "simulate" else doc
+    path = tmp_path / "input.json"
+    path.write_text(json.dumps(doc))  # inf as Infinity, which JSON readers accept
+    inputs = (["--scenario", path] if command == "simulate"
+              else ["--model", root / "model.json", "--params", path])
+    assert run(command, *inputs, "--out", tmp_path / "out") == 2
+    assert capsys.readouterr().err == f"input error: {message}\n"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(error, match=f"^{re.escape(message)}$"):
+            call(doc)
 
 
 def test_out_env_variable(docs, tmp_path, monkeypatch):
