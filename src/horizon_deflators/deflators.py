@@ -159,19 +159,10 @@ def _full(shape, x, name: str, positive: bool = False) -> Array:
     (an exponential multiplies in every cell), must be finite, and positive if ``positive``;
     else the error names ``name``, and the first bad cell.
     """
-    x = getattr(x, "values", float(positive) if x is None else x)
-    try:
-        values = np.asarray(x)
-        numbers = values.dtype.kind in "iuf"
-    except ValueError:  # ragged rows
-        numbers = False
-    if numbers and isinstance(x, list):  # numpy reads a bool among Python numbers as a number
-        cells = itertools.chain.from_iterable(x) if values.ndim > 1 else x
-        numbers = {bool, np.bool_}.isdisjoint(map(type, cells))
-    if not numbers:
+    x = _numbers(getattr(x, "values", float(positive) if x is None else x))
+    if x is None:
         raise AdmissibilityError(f"{name} must be a number or a table of numbers: "
                                  "no bool, no text, no ragged rows")
-    x = np.asarray(values, dtype=float)
     if x.ndim == 0:
         x = np.full(shape, float(x))
     elif x.shape != shape:
@@ -183,6 +174,20 @@ def _full(shape, x, name: str, positive: bool = False) -> Array:
         raise AdmissibilityError(f"{name} must be finite{' and strictly positive' * positive}, "
                                  f"got {float(x[cell])!r} at cell {tuple(map(int, cell))}")
     return x
+
+
+def _numbers(x) -> Array | None:
+    """``x`` as floats if it holds numbers only (no bool, no text, no ragged rows), else None."""
+    try:
+        values = np.asarray(x)
+    except ValueError:  # ragged rows
+        return None
+    cells = x if isinstance(x, list) else ()  # NumPy reads a bool among numbers as a number
+    for _ in range(values.ndim - 1):  # the cells of nested lists, in one lazy pass
+        cells = itertools.chain.from_iterable(cells)
+    if values.dtype.kind in "iuf" and {bool, np.bool_}.isdisjoint(map(type, cells)):
+        return np.asarray(values, dtype=float)
+    return None
 
 
 def _tables(params: DeflatorParams, rts, *names) -> tuple:

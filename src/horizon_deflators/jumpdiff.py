@@ -336,15 +336,15 @@ def simulate(sc: JumpDiffusionScenario, *, report_times=None, keep_paths: int = 
     (0, horizon].
     """
     rep, draw = _paths(sc, report_times, keep_paths)
-    bundle = _empty_bundle(sc, rep, sc.n_paths)
-    chunks = _row_map(lambda lo, hi: draw(_rows(bundle, lo, hi), lo), sc.n_paths)
-    bundle.samples = [s for samples in chunks for s in samples]
-    return bundle
+    b = _empty_bundle(sc, rep, sc.n_paths)
+    chunks = _row_map(lambda lo, hi: draw(_rows(b, lo, hi), lo, keep_paths - lo), sc.n_paths)
+    b.samples = [s for samples in chunks for s in samples]
+    return b
 
 
 def _paths(sc, report_times, keep_paths):
-    """(rep, draw): the checked report times, and draw(part, lo), which fills ``part`` with
-    paths lo, lo + 1, ... as ``simulate`` does and returns their samples below ``keep_paths``."""
+    """(rep, draw): the checked report times, and draw(part, lo, keep), which fills ``part``
+    with paths lo, lo + 1, ... as ``simulate`` does and returns the samples of its first keep."""
     if not 0 <= keep_paths <= sc.n_paths:
         raise SpaceValidationError(f"keep_paths must lie in [0, n_paths = {sc.n_paths}]")
     H = sc.horizon
@@ -358,7 +358,7 @@ def _paths(sc, report_times, keep_paths):
     key = np.random.SeedSequence(sc.seed).generate_state(2, np.uint64)
     quad = _quadrature_table(sc)
 
-    def draw(part, lo):
+    def draw(part, lo, keep):
         gaps, normals = _main_draws(key, part.n_paths, len(rep), sc.lam, first=lo)
         jumps = np.cumsum(gaps, axis=1)
         streams = {}
@@ -378,7 +378,7 @@ def _paths(sc, report_times, keep_paths):
                 jumps = np.pad(jumps, ((0, 0), (0, len(path_jumps) - jumps.shape[1])),
                                constant_values=np.inf)
             jumps[i, :len(path_jumps)] = path_jumps
-        return _fill(part, quad, lo, jumps, normals, min(keep_paths - lo, part.n_paths), stream)
+        return _fill(part, quad, lo, jumps, normals, min(keep, part.n_paths), stream)
 
     return rep, draw
 
@@ -743,22 +743,20 @@ def simulate_suite(sc: JumpDiffusionScenario, psi1: float, psi2: float, *, theta
     paths of ``bundle = simulate(sc, keep_paths=keep_paths)`` and their samples; the reports
     that ``mc_suite`` gives, bit for bit, on ``suite_tests(bundle, psi1, psi2, ...)``, with
     its count and critical value; and ``closed_forms``' residual.  Each chunk of ``_ROWS``
-    paths runs ``SUITE``'s kernels and is one block of ``_fold_block``, so the pass keeps one
-    record per block.  The first 2 MIN_SAMPLES - 1 paths, drawn first, give the common
-    values of ``_commons``; the chunks that hold them draw only their other paths, so each
-    path is drawn once.  psi2, phi_o and phi_pr (``_check_loadings``), then theta
-    (``check_wealth``), then ``keep_paths`` are checked before any draw; the paths then meet
-    the path rule, the first ones first and the others raised in chunk order (``_map``), so a
-    breach names the first offending path.
+    paths draws all its paths, runs ``SUITE``'s kernels and is one block of ``_fold_block``.
+    The head, the first max(2 MIN_SAMPLES - 1, ``keep_paths``) paths, is drawn first with the
+    kept samples: it gives ``_commons``' common values, and ``kept`` views its rows.  psi2,
+    phi_o and phi_pr (``_check_loadings``), then theta (``check_wealth``), then ``keep_paths``
+    are checked before any draw; the paths then meet the path rule, the head first and the
+    chunks raised in chunk order (``_map``), so a breach names the first offending path.
     """
     _check_loadings(sc, psi2, phi_o, phi_pr)
     check_wealth(sc, theta)
     rep, draw = _paths(sc, None, keep_paths)
     n, R = sc.n_paths, len(rep)
-    kept = _empty_bundle(sc, rep, keep_paths)
 
-    head = _empty_bundle(sc, rep, min(2 * MIN_SAMPLES - 1, n))
-    head.samples = draw(head, 0)
+    head = _empty_bundle(sc, rep, min(max(2 * MIN_SAMPLES - 1, keep_paths), n))
+    kept = replace(_rows(head, 0, keep_paths), samples=draw(head, 0, keep_paths))
     _check_paths(head, psi2, phi_o, 0)
     *values, F = _suite_rows(head, psi1, psi2, theta, phi_o, phi_pr)
     p = F.shape[2]
@@ -768,21 +766,13 @@ def simulate_suite(sc: JumpDiffusionScenario, psi1: float, psi2: float, *, theta
 
     def chunk(lo, hi):
         b = _empty_bundle(sc, rep, hi - lo)
-        cut = min(max(lo, head.n_paths), hi)  # paths lo : cut are the head's, drawn already
-        for f in _PER_PATH + _PER_REPORT:
-            getattr(b, f)[:cut - lo] = getattr(head, f)[lo:cut]
-        rest = _rows(b, cut - lo, hi - lo)
-        b.samples = [s for s in head.samples if lo <= s["index"] < cut] + draw(rest, cut)
-        _check_paths(rest, psi2, phi_o, cut)
+        draw(b, lo, 0)
+        _check_paths(b, psi2, phi_o, lo)
         *values, F = _suite_rows(b, psi1, psi2, theta, phi_o, phi_pr)
         block = _fold_block(values, [(F, members, common)])
-        if lo < keep_paths:  # the rows past keep_paths fall off both slices
-            for f in _PER_PATH + _PER_REPORT:
-                getattr(kept, f)[lo:hi] = getattr(b, f)[:keep_paths - lo]
-        return b.samples, block, F.size - np.count_nonzero(np.isfinite(F)), _m_residual(b)
+        return block, F.size - np.count_nonzero(np.isfinite(F)), _m_residual(b)
 
-    samples, blocks, bad, residual = zip(*_row_map(chunk, n))
-    kept.samples = [s for part in samples for s in part]
+    blocks, bad, residual = zip(*_row_map(chunk, n))
     specs = [(name, start, null, 0 if regressed else None)
              for name, start, null, regressed in nulls]
     reports = _reports(specs, [(sum(bad), n * R * p, members)], blocks, rep, z_crit)

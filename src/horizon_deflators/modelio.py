@@ -26,7 +26,7 @@ from itertools import repeat
 
 import numpy as np
 
-from .deflators import DeflatorParams, _full
+from .deflators import DeflatorParams, _full, _numbers
 from .errors import SpaceValidationError
 from .jumpdiff import JumpDiffusionScenario
 from .market import MarketModel
@@ -272,7 +272,9 @@ def load_model(source) -> ModelDocument:
     doc = _read(source)
     try:
         outcomes = [o["id"] for o in doc["outcomes"]]
-        probs = [float(o["prob"]) for o in doc["outcomes"]]
+        probs = [o["prob"] for o in doc["outcomes"]]
+        if not set(map(type, probs)) <= {float}:  # not all floats: check one at a time
+            probs = [_number(p, "prob") for p in probs]
         horizon = _integral(doc["horizon"], "horizon")
         partitions = np.asarray(doc["partitions"])
         tau = doc["tau"]
@@ -296,10 +298,13 @@ def load_model(source) -> ModelDocument:
     market = None
     if "assets" in doc and doc["assets"]:
         try:
-            S = np.asarray(doc["assets"]["values"], dtype=float)
+            S = _numbers(doc["assets"]["values"])
             assets = tuple(doc["assets"].get("names", ()))
-        except (KeyError, TypeError, ValueError, AttributeError, OverflowError) as exc:
+        except (KeyError, TypeError) as exc:  # no values, or assets not an object
             raise SpaceValidationError(f"malformed asset table: {exc}") from exc
+        if S is None:
+            raise SpaceValidationError("malformed asset table: values must hold numbers only: "
+                                       "no bool, no text, no ragged rows")
         market = MarketModel.from_prices(space, S, assets=assets)
     return ModelDocument(space=space, tau=tau, market=market)
 

@@ -115,7 +115,8 @@ def test_verify_rejects_nan_prob(docs, tmp_path, capsys):
     root, model = docs
     bad = copy.deepcopy(model)
     bad["outcomes"][0]["prob"] = float("nan")
-    modelio.write_json(tmp_path / "bad.json", bad)
+    # a JSON NaN literal: modelio.write_json writes the text "nan", which is no number
+    (tmp_path / "bad.json").write_text(json.dumps(bad))
     assert run("verify", "--model", tmp_path / "bad.json", "--out", tmp_path) == 2
     assert "atom probabilities must be finite" in capsys.readouterr().err
     assert not (tmp_path / "verify-report.json").exists()
@@ -126,7 +127,7 @@ def test_deflate_rejects_non_finite_price_at_load(docs, tmp_path, capsys, bad):
     root, model = docs
     doc = copy.deepcopy(model)
     doc["assets"]["values"][0][2][1] = bad
-    modelio.write_json(tmp_path / "bad.json", doc)
+    (tmp_path / "bad.json").write_text(json.dumps(doc))  # a NaN or Infinity literal
     out = tmp_path / "out"
     out.mkdir()
     code = run("deflate", "--model", tmp_path / "bad.json",
@@ -134,6 +135,31 @@ def test_deflate_rejects_non_finite_price_at_load(docs, tmp_path, capsys, bad):
     assert code == 2
     assert f"value {bad!r} of (asset S0, atom w3, time 1) is not finite" in capsys.readouterr().err
     assert list(out.iterdir()) == []
+
+
+NOT_PRICES = ("malformed asset table: values must hold numbers only: no bool, no text, "
+              "no ragged rows")
+
+
+@pytest.mark.parametrize("cell,value,message", [
+    ("prob", "0.25", "prob must be a number, got '0.25'"),
+    ("prob", True, "prob must be a number, got True"),
+    ("price", True, NOT_PRICES),
+    ("price", "2", NOT_PRICES),
+], ids=["text-prob", "bool-prob", "bool-price", "text-price"])
+def test_verify_refuses_a_model_number_that_is_not_one(docs, tmp_path, capsys, cell, value,
+                                                       message):
+    # "0.25", true and "2" were read as the numbers 0.25, 1 and 2
+    root, model = docs
+    doc = copy.deepcopy(model)
+    if cell == "prob":
+        doc["outcomes"][0]["prob"] = value
+    else:
+        doc["assets"]["values"][0][0][0 if value is True else 1] = value  # w1's 1, or its 2
+    modelio.write_json(tmp_path / "bad.json", doc)
+    assert run("verify", "--model", tmp_path / "bad.json", "--out", tmp_path / "out") == 2
+    assert capsys.readouterr().err == f"input error: {message}\n"
+    assert not (tmp_path / "out").exists()
 
 
 @pytest.mark.parametrize("command", ["verify", "deflate", "decompose"])
@@ -678,17 +704,19 @@ def test_simulate_names_each_inadmissible_suite_parameter(tmp_path, capsys, fiel
     assert not (tmp_path / "simulate-summary.json").exists()
 
 
+@pytest.mark.parametrize("psi2,chunk", [(0.49, 3), (0.494, 7)], ids=["in-head", "past-head"])
 def test_simulate_names_the_smallest_breaching_path_across_chunks(tmp_path, capsys,
-                                                                 monkeypatch):
-    # chunks of 8 paths on 8 workers: chunks 0-2 hold no breach of psi2 (1 + beta T1),
-    # chunk 3 holds the first, and many later chunks hold more; whichever chunk
-    # finishes first, the error names the smallest offending path
+                                                                 monkeypatch, psi2, chunk):
+    # chunks of 8 paths on 8 workers: the chunks before `chunk` hold no breach of
+    # psi2 (1 + beta T1), `chunk` holds the first, and many later chunks hold more;
+    # whichever chunk finishes first, the error names the smallest offending path,
+    # found by the head's check (the first 39 paths) or past it by the chunks'
     monkeypatch.setattr(jd, "_ROWS", 8)
     monkeypatch.setattr(jd, "_workers", lambda: 8)
     doc = {"sigma": 0.2, "zeta": 0.1, "mu": 0.03, "lambda": 2.0, "a": 0.5, "n_paths": 500,
-           "seed": 3, "dt": 2.0 ** -6, "psi2": 0.49, "phi_o": 0.5}
+           "seed": 3, "dt": 2.0 ** -6, "psi2": psi2, "phi_o": 0.5}
     first = _first_breach(doc)
-    assert first // 8 == 3
+    assert first // 8 == chunk
     modelio.write_json(tmp_path / "scenario.json", doc)
     assert run("simulate", "--scenario", tmp_path / "scenario.json", "--out", tmp_path) == 2
     assert capsys.readouterr().err == ("scenario constraint violation: phi_o at the first jump "
@@ -717,11 +745,14 @@ DEMO_IDS = ("w1", "w2", "w3", "w4")  # the atoms of trees.two_period_demo
 README_SCENARIO = {"sigma": 0.2, "zeta": 0.1, "mu": 0.03, "lambda": 2.0, "a": 0.5, "seed": 7}
 
 
-def test_simulate_checks_keep_paths_against_the_path_override(tmp_path, capsys):
-    modelio.write_json(tmp_path / "scenario.json", {**README_SCENARIO, "keep_paths": 4})
-    assert run("simulate", "--scenario", tmp_path / "scenario.json", "--paths", "2",
+@pytest.mark.parametrize("keep,n_paths", [(4, 2), (-1, 100)])
+def test_simulate_checks_keep_paths_against_the_path_override(tmp_path, capsys, keep, n_paths):
+    # the message names the full n_paths, not the size of the head the suite draws first
+    modelio.write_json(tmp_path / "scenario.json", {**README_SCENARIO, "keep_paths": keep})
+    assert run("simulate", "--scenario", tmp_path / "scenario.json", "--paths", n_paths,
                "--out", tmp_path / "out") == 2
-    assert capsys.readouterr().err == "input error: keep_paths must lie in [0, n_paths = 2]\n"
+    assert capsys.readouterr().err == (f"input error: keep_paths must lie in "
+                                       f"[0, n_paths = {n_paths}]\n")
     assert not (tmp_path / "out").exists()
 
 
@@ -815,7 +846,8 @@ def test_simulate_rejects_wrong_processes(tmp_path, monkeypatch, seed):
            "seed": seed, "n_paths": 100_000, "keep_paths": 0}
     modelio.write_json(tmp_path / "scenario.json", doc)
     assert run("simulate", "--scenario", tmp_path / "scenario.json", "--out", tmp_path) == 1
-    assert sum(calls) == 100_000  # every path's report rows came from the wrong kernel
+    # every path's report rows came from the wrong kernel, the head's twice
+    assert sum(calls) == 100_000 + 2 * jd.MIN_SAMPLES - 1
     summary = json.loads((tmp_path / "simulate-summary.json").read_text())
     wrong = ("N_G", "deflated_price_drift", "m", "transported_poisson")
     assert set(wrong) <= set(summary["rejected"])

@@ -202,16 +202,18 @@ def test_kept_paths_span_chunks(monkeypatch):
             assert np.array_equal(s_chunked[key], s_whole[key]), key
 
 
-def test_suite_pass_keeps_the_first_paths_across_chunks(monkeypatch):
-    # chunks of 2 rows: the 5 kept paths come from three chunks, the last in part
-    sc = scenario(n_paths=7, lam=6.0)
-    whole = simulate(sc, keep_paths=5)
-    monkeypatch.setattr(jd, "_ROWS", 2)
-    kept = jd.simulate_suite(sc, solve_drift(sc, 1.0), 1.0, theta=0.5, keep_paths=5)[0]
-    assert kept.n_paths == 5 and np.array_equal(kept.report_times, whole.report_times)
+@pytest.mark.parametrize("n_paths,keep,rows", [(7, 5, 2), (120, 50, 16)])
+def test_suite_pass_keeps_the_first_paths_across_chunks(monkeypatch, n_paths, keep, rows):
+    # the kept paths span several chunks, the last in part: 5 of 7 paths in chunks of 2,
+    # and 50 of 120 in chunks of 16, where the head grows past 2 MIN_SAMPLES - 1 to 50
+    sc = scenario(n_paths=n_paths, lam=6.0)
+    whole = simulate(sc, keep_paths=keep)
+    monkeypatch.setattr(jd, "_ROWS", rows)
+    kept = jd.simulate_suite(sc, solve_drift(sc, 1.0), 1.0, theta=0.5, keep_paths=keep)[0]
+    assert kept.n_paths == keep and np.array_equal(kept.report_times, whole.report_times)
     for name in BUNDLE_FIELDS[1:]:  # every per-path field
-        assert np.array_equal(getattr(kept, name), getattr(whole, name)[:5]), name
-    assert [s["index"] for s in kept.samples] == [0, 1, 2, 3, 4]
+        assert np.array_equal(getattr(kept, name), getattr(whole, name)[:keep]), name
+    assert [s["index"] for s in kept.samples] == list(range(keep))
     for s_kept, s_whole in zip(kept.samples, whole.samples, strict=True):
         assert s_kept.keys() == s_whole.keys()
         for key in s_whole:
