@@ -37,6 +37,7 @@ and the split of a deflator at a stopping time.
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -111,14 +112,7 @@ class Deflator:
     params: "DeflatorParams | None" = None
 
     def factor_product(self) -> Array:
-        return _product(self.factors.values())
-
-
-def _product(factors) -> Array:
-    out = 1.0
-    for f in factors:
-        out = out * f
-    return out
+        return math.prod(self.factors.values())
 
 
 @dataclass(frozen=True)
@@ -159,10 +153,11 @@ def _full(shape, x, name: str, positive: bool = False) -> Array:
     (an exponential multiplies in every cell), must be finite, and positive if ``positive``;
     else the error names ``name``, and the first bad cell.
     """
-    x = _numbers(getattr(x, "values", float(positive) if x is None else x))
-    if x is None:
+    try:
+        x = _numbers(getattr(x, "values", float(positive) if x is None else x), integral=False)
+    except ValueError:
         raise AdmissibilityError(f"{name} must be a number or a table of numbers: "
-                                 "no bool, no text, no ragged rows")
+                                 "no bool, no text, no ragged rows") from None
     if x.ndim == 0:
         x = np.full(shape, float(x))
     elif x.shape != shape:
@@ -176,18 +171,47 @@ def _full(shape, x, name: str, positive: bool = False) -> Array:
     return x
 
 
-def _numbers(x) -> Array | None:
-    """``x`` as floats if it holds numbers only (no bool, no text, no ragged rows), else None."""
+def _numbers(x, integral: bool) -> Array:
+    """``x`` by the one number rule of this library's inputs: floats, or int64 if ``integral``.
+
+    Numbers only, at any depth: a bool, a text, a null or ragged rows raise ValueError, whose
+    text is the first such cell's ``repr``, or "ragged rows".  An integer reads as the float
+    it rounds to, refused only past the float range; if ``integral``, 7.0 reads 7, and a
+    fraction or a value past int64 is refused.
+    """
     try:
         values = np.asarray(x)
-    except ValueError:  # ragged rows
+    except ValueError:
+        raise ValueError("ragged rows") from None
+    kind, listed = values.dtype.kind, isinstance(x, (list, tuple))
+    rows = [x]  # a list's innermost rows
+    for _ in range(values.ndim - 1 if listed else 0):
+        rows = list(itertools.chain.from_iterable(rows))
+    # NumPy reads a bool among numbers as a number: a list's rows are scanned for one
+    if kind in "iuf" and (not listed or all(
+            {bool, np.bool_}.isdisjoint(map(type, row)) for row in rows)):
+        if not integral:
+            return values.astype(float, copy=False)
+        if kind == "i" or kind == "f" and np.all(  # up to 2^53 no integer was rounded
+                (values == np.floor(values)) & (np.abs(values) <= 2.0 ** 53)):
+            return values.astype(np.int64, copy=False)
+    cells = list(itertools.chain.from_iterable(rows)) if listed else values.reshape(-1).tolist()
+    numbers = [_cell(cell, integral) for cell in cells]  # exact, one cell at a time
+    if None in numbers:
+        raise ValueError(repr(cells[numbers.index(None)]))
+    return np.array(numbers, dtype=np.int64 if integral else float).reshape(values.shape)
+
+
+def _cell(cell, integral: bool):
+    """One cell by the rule of :func:`_numbers`: a float, or an int if ``integral``; else None."""
+    cell = cell.item() if isinstance(cell, np.generic) else cell
+    try:
+        value = float(cell) if type(cell) in (int, float) else None  # a bool is no number
+    except OverflowError:  # an integer past the float range
         return None
-    cells = x if isinstance(x, list) else ()  # NumPy reads a bool among numbers as a number
-    for _ in range(values.ndim - 1):  # the cells of nested lists, in one lazy pass
-        cells = itertools.chain.from_iterable(cells)
-    if values.dtype.kind in "iuf" and {bool, np.bool_}.isdisjoint(map(type, cells)):
-        return np.asarray(values, dtype=float)
-    return None
+    if integral and value is not None:
+        return int(cell) if value.is_integer() and -2 ** 63 <= cell < 2 ** 63 else None
+    return value
 
 
 def _tables(params: DeflatorParams, rts, *names) -> tuple:
@@ -332,7 +356,7 @@ def _multiplicative(params: DeflatorParams, rts):
         "default_exponential": _compound(steps_o),
         "progressive_exponential": _compound(steps_pr),
     }
-    yield Deflator(Z=_product(factors.values()), provenance="multiplicative", K_G=None,
+    yield Deflator(Z=math.prod(factors.values()), provenance="multiplicative", K_G=None,
                    factors=factors, report=report,
                    params=DeflatorParams("multiplicative", Z_F=Z_F, phi_o=phi_o, phi_pr=phi_pr))
 
@@ -352,7 +376,7 @@ def _measure_change(params: DeflatorParams, rts, market=None):
                 f"base process is not a deflator under the changed measure "
                 f"(excess {oracle.max_residual:g} at node {oracle.worst})")
     factors = {"base": stop(Z_QF, rts.tau), "default_exponential": _compound(steps)}
-    yield Deflator(Z=_product(factors.values()), provenance="measure-change", K_G=None,
+    yield Deflator(Z=math.prod(factors.values()), provenance="measure-change", K_G=None,
                    factors=factors, report=report,
                    params=DeflatorParams("measure-change", Z_QF=Z_QF, phi=phi))
 

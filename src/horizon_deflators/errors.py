@@ -20,11 +20,10 @@ class ContractViolationError(HorizonDeflatorError):
 class StructuralError(HorizonDeflatorError):
     """A construction hit a degenerate cell; carries the offending location."""
 
-    def __init__(self, message, *, time=None, atom=None, block=None):
+    def __init__(self, message, *, time=None, atom=None):
         super().__init__(message)
         self.time = time
         self.atom = atom
-        self.block = block
 
 
 class AdmissibilityError(HorizonDeflatorError):

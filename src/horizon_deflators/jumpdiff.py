@@ -1068,8 +1068,8 @@ def _merged_moments(parts) -> tuple:
     LeVeque 1979), M2 = M2_a + M2_b + d^2 n_a n_b / n with d the difference of
     the two means."""
     parts = [part for part in parts if part is not None]
-    if not parts:
-        return 0, np.nan, np.nan, np.nan, np.nan, 0
+    if not parts:  # no path: NumPy NaNs, which the report divides by 0 without raising
+        return 0, *np.full(4, np.nan), 0
     n, sums, m2, low, high, bad = parts[0]
     with np.errstate(all="ignore"):
         for n_b, s_b, m2_b, low_b, high_b, bad_b in parts[1:]:

@@ -12,9 +12,9 @@ is its label and one text per value.
 The loaders only parse: each rule of a model, a parameter table or a scenario
 is checked once, by the library object or function it constrains, which the
 loader calls (see :func:`load_model`, :func:`load_params` and
-:func:`load_scenario`).  The loaders themselves refuse a value of the wrong
-kind, such as a text where a number belongs, and the parameter and scenario
-loaders a key they do not read, each naming it.
+:func:`load_scenario`).  Every number a document holds meets one rule,
+``deflators._numbers`` (through :func:`_field`, or ``_full`` for a parameter
+table), and every loader refuses a key it does not read, each naming it.
 """
 
 from __future__ import annotations
@@ -26,7 +26,7 @@ from itertools import repeat
 
 import numpy as np
 
-from .deflators import DeflatorParams, _full, _numbers
+from .deflators import DeflatorParams, _cell, _full, _numbers
 from .errors import SpaceValidationError
 from .jumpdiff import JumpDiffusionScenario
 from .market import MarketModel
@@ -45,19 +45,13 @@ def dumps_canonical(obj, indent: int = 0) -> str:
     """Deterministic JSON: sorted keys, canonical float rendering."""
     pad = " " * indent
     if isinstance(obj, dict):
-        if not obj:
-            return "{}"
-        items = []
-        for k in sorted(obj):
-            items.append(f'{pad}  "{k}": {dumps_canonical(obj[k], indent + 2).lstrip()}')
-        return "{\n" + ",\n".join(items) + "\n" + pad + "}"
+        items = [f'{pad}  "{k}": {dumps_canonical(obj[k], indent + 2).lstrip()}'
+                 for k in sorted(obj)]
+        return "{\n" + ",\n".join(items) + "\n" + pad + "}" if items else "{}"
     if isinstance(obj, (list, tuple, np.ndarray)):
-        seq = list(np.asarray(obj).tolist()) if isinstance(obj, np.ndarray) else list(obj)
-        if not seq:
-            return "[]"
-        flat = all(isinstance(v, (int, float, bool, str, np.integer, np.floating)) for v in seq)
-        if flat:
-            return "[" + ", ".join(_scalar(v) for v in seq) + "]"
+        seq = obj.tolist() if isinstance(obj, np.ndarray) else list(obj)
+        if all(isinstance(v, (int, float, bool, str, np.integer, np.floating)) for v in seq):
+            return "[" + ", ".join(_scalar(v) for v in seq) + "]"  # "[]" when empty
         items = [f"{pad}  {dumps_canonical(v, indent + 2).lstrip()}" for v in seq]
         return "[\n" + ",\n".join(items) + "\n" + pad + "]"
     return _scalar(obj)
@@ -265,47 +259,43 @@ def model_to_dict(space, tau, S=None, assets=()) -> dict:
 def load_model(source) -> ModelDocument:
     """Parse a model document (path or dict) into its space, tau and checked market.
 
-    Parsing and the outcome-id rule raise :class:`SpaceValidationError`.  The
-    shape and range of ``tau`` are :func:`build_survival`'s rules, and the
-    price rules are :class:`MarketModel`'s (:class:`ContractViolationError`).
+    Parsing, the number rule (:func:`_field`), unknown keys and the outcome-id rule raise
+    :class:`SpaceValidationError`.  The shape and range of ``tau`` are :func:`build_survival`'s
+    rules, and the price rules are :class:`MarketModel`'s (:class:`ContractViolationError`).
     """
     doc = _read(source)
+    _known(doc, ("outcomes", "horizon", "partitions", "tau", "assets"), "model document")
     try:
         outcomes = [o["id"] for o in doc["outcomes"]]
-        probs = [o["prob"] for o in doc["outcomes"]]
-        if not set(map(type, probs)) <= {float}:  # not all floats: check one at a time
-            probs = [_number(p, "prob") for p in probs]
-        horizon = _integral(doc["horizon"], "horizon")
-        partitions = np.asarray(doc["partitions"])
-        tau = doc["tau"]
-        if not set(map(type, tau)) <= {int}:  # not all plain ints: check one at a time
-            tau = [_integral(t, "tau") for t in tau]
-        tau = np.array(tau, dtype=np.int64)
-    except (KeyError, TypeError, ValueError, OverflowError) as exc:
+        probs = _field([o["prob"] for o in doc["outcomes"]], "prob", False, 1)
+        horizon = _field(doc["horizon"], "horizon", True, 0)
+        partitions = _field(doc["partitions"], "partitions", True, None)
+        tau = _field(doc["tau"], "tau", True, None)
+    except (KeyError, TypeError) as exc:
         raise SpaceValidationError(f"malformed model document: {exc}") from exc
+    _known(sorted(set().union(*doc["outcomes"])), ("id", "prob"), "an outcome")
     if partitions.shape != (horizon + 1, len(outcomes)):
         raise SpaceValidationError("partitions must list horizon+1 rows of one block id per atom")
-    if not (partitions.dtype.kind in "iu" or partitions.dtype.kind == "f" and np.all(
-            np.isfinite(partitions) & (partitions == np.floor(partitions)))):
-        raise SpaceValidationError("partition block ids must be integers")
     space = FiniteFilteredSpace.from_partitions(outcomes, probs, partitions)
-    seen = set()
-    for name in map(str, space.outcomes):  # ids must read back from CSV rows as written
-        if "," in name or "\n" in name or "\r" in name or name != name.strip() or name in seen:
-            raise SpaceValidationError(f"outcome id {name!r} cannot round-trip through a CSV "
-                                       "table: no comma, line break, edge whitespace or repeat")
-        seen.add(name)
+    names = list(map(str, space.outcomes))  # ids must read back from CSV rows as written
+    if (any(map("".join(names).__contains__, ",\n\r")) or len(set(names)) < len(names)
+            or list(map(str.strip, names)) != names):  # some id cannot: name the first
+        seen = set()
+        for name in names:
+            if "," in name or "\n" in name or "\r" in name or name != name.strip() or name in seen:
+                raise SpaceValidationError(f"outcome id {name!r} cannot round-trip through a "
+                                           "CSV table: no comma, line break, edge whitespace "
+                                           "or repeat")
+            seen.add(name)
     market = None
     if "assets" in doc and doc["assets"]:
         try:
-            S = _numbers(doc["assets"]["values"])
-            assets = tuple(doc["assets"].get("names", ()))
+            S, assets = doc["assets"]["values"], tuple(doc["assets"].get("names", ()))
         except (KeyError, TypeError) as exc:  # no values, or assets not an object
             raise SpaceValidationError(f"malformed asset table: {exc}") from exc
-        if S is None:
-            raise SpaceValidationError("malformed asset table: values must hold numbers only: "
-                                       "no bool, no text, no ragged rows")
-        market = MarketModel.from_prices(space, S, assets=assets)
+        _known(doc["assets"], ("names", "values"), "asset table")
+        market = MarketModel.from_prices(space, _field(S, "asset values", False, None),
+                                         assets=assets)
     return ModelDocument(space=space, tau=tau, market=market)
 
 
@@ -330,23 +320,19 @@ def _known(doc, keys, what) -> None:
         raise SpaceValidationError(f"{what} has unknown fields {unknown}")
 
 
-def _integral(v, name) -> int:
-    """An integer value; an integral float such as 7.0 is accepted, 7.5 or true is not."""
-    if isinstance(v, float) and v.is_integer():
-        return int(v)
-    if isinstance(v, (bool, np.bool_)) or not isinstance(v, (int, np.integer)):
-        raise SpaceValidationError(f"{name} must be an integer, got {v!r}")
-    return int(v)
-
-
-def _number(v, name) -> float:
-    """A float value of a number; true, "0.2" or an integer past the float range is not one."""
-    if isinstance(v, (int, float, np.integer, np.floating)) and not isinstance(v, bool):
-        try:
-            return float(v)
-        except OverflowError:
-            pass
-    raise SpaceValidationError(f"{name} must be a number, got {v!r}")
+def _field(x, name, integral, ndim):
+    """``x`` by the one number rule, :func:`deflators._numbers`: a float, or an int if
+    ``integral``, where ``ndim`` is 0, else an array of ``ndim`` axes (any if None).  A
+    refusal raises :class:`SpaceValidationError` naming ``name`` and its first bad value."""
+    try:
+        values = _numbers(x, integral)
+        if ndim is None or values.ndim == ndim:
+            return values.item() if ndim == 0 else values
+    except ValueError as exc:  # its text is the first cell refused, or "ragged rows"
+        bad = exc.args[0]
+    if ndim is not None:  # a number or a list of them: the first in its place that is none
+        bad = repr(next(c for c in ([x] if ndim == 0 else x) if _cell(c, integral) is None))
+    raise SpaceValidationError(f"{name} must be {('a number', 'an integer')[integral]}, got {bad}")
 
 
 # a scenario's float fields: the model's, None where required, then the suite's, with defaults
@@ -369,14 +355,14 @@ def load_scenario(source) -> tuple:
     if missing:
         raise SpaceValidationError(f"scenario misses fields {missing}")
     _known(doc, (*_MODEL_FIELDS, *_SUITE_FIELDS, "n_paths", "seed", "keep_paths"), "scenario")
-    model = {k: _number(doc.get(k, default), k) for k, default in _MODEL_FIELDS.items()}
+    model = {k: _field(doc.get(k, default), k, False, 0) for k, default in _MODEL_FIELDS.items()}
     sc = JumpDiffusionScenario(
         lam=model.pop("lambda"), **model,
-        n_paths=_integral(doc.get("n_paths", 100_000), "n_paths"),
-        seed=_integral(doc.get("seed", 0), "seed"),
+        n_paths=_field(doc.get("n_paths", 100_000), "n_paths", True, 0),
+        seed=_field(doc.get("seed", 0), "seed", True, 0),
     )
-    extras = {k: _number(doc.get(k, default), k) for k, default in _SUITE_FIELDS.items()}
-    extras["keep_paths"] = _integral(doc.get("keep_paths", 4), "keep_paths")
+    extras = {k: _field(doc.get(k, default), k, False, 0) for k, default in _SUITE_FIELDS.items()}
+    extras["keep_paths"] = _field(doc.get("keep_paths", 4), "keep_paths", True, 0)
     return sc, extras
 
 

@@ -43,19 +43,15 @@ def random_space(rng, *, max_horizon: int = 6, max_atoms: int = 64,
                  dyadic: bool = False) -> FiniteFilteredSpace:
     """A random refinement chain with strictly positive atom weights."""
     T = int(rng.integers(2, max_horizon + 1))
-    # cell tree: leaves[level] lists, each cell = list of eventual atom slots
-    counts = [int(rng.integers(1, 3))]  # number of cells at level 0
-    parents = [list(range(counts[0]))]
-    n_cells = [counts[0]]
+    # cell tree: parent_rows[level - 1] holds each level cell's parent cell
+    n_cells = [int(rng.integers(1, 3))]  # number of cells at level 0
     parent_rows = []
     for level in range(1, T + 1):
         row = []
-        budget = max_atoms
         for cell in range(n_cells[level - 1]):
-            k = int(rng.integers(1, 4))
-            row.extend([cell] * k)
+            row.extend([cell] * int(rng.integers(1, 4)))
         # trim uniformly if the frontier would overflow the atom budget
-        while len(row) > budget:
+        while len(row) > max_atoms:
             drop = int(rng.integers(0, len(row)))
             # keep at least one child per parent
             if row.count(row[drop]) > 1:
@@ -68,13 +64,10 @@ def random_space(rng, *, max_horizon: int = 6, max_atoms: int = 64,
     ids[T] = np.arange(n_atoms)
     for level in range(T - 1, -1, -1):
         ids[level] = np.array(parent_rows[level], dtype=np.int64)[ids[level + 1]]
-    if dyadic:
-        raw = 2.0 ** rng.integers(0, 3, size=n_atoms)
-    else:
-        raw = rng.uniform(0.2, 1.0, size=n_atoms)
-    probs = raw / raw.sum()
+    raw = (2.0 ** rng.integers(0, 3, size=n_atoms) if dyadic
+           else rng.uniform(0.2, 1.0, size=n_atoms))
     outcomes = tuple(f"w{i}" for i in range(n_atoms))
-    return FiniteFilteredSpace.from_partitions(outcomes, probs, ids)
+    return FiniteFilteredSpace.from_partitions(outcomes, raw / raw.sum(), ids)
 
 
 def random_tau(rng, space: FiniteFilteredSpace) -> np.ndarray:
@@ -104,8 +97,7 @@ def regular_tau(rng, space: FiniteFilteredSpace) -> np.ndarray:
                 tau[rep] = j - 1
             else:
                 ids = space.filtration.block_ids[j][atoms]
-                for b in np.unique(ids):
-                    next_pools.append(atoms[ids == b])
+                next_pools += [atoms[ids == b] for b in np.unique(ids)]
         pools = next_pools
     for atoms in pools:
         tau[atoms] = T
@@ -159,10 +151,7 @@ def random_martingale(rng, space: FiniteFilteredSpace, *, positive: bool = False
     A measure with zero-mass atoms may be supplied (degenerate blocks take the
     convention value 0); the result is a martingale under that measure.
     """
-    if positive:
-        xi = rng.uniform(0.25, 2.0, size=space.n_atoms)
-    else:
-        xi = rng.normal(size=space.n_atoms)
+    xi = rng.uniform(0.25, 2.0, size=space.n_atoms) if positive else rng.normal(size=space.n_atoms)
     meas = measure if measure is not None else space.measure
     return project(space, np.repeat(xi[:, None], space.horizon + 1, axis=1), measure=meas,
                    allow_degenerate=True)
@@ -198,8 +187,7 @@ def random_optional_integrand(rng, rts) -> np.ndarray:
     phi = np.zeros((space.n_atoms, T + 1))
     for k in range(1, T + 1):
         for atoms in space.filtration.blocks(k):
-            i = atoms[0]
-            g, gt = rts.G[i, k], rts.G_tilde[i, k]
+            g, gt = rts.G[atoms[0], k], rts.G_tilde[atoms[0], k]
             lo = -gt / g * 0.9 if g > 0 else -2.0
             hi = gt / (gt - g) * 0.9 if gt > g else 2.0
             if gt <= 0:

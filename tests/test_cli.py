@@ -137,16 +137,13 @@ def test_deflate_rejects_non_finite_price_at_load(docs, tmp_path, capsys, bad):
     assert list(out.iterdir()) == []
 
 
-NOT_PRICES = ("malformed asset table: values must hold numbers only: no bool, no text, "
-              "no ragged rows")
-
-
 @pytest.mark.parametrize("cell,value,message", [
     ("prob", "0.25", "prob must be a number, got '0.25'"),
     ("prob", True, "prob must be a number, got True"),
-    ("price", True, NOT_PRICES),
-    ("price", "2", NOT_PRICES),
-], ids=["text-prob", "bool-prob", "bool-price", "text-price"])
+    ("prob", [0.25], "prob must be a number, got [0.25]"),
+    ("price", True, "asset values must be a number, got True"),
+    ("price", "2", "asset values must be a number, got '2'"),
+], ids=["text-prob", "bool-prob", "list-prob", "bool-price", "text-price"])
 def test_verify_refuses_a_model_number_that_is_not_one(docs, tmp_path, capsys, cell, value,
                                                        message):
     # "0.25", true and "2" were read as the numbers 0.25, 1 and 2
@@ -255,6 +252,8 @@ def test_verify_rejects_tau_out_of_range(docs, tmp_path):
     ("tau", [1.7, 2, 2, 0], "tau must be an integer, got 1.7"),
     ("tau", [1, 2, 2, True], "tau must be an integer, got True"),
     ("tau", [1, "2", 2, 0], "tau must be an integer"),
+    # NumPy's "Python int too large to convert to C long"
+    ("tau", [1, 2, 2, 2 ** 70], "tau must be an integer, got 1180591620717411303424"),
     ("horizon", 2.5, "horizon must be an integer, got 2.5"),
     ("horizon", True, "horizon must be an integer"),
 ])
@@ -269,16 +268,23 @@ def test_verify_rejects_non_integer_model_field(docs, tmp_path, capsys, field, v
 
 
 @pytest.mark.parametrize("field,value,message", [
-    ("partitions", None, "partitions must list horizon+1 rows of one block id per atom"),
+    ("partitions", None, "partitions must be an integer, got None"),
     ("partitions", 5, "partitions must list horizon+1 rows of one block id per atom"),
-    ("partitions", [None] * 3, "partitions must list horizon+1 rows of one block id per atom"),
-    ("partitions", [[0] * 4, [0, 0, 1, 1], [0, 1, 2, 2.5]], "partition block ids must be integers"),
-    ("partitions", [[0] * 4, [0, 0, 1, 1], [0, 1, 2, "3"]], "partition block ids must be integers"),
-    ("assets", {"values": "x"}, "malformed asset table"),
+    ("partitions", [None] * 3, "partitions must be an integer, got None"),
+    ("partitions", [[0] * 4, [0, 0, 1, 1], [0, 1, 2, 2.5]],
+     "partitions must be an integer, got 2.5"),
+    ("partitions", [[0] * 4, [0, 0, 1, 1], [0, 1, 2, "3"]],
+     "partitions must be an integer, got '3'"),
+    # a bool was read as the block id 1, and ragged rows gave NumPy's message
+    ("partitions", [[0] * 4, [0, 0, 1, 1], [0, True, 2, 3]],
+     "partitions must be an integer, got True"),
+    ("partitions", [[0] * 4, [0, 0, 1, 1], [0, 1, 2]],
+     "partitions must be an integer, got ragged rows"),
+    ("assets", {"values": "x"}, "asset values must be a number, got 'x'"),
     ("assets", [1, 2], "malformed asset table"),
     ("assets", {"names": ["S"]}, "malformed asset table"),
-], ids=["none", "scalar", "rows-of-none", "fractional-id", "string-id",
-        "string-values", "list-block", "no-values"])
+], ids=["none", "scalar", "rows-of-none", "fractional-id", "string-id", "bool-id",
+        "ragged", "string-values", "list-block", "no-values"])
 def test_verify_rejects_malformed_partitions_or_assets(docs, tmp_path, capsys, field, value,
                                                        message):
     root, model = docs
@@ -297,6 +303,48 @@ def test_verify_accepts_integral_float_tau_and_horizon(docs, tmp_path):
     doc["horizon"] = float(doc["horizon"])
     modelio.write_json(tmp_path / "model.json", doc)
     assert run("verify", "--model", tmp_path / "model.json", "--out", tmp_path) == 0
+
+
+@pytest.mark.parametrize("flaw,message", [
+    # the price table went unread: deflate said "no price table, so no oracle ran", exit 0
+    ("asset", "model document has unknown fields ['asset']"),
+    # the assets took their default names
+    ("name", "asset table has unknown fields ['name']"),
+    ("weight", "an outcome has unknown fields ['weight']"),
+])
+def test_load_model_refuses_keys_it_does_not_read(docs, tmp_path, capsys, flaw, message):
+    root, model = docs
+    doc = copy.deepcopy(model)
+    if flaw == "asset":
+        doc["asset"] = doc.pop("assets")
+    elif flaw == "name":
+        doc["assets"]["name"] = doc["assets"].pop("names")
+    else:
+        doc["outcomes"][1]["weight"] = 1.0
+    modelio.write_json(tmp_path / "bad.json", doc)
+    out = tmp_path / "out"
+    out.mkdir()
+    assert run("deflate", "--model", tmp_path / "bad.json", "--params", root / "params_phi.json",
+               "--out", out) == 2
+    assert capsys.readouterr().err == f"input error: {message}\n"
+    assert list(out.iterdir()) == []
+
+
+def test_an_integer_past_the_int64_range_reads_as_its_float_in_every_document(docs, tmp_path):
+    # a price or Z_F cell 2^70 was refused as "not numbers only", while a scenario field
+    # read it as its float
+    root, model = docs
+    doc = copy.deepcopy(model)
+    doc["assets"]["values"] = [[[2 ** 70] * 3] * 4]  # one constant asset is adapted
+    (tmp_path / "model.json").write_text(json.dumps(doc))
+    (tmp_path / "params.json").write_text(json.dumps({"route": "multiplicative",
+                                                      "Z_F": [[2 ** 70] * 3] * 4}))
+    (tmp_path / "scenario.json").write_text(json.dumps({**README_SCENARIO, "S0": 2 ** 70}))
+    assert "1180591620717411303424" in (tmp_path / "params.json").read_text()
+    read = 1.1805916207174113e21
+    assert np.all(modelio.load_model(tmp_path / "model.json").market.S == read)
+    assert np.all(modelio.load_params(tmp_path / "params.json", 4, 2).Z_F == read)
+    assert modelio.load_scenario(tmp_path / "scenario.json")[0].S0 == read
 
 
 def test_verify_rejects_duplicate_atom_id(docs, tmp_path, capsys):
@@ -1202,14 +1250,15 @@ def test_each_document_refusal_names_its_rule(tmp_path, text, read, error, messa
      "theta must be a number, got False"),
     ({**README_SCENARIO, "lambda": 10 ** 400}, modelio.load_scenario,
      f"lambda must be a number, got {10 ** 400}"),
+    ({**README_SCENARIO, "mu": [0.03]}, modelio.load_scenario, "mu must be a number, got [0.03]"),
     ({**README_SCENARIO, "phi_0": 0.5}, modelio.load_scenario,
      "scenario has unknown fields ['phi_0']"),
     ({"route": "additive", "phi_0": 0.5, "Phi": 1}, lambda path: modelio.load_params(path, 4, 2),
      "parameter document has unknown fields ['phi_0', 'Phi']"),
     (5, lambda path: modelio.load_params(path, 4, 2), "{path} must hold a JSON object, got int"),
     ([README_SCENARIO], modelio.load_scenario, "{path} must hold a JSON object, got list"),
-], ids=["bool", "text", "false", "huge-int", "scenario-key", "params-key", "params-number",
-        "scenario-list"])
+], ids=["bool", "text", "false", "huge-int", "list", "scenario-key", "params-key",
+        "params-number", "scenario-list"])
 def test_loaders_refuse_unknown_keys_and_values_that_are_not_numbers(tmp_path, doc, read,
                                                                      message):
     # true read as 1.0, "0.2" as 0.2 and false as 0.0; a misspelt key ran with the

@@ -31,6 +31,7 @@ from horizon_deflators import (
 from horizon_deflators.deflators import (
     ROUTES,
     AdmissibilityReport,
+    _numbers,
     lift_predictable,
     progressive_exponential,
     reassemble,
@@ -232,6 +233,37 @@ def test_a_non_finite_parameter_is_refused_in_a_dead_cell_too(demo_rts, route, k
     for check in (validate, ROUTES[route][1]):
         with pytest.raises(AdmissibilityError, match=rf"{key} must be finite, got nan at cell \(3, 2\)"):
             check(params, demo_rts)
+
+
+@pytest.mark.parametrize("x, integral, read", [
+    ([[1, 2.5]], False, [[1.0, 2.5]]),
+    (2 ** 70, False, 1.1805916207174113e21),  # the float it rounds to
+    ([2 ** 64, -1], False, [1.8446744073709552e19, -1.0]),
+    ([7.0, -2 ** 63, 2 ** 63 - 1], True, [7, -2 ** 63, 2 ** 63 - 1]),
+    ([[2 ** 62 + 1, 1.0]], True, [[2 ** 62 + 1, 1]]),  # exact, though NumPy rounds it to 2^62
+], ids=["floats", "past-int64", "past-uint64", "int64-range", "exact-integer"])
+def test_the_number_rule_reads_each_number(x, integral, read):
+    values = _numbers(x, integral)
+    assert values.dtype == (np.int64 if integral else np.float64)
+    assert values.tolist() == read
+
+
+@pytest.mark.parametrize("x, integral, bad", [
+    (10 ** 400, False, str(10 ** 400)),  # past the float range
+    ([[1.0, 2.0], [3.0, [4.0]]], False, "ragged rows"),
+    ([[[1, 2]], [[3, True]]], False, "True"),
+    ([1, None], False, "None"),
+    (["1"], False, "'1'"),
+    (np.array([0.0, 1.0]) > 0, False, "False"),
+    ([1, 7.5, 8.5], True, "7.5"),
+    ([2 ** 63], True, "9223372036854775808"),
+    ([1.0, 2.0 ** 63], True, "9.223372036854776e+18"),
+    ([float("nan")], True, "nan"),
+], ids=["huge", "ragged", "deep-bool", "null", "text", "bool-array", "fraction", "past-int64",
+        "float-past-int64", "nan-integer"])
+def test_the_number_rule_names_the_first_cell_it_refuses(x, integral, bad):
+    with pytest.raises(ValueError, match=f"^{re.escape(bad)}$"):
+        _numbers(x, integral)
 
 
 @pytest.mark.parametrize("shape", [(3,), (4,), (1, 3), (3, 3), (4, 2), (4, 3, 1)],

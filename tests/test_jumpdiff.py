@@ -764,6 +764,23 @@ def test_mc_test_fails_closed_on_non_finite(monkeypatch):
         assert rep.warning == f"non-finite start ({start:g}): null rejected"
 
 
+@pytest.mark.parametrize("features", [None, np.empty((0, 4, 2))], ids=["plain", "features"])
+def test_mc_suite_fails_closed_on_zero_paths(features):
+    # no block to merge gave Python-float NaNs, whose sums / 0 raised ZeroDivisionError
+    times = [0.25, 0.5, 0.75, 1.0]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        reports = [mc_test(np.empty((0, 4)), times, start=0.0, features=features),
+                   *jd.mc_suite({"m": (np.empty((0, 4)), 0.0, "martingale", features),
+                                 "s": (np.empty((0, 4)), 1.0, "supermartingale", features)},
+                                times).values()]
+    for rep in reports:
+        assert rep.rejected and rep.max_abs_z == np.inf and rep.regression_z is None
+        assert rep.warning == ("only 0 paths: statistical power is low; non-finite means or "
+                               "standard errors: null rejected")
+        assert rep.means.shape == rep.ses.shape == rep.zscores.shape == (4,)
+
+
 @pytest.mark.parametrize("value,null,z", [
     (0.0, "martingale", -np.inf),
     (2.0, "supermartingale", np.inf),
