@@ -197,20 +197,23 @@ def _numbers(x, integral: bool) -> Array:
             return values.astype(np.int64, copy=False)
     cells = list(itertools.chain.from_iterable(rows)) if listed else values.reshape(-1).tolist()
     numbers = [_cell(cell, integral) for cell in cells]  # exact, one cell at a time
+    if integral:  # int64 cells: an integer past that range is refused
+        numbers = [n if n is None or -2 ** 63 <= n < 2 ** 63 else None for n in numbers]
     if None in numbers:
         raise ValueError(repr(cells[numbers.index(None)]))
     return np.array(numbers, dtype=np.int64 if integral else float).reshape(values.shape)
 
 
 def _cell(cell, integral: bool):
-    """One cell by the rule of :func:`_numbers`: a float, or an int if ``integral``; else None."""
+    """One cell by the rule of :func:`_numbers`: a float, or an int of any size if ``integral``
+    (the int64 range is an array's); else None."""
     cell = cell.item() if isinstance(cell, np.generic) else cell
     try:
         value = float(cell) if type(cell) in (int, float) else None  # a bool is no number
     except OverflowError:  # an integer past the float range
         return None
     if integral and value is not None:
-        return int(cell) if value.is_integer() and -2 ** 63 <= cell < 2 ** 63 else None
+        return int(cell) if value.is_integer() else None
     return value
 
 

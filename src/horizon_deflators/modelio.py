@@ -13,8 +13,9 @@ The loaders only parse: each rule of a model, a parameter table or a scenario
 is checked once, by the library object or function it constrains, which the
 loader calls (see :func:`load_model`, :func:`load_params` and
 :func:`load_scenario`).  Every number a document holds meets one rule,
-``deflators._numbers`` (through :func:`_field`, or ``_full`` for a parameter
-table), and every loader refuses a key it does not read, each naming it.
+``deflators._numbers`` and its one cell ``_cell`` (through :func:`_field`, or
+``_full`` for a parameter table), and every loader refuses a key it does not
+read, each naming it.
 """
 
 from __future__ import annotations
@@ -45,13 +46,19 @@ def dumps_canonical(obj, indent: int = 0) -> str:
     """Deterministic JSON: sorted keys, canonical float rendering."""
     pad = " " * indent
     if isinstance(obj, dict):
-        items = [f'{pad}  "{k}": {dumps_canonical(obj[k], indent + 2).lstrip()}'
-                 for k in sorted(obj)]
-        return "{\n" + ",\n".join(items) + "\n" + pad + "}" if items else "{}"
+        if not obj:
+            return "{}"
+        items = []
+        for k in sorted(obj):
+            items.append(f'{pad}  "{k}": {dumps_canonical(obj[k], indent + 2).lstrip()}')
+        return "{\n" + ",\n".join(items) + "\n" + pad + "}"
     if isinstance(obj, (list, tuple, np.ndarray)):
-        seq = obj.tolist() if isinstance(obj, np.ndarray) else list(obj)
-        if all(isinstance(v, (int, float, bool, str, np.integer, np.floating)) for v in seq):
-            return "[" + ", ".join(_scalar(v) for v in seq) + "]"  # "[]" when empty
+        seq = list(np.asarray(obj).tolist()) if isinstance(obj, np.ndarray) else list(obj)
+        if not seq:
+            return "[]"
+        flat = all(isinstance(v, (int, float, bool, str, np.integer, np.floating)) for v in seq)
+        if flat:
+            return "[" + ", ".join(_scalar(v) for v in seq) + "]"
         items = [f"{pad}  {dumps_canonical(v, indent + 2).lstrip()}" for v in seq]
         return "[\n" + ",\n".join(items) + "\n" + pad + "]"
     return _scalar(obj)
@@ -277,16 +284,12 @@ def load_model(source) -> ModelDocument:
     if partitions.shape != (horizon + 1, len(outcomes)):
         raise SpaceValidationError("partitions must list horizon+1 rows of one block id per atom")
     space = FiniteFilteredSpace.from_partitions(outcomes, probs, partitions)
-    names = list(map(str, space.outcomes))  # ids must read back from CSV rows as written
-    if (any(map("".join(names).__contains__, ",\n\r")) or len(set(names)) < len(names)
-            or list(map(str.strip, names)) != names):  # some id cannot: name the first
-        seen = set()
-        for name in names:
-            if "," in name or "\n" in name or "\r" in name or name != name.strip() or name in seen:
-                raise SpaceValidationError(f"outcome id {name!r} cannot round-trip through a "
-                                           "CSV table: no comma, line break, edge whitespace "
-                                           "or repeat")
-            seen.add(name)
+    seen = set()
+    for name in map(str, space.outcomes):  # ids must read back from CSV rows as written
+        if "," in name or "\n" in name or "\r" in name or name != name.strip() or name in seen:
+            raise SpaceValidationError(f"outcome id {name!r} cannot round-trip through a CSV "
+                                       "table: no comma, line break, edge whitespace or repeat")
+        seen.add(name)
     market = None
     if "assets" in doc and doc["assets"]:
         try:
@@ -321,18 +324,25 @@ def _known(doc, keys, what) -> None:
 
 
 def _field(x, name, integral, ndim):
-    """``x`` by the one number rule, :func:`deflators._numbers`: a float, or an int if
-    ``integral``, where ``ndim`` is 0, else an array of ``ndim`` axes (any if None).  A
-    refusal raises :class:`SpaceValidationError` naming ``name`` and its first bad value."""
+    """``x`` by the one number rule, :func:`deflators._numbers`: a float, or an int of any
+    size if ``integral``, where ``ndim`` is 0 (its range is its reader's rule), else an array
+    of ``ndim`` axes (any if None).  A refusal raises :class:`SpaceValidationError` naming
+    ``name`` and its first bad value."""
+    kind = ("a number", "an integer")[integral]
+    if ndim == 0:
+        value = _cell(x, integral)
+        if value is None:
+            raise SpaceValidationError(f"{name} must be {kind}, got {x!r}")
+        return value
     try:
         values = _numbers(x, integral)
         if ndim is None or values.ndim == ndim:
-            return values.item() if ndim == 0 else values
+            return values
     except ValueError as exc:  # its text is the first cell refused, or "ragged rows"
         bad = exc.args[0]
-    if ndim is not None:  # a number or a list of them: the first in its place that is none
-        bad = repr(next(c for c in ([x] if ndim == 0 else x) if _cell(c, integral) is None))
-    raise SpaceValidationError(f"{name} must be {('a number', 'an integer')[integral]}, got {bad}")
+    if ndim is not None:  # a list of floats: the first in its place that is no number
+        bad = repr(next(c for c in x if _cell(c, integral) is None))
+    raise SpaceValidationError(f"{name} must be {kind}, got {bad}")
 
 
 # a scenario's float fields: the model's, None where required, then the suite's, with defaults

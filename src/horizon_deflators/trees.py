@@ -49,7 +49,8 @@ def random_space(rng, *, max_horizon: int = 6, max_atoms: int = 64,
     for level in range(1, T + 1):
         row = []
         for cell in range(n_cells[level - 1]):
-            row.extend([cell] * int(rng.integers(1, 4)))
+            k = int(rng.integers(1, 4))
+            row.extend([cell] * k)
         # trim uniformly if the frontier would overflow the atom budget
         while len(row) > max_atoms:
             drop = int(rng.integers(0, len(row)))
@@ -64,10 +65,13 @@ def random_space(rng, *, max_horizon: int = 6, max_atoms: int = 64,
     ids[T] = np.arange(n_atoms)
     for level in range(T - 1, -1, -1):
         ids[level] = np.array(parent_rows[level], dtype=np.int64)[ids[level + 1]]
-    raw = (2.0 ** rng.integers(0, 3, size=n_atoms) if dyadic
-           else rng.uniform(0.2, 1.0, size=n_atoms))
+    if dyadic:
+        raw = 2.0 ** rng.integers(0, 3, size=n_atoms)
+    else:
+        raw = rng.uniform(0.2, 1.0, size=n_atoms)
+    probs = raw / raw.sum()
     outcomes = tuple(f"w{i}" for i in range(n_atoms))
-    return FiniteFilteredSpace.from_partitions(outcomes, raw / raw.sum(), ids)
+    return FiniteFilteredSpace.from_partitions(outcomes, probs, ids)
 
 
 def random_tau(rng, space: FiniteFilteredSpace) -> np.ndarray:
@@ -97,7 +101,8 @@ def regular_tau(rng, space: FiniteFilteredSpace) -> np.ndarray:
                 tau[rep] = j - 1
             else:
                 ids = space.filtration.block_ids[j][atoms]
-                next_pools += [atoms[ids == b] for b in np.unique(ids)]
+                for b in np.unique(ids):
+                    next_pools.append(atoms[ids == b])
         pools = next_pools
     for atoms in pools:
         tau[atoms] = T
@@ -151,7 +156,10 @@ def random_martingale(rng, space: FiniteFilteredSpace, *, positive: bool = False
     A measure with zero-mass atoms may be supplied (degenerate blocks take the
     convention value 0); the result is a martingale under that measure.
     """
-    xi = rng.uniform(0.25, 2.0, size=space.n_atoms) if positive else rng.normal(size=space.n_atoms)
+    if positive:
+        xi = rng.uniform(0.25, 2.0, size=space.n_atoms)
+    else:
+        xi = rng.normal(size=space.n_atoms)
     meas = measure if measure is not None else space.measure
     return project(space, np.repeat(xi[:, None], space.horizon + 1, axis=1), measure=meas,
                    allow_degenerate=True)
@@ -187,7 +195,8 @@ def random_optional_integrand(rng, rts) -> np.ndarray:
     phi = np.zeros((space.n_atoms, T + 1))
     for k in range(1, T + 1):
         for atoms in space.filtration.blocks(k):
-            g, gt = rts.G[atoms[0], k], rts.G_tilde[atoms[0], k]
+            i = atoms[0]
+            g, gt = rts.G[i, k], rts.G_tilde[i, k]
             lo = -gt / g * 0.9 if g > 0 else -2.0
             hi = gt / (gt - g) * 0.9 if gt > g else 2.0
             if gt <= 0:

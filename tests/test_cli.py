@@ -804,6 +804,22 @@ def test_simulate_checks_keep_paths_against_the_path_override(tmp_path, capsys, 
     assert not (tmp_path / "out").exists()
 
 
+@pytest.mark.parametrize("seed", [2 ** 63 - 1, 2 ** 63, 2 ** 70])
+def test_simulate_reads_a_seed_past_int64_alike_from_the_document_and_the_command_line(
+        tmp_path, seed):
+    # a scalar integer field is an int of any size; only integer arrays are int64
+    modelio.write_json(tmp_path / "seeded.json", {**README_SCENARIO, "seed": seed})
+    modelio.write_json(tmp_path / "plain.json", README_SCENARIO)
+    codes = [run("simulate", "--scenario", tmp_path / "seeded.json", "--paths", 200,
+                 "--out", tmp_path / "doc"),
+             run("simulate", "--scenario", tmp_path / "plain.json", "--paths", 200,
+                 "--seed", seed, "--out", tmp_path / "flag")]
+    assert codes[0] == codes[1] and codes[0] in (0, 1)
+    summary = (tmp_path / "doc" / "simulate-summary.json").read_bytes()
+    assert summary == (tmp_path / "flag" / "simulate-summary.json").read_bytes()
+    assert json.loads(summary)["scenario"]["seed"] == seed
+
+
 def test_simulate_summary_holds_the_suite_table(tmp_path):
     # the summary's nulls and hypotheses are jumpdiff's table, and its z-score
     # count and critical value are what jumpdiff computes from that table
