@@ -9,6 +9,8 @@ inputs and seed.
 from __future__ import annotations
 
 import argparse
+import ctypes
+import functools
 import math
 import os
 import sys
@@ -31,6 +33,22 @@ from .market import verify_deflator, verify_lmd
 from .prob_core import classify
 
 OUT_ENV = "HORIZON_DEFLATORS_OUT"
+
+
+@functools.cache
+def _keep_chunk_memory() -> None:
+    """Keep simulate's chunk memory resident, once per process; a no-op with no mallopt.
+
+    Each 8192-path chunk frees about 25 MB of temporaries, past glibc's dynamic trim threshold
+    (twice the largest freed mmapped block, about 2 MB), so the next chunk faulted them back
+    in. Setting one value alone ends both dynamic thresholds. A library call leaves them be.
+    """
+    try:
+        mallopt = ctypes.CDLL(None).mallopt
+    except (OSError, TypeError, AttributeError):  # no C library to load, or no mallopt in it
+        return
+    mallopt(-1, 64 << 20)  # M_TRIM_THRESHOLD: above a chunk's temporaries
+    mallopt(-3, 32 << 20)  # M_MMAP_THRESHOLD: above each of them, so they stay on the heap
 
 
 def _outdir(out: str) -> str:
@@ -248,6 +266,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
+    _keep_chunk_memory()
     args = build_parser().parse_args(argv)
     args.out = args.out or os.environ.get(OUT_ENV) or "."
     try:

@@ -92,7 +92,7 @@ class DeflatorParams:
     V_F: Array | None = None
 
     def __post_init__(self):
-        if self.route not in ROUTES:
+        if not isinstance(self.route, str) or self.route not in ROUTES:
             raise AdmissibilityError(f"unknown route {self.route!r}")
 
 

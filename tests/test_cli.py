@@ -1,10 +1,12 @@
 """CLI contract: exit codes, certificates, determinism."""
 
 import copy
+import ctypes
 import hashlib
 import json
 import math
 import os
+import platform
 import re
 import subprocess
 import sys
@@ -20,7 +22,7 @@ from hypothesis import strategies as st
 
 import oracle
 from horizon_deflators import (AdmissibilityError, FiniteFilteredSpace, SpaceValidationError,
-                               build_survival, modelio, trees)
+                               build_survival, cli, modelio, trees)
 from horizon_deflators import deflators as dfl
 from horizon_deflators import enlargement as enl
 from horizon_deflators import jumpdiff as jd
@@ -529,6 +531,19 @@ def test_deflate_refuses_a_table_that_is_not_numbers(docs, tmp_path, capsys, tab
     assert not err.out and not (tmp_path / "out" / "certificate.json").exists()
 
 
+@pytest.mark.parametrize("route", [["additive"], {"additive": 1}], ids=["list", "object"])
+def test_deflate_refuses_a_route_that_is_not_a_name(docs, tmp_path, capsys, route):
+    # a route that cannot be hashed used to raise a bare TypeError out of main
+    root, _ = docs
+    modelio.write_json(tmp_path / "params.json", {"route": route})
+    code = run("deflate", "--model", root / "model.json",
+               "--params", tmp_path / "params.json", "--out", tmp_path / "out")
+    assert code == 2
+    err = capsys.readouterr()
+    assert err.err == f"input error: unknown route {route!r}\n"
+    assert not err.out and not (tmp_path / "out" / "certificate.json").exists()
+
+
 def test_deflate_refuses_a_driver_that_is_not_a_martingale(docs, tmp_path, capsys):
     root, _ = docs
     modelio.write_json(tmp_path / "params.json",
@@ -964,6 +979,65 @@ def test_simulate_does_not_import_scipy(tmp_path):
                           env=env, timeout=120, check=True)
     assert (tmp_path / "simulate-summary.json").exists()
     assert done.stdout.splitlines()[-1] == "[]"
+
+
+@pytest.fixture
+def fresh_malloc_policy():
+    # main sets the malloc policy once per process: clear that record on both sides, so the
+    # test's own calls set it and a patched library stands for no later call
+    cli._keep_chunk_memory.cache_clear()
+    yield
+    cli._keep_chunk_memory.cache_clear()
+
+
+@pytest.mark.skipif(platform.libc_ver()[0] != "glibc", reason="mallopt is glibc's")
+def test_simulate_keeps_its_chunk_memory_resident_between_calls(tmp_path, fresh_malloc_policy):
+    # glibc trimmed the heap after each 8192-path chunk, and the next chunk faulted its
+    # temporaries back in: 5k-40k minor faults per 100k-path call, under 400 with the policy
+    import resource  # POSIX only, like the policy
+    modelio.write_json(tmp_path / "scenario.json", {
+        "sigma": 0.2, "zeta": 0.1, "mu": 0.03, "lambda": 2.0, "a": 0.5, "seed": 7})
+    faults = []
+    for _ in range(2):
+        before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+        assert run("simulate", "--scenario", tmp_path / "scenario.json", "--paths", 100_000,
+                   "--out", tmp_path) == 0
+        faults.append(resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before)
+    assert faults[1] < 2000, faults
+
+
+class _LibcWithoutMallopt:
+    """A C library with no ``mallopt``, as on macOS or Windows."""
+
+
+def _no_libc(name):
+    raise OSError(f"{name}: cannot open shared object file")
+
+
+@pytest.mark.parametrize("cdll", [_no_libc, lambda name: _LibcWithoutMallopt()],
+                         ids=["no-library", "no-mallopt"])
+def test_the_cli_runs_alike_where_libc_has_no_mallopt(docs, tmp_path, capsys, monkeypatch,
+                                                      fresh_malloc_policy, cdll):
+    root, _ = docs
+    commands = (("verify", "--model", root / "model.json"),
+                ("simulate", "--scenario", root / "scenario.json", "--paths", 2000))
+    loads = []
+
+    def patched(name):
+        loads.append(name)
+        return cdll(name)
+
+    runs = {}
+    for label in ("plain", "patched"):
+        if label == "patched":
+            cli._keep_chunk_memory.cache_clear()
+            monkeypatch.setattr(ctypes, "CDLL", patched)
+        codes = [run(*argv, "--out", tmp_path / label) for argv in commands]
+        files = {p.name: p.read_bytes() for p in sorted((tmp_path / label).iterdir())}
+        runs[label] = (codes, capsys.readouterr(), files)
+    assert loads == [None]
+    assert runs["patched"] == runs["plain"] and runs["plain"][0] == [0, 0]
+    assert {"verify-report.json", "simulate-summary.json", "paths.csv"} <= set(runs["plain"][2])
 
 
 def test_simulate_rejects_keep_paths_above_path_override(docs, tmp_path, capsys):

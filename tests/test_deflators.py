@@ -285,6 +285,8 @@ def test_a_parameter_table_of_the_wrong_shape_is_refused(demo_rts, route, key, n
 
 @pytest.mark.parametrize("make, error, message", [
     (lambda rts: DeflatorParams("affine"), AdmissibilityError, "unknown route 'affine'"),
+    (lambda rts: DeflatorParams(["additive"]), AdmissibilityError,
+     "unknown route ['additive']"),
     (lambda rts: multiplicative_decomposition(rts.space, -np.ones((4, 3))),
      ContractViolationError, "multiplicative decomposition needs Z > 0"),
     (lambda rts: represent_payoff(np.arange(12.0).reshape(4, 3), rts), ContractViolationError,
@@ -293,9 +295,10 @@ def test_a_parameter_table_of_the_wrong_shape_is_refused(demo_rts, route, key, n
      "split needs a positive process"),
     (lambda rts: extract_multiplicative(np.arange(1.0, 13.0).reshape(4, 3), rts),
      ContractViolationError, "extraction applies to processes stopped at tau"),
-], ids=["route", "decomposition-sign", "payoff-adapted", "split-sign", "extraction-stopped"])
+], ids=["route", "unhashable-route", "decomposition-sign", "payoff-adapted", "split-sign",
+        "extraction-stopped"])
 def test_each_deflator_refusal_names_its_rule(demo_rts, make, error, message):
-    with pytest.raises(error, match=f"^{message}$"):
+    with pytest.raises(error, match=f"^{re.escape(message)}$"):
         make(demo_rts)
 
 
