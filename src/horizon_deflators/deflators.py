@@ -252,13 +252,9 @@ def induced_base(K_F, rts: RandomTimeStructure) -> Array:
     return _compound(_steps(_driver_steps(dK_F, rts)))
 
 
-def driver_base(K_F, rts: RandomTimeStructure, *, check: bool = True) -> Array:
-    """The additive driver Y = T(K_F) - (1/G_minus) . T(m)."""
-    return np.cumsum(_driver_steps(_martingale_steps(K_F, rts, check), rts), axis=1)
-
-
 def _driver_steps(dK_F, rts) -> Array:
-    """The increments of :func:`driver_base` from the increments of K_F."""
+    """The increments of the additive driver Y = T(K_F) - (1/G_minus) . T(m) from the
+    increments of K_F."""
     dY = _transport_steps(dK_F, rts)
     dY[:, 1:] -= survival_exponential_integrand(rts)[:, 1:] * _transport_steps(rts.dm, rts)[:, 1:]
     return dY

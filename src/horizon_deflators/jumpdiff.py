@@ -25,12 +25,12 @@ Draws come from one counter-based Philox stream (Salmon et al., SC'11): path
 i owns a fixed run of counter blocks, and each path has a spill stream of its
 own for the rare extra draws (``simulate``).  So any block of paths can be
 drawn and evaluated on its own, with the same bits.  ``simulate``,
-``simulate_suite``, ``suite_tests`` and ``build_deflator`` work in chunks of
-``_ROWS`` paths, and the suite's tests fold the same blocks, each map on a thread
-pool of its own, made and joined inside the call, with one worker per CPU of the
-process's affinity set.  Each chunk writes its own rows or returns its own record,
-and records merge in block order, so no output depends on the number of workers;
-work of one chunk, or on one worker, runs inline, with no thread.
+``simulate_suite`` and ``build_deflator`` work in chunks of ``_ROWS`` paths, and
+``mc_suite`` folds the same blocks, each map on a thread pool of its own, made and
+joined inside the call, with one worker per CPU of the process's affinity set.  Each
+chunk writes its own rows or returns its own record, and records merge in block order,
+so no output depends on the number of workers; work of one chunk, or on one worker,
+runs inline, with no thread.
 
 Every (n_paths, R) and (n_paths, R, p) array here is column-major, so one report
 time's values are contiguous: the fold sums each column of a block in one pass
@@ -47,7 +47,8 @@ by ``_running_sum`` (medians of 30 calls, 2 shared vCPUs).
 ``SUITE`` is the one table of the suite's nulls, a row per null: name, start, hypothesis,
 regression and row kernel.  ``simulate_suite`` runs the kernels on each chunk of paths as
 it draws it, folds them and tests the fold at the Sidak critical value, holding one record
-per block; ``suite_tests`` maps the same kernels over a bundle into ``mc_suite``'s tests.
+per block.  Its reports are those that ``mc_suite`` gives, bit for bit, on the same kernels'
+rows of the whole bundle of the same paths.
 
 Statistical verification is by Monte-Carlo means with standard errors,
 sharpened by regressing one-step increments on observable features with
@@ -432,13 +433,6 @@ def _by_rows(fn, bundle: PathBundle, *args) -> tuple:
     return tuple(outs)
 
 
-def _evaluate(sc, rep, jumps, normals, keep_paths, stream) -> PathBundle:
-    """The bundle of the paths drawn as ``jumps`` and ``normals``, in one block."""
-    bundle = _empty_bundle(sc, rep, len(jumps))
-    bundle.samples = _fill(bundle, _quadrature_table(sc), 0, jumps, normals, keep_paths, stream)
-    return bundle
-
-
 def _fill(bundle, quad, first, jumps, normals, keep, stream) -> list:
     """The arrays of ``bundle`` from the draws of its paths, one per row of ``jumps``,
     and the dt-grid samples of its first ``keep``, whose indexes start at ``first``.
@@ -741,8 +735,10 @@ def simulate_suite(sc: JumpDiffusionScenario, psi1: float, psi2: float, *, theta
 
     Returns (kept, reports, n_zscores, z_crit, m_identity_residual): the first ``keep_paths``
     paths of ``bundle = simulate(sc, keep_paths=keep_paths)`` and their samples; the reports
-    that ``mc_suite`` gives, bit for bit, on ``suite_tests(bundle, psi1, psi2, ...)``, with
-    its count and critical value; and ``closed_forms``' residual.  Each chunk of ``_ROWS``
+    that ``mc_suite`` gives, bit for bit, at z_crit on the tests {name: (X, start, hypothesis,
+    F if regressed else None)}, where ``_suite_rows`` on the whole ``bundle`` gives each
+    null's X and the features F and ``_suite_nulls`` the rest; its z-score count and
+    critical value z_crit; and ``closed_forms``' residual.  Each chunk of ``_ROWS``
     paths draws all its paths, runs ``SUITE``'s kernels and is one block of ``_fold_block``.
     The head, the first max(2 MIN_SAMPLES - 1, ``keep_paths``) paths, is drawn first with the
     kept samples: it gives ``_commons``' common values, and ``kept`` views its rows.  psi2,
@@ -801,20 +797,6 @@ def _suite_nulls(R: int, p: int, phi_pr: float) -> tuple:
         n_z += R + ((R - 1) * (p + 1) if regressed else 0)
     z_crit = NormalDist().inv_cdf(1.0 + math.expm1(math.log1p(-SUITE_ALPHA) / n_z) / 2.0)
     return nulls, n_z, z_crit
-
-
-def suite_tests(bundle: PathBundle, psi1: float, psi2: float, *, theta: float,
-                phi_o: float = 0.0, phi_pr: float = 0.0) -> tuple:
-    """(tests, n_zscores, z_crit): ``SUITE``'s nulls on ``bundle`` as ``mc_suite``'s tests,
-    the regressed ones on the features (S_t, N_t, 1{t < T1}), and ``_suite_nulls``' count
-    and critical value; the checks and kernels are ``simulate_suite``'s, chunk by chunk."""
-    check_deflator(bundle, psi2, phi_o=phi_o, phi_pr=phi_pr)
-    check_wealth(bundle.scenario, theta)
-    *values, features = _by_rows(_suite_rows, bundle, psi1, psi2, theta, phi_o, phi_pr)
-    nulls, n_z, z_crit = _suite_nulls(len(bundle.report_times), features.shape[2], phi_pr)
-    tests = {name: (X, start, null, features if regressed else None)
-             for X, (name, start, null, regressed) in zip(values, nulls)}
-    return tests, n_z, z_crit
 
 
 @dataclass(frozen=True)

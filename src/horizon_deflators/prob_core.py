@@ -164,10 +164,6 @@ class Filtration:
                 ufunc.at(acc, ids, col)
         return out[:, lo:].T.reshape((hi - lo,) + rows.shape[2:])
 
-    def segment_reduce(self, n: int, values, ufunc=np.add) -> Array:
-        """``ufunc`` reduced over each time-n block; values are indexed by atom on axis 0."""
-        return self.node_reduce(np.asarray(values)[None], ufunc, n)
-
     def first_where(self, n: int, x, mask):
         """Per node: x at its first atom where mask holds (else 0), and if one exists.
 

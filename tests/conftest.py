@@ -7,7 +7,9 @@ import pytest
 
 sys.path.insert(0, str(Path(__file__).parent))
 
-from horizon_deflators import build_survival, trees
+from horizon_deflators import build_survival
+
+import trees
 
 
 @pytest.fixture(scope="session")

@@ -454,7 +454,7 @@ def per_path_simulate(sc, *, report_times=None, keep_paths=0):
     jumps = np.full((n, kmax), np.inf)
     for i, c in enumerate(jump_lists):
         jumps[i, :len(c)] = c
-    return jd._evaluate(sc, rep, jumps, normals, keep_paths, keep_streams.__getitem__)
+    return evaluate(sc, rep, jumps, normals, keep_paths, keep_streams.__getitem__)
 
 
 def bridge_loop(grid, anchors_t, anchors_w, gen):
@@ -596,3 +596,46 @@ def suite_reference(bundle, psi1, psi2, theta, phi_o, phi_pr):
             for name, value in zip(names, values):
                 out[name][i, j] = value
     return out
+
+
+# ------------------------------------------------------------------------------
+# The package's own kernels on whole arrays, for the tests alone: a block of
+# paths filled at once, the simulate suite's tests on a whole bundle, and the
+# additive route's driver as a process.
+
+def evaluate(sc, rep, jumps, normals, keep_paths, stream):
+    """The bundle of the paths drawn as ``jumps`` and ``normals``, filled in one block by
+    the engine's ``_fill``, with the dt-grid samples of the first ``keep_paths`` drawn
+    from ``stream(i)``."""
+    from horizon_deflators import jumpdiff as jd
+
+    bundle = jd._empty_bundle(sc, rep, len(jumps))
+    bundle.samples = jd._fill(bundle, jd._quadrature_table(sc), 0, jumps, normals,
+                              keep_paths, stream)
+    return bundle
+
+
+def suite_tests(bundle, psi1, psi2, *, theta, phi_o=0.0, phi_pr=0.0):
+    """(tests, n_zscores, z_crit): the simulate suite's nulls on the whole ``bundle`` as
+    ``mc_suite``'s tests, the regressed ones on the features (S_t, N_t, 1{t < T1}), with
+    the engine's z-score count and critical value.  The checks and row kernels are
+    ``simulate_suite``'s, run chunk by chunk, so ``mc_suite`` on these tests gives its
+    reports bit for bit."""
+    from horizon_deflators import jumpdiff as jd
+
+    jd.check_deflator(bundle, psi2, phi_o=phi_o, phi_pr=phi_pr)
+    jd.check_wealth(bundle.scenario, theta)
+    *values, features = jd._by_rows(jd._suite_rows, bundle, psi1, psi2, theta, phi_o, phi_pr)
+    nulls, n_z, z_crit = jd._suite_nulls(len(bundle.report_times), features.shape[2], phi_pr)
+    tests = {name: (X, start, null, features if regressed else None)
+             for X, (name, start, null, regressed) in zip(values, nulls)}
+    return tests, n_z, z_crit
+
+
+def driver_base(K_F, rts):
+    """The additive driver Y = T(K_F) - (1/G_minus) . T(m), summed from the increments
+    that the additive route builds (``deflators._driver_steps``); K_F is not checked."""
+    from horizon_deflators import deflators as dfl
+    from horizon_deflators.prob_core import increments
+
+    return np.cumsum(dfl._driver_steps(increments(K_F), rts), axis=1)

@@ -30,17 +30,17 @@ from horizon_deflators import (
     stochastic_exponential,
     transport,
     transport_compensated,
-    trees,
     validate,
     verify_deflator,
     verify_lmd,
 )
 from horizon_deflators import jumpdiff as jd
 from horizon_deflators.cli import main as cli_main
-from horizon_deflators.deflators import driver_base, progressive_exponential
+from horizon_deflators.deflators import progressive_exponential
 from horizon_deflators.errors import AdmissibilityError
 
 import oracle
+import trees
 
 SEED_TREES = 20240611
 SEED_MC = 424242
@@ -161,7 +161,7 @@ def test_criterion_04_lmd_parametrization_forward():
         K_F[:, 1:] = np.cumsum(np.diff(Z_lmd, axis=1) / Z_lmd[:, :-1], axis=1)
         phi_m = trees.random_optional_integrand(rng, rts)
         d_mult = build_multiplicative(Z_lmd, phi_m, None, rts)
-        Y = driver_base(K_F, rts, check=False)
+        Y = oracle.driver_base(K_F, rts)
         phi_add = np.zeros_like(phi_m)
         phi_add[:, 1:] = phi_m[:, 1:] * (1.0 + np.diff(Y, axis=1))
         d_add = build_additive(K_F, None, phi_add, None, rts)
@@ -280,9 +280,9 @@ def test_criterion_09_jump_diffusion_suite(mc_bundle):
         ok &= dev <= 3 * se
         msgs.append(f"{name}: |mean-1| = {dev:.2e} vs 3se = {3 * se:.2e}")
 
-    tests = jd.suite_tests(bundle, psi1, psi2, theta=0.7)[0]
-    drift_off = jd.suite_tests(bundle, psi1 + 0.1 * abs(sc.mu) / sc.sigma, psi2,
-                               theta=0.7)[0]["deflated_price_drift"]
+    tests = oracle.suite_tests(bundle, psi1, psi2, theta=0.7)[0]
+    drift_off = oracle.suite_tests(bundle, psi1 + 0.1 * abs(sc.mu) / sc.sigma, psi2,
+                                   theta=0.7)[0]["deflated_price_drift"]
     base, pert = (jd.mc_test(values, bundle.report_times, start=start, features=feats)
                   for values, start, _, feats in (tests["deflated_price_drift"], drift_off))
     ok &= (not base.rejected) and pert.rejected

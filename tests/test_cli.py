@@ -3,6 +3,7 @@
 import copy
 import ctypes
 import hashlib
+import importlib.util
 import json
 import math
 import os
@@ -21,8 +22,9 @@ from hypothesis import event, given, settings
 from hypothesis import strategies as st
 
 import oracle
-from horizon_deflators import (AdmissibilityError, FiniteFilteredSpace, SpaceValidationError,
-                               build_survival, cli, modelio, trees)
+import trees
+from horizon_deflators import (AdmissibilityError, Filtration, FiniteFilteredSpace,
+                               SpaceValidationError, build_survival, cli, modelio)
 from horizon_deflators import deflators as dfl
 from horizon_deflators import enlargement as enl
 from horizon_deflators import jumpdiff as jd
@@ -443,10 +445,12 @@ README_DIGESTS = {
 }
 
 
-def test_readme_outputs_match_pinned_digests(tmp_path):
-    space, tau, S = trees.two_period_demo()
-    modelio.write_json(tmp_path / "model.json", modelio.model_to_dict(space, tau, S))
-    modelio.write_json(tmp_path / "params.json", {"route": "measure-change", "phi": 0.5})
+def test_readme_outputs_match_pinned_digests(tmp_path, monkeypatch):
+    # the README's own block that writes the demo documents, run in tmp_path
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    block = re.search(r"# write the demo documents.*?<<'EOF'\n(.*?)\nEOF\n", readme, re.S)
+    monkeypatch.chdir(tmp_path)
+    exec(compile(block.group(1), "README.md", "exec"), {})
     model = ["--model", tmp_path / "model.json"]
     runs = {"verify": ["verify", *model]}
     for route in ("additive", "multiplicative", "measure-change"):
@@ -460,6 +464,15 @@ def test_readme_outputs_match_pinned_digests(tmp_path):
         for path in sorted((tmp_path / name).iterdir()):
             got[f"{name}/{path.name}"] = hashlib.sha256(path.read_bytes()).hexdigest()
     assert got == README_DIGESTS
+
+
+def test_the_package_ships_no_test_only_code():
+    # the random generators live in tests/trees.py, the whole-bundle suite and the
+    # additive driver in tests/oracle.py; node_reduce is the one block reduction
+    assert importlib.util.find_spec("horizon_deflators.trees") is None
+    assert not hasattr(jd, "suite_tests") and not hasattr(jd, "_evaluate")
+    assert not hasattr(dfl, "driver_base")
+    assert not hasattr(Filtration, "segment_reduce")
 
 
 def test_verify_missing_file(tmp_path):
@@ -884,7 +897,7 @@ def test_simulate_regression_survives_huge_price_feature(tmp_path):
     for mu in (400, 0.03):
         sc, _ = modelio.load_scenario({**doc, "mu": mu})
         b = jd.simulate(sc)
-        tests = jd.suite_tests(b, jd.solve_drift(sc, 1.0), 1.0, theta=0.7)[0]
+        tests = oracle.suite_tests(b, jd.solve_drift(sc, 1.0), 1.0, theta=0.7)[0]
         reports = jd.mc_suite({name: tests[name] for name in five}, b.report_times)
         regression_z[mu] = {name: rep.regression_z for name, rep in reports.items()}
     for name in five:

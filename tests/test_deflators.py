@@ -25,7 +25,6 @@ from horizon_deflators import (
     split_at,
     stochastic_exponential,
     stop,
-    trees,
     validate,
 )
 from horizon_deflators.deflators import (
@@ -37,6 +36,8 @@ from horizon_deflators.deflators import (
     reassemble,
 )
 from horizon_deflators.prob_core import bracket, cond_expect
+
+import trees
 
 
 def _regular_case(rng, *, max_horizon=5, max_atoms=40):

@@ -20,13 +20,13 @@ from horizon_deflators import (
     stop,
     transport,
     transport_compensated,
-    trees,
 )
 from horizon_deflators import enlargement as enl
 from horizon_deflators.enlargement import survival_exponential_integrand
 from horizon_deflators.prob_core import FiniteFilteredSpace, dual_projection, increments, project
 
 import oracle
+import trees
 from conftest import frac_table
 
 

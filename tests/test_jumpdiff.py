@@ -19,8 +19,8 @@ from horizon_deflators import (
     solve_drift,
 )
 from horizon_deflators import jumpdiff as jd
-from oracle import (bridge_loop, i1_series, ig_series, per_path_simulate,
-                    sandwich_regression_z, suite_reference)
+from oracle import (bridge_loop, evaluate, i1_series, ig_series, per_path_simulate,
+                    sandwich_regression_z, suite_reference, suite_tests)
 
 
 def scenario(**kw):
@@ -267,7 +267,7 @@ def test_mc_suite_holds_one_block_record_per_block_beside_its_inputs(monkeypatch
     suites = {}
     for n in (3000, 20_000, 80_000):
         sc = scenario(n_paths=n)
-        suites[n] = sc, jd.suite_tests(simulate(sc), solve_drift(sc, 1.0), 1.0, theta=0.5)
+        suites[n] = sc, suite_tests(simulate(sc), solve_drift(sc, 1.0), 1.0, theta=0.5)
 
     def run(n):
         sc, (tests, _, z_crit) = suites[n]
@@ -293,7 +293,7 @@ def test_many_workers_switching_often_give_the_same_bits(monkeypatch):
     def pipeline():
         b = simulate(sc, keep_paths=3)
         Z = build_deflator(b, solve_drift(sc, 1.0), 1.0, phi_o=0.25)["Z"]
-        tests, _, _ = jd.suite_tests(b, solve_drift(sc, 1.0), 1.0, theta=0.7, phi_o=0.25)
+        tests, _, _ = suite_tests(b, solve_drift(sc, 1.0), 1.0, theta=0.7, phi_o=0.25)
         kept, streamed, *_, residual = jd.simulate_suite(sc, solve_drift(sc, 1.0), 1.0,
                                                          theta=0.7, phi_o=0.25, keep_paths=3)
         return b, Z, tests, jd.mc_suite(tests, b.report_times), (kept, streamed, residual)
@@ -336,7 +336,7 @@ def test_path_arrays_are_column_major(n_paths, monkeypatch):
     b = simulate(sc, keep_paths=2)
     psi1 = solve_drift(sc, 1.0)
     arrays = {name: getattr(b, name) for name in jd._PER_REPORT}
-    tests, _, z_crit = jd.suite_tests(b, psi1, 1.0, theta=0.8, phi_o=0.25, phi_pr=-0.1)
+    tests, _, z_crit = suite_tests(b, psi1, 1.0, theta=0.8, phi_o=0.25, phi_pr=-0.1)
     arrays.update({f"suite {name}": values for name, (values, *_) in tests.items()},
                   features=tests["m"][3], **build_deflator(b, psi1, 1.0, phi_o=0.25, phi_pr=-0.1))
     for name, arr in arrays.items():
@@ -438,7 +438,7 @@ def test_tiny_intensity_raises_no_warning():
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             b = simulate(sc, keep_paths=1)
-            tests, _, _ = jd.suite_tests(b, psi1, 1.0, theta=0.7, phi_o=0.25, phi_pr=-0.1)
+            tests, _, _ = suite_tests(b, psi1, 1.0, theta=0.7, phi_o=0.25, phi_pr=-0.1)
             build_deflator(b, psi1, 1.0, phi_o=0.25)
             if sc.lam == 1e-170:
                 assert np.array_equal(b.m, np.ones_like(b.m))
@@ -464,7 +464,7 @@ def test_g_tilde_vanishes_from_t1_on_both_grids():
     jumps = np.stack([t1, np.full(2, 5.0), np.full(2, np.inf)], axis=1)  # tau = T1
     rep = np.array([0.25, 0.5 - 2e-6, 0.5, 0.5 + 2e-6, 1.0])
     normals = np.random.default_rng(0).standard_normal((2, len(rep) + 1))
-    b = jd._evaluate(sc, rep, jumps, normals, 2, lambda i: np.random.default_rng(i))
+    b = evaluate(sc, rep, jumps, normals, 2, lambda i: np.random.default_rng(i))
     for i in range(2):
         for times, G, G_tilde in ((rep, b.G[i], b.G_tilde[i]),
                                   (b.samples[i]["time"], b.samples[i]["G"],
@@ -490,7 +490,7 @@ def test_brownian_values_with_tau_on_a_report_time_or_past_the_horizon():
     for rep, places in ((np.arange(1, 9) / 8.0, [4, 6, 0, 8]),
                         (np.array([0.25, 0.5, 0.75]), [2, 3, 0, 3])):
         R = len(rep)
-        b = jd._evaluate(sc, rep, jumps, z[:, :R + 1], 0, None)
+        b = evaluate(sc, rep, jumps, z[:, :R + 1], 0, None)
         assert np.array_equal(b.tau, tau)
         for i, at in enumerate(places):
             times = np.insert(rep, at, min(tau[i], 1.0))
@@ -501,7 +501,7 @@ def test_brownian_values_with_tau_on_a_report_time_or_past_the_horizon():
 
 
 def _bridge_anchors(b, i):
-    """Path i's anchors as ``_evaluate`` builds them: (0, 0), then the report
+    """Path i's anchors as ``evaluate`` builds them: (0, 0), then the report
     times and tau ^ horizon in stable sorted order, with their Brownian values."""
     t = np.append(b.report_times, min(b.tau[i], b.scenario.horizon))
     w = np.append(b.W[i], b.W_tau[i])
@@ -545,7 +545,7 @@ def test_bridge_point_near_tau_keeps_its_bridge_value():
     jumps = np.array([[t1, 5.0, np.inf]])  # tau = T1
     rep = np.array([0.25, 0.5 - 2.0 ** -6, 1.0])
     normals = np.random.default_rng(0).standard_normal((1, len(rep) + 1))
-    b = jd._evaluate(sc, rep, jumps, normals, 1, lambda i: np.random.default_rng(1))
+    b = evaluate(sc, rep, jumps, normals, 1, lambda i: np.random.default_rng(1))
     s = b.samples[0]
     g = np.flatnonzero(s["time"] == 0.5)[0]
     assert np.isclose(0.5, t1) and b.tau[0] == t1
@@ -605,7 +605,7 @@ def test_nan_theta_is_refused():
     b = simulate(scenario(n_paths=50))
     for theta in (np.nan, np.inf):
         with pytest.raises(AdmissibilityError, match=f"^theta = {theta:g} is inadmissible"):
-            jd.suite_tests(b, solve_drift(b.scenario, 1.0), 1.0, theta=theta)
+            suite_tests(b, solve_drift(b.scenario, 1.0), 1.0, theta=theta)
         with pytest.raises(AdmissibilityError, match=f"^theta = {theta:g} is inadmissible"):
             jd.simulate_suite(b.scenario, solve_drift(b.scenario, 1.0), 1.0, theta=theta)
 
@@ -632,7 +632,7 @@ def test_deflator_unit_mean_and_wealth():
     rep = mc_test(out["Z"], b.report_times, start=1.0)
     assert not rep.rejected
     # the suite's deflated wealth, E(0.8 X)^tau times E_L, which is Z at phi_o = phi_pr = 0
-    values, start, null, _ = jd.suite_tests(b, psi1, psi2, theta=0.8)[0]["deflated_wealth"]
+    values, start, null, _ = suite_tests(b, psi1, psi2, theta=0.8)[0]["deflated_wealth"]
     rep2 = mc_test(values, b.report_times, start=start, null=null)
     assert null == "supermartingale" and not rep2.rejected
     out3 = build_deflator(b, psi1, psi2, phi_o=0.4)
@@ -677,7 +677,7 @@ def test_streamed_suite_equals_mc_suite_on_suite_tests(rows, workers, monkeypatc
     sc = scenario(n_paths=300, lam=6.0)
     psi1, psi2, theta, phi_o, phi_pr = solve_drift(sc, 1.3), 1.3, -0.6, 0.25, -0.1
     b = simulate(sc, keep_paths=3)
-    tests, n_z, z_crit = jd.suite_tests(b, psi1, psi2, theta=theta, phi_o=phi_o, phi_pr=phi_pr)
+    tests, n_z, z_crit = suite_tests(b, psi1, psi2, theta=theta, phi_o=phi_o, phi_pr=phi_pr)
     residual = closed_forms(b)["m_identity_residual"]
     monkeypatch.setattr(jd, "_ROWS", rows)
     monkeypatch.setattr(jd, "_workers", lambda: workers)
@@ -700,7 +700,7 @@ def test_suite_tests_match_the_per_path_reference():
     sc = scenario(n_paths=300, lam=6.0, a=0.4, S0=1.7)
     psi1, psi2, theta, phi_o, phi_pr = solve_drift(sc, 1.3), 1.3, -0.6, 0.25, -0.1
     b = simulate(sc)
-    tests, _, _ = jd.suite_tests(b, psi1, psi2, theta=theta, phi_o=phi_o, phi_pr=phi_pr)
+    tests, _, _ = suite_tests(b, psi1, psi2, theta=theta, phi_o=phi_o, phi_pr=phi_pr)
     ref = suite_reference(b, psi1, psi2, theta, phi_o, phi_pr)
     assert list(tests) == [name for name, *_ in jd.SUITE]
     assert set(tests) - set(ref) == {"m", "N_G"}
@@ -715,7 +715,7 @@ def test_suite_tests_match_the_per_path_reference():
 def test_martingale_suite_small():
     sc = scenario(n_paths=20000, seed=11)
     b = simulate(sc)
-    tests, _, _ = jd.suite_tests(b, solve_drift(sc, 1.0), 1.0, theta=0.7)
+    tests, _, _ = suite_tests(b, solve_drift(sc, 1.0), 1.0, theta=0.7)
     for name in ("m", "transported_brownian", "transported_poisson", "N_G",
                  "survival_exponential"):
         values, start, null, feats = tests[name]
@@ -857,7 +857,7 @@ def _bundle_suite(lam, n_paths, seed):
     where no path jumps before the horizon."""
     sc = scenario(lam=lam, n_paths=n_paths, seed=seed, dt=2.0 ** -10)
     b = simulate(sc)
-    tests = jd.suite_tests(b, solve_drift(sc, 1.0), 1.0, theta=0.7)[0]
+    tests = suite_tests(b, solve_drift(sc, 1.0), 1.0, theta=0.7)[0]
     jumps = np.any(b.t1 < sc.horizon)
     suite = {name: test for name, test in tests.items() if test[3] is not None
              and (jumps or name in ("transported_brownian", "deflated_price_drift"))}
@@ -1231,8 +1231,8 @@ def test_transported_poisson_jump_factor_variant_rejected():
     ours = hit * (1.0 + beta * b.t1[:, None]) - lam * ts
     damped = hit * (1.0 + beta * b.t1[:, None] / (1.0 + beta * b.t1[:, None])) \
         - lam * ts
-    values, _, _, feats = jd.suite_tests(b, solve_drift(sc, 1.0), 1.0,
-                                         theta=0.7)[0]["transported_poisson"]
+    values, _, _, feats = suite_tests(b, solve_drift(sc, 1.0), 1.0,
+                                      theta=0.7)[0]["transported_poisson"]
     assert np.array_equal(values, ours)
     assert not mc_test(ours, b.report_times, start=0.0, features=feats).rejected
     rep = mc_test(damped, b.report_times, start=0.0, features=feats)

@@ -18,6 +18,7 @@ import numpy as np
 import pytest
 
 import oracle
+import trees
 from horizon_deflators import (
     TOL_EXACT,
     ContractViolationError,
@@ -37,7 +38,6 @@ from horizon_deflators import (
     modelio,
     stop,
     transport,
-    trees,
     verify_deflator,
 )
 from horizon_deflators import market as market_mod
@@ -103,11 +103,12 @@ def test_filtration_csr_matches_per_block_reference():
     assert broken > 10
 
 
-def test_segment_reduce_conventions():
+def test_node_reduce_conventions_at_one_date():
     filt = Filtration([[0, 0, 0, 0], [5, 3, 5, 3]])
     x = np.array([1.0, -2.0, 4.0, np.nan])
-    assert np.array_equal(filt.segment_reduce(1, x[:3].tolist() + [0.0]), [5.0, -2.0])
-    assert np.isnan(filt.segment_reduce(1, x, np.maximum)[1])
+    assert np.array_equal(filt.node_reduce(np.asarray(x[:3].tolist() + [0.0])[None], np.add, 1),
+                          [5.0, -2.0])
+    assert np.isnan(filt.node_reduce(np.asarray(x)[None], np.maximum, 1)[1])
     assert filt.is_adapted(np.array([[1.0, 2.0], [1.0, 3.0], [1.0, 2.0], [1.0, 3.0]]))
     assert not filt.is_adapted(np.array([[1.0, 2.0], [1.0, 3.0], [1.0, 2.0], [1.0, 2.5]]))
     value, found = filt.first_where(1, np.array([7.0, 8.0, 9.0, 10.0]),

@@ -12,13 +12,14 @@ from horizon_deflators import (
     lift_strategy,
     stochastic_exponential,
     stop,
-    trees,
     verify_deflator,
     verify_lmd,
     wealth,
 )
 from horizon_deflators.market import Strategy
 from horizon_deflators.prob_core import FiniteFilteredSpace, ProbabilityMeasure
+
+import trees
 
 
 def binomial_market():

@@ -22,8 +22,8 @@ from horizon_deflators import (
     stochastic_integral,
 )
 from horizon_deflators.prob_core import AdaptedProcess, Filtration, increments
-from horizon_deflators import trees
 
+import trees
 from conftest import frac_table
 
 

@@ -13,9 +13,9 @@ from __future__ import annotations
 
 import numpy as np
 
-from .enlargement import _alive
-from .market import MarketModel
-from .prob_core import FiniteFilteredSpace, project
+from horizon_deflators.enlargement import _alive
+from horizon_deflators.market import MarketModel
+from horizon_deflators.prob_core import FiniteFilteredSpace, project
 
 
 def two_period_demo():
