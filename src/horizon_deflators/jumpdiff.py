@@ -562,9 +562,8 @@ def _bridge_fill(grid, anchors_t, anchors_w, gen) -> np.ndarray:
 
 def closed_forms(bundle: PathBundle) -> dict:
     """Survival grids at the report times with the pathwise identity residual."""
-    res = np.max(_row_map(lambda lo, hi: _m_residual(_rows(bundle, lo, hi)), bundle.n_paths))
     return {"G": bundle.G, "G_tilde": bundle.G_tilde, "m": bundle.m, "D_opt": bundle.D_opt,
-            "N_G": bundle.N_G, "m_identity_residual": float(res)}
+            "N_G": bundle.N_G, "m_identity_residual": _m_residual(bundle)}
 
 
 def _m_residual(b) -> float:

@@ -7,7 +7,10 @@ behind :func:`process_to_csv` and :func:`table_to_csv`, writes every CSV
 table, a chunk of rows at a time.  It reads only the heads of runs of equal
 bits down each column, formats their distinct values in one ``%`` pass, and
 gives each text its separator (the first column also its row key), so a row
-is its label and one text per value.
+is its label and one text per value.  One reader, :func:`process_from_csv`,
+reads a process table in one pass: the body is split once into three columns,
+each converted whole, and each row rule is a mask over the rows, so a refusal
+names the first bad row and the first rule it breaks.
 
 The loaders only parse: each rule of a model, a parameter table or a scenario
 is checked once, by the library object or function it constrains, which the
@@ -155,86 +158,79 @@ def table_to_csv(path, header, tables):
             _write_rows(fh, [label] * len(values), [","], np.asarray(values)[:, None, :])
 
 
+_ROW_RULES = (  # the rules of a process-table row, in the order a row is checked
+    "malformed process row {line!r}",
+    "unknown atom id {name!r}",
+    "time must be an integer and value a number, got {line!r}",
+    "time {time} outside 0..{horizon}",
+    "value {value!r} of ({name}, {time}) is not finite",
+    "cell ({name}, {time}) appears twice",
+)
+
+
 def process_from_csv(path, outcomes, horizon) -> np.ndarray:
     """Read a process table written by :func:`process_to_csv`.
 
-    Every (atom, time) cell must appear exactly once with a finite value; a
-    failure raises :class:`SpaceValidationError` naming the row (by line).
-    The body is parsed by whole columns (``_process_columns``); a table that
-    fails any check there is read again row by row (``_process_rows``), which
-    names the first bad row.
+    Every (atom, time) cell must appear exactly once with a finite value.  The
+    body is read in one pass: split once into three columns, up to its first
+    row that is not three cells, each column converted whole (:func:`_column`),
+    and each rule of :data:`_ROW_RULES` a mask over the rows.  A failure
+    raises :class:`SpaceValidationError` naming the first bad row in file
+    order (by line: the header is row 1, and blank lines count) with the
+    first rule it breaks, or else the first missing cell.
     """
     index = {str(name): i for i, name in enumerate(outcomes)}
     header, *lines = _text(path).split("\n")  # not splitlines: only a line break ends a row
     if not header.lower().startswith("atom"):
         raise SpaceValidationError("process table must carry an atom,time,value header")
-    X = _process_columns(lines, index, len(outcomes), horizon)
-    return _process_rows(lines, outcomes, index, horizon) if X is None else X
-
-
-def _process_columns(lines, index, n_atoms, horizon):
-    """The table of the body ``lines``, or None unless every check passes.
-
-    Its rows are split once into three columns, which ``map(int, ...)`` and
-    ``map(float, ...)`` convert exactly as the row loop does; shape, range,
-    finiteness, repeated and missing cells are checked on the whole arrays.
-    """
-    rows = [line for line in map(str.strip, lines) if line]
-    if set(map(str.count, rows, repeat(","))) != {2}:  # some row is not three cells
-        return None
-    cells = ",".join(rows).split(",")
-    try:
-        atom = np.fromiter(map(index.__getitem__, cells[0::3]), np.intp, len(rows))
-        time = np.fromiter(map(int, cells[1::3]), np.int64, len(rows))
-        value = np.fromiter(map(float, cells[2::3]), float, len(rows))
-    except (KeyError, ValueError, OverflowError):  # an unknown atom, a word, a huge time
-        return None
-    size = n_atoms * (horizon + 1)
-    if len(rows) != size or not (((time >= 0) & (time <= horizon)).all()
-                                 and np.isfinite(value).all()):
-        return None
-    cell = atom * (horizon + 1) + time
-    seen = np.zeros(size, dtype=bool)
-    seen[cell] = True
-    if not seen.all():  # as many rows as cells, so some cell appears twice
-        return None
-    X = np.empty(size)
-    X[cell] = value
-    return X.reshape(n_atoms, horizon + 1)
-
-
-def _process_rows(lines, outcomes, index, horizon) -> np.ndarray:
-    """The table of the body ``lines``, read one row at a time: the first bad row
-    raises :class:`SpaceValidationError` naming it."""
+    body = list(filter(None, map(str.strip, lines)))
+    commas = list(map(str.count, body, repeat(",")))  # rows 0..n-1 are three cells each
+    n = len(body) if commas.count(2) == len(body) else min(map(commas.index, set(commas) - {2}))
+    cells = ",".join(body).split(",")  # the first 3n cells are those of rows 0..n-1
+    atom, unknown = _column(cells[0:3 * n:3], index.__getitem__, np.intp)
+    time, time_refused = _column(cells[1:3 * n:3], int, np.int64)
+    value, value_refused = _column(cells[2:3 * n:3], float, float)
+    cell = atom * (horizon + 1) + time  # any value on a row that breaks an earlier rule
+    order = np.argsort(cell, kind="stable")  # a repeat sorts after the first row of its cell
+    twice = np.zeros(n, dtype=bool)
+    twice[order[1:][np.diff(cell[order]) == 0]] = True
+    masks = (unknown, time_refused | value_refused, (time < 0) | (time > horizon),
+             ~np.isfinite(value), twice)
+    i, rule = min([(n, 0)] + [(int(mask.argmax()), rule) for rule, mask in enumerate(masks, 1)
+                              if mask.any()])  # the first bad row, and its first rule
+    if i < len(body):
+        name, t, v = body[i].split(",") if rule else (None, None, None)
+        if rule > 2:  # the row reads as an atom id, an integer and a number
+            t, v = int(t), float(v)
+        row = [r for r, line in enumerate(lines, start=2) if line.strip()][i]
+        raise SpaceValidationError(f"row {row}: " + _ROW_RULES[rule].format(
+            line=body[i], name=name, time=t, value=v, horizon=horizon))
     X = np.full((len(outcomes), horizon + 1), np.nan)
-    for row, line in enumerate(lines, start=2):
-        line = line.strip()
-        if not line:
-            continue
-        parts = line.split(",")
-        if len(parts) != 3:
-            raise SpaceValidationError(f"row {row}: malformed process row {line!r}")
-        name, n, v = parts
-        if name not in index:
-            raise SpaceValidationError(f"row {row}: unknown atom id {name!r}")
-        try:
-            n, v = int(n), float(v)
-        except ValueError:
-            raise SpaceValidationError(
-                f"row {row}: time must be an integer and value a number, got {line!r}"
-            ) from None
-        if not 0 <= n <= horizon:
-            raise SpaceValidationError(f"row {row}: time {n} outside 0..{horizon}")
-        if not math.isfinite(v):
-            raise SpaceValidationError(f"row {row}: value {v!r} of ({name}, {n}) is not finite")
-        if not math.isnan(X[index[name], n]):
-            raise SpaceValidationError(f"row {row}: cell ({name}, {n}) appears twice")
-        X[index[name], n] = v
-    if np.any(np.isnan(X)):
-        i, n = np.argwhere(np.isnan(X))[0]
+    X.reshape(-1)[cell] = value
+    if np.isnan(X).any():
+        i, t = np.argwhere(np.isnan(X))[0]
         raise SpaceValidationError(
-            f"process table misses (atom, time) cells, first ({outcomes[i]}, {n})")
+            f"process table misses (atom, time) cells, first ({outcomes[i]}, {t})")
     return X
+
+
+def _column(cells, read, dtype):
+    """``cells`` converted by ``read`` to ``dtype``, and the mask of those it refuses (a
+    KeyError or ValueError): only a column whose whole conversion raises is converted
+    again, cell by cell.  An integer past ``dtype`` reads as -1, outside 0..T."""
+    try:
+        return np.fromiter(map(read, cells), dtype, len(cells)), np.zeros(len(cells), bool)
+    except (KeyError, ValueError, OverflowError):  # an unknown atom, a word, a huge time
+        pass
+    values, refused = np.zeros(len(cells), dtype), np.zeros(len(cells), bool)
+    for k, text in enumerate(cells):
+        try:
+            values[k] = read(text)
+        except (KeyError, ValueError):
+            refused[k] = True
+        except OverflowError:
+            values[k] = -1
+    return values, refused
 
 
 @dataclass(frozen=True)

@@ -15,7 +15,6 @@ from fractions import Fraction
 from itertools import combinations
 
 import numpy as np
-from scipy.optimize import linprog
 
 
 def blocks_of(row):
@@ -187,6 +186,8 @@ def vertex_sup(v, rows, tol):
 
 def recession_violation(v, rows):
     """Max of v'r over the recession cone {r : rows r >= 0}, |r|_inf <= 1, by HiGHS LP."""
+    from scipy.optimize import linprog
+
     d = len(v)
     res = linprog(-v, A_ub=-rows if len(rows) else None,
                   b_ub=np.zeros(len(rows)) if len(rows) else None,
@@ -315,6 +316,44 @@ def write_paths(path, bundle, deflator_grid, psi1, psi2, phi_o, phi_pr):
             for j, t in enumerate(s["time"]):
                 row = ",".join(fmt_cell(s[c][j]) for c in cols)
                 fh.write(f"{s['index']},{fmt_cell(t)},{row},{fmt_cell(Z[j])}\n")
+
+
+def read_rows(path, outcomes, horizon):
+    """The row-by-row process-table reader: the first bad row raises ValueError naming it
+    (by line, the header row 1), else the first missing (atom, time) cell does."""
+    with open(path) as fh:
+        header, *lines = fh.read().split("\n")
+    if not header.lower().startswith("atom"):
+        raise ValueError("process table must carry an atom,time,value header")
+    index = {str(name): i for i, name in enumerate(outcomes)}
+    X = np.full((len(outcomes), horizon + 1), np.nan)
+    for row, line in enumerate(lines, start=2):
+        line = line.strip()
+        if not line:
+            continue
+        parts = line.split(",")
+        if len(parts) != 3:
+            raise ValueError(f"row {row}: malformed process row {line!r}")
+        name, n, v = parts
+        if name not in index:
+            raise ValueError(f"row {row}: unknown atom id {name!r}")
+        try:
+            n, v = int(n), float(v)
+        except ValueError:
+            raise ValueError(
+                f"row {row}: time must be an integer and value a number, got {line!r}"
+            ) from None
+        if not 0 <= n <= horizon:
+            raise ValueError(f"row {row}: time {n} outside 0..{horizon}")
+        if not math.isfinite(v):
+            raise ValueError(f"row {row}: value {v!r} of ({name}, {n}) is not finite")
+        if not math.isnan(X[index[name], n]):
+            raise ValueError(f"row {row}: cell ({name}, {n}) appears twice")
+        X[index[name], n] = v
+    if np.any(np.isnan(X)):
+        i, n = np.argwhere(np.isnan(X))[0]
+        raise ValueError(f"process table misses (atom, time) cells, first ({outcomes[i]}, {n})")
+    return X
 
 
 # ------------------------------------------------------------------------------

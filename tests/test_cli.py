@@ -466,6 +466,15 @@ def test_readme_outputs_match_pinned_digests(tmp_path, monkeypatch):
     assert got == README_DIGESTS
 
 
+def test_readme_library_tour_prints_its_two_lines(capsys):
+    # the tour's own block, read from README.md: the deflator's date-1 row, then the
+    # oracle's False on the stopped demo market, which has a sure gain in G at date 1
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    block = re.search(r"## Library tour\n\n```python\n(.*?)```\n", readme, re.S)
+    exec(compile(block.group(1), "README.md", "exec"), {})
+    assert capsys.readouterr().out == "[0.5625 0.9375 1.5    1.    ]\nFalse\n"
+
+
 def test_the_package_ships_no_test_only_code():
     # the random generators live in tests/trees.py, the whole-bundle suite and the
     # additive driver in tests/oracle.py; node_reduce is the one block reduction

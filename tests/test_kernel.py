@@ -5,7 +5,7 @@ kept in ``oracle.py``: the ``Filtration`` and its node reductions against
 first-appearance relabelling and per-block scans, the closed-form one-asset
 and the batched two- and three-asset deflator oracles against the per-node
 LP scan, the segment-reduced two-term decomposition against its block-pair
-loop, the chunked CSV writer against the per-cell writer, and the column-wise CSV
+loop, the chunked CSV writer against the per-cell writer, and the one-pass CSV
 reader against its row loop.
 """
 
@@ -651,19 +651,82 @@ def test_process_table_round_trips_bit_for_bit(tmp_path):
     ("", "process table misses (atom, time) cells, first (w916, 2)"),
 ], ids=["two-cells", "four-cells", "unknown-atom", "word", "time-past-horizon", "huge-time",
         "infinite", "duplicate", "missing"])
-def test_process_table_reader_names_a_bad_row_deep_in_a_large_table(tmp_path, monkeypatch,
-                                                                   text, message):
-    # a good table is read by whole columns alone; a bad row past row 5000 sends
-    # the reader to its row loop, which names it exactly
+def test_process_table_reader_names_a_bad_row_deep_in_a_large_table(tmp_path, text, message):
+    # the reader's whole-column masks name a bad row past row 5000 exactly
     names = [f"w{i}" for i in range(1024)]
     X = np.arange(1024 * 6.0).reshape(1024, 6) / 8.0
     modelio.process_to_csv(tmp_path / "X.csv", names, X)
-    with monkeypatch.context() as patch:
-        patch.setattr(modelio, "_process_rows", None)
-        assert np.array_equal(modelio.process_from_csv(tmp_path / "X.csv", names, 5), X)
+    assert np.array_equal(modelio.process_from_csv(tmp_path / "X.csv", names, 5), X)
     lines = (tmp_path / "X.csv").read_text().split("\n")
     assert lines[5499] == "w916,2,687.25"  # row 5500: the header is row 1
     lines[5499] = text
     (tmp_path / "bad.csv").write_text("\n".join(lines))
     with pytest.raises(SpaceValidationError, match=f"^{re.escape(message)}$"):
         modelio.process_from_csv(tmp_path / "bad.csv", names, 5)
+
+
+def _corrupt(rng, records, horizon):
+    """Apply one corruption, drawn at random, to ``records`` (a table's rows as cell lists)."""
+    k = int(rng.integers(len(records)))
+    kind = rng.integers(6)
+    if kind == 0:  # a row of 2 or 4 cells
+        records[k] = records[k][:2] if rng.random() < 0.5 else records[k] + ["1"]
+    elif kind == 1:
+        records[k][0] = "x" + records[k][0]
+    elif kind == 2 and len(records[k]) > 1:  # a word, a fraction, past T, negative, huge
+        records[k][1] = rng.choice(["two", "1.5", str(horizon + 1), "-1", str(2 ** 70),
+                                    str(2 ** 63 - 1)])
+    elif kind == 3 and len(records[k]) > 2:
+        records[k][2] = rng.choice(["nan", "-inf", "1e400", '"nan"'])
+    elif kind == 4:  # a repeated cell: in place of another row, or beside the rows
+        if rng.random() < 0.5:
+            records[int(rng.integers(len(records)))] = list(records[k])
+        else:
+            records.insert(int(rng.integers(len(records) + 1)), list(records[k]))
+    elif kind == 5:
+        del records[k]
+
+
+# the message of each rule of a process table, as the row loop words it
+PROCESS_TABLE_RULES = {"shape": r"row \d+: malformed", "atom": r"row \d+: unknown atom",
+                       "number": r"row \d+: time must", "range": r"row \d+: time -?\d+ outside",
+                       "finite": r"row \d+: value", "repeat": r"row \d+: cell",
+                       "missing": r"process table misses"}
+
+
+def test_process_table_reader_matches_its_row_loop_on_corrupt_tables(tmp_path):
+    # random tables with 1 to 3 corruptions each, among blank lines, edge whitespace
+    # and CRLF line endings: the reader gives the row loop's bits or its whole message
+    rng = np.random.default_rng(113)
+    outcomes = set()
+    for case in range(1500):
+        n_atoms, horizon = int(rng.integers(1, 6)), int(rng.integers(0, 4))
+        names = [f"w{i}" for i in range(n_atoms)]
+        X = rng.normal(size=(n_atoms, horizon + 1)) * 10.0 ** rng.integers(-5, 5)
+        records = [[name, str(t), modelio.fmt(X[i, t])]
+                   for i, name in enumerate(names) for t in range(horizon + 1)]
+        if rng.random() < 0.5:
+            records = [records[j] for j in rng.permutation(len(records))]
+        for _ in range(rng.integers(1, 4)):
+            if records:
+                _corrupt(rng, records, horizon)
+        lines = []
+        for cells in records:
+            lines += [" "] * int(rng.random() < 0.2) + [""] * int(rng.random() < 0.1)
+            lines.append(" " * int(rng.integers(2)) + ",".join(cells) + "\t" * int(rng.integers(2)))
+        end = "\r\n" if rng.random() < 0.3 else "\n"
+        path = tmp_path / f"X{case}.csv"
+        path.write_bytes((end.join(["atom,time,value", *lines]) + end).encode())
+        try:
+            want = oracle.read_rows(path, names, horizon)
+        except ValueError as exc:
+            with pytest.raises(SpaceValidationError) as got:
+                modelio.process_from_csv(path, names, horizon)
+            assert str(got.value) == str(exc)
+            outcomes.add(next(rule for rule, pattern in PROCESS_TABLE_RULES.items()
+                              if re.match(pattern, str(exc))))
+        else:
+            got = modelio.process_from_csv(path, names, horizon)
+            assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
+            outcomes.add("read")
+    assert outcomes == {*PROCESS_TABLE_RULES, "read"}  # every rule was met, and a good table
