@@ -185,14 +185,9 @@ class JumpDiffusionScenario:
         if not self.lam * self.horizon <= MAX_MEAN_JUMPS:
             raise SpaceValidationError(
                 f"lam * horizon (expected jumps per path) must not exceed {MAX_MEAN_JUMPS}")
-        if not self.sigma * self.sigma * self.horizon <= MAX_EXPONENT:
-            raise SpaceValidationError(
-                f"sigma^2 = {self.sigma * self.sigma:.3g} times the horizon must not exceed "
-                f"{MAX_EXPONENT:g}")
-        if not abs(self.drift) * self.horizon <= MAX_EXPONENT:
-            raise SpaceValidationError(
-                f"the drift mu - zeta lam - sigma^2/2 = {self.drift:.3g} times the horizon "
-                f"must not exceed {MAX_EXPONENT:g} in size")
+        _check_exponent(self, "sigma", self.sigma, self.sigma * self.sigma, "sigma^2")
+        _check_exponent(self, "drift", self.drift, abs(self.drift),
+                        "|mu - zeta lam - sigma^2/2|")
 
     @property
     def beta(self) -> float:

@@ -174,7 +174,9 @@ def process_from_csv(path, outcomes, horizon) -> np.ndarray:
     Every (atom, time) cell must appear exactly once with a finite value.  The
     body is read in one pass: split once into three columns, up to its first
     row that is not three cells, each column converted whole (:func:`_column`),
-    and each rule of :data:`_ROW_RULES` a mask over the rows.  A failure
+    and each rule of :data:`_ROW_RULES` a mask over the rows.  A time or value
+    is a number only as written: :func:`_unwritten` refuses an ``_`` or a
+    non-ASCII character, which ``int`` and ``float`` take.  A failure
     raises :class:`SpaceValidationError` naming the first bad row in file
     order (by line: the header is row 1, and blank lines count) with the
     first rule it breaks, or else the first missing cell.
@@ -186,15 +188,20 @@ def process_from_csv(path, outcomes, horizon) -> np.ndarray:
     body = list(filter(None, map(str.strip, lines)))
     commas = list(map(str.count, body, repeat(",")))  # rows 0..n-1 are three cells each
     n = len(body) if commas.count(2) == len(body) else min(map(commas.index, set(commas) - {2}))
-    cells = ",".join(body).split(",")  # the first 3n cells are those of rows 0..n-1
+    text = ",".join(body)
+    cells = text.split(",")  # the first 3n cells are those of rows 0..n-1
     atom, unknown = _column(cells[0:3 * n:3], index.__getitem__, np.intp)
-    time, time_refused = _column(cells[1:3 * n:3], int, np.int64)
-    value, value_refused = _column(cells[2:3 * n:3], float, float)
+    times, values = cells[1:3 * n:3], cells[2:3 * n:3]
+    time, time_refused = _column(times, int, np.int64)
+    value, value_refused = _column(values, float, float)
+    numbers = time_refused | value_refused
+    if not text.isascii() or "_" in text:  # else no time or value holds one either
+        numbers |= _unwritten(times) | _unwritten(values)
     cell = atom * (horizon + 1) + time  # any value on a row that breaks an earlier rule
     order = np.argsort(cell, kind="stable")  # a repeat sorts after the first row of its cell
     twice = np.zeros(n, dtype=bool)
     twice[order[1:][np.diff(cell[order]) == 0]] = True
-    masks = (unknown, time_refused | value_refused, (time < 0) | (time > horizon),
+    masks = (unknown, numbers, (time < 0) | (time > horizon),
              ~np.isfinite(value), twice)
     i, rule = min([(n, 0)] + [(int(mask.argmax()), rule) for rule, mask in enumerate(masks, 1)
                               if mask.any()])  # the first bad row, and its first rule
@@ -231,6 +238,16 @@ def _column(cells, read, dtype):
         except OverflowError:
             values[k] = -1
     return values, refused
+
+
+def _unwritten(cells):
+    """The mask of ``cells`` that hold an ``_`` or a non-ASCII character: ``int`` and
+    ``float`` read them (``1_0``, ``١``), but no table that :func:`process_to_csv` writes
+    holds them.  A column that holds neither is passed on one look at its joined text."""
+    text = "".join(cells)
+    if text.isascii() and "_" not in text:
+        return np.zeros(len(cells), bool)
+    return np.fromiter((not c.isascii() or "_" in c for c in cells), bool, len(cells))
 
 
 @dataclass(frozen=True)
@@ -341,9 +358,9 @@ def _field(x, name, integral, ndim):
     raise SpaceValidationError(f"{name} must be {kind}, got {bad}")
 
 
-# a scenario's float fields: the model's, None where required, then the suite's, with defaults
-_MODEL_FIELDS = {"sigma": None, "zeta": None, "mu": None, "lambda": None, "a": None,
-                 "S0": 1.0, "horizon": 1.0, "dt": 2.0 ** -10}
+# a scenario's fields: the model's, the first five required and the rest defaulting as
+# JumpDiffusionScenario's do, then the suite's floats, with the document's own defaults
+_MODEL_FIELDS = ("sigma", "zeta", "mu", "lambda", "a", "S0", "horizon", "dt", "n_paths", "seed")
 _SUITE_FIELDS = {"psi2": 1.0, "phi_o": 0.25, "phi_pr": 0.0, "theta": 0.7}
 
 
@@ -357,16 +374,12 @@ def load_scenario(source) -> tuple:
     the suite parameters :func:`check_deflator`'s and :func:`check_wealth`'s.
     """
     doc = _read(source)
-    missing = [k for k, default in _MODEL_FIELDS.items() if default is None and k not in doc]
+    missing = [k for k in _MODEL_FIELDS[:5] if k not in doc]
     if missing:
         raise SpaceValidationError(f"scenario misses fields {missing}")
-    _known(doc, (*_MODEL_FIELDS, *_SUITE_FIELDS, "n_paths", "seed", "keep_paths"), "scenario")
-    model = {k: _field(doc.get(k, default), k, False, 0) for k, default in _MODEL_FIELDS.items()}
-    sc = JumpDiffusionScenario(
-        lam=model.pop("lambda"), **model,
-        n_paths=_field(doc.get("n_paths", 100_000), "n_paths", True, 0),
-        seed=_field(doc.get("seed", 0), "seed", True, 0),
-    )
+    _known(doc, (*_MODEL_FIELDS, *_SUITE_FIELDS, "keep_paths"), "scenario")
+    model = {k: _field(doc[k], k, k in ("n_paths", "seed"), 0) for k in _MODEL_FIELDS if k in doc}
+    sc = JumpDiffusionScenario(lam=model.pop("lambda"), **model)
     extras = {k: _field(doc.get(k, default), k, False, 0) for k, default in _SUITE_FIELDS.items()}
     extras["keep_paths"] = _field(doc.get("keep_paths", 4), "keep_paths", True, 0)
     return sc, extras

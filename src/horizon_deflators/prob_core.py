@@ -15,8 +15,8 @@ a level near 1 absorbs an increment below its ulp.
 
 Every reduction over the blocks of all dates runs on one index, the
 space-time node ids of :class:`Filtration`: one int64 node id per (date,
-atom), time-major, built on first use (8 bytes per atom and date).  Each is
-one :meth:`Filtration.node_reduce` over all dates: one ``bincount`` for a
+atom), time-major, built at construction (8 bytes per atom and date).  Each
+is one :meth:`Filtration.node_reduce` over all dates: one ``bincount`` for a
 sum, one ``ufunc.at`` for a minimum or maximum.  Each node takes in its atoms
 in atom order; a sum starts from 0.0, as :func:`cond_expect` does on one
 partition, so every layer rounds its node sums alike, and bit for bit as the
@@ -66,9 +66,9 @@ class Filtration:
     block containing it (``parent[0]`` is all zeros).
 
     The space-time index numbers every (date, block) node once: block b of
-    time n is node ``offsets[n] + b``.  ``nodes``, built on first use, holds
-    the node of every (date, atom), time-major, in one int64 array (8 bytes
-    per atom and date); its first T rows are the time-(n-1) maps of the
+    time n is node ``offsets[n] + b``.  ``nodes``, built at construction,
+    holds the node of every (date, atom), time-major, in one int64 array (8
+    bytes per atom and date); its first T rows are the time-(n-1) maps of the
     predictable projections and increment scans.  ``heads[v]`` is the
     time-major cell ``n * n_atoms + i`` of node v's first atom i.  This is
     the one index of the blocks: every per-date reduction of the library
@@ -81,6 +81,7 @@ class Filtration:
     parent: tuple = field(init=False, repr=False, compare=False)
     offsets: Array = field(init=False, repr=False, compare=False)
     heads: Array = field(init=False, repr=False, compare=False)
+    nodes: Array = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         raw = np.atleast_2d(np.asarray(self.block_ids))
@@ -97,7 +98,8 @@ class Filtration:
         object.__setattr__(self, "offsets", np.cumsum([0] + list(map(len, firsts))))
         object.__setattr__(self, "heads", np.concatenate(
             [n * raw.shape[1] + first for n, first in enumerate(firsts)]))
-        object.__setattr__(self, "_cache", {})
+        object.__setattr__(self, "nodes", ids + self.offsets[:-1, None])
+        object.__setattr__(self, "_mass", None)
 
     @property
     def n_times(self) -> int:
@@ -107,33 +109,16 @@ class Filtration:
     def n_atoms(self) -> int:
         return self.block_ids.shape[1]
 
-    def _cached(self, key, build):
-        if key not in self._cache:
-            self._cache[key] = build()
-        return self._cache[key]
-
-    @property
-    def nodes(self) -> Array:
-        """The node of every (date, atom), time-major (built on first use)."""
-        return self._cached("nodes", lambda: self.block_ids + self.offsets[:-1, None])
-
     def node_atoms(self):
         """(date, first atom) of every node."""
         return np.divmod(self.heads, self.n_atoms)
 
     def node_mass(self, w) -> Array:
         """Mass of every node under atom weights w; the last w's masses are kept."""
-        held = self._cache.get("mass")
-        if held is None or not np.array_equal(held[0], w):
-            mass = self.node_reduce(np.broadcast_to(w, (self.n_times, self.n_atoms)))
-            held = self._cache["mass"] = (np.array(w, dtype=float), mass)
-        return held[1]
-
-    def blocks(self, n: int) -> tuple:
-        """Atom-index arrays of the time-n partition, atoms ascending (built on first use)."""
-        ids = self.block_ids[n]
-        return self._cached(n, lambda: tuple(np.split(np.argsort(ids, kind="stable"),
-                                                      np.cumsum(np.bincount(ids))[:-1])))
+        if self._mass is None or not np.array_equal(self._mass[0], w):
+            object.__setattr__(self, "_mass", (np.array(w, dtype=float), self.node_reduce(
+                np.broadcast_to(w, (self.n_times, self.n_atoms)))))
+        return self._mass[1]
 
     def node_reduce(self, rows, ufunc=np.add, first: int = 0) -> Array:
         """``ufunc`` over every node of the dates first, first+1, ...: one bincount or ufunc.at.

@@ -337,7 +337,9 @@ def read_rows(path, outcomes, horizon):
         name, n, v = parts
         if name not in index:
             raise ValueError(f"row {row}: unknown atom id {name!r}")
-        try:
+        try:  # int and float also take an "_" or a non-ASCII digit, which no table holds
+            if "_" in n + v or not (n + v).isascii():
+                raise ValueError
             n, v = int(n), float(v)
         except ValueError:
             raise ValueError(

@@ -477,11 +477,13 @@ def test_readme_library_tour_prints_its_two_lines(capsys):
 
 def test_the_package_ships_no_test_only_code():
     # the random generators live in tests/trees.py, the whole-bundle suite and the
-    # additive driver in tests/oracle.py; node_reduce is the one block reduction
+    # additive driver in tests/oracle.py; node_reduce is the one block reduction, over
+    # the one block index, Filtration.nodes (the per-date block lists are trees.blocks)
     assert importlib.util.find_spec("horizon_deflators.trees") is None
     assert not hasattr(jd, "suite_tests") and not hasattr(jd, "_evaluate")
     assert not hasattr(dfl, "driver_base")
     assert not hasattr(Filtration, "segment_reduce")
+    assert not hasattr(Filtration, "blocks") and not hasattr(Filtration, "_cached")
 
 
 def test_verify_missing_file(tmp_path):
@@ -1379,6 +1381,14 @@ def test_loaders_refuse_unknown_keys_and_values_that_are_not_numbers(tmp_path, d
     path.write_text(json.dumps(doc))
     with pytest.raises(SpaceValidationError, match=f"^{re.escape(message.format(path=path))}$"):
         read(path)
+
+
+def test_scenario_with_only_the_required_fields_takes_the_dataclass_defaults():
+    # the loader passes only the fields a document holds: S0, horizon, dt, n_paths
+    # and seed default as JumpDiffusionScenario's own fields do
+    doc = {"sigma": 0.2, "zeta": 0.1, "mu": 0.03, "lambda": 2.0, "a": 0.5}
+    sc, _ = modelio.load_scenario(doc)
+    assert sc == jd.JumpDiffusionScenario(sigma=0.2, zeta=0.1, mu=0.03, lam=2.0, a=0.5)
 
 
 def _scenario(doc):

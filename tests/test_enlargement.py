@@ -154,9 +154,9 @@ def test_survival_matches_enumeration_oracle():
 
 def test_enlarged_blocks_demo(demo, demo_rts):
     space, tau, _ = demo
-    blocks0 = [sorted(b.tolist()) for b in demo_rts.G_filtration.blocks(0)]
+    blocks0 = [sorted(b.tolist()) for b in trees.blocks(demo_rts.G_filtration, 0)]
     assert sorted(blocks0) == [[0, 1, 2], [3]]
-    blocks1 = [sorted(b.tolist()) for b in demo_rts.G_filtration.blocks(1)]
+    blocks1 = [sorted(b.tolist()) for b in trees.blocks(demo_rts.G_filtration, 1)]
     assert sorted(blocks1) == [[0], [1], [2], [3]]
     ref = oracle.enlarged_blocks(space.filtration.block_ids.tolist(), tau.tolist(), 0)
     assert sorted(sorted(b) for b in ref) == sorted(blocks0)
@@ -176,7 +176,7 @@ def test_enlargement_of_stopping_time_is_trivial():
 def test_enlargement_terminal_discrete(demo):
     space, tau, _ = demo
     filt = enlarge(space, tau)
-    assert len(filt.blocks(2)) == 4
+    assert len(trees.blocks(filt, 2)) == 4
 
 
 def test_adapted_stays_adapted(demo, demo_rts):
@@ -298,7 +298,7 @@ def test_stopped_compensator_identity():
         V = np.zeros((space.n_atoms, space.horizon + 1))
         for k in range(1, space.horizon + 1):
             col = np.zeros(space.n_atoms)
-            for atoms in space.filtration.blocks(k):
+            for atoms in trees.blocks(space.filtration, k):
                 col[atoms] = rng.uniform(0, 1)
             V[:, k] = V[:, k - 1] + col
         lhs = dual_projection(space, stop(V, tau), "predictable",

@@ -92,9 +92,8 @@ def test_filtration_csr_matches_per_block_reference():
         assert filt.block_ids.dtype == np.int64
         assert np.array_equal(filt.block_ids, ids)
         for n in range(filt.n_times):
-            got = filt.blocks(n)
-            assert len(got) == len(blocks[n])
-            assert all(np.array_equal(a, b) for a, b in zip(got, blocks[n]))
+            assert np.array_equal(filt.nodes[n], ids[n] + filt.offsets[n])
+            assert filt.offsets[n + 1] - filt.offsets[n] == len(blocks[n])
             if n:
                 assert np.array_equal(filt.parent[n], [ids[n - 1][b[0]] for b in blocks[n]])
         date, first = filt.node_atoms()
@@ -250,7 +249,7 @@ def _per_node_fold(filt, rows, first, ufunc=np.add):
     0.0, a minimum or maximum from the node's first atom."""
     out = []
     for j, row in enumerate(rows):
-        for block in filt.blocks(first + j):
+        for block in trees.blocks(filt, first + j):
             acc = np.zeros(row.shape[1:]) if ufunc is np.add else row[block[0]]
             for atom in block if ufunc is np.add else block[1:]:
                 acc = ufunc(acc, row[atom])
@@ -665,6 +664,31 @@ def test_process_table_reader_names_a_bad_row_deep_in_a_large_table(tmp_path, te
         modelio.process_from_csv(tmp_path / "bad.csv", names, 5)
 
 
+@pytest.mark.parametrize("time,value", [
+    ("0_0", "1"), ("\u0661", "1"), ("0", "1_0.5"), ("0", "\u0663.\u0665"), ("\uff11", "1"),
+], ids=["underscore-time", "arabic-indic-time", "underscore-value", "arabic-indic-value",
+        "fullwidth-time"])
+def test_process_table_reader_refuses_numbers_no_table_holds(tmp_path, time, value):
+    # int and float take an underscore and any Unicode digit; process_to_csv writes neither
+    (tmp_path / "Z.csv").write_text(f"atom,time,value\nw1,{time},{value}\nw1,1,2\n",
+                                    encoding="utf-8")
+    message = ("row 2: time must be an integer and value a number, "
+               f"got {f'w1,{time},{value}'!r}")
+    with pytest.raises(SpaceValidationError, match=f"^{re.escape(message)}$"):
+        modelio.process_from_csv(tmp_path / "Z.csv", ["w1"], 1)
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        oracle.read_rows(tmp_path / "Z.csv", ["w1"], 1)
+
+
+def test_process_table_reader_keeps_atom_ids_with_underscores_or_non_ascii(tmp_path):
+    # the written-number rule is for times and values: an atom id keeps any text
+    names = ["w_1", "ω١"]
+    X = np.array([[1.5, -2.0], [0.25, 3.0]])
+    modelio.process_to_csv(tmp_path / "Z.csv", names, X)
+    assert np.array_equal(modelio.process_from_csv(tmp_path / "Z.csv", names, 1), X)
+    assert np.array_equal(oracle.read_rows(tmp_path / "Z.csv", names, 1), X)
+
+
 def _corrupt(rng, records, horizon):
     """Apply one corruption, drawn at random, to ``records`` (a table's rows as cell lists)."""
     k = int(rng.integers(len(records)))
@@ -673,11 +697,13 @@ def _corrupt(rng, records, horizon):
         records[k] = records[k][:2] if rng.random() < 0.5 else records[k] + ["1"]
     elif kind == 1:
         records[k][0] = "x" + records[k][0]
-    elif kind == 2 and len(records[k]) > 1:  # a word, a fraction, past T, negative, huge
+    elif kind == 2 and len(records[k]) > 1:  # a word, a fraction, past T, negative, huge,
+        # or a number int takes but no table holds: an underscore, a non-ASCII digit
         records[k][1] = rng.choice(["two", "1.5", str(horizon + 1), "-1", str(2 ** 70),
-                                    str(2 ** 63 - 1)])
+                                    str(2 ** 63 - 1), "0_0", "\u0661", "\uff11"])
     elif kind == 3 and len(records[k]) > 2:
-        records[k][2] = rng.choice(["nan", "-inf", "1e400", '"nan"'])
+        records[k][2] = rng.choice(["nan", "-inf", "1e400", '"nan"', "1_0.5",
+                                    "\u0663.\u0665"])
     elif kind == 4:  # a repeated cell: in place of another row, or beside the rows
         if rng.random() < 0.5:
             records[int(rng.integers(len(records)))] = list(records[k])

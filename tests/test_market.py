@@ -386,7 +386,7 @@ def test_lift_preserves_stopped_wealth_and_admissibility():
         # an enlarged-predictable strategy, scaled into admissibility
         phi_G = np.zeros((space.n_atoms, space.horizon + 1))
         for k in range(1, space.horizon + 1):
-            for atoms in rts.G_filtration.blocks(k - 1):
+            for atoms in trees.blocks(rts.G_filtration, k - 1):
                 phi_G[atoms, k] = rng.uniform(-0.45, 0.45)
         dS = np.diff(stopped.S[0], axis=1)
         floor = np.min(phi_G[:, 1:] * dS)

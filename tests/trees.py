@@ -18,6 +18,12 @@ from horizon_deflators.market import MarketModel
 from horizon_deflators.prob_core import FiniteFilteredSpace, project
 
 
+def blocks(filt, n: int) -> tuple:
+    """Atom-index arrays of the time-n partition of ``filt``, atoms ascending."""
+    ids = filt.block_ids[n]
+    return tuple(np.split(np.argsort(ids, kind="stable"), np.cumsum(np.bincount(ids))[:-1]))
+
+
 def two_period_demo():
     """Four equally likely atoms over two dates with a binomial price.
 
@@ -91,7 +97,7 @@ def regular_tau(rng, space: FiniteFilteredSpace) -> np.ndarray:
     """
     T = space.horizon
     tau = np.zeros(space.n_atoms, dtype=np.int64)
-    pools = [atoms for atoms in space.filtration.blocks(0)]
+    pools = list(blocks(space.filtration, 0))
     for j in range(1, T + 1):
         next_pools = []
         for atoms in pools:
@@ -132,7 +138,7 @@ def random_market(rng, space: FiniteFilteredSpace, *, n_assets: int = 1):
     filt = space.filtration
     mass = filt.node_mass(space.probs)
     for k in range(1, T + 1):
-        for atoms in filt.blocks(k - 1):
+        for atoms in blocks(filt, k - 1):
             kids, cell = np.unique(filt.block_ids[k][atoms], return_inverse=True)
             qc = rng.uniform(0.2, 1.0, size=len(kids))
             qc = qc / qc.sum()
@@ -194,7 +200,7 @@ def random_optional_integrand(rng, rts) -> np.ndarray:
     space, T = rts.space, rts.horizon
     phi = np.zeros((space.n_atoms, T + 1))
     for k in range(1, T + 1):
-        for atoms in space.filtration.blocks(k):
+        for atoms in blocks(space.filtration, k):
             i = atoms[0]
             g, gt = rts.G[i, k], rts.G_tilde[i, k]
             lo = -gt / g * 0.9 if g > 0 else -2.0
