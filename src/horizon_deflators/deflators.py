@@ -639,7 +639,9 @@ def extract_multiplicative(Z, rts: RandomTimeStructure):
     Inverts the construction: multiplicative split of Z in the enlarged
     filtration, lift of the predictable part, two-term decomposition of the
     martingale part (each at tolerance 1e-9), and the driver re-scaling.  Returns
-    (params, diagnostics) with params rebuilding Z exactly on regular trees.
+    (params, diagnostics) with params rebuilding Z exactly, on any tau.  Z_F
+    is stopped at the last date its public block holds a live atom (G~ > 0):
+    Z never reads it later, and it stays F-adapted and positive.
     """
     V = as_values(getattr(Z, "Z", Z))
     if np.max(np.abs(stop(V, rts.tau) - V)) > 0:
@@ -652,7 +654,8 @@ def extract_multiplicative(Z, rts: RandomTimeStructure):
     dK_F[:, 0] = 0.0  # K_F = (1/G_minus) . m + (1/G_minus^2) . M_F
     K_F = np.cumsum(dK_F, axis=1)
     phi_o = _broadcast_live(_rescale(repn.phi, _steps(_driver_steps(dK_F, rts)), np.divide), rts)
-    Z_F = _compound(_steps(dK_F)) * stochastic_exponential(-V_F)
+    last = (rts.G_tilde > 0).sum(axis=1) - 1  # G~ = 0 from the next date on, at every atom
+    Z_F = stop(_compound(_steps(dK_F)) * stochastic_exponential(-V_F), last)
     params = DeflatorParams("multiplicative", Z_F=Z_F, phi_o=phi_o,
                             phi_pr=np.zeros_like(K_F), V_F=V_F)
     return params, {"K_F": K_F, "decomposition": repn, "V_G": V_G, "N": N}

@@ -11,11 +11,12 @@ deflator directly from one-step conditional quantities:
   conditional wealth gain is nonpositive.  The nodes of all dates are settled
   in one vectorized pass, with no LP.  For d = 1 in closed form: the strategy
   set is an interval, unbounded exactly on the side no increment bounds, and
-  the supremum sits at its endpoints.  For d in {2, 3} by a stacked vertex
-  enumeration over every d-subset of each node's distinct increment rows,
-  one per group of nodes with equally many rows: once over the recession
-  cone capped by the unit box, and once over the polytope itself.  Higher
-  dimensions are refused.
+  the supremum sits at its endpoints.  For d in {2, 3} by one enumeration of
+  the bases of each node's LP dual, min{1'y : y >= 0, R'y = -v} over its
+  child increment rows R, stacked per group of nodes with equally many
+  rows: the supremum is the least 1'y of a feasible basis, and no feasible
+  basis means a recession direction (a sure gain).  Higher dimensions are
+  refused.
 
 Every node sum runs through :meth:`Filtration.node_reduce`, in the order of
 ``classify``, and the masses are the filtration's cached ``node_mass``.
@@ -28,7 +29,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from itertools import combinations, islice, product
+from itertools import combinations, islice
 
 import numpy as np
 
@@ -159,7 +160,14 @@ def wealth(phi, market: MarketModel) -> Array:
 
 @dataclass(frozen=True)
 class OracleReport:
-    """Verdict of a deflator oracle with the worst node and residual."""
+    """Verdict of a deflator oracle, with the worst node and residual.
+
+    ``worst`` is the first (time, block, kind) reaching the largest residual.
+    The kinds of verify_lmd: ``martingale`` or ``price[i]``.  Of verify_deflator:
+    ``non-finite`` where a node sum is not finite, else ``recession`` where a
+    direction of sure gain exists (for d >= 2: no basis of the node's LP dual
+    is feasible), else ``vertex``, a finite supremum above Z_{n-1}.
+    """
 
     ok: bool
     max_residual: float
@@ -199,71 +207,6 @@ def verify_lmd(Z, market: MarketModel, *, tol: float = 1e-9) -> OracleReport:
                         {"martingale_residual": rep.max_residual})
 
 
-def _vertex_sup(v: Array, rows: Array, tol: float):
-    """Per node, sup of v'phi over {phi : rows phi >= -1} given nonpositive recession slopes.
-
-    ``v`` is (nodes, d) and ``rows`` (nodes, m, d); rows of norm <= tol are
-    dropped.  Nodes whose kept rows have rank below d are reduced to their
-    row space (orthogonal directions have zero slope) by one stacked SVD per
-    group of nodes with equally many kept rows and equal rank.
-    """
-    out = np.zeros(len(v))
-    keep = np.linalg.norm(rows, axis=2) > tol
-    count = keep.sum(axis=1)
-    for c in np.unique(count[count > 0]):
-        at = np.flatnonzero(count == c)
-        K = rows[at][keep[at]].reshape(len(at), c, v.shape[1])
-        rank = np.linalg.matrix_rank(K, tol=1e-12)
-        for r in np.unique(rank):
-            sel = rank == r
-            if r == v.shape[1]:
-                out[at[sel]] = _vertex_max(v[at[sel]], K[sel], -np.ones(c))
-            else:
-                Qt = np.linalg.svd(K[sel])[2][:, :r]  # (nodes, r, d): the row space
-                out[at[sel]] = _vertex_sup((Qt @ v[at[sel], :, None])[..., 0],
-                                           K[sel] @ Qt.transpose(0, 2, 1), tol)
-    return out
-
-
-_CHUNK_ELEMENTS = 1 << 20  # numbers per (node, d-subset) temporary of one _vertex_max pass
-
-
-def _vertex_max(v: Array, A: Array, b: Array, subsets=None) -> Array:
-    """Per node, max of v'x over x = 0 and the vertices of {x : A x >= b}.
-
-    ``v`` is (nodes, d), ``A`` is (nodes, m, d) and ``b`` is (m,); zero
-    rows join no vertex.  Every d-subset of rows is solved with equality:
-    subsets with |det| <= 1e-12 scale^d are skipped (scale: the node's
-    largest row norm), and a solution counts if every row holds within
-    1e-9 (1 + |A x|).  Subsets (all, or ``subsets``: count and tuples) are drawn
-    lazily and, with the nodes, run in chunks of at most ``_CHUNK_ELEMENTS``
-    numbers per temporary, so memory does not grow with the number of subsets.
-    """
-    n, m, d = A.shape
-    best = np.zeros(n)
-    total, subsets = subsets or (math.comb(m, d), combinations(range(m), d))
-    if n == 0 or total == 0:
-        return best
-    tiny = 1e-12 * np.linalg.norm(A, axis=2).max(axis=1) ** d
-    per_subset = m + d * d
-    nodes = max(1, _CHUNK_ELEMENTS // (per_subset * total))
-    width = max(1, _CHUNK_ELEMENTS // (per_subset * nodes))
-    for _ in range(0, total, width):
-        idx = np.array(list(islice(subsets, width)), dtype=np.intp)
-        for lo in range(0, n, nodes):
-            An, vn = A[lo:lo + nodes], v[lo:lo + nodes, None, None, :]
-            M = An[:, idx]  # (nodes, subsets, d, d)
-            solvable = np.abs(np.linalg.det(M)) > tiny[lo:lo + nodes, None]
-            x = np.linalg.solve(np.where(solvable[..., None, None], M, np.eye(d)),
-                                b[idx][..., None])
-            Ax = (An[:, None] @ x)[..., 0]  # (nodes, subsets, m)
-            solvable &= np.all(Ax >= b - 1e-9 * (1.0 + np.abs(Ax)), axis=2)
-            # (1, d) @ (d, 1) products round as a plain v @ x does
-            vx = np.where(solvable, (vn @ x)[..., 0, 0], -np.inf)
-            best[lo:lo + nodes] = np.maximum(best[lo:lo + nodes], vx.max(axis=1))
-    return best
-
-
 def _child_rows(filt: Filtration, rows: Array, live: Array):
     """The rows of each ``live`` node's child nodes, grouped by width.
 
@@ -288,44 +231,64 @@ def _child_rows(filt: Filtration, rows: Array, live: Array):
         yield at, kid_rows[mine[owner]].reshape(len(at), c, rows.shape[2])
 
 
-def _polytope_nodes(v: Array, R: Array, room: Array):
-    """d in {2, 3}: recession slope and sup of v'phi over {phi : R phi >= -1}, per node.
+_CHUNK_ELEMENTS = 1 << 20  # numbers per (node, basis) temporary of one _dual_sup pass
 
-    ``R`` holds each node's child rows (nodes, m, d); rows of norm <= 1e-14
-    count as zero.  The recession slope is the max of v'r over the cone
-    {R r >= 0} capped by the box |r|_inf <= 1, found by :func:`_vertex_max`
-    with the rows scaled to unit norm (the cone does not change).  Where it
-    is within ``room``, the sup comes from :func:`_vertex_sup` over R.
+
+def _dual_sup(v: Array, R: Array, room: Array) -> Array:
+    """d in {2, 3}: sup of v'phi over {phi : R phi >= -1} per node, by its LP dual.
+
+    ``R`` holds each node's child rows (nodes, m, d); rows of norm <= 1e-14 count
+    as zero.  The sup is min{1'y : y >= 0, R'y = -v}, inf where no y exists (then
+    a recession direction does).  A node of rank r < d (at 1e-12) is reduced to
+    its row space, and is unbounded if the part of v off it exceeds ``room``.  A
+    basis, r rows S with |det| > 1e-12 scale^r (scale: the largest row norm),
+    solves R_S'y = -v and counts if each y_i >= -1e-9 |y|_1 (a zero may round
+    below).  Bases are drawn lazily and, with the nodes, run in chunks of at most
+    ``_CHUNK_ELEMENTS`` numbers per temporary: memory does not grow with C(m, r).
     """
     n, m, d = R.shape
-    norm = np.linalg.norm(R, axis=2, keepdims=True)
-    unit = np.divide(R, norm, out=np.zeros_like(R), where=norm > 1e-14)
-    box = np.broadcast_to(np.concatenate([np.eye(d), -np.eye(d)]), (n, 2 * d, d))
-    # k >= 1 box rows on k axes: cone rows alone meet at x = 0, e_j with -e_j is singular
-    count = sum(math.comb(m, d - k) * math.comb(d, k) * 2 ** k for k in range(1, d + 1))
-    boxed = (cone + tuple(sorted(m + j + d * sign for j, sign in zip(axes, signs)))
-             for k in range(1, d + 1) for cone in combinations(range(m), d - k)
-             for axes in combinations(range(d), k) for signs in product((0, 1), repeat=k))
-    rec = _vertex_max(v, np.concatenate([unit, box], axis=1),
-                      np.concatenate([np.zeros(m), -np.ones(2 * d)]), (count, boxed))
-    sup = np.zeros(n)
-    bounded = rec <= room
-    sup[bounded] = _vertex_sup(v[bounded], R[bounded], 1e-14)
-    return rec, sup
+    norm = np.linalg.norm(R, axis=2)
+    R = np.where(norm[..., None] > 1e-14, R, 0.0)
+    _, sv, Vt = np.linalg.svd(R, full_matrices=False)
+    rank = (sv > 1e-12).sum(axis=1)
+    best = np.full(n, np.inf)
+    for r in np.unique(rank):
+        at, A, b = np.flatnonzero(rank == r), R[rank == r], v[rank == r]
+        if r < d:
+            Qt = Vt[at, :r]  # (nodes, r, d): the row space
+            proj = (Qt @ b[:, :, None])[..., 0]
+            inside = np.linalg.norm(b - (proj[:, None] @ Qt)[:, 0], axis=1) <= room[at]
+            at, A, b = at[inside], (A @ Qt.transpose(0, 2, 1))[inside], proj[inside]
+        total, bases = math.comb(m, r), combinations(range(m), r)
+        tiny = 1e-12 * norm[at].max(axis=1) ** r
+        budget = _CHUNK_ELEMENTS // (r * r + 3 * r + 1)  # (node, basis) pairs per chunk
+        nodes = max(1, budget // total)
+        width = max(1, budget // nodes)
+        for _ in range(0, total, width):
+            idx = np.array(list(islice(bases, width)), dtype=np.intp)
+            for lo in range(0, len(at), nodes):
+                part = at[lo:lo + nodes]
+                M = A[lo:lo + nodes, idx].swapaxes(-1, -2)  # (nodes, bases, r, r): R_S'
+                ok = np.abs(np.linalg.det(M)) > tiny[lo:lo + nodes, None]
+                y = np.linalg.solve(np.where(ok[..., None, None], M, np.eye(r)),
+                                    -b[lo:lo + nodes, None, :, None])[..., 0]
+                ok &= np.all(y >= -1e-9 * np.abs(y).sum(axis=2, keepdims=True), axis=2)
+                cost = np.where(ok, y.sum(axis=2), np.inf)
+                best[part] = np.minimum(best[part], cost.min(axis=1))
+    return best
 
 
-def _interval_nodes(v: Array, lo_row: Array, hi_row: Array):
-    """One asset: recession slope and sup of v*phi over {phi : rows*phi >= -1}, per node.
+def _interval_nodes(v: Array, lo_row: Array, hi_row: Array) -> Array:
+    """One asset: sup of v*phi over {phi : rows*phi >= -1}, per node; the dual in closed form.
 
     ``lo_row``/``hi_row`` are each node's smallest and largest increment;
-    increments within 1e-14 of zero count as zero.  The ray r >= 0 (|r| <= 1)
-    is feasible iff no increment is negative, r <= 0 iff none is positive.
-    The sup is v times the endpoint its sign points to, inf if unbounded.
+    increments within 1e-14 of zero count as zero.  The sup is v times the
+    endpoint its sign points to: inf where no increment bounds that side, a
+    recession direction of positive slope.
     """
     neg, pos = lo_row < -1e-14, hi_row > 1e-14
-    rec = np.maximum(np.where(neg, 0.0, v), np.where(pos, 0.0, -v))
     hi, lo = _ratio(-1.0, lo_row, np.inf, neg), _ratio(-1.0, hi_row, -np.inf, pos)
-    return rec, v * np.where(v > 0, hi, np.where(v < 0, lo, 0.0))
+    return v * np.where(v > 0, hi, np.where(v < 0, lo, 0.0))
 
 
 @np.errstate(over="ignore", invalid="ignore")  # what overflows fails closed below
@@ -335,13 +298,15 @@ def verify_deflator(Z, market: MarketModel, *, tol: float = 1e-9) -> OracleRepor
     For each node the oracle maximizes E[Z_n (1 + phi' dS_n) | block] over the
     closed admissibility polytope (including recession directions) and checks
     the optimum against Z_{n-1}.  Supports up to three assets.  The nodes of
-    all dates are settled in one batched pass, with no LP: for one asset by the
-    interval formulas of :func:`_interval_nodes`, for two or three by the
-    vertex enumeration of :func:`_polytope_nodes` over the rows of each
-    node's time-n child blocks (S is adapted, so these are all its atoms'
-    rows), once per group of nodes with the same number of children.  The
-    reported worst node is the first (time, block) reaching the
-    largest excess.
+    all dates are settled in one batched pass, with no LP solver: for one
+    asset by the interval formulas of :func:`_interval_nodes`, for two or
+    three by :func:`_dual_sup`, which enumerates the bases of each node's LP
+    dual over the rows of its time-n child blocks (S is adapted, so these are
+    all its atoms' rows), once per group of nodes with the same number of
+    children; no feasible basis means a recession direction.  The worst node
+    is the first (time, block) reaching the largest excess, with its kind:
+    ``non-finite`` (a node sum is not finite), else ``recession``, else
+    ``vertex``.
     """
     d = market.n_assets
     if d > 3:
@@ -359,21 +324,19 @@ def verify_deflator(Z, market: MarketModel, *, tol: float = 1e-9) -> OracleRepor
     base = filt.node_reduce(zw)[live]
     rows = np.diff(market.S, axis=2).T  # (date, atom, asset)
     v = filt.node_reduce(rows * zw[:, :, None])[live]
-    room = tol * np.maximum(1.0, np.abs(z_prev))
     if d == 1:
-        rec, sup = _interval_nodes(v[:, 0], filt.node_reduce(rows[:, :, 0], np.minimum)[live],
-                                   filt.node_reduce(rows[:, :, 0], np.maximum)[live])
+        sup = _interval_nodes(v[:, 0], filt.node_reduce(rows[:, :, 0], np.minimum)[live],
+                              filt.node_reduce(rows[:, :, 0], np.maximum)[live])
     else:
-        rec, sup = np.empty(len(live)), np.empty(len(live))
+        sup = np.empty(len(live))
         for at, R in _child_rows(filt, rows, live):
-            rec[at], sup[at] = _polytope_nodes(v[at], R, room[at])
-    recession = rec > room
+            sup[at] = _dual_sup(v[at], R, tol * np.maximum(1.0, np.abs(z_prev[at])))
     finite = np.isfinite(base) & np.isfinite(z_prev) & np.isfinite(v).all(axis=1)
-    excess = np.where(recession | ~finite, np.inf, base + sup - z_prev)
+    excess = np.where(finite, base + sup - z_prev, np.inf)
     worst, max_excess = None, -np.inf
     if len(live):
         j = int(np.argmax(excess))
-        kind = "recession" if recession[j] else "vertex" if finite[j] else "non-finite"
+        kind = "non-finite" if not finite[j] else "recession" if sup[j] == np.inf else "vertex"
         max_excess, worst = float(excess[j]), (*_step(filt, live[j]), kind)
     ok = max_excess <= tol * max(1.0, float(np.max(np.abs(V))))
     return OracleReport(ok, float(max_excess), worst if not ok else None, {})

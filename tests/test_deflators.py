@@ -617,6 +617,23 @@ def test_extraction_round_trip():
         assert diag["decomposition"].residual <= 1e-12
 
 
+def test_extraction_round_trip_on_deflators_no_route_built():
+    # G-deflators drawn directly, on a regular and a free tau, with and without
+    # a G-predictable decay: on a free tau, Z_F holds its last value on the
+    # cells with G~ = 0, so the extracted parameters pass validate
+    rng = np.random.default_rng(7)
+    for draw_tau in (trees.regular_tau, trees.random_tau):
+        for decay in (False, True):
+            for _ in range(100):
+                space = trees.random_space(rng, max_horizon=5, max_atoms=40)
+                rts = build_survival(space, draw_tau(rng, space))
+                Z = trees.random_stopped_deflator(rng, rts, decay=decay)
+                params, _ = extract_multiplicative(Z, rts)
+                assert validate(params, rts).ok
+                rebuilt = build_multiplicative(params.Z_F, params.phi_o, params.phi_pr, rts).Z
+                assert np.max(np.abs(rebuilt - Z)) <= 1e-10
+
+
 def test_factorization_uniqueness_on_live_region():
     # extracting (Z_F, phi_o, V_F) from a built deflator reproduces the inputs
     # wherever the left survival probability is positive

@@ -41,7 +41,7 @@ from horizon_deflators import (
     verify_deflator,
 )
 from horizon_deflators import market as market_mod
-from horizon_deflators.market import _CHUNK_ELEMENTS, _polytope_nodes, _vertex_max
+from horizon_deflators.market import _CHUNK_ELEMENTS, _dual_sup
 from horizon_deflators.prob_core import increments
 
 
@@ -458,48 +458,59 @@ def test_polytope_oracle_mixed_widths():
         assert _same_verdict(Z, _collinear(rng, market))
 
 
-def test_vertex_max_draws_subsets_lazily(monkeypatch):
-    # 120 rows in three dimensions have C(120, 3) = 280,840 subsets, whose
+def test_dual_sup_draws_bases_lazily(monkeypatch):
+    # 120 rows in three dimensions have C(120, 3) = 280,840 bases, whose
     # index array alone takes 6.7 MB; with a 2^14-number chunk budget the
-    # whole enumeration must stay far below that, and give the same maximum
+    # whole enumeration must stay far below that, and give the same minimum
     rng = np.random.default_rng(108)
     A = rng.normal(size=(1, 120, 3))
     v = rng.normal(size=(1, 3))
-    full = _vertex_max(v, A, -np.ones(120))
+    room = np.full(1, 1e-9)
+    full = _dual_sup(v, A, room)
     monkeypatch.setattr(market_mod, "_CHUNK_ELEMENTS", 1 << 14)
     tracemalloc.start()
     try:
-        chunked = _vertex_max(v, A, -np.ones(120))
+        chunked = _dual_sup(v, A, room)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert np.array_equal(chunked, full)
+    assert np.isfinite(full).all() and np.array_equal(chunked, full)
     assert peak < math.comb(120, 3) * 3 * 8 / 4
 
 
-def test_recession_pass_matches_full_enumeration():
-    # the recession pass of the two- and three-asset oracle enumerates only
-    # the d-subsets that hold a box row and no box row with its negative;
-    # over the same rows, every d-subset must give the same slopes bit for bit
+def test_dual_sup_matches_vertex_and_recession_references():
+    # two- and three-asset nodes with zero rows, rows along an axis, one-sided
+    # rows (a recession direction exists) and collinear rows (rank below d),
+    # against the HiGHS recession slope and the primal vertex search: inf
+    # exactly where the slope exceeds 1e-9, else the same sup within 1e-12
     rng = np.random.default_rng(109)
+    n = 120
     for d in (2, 3):
         for m in range(1, 7):
-            R = rng.normal(size=(300, m, d))
-            R[rng.random((300, m)) < 0.2] = 0.0
-            axis = rng.random((300, m)) < 0.2  # rows along an axis, as the box rows are
+            R = rng.normal(size=(n, m, d))
+            R[rng.random((n, m)) < 0.2] = 0.0
+            axis = rng.random((n, m)) < 0.2
             R[axis] = np.eye(d)[rng.integers(0, d, size=axis.sum())] * rng.choice([-2.0, 0.5],
                                                                                 size=(axis.sum(), 1))
-            one_sided = rng.random(300) < 0.5  # a recession direction exists
+            one_sided = rng.random(n) < 0.5
             R[one_sided, :, 0] = np.abs(R[one_sided, :, 0])
-            v = rng.normal(size=(300, d))
-            norm = np.linalg.norm(R, axis=2, keepdims=True)
-            unit = np.divide(R, norm, out=np.zeros_like(R), where=norm > 1e-14)
-            box = np.broadcast_to(np.concatenate([np.eye(d), -np.eye(d)]), (300, 2 * d, d))
-            full = _vertex_max(v, np.concatenate([unit, box], axis=1),
-                               np.concatenate([np.zeros(m), -np.ones(2 * d)]))
-            rec, _ = _polytope_nodes(v, R, np.full(300, 1e-9))
-            assert np.array_equal(rec, full)
-            assert (full > 1e-9).sum() > 30  # unbounded nodes are in the draw
+            collinear = rng.random(n) < 0.3  # rows in a random line or plane
+            for i in np.flatnonzero(collinear):
+                basis = np.linalg.qr(rng.normal(size=(d, int(rng.integers(1, d)))))[0]
+                R[i] = R[i] @ basis @ basis.T
+            # v is free, in the row span (as E[Z dS | node] is), or -R'y for a
+            # y >= 0 with zeros: a dual solution on a face, whose zeros round
+            face = rng.uniform(size=(n, m)) * (rng.random((n, m)) < 0.5)
+            y = np.where(rng.random((n, 1)) < 0.4, face, rng.normal(size=(n, m)))
+            v = np.where(rng.random((n, 1)) < 0.3, rng.normal(size=(n, d)),
+                         -np.einsum("nm,nmd->nd", y, R))
+            got = _dual_sup(v, R, np.full(n, 1e-9))
+            slopes = np.array([oracle.recession_violation(v[i], R[i]) for i in range(n)])
+            assert np.array_equal(np.isinf(got), slopes > 1e-9)
+            for i in np.flatnonzero(np.isfinite(got)):
+                want = oracle.vertex_sup(v[i], R[i], 1e-14)
+                assert abs(got[i] - want) <= 1e-12 * max(1.0, abs(want))
+            assert 10 < np.isinf(got).sum() < n - 10  # both verdicts are in the draw
 
 
 def _stopped_martingales(rng, rts):

@@ -154,20 +154,23 @@ def test_oracles_fail_closed_on_non_finite_Z(n_assets, bad):
         assert not rep.ok and rep.max_residual == np.inf
 
 
-@pytest.mark.parametrize("n_assets", [1, 2])
+@pytest.mark.parametrize("prices", [1, 2, "up"])
 @pytest.mark.parametrize("scale", [1.0, 1e300])
-def test_oracles_fail_closed_on_overflowing_sums(n_assets, scale):
+def test_oracles_fail_closed_on_overflowing_sums(prices, scale):
     # prices move by 1e10 under a drift, so Z is no deflator at any scale; at
-    # 1e300 the node sums overflow and inf - inf gives NaN, which must fail
+    # 1e300 the node sums overflow and inf - inf gives NaN, which must fail,
+    # and the node reads non-finite at every d, also where it is unbounded
     space = FiniteFilteredSpace.from_partitions(
         ("u", "m", "d"), (0.5, 0.25, 0.25), [[0, 0, 0], [0, 1, 2]])
     up, down = 1.0 + 1e10, 1.0 - 1e10
-    S = np.array([[[1.0, up], [1.0, down], [1.0, 1.0]],
-                  [[1.0, 1.0], [1.0, up], [1.0, down]]])[:n_assets]
-    Z, market = np.full((3, 2), scale), MarketModel.from_prices(space, S)
+    S = {1: [[[1.0, up], [1.0, down], [1.0, 1.0]]],
+         2: [[[1.0, up], [1.0, down], [1.0, 1.0]], [[1.0, 1.0], [1.0, up], [1.0, down]]],
+         "up": [[[1.0, up], [1.0, 1.0], [1.0, 1.0 + 2e10]]]}[prices]
+    Z, market = np.full((3, 2), scale), MarketModel.from_prices(space, np.array(S))
     lmd, gen = verify_lmd(Z, market), verify_deflator(Z, market)
     assert not lmd.ok and lmd.worst == (1, 0, "price[0]")
-    assert not gen.ok and gen.worst == (1, 0, "vertex" if scale == 1.0 else "non-finite")
+    kind = "non-finite" if scale > 1.0 else "recession" if prices == "up" else "vertex"
+    assert not gen.ok and gen.worst == (1, 0, kind)
     if scale > 1.0:
         assert lmd.max_residual == gen.max_residual == np.inf
 
@@ -268,8 +271,8 @@ def test_deflator_three_assets():
 
 
 def test_node_sup_matches_grid_search():
-    # the vertex/interval optimum dominates dense sampling of the polytope
-    from horizon_deflators.market import _interval_nodes, _vertex_sup
+    # the dual/interval optimum dominates dense sampling of the polytope
+    from horizon_deflators.market import _dual_sup, _interval_nodes
     rng = np.random.default_rng(47)
     for _ in range(200):
         n = int(rng.integers(2, 7))
@@ -282,7 +285,7 @@ def test_node_sup_matches_grid_search():
         grid = np.linspace(lo, hi, 2001)
         best = float(np.max(v * grid))
         exact = float(_interval_nodes(np.array([v]), rows1.min(keepdims=True),
-                                      rows1.max(keepdims=True))[1][0])
+                                      rows1.max(keepdims=True))[0])
         assert exact >= best - 1e-9
         assert exact <= best + 1e-6 * (1 + abs(best))
     kept = 0
@@ -299,7 +302,7 @@ def test_node_sup_matches_grid_search():
         if np.any((rows @ dirs.T >= -1e-12).all(axis=0)):
             continue  # unbounded: that case belongs to the recession LP
         kept += 1
-        exact = float(_vertex_sup(v[None], rows[None], 1e-14)[0])
+        exact = float(_dual_sup(v[None], rows[None], np.full(1, 1e-9))[0])
         samples = rng.uniform(-40, 40, size=(40000, 2))
         feasible = samples[(samples @ rows.T >= -1.0).all(axis=1)]
         if len(feasible) == 0:

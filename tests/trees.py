@@ -4,9 +4,10 @@ The randomized suites in the test battery draw from these: refinement chains
 with bounded width and depth, death times (unrestricted, or ``regular`` in
 the sense that no sub-cell ever dies out completely while a sibling of the
 same parent block still carries survivors — the discrete counterpart of the
-strict-positivity hypothesis of the continuous theory), and price processes
+strict-positivity hypothesis of the continuous theory), price processes
 built around an explicitly chosen one-step martingale measure so that an
-exact local martingale deflator is known by construction.
+exact local martingale deflator is known by construction, and stopped
+G-deflators drawn directly, which no deflator route built.
 """
 
 from __future__ import annotations
@@ -15,7 +16,7 @@ import numpy as np
 
 from horizon_deflators.enlargement import _alive
 from horizon_deflators.market import MarketModel
-from horizon_deflators.prob_core import FiniteFilteredSpace, project
+from horizon_deflators.prob_core import FiniteFilteredSpace, project, stop
 
 
 def blocks(filt, n: int) -> tuple:
@@ -217,3 +218,20 @@ def random_progressive_integrand(rng, rts) -> np.ndarray:
     phi = rng.uniform(-0.5, 0.5, size=(space.n_atoms, T + 1))
     phi[np.arange(space.n_atoms), rts.tau] = 0.0
     return phi
+
+
+def random_stopped_deflator(rng, rts, *, decay: bool = False) -> np.ndarray:
+    """A positive stopped G-deflator that no route built.
+
+    The G-projection of a terminal draw uniform on [0.25, 2.0), scaled to 1
+    at date 0; with ``decay``, times E(-V_G) for a G-predictable nondecreasing
+    V_G with steps uniform on [0, 0.3).  Stopped at tau.
+    """
+    space, G, T = rts.space, rts.G_filtration, rts.horizon
+    xi = rng.uniform(0.25, 2.0, size=space.n_atoms)
+    Z = project(space, np.repeat(xi[:, None], T + 1, axis=1), filtration=G)
+    Z /= Z[:, :1]
+    if decay:
+        steps = rng.uniform(0.0, 0.3, size=G.offsets[-1])[G.nodes[:-1]].T  # per time-(k-1) node
+        Z[:, 1:] *= np.cumprod(1.0 - steps, axis=1)
+    return stop(Z, rts.tau)
